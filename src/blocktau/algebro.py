@@ -599,7 +599,7 @@ def spectral_check(
     cp: CharPoly | None = None,
     trace_free: bool = True,
 ) -> SpectralReport:
-    """Run the whole spectral round trip on a covering (or custom) spec.
+    """Run the whole spectral round trip on a covering spec, or any spec given cp.
 
     Builds the curve and branch, certifies the commuting pair, rebuilds the
     symbol from C alone, and measures: the conjugation identity on a fresh

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasError, FactorizationError
+from .errors import AliasError, ConvergenceError, FactorizationError
 from .laurent import (
     CircleSamples,
     LaurentMatrix,
@@ -75,12 +75,9 @@ def wiener_hopf(
     inv = invert_symbol(x)
     ginv = transform(inv, (-B, B - 1))
     # block system: sum_{k=1..B} (g^{-1})^(k-m) T_minus^(-k) = -(g^{-1})^(-m)
-    A = np.zeros((B * n, B * n), dtype=complex)
-    rhs = np.zeros((B * n, n), dtype=complex)
-    for m in range(1, B + 1):
-        rhs[(m - 1) * n : m * n] = -ginv.block(-m)
-        for k in range(1, B + 1):
-            A[(m - 1) * n : m * n, (k - 1) * n : k * n] = ginv.block(k - m)
+    ms = np.arange(1, B + 1)
+    A = ginv.block_matrix(ms[None, :] - ms[:, None])
+    rhs = -ginv.block_matrix(-ms[:, None])
     cond = float(np.linalg.cond(A))
     if not np.isfinite(cond) or cond > 1e13:
         raise FactorizationError(
@@ -89,8 +86,7 @@ def wiener_hopf(
     X = np.linalg.solve(A, rhs)
     coeffs = np.zeros((B + 1, n, n), dtype=complex)
     coeffs[B] = np.eye(n)  # mode 0
-    for k in range(1, B + 1):
-        coeffs[B - k] = X[(k - 1) * n : k * n]
+    coeffs[:B] = X.reshape(B, n, n)[::-1]  # modes -B..-1
     T_minus = LaurentMatrix(n, -B, 0, coeffs)
 
     z = x.grid()
@@ -100,9 +96,7 @@ def wiener_hopf(
     half = x.M // 4
     full = transform(plus_samples, (-half, half - 1))
     # energy bookkeeping before projection onto non-negative modes
-    neg_energy = sum(
-        float(np.linalg.norm(full.block(k)) ** 2) for k in range(full.lo, 0)
-    )
+    neg_energy = float(np.linalg.norm(full.coeffs[: -full.lo]) ** 2)
     tot_energy = float(np.linalg.norm(full.coeffs) ** 2)
     leakage = neg_energy / tot_energy if tot_energy > 0 else 0.0
     T_plus = lm_trim(lm_project(full, 0, full.hi), 1e-16)
@@ -266,7 +260,8 @@ def tau_ratio_check(
     Mtail is M restricted to indices > N.  The bare single-block determinant
     det(I_n - M_NN) drops the second-order resolvent term; its deviation is
     reported separately (it is small but genuinely nonzero).  The window of
-    tail indices is widened until the corrected value settles.
+    tail indices is doubled until the corrected value settles; past
+    max_window ConvergenceError is raised.
     """
     from .toeplitz import build_TN, det_DN, hankel_product_matrix
 
@@ -292,7 +287,9 @@ def tau_ratio_check(
         if prev is not None and abs(corrected - prev) < 0.1 * tol:
             break
         if w >= max_window:
-            break
+            raise ConvergenceError(
+                f"ratio determinant not Cauchy below {0.1 * tol:g} by window {w}"
+            )
         prev = corrected
         w *= 2
     return TauRatioReport(
@@ -315,7 +312,8 @@ def bo_consistency_check(
 
     Uses the wave-matrix pair (Psi, Psi^{-1}) directly as the kernel symbols;
     D_inf comes from the strong limit of the deformed symbol (its geometric
-    mean is 1 for these families).
+    mean is 1 for these families).  The kernel window is doubled from 32
+    until det(I - K_N) settles; past 512 ConvergenceError is raised.
     """
     from .toeplitz import build_TN, det_DN, hankel_product_matrix, szego_widom
 
@@ -332,10 +330,12 @@ def bo_consistency_check(
         d = complex(np.linalg.det(np.eye(len(K)) - K))
         if prev is not None and abs(d - prev) < 0.1 * tol:
             break
+        if w >= 512:
+            raise ConvergenceError(
+                f"correction determinant not Cauchy below {0.1 * tol:g} by window {w}"
+            )
         prev = d
         w *= 2
-        if w > 512:
-            break
     lm_small = gd_symbol(spec, t, (-N, N), exact_only=True)
     lhs = det_DN(build_TN(lm_small, N)) / sw.G**N
     return float(abs(lhs - sw.D_inf * d))

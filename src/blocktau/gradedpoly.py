@@ -8,8 +8,7 @@ because they can never influence coefficients of weight <= Q.
 
 Representation: a dict mapping exponent tuples (e_1, ..., e_K) to complex
 coefficients.  Canonical form drops entries whose magnitude is below 1e-14
-of the largest coefficient; equality comparisons use an absolute/relative
-tolerance of 1e-10.
+of the largest coefficient.
 
 The module also provides the Schur polynomial family p_k(t) defined by
 exp(sum_k t_k w^k) = sum_k p_k(t) w^k, numeric Schur characters via the
@@ -22,14 +21,12 @@ and determinants of matrices over the ring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as _iterproduct
 from math import factorial
 
 Exponent = tuple[int, ...]
 Partition = tuple[int, ...]
 
 DROP_TOL = 1e-14   # canonical form: drop coeffs below DROP_TOL * max |coeff|
-EQ_TOL = 1e-10     # coefficient-wise equality tolerance
 
 _weight_cache: dict[Exponent, int] = {}
 
@@ -154,18 +151,6 @@ class GradedPoly:
         """Largest monomial weight present (0 for the zero polynomial)."""
         return max((monomial_weight(e) for e in self.coeffs), default=0)
 
-    def isclose(self, other, tol: float = EQ_TOL) -> bool:
-        """Coefficient-wise comparison within tol on the common cutoff."""
-        other = _coerce(other, self.K, self.Q)
-        Q = min(self.Q, other.Q)
-        keys = set(self.coeffs) | set(other.coeffs)
-        for exp in keys:
-            if monomial_weight(exp) > Q:
-                continue
-            if abs(self.coeffs.get(exp, 0.0) - other.coeffs.get(exp, 0.0)) > tol:
-                return False
-        return True
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return f"GradedPoly(K={self.K}, Q={self.Q}, 0)"
@@ -209,25 +194,6 @@ def _coerce(x, K: int, Q: int) -> GradedPoly:
 def _check_compatible(a: GradedPoly, b: GradedPoly) -> None:
     if a.K != b.K:
         raise ValueError(f"mixed time counts K={a.K} and K={b.K}")
-
-
-def gp_arith(a: GradedPoly, b, kind: str, i: int | None = None):
-    """Dispatch arithmetic by name: 'add', 'mul', 'derivative', 'invert'.
-
-    'derivative' differentiates a with respect to t_i and ignores b;
-    'invert' inverts a and ignores b.
-    """
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "derivative":
-        if i is None:
-            raise ValueError("derivative needs a time index i")
-        return a.derivative(i)
-    if kind == "invert":
-        return a.invert()
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
 
 
 # -- constructors ----------------------------------------------------------
@@ -566,10 +532,3 @@ def _prod_fact(ks) -> int:
         out *= factorial(k)
     return out
 
-
-def all_exponents(K: int, Q: int):
-    """All exponent tuples of weight <= Q (basis of the truncated ring)."""
-    ranges = [range(Q // i + 1) for i in range(1, K + 1)]
-    for exp in _iterproduct(*ranges):
-        if monomial_weight(exp) <= Q:
-            yield exp

@@ -55,6 +55,20 @@ class LaurentMatrix:
             return self.coeffs[k - self.lo]
         return np.zeros((self.n, self.n), dtype=complex)
 
+    def block_matrix(self, modes) -> np.ndarray:
+        """Dense block matrix whose (r, c) block is g^(modes[r, c]).
+
+        modes is a 2-D integer array; modes outside the stored band give
+        zero blocks.  The result has shape (R*n, C*n).
+        """
+        modes = np.asarray(modes, dtype=int)
+        R, C = modes.shape
+        n = self.n
+        padded = np.concatenate([self.coeffs, np.zeros((1, n, n), dtype=complex)])
+        idx = modes - self.lo
+        idx[(idx < 0) | (idx >= self.width)] = self.width
+        return padded[idx].transpose(0, 2, 1, 3).reshape(R * n, C * n)
+
     def __call__(self, z) -> np.ndarray:
         """Evaluate at one point or an array of points."""
         return _eval_horner(self, np.asarray(z, dtype=complex))

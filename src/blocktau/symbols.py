@@ -6,8 +6,7 @@ A symbol family is described by a SymbolSpec:
   distinct parameters c_i inside the unit disk;
 - 'covering': n x n diagonal base symbol built from the n-sheeted plane
   curve (spectral parameter)^n = prod_j (z - a_j) with n*k+1 distinct roots
-  a_j inside the unit disk, via w_i(z) = (P(z)/z)^((i-1)/n) / prod_{j<=(i-1)k}(z-a_j);
-- 'custom': an explicitly given banded coefficient matrix.
+  a_j inside the unit disk, via w_i(z) = (P(z)/z)^((i-1)/n) / prod_{j<=(i-1)k}(z-a_j).
 
 The deformation multiplies the base symbol on the left by exp(xi(t, L))
 where L is the n x n companion-type shift matrix with L^n = z*I and
@@ -80,11 +79,10 @@ def time_vector(values, gd_reduced: bool = True) -> TimeVector:
 class SymbolSpec:
     """Description of a symbol family member."""
 
-    family: str               # 'rational' | 'covering' | 'custom'
+    family: str               # 'rational' | 'covering'
     n: int
     params: tuple = ()
     k: int = 0                # covering replication count, len(params) = n*k+1
-    custom: LaurentMatrix | None = None
     rho: float = 0.0          # modulus of the outermost singularity inside S^1
 
     def default_times(self, gd_reduced: bool = True) -> int:
@@ -129,12 +127,6 @@ def covering_spec(a, n: int) -> SymbolSpec:
     return SymbolSpec(family="covering", n=n, params=roots, k=k, rho=rho)
 
 
-def custom_spec(lm: LaurentMatrix, rho: float) -> SymbolSpec:
-    if not 0.0 <= rho < 1.0:
-        raise SpecError(f"analyticity margin rho={rho} outside [0,1)")
-    return SymbolSpec(family="custom", n=lm.n, custom=lm, rho=rho)
-
-
 # -- base symbol -------------------------------------------------------------
 
 
@@ -157,8 +149,6 @@ def base_symbol_values(spec: SymbolSpec, z) -> np.ndarray:
             head = np.sum(logs[..., : i * spec.k], axis=-1)
             out[..., i, i] = np.exp((i / n) * total - head)
         return out
-    if spec.family == "custom":
-        return spec.custom(z)
     raise SpecError(f"unknown family {spec.family!r}")
 
 
@@ -166,8 +156,6 @@ def base_band(spec: SymbolSpec) -> tuple[int, int]:
     """Band that holds the base symbol's coefficients to BASE_DECAY_TOL."""
     if spec.family == "rational":
         return (-1, 0)
-    if spec.family == "custom":
-        return (spec.custom.lo, spec.custom.hi)
     # covering: coefficients decay like rho^{|k|}
     depth = int(np.ceil(np.log(BASE_DECAY_TOL) / np.log(spec.rho))) + 8
     return (-depth, 0)
@@ -175,8 +163,6 @@ def base_band(spec: SymbolSpec) -> tuple[int, int]:
 
 def base_symbol(spec: SymbolSpec, band: tuple[int, int] | None = None) -> LaurentMatrix:
     """Banded Fourier coefficients of the undeformed symbol."""
-    if spec.family == "custom":
-        return spec.custom if band is None else _reband(spec.custom, band)
     if band is None:
         band = base_band(spec)
     if spec.family == "rational":
@@ -195,12 +181,6 @@ def base_symbol(spec: SymbolSpec, band: tuple[int, int] | None = None) -> Lauren
         if transform_tail(x, band) < 1e-13 or M >= (1 << 16):
             return transform(x, band)
         M *= 2
-
-
-def _reband(lm: LaurentMatrix, band: tuple[int, int]) -> LaurentMatrix:
-    from .laurent import lm_project
-
-    return lm_project(lm, band[0], band[1])
 
 
 # -- shift matrix and its exponential ----------------------------------------
@@ -269,16 +249,12 @@ def exp_xi_lambda(
             raise TruncationError(
                 f"Schur values at the band edge are {edge:.3g} (band hi={hi} too small)"
             )
-    coeffs = np.zeros((hi - lo + 1, n, n), dtype=complex)
-    for k in range(0, kmax + 1):
-        if abs(p[k]) == 0.0:
-            continue
-        for i in range(n):
-            for j in range(n):
-                if (k + j - i) % n == 0:
-                    q = (k + j - i) // n
-                    if lo <= q <= hi:
-                        coeffs[q - lo, i, j] += p[k]
+    # entry (i, j) of mode q is p_{nq+i-j}: a 1x1-block matrix over rows (q, i)
+    qs = np.arange(lo, hi + 1)
+    ij = np.arange(n)
+    modes = (n * qs[:, None] + ij).reshape(-1, 1) - ij[None, :]
+    schur = LaurentMatrix(1, 0, kmax, p[:, None, None])
+    coeffs = schur.block_matrix(modes).reshape(hi - lo + 1, n, n)
     return LaurentMatrix(n, lo, hi, coeffs)
 
 

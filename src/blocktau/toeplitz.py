@@ -10,6 +10,12 @@ and its Fredholm determinant equals the limit D_inf = lim D_N / G^N with
 G the exponential of the averaged log det of the symbol.  The same Hankel
 product with two Wiener-Hopf factorizations gives the finite-N correction
 factor det(I - K_N) connecting D_N to D_inf exactly.
+
+Toeplitz and Hankel sections come from LaurentMatrix.block_matrix, which
+places g^(modes[r, c]) at block (r, c).  The Hankel product is one GEMM:
+the (R*n, k*n) section of u at modes i+k times the (k*n, C*n) section of v
+at modes -j-k; its (i a, j d) row-major layout is already the dense
+(R*n, C*n) result.
 """
 
 from __future__ import annotations
@@ -54,16 +60,9 @@ def build_TN(lm: LaurentMatrix, N: int) -> BlockToeplitz:
     """Assemble the N-block truncation T_N: block (i,j) = g^(i-j)."""
     if N < 1:
         raise ValueError("need N >= 1")
-    n = lm.n
-    out = np.zeros((N * n, N * n), dtype=complex)
-    for d in range(-(N - 1), N):
-        blk = lm.block(d)
-        if not np.any(blk):
-            continue
-        for i in range(max(0, d), min(N, N + d)):
-            j = i - d
-            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = blk
-    return BlockToeplitz(n=n, N=N, matrix=out)
+    idx = np.arange(N)
+    out = lm.block_matrix(idx[:, None] - idx[None, :])
+    return BlockToeplitz(n=lm.n, N=N, matrix=out)
 
 
 def det_DN(bt: BlockToeplitz) -> complex:
@@ -77,8 +76,8 @@ def det_DN(bt: BlockToeplitz) -> complex:
 def hankel_product_matrix(u: LaurentMatrix, v: LaurentMatrix, rows, cols) -> np.ndarray:
     """Dense block matrix K with K_ij = sum_{k>=1} u^(i+k) v^(-j-k).
 
-    rows and cols are iterables of block indices (i and j respectively);
-    coefficients outside the stored bands count as zero.
+    rows and cols are iterables of non-negative block indices (i and j
+    respectively); coefficients outside the stored bands count as zero.
     """
     rows = np.asarray(list(rows), dtype=int)
     cols = np.asarray(list(cols), dtype=int)
@@ -86,23 +85,14 @@ def hankel_product_matrix(u: LaurentMatrix, v: LaurentMatrix, rows, cols) -> np.
     R, C = len(rows), len(cols)
     if R == 0 or C == 0:
         return np.zeros((R * n, C * n), dtype=complex)
+    if rows.min() < 0 or cols.min() < 0:
+        raise ValueError("Hankel block indices must be non-negative")
     kmax = min(u.hi - int(rows.min()), -v.lo - int(cols.min()))
     if kmax < 1:
         return np.zeros((R * n, C * n), dtype=complex)
     ks = np.arange(1, kmax + 1)
-    # padded positive modes of u and negative modes of v
-    top_u = int(rows.max()) + kmax
-    top_v = int(cols.max()) + kmax
-    U = np.zeros((top_u + 1, n, n), dtype=complex)
-    for m in range(1, top_u + 1):
-        U[m] = u.block(m)
-    V = np.zeros((top_v + 1, n, n), dtype=complex)
-    for m in range(1, top_v + 1):
-        V[m] = v.block(-m)
-    A = U[rows[:, None] + ks[None, :]]  # (R, k, n, n)
-    B = V[cols[:, None] + ks[None, :]]  # (C, k, n, n)
-    K = np.einsum("rkab,ckbd->rcad", A, B)
-    return K.transpose(0, 2, 1, 3).reshape(R * n, C * n)
+    # (R*n, k*n) Hankel section of u times (k*n, C*n) Hankel section of v
+    return u.block_matrix(rows[:, None] + ks) @ v.block_matrix(-(ks[:, None] + cols))
 
 
 @dataclass
@@ -129,20 +119,13 @@ def hankel_identity_check(
 
 
 def _tail_corner(a: LaurentMatrix, b: LaurentMatrix, M: int) -> np.ndarray:
-    """Tail corner sum_{k>=0} a^(i-M-k) b^(M+k-j) assembled directly."""
-    n = a.n
-    out = np.zeros((M * n, M * n), dtype=complex)
-    for i in range(M):
-        for j in range(M):
-            acc = np.zeros((n, n), dtype=complex)
-            # a-mode i-M-k >= a.lo  =>  k <= i-M-a.lo
-            for k in range(0, max(-1, i - M - a.lo) + 1):
-                am = a.block(i - M - k)
-                bm = b.block(M + k - j)
-                if np.any(am) and np.any(bm):
-                    acc += am @ bm
-            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = acc
-    return out
+    """Tail corner sum_{k>=0} a^(i-M-k) b^(M+k-j).
+
+    With i' = M-1-i and j' = M-1-j this is sum_{k>=1} a^(-i'-k) b^(j'+k):
+    the Hankel product of the reflected symbols with block order reversed.
+    """
+    rev = range(M - 1, -1, -1)
+    return hankel_product_matrix(lm_reflect(a), lm_reflect(b), rev, rev)
 
 
 # -- the identity-plus-nuclear operator --------------------------------------
@@ -195,18 +178,17 @@ def plemelj_quadrature(
     z = x.grid()
     zeta = x_inv.grid()
     G, H = x.values, x_inv.values
-    K = np.einsum("lab,mbc->lmac", G, H)
-    K -= np.eye(n)[None, None]
     C = 1.0 / (zeta[None, :] - z[:, None])
-    KC = K * C[..., None, None]
     Zpow = zeta[:, None] ** (np.arange(M) + 1)[None, :]
-    T = np.tensordot(KC, Zpow, axes=(1, 0)) / x_inv.M  # (l, a, c, j)
-    T = np.moveaxis(T, 3, 1)                           # (l, j, a, c)
-    modes = np.fft.fft(T, axis=0) / x.M                # output mode index i
-    P = np.zeros((M * n, M * n), dtype=complex)
-    for i in range(M):
-        for j in range(M):
-            P[i * n : (i + 1) * n, j * n : (j + 1) * n] = modes[i, j]
+    # g(z_l) does not depend on zeta, so it leaves the zeta-sum:
+    # T_lj = G_l W_lj - S_lj I with W = C (H zeta^{j+1}), S = C zeta^{j+1}
+    HZ = Zpow[:, :, None, None] * H[:, None]           # (m, j, b, c)
+    W = (C @ HZ.reshape(x_inv.M, -1)).reshape(x.M, M, n, n)
+    S = C @ Zpow
+    T = G[:, None] @ W - S[:, :, None, None] * np.eye(n)
+    T /= x_inv.M                                       # (l, j, a, c)
+    modes = np.fft.fft(T, axis=0)[:M] / x.M            # output mode index i
+    P = modes.transpose(0, 2, 1, 3).reshape(M * n, M * n)
     P += np.eye(M * n)
     return PlemeljOperator(n=n, M=M, matrix=P, route="quadrature", rebuild=None)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blocktau.errors import AliasError, FactorizationError
+from blocktau.errors import AliasError, ConvergenceError, FactorizationError
 from blocktau.laurent import lm_trim
 from blocktau.symbols import (
     covering_spec,
@@ -153,6 +153,12 @@ def test_tau_ratio_corrected_identity():
         # the bare single-block display misses the coupling stripes: its
         # deviation is genuinely nonzero, which is why the correction exists
         assert 1e-12 < tr.block_residual < 1e-4
+
+
+def test_tau_ratio_unsettled_window_raises():
+    # one window leaves no Cauchy pair to compare, so the check cannot settle
+    with pytest.raises(ConvergenceError):
+        tau_ratio_check(RSPEC, TV, 1, window=40, max_window=40)
 
 
 def test_bo_consistency_via_wave_matrix():

@@ -2,21 +2,25 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blocktau.errors import HypothesisError
 from blocktau.laurent import (
     LaurentMatrix,
     inverse_transform,
+    invert_symbol,
     lm_invert,
     sample_function,
+    transform,
 )
 from blocktau.symbols import (
     covering_spec,
+    exp_xi_lambda,
     gd_symbol,
     gd_symbol_values,
     rational_spec,
+    schur_numeric,
     time_vector,
 )
 from blocktau.toeplitz import (
@@ -26,28 +30,97 @@ from blocktau.toeplitz import (
     fredholm_det,
     half_truncated_shortcut,
     hankel_identity_check,
+    hankel_product_matrix,
     plemelj_fourier,
     plemelj_quadrature,
     szego_widom,
     widom_derivative_check,
 )
-from blocktau.factorization import deformed_symbol_samples, two_sided_factorization
+from blocktau.factorization import (
+    deformed_symbol_samples,
+    two_sided_factorization,
+    wiener_hopf,
+)
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
 TV = time_vector([0.2, 0.0, -0.15, 0.0, 0.08])
 
 
-def _plemelj_pair(spec, tv, blocks, M=1024):
-    lm = gd_symbol(spec, tv, (-30, 30))
-    pf = plemelj_fourier(lm, lm_invert(lm), blocks)
+def _quadrature_samples(spec, tv, M):
     x = deformed_symbol_samples(spec, tv, M)
     r_in = (1 + spec.rho) / 2
     x_inv = sample_function(
         lambda zz: np.linalg.inv(gd_symbol_values(spec, tv, zz)), spec.n, M, radius=r_in
     )
-    pq = plemelj_quadrature(x, x_inv, blocks)
+    return x, x_inv
+
+
+def _plemelj_pair(spec, tv, blocks, M=1024):
+    lm = gd_symbol(spec, tv, (-30, 30))
+    pf = plemelj_fourier(lm, lm_invert(lm), blocks)
+    pq = plemelj_quadrature(*_quadrature_samples(spec, tv, M), blocks)
     return pf, pq
+
+
+def _random_lm(rng, n, lo, hi):
+    shape = (hi - lo + 1, n, n)
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return LaurentMatrix(n, lo, hi, coeffs)
+
+
+# -- loop references for the vectorized kernels --------------------------------
+
+
+def _hankel_reference(u, v, rows, cols):
+    """K_ij = sum_{k>=1} u^(i+k) v^(-j-k) as a plain triple sum."""
+    n = u.n
+    K = np.zeros((len(rows) * n, len(cols) * n), dtype=complex)
+    for r, i in enumerate(rows):
+        for c, j in enumerate(cols):
+            for k in range(1, u.hi - i + 1):  # u^(i+k) vanishes past u.hi
+                blk = u.block(i + k) @ v.block(-j - k)
+                K[r * n : (r + 1) * n, c * n : (c + 1) * n] += blk
+    return K
+
+
+def _build_tn_reference(lm, N):
+    n = lm.n
+    out = np.zeros((N * n, N * n), dtype=complex)
+    for i in range(N):
+        for j in range(N):
+            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = lm.block(i - j)
+    return out
+
+
+def _exp_xi_reference(t, n, band):
+    """Entry (i, j) of mode q collects p_k over k = nq + i - j, one k at a time."""
+    lo, hi = band
+    kmax = n * hi + n - 1
+    p = schur_numeric(t.effective(n), kmax)
+    coeffs = np.zeros((hi - lo + 1, n, n), dtype=complex)
+    for k in range(kmax + 1):
+        for i in range(n):
+            for j in range(n):
+                if (k + j - i) % n == 0 and lo <= (k + j - i) // n <= hi:
+                    coeffs[(k + j - i) // n - lo, i, j] += p[k]
+    return coeffs
+
+
+def _quadrature_reference(x, x_inv, M):
+    """Contour form with the full (M_out, M_in, n, n) integrand tensor."""
+    n = x.n
+    z, zeta = x.grid(), x_inv.grid()
+    K = np.einsum("lab,mbc->lmac", x.values, x_inv.values) - np.eye(n)
+    KC = K / (zeta[None, :] - z[:, None])[..., None, None]
+    Zpow = zeta[:, None] ** (np.arange(M) + 1)[None, :]
+    T = np.moveaxis(np.tensordot(KC, Zpow, axes=(1, 0)) / x_inv.M, 3, 1)
+    modes = np.fft.fft(T, axis=0) / x.M
+    P = np.eye(M * n, dtype=complex)
+    for i in range(M):
+        for j in range(M):
+            P[i * n : (i + 1) * n, j * n : (j + 1) * n] += modes[i, j]
+    return P
 
 
 # -- truncation layout -------------------------------------------------------
@@ -59,6 +132,77 @@ def test_build_tn_block_layout():
     assert np.allclose(np.diag(T3), 2.0)
     assert T3[1, 0] == 0.25 and T3[0, 1] == 0.5  # mode +1 sits below the diagonal
     assert T3[2, 0] == 0.0 and T3[0, 2] == 0.0
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([1, 2, 3]),
+    st.integers(-4, 8),
+    st.integers(-8, 4),
+    st.lists(st.integers(0, 9), max_size=5),
+    st.lists(st.integers(0, 9), max_size=5),
+)
+@example(1, 2, -1, -6, [], [0, 1])           # no rows
+@example(2, 3, 5, -6, [3, 0, 7], [])         # no cols
+@example(3, 2, 3, -2, [4, 6], [0, 1])        # rows past u.hi: kmax < 1
+@example(4, 1, 6, -7, [5, 1, 1, 3], [2, 0])  # repeated, unsorted rows
+def test_hankel_product_matches_triple_sum(seed, n, u_hi, v_lo, rows, cols):
+    rng = np.random.default_rng(seed)
+    u = _random_lm(rng, n, u_hi - 5, u_hi)
+    v = _random_lm(rng, n, v_lo, v_lo + 5)
+    got = hankel_product_matrix(u, v, rows, cols)
+    want = _hankel_reference(u, v, rows, cols)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+
+
+def test_hankel_product_rejects_negative_indices():
+    lm = LaurentMatrix(1, -2, 2, np.ones((5, 1, 1)))
+    with pytest.raises(ValueError):
+        hankel_product_matrix(lm, lm, [-1, 0], [0])
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([1, 2, 3]),
+    st.integers(-6, 2),
+    st.integers(0, 6),
+    st.integers(1, 7),
+)
+def test_build_tn_matches_block_loop(seed, n, lo, width, N):
+    lm = _random_lm(np.random.default_rng(seed), n, lo, lo + width)
+    assert np.array_equal(build_TN(lm, N).matrix, _build_tn_reference(lm, N))
+
+
+def test_wiener_hopf_system_matches_block_loop():
+    B = 24
+    x = deformed_symbol_samples(CSPEC, TV, 4 * B)
+    fact = wiener_hopf(x, B=B, tol=1e-6)
+    ginv = transform(invert_symbol(x), (-B, B - 1))
+    n = x.n
+    A = np.zeros((B * n, B * n), dtype=complex)
+    rhs = np.zeros((B * n, n), dtype=complex)
+    for m in range(1, B + 1):
+        rhs[(m - 1) * n : m * n] = -ginv.block(-m)
+        for k in range(1, B + 1):
+            A[(m - 1) * n : m * n, (k - 1) * n : k * n] = ginv.block(k - m)
+    X = np.linalg.solve(A, rhs)
+    for k in range(1, B + 1):
+        assert np.array_equal(fact.T_minus.block(-k), X[(k - 1) * n : k * n])
+    assert np.array_equal(fact.T_minus.block(0), np.eye(n))
+
+
+@given(
+    st.lists(st.floats(-0.4, 0.4), min_size=1, max_size=6),
+    st.sampled_from([1, 2, 3]),
+    st.integers(-3, 4),
+    st.integers(0, 10),
+)
+def test_exp_xi_lambda_matches_schur_loop(tvals, n, lo, width):
+    tv = time_vector(tvals, gd_reduced=False)
+    band = (lo, max(lo, 0) + width)
+    got = exp_xi_lambda(tv, n, band, exact_only=True)
+    assert np.array_equal(got.coeffs, _exp_xi_reference(tv, n, band))
 
 
 def test_hankel_identity_banded_inputs():
@@ -107,6 +251,16 @@ def test_plemelj_fourier_vs_quadrature_covering():
     tv = time_vector([0.1, 0.0, 0.05, 0.0, 0.02])
     pf, pq = _plemelj_pair(CSPEC, tv, 8)
     assert np.max(np.abs(pf.matrix - pq.matrix)) < 1e-9
+
+
+@pytest.mark.parametrize("spec", [RSPEC, CSPEC], ids=["rational", "covering"])
+def test_quadrature_projector_12_blocks(spec):
+    tv = time_vector([0.1, 0.0, 0.05, 0.0, 0.02])
+    pf, pq = _plemelj_pair(spec, tv, 12)
+    assert np.max(np.abs(pf.matrix - pq.matrix)) < 1e-8
+    x, x_inv = _quadrature_samples(spec, tv, 256)
+    got = plemelj_quadrature(x, x_inv, 12).matrix
+    assert np.max(np.abs(got - _quadrature_reference(x, x_inv, 12))) < 1e-12
 
 
 # -- Fredholm determinant and the Szego-Widom limit --------------------------
