@@ -9,10 +9,11 @@ Subpackages by task:
 - tau: tau functions (numeric, graded, character expansion, Wronskian routes)
 - factorization: numerical Wiener-Hopf (Birkhoff) factorization on the circle
 - algebro: spectral curves, branch series, commuting-matrix reconstruction
+- checks: the check registry behind `blocktau verify` and the acceptance suite
 - cli: command line front end
 """
 
-from . import algebro, cli, factorization, gradedpoly, laurent, symbols, tau, toeplitz
+from . import algebro, checks, cli, factorization, gradedpoly, laurent, symbols, tau, toeplitz
 from .errors import (
     AliasError,
     AnalyticityError,
@@ -33,6 +34,7 @@ from .errors import (
 
 __all__ = [
     "algebro",
+    "checks",
     "cli",
     "factorization",
     "gradedpoly",

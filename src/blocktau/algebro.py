@@ -37,6 +37,7 @@ from .laurent import (
     LaurentMatrix,
     ScalarSeries,
     lm_trim,
+    next_pow2,
     transform,
 )
 from .symbols import SymbolSpec, base_symbol_values, big_cell_check
@@ -88,13 +89,6 @@ def _poly_degree(c: np.ndarray, tol: float = 0.0) -> int:
     """Largest index with |coefficient| > tol, or -1 for the zero polynomial."""
     idx = np.nonzero(np.abs(np.asarray(c)) > tol)[0]
     return int(idx[-1]) if idx.size else -1
-
-
-def _next_pow2(m: int) -> int:
-    p = 1
-    while p < m:
-        p *= 2
-    return p
 
 
 # -- the curve ---------------------------------------------------------------
@@ -185,7 +179,7 @@ def charpoly_from_matrix(C: LaurentMatrix, tol: float = 1e-9) -> CharPoly:
     """
     n = C.n
     reach = n * max(abs(C.lo), abs(C.hi), 1)
-    M = _next_pow2(4 * (reach + 4))
+    M = next_pow2(4 * (reach + 4))
     z = np.exp(2j * np.pi * np.arange(M) / M)
     Cv = C(z)
     coeff_samples = np.empty((M, n), dtype=complex)
@@ -390,7 +384,7 @@ def bc_matrices(
     if band is None:
         band = (-depth, degmax)
     if M is None:
-        M = _next_pow2(max(4 * (abs(band[0]) + abs(band[1]) + 2), 64))
+        M = next_pow2(max(4 * (abs(band[0]) + abs(band[1]) + 2), 64))
     z = np.exp(2j * np.pi * np.arange(M) / M)
     Wv = base_symbol_values(spec, z)
     Bv = B(z)
@@ -495,7 +489,7 @@ def reconstruct_W(
     if band is None:
         band = (-max(J // n + 4, 8), 0)
     if M is None:
-        M = _next_pow2(max(2 * (abs(band[0]) + abs(band[1]) + 2), 64))
+        M = next_pow2(max(2 * (abs(band[0]) + abs(band[1]) + 2), 64))
     z = np.exp(2j * np.pi * np.arange(M) / M)
     Wv = _reconstruct_samples(C, bs, z)
     w = lm_trim(transform(CircleSamples(n, M, Wv), band), 1e-13)

@@ -1,7 +1,7 @@
 """Command-line front end: config parsing, experiment runs, CSV/report output.
 
 Commands
-    verify     run the whole invariant suite, print a pass/fail table
+    verify     print the pass/fail table of the check registry (blocktau.checks)
     tau        sweep a time grid, emit the stable tau values as CSV
     converge   emit the determinant-ratio convergence table as CSV
     factorize  factor the deformed symbol at random times, dump the factors
@@ -24,11 +24,11 @@ import configparser
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebro, factorization, gradedpoly, laurent, symbols, tau, toeplitz
+from . import algebro, checks, factorization, laurent, symbols, tau, toeplitz
 from .errors import BlocktauError, FactorizationError
 
 # -- number formatting -------------------------------------------------------
@@ -379,7 +379,7 @@ def cmd_converge(cfg: RunConfig, out: str, tol: float | None) -> int:
         )
         prev = ratio
     _write_lines(os.path.join(out, "converge.csv"), lines)
-    fit = _fit_decay(deltas)
+    fit = toeplitz.fit_decay(deltas)
     use_tol = tol if tol is not None else cfg.converge_tol
     settled = deltas[-1] <= use_tol
     _write_lines(
@@ -401,26 +401,7 @@ def cmd_converge(cfg: RunConfig, out: str, tol: float | None) -> int:
     return 0
 
 
-def _fit_decay(deltas: list) -> float:
-    """Geometric decay ratio fitted to the nonzero tail of a difference list."""
-    xs, ys = [], []
-    for i, d in enumerate(deltas):
-        if d > 0:
-            xs.append(i)
-            ys.append(np.log(d))
-    if len(xs) < 2:
-        return 0.0
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(np.exp(slope))
-
-
 # -- factorization dumps -----------------------------------------------------
-
-
-def _random_times(spec, rng, scale: float) -> symbols.TimeVector:
-    vals = scale * (2.0 * rng.random(2 * spec.n + 1) - 1.0)
-    vals[np.arange(1, len(vals) + 1) % spec.n == 0] = 0.0
-    return symbols.time_vector(vals, True)
 
 
 def cmd_factorize(cfg: RunConfig, out: str, tol: float | None, seed: int | None) -> int:
@@ -431,7 +412,7 @@ def cmd_factorize(cfg: RunConfig, out: str, tol: float | None, seed: int | None)
     report = ["command: factorize", f"band: {B}", f"draws: {cfg.factorize_draws}"]
     failures = []
     for d in range(cfg.factorize_draws):
-        tv = _random_times(spec, rng, cfg.factorize_scale)
+        tv = symbols.random_times(spec, rng, cfg.factorize_scale)
         M = max(1024, 8 * B)
         x = factorization.deformed_symbol_samples(spec, tv, M)
         try:
@@ -500,422 +481,17 @@ def cmd_spectral(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-# -- the verify suite --------------------------------------------------------
+# -- the verify table --------------------------------------------------------
 
 
-@dataclass
-class _Ctx:
-    """Shared lazily-computed state for the verify checks."""
-
-    seed: int
-    rspec: symbols.SymbolSpec = field(default=None)
-    cspec: symbols.SymbolSpec = field(default=None)
-    _cache: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.rspec = symbols.rational_spec([0.3, 0.6])
-        self.cspec = symbols.covering_spec([0.3, -0.25, 0.35j], 2)
-
-    def rng(self, salt: int) -> np.random.Generator:
-        return np.random.default_rng(self.seed * 1000 + salt)
-
-    def rational_setup(self):
-        """Deformed rational symbol shared by several checks."""
-        if "rat" not in self._cache:
-            tv = symbols.time_vector([0.2, 0.0, -0.15, 0.0, 0.08])
-            x = factorization.deformed_symbol_samples(self.rspec, tv, 2048)
-            lm = symbols.gd_symbol(self.rspec, tv, (-30, 30))
-            self._cache["rat"] = (tv, x, lm)
-        return self._cache["rat"]
-
-    def szego(self):
-        if "sw" not in self._cache:
-            tv, x, lm = self.rational_setup()
-            self._cache["sw"] = toeplitz.szego_widom(lm, x, tol=1e-12)
-        return self._cache["sw"]
-
-    def spectral(self):
-        if "spectral" not in self._cache:
-            self._cache["spectral"] = algebro.spectral_check(self.cspec)
-        return self._cache["spectral"]
-
-
-def _neg_times(tv: symbols.TimeVector) -> symbols.TimeVector:
-    return symbols.time_vector([-v for v in tv.values], tv.gd_reduced)
-
-
-def _check_ring_axioms(ctx, tol):
-    rng = ctx.rng(1)
-    worst = 0.0
-    for _ in range(3):
-        a = tau.random_graded(6, 6, rng)
-        b = tau.random_graded(6, 6, rng)
-        c = tau.random_graded(6, 6, rng)
-        worst = max(worst, tau.coefficient_gap((a * b) * c, a * (b * c)))
-        worst = max(worst, tau.coefficient_gap(a * (b + c), a * b + a * c))
-    return worst, worst <= tol, "associativity and distributivity on random triples"
-
-
-def _check_schur_derivative(ctx, tol):
-    ps = gradedpoly.schur_sequence(8, 8)
-    worst = 0.0
-    for k in range(1, 9):
-        for i in range(1, k + 1):
-            worst = max(worst, tau.coefficient_gap(ps[k].derivative(i), ps[k - i]))
-    return worst, worst <= tol, "d/dt_i p_k = p_(k-i), all 1 <= i <= k <= 8"
-
-
-def _check_character(ctx, tol):
-    rng = ctx.rng(2)
-    X = 0.8 * (rng.random(4) + 1j * rng.random(4) - 0.5 - 0.5j)
-    tv = gradedpoly.miwa_times(X, 6)
-    worst = 0.0
-    for lam in gradedpoly.partitions_upto(6):
-        chi = gradedpoly.character(lam, X)
-        val = gradedpoly.evaluate(gradedpoly.jacobi_trudi(lam, 6, 6), tv)
-        worst = max(worst, abs(chi - val))
-    return worst, worst <= tol, "determinant character vs polynomial route, weight <= 6"
-
-
-def _check_series_inverse(ctx, tol):
-    rng = ctx.rng(3)
-    worst = 0.0
-    for _ in range(3):
-        a = tau.random_graded(6, 6, rng, unit=True)
-        one = gradedpoly.gp_const(6, 6, 1.0)
-        worst = max(worst, tau.coefficient_gap(a * a.invert(), one))
-    return worst, worst <= tol, "a * invert(a) = 1 through the cutoff"
-
-
-def _check_transform_roundtrip(ctx, tol):
-    rng = ctx.rng(4)
-    co = rng.normal(size=(10, 2, 2)) + 1j * rng.normal(size=(10, 2, 2))
-    lm = laurent.LaurentMatrix(2, -4, 5, co)
-    back = laurent.transform(laurent.inverse_transform(lm, 64), (-4, 5))
-    worst = float(np.max(np.abs(back.coeffs - lm.coeffs)))
-    return worst, worst <= tol, "transform of inverse_transform on band-limited data"
-
-
-def _check_reflection_norm(ctx, tol):
-    rng = ctx.rng(5)
-    co = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
-    lm = laurent.LaurentMatrix(2, -3, 4, co)
-    a = laurent.admissibility(lm).norm_2half
-    b = laurent.admissibility(laurent.lm_reflect(lm)).norm_2half
-    worst = abs(a - b) / max(1.0, abs(a))
-    return worst, worst <= tol, "Besov half-norm invariant under coefficient reflection"
-
-
-def _check_geometric_mean(ctx, tol):
-    a = laurent.LaurentMatrix(
-        1, -1, 1, np.array([[[-0.3]], [[1.0]], [[0.12]]], dtype=complex)
-    )
-    b = laurent.LaurentMatrix(
-        1, -1, 1, np.array([[[0.2]], [[1.0]], [[-0.15]]], dtype=complex)
-    )
-    xa = laurent.inverse_transform(a, 512)
-    xb = laurent.inverse_transform(b, 512)
-    xab = laurent.samples_mul(xa, xb)
-    ga, gb, gab = map(laurent.geometric_mean, (xa, xb, xab))
-    worst = abs(gab - ga * gb)
-    return worst, worst <= tol, "geometric mean is multiplicative at winding zero"
-
-
-def _check_shift_powers(ctx, tol):
-    n = 2
-    worst = 0.0
-    for a in range(0, 2 * n + 1):
-        for b in range(0, 2 * n + 1):
-            prod = laurent.lm_mul(
-                symbols.lambda_power(n, a), symbols.lambda_power(n, b), (-1, 2 * n + 2)
-            )
-            want = symbols.lambda_power(n, a + b)
-            for q in range(prod.lo, prod.hi + 1):
-                worst = max(
-                    worst, float(np.max(np.abs(prod.block(q) - want.block(q))))
-                )
-    return worst, worst <= tol, "shift symbol powers compose additively"
-
-
-def _check_exp_xi_inverse(ctx, tol):
-    tv = symbols.time_vector([0.3, 0.0, -0.2, 0.0, 0.12])
-    ep = symbols.exp_xi_lambda(tv, 2, (0, 24), exact_only=True)
-    em = symbols.exp_xi_lambda(_neg_times(tv), 2, (0, 24), exact_only=True)
-    prod = laurent.lm_mul(ep, em, (0, 16))
-    worst = 0.0
-    for q in range(0, 17):
-        want = np.eye(2) if q == 0 else np.zeros((2, 2))
-        worst = max(worst, float(np.max(np.abs(prod.block(q) - want))))
-    return worst, worst <= tol, "time flow times its reverse is the identity"
-
-
-def _check_unimodular_det(ctx, tol):
-    z = np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
-    worst = 0.0
-    for spec in (ctx.rspec, ctx.cspec):
-        tv = symbols.time_vector([0.15, 0.0, -0.1, 0.0, 0.07])
-        da = np.linalg.det(symbols.gd_symbol_values(spec, tv, z))
-        db = np.linalg.det(symbols.base_symbol_values(spec, z))
-        worst = max(worst, float(np.max(np.abs(da - db))))
-    return worst, worst <= tol, "reduced time flow leaves the determinant alone"
-
-
-def _check_flatten(ctx, tol):
-    rng = ctx.rng(6)
-    n = 3
-    v = laurent.VectorSeries(
-        n, -2, rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
-    )
-    s = symbols.xi_map(v)
-    shifted = laurent.ScalarSeries(s.lo + 1, s.coeffs.copy())
-    v1 = symbols.xi_inverse(shifted, n)
-    zeta = np.exp(2j * np.pi * (np.arange(32) + 0.11) / 32)
-
-    def flat_eval(vs):
-        z = zeta**n
-        acc = np.zeros_like(zeta)
-        for r in range(n):
-            comp = np.zeros_like(zeta)
-            for k in range(vs.lo, vs.hi + 1):
-                comp += vs.coeff(k)[r] * z ** k
-            acc += zeta**r * comp
-        return acc
-
-    worst = float(np.max(np.abs(flat_eval(v1) - zeta * flat_eval(v))))
-    return worst, worst <= tol, "interleaving turns the shift into multiplication"
-
-
-def _check_plemelj(ctx, tol):
-    worst = 0.0
-    for spec in (ctx.rspec, ctx.cspec):
-        tv = symbols.time_vector([0.2, 0.0, -0.1, 0.0, 0.05])
-        lm = symbols.gd_symbol(spec, tv, (-30, 30))
-        pf = toeplitz.plemelj_fourier(lm, laurent.lm_invert(lm), 8)
-        x = factorization.deformed_symbol_samples(spec, tv, 1024)
-        r_in = (1 + spec.rho) / 2
-        x_inv = laurent.sample_function(
-            lambda zz: np.linalg.inv(symbols.gd_symbol_values(spec, tv, zz)),
-            spec.n,
-            1024,
-            radius=r_in,
-        )
-        pq = toeplitz.plemelj_quadrature(x, x_inv, 8)
-        worst = max(worst, float(np.max(np.abs(pf.matrix - pq.matrix))))
-    return worst, worst <= tol, "Fourier and contour forms of the projector agree"
-
-
-def _check_cauchy_decay(ctx, tol):
-    sw = ctx.szego()
-    deltas = [abs(b - a) for (_, a), (_, b) in zip(sw.history, sw.history[1:])]
-    fit = _fit_decay([d for d in deltas if d > 1e-17])
-    return fit, fit < tol, "fitted geometric decay of the ratio differences"
-
-
-def _check_borodin_okounkov(ctx, tol):
-    tv, x, lm = ctx.rational_setup()
-    sw = ctx.szego()
-    pair = factorization.two_sided_factorization(x, B=40, tol=1e-9)
-    worst = 0.0
-    for N in (1, 2, 3, 4):
-        bo = toeplitz.borodin_okounkov(pair, N, tol=1e-12)
-        lhs = toeplitz.det_DN(toeplitz.build_TN(lm, N)) / sw.G**N
-        worst = max(worst, abs(lhs - sw.D_inf * bo.det_correction))
-    return worst, worst <= tol, "determinant equals limit times a correction, N <= 4"
-
-
-def _check_fredholm_invariance(ctx, tol):
-    tv, x, lm = ctx.rational_setup()
-    lm2 = symbols.gd_symbol(ctx.rspec, tv, (-60, 60))
-    v1 = toeplitz.fredholm_det(
-        toeplitz.plemelj_fourier(lm, laurent.lm_invert(lm), 8), tol=1e-11
-    ).value
-    v2 = toeplitz.fredholm_det(
-        toeplitz.plemelj_fourier(lm2, laurent.lm_invert(lm2), 16), tol=1e-11
-    ).value
-    worst = abs(v1 - v2)
-    return worst, worst <= tol, "value invariant under doubling band and sections"
-
-
-def _check_tau_normalization(ctx, tol):
-    worst = 0.0
-    for spec in (ctx.rspec, ctx.cspec):
-        tv = symbols.time_vector([0.0] * (2 * spec.n + 1))
-        for N in range(1, 5):
-            worst = max(worst, abs(tau.tau_numeric(spec, tv, N) - 1.0))
-    return worst, worst <= tol, "undeformed determinant is 1 for N <= 4"
-
-
-def _check_triple_route(ctx, tol):
-    # the Wronskian route needs weight headroom: products of derivative
-    # towers lose cross terms within n*N of a hard cap, so build higher
-    # and compare on the clean region
-    worst = 0.0
-    for spec, Q, head in ((ctx.rspec, 6, 0), (ctx.cspec, 3, 4)):
-        routes = [
-            tau.tau_series(spec, 2, Q + head, representation=r, gd_reduced=False).series
-            for r in ("graded", "character", "wronskian")
-        ]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                worst = max(worst, tau.coefficient_gap(routes[i], routes[j], upto=Q))
-    return worst, worst <= tol, "graded, character and Wronskian routes agree"
-
-
-def _check_stabilization(ctx, tol):
-    worst = 0.0
-    for spec in (ctx.rspec, ctx.cspec):
-        for N in (2, 3):
-            worst = max(worst, tau.stability_check(spec, N, 3).max_gap)
-    return worst, worst <= tol, "low-weight coefficients stop moving with N"
-
-
-def _check_kdv(ctx, tol):
-    res = gradedpoly.hirota_kdv_residual(tau.stable_tau_graded(ctx.rspec, 8))
-    worst = tau.max_abs_coeff(res)
-    return worst, worst <= tol, "bilinear KdV residual of the stable series at Q=8"
-
-
-def _check_two_soliton(ctx, tol):
-    d, c = 0.3, 0.6
-    spec = symbols.rational_spec([d, c])
-    worst = 0.0
-    for t1 in np.linspace(-0.5, 0.5, 5):
-        for t3 in np.linspace(-0.5, 0.5, 5):
-            got = tau.tau_stable(spec, symbols.time_vector([t1, 0.0, t3]))
-            td, tc = t1 * d + t3 * d**3, t1 * c + t3 * c**3
-            want = np.cosh(td) * np.cosh(tc) - (d / c) * np.sinh(td) * np.sinh(tc)
-            worst = max(worst, abs(got - want) / abs(want))
-    return worst, worst <= tol, "closed-form oracle on the 5x5 grid"
-
-
-def _check_wh_reconstruction(ctx, tol):
-    rng = ctx.rng(7)
-    worst = 0.0
-    for _ in range(3):
-        tv = _random_times(ctx.rspec, rng, 0.3)
-        x = factorization.deformed_symbol_samples(ctx.rspec, tv, 2048)
-        fact = factorization.wiener_hopf(x, B=40, tol=1e-9)
-        worst = max(worst, fact.residual)
-    return worst, worst <= tol, "symbol minus the factor product on samples"
-
-
-def _check_wh_band_uniqueness(ctx, tol):
-    tv, x, lm = ctx.rational_setup()
-    f1 = factorization.wiener_hopf(x, B=32, tol=1e-9)
-    f2 = factorization.wiener_hopf(x, B=64, tol=1e-9)
-    worst = 0.0
-    for q in range(-32, 1):
-        worst = max(
-            worst, float(np.max(np.abs(f1.T_minus.block(q) - f2.T_minus.block(q))))
-        )
-    return worst, worst <= tol, "minus factor stable when the band doubles"
-
-
-def _check_wh_determinants(ctx, tol):
-    tv, x, lm = ctx.rational_setup()
-    fact = factorization.wiener_hopf(x, B=40, tol=1e-9)
-    z = x.grid()[::8]
-    det_minus = np.linalg.det(fact.T_minus(z))
-    det_sym = np.linalg.det(symbols.gd_symbol_values(ctx.rspec, tv, z))
-    worst = max(fact.det_plus_dev, float(np.max(np.abs(det_minus - det_sym))))
-    return worst, worst <= tol, "plus factor unimodular, minus factor carries det"
-
-
-def _check_zero_locus(ctx, tol):
-    conds, taus = [], []
-    for s in np.linspace(1.0, 5.05, 6):
-        tv = symbols.time_vector([1j * s, 0.0, 0.0])
-        taus.append(abs(tau.tau_stable(ctx.rspec, tv)))
-        try:
-            x = factorization.deformed_symbol_samples(ctx.rspec, tv, 1024)
-            conds.append(factorization.wiener_hopf(x, B=32, tol=1e-6).cond)
-        except (FactorizationError, BlocktauError):
-            conds.append(np.inf)
-    mono = all(b >= a for a, b in zip(conds, conds[1:]))
-    detail = (
-        f"|tau| {taus[0]:.2e}->{taus[-1]:.2e}, cond {conds[0]:.2e}->{conds[-1]:.2e}, "
-        f"monotone={mono}"
-    )
-    return conds[-1] / conds[0], None, detail
-
-
-def _check_branch_residual(ctx, tol):
-    worst = ctx.spectral().branch_residual
-    return worst, worst <= tol, "curve residual of the branch on the unit circle"
-
-
-def _check_match_stability(ctx, tol):
-    ok = ctx.spectral().match_stable
-    return float(not ok), ok, "same branch-eigenvalue pairing after grid doubling"
-
-
-def _check_spectral_roundtrip(ctx, tol):
-    worst = max(ctx.spectral().roundtrip_residual, ctx.spectral().symbol_residual)
-    return worst, worst <= tol, "rebuild the symbol from C and conjugate back"
-
-
-def _check_rerun_determinism(ctx, tol, cfg: RunConfig, out: str):
-    sub_cfg = RunConfig(**{**cfg.__dict__})
-    sub_cfg.tau_grids = {1: np.linspace(-0.2, 0.2, 2), 3: np.array([0.1])}
-    bytes_ = []
-    for name in ("rerun_a", "rerun_b"):
-        sub = os.path.join(out, name)
-        os.makedirs(sub, exist_ok=True)
-        cmd_tau(sub_cfg, sub, None, 1)
-        with open(os.path.join(sub, "tau.csv"), "rb") as fh:
-            bytes_.append(fh.read())
-    same = bytes_[0] == bytes_[1]
-    return float(not same), same, "tau CSV identical byte for byte on rerun"
-
-
-_CHECKS = [
-    ("gradedpoly", "ring_axioms", 1e-12, _check_ring_axioms),
-    ("gradedpoly", "schur_derivative", 1e-12, _check_schur_derivative),
-    ("gradedpoly", "character_vs_polynomial", 1e-10, _check_character),
-    ("gradedpoly", "series_inverse", 1e-12, _check_series_inverse),
-    ("laurent", "transform_roundtrip", 1e-12, _check_transform_roundtrip),
-    ("laurent", "reflection_half_norm", 1e-10, _check_reflection_norm),
-    ("laurent", "geometric_mean_product", 1e-10, _check_geometric_mean),
-    ("symbols", "shift_power_product", 1e-14, _check_shift_powers),
-    ("symbols", "time_flow_inverse", 1e-10, _check_exp_xi_inverse),
-    ("symbols", "unimodular_time_flow", 1e-10, _check_unimodular_det),
-    ("symbols", "interleaving_shift", 1e-12, _check_flatten),
-    ("toeplitz", "projector_two_forms", 1e-8, _check_plemelj),
-    ("toeplitz", "ratio_cauchy_decay", 1.0, _check_cauchy_decay),
-    ("toeplitz", "determinant_identity", 1e-8, _check_borodin_okounkov),
-    ("toeplitz", "fredholm_grid_invariance", 1e-9, _check_fredholm_invariance),
-    ("tau", "normalization_at_zero", 1e-12, _check_tau_normalization),
-    ("tau", "triple_route_equality", 1e-10, _check_triple_route),
-    ("tau", "coefficient_stabilization", 1e-12, _check_stabilization),
-    ("tau", "stable_kdv_residual", 1e-8, _check_kdv),
-    ("tau", "two_soliton_oracle", 1e-6, _check_two_soliton),
-    ("factorization", "sample_reconstruction", 1e-8, _check_wh_reconstruction),
-    ("factorization", "band_doubling_uniqueness", 1e-9, _check_wh_band_uniqueness),
-    ("factorization", "determinant_bookkeeping", 1e-8, _check_wh_determinants),
-    ("factorization", "zero_locus_conditioning", None, _check_zero_locus),
-    ("algebro", "branch_curve_residual", 1e-8, _check_branch_residual),
-    ("algebro", "branch_match_stability", None, _check_match_stability),
-    ("algebro", "reconstruction_roundtrip", 1e-8, _check_spectral_roundtrip),
-    ("cli", "rerun_determinism", None, _check_rerun_determinism),
-]
-
-
-def cmd_verify(
-    cfg: RunConfig, out: str, tol: float | None, seed: int | None
-) -> int:
-    ctx = _Ctx(seed if seed is not None else cfg.verify_seed)
+def cmd_verify(cfg: RunConfig, out: str, seed: int | None) -> int:
+    ctx = checks.Context(seed if seed is not None else cfg.verify_seed, cfg, out)
     lines = [f"{'module':<14}{'check':<26}{'value':<12}{'tol':<10}status"]
     failures = []
     infos = 0
-    for module, name, row_tol, fn in _CHECKS:
-        use_tol = row_tol
-        if tol is not None and row_tol is not None:
-            use_tol = tol
+    for module, name, tol, fn, _criterion in checks.CHECKS:
         try:
-            if fn is _check_rerun_determinism:
-                value, ok, detail = fn(ctx, use_tol, cfg, out)
-            else:
-                value, ok, detail = fn(ctx, use_tol)
+            value, ok, detail = fn(ctx, tol)
         except Exception as exc:  # an erroring check is a failing check
             value, ok, detail = float("nan"), False, f"error: {exc!r:.120s}"
         if ok is None:
@@ -925,19 +501,19 @@ def cmd_verify(
             status = "PASS"
         else:
             status = "FAIL"
-            failures.append((module, name, value, use_tol, detail))
-        tol_text = "-" if use_tol is None else f"{use_tol:.0e}"
+            failures.append((module, name, value, tol, detail))
+        tol_text = "-" if tol is None else f"{tol:.0e}"
         lines.append(
             f"{module:<14}{name:<26}{value:<12.3e}{tol_text:<10}{status}  {detail}"
         )
-    passed = len(_CHECKS) - len(failures) - infos
+    passed = len(checks.CHECKS) - len(failures) - infos
     lines.append("")
     lines.append(f"VERIFY: {passed} passed, {len(failures)} failed, {infos} info")
     print("\n".join(lines))
     _write_lines(os.path.join(out, "report.txt"), lines)
-    for module, name, value, use_tol, detail in failures:
+    for module, name, value, tol, detail in failures:
         print(
-            f"FAIL {module}.{name} value={value:.6e} tol={use_tol} {detail}",
+            f"FAIL {module}.{name} value={value:.6e} tol={tol} {detail}",
             file=sys.stderr,
         )
     return 1 if failures else 0
@@ -948,12 +524,14 @@ def cmd_verify(
 
 def cmd(name: str, cfg: RunConfig, **kw) -> int:
     """Run one command against a validated config; returns the exit code."""
-    out = _ensure_outdir(cfg, kw.get("out"))
     tol = kw.get("tol")
+    if name == "verify" and tol is not None:
+        raise ConfigError("--tol does not apply to verify: its tolerances are the contract")
+    out = _ensure_outdir(cfg, kw.get("out"))
     seed = kw.get("seed")
     threads = kw.get("threads", 1)
     if name == "verify":
-        return cmd_verify(cfg, out, tol, seed)
+        return cmd_verify(cfg, out, seed)
     if name == "tau":
         return cmd_tau(cfg, out, tol, threads)
     if name == "converge":
@@ -975,7 +553,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--tol", type=float, default=None, help="global tolerance override")
+    parser.add_argument("--tol", type=float, default=None, help="tolerance override (tau, converge, factorize)")
     parser.add_argument("--threads", type=int, default=1, help="worker threads for grids")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized draws")
     args = parser.parse_args(argv)

@@ -35,6 +35,7 @@ from .laurent import (
     lm_project,
     lm_reflect,
     lm_trim,
+    next_pow2,
     sample_function,
     transform,
 )
@@ -131,7 +132,7 @@ def wiener_hopf_banded(
     if B is None:
         B = lm.width + DEFAULT_EXTRA_BAND
     while True:
-        M = max(512, _pow2(4 * (B + lm.width)))
+        M = max(512, next_pow2(4 * (B + lm.width)))
         x = sample_function(lambda z: lm(z), lm.n, M)
         try:
             res = wiener_hopf(x, B, tol)
@@ -140,13 +141,6 @@ def wiener_hopf_banded(
             if B >= max_B:
                 raise
             B *= 2
-
-
-def _pow2(m: int) -> int:
-    p = 1
-    while p < m:
-        p *= 2
-    return p
 
 
 @dataclass
@@ -216,17 +210,13 @@ def wave_matrix(
     T_minus = fact.T_minus
     depth = T_minus.width + 8
     e_hi = 40 + 2 * len(t.values)
-    e_minus = exp_xi_lambda(_negate(t), spec.n, (0, e_hi), exact_only=True)
+    e_minus = exp_xi_lambda(t.negated(), spec.n, (0, e_hi), exact_only=True)
     e_plus = exp_xi_lambda(t, spec.n, (0, e_hi), exact_only=True)
     band = (-depth, e_hi)
     psi = lm_trim(lm_mul(e_minus, T_minus, band), 1e-16)
     tm_inv = lm_invert(T_minus)
     psi_inv = lm_trim(lm_mul(tm_inv, e_plus, (-tm_inv.width - 4, e_hi)), 1e-16)
     return psi, psi_inv
-
-
-def _negate(t: TimeVector) -> TimeVector:
-    return TimeVector(tuple(-v for v in t.values), t.gd_reduced)
 
 
 @dataclass

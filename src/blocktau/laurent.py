@@ -195,7 +195,7 @@ def transform_adaptive(
     """Transform with the grid doubled until the out-of-band tail is tiny."""
     from .errors import TruncationError
 
-    M = max(start_M, _next_pow2(2 * (band[1] - band[0] + 1)))
+    M = max(start_M, next_pow2(2 * (band[1] - band[0] + 1)))
     while True:
         x = sample_function(fn, n, M, radius)
         if transform_tail(x, band) < tail_tol:
@@ -208,7 +208,8 @@ def transform_adaptive(
         M *= 2
 
 
-def _next_pow2(m: int) -> int:
+def next_pow2(m: int) -> int:
+    """Smallest power of two that is >= m (1 for m <= 1)."""
     p = 1
     while p < m:
         p *= 2
@@ -347,7 +348,7 @@ def lm_invert(
     half = max(8, a.width)
     while True:
         band_try = (-half, half)
-        M = max(512, _next_pow2(4 * half))
+        M = max(512, next_pow2(4 * half))
         x = sample_function(fn, a.n, M)
         if transform_tail(x, band_try) < tail_tol:
             return lm_trim(transform(x, band_try), 1e-16)
@@ -411,7 +412,7 @@ def admissibility(
     finiteness (together with winding zero) the limit theorems assume.
     """
     if M is None:
-        M = max(512, _next_pow2(2 * lm.width))
+        M = max(512, next_pow2(2 * lm.width))
     norms = np.linalg.norm(lm.coeffs, axis=(1, 2))
     ks = np.arange(lm.lo, lm.hi + 1)
     norm_2half = float(np.sum(np.sqrt(np.abs(ks)) * norms))

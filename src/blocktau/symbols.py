@@ -70,9 +70,20 @@ class TimeVector:
             t[idx % n == 0] = 0.0
         return t
 
+    def negated(self) -> TimeVector:
+        """The reversed flow: every time with its sign flipped."""
+        return TimeVector(tuple(-v for v in self.values), self.gd_reduced)
+
 
 def time_vector(values, gd_reduced: bool = True) -> TimeVector:
     return TimeVector(tuple(values), gd_reduced)
+
+
+def random_times(spec: SymbolSpec, rng: np.random.Generator, scale: float) -> TimeVector:
+    """Reduced times t_1..t_(2n+1) drawn uniformly from [-scale, scale], t_i = 0 for n | i."""
+    vals = scale * (2.0 * rng.random(2 * spec.n + 1) - 1.0)
+    vals[np.arange(1, len(vals) + 1) % spec.n == 0] = 0.0
+    return time_vector(vals, True)
 
 
 @dataclass

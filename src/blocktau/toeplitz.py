@@ -261,6 +261,19 @@ def szego_widom(
     raise ConvergenceError(f"D_N/G^N not Cauchy below {tol:g} by N={N_max}")
 
 
+def fit_decay(deltas, floor: float = 0.0) -> float:
+    """Geometric decay ratio of a difference sequence.
+
+    Least-squares line through log(delta_i) against i, over the entries
+    above floor, each at its index in deltas; 0.0 when fewer than two remain.
+    """
+    xs = [i for i, d in enumerate(deltas) if d > floor]
+    if len(xs) < 2:
+        return 0.0
+    ys = [np.log(deltas[i]) for i in xs]
+    return float(np.exp(np.polyfit(xs, ys, 1)[0]))
+
+
 @dataclass
 class ShortcutResult:
     D_inf: complex

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from blocktau import cli, factorization, laurent
+from blocktau import checks, cli, factorization, laurent, symbols
 
 RATIONAL_INI = """\
 [spec]
@@ -174,10 +174,8 @@ def test_factorize_artifacts_roundtrip(tmp_path):
     assert tm.hi <= 0 and tp.lo >= 0
 
     # replay the seeded draw and check the factors rebuild the symbol
-    from blocktau.symbols import rational_spec
-
-    spec = rational_spec([0.3, 0.6])
-    tv = cli._random_times(spec, np.random.default_rng(3), 0.25)
+    spec = symbols.rational_spec([0.3, 0.6])
+    tv = symbols.random_times(spec, np.random.default_rng(3), 0.25)
     M = 256
     z = np.exp(2j * np.pi * np.arange(M) / M)
     want = factorization.deformed_symbol_samples(spec, tv, M).values
@@ -202,12 +200,54 @@ def test_spectral_report_and_matrix_dump(tmp_path):
     assert C.lo >= 0 and C.hi <= 2
 
 
-# -- verify suite -------------------------------------------------------------
+# -- verify table -------------------------------------------------------------
 
 
-def test_verify_all_checks_pass(tmp_path, capsys):
+def _stub(ok):
+    def fn(ctx, tol):
+        if ok == "raise":
+            raise RuntimeError("stub broke")
+        return 0.5, ok, "stub detail"
+
+    return fn
+
+
+def test_verify_prints_registry_rows(tmp_path, capsys, monkeypatch):
+    stubs = [
+        checks.Check("stub", "passes", 1.0, _stub(True)),
+        checks.Check("stub", "informs", None, _stub(None)),
+        checks.Check("stub", "fails", 0.1, _stub(False)),
+        checks.Check("stub", "raises", 0.1, _stub("raise")),
+    ]
+    monkeypatch.setattr(checks, "CHECKS", stubs)
+    out = tmp_path / "fail"
+    assert cli.main(["verify", "--out", str(out)]) == 1
+    printed, err = capsys.readouterr()
+    assert [line.split()[1:5] for line in printed.splitlines()[1:5]] == [
+        ["passes", "5.000e-01", "1e+00", "PASS"],
+        ["informs", "5.000e-01", "-", "INFO"],
+        ["fails", "5.000e-01", "1e-01", "FAIL"],
+        ["raises", "nan", "1e-01", "FAIL"],
+    ]
+    assert "error: RuntimeError('stub broke')" in printed
+    assert printed.splitlines()[-1] == "VERIFY: 1 passed, 2 failed, 1 info"
+    assert "FAIL stub.fails" in err and "FAIL stub.raises" in err
+    assert (out / "report.txt").read_text().splitlines() == printed.splitlines()
+
+    monkeypatch.setattr(checks, "CHECKS", stubs[:2])
+    assert cli.main(["verify", "--out", str(tmp_path / "ok")]) == 0
+    assert "VERIFY: 1 passed, 0 failed, 1 info" in capsys.readouterr().out
+
+
+def test_verify_rejects_tol_override(tmp_path, capsys):
     out = tmp_path / "verify"
-    assert cli.main(["verify", "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "VERIFY:" in printed and " 0 failed" in printed
-    assert (out / "report.txt").exists()
+    assert cli.main(["verify", "--out", str(out), "--tol", "1e-3"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_registry_names_unique_and_criteria_complete():
+    names = [(c.module, c.name) for c in checks.CHECKS]
+    assert len(set(names)) == len(names)
+    criteria = sorted(c.criterion for c in checks.CHECKS if c.criterion is not None)
+    assert criteria == list(range(1, 12))
