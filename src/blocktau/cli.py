@@ -1,5 +1,7 @@
 """Command-line front end: config parsing, experiment runs, CSV/report output.
 
+Run as ``blocktau <command>`` or ``python -m blocktau <command>``.
+
 Commands
     verify     print the pass/fail table of the check registry (blocktau.checks)
     tau        sweep a time grid, emit the stable tau values as CSV

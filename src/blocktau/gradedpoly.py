@@ -6,9 +6,15 @@ discarded.  Arithmetic is exact within the grading: products of monomials
 whose combined weight exceeds the cutoff are dropped, which is consistent
 because they can never influence coefficients of weight <= Q.
 
-Representation: a dict mapping exponent tuples (e_1, ..., e_K) to complex
-coefficients.  Canonical form drops entries whose magnitude is below 1e-14
-of the largest coefficient.
+Representation: one complex coefficient vector over the monomials of
+weight <= Q in t_1..t_K (for K >= Q these are the partitions of w <= Q),
+ordered by weight, so the coefficients of weight <= w are a prefix of the
+vector: truncation is a slice, and an operand with a larger cutoff is cut
+to the smaller one.  Every coefficient is kept, however small; one that no
+operation reaches stays exactly zero.  Each (K, Q) has one table set,
+built on first use and cached: the basis exponents and weights, the prefix
+ends, the product pairs (a product is one gather and one segmented sum)
+and the index maps of the derivatives d/dt_i.
 
 The module also provides the Schur polynomial family p_k(t) defined by
 exp(sum_k t_k w^k) = sum_k p_k(t) w^k, numeric Schur characters via the
@@ -20,74 +26,214 @@ and determinants of matrices over the ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import factorial
+from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial, prod
+
+import numpy as np
 
 Exponent = tuple[int, ...]
 Partition = tuple[int, ...]
 
-DROP_TOL = 1e-14   # canonical form: drop coeffs below DROP_TOL * max |coeff|
-
-_weight_cache: dict[Exponent, int] = {}
+_SCALARS = (int, float, complex)
 
 
 def monomial_weight(exp: Exponent) -> int:
     """Total weight of an exponent tuple: sum of i * e_i with t_i of weight i."""
-    w = _weight_cache.get(exp)
-    if w is None:
-        w = sum((i + 1) * e for i, e in enumerate(exp) if e)
-        _weight_cache[exp] = w
-    return w
+    return sum((i + 1) * e for i, e in enumerate(exp))
 
 
-@dataclass
+# -- the monomial basis and its tables ----------------------------------------
+
+
+class _Basis:
+    """Monomials of weight <= Q in t_1..t_K, ordered by weight.
+
+    exps[k] is the exponent tuple of basis element k, weights[k] its weight
+    and ends[w] the number of elements of weight <= w.  Each monomial also
+    has an integer key in the mixed radix (Q // i + 1 for t_i): a product
+    or quotient of monomials of weight <= Q adds or subtracts keys.
+    """
+
+    def __init__(self, K: int, Q: int) -> None:
+        rows = []  # a monomial is a partition: e_i counts the parts equal to i
+        for lam in partitions_upto(Q):  # by weight
+            if lam and lam[0] > K:
+                continue
+            exp = [0] * K
+            for part in lam:
+                exp[part - 1] += 1
+            rows.append(tuple(exp))
+        self.K, self.Q, self.size = K, Q, len(rows)
+        self.exps = np.array(rows, dtype=np.int64).reshape(self.size, K)
+        self.weights = self.exps @ np.arange(1, K + 1)
+        self.ends = np.searchsorted(self.weights, np.arange(Q + 1), side="right")
+        self.index = {e: k for k, e in enumerate(rows)}
+        radix = [Q // i + 1 for i in range(1, K + 1)]
+        if prod(radix) >= 2**62:
+            raise ValueError(f"weight cutoff Q={Q} too large for the monomial keys")
+        self.place = np.cumprod([1] + radix[:-1], dtype=np.int64)[:K]
+        self.keys = self.exps @ self.place
+        self._sorter = np.argsort(self.keys)
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Basis indices of monomial keys, all of which must be in the basis."""
+        pos = np.searchsorted(self.keys, keys, sorter=self._sorter)
+        return self._sorter[pos]
+
+    def end(self, w: int) -> int:
+        """Number of basis elements of weight <= w."""
+        return int(self.ends[min(w, self.Q)]) if w >= 0 else 0
+
+
+@lru_cache(maxsize=None)
+def _basis(K: int, Q: int) -> _Basis:
+    return _Basis(K, Q)
+
+
+@lru_cache(maxsize=None)
+def _product_table(K: int, Q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs (ia, ib) of basis elements with weight sum <= Q, and run starts.
+
+    The pairs are sorted by the index of their product monomial, and every
+    basis element k heads a run (it pairs with the constant), so the
+    product of a and b is np.add.reduceat(a[ia] * b[ib], starts).
+    """
+    basis = _basis(K, Q)
+    counts = basis.ends[Q - basis.weights]
+    ia = np.repeat(np.arange(basis.size), counts)
+    ib = np.arange(len(ia)) - np.repeat(np.cumsum(counts) - counts, counts)
+    ic = basis.lookup(basis.keys[ia] + basis.keys[ib])
+    order = np.argsort(ic, kind="stable")
+    starts = np.searchsorted(ic[order], np.arange(basis.size))
+    return ia[order], ib[order], starts
+
+
+@lru_cache(maxsize=None)
+def _derivative_table(K: int, Q: int, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, e): d/dt_i sends e * coefficient src to coefficient dst."""
+    basis = _basis(K, Q)
+    src = np.flatnonzero(basis.exps[:, i - 1])
+    dst = basis.lookup(basis.keys[src] - basis.place[i - 1])
+    return src, dst, basis.exps[src, i - 1]
+
+
+@lru_cache(maxsize=None)
+def _exp_coefficients(K: int, Q: int) -> np.ndarray:
+    """Coefficient 1/prod(e_i!) of each basis monomial t^e in exp(t_1 + ... + t_K)."""
+    exps = _basis(K, Q).exps
+    fact = np.array([float(factorial(e)) for e in range(Q + 1)])
+    return 1.0 / np.prod(fact[exps], axis=1)
+
+
+_PAIR_BLOCK = 1 << 15  # pair products held at once: 512 KiB of complex
+
+
+def _mul(a: np.ndarray, b: np.ndarray, K: int, Q: int) -> np.ndarray:
+    """Truncated product of coefficient arrays over the (K, Q) basis.
+
+    One operand is a vector, the other a vector or a stack of vectors (the
+    pair set is symmetric, so either may be the stack).  A stack goes
+    through in blocks whose gathered pair products stay near _PAIR_BLOCK.
+    """
+    ia, ib, starts = _product_table(K, Q)
+    if a.ndim < b.ndim:
+        a, b = b, a
+    pb = np.take(b, ib)
+    if a.ndim == 1:
+        prod = np.take(a, ia)
+        prod *= pb
+        return np.add.reduceat(prod, starts)
+    out = np.empty((len(a), len(starts)), dtype=complex)
+    step = max(1, _PAIR_BLOCK // len(ia))
+    for lo in range(0, len(a), step):
+        prod = np.take(a[lo : lo + step], ia, axis=-1)
+        prod *= pb
+        out[lo : lo + step] = np.add.reduceat(prod, starts, axis=-1)
+    return out
+
+
+def _inverse(a: np.ndarray, K: int, Q: int) -> np.ndarray:
+    """Inverse of a coefficient vector with nonzero constant term.
+
+    Newton's step b <- b (2 - a b) doubles the number of exact weight
+    layers; each step runs at the cutoff it can make exact.
+    """
+    basis = _basis(K, Q)
+    b = np.zeros(basis.size, dtype=complex)
+    b[0] = 1.0 / a[0]
+    w = 0  # b is exact through weight w
+    while w < Q:
+        w = min(2 * w + 1, Q)
+        n = basis.end(w)
+        residual = _mul(a[:n], b[:n], K, w)
+        residual[0] -= 2.0
+        b[:n] = -_mul(b[:n], residual, K, w)
+    return b
+
+
+# -- the ring element -----------------------------------------------------------
+
+
+@dataclass(eq=False)
 class GradedPoly:
-    """Polynomial in t_1..t_K truncated at total weight Q."""
+    """Polynomial in t_1..t_K truncated at total weight Q.
+
+    coeffs is the coefficient vector over the weight-ordered monomial basis
+    of (K, Q); a shorter vector gives the lowest-weight coefficients and
+    the rest are zero.  The vector is not copied.
+    """
 
     K: int
     Q: int
-    coeffs: dict[Exponent, complex] = field(default_factory=dict)
+    coeffs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.coeffs = _canonical(self.K, self.Q, self.coeffs)
+        size = _basis(self.K, self.Q).size
+        if self.coeffs is None:
+            self.coeffs = np.zeros(size, dtype=complex)
+            return
+        c = np.asarray(self.coeffs, dtype=complex)
+        if c.ndim != 1 or len(c) > size:
+            raise ValueError(
+                f"coefficient vector of shape {c.shape} for a basis of {size} monomials"
+            )
+        if len(c) < size:
+            c = np.concatenate([c, np.zeros(size - len(c), dtype=complex)])
+        self.coeffs = c
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
+    def _common(self, other) -> tuple[int, np.ndarray, np.ndarray]:
+        """Both coefficient vectors cut to the smaller cutoff."""
         other = _coerce(other, self.K, self.Q)
         _check_compatible(self, other)
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            out[exp] = out.get(exp, 0.0) + c
-        return GradedPoly(self.K, min(self.Q, other.Q), out)
+        Q = min(self.Q, other.Q)
+        n = _basis(self.K, Q).size
+        return Q, self.coeffs[:n], other.coeffs[:n]
+
+    def __add__(self, other):
+        Q, a, b = self._common(other)
+        return GradedPoly(self.K, Q, a + b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly(self.K, self.Q, {e: -c for e, c in self.coeffs.items()})
+        return GradedPoly(self.K, self.Q, -self.coeffs)
 
     def __sub__(self, other):
-        return self + (-_coerce(other, self.K, self.Q))
+        Q, a, b = self._common(other)
+        return GradedPoly(self.K, Q, a - b)
 
     def __rsub__(self, other):
-        return _coerce(other, self.K, self.Q) - self
+        Q, a, b = self._common(other)
+        return GradedPoly(self.K, Q, b - a)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return GradedPoly(
-                self.K, self.Q, {e: c * other for e, c in self.coeffs.items()}
-            )
-        _check_compatible(self, other)
-        Q = min(self.Q, other.Q)
-        out: dict[Exponent, complex] = {}
-        for ea, ca in self.coeffs.items():
-            wa = monomial_weight(ea)
-            for eb, cb in other.coeffs.items():
-                if wa + monomial_weight(eb) > Q:
-                    continue
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                out[exp] = out.get(exp, 0.0) + ca * cb
-        return GradedPoly(self.K, Q, out)
+        if isinstance(other, _SCALARS):
+            return GradedPoly(self.K, self.Q, self.coeffs * other)
+        Q, a, b = self._common(other)
+        return GradedPoly(self.K, Q, _mul(a, b, self.K, Q))
 
     __rmul__ = __mul__
 
@@ -95,68 +241,65 @@ class GradedPoly:
         """Partial derivative with respect to t_i (1-based index)."""
         if not 1 <= i <= self.K:
             raise IndexError(f"time index {i} outside 1..{self.K}")
-        out: dict[Exponent, complex] = {}
-        for exp, c in self.coeffs.items():
-            e = exp[i - 1]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[i - 1] = e - 1
-            key = tuple(new)
-            out[key] = out.get(key, 0.0) + c * e
+        src, dst, e = _derivative_table(self.K, self.Q, i)
+        out = np.zeros_like(self.coeffs)
+        out[dst] = self.coeffs[src] * e
         return GradedPoly(self.K, self.Q, out)
 
     def invert(self) -> "GradedPoly":
         """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coeffs.get((0,) * self.K, 0.0)
-        if abs(c0) == 0.0:
+        if abs(self.coeffs[0]) == 0.0:
             from .errors import DegenerateInput
 
             raise DegenerateInput("cannot invert: constant term is zero")
-        # solve weight by weight: b_w = -(1/a_0) * sum_{u>=1} a_u b_{w-u}
-        a_by_weight: dict[int, dict[Exponent, complex]] = {}
-        for exp, c in self.coeffs.items():
-            a_by_weight.setdefault(monomial_weight(exp), {})[exp] = c
-        zero = (0,) * self.K
-        b: dict[Exponent, complex] = {zero: 1.0 / c0}
-        for w in range(1, self.Q + 1):
-            layer: dict[Exponent, complex] = {}
-            for u, a_u in a_by_weight.items():
-                if u == 0 or u > w:
-                    continue
-                for eb, cb in b.items():
-                    if monomial_weight(eb) != w - u:
-                        continue
-                    for ea, ca in a_u.items():
-                        exp = tuple(x + y for x, y in zip(ea, eb))
-                        layer[exp] = layer.get(exp, 0.0) + ca * cb
-            for exp, c in layer.items():
-                b[exp] = b.get(exp, 0.0) - c / c0
-        return GradedPoly(self.K, self.Q, b)
+        return GradedPoly(self.K, self.Q, _inverse(self.coeffs, self.K, self.Q))
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Weight of each basis monomial, aligned with coeffs."""
+        return _basis(self.K, self.Q).weights
+
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
+
     def constant_term(self) -> complex:
-        return self.coeffs.get((0,) * self.K, 0.0)
+        return complex(self.coeffs[0])
 
     def coefficient(self, exp: Exponent) -> complex:
-        return self.coeffs.get(tuple(exp), 0.0)
+        k = _basis(self.K, self.Q).index.get(tuple(exp))
+        return 0.0j if k is None else complex(self.coeffs[k])
+
+    def coefficients_upto(self, w: int | None = None) -> np.ndarray:
+        """Coefficients of the monomials of weight <= w (all when w is None)."""
+        if w is None:
+            return self.coeffs
+        return self.coeffs[: _basis(self.K, self.Q).end(w)]
 
     def truncate(self, Q: int) -> "GradedPoly":
-        """Copy with cutoff lowered to Q, dropping heavier monomials."""
-        kept = {e: c for e, c in self.coeffs.items() if monomial_weight(e) <= Q}
-        return GradedPoly(self.K, Q, kept)
+        """Copy with cutoff moved to Q, dropping heavier monomials."""
+        return GradedPoly(self.K, Q, self.coefficients_upto(Q).copy())
 
     def max_weight(self) -> int:
         """Largest monomial weight present (0 for the zero polynomial)."""
-        return max((monomial_weight(e) for e in self.coeffs), default=0)
+        nz = np.flatnonzero(self.coeffs)
+        return int(self.weights[nz[-1]]) if len(nz) else 0
+
+    def terms(self) -> dict[Exponent, complex]:
+        """The nonzero coefficients keyed by exponent tuple, by weight."""
+        exps = _basis(self.K, self.Q).exps
+        return {
+            tuple(int(e) for e in exps[k]): complex(self.coeffs[k])
+            for k in np.flatnonzero(self.coeffs)
+        }
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        terms = self.terms()
+        if not terms:
             return f"GradedPoly(K={self.K}, Q={self.Q}, 0)"
         parts = []
-        for exp in sorted(self.coeffs, key=lambda e: (monomial_weight(e), e)):
-            c = self.coeffs[exp]
+        for exp, c in terms.items():
             mono = "*".join(
                 f"t{i+1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(exp)
@@ -166,27 +309,10 @@ class GradedPoly:
         return f"GradedPoly(K={self.K}, Q={self.Q}, " + " + ".join(parts) + ")"
 
 
-def _canonical(K: int, Q: int, coeffs: dict) -> dict[Exponent, complex]:
-    """Drop out-of-band and negligibly small coefficients."""
-    cleaned: dict[Exponent, complex] = {}
-    top = max((abs(c) for c in coeffs.values()), default=0.0)
-    floor = top * DROP_TOL
-    for exp, c in coeffs.items():
-        exp = tuple(exp)
-        if len(exp) != K:
-            raise ValueError(f"exponent tuple {exp} has length != K={K}")
-        if monomial_weight(exp) > Q:
-            continue
-        if abs(c) <= floor:
-            continue
-        cleaned[exp] = complex(c)
-    return cleaned
-
-
 def _coerce(x, K: int, Q: int) -> GradedPoly:
     if isinstance(x, GradedPoly):
         return x
-    if isinstance(x, (int, float, complex)):
+    if isinstance(x, _SCALARS):
         return gp_const(K, Q, x)
     raise TypeError(f"cannot interpret {type(x).__name__} as GradedPoly")
 
@@ -201,11 +327,11 @@ def _check_compatible(a: GradedPoly, b: GradedPoly) -> None:
 
 def gp_const(K: int, Q: int, value: complex) -> GradedPoly:
     """Constant polynomial."""
-    return GradedPoly(K, Q, {(0,) * K: complex(value)})
+    return GradedPoly(K, Q, np.array([value], dtype=complex))
 
 
 def gp_zero(K: int, Q: int) -> GradedPoly:
-    return GradedPoly(K, Q, {})
+    return GradedPoly(K, Q)
 
 
 def gp_time(K: int, Q: int, i: int) -> GradedPoly:
@@ -214,52 +340,63 @@ def gp_time(K: int, Q: int, i: int) -> GradedPoly:
         raise IndexError(f"time index {i} outside 1..{K}")
     exp = [0] * K
     exp[i - 1] = 1
-    return GradedPoly(K, Q, {tuple(exp): 1.0})
+    return gp_from_terms(K, Q, {tuple(exp): 1.0})
+
+
+def gp_from_terms(K: int, Q: int, terms: dict) -> GradedPoly:
+    """Polynomial from {exponent tuple: coefficient}; weights above Q drop out."""
+    basis = _basis(K, Q)
+    out = np.zeros(basis.size, dtype=complex)
+    for exp, c in terms.items():
+        exp = tuple(exp)
+        if len(exp) != K:
+            raise ValueError(f"exponent tuple {exp} has length != K={K}")
+        k = basis.index.get(exp)
+        if k is not None:
+            out[k] = c
+    return GradedPoly(K, Q, out)
 
 
 def evaluate(p: GradedPoly, tvals) -> complex:
     """Numeric value of p at the time vector tvals (length K)."""
-    tvals = list(tvals)
-    if len(tvals) != p.K:
-        raise ValueError(f"expected {p.K} time values, got {len(tvals)}")
-    total = 0.0 + 0.0j
-    for exp, c in p.coeffs.items():
-        term = c
-        for t, e in zip(tvals, exp):
-            if e:
-                term *= t**e
-        total += term
-    return total
+    t = np.asarray(list(tvals), dtype=complex)
+    if len(t) != p.K:
+        raise ValueError(f"expected {p.K} time values, got {len(t)}")
+    nz = np.flatnonzero(p.coeffs)
+    powers = t[:, None] ** np.arange(p.Q + 1)  # powers[i, e] = t_{i+1}^e
+    monomials = np.prod(powers[np.arange(p.K), _basis(p.K, p.Q).exps[nz]], axis=1)
+    return complex(monomials @ p.coeffs[nz])
 
 
 def zero_times(p: GradedPoly, indices) -> GradedPoly:
     """Substitute t_i = 0 for every i in indices (1-based)."""
-    dead = {i - 1 for i in indices}
-    kept = {
-        exp: c
-        for exp, c in p.coeffs.items()
-        if all(exp[j] == 0 for j in dead)
-    }
-    return GradedPoly(p.K, p.Q, kept)
+    dead = [i - 1 for i in indices]
+    alive = ~_basis(p.K, p.Q).exps[:, dead].any(axis=1)
+    return GradedPoly(p.K, p.Q, np.where(alive, p.coeffs, 0.0))
 
 
 # -- Schur polynomials and characters --------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _schur_layers(K: int, Q: int) -> tuple[GradedPoly, ...]:
+    weights, coeffs = _basis(K, Q).weights, _exp_coefficients(K, Q)
+    layers = tuple(
+        GradedPoly(K, Q, np.where(weights == k, coeffs, 0.0)) for k in range(Q + 1)
+    )
+    for p in layers:
+        p.coeffs.flags.writeable = False  # shared by every caller
+    return layers
+
+
 def schur_sequence(K: int, Q: int) -> list[GradedPoly]:
     """p_0..p_Q with exp(sum t_k w^k) = sum p_k w^k.
 
-    Uses the recurrence k*p_k = sum_{i=1..min(k,K)} i*t_i*p_{k-i}.  Each p_k
-    is weight-homogeneous of weight exactly k.
+    p_k is the weight-k layer of exp(sum t_i): the monomial t^e of weight k
+    has coefficient 1/prod(e_i!).  The polynomials are shared between calls;
+    their coefficient vectors are read-only.
     """
-    seq = [gp_const(K, Q, 1.0)]
-    times = [gp_time(K, Q, i) for i in range(1, K + 1)]
-    for k in range(1, Q + 1):
-        acc = gp_zero(K, Q)
-        for i in range(1, min(k, K) + 1):
-            acc = acc + (times[i - 1] * seq[k - i]) * i
-        seq.append(acc * (1.0 / k))
-    return seq
+    return list(_schur_layers(K, Q))
 
 
 def schur_sequence_reduced(K: int, Q: int, n: int) -> list[GradedPoly]:
@@ -300,8 +437,6 @@ def partitions_upto(max_weight: int, max_len: int | None = None):
 
 def character(l, X) -> complex:
     """Numeric Schur character s_l(x_1..x_m) by the Weyl determinant quotient."""
-    import numpy as np
-
     from .errors import SingularVandermonde
 
     lam = normalize_partition(l)
@@ -365,7 +500,7 @@ def _gp_det_free(rows: list[list[GradedPoly]], K: int, Q: int) -> GradedPoly:
     for i in range(m):
         new: dict[int, GradedPoly] = {}
         for mask, val in minors.items():
-            if not val.coeffs:
+            if val.is_zero():
                 continue
             parity = 0
             for j in range(m):
@@ -374,7 +509,7 @@ def _gp_det_free(rows: list[list[GradedPoly]], K: int, Q: int) -> GradedPoly:
                     parity ^= 1
                     continue
                 entry = rows[i][j]
-                if entry.coeffs:
+                if not entry.is_zero():
                     term = entry * val if parity == 0 else entry * val * (-1.0)
                     key = mask | bit
                     acc = new.get(key)
@@ -392,7 +527,9 @@ def gp_det(rows: list[list[GradedPoly]]) -> GradedPoly:
     division happens only by pivots, which must be ring units (nonzero
     constant term).  Falls back to cofactor expansion for sizes <= 3 where
     it is both faster and division-free, and to a memoized division-free
-    expansion when no unit pivot exists (possible up to size 12).
+    expansion when no unit pivot exists (possible up to size 12).  The
+    elimination works on the (m, m, basis) coefficient array and updates
+    one row of the trailing block per product.
     """
     m = len(rows)
     if m == 0:
@@ -415,40 +552,39 @@ def gp_det(rows: list[list[GradedPoly]]) -> GradedPoly:
             a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         ).truncate(Q)
 
-    work = [[entry.truncate(Q) for entry in r] for r in rows]
+    n = _basis(K, Q).size
+    work = np.array([[entry.coeffs[:n] for entry in r] for r in rows])
     sign = 1
-    det = gp_const(K, Q, 1.0)
+    det = np.zeros(n, dtype=complex)
+    det[0] = 1.0
     for col in range(m):
-        pivot_row = max(
-            range(col, m), key=lambda r: abs(work[r][col].constant_term())
-        )
-        if abs(work[pivot_row][col].constant_term()) == 0.0:
-            if all(not work[r][col].coeffs for r in range(col, m)):
+        lead = np.abs(work[col:, col, 0])
+        pivot_row = col + int(np.argmax(lead))
+        if lead[pivot_row - col] == 0.0:
+            if not work[col:, col].any():
                 return gp_zero(K, Q)  # structurally singular: a zero column
             if m <= 12:
                 # no unit pivot in this column: finish division-free on the
                 # remaining minor and fold in the eliminated prefix
-                tail = [[work[r][c] for c in range(col, m)] for r in range(col, m)]
-                return det * _gp_det_free(tail, K, Q) * sign
+                tail = [
+                    [GradedPoly(K, Q, work[r, c]) for c in range(col, m)]
+                    for r in range(col, m)
+                ]
+                return GradedPoly(K, Q, det * sign) * _gp_det_free(tail, K, Q)
             from .errors import DegenerateInput
 
             raise DegenerateInput(
                 "graded elimination needs a pivot with nonzero constant term"
             )
         if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
+            work[[col, pivot_row]] = work[[pivot_row, col]]
             sign = -sign
-        pivot = work[col][col]
-        det = det * pivot
-        pivot_inv = pivot.invert()
-        for r in range(col + 1, m):
-            factor = work[r][col] * pivot_inv
-            if not factor.coeffs:
-                continue
-            work[r][col] = gp_zero(K, Q)
-            for c in range(col + 1, m):
-                work[r][c] = work[r][c] - factor * work[col][c]
-    return det * sign
+        pivot = work[col, col]
+        det = _mul(det, pivot, K, Q)
+        factors = _mul(work[col + 1 :, col], _inverse(pivot, K, Q), K, Q)
+        for r in np.flatnonzero(factors.any(axis=1)):
+            work[col + 1 + r, col + 1 :] -= _mul(factors[r], work[col, col + 1 :], K, Q)
+    return GradedPoly(K, Q, det * sign)
 
 
 # -- KdV bilinear residual --------------------------------------------------
@@ -486,30 +622,30 @@ def sato_shift(tau: GradedPoly, orders: int) -> tuple[GradedPoly, ...]:
 
     Returns [c_0, ..., c_orders] with tau(t - [1/z]) = sum_m c_m z^-m up to
     the requested order.  c_m is the Schur polynomial p_m evaluated at the
-    derivation vector (-d/dt_1, -(1/2) d/dt_2, ...), applied to tau.
+    derivation vector (-d/dt_1, -(1/2) d/dt_2, ...), applied to tau: the
+    sum over the monomials s^e of weight m of
+    prod_i (-1/i)^e_i / e_i! times d^e tau.
     """
     if orders < 0:
         raise ValueError("orders must be >= 0")
-    out = [tau]
-    # monomials of the auxiliary Schur polynomial q_m in variables s_i,
-    # where s_i acts on tau as -(1/i) d/dt_i
-    aux = schur_sequence(orders if orders > 0 else 1, orders)
-    # cache repeated derivatives of tau: key = exponent tuple over s-vars
-    for m in range(1, orders + 1):
-        acc = gp_zero(tau.K, tau.Q)
-        for exp, c in aux[m].coeffs.items():
-            term = tau
-            coeff = complex(c)
-            for i, e in enumerate(exp, start=1):
-                for _ in range(e):
-                    if i <= tau.K:
-                        term = term.derivative(i)
-                    else:
-                        term = gp_zero(tau.K, tau.Q)
-                    coeff *= -1.0 / i
-            acc = acc + term * coeff
-        out.append(acc)
-    return tuple(out)
+    aux = _basis(orders, orders)  # the monomials s^e of weight <= orders
+    scale = _exp_coefficients(orders, orders) * np.prod(
+        (-1.0 / np.arange(1, orders + 1)) ** aux.exps, axis=1
+    )
+    # derived[k] = d^e tau for e = aux.exps[k]: one derivative of the
+    # lighter, earlier monomial with the last nonzero exponent of e lowered
+    derived = [tau]
+    for k in range(1, aux.size):
+        e = [int(x) for x in aux.exps[k]]
+        i = max(j for j, x in enumerate(e, start=1) if x)
+        e[i - 1] -= 1
+        parent = derived[aux.index[tuple(e)]]
+        derived.append(parent.derivative(i) if i <= tau.K else gp_zero(tau.K, tau.Q))
+    stacked = np.array([d.coeffs for d in derived])
+    layers = [slice(aux.end(m - 1), aux.end(m)) for m in range(orders + 1)]
+    return tuple(
+        GradedPoly(tau.K, tau.Q, scale[layer] @ stacked[layer]) for layer in layers
+    )
 
 
 def schur_at_shifted_times(k: int, K: int, Q: int) -> list[GradedPoly]:
@@ -531,4 +667,3 @@ def _prod_fact(ks) -> int:
     for k in ks:
         out *= factorial(k)
     return out
-

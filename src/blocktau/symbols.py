@@ -351,19 +351,19 @@ def gd_symbol_graded(
     ps = schur_sequence_reduced(K, Q, n) if gd_reduced else schur_sequence(K, Q)
     w = base_symbol(spec)
     lo, hi = band
-    zero = gp_zero(K, Q)
-    entries = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(hi - lo + 1)]
+    # the p_k are disjoint weight layers, so each coefficient of an entry
+    # is one product: the L^k W coefficient times the p_k coefficient
+    coeffs = np.zeros((hi - lo + 1, n, n, len(ps[0].coeffs)), dtype=complex)
     for k in range(0, Q + 1):
-        if not ps[k].coeffs:
+        if ps[k].is_zero():
             continue
-        contrib = lm_mul(lambda_power(n, k), w, band)
-        for m in range(lo, hi + 1):
-            blk = contrib.block(m)
-            for i in range(n):
-                for j in range(n):
-                    c = blk[i, j]
-                    if abs(c) > 1e-300:
-                        entries[m - lo][i][j] = entries[m - lo][i][j] + ps[k] * c
+        blocks = lm_mul(lambda_power(n, k), w, band).coeffs
+        blocks = np.where(np.abs(blocks) > 1e-300, blocks, 0.0)
+        coeffs += blocks[..., None] * ps[k].coeffs
+    entries = [
+        [[GradedPoly(K, Q, coeffs[m, i, j]) for j in range(n)] for i in range(n)]
+        for m in range(hi - lo + 1)
+    ]
     return GradedLaurentMatrix(n=n, lo=lo, hi=hi, K=K, Q=Q, entries=entries)
 
 

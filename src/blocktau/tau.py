@@ -34,6 +34,8 @@ from .gradedpoly import (
     GradedPoly,
     gp_const,
     gp_det,
+    gp_from_terms,
+    gp_time,
     gp_zero,
     jacobi_trudi,
     monomial_weight,
@@ -112,23 +114,21 @@ def _tower(p: GradedPoly, count: int) -> list[GradedPoly]:
 
 def max_abs_coeff(p: GradedPoly, upto: int | None = None) -> float:
     """Largest coefficient magnitude, optionally only up to a weight bound."""
-    out = 0.0
-    for e, c in p.coeffs.items():
-        if upto is not None and monomial_weight(e) > upto:
-            continue
-        out = max(out, abs(c))
-    return out
+    return float(np.max(np.abs(p.coefficients_upto(upto)), initial=0.0))
 
 
 def coefficient_gap(a: GradedPoly, b: GradedPoly, upto: int | None = None) -> float:
-    """Largest coefficient difference, optionally only up to a weight bound."""
-    keys = set(a.coeffs) | set(b.coeffs)
-    gap = 0.0
-    for e in keys:
-        if upto is not None and monomial_weight(e) > upto:
-            continue
-        gap = max(gap, abs(a.coefficient(e) - b.coefficient(e)))
-    return gap
+    """Largest coefficient difference, optionally only up to a weight bound.
+
+    Coefficients above one operand's cutoff count as zero there.
+    """
+    if a.K != b.K:
+        raise ValueError(f"mixed time counts K={a.K} and K={b.K}")
+    x, y = a.coefficients_upto(upto), b.coefficients_upto(upto)
+    diff = np.zeros(max(len(x), len(y)), dtype=complex)
+    diff[: len(x)] = x
+    diff[: len(y)] -= y
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def random_graded(
@@ -151,7 +151,7 @@ def random_graded(
             w -= i
         weight = monomial_weight(tuple(exp))
         coeffs[tuple(exp)] = complex(rng.normal(), rng.normal()) * 0.3**weight
-    return GradedPoly(K, Q, coeffs)
+    return gp_from_terms(K, Q, coeffs)
 
 
 def _schur_basis(K: int, Q: int, n: int, gd_reduced: bool) -> list[GradedPoly]:
@@ -164,8 +164,6 @@ def _generic_unit_family_member(
     K: int, Q: int, rng: np.random.Generator
 ) -> GradedPoly:
     """Random element whose Wronskian ladders stay units: full jet in t_1."""
-    from .gradedpoly import gp_time
-
     t1 = gp_time(K, Q, 1)
     out = gp_const(K, Q, 1.0) + random_graded(K, Q, rng, unit=False) * 0.3
     power = gp_const(K, Q, 1.0)
@@ -493,10 +491,10 @@ def _scaled_match(
     a: GradedPoly, b: GradedPoly, upto: int | None = None
 ) -> tuple[complex, float]:
     """Best constant sigma with a ~ sigma*b, and the relative residual."""
-    if not b.coeffs:
+    if b.is_zero():
         return 0.0 + 0.0j, max_abs_coeff(a, upto)
-    e_star = max(b.coeffs, key=lambda e: abs(b.coeffs[e]))
-    sigma = a.coefficient(e_star) / b.coefficient(e_star)
+    k = int(np.argmax(np.abs(b.coeffs)))  # a and b share the basis prefix
+    sigma = (a.coeffs[k] if k < len(a.coeffs) else 0.0) / b.coeffs[k]
     scale = max(max_abs_coeff(a, upto), max_abs_coeff(b, upto), 1e-300)
     return sigma, coefficient_gap(a, b * sigma, upto) / scale
 
@@ -850,11 +848,10 @@ def stability_check(
     a = tau_graded(spec, N, Q, K=K, gd_reduced=gd_reduced)
     b = tau_graded(spec, N + 1, Q, K=K, gd_reduced=gd_reduced)
     upto = min(N, Q)
-    gaps = {w: 0.0 for w in range(upto + 1)}
-    for e in set(a.coeffs) | set(b.coeffs):
-        w = monomial_weight(e)
-        if w <= upto:
-            gaps[w] = max(gaps[w], abs(a.coefficient(e) - b.coefficient(e)))
+    diff = np.abs(a.coeffs - b.coeffs)
+    gaps = {
+        w: float(np.max(diff[a.weights == w], initial=0.0)) for w in range(upto + 1)
+    }
     return StabilityReport(
         N=N, Q=Q, upto=upto, gaps=gaps, max_gap=max(gaps.values()), tol=tol
     )

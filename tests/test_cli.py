@@ -1,6 +1,8 @@
 """Command-line interface: config validation, artifacts, exit codes."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -251,3 +253,18 @@ def test_registry_names_unique_and_criteria_complete():
     assert len(set(names)) == len(names)
     criteria = sorted(c.criterion for c in checks.CHECKS if c.criterion is not None)
     assert criteria == list(range(1, 12))
+
+
+def test_module_entry_point_runs_without_warnings():
+    # `python -m blocktau` must not re-execute an already imported module
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "blocktau", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "verify" in proc.stdout

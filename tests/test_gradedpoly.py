@@ -1,5 +1,7 @@
 """Graded ring of time polynomials: arithmetic, Schur family, characters."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from blocktau.gradedpoly import (
     evaluate,
     gp_const,
     gp_det,
+    gp_from_terms,
     gp_time,
     gp_zero,
     hirota_kdv_residual,
@@ -32,6 +35,122 @@ from blocktau.tau import coefficient_gap, max_abs_coeff, random_graded
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+# -- reference ring: dicts of exponent tuples ----------------------------------
+#
+# An independent oracle for the dense ring.  It keeps {exponent tuple:
+# coefficient} and multiplies term by term; the inverse is the geometric
+# series in the non-constant part, which is nilpotent under the cutoff.
+
+
+def _ref_mul(a, b, Q):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if monomial_weight(e) <= Q:
+                out[e] = out.get(e, 0.0) + ca * cb
+    return out
+
+
+def _ref_derivative(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i - 1]:
+            d = e[: i - 1] + (e[i - 1] - 1,) + e[i:]
+            out[d] = out.get(d, 0.0) + c * e[i - 1]
+    return out
+
+
+def _ref_inverse(a, K, Q):
+    zero = (0,) * K
+    a0 = a[zero]
+    minus_x = {e: -c / a0 for e, c in a.items() if e != zero}
+    total, term = {zero: 1.0 / a0}, {zero: 1.0 / a0}
+    for _ in range(Q):
+        term = _ref_mul(term, minus_x, Q)
+        for e, c in term.items():
+            total[e] = total.get(e, 0.0) + c
+    return total
+
+
+def _ref_random(K, Q, rng, unit=False):
+    """Random dict over every monomial of weight <= Q, about a third zero."""
+    exps = [
+        e
+        for e in itertools.product(*(range(Q // i + 1) for i in range(1, K + 1)))
+        if monomial_weight(e) <= Q
+    ]
+    out = {}
+    for e in exps:
+        if rng.random() < 0.67:
+            out[e] = complex(rng.normal(), rng.normal()) * 0.5 ** monomial_weight(e)
+    if unit:
+        out[(0,) * K] = 1.0 + rng.random()
+    return out
+
+
+def _gap_to_ref(p, ref):
+    terms = p.terms()
+    return max(
+        (abs(terms.get(e, 0.0) - ref.get(e, 0.0)) for e in set(terms) | set(ref)),
+        default=0.0,
+    )
+
+
+ring_sizes = st.tuples(st.integers(1, 7), st.integers(0, 8))  # K < Q and K >= Q
+
+
+@given(ring_sizes, st.integers(0, 8), st.integers(0, 10**6))
+def test_product_matches_reference(KQ, Qb, seed):
+    K, Q = KQ
+    rng = _rng(seed)
+    a, b = _ref_random(K, Q, rng), _ref_random(K, Qb, rng)
+    got = gp_from_terms(K, Q, a) * gp_from_terms(K, Qb, b)
+    assert got.Q == min(Q, Qb)
+    assert _gap_to_ref(got, _ref_mul(a, b, min(Q, Qb))) < 1e-13
+
+
+@given(ring_sizes, st.integers(0, 10**6))
+def test_derivative_matches_reference(KQ, seed):
+    K, Q = KQ
+    a = _ref_random(K, Q, _rng(seed))
+    p = gp_from_terms(K, Q, a)
+    for i in range(1, K + 1):
+        assert _gap_to_ref(p.derivative(i), _ref_derivative(a, i)) < 1e-13
+
+
+@given(ring_sizes, st.integers(0, 10**6))
+def test_inverse_matches_reference(KQ, seed):
+    K, Q = KQ
+    a = _ref_random(K, Q, _rng(seed), unit=True)
+    assert _gap_to_ref(gp_from_terms(K, Q, a).invert(), _ref_inverse(a, K, Q)) < 1e-12
+
+
+@given(ring_sizes, st.integers(0, 8), st.integers(0, 10**6))
+def test_truncation_is_a_ring_map_against_reference(KQ, q, seed):
+    K, Q = KQ
+    rng = _rng(seed)
+    a, b = _ref_random(K, Q, rng), _ref_random(K, Q, rng)
+    pa, pb = gp_from_terms(K, Q, a), gp_from_terms(K, Q, b)
+    q = min(q, Q)
+    lhs = (pa * pb).truncate(q)
+    rhs = pa.truncate(q) * pb.truncate(q)
+    ref = _ref_mul(a, b, q)
+    assert lhs.Q == rhs.Q == q
+    assert _gap_to_ref(lhs, ref) < 1e-13
+    assert _gap_to_ref(rhs, ref) < 1e-13
+
+
+def test_untouched_coefficients_stay_exactly_zero():
+    # t1 * t3 and its powers never reach a monomial with t2; nothing is
+    # rounded away either, however small next to the constant term
+    K, Q = 6, 12
+    x = gp_time(K, Q, 1) * gp_time(K, Q, 3) * 1e-5 + 1.0
+    y = x.invert() * x * x.derivative(1)
+    assert all(e[1] == 0 for e in y.terms())
+    assert abs(x.invert().coefficient((3, 0, 3, 0, 0, 0)) + 1e-15) < 1e-30
 
 
 # -- ring axioms (property-based) --------------------------------------------
@@ -249,6 +368,6 @@ def test_evaluate_short_time_vector():
 
 
 def test_graded_poly_repr_roundtrip_constant():
-    p = GradedPoly(3, 3, {(0, 0, 0): 2.5})
+    p = gp_from_terms(3, 3, {(0, 0, 0): 2.5})
     assert p.constant_term() == 2.5
     assert p.max_weight() == 0

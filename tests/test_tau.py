@@ -1,5 +1,7 @@
 """Tau functions: routes, structure of the generator family, stable values."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,15 @@ def _tau_closed(t1, t3):
     th_d = t1 * D + t3 * D**3
     th_c = t1 * C + t3 * C**3
     return np.cosh(th_d) * np.cosh(th_c) - (D / C) * np.sinh(th_d) * np.sinh(th_c)
+
+
+def _tau_closed_t1_coefficient(k):
+    """Coefficient of t1^k (k even) in the closed form at t3 = 0.
+
+    cosh a cosh b - (D/C) sinh a sinh b
+      = (1 - D/C)/2 cosh(a + b) + (1 + D/C)/2 cosh(a - b).
+    """
+    return ((1 - D / C) * (D + C) ** k + (1 + D / C) * (D - C) ** k) / (2 * factorial(k))
 
 
 # -- generator family structure ----------------------------------------------
@@ -228,3 +239,26 @@ def test_stable_tau_satisfies_kdv():
 def test_covering_stable_tau_satisfies_kdv():
     res = hirota_kdv_residual(stable_tau_graded(CSPEC, 6))
     assert max_abs_coeff(res) < 1e-8
+
+
+def test_stable_tau_satisfies_kdv_at_weight_16():
+    res = hirota_kdv_residual(stable_tau_graded(RSPEC, 16))
+    assert max_abs_coeff(res) < 1e-8  # criterion-08 tolerance
+
+
+def test_high_weight_coefficients_match_closed_form():
+    # the t1^Q coefficient is ~(C + D)^Q / Q!, some 1e-12 of the constant
+    # term at Q = 14 and 1e-14 at Q = 16: the ring must keep it
+    for Q in (14, 16):
+        tau = stable_tau_graded(RSPEC, Q, gd_reduced=False)
+        want = _tau_closed_t1_coefficient(Q)
+        got = tau.coefficient((Q,) + (0,) * (Q - 1))
+        assert abs(got - want) < 1e-6 * abs(want), (Q, got, want)
+
+
+def test_reduced_tau_has_exact_zeros_on_frozen_times():
+    # gd_reduced freezes t_2, t_4, ...: their coefficients are exactly zero
+    tau = stable_tau_graded(RSPEC, 10)
+    frozen = [e for e in tau.terms() if any(e[i - 1] for i in range(2, 11, 2))]
+    assert frozen == []
+    assert tau.coefficient((0, 1) + (0,) * 8) == 0.0
