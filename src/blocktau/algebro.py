@@ -169,11 +169,11 @@ def curve_from_covering(spec: SymbolSpec) -> CharPoly:
     return CharPoly(spec.n, tuple(coeffs))
 
 
-def charpoly_from_matrix(C: LaurentMatrix, tol: float = 1e-9) -> CharPoly:
+def charpoly_from_matrix(C: LaurentMatrix) -> CharPoly:
     """Extract the characteristic polynomial of a matrix polynomial C(z).
 
     Samples det(lambda*I - C(z)) on a circle, transforms each coefficient
-    function and trims modes below tol relative to its own scale.  Raises
+    function and trims modes below 1e-9 relative to its own scale.  Raises
     SpecError when C carries significant negative modes (not a polynomial)
     or when the resulting degree pattern is inadmissible.
     """
@@ -198,7 +198,7 @@ def charpoly_from_matrix(C: LaurentMatrix, tol: float = 1e-9) -> CharPoly:
                 "its characteristic polynomial is not polynomial in z"
             )
         arr = pos.copy()
-        arr[np.abs(arr) <= tol * scale] = 0.0
+        arr[np.abs(arr) <= 1e-9 * scale] = 0.0
         deg = _poly_degree(arr)
         out.append(arr[: deg + 1] if deg >= 0 else np.zeros(1, dtype=complex))
     return CharPoly(n, tuple(out))
@@ -242,11 +242,10 @@ class BranchSeries:
         return BranchSeries(self.m, tail, self.n, self.residual_unit_circle)
 
 
-def branch_residual(
-    cp: CharPoly, bs: BranchSeries, M: int = 64, radius: float = 1.0
-) -> float:
-    """Max relative curve residual |p(b(zeta))| on M points of |zeta| = radius."""
-    zeta = radius * np.exp(2j * np.pi * (np.arange(M) + 0.37) / M)
+def branch_residual(cp: CharPoly, bs: BranchSeries) -> float:
+    """Max relative curve residual |p(b(zeta))| on 64 points of |zeta| = 1."""
+    M = 64
+    zeta = np.exp(2j * np.pi * (np.arange(M) + 0.37) / M)
     bv = bs(zeta)
     res = cp.evaluate(bv, zeta**cp.n)
     scale = max(1.0, float(np.max(np.abs(bv) ** cp.n)))
@@ -351,17 +350,10 @@ class BCMatrices:
     degree_pattern: int      # max (i - j + n*deg C_ij) over nonzero entries
     curve_deviation: float   # char poly of C vs the curve, on samples
     M_used: int
-    trace_free: bool
 
 
 def bc_matrices(
-    spec: SymbolSpec,
-    bs: BranchSeries,
-    band: tuple[int, int] | None = None,
-    *,
-    trace_free: bool = True,
-    cp: CharPoly | None = None,
-    M: int | None = None,
+    spec: SymbolSpec, bs: BranchSeries, *, cp: CharPoly | None = None
 ) -> BCMatrices:
     """Fold the branch into B(z) and conjugate by the base symbol.
 
@@ -374,17 +366,14 @@ def bc_matrices(
     n = spec.n
     if bs.n != n:
         raise SpecError(f"branch lives on {bs.n} sheets, symbol has {n}")
-    b_used = bs.trace_reduced() if trace_free else bs
-    B = fold_scalar(b_used.series(), n)
+    B = fold_scalar(bs.trace_reduced().series(), n)
     if cp is None and spec.family == "covering":
         cp = curve_from_covering(spec)
 
     depth = bs.J // n + 4
     degmax = (bs.m + n - 1) // n + 1
-    if band is None:
-        band = (-depth, degmax)
-    if M is None:
-        M = next_pow2(max(4 * (abs(band[0]) + abs(band[1]) + 2), 64))
+    band = (-depth, degmax)
+    M = next_pow2(max(4 * (abs(band[0]) + abs(band[1]) + 2), 64))
     z = np.exp(2j * np.pi * np.arange(M) / M)
     Wv = base_symbol_values(spec, z)
     Bv = B(z)
@@ -427,7 +416,6 @@ def bc_matrices(
         degree_pattern=pattern,
         curve_deviation=float(curve_dev),
         M_used=M,
-        trace_free=trace_free,
     )
 
 
@@ -467,13 +455,7 @@ def _match_branches(eigvals: np.ndarray, expected: np.ndarray) -> np.ndarray:
     return pick
 
 
-def reconstruct_W(
-    C: LaurentMatrix,
-    J: int = 96,
-    band: tuple[int, int] | None = None,
-    *,
-    M: int | None = None,
-) -> LaurentMatrix:
+def reconstruct_W(C: LaurentMatrix, J: int = 96) -> LaurentMatrix:
     """Rebuild the base symbol from its commuting matrix polynomial.
 
     Derives the curve from C's characteristic polynomial, expands the branch
@@ -486,10 +468,8 @@ def reconstruct_W(
     n = C.n
     cp = charpoly_from_matrix(C)
     bs = branch_series(cp, J)
-    if band is None:
-        band = (-max(J // n + 4, 8), 0)
-    if M is None:
-        M = next_pow2(max(2 * (abs(band[0]) + abs(band[1]) + 2), 64))
+    band = (-max(J // n + 4, 8), 0)
+    M = next_pow2(max(2 * (abs(band[0]) + abs(band[1]) + 2), 64))
     z = np.exp(2j * np.pi * np.arange(M) / M)
     Wv = _reconstruct_samples(C, bs, z)
     w = lm_trim(transform(CircleSamples(n, M, Wv), band), 1e-13)
@@ -591,7 +571,6 @@ def spectral_check(
     J: int = 96,
     *,
     cp: CharPoly | None = None,
-    trace_free: bool = True,
 ) -> SpectralReport:
     """Run the whole spectral round trip on a covering spec, or any spec given cp.
 
@@ -603,7 +582,7 @@ def spectral_check(
     if cp is None:
         cp = curve_from_covering(spec)
     bs = branch_series(cp, J)
-    bc = bc_matrices(spec, bs, cp=cp, trace_free=trace_free)
+    bc = bc_matrices(spec, bs, cp=cp)
     w_rec = reconstruct_W(bc.C, J)
 
     M = 2 * bc.M_used

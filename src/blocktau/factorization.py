@@ -123,14 +123,14 @@ def wiener_hopf(
 
 
 def wiener_hopf_banded(
-    lm: LaurentMatrix,
-    B: int | None = None,
-    tol: float = 1e-10,
-    max_B: int = 1 << 10,
+    lm: LaurentMatrix, tol: float = 1e-10
 ) -> tuple[LaurentMatrix, LaurentMatrix]:
-    """Factor a banded symbol, doubling the depth until the residual passes."""
-    if B is None:
-        B = lm.width + DEFAULT_EXTRA_BAND
+    """Factor a banded symbol, doubling the depth until the residual passes.
+
+    The depth starts DEFAULT_EXTRA_BAND past the symbol's width; past 1024
+    the last FactorizationError is raised.
+    """
+    B = lm.width + DEFAULT_EXTRA_BAND
     while True:
         M = max(512, next_pow2(4 * (B + lm.width)))
         x = sample_function(lambda z: lm(z), lm.n, M)
@@ -138,7 +138,7 @@ def wiener_hopf_banded(
             res = wiener_hopf(x, B, tol)
             return res.T_minus, res.T_plus
         except FactorizationError:
-            if B >= max_B:
+            if B >= 1 << 10:
                 raise
             B *= 2
 
@@ -191,23 +191,15 @@ def deformed_symbol_samples(
     return sample_function(lambda z: gd_symbol_values(spec, t, z), spec.n, M)
 
 
-def wave_matrix(
-    spec: SymbolSpec,
-    t: TimeVector,
-    fact: FactorizationResult | None = None,
-    B: int | None = None,
-    tol: float = 1e-10,
-) -> tuple[LaurentMatrix, LaurentMatrix]:
+def wave_matrix(spec: SymbolSpec, t: TimeVector) -> tuple[LaurentMatrix, LaurentMatrix]:
     """Wave matrix at time -t and its inverse, from the minus factor at t.
 
-    The minus factor of the deformed symbol factors as exp(xi(t,L)) times
-    the wave matrix at -t, so the wave matrix is exp(-xi(t,L)) T_minus and
-    its inverse is T_minus^{-1} exp(xi(t,L)).
+    The minus factor of the deformed symbol (2048 samples, default depth
+    and residual tol) factors as exp(xi(t,L)) times the wave matrix at -t,
+    so the wave matrix is exp(-xi(t,L)) T_minus and its inverse is
+    T_minus^{-1} exp(xi(t,L)).
     """
-    if fact is None:
-        M = 2048
-        fact = wiener_hopf(deformed_symbol_samples(spec, t, M), B, tol)
-    T_minus = fact.T_minus
+    T_minus = wiener_hopf(deformed_symbol_samples(spec, t, 2048)).T_minus
     depth = T_minus.width + 8
     e_hi = 40 + 2 * len(t.values)
     e_minus = exp_xi_lambda(t.negated(), spec.n, (0, e_hi), exact_only=True)
@@ -233,7 +225,6 @@ def tau_ratio_check(
     spec: SymbolSpec,
     t: TimeVector,
     N: int,
-    tol: float = 1e-10,
     window: int = 40,
     max_window: int = 512,
 ) -> TauRatioReport:
@@ -250,11 +241,12 @@ def tau_ratio_check(
     Mtail is M restricted to indices > N.  The bare single-block determinant
     det(I_n - M_NN) drops the second-order resolvent term; its deviation is
     reported separately (it is small but genuinely nonzero).  The window of
-    tail indices is doubled until the corrected value settles; past
-    max_window ConvergenceError is raised.
+    tail indices is doubled until the corrected value settles (Cauchy below
+    1e-11); past max_window ConvergenceError is raised.
     """
     from .toeplitz import build_TN, det_DN, hankel_product_matrix
 
+    tol = 1e-10
     n = spec.n
     lm = gd_symbol(spec, t, (-(N + 1), N + 1), exact_only=True)
     D_N = det_DN(build_TN(lm, N))
@@ -263,7 +255,7 @@ def tau_ratio_check(
         raise FactorizationError("consecutive determinant vanishes; ratio undefined")
     lhs = D_N / D_N1
 
-    psi, psi_inv = wave_matrix(spec, t, tol=tol)
+    psi, psi_inv = wave_matrix(spec, t)
     w = window
     prev = None
     while True:
@@ -292,40 +284,23 @@ def tau_ratio_check(
     )
 
 
-def bo_consistency_check(
-    spec: SymbolSpec,
-    t: TimeVector,
-    N: int,
-    tol: float = 1e-10,
-) -> float:
+def bo_consistency_check(spec: SymbolSpec, t: TimeVector, N: int) -> float:
     """Residual of D_N = D_inf * det(I - K_N) with K built from the wave matrix.
 
     Uses the wave-matrix pair (Psi, Psi^{-1}) directly as the kernel symbols;
     D_inf comes from the strong limit of the deformed symbol (its geometric
     mean is 1 for these families).  The kernel window is doubled from 32
-    until det(I - K_N) settles; past 512 ConvergenceError is raised.
+    until det(I - K_N) is Cauchy below 1e-11 (toeplitz.correction_det).
     """
-    from .toeplitz import build_TN, det_DN, hankel_product_matrix, szego_widom
+    from .toeplitz import build_TN, correction_det, det_DN, szego_widom
 
+    tol = 1e-10
     depth = 28
     lm = gd_symbol(spec, t, (-depth, depth), exact_only=True)
     x = deformed_symbol_samples(spec, t, 1024)
     sw = szego_widom(lm, x, tol=0.01 * tol)
-    psi, psi_inv = wave_matrix(spec, t, tol=tol)
-    w = 32
-    prev = None
-    while True:
-        idx = range(N, N + w)
-        K = hankel_product_matrix(psi, psi_inv, idx, idx)
-        d = complex(np.linalg.det(np.eye(len(K)) - K))
-        if prev is not None and abs(d - prev) < 0.1 * tol:
-            break
-        if w >= 512:
-            raise ConvergenceError(
-                f"correction determinant not Cauchy below {0.1 * tol:g} by window {w}"
-            )
-        prev = d
-        w *= 2
+    psi, psi_inv = wave_matrix(spec, t)
+    d = correction_det(psi, psi_inv, N, 32, 0.1 * tol).det_correction
     lm_small = gd_symbol(spec, t, (-N, N), exact_only=True)
     lhs = det_DN(build_TN(lm_small, N)) / sw.G**N
     return float(abs(lhs - sw.D_inf * d))

@@ -171,16 +171,15 @@ def transform_tail(x: CircleSamples, band: tuple[int, int]) -> float:
     return float(np.sum(energy[~keep])) / total
 
 
-def inverse_transform(lm: LaurentMatrix, M: int, radius: float = 1.0) -> CircleSamples:
-    """Synthesize circle samples from banded coefficients (FFT synthesis)."""
+def inverse_transform(lm: LaurentMatrix, M: int) -> CircleSamples:
+    """Synthesize unit-circle samples from banded coefficients (FFT synthesis)."""
     if M < 2 * lm.width:
         raise AliasError(f"grid M={M} too coarse for bandwidth {lm.width}")
     spectrum = np.zeros((M, lm.n, lm.n), dtype=complex)
     ks = np.arange(lm.lo, lm.hi + 1)
-    scaled = lm.coeffs * (radius**ks)[:, None, None] if radius != 1.0 else lm.coeffs
-    np.add.at(spectrum, ks % M, scaled)
+    np.add.at(spectrum, ks % M, lm.coeffs)
     values = np.fft.ifft(spectrum, axis=0) * M
-    return CircleSamples(lm.n, M, values, radius)
+    return CircleSamples(lm.n, M, values)
 
 
 def transform_adaptive(
@@ -190,14 +189,16 @@ def transform_adaptive(
     start_M: int = 512,
     tail_tol: float = 1e-12,
     max_M: int = 1 << 17,
-    radius: float = 1.0,
 ) -> LaurentMatrix:
-    """Transform with the grid doubled until the out-of-band tail is tiny."""
+    """Transform with the grid doubled until the out-of-band tail is tiny.
+
+    Past max_M the symbol does not fit the band and TruncationError is raised.
+    """
     from .errors import TruncationError
 
     M = max(start_M, next_pow2(2 * (band[1] - band[0] + 1)))
     while True:
-        x = sample_function(fn, n, M, radius)
+        x = sample_function(fn, n, M)
         if transform_tail(x, band) < tail_tol:
             return transform(x, band)
         if M >= max_M:
@@ -320,16 +321,12 @@ def invert_symbol(x: CircleSamples) -> CircleSamples:
     return CircleSamples(x.n, x.M, np.linalg.inv(x.values), x.radius)
 
 
-def lm_invert(
-    a: LaurentMatrix,
-    band: tuple[int, int] | None = None,
-    tail_tol: float = 1e-13,
-    max_half_width: int = 1 << 12,
-) -> LaurentMatrix:
+def lm_invert(a: LaurentMatrix, tail_tol: float = 1e-13) -> LaurentMatrix:
     """Banded coefficients of the pointwise inverse of a banded symbol.
 
     The band grows (doubling) until the discarded tail of the inverse is
-    below tail_tol of its total energy; a fixed band can be forced instead.
+    below tail_tol of its total energy; past half-width 4096 TruncationError
+    is raised.
     """
     from .errors import TruncationError
 
@@ -343,8 +340,6 @@ def lm_invert(
             )
         return np.linalg.inv(vals)
 
-    if band is not None:
-        return transform_adaptive(fn, a.n, band, tail_tol=tail_tol)
     half = max(8, a.width)
     while True:
         band_try = (-half, half)
@@ -352,7 +347,7 @@ def lm_invert(
         x = sample_function(fn, a.n, M)
         if transform_tail(x, band_try) < tail_tol:
             return lm_trim(transform(x, band_try), 1e-16)
-        if half >= max_half_width:
+        if half >= 1 << 12:
             raise TruncationError(
                 f"inverse symbol does not fit a band of half-width {half}"
             )
@@ -403,16 +398,15 @@ def winding_number(x: CircleSamples) -> int:
     return w
 
 
-def admissibility(
-    lm: LaurentMatrix, M: int | None = None, max_M: int = 1 << 16
-) -> AdmissibilityReport:
+def admissibility(lm: LaurentMatrix) -> AdmissibilityReport:
     """Sup-norm, Besov-type half-norm and winding number of a banded symbol.
 
     norm_2half = sum_k sqrt(|k|) * ||g^(k)||_HS, the quantity whose
-    finiteness (together with winding zero) the limit theorems assume.
+    finiteness (together with winding zero) the limit theorems assume.  The
+    sample grid doubles from max(512, 2 * width) while the argument of the
+    determinant cannot be unwrapped, up to 2^16 points.
     """
-    if M is None:
-        M = max(512, next_pow2(2 * lm.width))
+    M = max(512, next_pow2(2 * lm.width))
     norms = np.linalg.norm(lm.coeffs, axis=(1, 2))
     ks = np.arange(lm.lo, lm.hi + 1)
     norm_2half = float(np.sum(np.sqrt(np.abs(ks)) * norms))
@@ -423,7 +417,7 @@ def admissibility(
             winding = winding_number(x)
             break
         except BranchError:
-            if M >= max_M:
+            if M >= 1 << 16:
                 raise
             M *= 2
     return AdmissibilityReport(norm_inf=norm_inf, norm_2half=norm_2half, winding=winding)

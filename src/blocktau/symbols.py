@@ -39,9 +39,7 @@ from .laurent import (
     VectorSeries,
     lm_mul,
     lm_trim,
-    sample_function,
-    transform,
-    transform_tail,
+    transform_adaptive,
 )
 
 EXP_TAIL_TOL = 1e-14     # exp(xi) series must have decayed to this at the band edge
@@ -186,12 +184,14 @@ def base_symbol(spec: SymbolSpec, band: tuple[int, int] | None = None) -> Lauren
             for i, c in enumerate(spec.params):
                 coeffs[-1 - lo, i, i] = -(c**2)
         return LaurentMatrix(n, lo, hi, coeffs)
-    M = 1 << 10
-    while True:
-        x = sample_function(lambda zz: base_symbol_values(spec, zz), spec.n, M)
-        if transform_tail(x, band) < 1e-13 or M >= (1 << 16):
-            return transform(x, band)
-        M *= 2
+    return transform_adaptive(
+        lambda zz: base_symbol_values(spec, zz),
+        spec.n,
+        band,
+        start_M=1 << 10,
+        tail_tol=1e-13,
+        max_M=1 << 16,
+    )
 
 
 # -- shift matrix and its exponential ----------------------------------------
@@ -396,11 +396,11 @@ def xi_inverse(s: ScalarSeries, n: int) -> VectorSeries:
     return VectorSeries(n, klo, out)
 
 
-def column_series(spec: SymbolSpec, j: int, band: tuple[int, int] | None = None) -> ScalarSeries:
+def column_series(spec: SymbolSpec, j: int) -> ScalarSeries:
     """Scalar generator: flattened column j (0-based) of the base symbol."""
     from .laurent import lm_column
 
-    w = base_symbol(spec, band)
+    w = base_symbol(spec)
     return xi_map(lm_column(lm_trim(w, 0.0), j))
 
 
@@ -420,12 +420,13 @@ class BigCellReport:
     violations: list = field(default_factory=list)
 
 
-def big_cell_check(w: LaurentMatrix, tol: float = 1e-12) -> BigCellReport:
+def big_cell_check(w: LaurentMatrix) -> BigCellReport:
     """Check the normalization that places the symbol in the big cell.
 
     Requires: no modes with k > 0 anywhere; the z^0 block unit lower
     triangular (ones on the diagonal, zeros strictly above).
     """
+    tol = 1e-12
     violations: list[BigCellViolation] = []
     scale = max(1.0, float(np.max(np.abs(w.coeffs))))
     for k in range(max(w.lo, 1), w.hi + 1):

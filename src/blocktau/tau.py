@@ -10,11 +10,16 @@ Four representations of the same object are provided and cross-checkable:
 - wronskian: determinant of derivatives of a family of scalar generators
   built from the same column data.
 
-On top of these sit the structural checks: stabilization of the graded
-coefficients in N, the annihilating differential operator attached to the
-generator family together with its order-n / order-(nN-n) splitting, the
-one-step recursion connecting consecutive truncation levels, and the wave
-(Baker) coefficients obtained by shifted-time evaluation.
+On top of these sit the stabilization of the graded coefficients in N, the
+wave (Baker) coefficients obtained by shifted-time evaluation, and two
+structural checks of the annihilating differential operator Delta_N of the
+level-N generator family.  kernel_facts_check verifies that Delta_N kills
+the family and its n-th derivatives and splits into an order-n stage after
+the operator of members n+1..nN; recursion_check verifies that Delta_{N+1}
+factors the same way through Delta_N.  Both splittings are one identity,
+checked by the single ladder routine _ladder: Delta_upper(g) * Wr(v) =
+Wr(Delta_lower g, v) with v the lower images of the first n upper members,
+plus the first-order factor ladder of the order-n stage.
 
 Ratios of Wronskians that enter first-order factors are frequently singular
 at t = 0 (an intermediate Wronskian can have zero constant term even though
@@ -25,7 +30,7 @@ cleared-denominator polynomial form, which is exact in the truncated ring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,7 +70,6 @@ from .toeplitz import (
 __all__ = [
     "FFamily",
     "KernelFactsReport",
-    "RatioSeries",
     "RecursionReport",
     "StabilityReport",
     "TauSeries",
@@ -74,7 +78,6 @@ __all__ = [
     "character_expansion",
     "coefficient_gap",
     "delta_action",
-    "f_extended",
     "f_family",
     "frobenius_factors",
     "kernel_facts_check",
@@ -152,12 +155,6 @@ def random_graded(
         weight = monomial_weight(tuple(exp))
         coeffs[tuple(exp)] = complex(rng.normal(), rng.normal()) * 0.3**weight
     return gp_from_terms(K, Q, coeffs)
-
-
-def _schur_basis(K: int, Q: int, n: int, gd_reduced: bool) -> list[GradedPoly]:
-    if gd_reduced:
-        return schur_sequence_reduced(K, Q, n)
-    return schur_sequence(K, Q)
 
 
 def _generic_unit_family_member(
@@ -334,10 +331,6 @@ class FFamily:
     funcs: list[GradedPoly]
     _tau: GradedPoly | None = field(default=None, repr=False)
 
-    def f(self, s: int) -> GradedPoly:
-        """Member s, 1-based."""
-        return self.funcs[s - 1]
-
 
 def f_family(
     spec: SymbolSpec,
@@ -350,22 +343,12 @@ def f_family(
     n = spec.n
     if K is None:
         K = Q
-    ps = _schur_basis(K, Q, n, gd_reduced)
+    ps = schur_sequence_reduced(K, Q, n) if gd_reduced else schur_sequence(K, Q)
     funcs = [
         _f_from_omega(omega_series(spec, s), n * N, ps, K, Q)
         for s in range(1, n * N + 1)
     ]
     return FFamily(spec=spec, N=N, Q=Q, K=K, gd_reduced=gd_reduced, funcs=funcs)
-
-
-def f_extended(ff: FFamily, s: int) -> GradedPoly:
-    """Family member for any 1-based index, beyond the stored n*N ones."""
-    if 1 <= s <= len(ff.funcs):
-        return ff.funcs[s - 1]
-    ps = _schur_basis(ff.K, ff.Q, ff.spec.n, ff.gd_reduced)
-    return _f_from_omega(
-        omega_series(ff.spec, s), ff.spec.n * ff.N, ps, ff.K, ff.Q
-    )
 
 
 def wronskian(
@@ -407,24 +390,7 @@ def delta_action(ff: FFamily, g: GradedPoly) -> GradedPoly:
 # -- first-order factor machinery ---------------------------------------------
 
 
-@dataclass
-class RatioSeries:
-    """A ratio num/den of graded polynomials kept uncancelled.
-
-    Used for first-order factor coefficients, whose denominators are often
-    non-units at t = 0 so the ratio has no expansion in the graded ring.
-    """
-
-    num: GradedPoly
-    den: GradedPoly
-
-
-def _log_derivative_ratio(u: GradedPoly, v: GradedPoly) -> RatioSeries:
-    """D log(u/v) as an uncancelled ratio (Du * v - u * Dv) / (u * v)."""
-    return RatioSeries(num=_D(u) * v - u * _D(v), den=u * v)
-
-
-def frobenius_factors(gs, K: int | None = None, Q: int | None = None) -> list[GradedPoly]:
+def frobenius_factors(gs) -> list[GradedPoly]:
     """First-order factor coefficients T_j = D log(W_{j-1}/W_j).
 
     W_j is the Wronskian of the first j functions (W_0 = 1).  The product
@@ -434,10 +400,7 @@ def frobenius_factors(gs, K: int | None = None, Q: int | None = None) -> list[Gr
     gs = list(gs)
     if not gs:
         return []
-    K = gs[0].K if K is None else K
-    Q = gs[0].Q if Q is None else Q
-    prev = gp_const(K, Q, 1.0)
-    prev_dlog = gp_zero(K, Q)
+    prev_dlog = gp_zero(gs[0].K, gs[0].Q)
     out: list[GradedPoly] = []
     for j in range(1, len(gs) + 1):
         Wj = wronskian(gs[:j])
@@ -445,7 +408,7 @@ def frobenius_factors(gs, K: int | None = None, Q: int | None = None) -> list[Gr
             raise DegenerateInput(f"intermediate Wronskian {j} is not a unit")
         dlog = _D(Wj) * Wj.invert()
         out.append(prev_dlog - dlog)
-        prev, prev_dlog = Wj, dlog
+        prev_dlog = dlog
     return out
 
 
@@ -457,7 +420,7 @@ def apply_first_order_factors(Ts, h: GradedPoly) -> GradedPoly:
     return out
 
 
-def lemma_wronsky_check(gs, tol: float = 1e-9, upto: int | None = None) -> float:
+def lemma_wronsky_check(gs, upto: int | None = None) -> float:
     """Residual of the first-order factorization on its own kernel.
 
     Builds the factors from the Wronskian ladder of gs and applies the full
@@ -487,19 +450,64 @@ def _cleared_logratio_gap(
     return max_abs_coeff(lhs - rhs, upto) / scale
 
 
-def _scaled_match(
-    a: GradedPoly, b: GradedPoly, upto: int | None = None
-) -> tuple[complex, float]:
-    """Best constant sigma with a ~ sigma*b, and the relative residual."""
+def _scaled_gap(a: GradedPoly, b: GradedPoly, upto: int | None = None) -> float:
+    """Relative residual of a ~ sigma*b, sigma matched at b's largest coefficient."""
     if b.is_zero():
-        return 0.0 + 0.0j, max_abs_coeff(a, upto)
+        return max_abs_coeff(a, upto)
     k = int(np.argmax(np.abs(b.coeffs)))  # a and b share the basis prefix
     sigma = (a.coeffs[k] if k < len(a.coeffs) else 0.0) / b.coeffs[k]
     scale = max(max_abs_coeff(a, upto), max_abs_coeff(b, upto), 1e-300)
-    return sigma, coefficient_gap(a, b * sigma, upto) / scale
+    return coefficient_gap(a, b * sigma, upto) / scale
 
 
 # -- structural checks --------------------------------------------------------
+
+# Contract tolerance of both structural checks.
+_STRUCTURAL_TOL = 1e-9
+
+
+def _ladder(
+    upper: FFamily, lower: FFamily, basket: list[GradedPoly], Q: int
+) -> tuple[list[float], float, float, list[GradedPoly]]:
+    """Check that the annihilator of upper factors through that of lower.
+
+    lower holds the last members of upper, n fewer of them.  With
+    Delta_lower(h) = Wr(h, lower) / Wr(lower) and v_j = Delta_lower of
+    upper member j (j <= n), the factorization reads, with cleared
+    denominators, Delta_upper(g) * Wr(v) = Wr(Delta_lower g, v).  The
+    displayed first-order factors D log(Wr(v_<j)/Wr(v_<=j)) of the order-n
+    stage must match D log(W_{j-1}/W_j), W_j = Wr(lower, upper members
+    1..j), and Wr(v_<=j) * W_0 must be proportional to W_j.
+
+    Returns the relative gap of the factorization for each basket element,
+    the factor consistency, the composite residual and the images v, all
+    read up to weight Q.
+    """
+    n = len(upper.funcs) - len(lower.funcs)
+    K, Qw = upper.K, upper.Q
+    vs = [delta_action(lower, f) for f in upper.funcs[:n]]
+    Wr_v = wronskian(vs, K, Qw)
+    gaps = []
+    for g in basket:
+        lhs = delta_action(upper, g) * Wr_v
+        rhs = wronskian([delta_action(lower, g)] + vs)
+        # floor the scale: for annihilated g both sides vanish to roundoff
+        scale = max(max_abs_coeff(lhs, Q), max_abs_coeff(rhs, Q), 1.0)
+        gaps.append(coefficient_gap(lhs, rhs, Q) / scale)
+
+    W = [wronskian_tau(lower)]
+    Hat = [gp_const(K, Qw, 1.0)]
+    for j in range(1, n + 1):
+        W.append(wronskian(lower.funcs + upper.funcs[:j], K, Qw))
+        Hat.append(wronskian(vs[:j], K, Qw))
+    factor_consistency = max(
+        _cleared_logratio_gap(Hat[j - 1], Hat[j], W[j - 1], W[j], Q)
+        for j in range(1, n + 1)
+    )
+    composite_residual = max(
+        _scaled_gap(Hat[j] * W[0], W[j], Q) for j in range(1, n + 1)
+    )
+    return gaps, factor_consistency, composite_residual, vs
 
 
 @dataclass
@@ -514,11 +522,8 @@ class KernelFactsReport:
     prefix_tau_identity: float
     operator_split: float
     factor_consistency: float
-    composite_scales: list[complex]
     composite_residual: float
-    kernel_factors: list[RatioSeries]
     lemma_residual: float
-    tol: float
 
     @property
     def max_residual(self) -> float:
@@ -535,18 +540,10 @@ class KernelFactsReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol
+        return self.max_residual <= _STRUCTURAL_TOL
 
 
-def kernel_facts_check(
-    spec: SymbolSpec,
-    N: int,
-    Q: int,
-    K: int | None = None,
-    gd_reduced: bool = True,
-    tol: float = 1e-9,
-    seed: int = 7,
-) -> KernelFactsReport:
+def kernel_facts_check(spec: SymbolSpec, N: int, Q: int) -> KernelFactsReport:
     """Verify the annihilator facts at level N in cleared-denominator form.
 
     Checks, all exact in the truncated ring up to roundoff:
@@ -556,100 +553,54 @@ def kernel_facts_check(
     - the Wronskian of members n+1..nN equals the full Wronskian one level
       down (members shift down by n when N drops by 1);
     - the operator splits through the monic order-(nN-n) stage built from
-      members n+1..nN, verified as Delta(g)*Wr(v) = Wr(M1 g, v) on a basket;
-    - the displayed first-order factor coefficients of the order-n stage
-      agree with the Frobenius ladder of the stage-one images (log-ratio
-      equality with cleared denominators, plus the composite-Wronskian
-      proportionality with its constant reported);
+      members n+1..nN (_ladder on a basket).  That stage is taken from this
+      level, not from f_family at N-1, so the split stays independent of the
+      level-down family; the Wronskian identity above links the two;
     - the Frobenius factorization annihilates a random generic family.
     """
     n = spec.n
-    if K is None:
-        K = Q
-    rng = np.random.default_rng(seed)
+    nN = n * N
+    rng = np.random.default_rng(7)
     # Derivatives eat the top weight layers of truncated series (the weight-Q
     # layer of Dp needs the discarded weight-(Q+1) layer of p), so everything
     # is computed with headroom and residuals are read off up to weight Q.
     Qw = Q + n + 2
-    Kw = max(K, Qw)
-    ff = f_family(spec, N, Qw, K=Kw, gd_reduced=gd_reduced)
+    ff = f_family(spec, N, Qw)
     funcs = ff.funcs
-    nN = n * N
-    ps = _schur_basis(Kw, Qw, n, gd_reduced)
+    annihilation = max(max_abs_coeff(delta_action(ff, f), Q) for f in funcs)
 
-    annihilation = 0.0
-    for f in funcs:
-        annihilation = max(annihilation, max_abs_coeff(delta_action(ff, f), Q))
-
-    annihilation_shifted = 0.0
-    shift_symmetry = 0.0
-    for i in range(1, nN - n + 1):
-        dnf = funcs[i - 1]
+    # D^n f_i comes from the family cut n layers higher: differentiating a
+    # member cut at Qw would lose its top n layers, and the Wronskian in
+    # delta_action carries that loss below weight Q.
+    high = f_family(spec, N, Qw + n, K=Qw)
+    shifted = []
+    for f in high.funcs[: nN - n]:
         for _ in range(n):
-            dnf = _D(dnf)
-        shift_symmetry = max(
-            shift_symmetry, coefficient_gap(dnf, funcs[i + n - 1], Q)
-        )
-        annihilation_shifted = max(
-            annihilation_shifted, max_abs_coeff(delta_action(ff, dnf), Q)
-        )
+            f = _D(f)
+        shifted.append(f.truncate(Qw))
+    shift_symmetry = max(
+        (coefficient_gap(g, f, Q) for g, f in zip(shifted, funcs[n:])), default=0.0
+    )
+    annihilation_shifted = max(
+        (max_abs_coeff(delta_action(ff, g), Q) for g in shifted), default=0.0
+    )
 
     # members n+1..nN versus the full family one level down
-    prefix = funcs[n:]
-    W0 = wronskian(prefix, Kw, Qw)
+    lower = replace(ff, N=N - 1, funcs=funcs[n:], _tau=None)
     if N >= 2:
-        tau_down = wronskian_tau(
-            f_family(spec, N - 1, Qw, K=Kw, gd_reduced=gd_reduced)
-        )
+        tau_down = wronskian_tau(f_family(spec, N - 1, Qw))
     else:
-        tau_down = gp_const(Kw, Qw, 1.0)
-    prefix_tau_identity = coefficient_gap(W0, tau_down, Q)
+        tau_down = gp_const(Qw, Qw, 1.0)
+    prefix_tau_identity = coefficient_gap(wronskian_tau(lower), tau_down, Q)
 
-    if abs(W0.constant_term()) == 0.0:
-        raise DegenerateInput("stage-one Wronskian has zero constant term")
-    W0_inv = W0.invert()
-
-    def stage_one(h: GradedPoly) -> GradedPoly:
-        return wronskian([h] + prefix) * W0_inv
-
-    vs = [stage_one(f) for f in funcs[:n]]
-    Wr_v = wronskian(vs, Kw, Qw)
-
-    basket: list[GradedPoly] = [gp_const(Kw, Qw, 1.0), random_graded(Kw, Qw, rng)]
+    basket = [gp_const(Qw, Qw, 1.0), random_graded(Qw, Qw, rng)]
     if Qw >= 5:
-        basket.append(ps[5])
+        basket.append(schur_sequence_reduced(Qw, Qw, n)[5])
     basket.extend([funcs[0], funcs[-1]])
-    operator_split = 0.0
-    for g in basket:
-        lhs = delta_action(ff, g) * Wr_v
-        rhs = wronskian([stage_one(g)] + vs)
-        # floor the scale: for annihilated g both sides vanish to roundoff
-        scale = max(max_abs_coeff(lhs, Q), max_abs_coeff(rhs, Q), 1.0)
-        operator_split = max(operator_split, coefficient_gap(lhs, rhs, Q) / scale)
-
-    # displayed factor coefficients of the order-n stage
-    V = [W0]
-    for j in range(1, n + 1):
-        V.append(wronskian(prefix + funcs[:j], Kw, Qw))
-    kernel_factors = [_log_derivative_ratio(V[j - 1], V[j]) for j in range(1, n + 1)]
-
-    Hat = [gp_const(Kw, Qw, 1.0)]
-    for j in range(1, n + 1):
-        Hat.append(wronskian(vs[:j], Kw, Qw))
-    factor_consistency = 0.0
-    composite_scales: list[complex] = []
-    composite_residual = 0.0
-    for j in range(1, n + 1):
-        factor_consistency = max(
-            factor_consistency,
-            _cleared_logratio_gap(Hat[j - 1], Hat[j], V[j - 1], V[j], Q),
-        )
-        sigma, res = _scaled_match(Hat[j] * W0, V[j], Q)
-        composite_scales.append(sigma)
-        composite_residual = max(composite_residual, res)
+    gaps, factor_consistency, composite_residual, _ = _ladder(ff, lower, basket, Q)
 
     lemma_residual = lemma_wronsky_check(
-        [_generic_unit_family_member(Kw, Qw, rng) for _ in range(3)], upto=Q
+        [_generic_unit_family_member(Qw, Qw, rng) for _ in range(3)], upto=Q
     )
 
     return KernelFactsReport(
@@ -659,13 +610,10 @@ def kernel_facts_check(
         annihilation_shifted=annihilation_shifted,
         shift_symmetry=shift_symmetry,
         prefix_tau_identity=prefix_tau_identity,
-        operator_split=operator_split,
+        operator_split=max(gaps),
         factor_consistency=factor_consistency,
-        composite_scales=composite_scales,
         composite_residual=composite_residual,
-        kernel_factors=kernel_factors,
         lemma_residual=lemma_residual,
-        tol=tol,
     )
 
 
@@ -682,11 +630,8 @@ class RecursionReport:
     unit_action_residual: float
     p5_residual: float | None
     factor_consistency: float
-    composite_scales: list[complex]
     composite_residual: float
-    t_factors: list[RatioSeries]
     kernel_images_magnitude: float
-    tol: float
 
     @property
     def max_residual(self) -> float:
@@ -705,21 +650,13 @@ class RecursionReport:
     @property
     def passed(self) -> bool:
         return (
-            self.max_residual <= self.tol
-            and self.unit_action_magnitude > self.tol
-            and self.kernel_images_magnitude > self.tol
+            self.max_residual <= _STRUCTURAL_TOL
+            and self.unit_action_magnitude > _STRUCTURAL_TOL
+            and self.kernel_images_magnitude > _STRUCTURAL_TOL
         )
 
 
-def recursion_check(
-    spec: SymbolSpec,
-    N: int,
-    Q: int,
-    K: int | None = None,
-    gd_reduced: bool = True,
-    tol: float = 1e-9,
-    seed: int = 11,
-) -> RecursionReport:
+def recursion_check(spec: SymbolSpec, N: int, Q: int) -> RecursionReport:
     """Verify the order-n ladder from level N to level N+1.
 
     The annihilator at level N+1 factors as a monic order-n operator applied
@@ -727,93 +664,44 @@ def recursion_check(
     first n members of the level-(N+1) family, the ladder operator is the
     Wronskian quotient on (g_1..g_n), so the recursion reads, with cleared
     denominators, Delta_{N+1}(g) * Wr(g_1..g_n) = Wr(Delta_N g, g_1..g_n)
-    for every g.  The displayed factor coefficients are cross-checked the
-    same way as in kernel_facts_check.
+    for every g.  _ladder checks it on a basket together with the displayed
+    factor coefficients.
     """
     n = spec.n
-    if K is None:
-        K = Q
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     # headroom against derivative truncation loss, as in kernel_facts_check
     Qw = Q + n + 2
-    Kw = max(K, Qw)
-    ffN = f_family(spec, N, Qw, K=Kw, gd_reduced=gd_reduced)
-    ffN1 = f_family(spec, N + 1, Qw, K=Kw, gd_reduced=gd_reduced)
-    ps = _schur_basis(Kw, Qw, n, gd_reduced)
+    ffN = f_family(spec, N, Qw)
+    ffN1 = f_family(spec, N + 1, Qw)
 
     # members shift down by n when the level drops
-    family_shift = 0.0
-    for s in range(n + 1, n * (N + 1) + 1):
-        family_shift = max(
-            family_shift, coefficient_gap(ffN1.funcs[s - 1], ffN.funcs[s - n - 1], Q)
-        )
+    family_shift = max(
+        (coefficient_gap(a, b, Q) for a, b in zip(ffN1.funcs[n:], ffN.funcs)),
+        default=0.0,
+    )
+    vanish_next_family = max(
+        max_abs_coeff(delta_action(ffN1, f), Q) for f in ffN1.funcs
+    )
 
-    vanish_next_family = 0.0
-    for f in ffN1.funcs:
-        vanish_next_family = max(
-            vanish_next_family, max_abs_coeff(delta_action(ffN1, f), Q)
-        )
-
-    gs = [delta_action(ffN, ffN1.funcs[j]) for j in range(n)]
-    Wr_g = wronskian(gs, Kw, Qw)
-    kernel_images_magnitude = min(max_abs_coeff(g, Q) for g in gs)
-
-    def main_gap(g: GradedPoly) -> float:
-        lhs = delta_action(ffN1, g) * Wr_g
-        rhs = wronskian([delta_action(ffN, g)] + gs)
-        # floor the scale: for annihilated g both sides vanish to roundoff
-        scale = max(max_abs_coeff(lhs, Q), max_abs_coeff(rhs, Q), 1.0)
-        return coefficient_gap(lhs, rhs, Q) / scale
-
-    one = gp_const(Kw, Qw, 1.0)
-    unit_action = delta_action(ffN1, one)
-    unit_action_magnitude = max_abs_coeff(unit_action, Q)
-    unit_action_residual = main_gap(one)
-
-    main_identity = unit_action_residual
-    for g in [random_graded(Kw, Qw, rng), ffN1.funcs[0], ffN.funcs[0]]:
-        main_identity = max(main_identity, main_gap(g))
-
-    p5_residual = None
+    one = gp_const(Qw, Qw, 1.0)
+    unit_action_magnitude = max_abs_coeff(delta_action(ffN1, one), Q)
+    basket = [one, random_graded(Qw, Qw, rng), ffN1.funcs[0], ffN.funcs[0]]
     if Qw >= 5:
-        p5_residual = main_gap(ps[5])
-
-    # displayed factor coefficients of the ladder
-    W = [wronskian_tau(ffN)]
-    for j in range(1, n + 1):
-        W.append(wronskian(ffN.funcs + ffN1.funcs[:j], Kw, Qw))
-    t_factors = [_log_derivative_ratio(W[j - 1], W[j]) for j in range(1, n + 1)]
-
-    Hat = [gp_const(Kw, Qw, 1.0)]
-    for j in range(1, n + 1):
-        Hat.append(wronskian(gs[:j], Kw, Qw))
-    factor_consistency = 0.0
-    composite_scales: list[complex] = []
-    composite_residual = 0.0
-    for j in range(1, n + 1):
-        factor_consistency = max(
-            factor_consistency,
-            _cleared_logratio_gap(Hat[j - 1], Hat[j], W[j - 1], W[j], Q),
-        )
-        sigma, res = _scaled_match(Hat[j] * W[0], W[j], Q)
-        composite_scales.append(sigma)
-        composite_residual = max(composite_residual, res)
+        basket.append(schur_sequence_reduced(Qw, Qw, n)[5])
+    gaps, factor_consistency, composite_residual, gs = _ladder(ffN1, ffN, basket, Q)
 
     return RecursionReport(
         N=N,
         Q=Q,
         family_shift=family_shift,
         vanish_next_family=vanish_next_family,
-        main_identity=main_identity,
+        main_identity=max(gaps[:4]),
         unit_action_magnitude=unit_action_magnitude,
-        unit_action_residual=unit_action_residual,
-        p5_residual=p5_residual,
+        unit_action_residual=gaps[0],
+        p5_residual=gaps[4] if Qw >= 5 else None,
         factor_consistency=factor_consistency,
-        composite_scales=composite_scales,
         composite_residual=composite_residual,
-        t_factors=t_factors,
-        kernel_images_magnitude=kernel_images_magnitude,
-        tol=tol,
+        kernel_images_magnitude=min(max_abs_coeff(g, Q) for g in gs),
     )
 
 

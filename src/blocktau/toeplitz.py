@@ -102,7 +102,7 @@ class HankelIdentityReport:
 
 
 def hankel_identity_check(
-    a: LaurentMatrix, b: LaurentMatrix, M: int, tol: float = 1e-12
+    a: LaurentMatrix, b: LaurentMatrix, M: int
 ) -> HankelIdentityReport:
     """Verify T_M(ab) - T_M(a) T_M(b) against its two Hankel corner terms.
 
@@ -115,7 +115,7 @@ def hankel_identity_check(
     corner1 = hankel_product_matrix(a, b, range(M), range(M))
     corner2 = _tail_corner(a, b, M)
     err = float(np.max(np.abs(lhs - (corner1 + corner2))))
-    return HankelIdentityReport(max_error=err, ok=err <= tol)
+    return HankelIdentityReport(max_error=err, ok=err <= 1e-12)
 
 
 def _tail_corner(a: LaurentMatrix, b: LaurentMatrix, M: int) -> np.ndarray:
@@ -235,16 +235,15 @@ class SzegoWidomResult:
 
 
 def szego_widom(
-    lm: LaurentMatrix,
-    x: CircleSamples,
-    tol: float = 1e-10,
-    N_max: int = 256,
+    lm: LaurentMatrix, x: CircleSamples, tol: float = 1e-10
 ) -> SzegoWidomResult:
     """Limit of D_N / G^N by direct finite sections with a Cauchy stop.
 
     Hypotheses checked: winding number of det(symbol) vanishes (else the
-    limit theorem does not apply and HypothesisError is raised).
+    limit theorem does not apply and HypothesisError is raised).  Past
+    N = 256 ConvergenceError is raised.
     """
+    N_max = 256
     if winding_number(x) != 0:
         raise HypothesisError("winding of det(symbol) is nonzero")
     G = geometric_mean(x)
@@ -282,16 +281,16 @@ class ShortcutResult:
     j: int
 
 
-def half_truncated_shortcut(
-    lm: LaurentMatrix, j_max: int = 16, M: int = 1024
-) -> ShortcutResult:
+def half_truncated_shortcut(lm: LaurentMatrix) -> ShortcutResult:
     """Closed-form D_inf for symbols with a one-sided finite band.
 
     If the symbol has no modes below -j (a finite tail on the negative
     side), then D_inf equals det T_j(symbol^{-1}) * G^j.  A finite tail on
     the positive side reduces to this case by z -> 1/z, which leaves every
-    D_N and G invariant.  Symbols unbounded on both sides are rejected.
+    D_N and G invariant.  Symbols with more than 16 modes on both sides are
+    rejected.
     """
+    j_max = 16
     core = lm_trim(lm, 1e-14)
     side = None
     if -core.lo <= j_max:
@@ -304,7 +303,7 @@ def half_truncated_shortcut(
             f"within j_max={j_max}"
         )
     j = max(0, -work.lo)
-    x = inverse_transform(work, max(M, 4 * work.width))
+    x = inverse_transform(work, max(1024, 4 * work.width))
     G = geometric_mean(x)
     if j == 0:
         return ShortcutResult(D_inf=1.0 + 0.0j, G=G, side=side, j=0)
@@ -324,39 +323,45 @@ class BorodinOkounkovResult:
     est_error: float
 
 
-def borodin_okounkov(
-    fact,
-    N: int,
-    window: int = 8,
-    tol: float = 1e-10,
-    max_window: int = 512,
+def correction_det(
+    u: LaurentMatrix, v: LaurentMatrix, N: int, window: int, tol: float
 ) -> BorodinOkounkovResult:
+    """det(I - K) for the Hankel-product kernel of (u, v) on block indices >= N.
+
+    K_ij = sum_{k>=1} u^(i+k) v^(-j-k) is cut to the window i, j in
+    [N, N + w); w doubles from window until the determinant is Cauchy below
+    tol.  Past a window of 512 ConvergenceError is raised.
+    """
+    w = window
+    prev = None
+    while True:
+        idx = range(N, N + w)
+        K = hankel_product_matrix(u, v, idx, idx)
+        d = complex(np.linalg.det(np.eye(len(K)) - K))
+        if prev is not None and abs(d - prev) < tol:
+            return BorodinOkounkovResult(
+                K_matrix=K, det_correction=d, window_used=w, est_error=abs(d - prev)
+            )
+        if w >= 512:
+            raise ConvergenceError(
+                f"correction determinant not Cauchy below {tol:g} by window {w}"
+            )
+        prev = d
+        w *= 2
+
+
+def borodin_okounkov(fact, N: int, tol: float = 1e-10) -> BorodinOkounkovResult:
     """det(I - K_N) from the two factorizations of one symbol.
 
     fact must provide banded factors gamma_plus, gamma_minus (symbol =
     gamma_plus * gamma_minus) and theta_minus, theta_plus (symbol =
     theta_minus * theta_plus).  The kernel lives on block indices >= N:
     K_ij = sum_{k>=1} phi^(i+k) phi_inv^(-j-k) with phi = gamma_minus *
-    theta_plus^{-1}; the window past N is widened until the determinant
-    settles.
+    theta_plus^{-1}; the window past N is widened from 8 until the
+    determinant settles (correction_det).
     """
     phi, phi_inv = bo_symbols(fact)
-    w = window
-    prev = None
-    while True:
-        idx = range(N, N + w)
-        K = hankel_product_matrix(phi, phi_inv, idx, idx)
-        d = complex(np.linalg.det(np.eye(len(K)) - K))
-        if prev is not None and abs(d - prev) < tol:
-            return BorodinOkounkovResult(
-                K_matrix=K, det_correction=d, window_used=w, est_error=abs(d - prev)
-            )
-        if w >= max_window:
-            raise ConvergenceError(
-                f"correction determinant not Cauchy below {tol:g} by window {w}"
-            )
-        prev = d
-        w *= 2
+    return correction_det(phi, phi_inv, N, 8, tol)
 
 
 def bo_symbols(fact) -> tuple[LaurentMatrix, LaurentMatrix]:
@@ -393,17 +398,19 @@ class WidomDerivativeReport:
 def widom_derivative_check(
     make_symbol: Callable[[float], LaurentMatrix],
     x0: float,
-    h: float = 1e-5,
-    M: int = 1024,
     tol: float = 1e-10,
 ) -> WidomDerivativeReport:
     """Compare d/dx log D_inf with the contour-integral trace formula.
 
     The formula integrates tr[((d_z t_plus) t_minus - (d_z s_minus) s_plus)
-    * d_x(symbol)] over the circle, where symbol^{-1} = t_plus t_minus =
-    s_minus s_plus are the two factorization orders of the inverse symbol.
+    * d_x(symbol)] over 1024 points of the circle, where symbol^{-1} =
+    t_plus t_minus = s_minus s_plus are the two factorization orders of the
+    inverse symbol.  The numeric derivative and d_x(symbol) are central
+    differences with step 1e-5.
     """
     from .factorization import wiener_hopf_banded
+
+    h, M = 1e-5, 1024
 
     def log_Dinf(x: float) -> complex:
         lm = make_symbol(x)

@@ -152,6 +152,13 @@ def test_base_symbols_live_in_big_cell():
         assert rep.ok, rep.violations
 
 
+def test_base_symbol_raises_when_band_cannot_hold_it():
+    # the covering symbol's coefficients decay like rho^|k|; cut at -10 the
+    # discarded tail stays above 1e-13 of the energy on every grid
+    with pytest.raises(TruncationError):
+        base_symbol(CSPEC, band=(-10, 0))
+
+
 def test_rational_base_symbol_values():
     z = np.array([1.7 - 0.4j, 0.9 + 0.8j])
     vals = base_symbol_values(RSPEC, z)

@@ -201,6 +201,28 @@ def test_recursion_level_two_to_three():
     assert rc.passed, rc
 
 
+def test_kernel_facts_covering_family():
+    kf = kernel_facts_check(CSPEC, 2, 6)
+    assert kf.passed, kf
+    assert kf.max_residual < 1e-9
+
+
+def test_recursion_covering_family():
+    rc = recursion_check(CSPEC, 1, 6)
+    assert rc.passed, rc
+    assert rc.max_residual < 1e-9
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_kernel_split_is_the_recursion_ladder(N):
+    # members n+1..nN of level N are the level-(N-1) family, so the operator
+    # split at level N and the ladder from N-1 run the same identities
+    kf = kernel_facts_check(RSPEC, N, 6)
+    rc = recursion_check(RSPEC, N - 1, 6)
+    assert kf.factor_consistency == rc.factor_consistency
+    assert kf.composite_residual == rc.composite_residual
+
+
 # -- wave coefficients -------------------------------------------------------
 
 
