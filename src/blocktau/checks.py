@@ -405,6 +405,25 @@ def _check_kernel_recursion(ctx, tol):
     )
 
 
+def _generic_unit_member(K, Q, rng):
+    """Random element whose Wronskian ladders stay units: full jet in t_1."""
+    t1 = gradedpoly.gp_time(K, Q, 1)
+    out = 1.0 + tau.random_graded(K, Q, rng, unit=False) * 0.3
+    power = 1.0
+    for w in range(1, min(Q, 4) + 1):
+        power = power * t1
+        out = out + power * (complex(rng.normal(), rng.normal()) * 0.4**w)
+    return out
+
+
+def _check_frobenius_lemma(ctx, tol):
+    # symbol-free: three generic functions at K = Q = 10, read up to weight 6
+    rng = np.random.default_rng(7)
+    gs = [_generic_unit_member(10, 10, rng) for _ in range(3)]
+    worst = tau.lemma_wronsky_check(gs, upto=6)
+    return worst, worst <= tol, "Frobenius factors annihilate their Wronskian ladder"
+
+
 def _random_factorizations(spec, rng):
     """Wiener-Hopf factors of the deformed symbol at 3 random reduced times."""
     facts = []
@@ -557,6 +576,7 @@ CHECKS = [
     Check("tau", "stable_kdv_residual", 1e-8, _check_kdv, 8),
     Check("tau", "two_soliton_oracle", 1e-6, _check_two_soliton, 1),
     Check("tau", "kernel_and_recursion", 1e-9, _check_kernel_recursion, 7),
+    Check("tau", "frobenius_lemma", 1e-9, _check_frobenius_lemma),
     Check("factorization", "sample_reconstruction", 1e-8, _check_wh_reconstruction),
     Check("factorization", "band_doubling_uniqueness", 1e-9, _check_wh_band_uniqueness),
     Check("factorization", "determinant_bookkeeping", 1e-8, _check_wh_determinants),

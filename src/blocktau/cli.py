@@ -61,7 +61,7 @@ _SCHEMA = {
     "times": {"values", "gd_reduced"},
     "tau": {"tol"},          # plus any grid_t<index> key
     "converge": {"n_max", "tol"},
-    "factorize": {"band", "draws", "seed", "scale", "tol"},
+    "factorize": {"draws", "seed", "scale", "tol"},
     "spectral": {"j"},
     "verify": {"seed"},
     "output": {"dir"},
@@ -77,7 +77,6 @@ _DEFAULTS = {
     "tau_tol": 1e-8,
     "n_max": 20,
     "converge_tol": 1e-6,
-    "band": 40,
     "draws": 3,
     "seed": 0,
     "scale": 0.3,
@@ -98,7 +97,6 @@ class RunConfig:
     tau_tol: float
     converge_n_max: int
     converge_tol: float
-    factorize_band: int
     factorize_draws: int
     factorize_seed: int
     factorize_scale: float
@@ -265,9 +263,6 @@ def load_config(path: str | None) -> RunConfig:
         converge_tol=_parse_tol(
             get("converge", "tol", str(_DEFAULTS["converge_tol"])), "[converge] tol"
         ),
-        factorize_band=_parse_int(
-            get("factorize", "band", str(_DEFAULTS["band"])), "[factorize] band", 4
-        ),
         factorize_draws=_parse_int(
             get("factorize", "draws", str(_DEFAULTS["draws"])), "[factorize] draws", 1
         ),
@@ -410,15 +405,13 @@ def cmd_factorize(cfg: RunConfig, out: str, tol: float | None, seed: int | None)
     spec = cfg.spec
     use_tol = tol if tol is not None else cfg.factorize_tol
     rng = np.random.default_rng(seed if seed is not None else cfg.factorize_seed)
-    B = cfg.factorize_band
-    report = ["command: factorize", f"band: {B}", f"draws: {cfg.factorize_draws}"]
+    report = ["command: factorize", f"draws: {cfg.factorize_draws}"]
     failures = []
     for d in range(cfg.factorize_draws):
         tv = symbols.random_times(spec, rng, cfg.factorize_scale)
-        M = max(1024, 8 * B)
-        x = factorization.deformed_symbol_samples(spec, tv, M)
+        x = factorization.deformed_symbol_samples(spec, tv, 1024)
         try:
-            fact = factorization.wiener_hopf(x, B=B, tol=max(use_tol, 1e-10))
+            fact = factorization.wiener_hopf(x, tol=max(use_tol, 1e-10))
         except (FactorizationError, BlocktauError) as exc:
             failures.append(f"draw {d}: {exc}")
             report.append(f"draw {d}: FAILED {exc}")

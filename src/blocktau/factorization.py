@@ -8,6 +8,11 @@ negative modes; the plus factor is recovered pointwise as T_minus^{-1} g
 and projected onto non-negative modes.  Residual, leakage and conditioning
 certificates quantify how well the truncated factors multiply back.
 
+The depth of the minus factor comes from the data: the system needs as many
+modes as g^{-1} carries (the projection method of Gohberg and Feldman), so
+the solve starts a little past the deepest negative mode of g^{-1} and
+doubles the depth only while the residual fails.
+
 The opposite factor order g = g_plus * g_minus is obtained from the same
 solver applied to g(1/z): reflection exchanges inside and outside without
 changing any block Toeplitz determinant.
@@ -28,20 +33,18 @@ from .errors import AliasError, ConvergenceError, FactorizationError
 from .laurent import (
     CircleSamples,
     LaurentMatrix,
-    inverse_transform,
     invert_symbol,
     lm_invert,
     lm_mul,
     lm_project,
     lm_reflect,
     lm_trim,
-    next_pow2,
     sample_function,
     transform,
 )
 from .symbols import SymbolSpec, TimeVector, exp_xi_lambda, gd_symbol, gd_symbol_values
 
-DEFAULT_EXTRA_BAND = 16   # minus-factor depth beyond the symbol band
+DEFAULT_EXTRA_BAND = 16   # minus-factor depth beyond the deepest mode of g^{-1}
 
 
 @dataclass
@@ -62,85 +65,68 @@ def wiener_hopf(
 ) -> FactorizationResult:
     """Factor the sampled symbol with minus-factor band depth B.
 
-    With B=None the depth starts at a quarter of the grid and the solve is
-    attempted once; callers wanting automatic refinement should supply a
-    finer grid (wiener_hopf_banded does this from coefficients).  Raises
-    FactorizationError when the system is singular or the residual exceeds
-    tol.
+    With B=None the depth is read off the Fourier coefficients of g^{-1}:
+    its deepest negative mode whose norm is above 1e-16 of the largest mode
+    norm, plus DEFAULT_EXTRA_BAND.  The depth then doubles, capped at a
+    quarter of the grid, while the residual exceeds tol.  An explicit B is
+    solved once.  Raises FactorizationError when the system is singular or
+    the residual still exceeds tol at the last depth tried.
     """
-    if B is None:
-        B = x.M // 4
-    if 4 * B > x.M:
+    cap = x.M // 4
+    if B is not None and B > cap:
         raise AliasError(f"grid M={x.M} too coarse for factor depth B={B}")
     n = x.n
-    inv = invert_symbol(x)
-    ginv = transform(inv, (-B, B - 1))
-    # block system: sum_{k=1..B} (g^{-1})^(k-m) T_minus^(-k) = -(g^{-1})^(-m)
-    ms = np.arange(1, B + 1)
-    A = ginv.block_matrix(ms[None, :] - ms[:, None])
-    rhs = -ginv.block_matrix(-ms[:, None])
-    cond = float(np.linalg.cond(A))
-    if not np.isfinite(cond) or cond > 1e13:
-        raise FactorizationError(
-            f"factorization system is numerically singular (cond={cond:.3g})"
-        )
-    X = np.linalg.solve(A, rhs)
-    coeffs = np.zeros((B + 1, n, n), dtype=complex)
-    coeffs[B] = np.eye(n)  # mode 0
-    coeffs[:B] = X.reshape(B, n, n)[::-1]  # modes -B..-1
-    T_minus = LaurentMatrix(n, -B, 0, coeffs)
-
+    ginv = transform(invert_symbol(x), (-cap, cap - 1))
+    last = B is not None
+    if B is None:
+        norms = np.linalg.norm(ginv.coeffs, axis=(1, 2))
+        held = np.flatnonzero(norms[:cap] > 1e-16 * norms.max())  # modes -cap..-1
+        depth = cap - int(held[0]) if len(held) else 0
+        B = min(depth + DEFAULT_EXTRA_BAND, cap)
     z = x.grid()
-    tm_vals = T_minus(z)
-    plus_vals = np.linalg.solve(tm_vals, x.values)
-    plus_samples = CircleSamples(n, x.M, plus_vals, x.radius)
-    half = x.M // 4
-    full = transform(plus_samples, (-half, half - 1))
+    scale = float(np.max(np.abs(x.values)))
+    while True:
+        # block system: sum_{k=1..B} (g^{-1})^(k-m) T_minus^(-k) = -(g^{-1})^(-m)
+        ms = np.arange(1, B + 1)
+        A = ginv.block_matrix(ms[None, :] - ms[:, None])
+        rhs = -ginv.block_matrix(-ms[:, None])
+        cond = float(np.linalg.cond(A))
+        if not np.isfinite(cond) or cond > 1e13:
+            raise FactorizationError(
+                f"factorization system is numerically singular (cond={cond:.3g})"
+            )
+        X = np.linalg.solve(A, rhs)
+        coeffs = np.zeros((B + 1, n, n), dtype=complex)
+        coeffs[B] = np.eye(n)  # mode 0
+        coeffs[:B] = X.reshape(B, n, n)[::-1]  # modes -B..-1
+        T_minus = LaurentMatrix(n, -B, 0, coeffs)
+
+        tm_vals = T_minus(z)
+        plus_vals = np.linalg.solve(tm_vals, x.values)
+        full = transform(CircleSamples(n, x.M, plus_vals, x.radius), (-cap, cap - 1))
+        T_plus = lm_trim(lm_project(full, 0, full.hi), 1e-16)
+        recon = np.einsum("lab,lbc->lac", tm_vals, T_plus(z))
+        residual = float(np.max(np.abs(x.values - recon))) / max(scale, 1e-300)
+        if residual <= tol:
+            break
+        if last or B >= cap:
+            raise FactorizationError(
+                f"residual {residual:.3g} exceeds tol {tol:g} at depth B={B}; "
+                "increase the depth or the sample grid"
+            )
+        B = min(2 * B, cap)
     # energy bookkeeping before projection onto non-negative modes
     neg_energy = float(np.linalg.norm(full.coeffs[: -full.lo]) ** 2)
     tot_energy = float(np.linalg.norm(full.coeffs) ** 2)
-    leakage = neg_energy / tot_energy if tot_energy > 0 else 0.0
-    T_plus = lm_trim(lm_project(full, 0, full.hi), 1e-16)
-
-    recon = np.einsum("lab,lbc->lac", tm_vals, T_plus(z))
-    scale = float(np.max(np.abs(x.values)))
-    residual = float(np.max(np.abs(x.values - recon))) / max(scale, 1e-300)
-    det_plus_dev = float(np.max(np.abs(np.linalg.det(T_plus(z)) - 1.0)))
-    if residual > tol:
-        raise FactorizationError(
-            f"residual {residual:.3g} exceeds tol {tol:g} at depth B={B}; "
-            "increase the depth or the sample grid"
-        )
     return FactorizationResult(
         T_minus=T_minus,
         T_plus=T_plus,
         residual=residual,
-        leakage=leakage,
+        leakage=neg_energy / tot_energy if tot_energy > 0 else 0.0,
         cond=cond,
-        det_plus_dev=det_plus_dev,
+        det_plus_dev=float(np.max(np.abs(np.linalg.det(T_plus(z)) - 1.0))),
         B_used=B,
     )
-
-
-def wiener_hopf_banded(
-    lm: LaurentMatrix, tol: float = 1e-10
-) -> tuple[LaurentMatrix, LaurentMatrix]:
-    """Factor a banded symbol, doubling the depth until the residual passes.
-
-    The depth starts DEFAULT_EXTRA_BAND past the symbol's width; past 1024
-    the last FactorizationError is raised.
-    """
-    B = lm.width + DEFAULT_EXTRA_BAND
-    while True:
-        M = max(512, next_pow2(4 * (B + lm.width)))
-        x = sample_function(lambda z: lm(z), lm.n, M)
-        try:
-            res = wiener_hopf(x, B, tol)
-            return res.T_minus, res.T_plus
-        except FactorizationError:
-            if B >= 1 << 10:
-                raise
-            B *= 2
 
 
 @dataclass
@@ -194,10 +180,10 @@ def deformed_symbol_samples(
 def wave_matrix(spec: SymbolSpec, t: TimeVector) -> tuple[LaurentMatrix, LaurentMatrix]:
     """Wave matrix at time -t and its inverse, from the minus factor at t.
 
-    The minus factor of the deformed symbol (2048 samples, default depth
-    and residual tol) factors as exp(xi(t,L)) times the wave matrix at -t,
-    so the wave matrix is exp(-xi(t,L)) T_minus and its inverse is
-    T_minus^{-1} exp(xi(t,L)).
+    The minus factor of the deformed symbol (2048 samples, depth derived
+    from the data, default residual tol) factors as exp(xi(t,L)) times the
+    wave matrix at -t, so the wave matrix is exp(-xi(t,L)) T_minus and its
+    inverse is T_minus^{-1} exp(xi(t,L)).
     """
     T_minus = wiener_hopf(deformed_symbol_samples(spec, t, 2048)).T_minus
     depth = T_minus.width + 8

@@ -40,7 +40,6 @@ from .gradedpoly import (
     gp_const,
     gp_det,
     gp_from_terms,
-    gp_time,
     gp_zero,
     jacobi_trudi,
     monomial_weight,
@@ -155,19 +154,6 @@ def random_graded(
         weight = monomial_weight(tuple(exp))
         coeffs[tuple(exp)] = complex(rng.normal(), rng.normal()) * 0.3**weight
     return gp_from_terms(K, Q, coeffs)
-
-
-def _generic_unit_family_member(
-    K: int, Q: int, rng: np.random.Generator
-) -> GradedPoly:
-    """Random element whose Wronskian ladders stay units: full jet in t_1."""
-    t1 = gp_time(K, Q, 1)
-    out = gp_const(K, Q, 1.0) + random_graded(K, Q, rng, unit=False) * 0.3
-    power = gp_const(K, Q, 1.0)
-    for w in range(1, min(Q, 4) + 1):
-        power = power * t1
-        out = out + power * (complex(rng.normal(), rng.normal()) * 0.4**w)
-    return out
 
 
 # -- determinant routes -------------------------------------------------------
@@ -523,7 +509,6 @@ class KernelFactsReport:
     operator_split: float
     factor_consistency: float
     composite_residual: float
-    lemma_residual: float
 
     @property
     def max_residual(self) -> float:
@@ -535,7 +520,6 @@ class KernelFactsReport:
             self.operator_split,
             self.factor_consistency,
             self.composite_residual,
-            self.lemma_residual,
         )
 
     @property
@@ -555,8 +539,7 @@ def kernel_facts_check(spec: SymbolSpec, N: int, Q: int) -> KernelFactsReport:
     - the operator splits through the monic order-(nN-n) stage built from
       members n+1..nN (_ladder on a basket).  That stage is taken from this
       level, not from f_family at N-1, so the split stays independent of the
-      level-down family; the Wronskian identity above links the two;
-    - the Frobenius factorization annihilates a random generic family.
+      level-down family; the Wronskian identity above links the two.
     """
     n = spec.n
     nN = n * N
@@ -599,10 +582,6 @@ def kernel_facts_check(spec: SymbolSpec, N: int, Q: int) -> KernelFactsReport:
     basket.extend([funcs[0], funcs[-1]])
     gaps, factor_consistency, composite_residual, _ = _ladder(ff, lower, basket, Q)
 
-    lemma_residual = lemma_wronsky_check(
-        [_generic_unit_family_member(Qw, Qw, rng) for _ in range(3)], upto=Q
-    )
-
     return KernelFactsReport(
         N=N,
         Q=Q,
@@ -613,7 +592,6 @@ def kernel_facts_check(spec: SymbolSpec, N: int, Q: int) -> KernelFactsReport:
         operator_split=max(gaps),
         factor_consistency=factor_consistency,
         composite_residual=composite_residual,
-        lemma_residual=lemma_residual,
     )
 
 

@@ -402,13 +402,13 @@ def widom_derivative_check(
 ) -> WidomDerivativeReport:
     """Compare d/dx log D_inf with the contour-integral trace formula.
 
-    The formula integrates tr[((d_z t_plus) t_minus - (d_z s_minus) s_plus)
-    * d_x(symbol)] over 1024 points of the circle, where symbol^{-1} =
-    t_plus t_minus = s_minus s_plus are the two factorization orders of the
-    inverse symbol.  The numeric derivative and d_x(symbol) are central
-    differences with step 1e-5.
+    The formula integrates tr[((d_z g_+) g_- - (d_z h_-) h_+) d_x(symbol)]
+    over 1024 points of the circle, where symbol^{-1} = g_+ g_- = h_- h_+
+    are the two factorization orders of the inverse symbol (gamma and theta
+    of two_sided_factorization, from its samples on that grid).  The
+    numeric derivative and d_x(symbol) are central differences, step 1e-5.
     """
-    from .factorization import wiener_hopf_banded
+    from .factorization import two_sided_factorization
 
     h, M = 1e-5, 1024
 
@@ -420,20 +420,15 @@ def widom_derivative_check(
 
     numeric = (log_Dinf(x0 + h) - log_Dinf(x0 - h)) / (2 * h)
 
-    lm = make_symbol(x0)
-    inv = lm_invert(lm)
-    s_minus, s_plus = wiener_hopf_banded(inv)
-    refl = lm_reflect(inv)
-    r_minus, r_plus = wiener_hopf_banded(refl)
-    t_plus, t_minus = lm_reflect(r_minus), lm_reflect(r_plus)
+    pair = two_sided_factorization(inverse_transform(lm_invert(make_symbol(x0)), M))
     dgam = lm_scale(
         lm_add(make_symbol(x0 + h), make_symbol(x0 - h), scale_b=-1.0), 1.0 / (2 * h)
     )
 
     z = np.exp(2j * np.pi * np.arange(M) / M)
     term = (
-        lm_z_derivative(t_plus)(z) @ t_minus(z)
-        - lm_z_derivative(s_minus)(z) @ s_plus(z)
+        lm_z_derivative(pair.gamma_plus)(z) @ pair.gamma_minus(z)
+        - lm_z_derivative(pair.theta_minus)(z) @ pair.theta_plus(z)
     ) @ dgam(z)
     f = np.trace(term, axis1=-2, axis2=-1)
     contour = -np.sum(f * z) / M

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ n_max = 12
 tol = 1e-6
 
 [factorize]
-band = 32
 draws = 1
 seed = 3
 scale = 0.25
@@ -186,6 +186,16 @@ def test_factorize_artifacts_roundtrip(tmp_path):
 
     report = (out / "report.txt").read_text()
     assert "certificate" in report and "det_plus_dev" in report
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_factorizes(path, tmp_path):
+    # a key dropped from the schema but left in a shipped config fails here
+    assert cli.main(["factorize", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "B_used" in (tmp_path / "report.txt").read_text()
 
 
 # -- spectral report ----------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blocktau.errors import AliasError, ConvergenceError, FactorizationError
-from blocktau.laurent import lm_trim
+from blocktau.laurent import inverse_transform, lm_trim
 from blocktau.symbols import (
     covering_spec,
     gd_symbol,
@@ -19,12 +19,12 @@ from blocktau.factorization import (
     two_sided_factorization,
     wave_matrix,
     wiener_hopf,
-    wiener_hopf_banded,
 )
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
 TV = time_vector([0.2, 0.0, -0.15, 0.0, 0.08])
+CTV = time_vector([0.1, 0.0, 0.05, 0.0, 0.02])
 
 
 def _samples(spec=RSPEC, tv=TV, M=2048):
@@ -92,19 +92,35 @@ def test_determinant_bookkeeping():
 
 
 def test_covering_family_factorizes():
-    tv = time_vector([0.1, 0.0, 0.05, 0.0, 0.02])
-    fact = wiener_hopf(_samples(CSPEC, tv), B=48, tol=1e-9)
+    fact = wiener_hopf(_samples(CSPEC, CTV), B=48, tol=1e-9)
     assert fact.residual < 1e-9
     assert fact.det_plus_dev < 1e-8
 
 
 def test_banded_route_agrees():
     lm = gd_symbol(RSPEC, TV, (-30, 30))
-    tm, tp = wiener_hopf_banded(lm, tol=1e-9)
+    fact = wiener_hopf(inverse_transform(lm, 512))
     rng = np.random.default_rng(7)
     z = np.exp(2j * np.pi * rng.random(16))
-    rec = np.einsum("lab,lbc->lac", tm(z), tp(z))
+    rec = np.einsum("lab,lbc->lac", fact.T_minus(z), fact.T_plus(z))
     assert np.max(np.abs(rec - lm(z))) < 1e-8
+
+
+@pytest.mark.parametrize("spec, tv", [(RSPEC, TV), (CSPEC, CTV)], ids=["rational", "covering"])
+def test_derived_depth_matches_deep_solve(spec, tv):
+    # the depth read off g^{-1} holds the whole minus factor of the M//4 solve
+    x = _samples(spec, tv)
+    fact, deep = wiener_hopf(x), wiener_hopf(x, B=512)
+    assert fact.B_used <= 64
+    # both factors end at mode 0: compare modes -B_used..0
+    tail = deep.T_minus.coeffs[-fact.B_used - 1 :]
+    assert np.max(np.abs(fact.T_minus.coeffs - tail)) < 1e-14
+
+
+def test_derived_depth_raises_at_the_cap():
+    # no depth reaches a residual of 1e-17: the ladder stops at B = M//4
+    with pytest.raises(FactorizationError, match="B=128"):
+        wiener_hopf(_samples(M=512), tol=1e-17)
 
 
 def test_alias_guard():
