@@ -20,7 +20,7 @@ equal to the curve.  This module computes
 Conventions.  The fiber over z is ordered zeta_i = zeta_1 * exp(2*pi*i*(i-1)/n)
 with zeta_1 the principal n-th root; every Vandermonde and eigenvector
 assembly uses this ordering.  Folding a scalar series s(zeta) produces the
-matrix with entry (i, j) equal to sum_q s_{nq+j-i} z^q, consistent with
+matrix with entry (i, j) equal to sum_q s_{nq+i-j} z^q, consistent with
 lambda_power in the symbols module.
 """
 
@@ -537,6 +537,7 @@ class SpectralReport:
     symbol_residual: float
     match_stable: bool
     big_cell_ok: bool
+    C: LaurentMatrix      # the conjugated matrix W^{-1} B W
 
     @property
     def passed(self) -> bool:
@@ -620,6 +621,7 @@ def spectral_check(
         symbol_residual=symbol_res,
         match_stable=stable,
         big_cell_ok=big_cell_check(w_rec).ok,
+        C=bc.C,
     )
 
 

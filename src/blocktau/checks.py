@@ -282,7 +282,7 @@ def _check_truncation_limit(ctx, tol):
         lm = symbols.gd_symbol(spec, tv, (-30, 30))
         d_inf = _operator_det(lm, 8)
         G = laurent.geometric_mean(factorization.deformed_symbol_samples(spec, tv, 1024))
-        ratios = [toeplitz.det_DN(toeplitz.build_TN(lm, N)) / G**N for N in range(1, 25)]
+        ratios = [d / G**N for N, d in zip(range(1, 25), toeplitz.truncation_dets(lm))]
         deltas = [abs(b - a) for a, b in zip(ratios, ratios[1:])]
         worst_gap = max(worst_gap, abs(ratios[-1] - d_inf))
         worst_fit = max(worst_fit, toeplitz.fit_decay(deltas, floor=1e-14))
@@ -299,9 +299,9 @@ def _correction_gap(ctx, d_inf, G):
     tv, x, lm = ctx.rational_setup()
     pair = factorization.two_sided_factorization(x, B=40, tol=1e-9)
     worst = 0.0
-    for N in (1, 2, 3, 4):
+    for N, d in zip((1, 2, 3, 4), toeplitz.truncation_dets(lm)):
         bo = toeplitz.borodin_okounkov(pair, N, tol=1e-12)
-        lhs = toeplitz.det_DN(toeplitz.build_TN(lm, N)) / G**N
+        lhs = d / G**N
         worst = max(worst, abs(lhs - d_inf * bo.det_correction))
     return worst
 

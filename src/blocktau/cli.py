@@ -365,8 +365,7 @@ def cmd_converge(cfg: RunConfig, out: str, tol: float | None) -> int:
     lines = ["N,D_N,G^N,ratio,delta"]
     prev = 1.0 + 0.0j
     deltas = []
-    for N in range(1, n_max + 1):
-        d = toeplitz.det_DN(toeplitz.build_TN(lm, N))
+    for N, d in zip(range(1, n_max + 1), toeplitz.truncation_dets(lm)):
         gn = G**N
         ratio = d / gn
         delta = abs(ratio - prev)
@@ -448,10 +447,8 @@ def cmd_spectral(cfg: RunConfig, out: str) -> int:
         raise ConfigError("the spectral command needs a covering spec")
     J = cfg.spectral_j
     cp = algebro.curve_from_covering(spec)
-    bs = algebro.branch_series(cp, J)
-    bc = algebro.bc_matrices(spec, bs, cp=cp)
     rep = algebro.spectral_check(spec, J, cp=cp)
-    laurent.write_csv(bc.C, os.path.join(out, "C.csv"))
+    laurent.write_csv(rep.C, os.path.join(out, "C.csv"))
     lines = ["command: spectral", f"sheets: {spec.n}", f"branch terms: {J}", ""]
     lines.append("curve lambda^n = P(z), P coefficients (ascending):")
     lines.append("  " + ", ".join(_fmt_c(-c) for c in cp.c(spec.n)))
@@ -460,8 +457,8 @@ def cmd_spectral(cfg: RunConfig, out: str) -> int:
     for i in range(spec.n):
         for j in range(spec.n):
             deg = max(
-                (q for q in range(bc.C.lo, bc.C.hi + 1)
-                 if abs(bc.C.block(q)[i, j]) > 1e-9),
+                (q for q in range(rep.C.lo, rep.C.hi + 1)
+                 if abs(rep.C.block(q)[i, j]) > 1e-9),
                 default=None,
             )
             lines.append(f"  {i} {j} {'-' if deg is None else deg}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasError, ConvergenceError, FactorizationError
+from .errors import AliasError, FactorizationError
 from .laurent import (
     CircleSamples,
     LaurentMatrix,
@@ -230,7 +230,7 @@ def tau_ratio_check(
     tail indices is doubled until the corrected value settles (Cauchy below
     1e-11); past max_window ConvergenceError is raised.
     """
-    from .toeplitz import build_TN, det_DN, hankel_product_matrix
+    from .toeplitz import build_TN, det_DN, doubling, hankel_product_matrix, settle
 
     tol = 1e-10
     n = spec.n
@@ -242,24 +242,19 @@ def tau_ratio_check(
     lhs = D_N / D_N1
 
     psi, psi_inv = wave_matrix(spec, t)
-    w = window
-    prev = None
-    while True:
+
+    def step(w):
         idx = range(N, N + w)
         M = hankel_product_matrix(psi, psi_inv, idx, idx)
         MNN = M[:n, :n]
         r, c, Mtail = M[:n, n:], M[n:, :n], M[n:, n:]
-        block_det = complex(np.linalg.det(np.eye(n) - MNN))
         cross = r @ np.linalg.solve(np.eye(len(Mtail)) - Mtail, c)
         corrected = complex(np.linalg.det(np.eye(n) - MNN - cross))
-        if prev is not None and abs(corrected - prev) < 0.1 * tol:
-            break
-        if w >= max_window:
-            raise ConvergenceError(
-                f"ratio determinant not Cauchy below {0.1 * tol:g} by window {w}"
-            )
-        prev = corrected
-        w *= 2
+        return w, corrected, complex(np.linalg.det(np.eye(n) - MNN))
+
+    w, corrected, block_det, _, _ = settle(
+        map(step, doubling(window, max_window)), 0.1 * tol, "ratio determinant"
+    )
     return TauRatioReport(
         lhs=lhs,
         block_det=block_det,

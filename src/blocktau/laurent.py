@@ -330,21 +330,11 @@ def lm_invert(a: LaurentMatrix, tail_tol: float = 1e-13) -> LaurentMatrix:
     """
     from .errors import TruncationError
 
-    def fn(z):
-        vals = _eval_horner(a, z)
-        conds = np.linalg.cond(vals)
-        worst = float(np.max(conds))
-        if not np.isfinite(worst) or worst > COND_LIMIT:
-            raise NearSingularSymbol(
-                f"condition number {worst:.3g} on the circle exceeds {COND_LIMIT:g}"
-            )
-        return np.linalg.inv(vals)
-
     half = max(8, a.width)
     while True:
         band_try = (-half, half)
         M = max(512, next_pow2(4 * half))
-        x = sample_function(fn, a.n, M)
+        x = invert_symbol(sample_function(a, a.n, M))
         if transform_tail(x, band_try) < tail_tol:
             return lm_trim(transform(x, band_try), 1e-16)
         if half >= 1 << 12:

@@ -94,7 +94,7 @@ class SymbolSpec:
     k: int = 0                # covering replication count, len(params) = n*k+1
     rho: float = 0.0          # modulus of the outermost singularity inside S^1
 
-    def default_times(self, gd_reduced: bool = True) -> int:
+    def default_times(self) -> int:
         """Default number of deformation times."""
         return 2 * self.n + 1
 

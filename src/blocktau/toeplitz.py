@@ -16,11 +16,16 @@ places g^(modes[r, c]) at block (r, c).  The Hankel product is one GEMM:
 the (R*n, k*n) section of u at modes i+k times the (k*n, C*n) section of v
 at modes -j-k; its (i a, j d) row-major layout is already the dense
 (R*n, C*n) result.
+
+Every finite-section limit (the operator determinant, D_N/G^N, the
+correction determinant, the ratio window of factorization) stops through
+settle, the one Cauchy rule; truncation_dets is the one loop over N of D_N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable
 
 import numpy as np
@@ -68,6 +73,42 @@ def build_TN(lm: LaurentMatrix, N: int) -> BlockToeplitz:
 def det_DN(bt: BlockToeplitz) -> complex:
     """Determinant of the block truncation."""
     return complex(np.linalg.det(bt.matrix))
+
+
+def truncation_dets(lm: LaurentMatrix):
+    """D_1, D_2, ... of the symbol, one block truncation at a time, lazily."""
+    for N in count(1):
+        yield det_DN(build_TN(lm, N))
+
+
+# -- the Cauchy ladder of every finite-section limit -------------------------
+
+
+def doubling(start: int, cap: int):
+    """Section sizes start, 2 start, 4 start, ... up to the first size >= cap."""
+    size = start
+    yield size
+    while size < cap:
+        size *= 2
+        yield size
+
+
+def settle(steps, tol: float, what: str):
+    """Read (size, value, extra) steps up to the first Cauchy one.
+
+    Returns (size, value, extra, est_error, history) at the first step whose
+    value is within tol of the previous one; est_error is that difference and
+    history lists every (size, value) read.  Raises ConvergenceError, naming
+    the last size, when the steps run out first.
+    """
+    history = []
+    prev = size = None
+    for size, value, extra in steps:
+        history.append((size, value))
+        if prev is not None and abs(value - prev) < tol:
+            return size, value, extra, abs(value - prev), history
+        prev = value
+    raise ConvergenceError(f"{what} not Cauchy below {tol:g} by {size}")
 
 
 # -- Hankel products ---------------------------------------------------------
@@ -138,7 +179,6 @@ class PlemeljOperator:
     n: int
     M: int
     matrix: np.ndarray
-    route: str
     rebuild: Callable[[int], "PlemeljOperator"] | None = None
 
 
@@ -147,11 +187,9 @@ def plemelj_fourier(lm: LaurentMatrix, lm_inv: LaurentMatrix, M: int) -> Plemelj
     n = lm.n
     K = hankel_product_matrix(lm, lm_inv, range(M), range(M))
     P = np.eye(M * n, dtype=complex) - K
-
-    def rebuild(M2: int) -> PlemeljOperator:
-        return plemelj_fourier(lm, lm_inv, M2)
-
-    return PlemeljOperator(n=n, M=M, matrix=P, route="fourier", rebuild=rebuild)
+    return PlemeljOperator(
+        n=n, M=M, matrix=P, rebuild=lambda M2: plemelj_fourier(lm, lm_inv, M2)
+    )
 
 
 def plemelj_quadrature(
@@ -190,7 +228,7 @@ def plemelj_quadrature(
     modes = np.fft.fft(T, axis=0)[:M] / x.M            # output mode index i
     P = modes.transpose(0, 2, 1, 3).reshape(M * n, M * n)
     P += np.eye(M * n)
-    return PlemeljOperator(n=n, M=M, matrix=P, route="quadrature", rebuild=None)
+    return PlemeljOperator(n=n, M=M, matrix=P, rebuild=None)
 
 
 @dataclass
@@ -204,22 +242,14 @@ def fredholm_det(
     p: PlemeljOperator, tol: float = 1e-10, max_M: int = 2048
 ) -> FredholmResult:
     """Determinant of the operator, section size doubled to a Cauchy stop."""
-    cur = p
-    d = complex(np.linalg.det(cur.matrix))
-    while True:
-        if cur.rebuild is None:
-            raise ConvergenceError(
-                "operator was built at fixed size and cannot be refined"
-            )
-        nxt = cur.rebuild(2 * cur.M)
-        d2 = complex(np.linalg.det(nxt.matrix))
-        if abs(d2 - d) < tol:
-            return FredholmResult(value=d2, M_used=nxt.M, est_error=abs(d2 - d))
-        if nxt.M >= max_M:
-            raise ConvergenceError(
-                f"finite sections did not settle below {tol:g} by M={nxt.M}"
-            )
-        cur, d = nxt, d2
+    if p.rebuild is None:
+        raise ConvergenceError("operator was built at fixed size and cannot be refined")
+    steps = (
+        (M, complex(np.linalg.det((p if M == p.M else p.rebuild(M)).matrix)), None)
+        for M in doubling(p.M, max_M)
+    )
+    M, value, _, err, _ = settle(steps, tol, "finite-section determinant")
+    return FredholmResult(value=value, M_used=M, est_error=err)
 
 
 # -- strong limit ------------------------------------------------------------
@@ -243,21 +273,12 @@ def szego_widom(
     limit theorem does not apply and HypothesisError is raised).  Past
     N = 256 ConvergenceError is raised.
     """
-    N_max = 256
     if winding_number(x) != 0:
         raise HypothesisError("winding of det(symbol) is nonzero")
     G = geometric_mean(x)
-    history: list[tuple[int, complex]] = []
-    prev = None
-    for N in range(1, N_max + 1):
-        r = det_DN(build_TN(lm, N)) / G**N
-        history.append((N, r))
-        if prev is not None and abs(r - prev) < tol:
-            return SzegoWidomResult(
-                D_inf=r, G=G, N_used=N, est_error=abs(r - prev), history=history
-            )
-        prev = r
-    raise ConvergenceError(f"D_N/G^N not Cauchy below {tol:g} by N={N_max}")
+    steps = ((N, d / G**N, None) for N, d in zip(range(1, 257), truncation_dets(lm)))
+    N, ratio, _, err, history = settle(steps, tol, "D_N/G^N")
+    return SzegoWidomResult(D_inf=ratio, G=G, N_used=N, est_error=err, history=history)
 
 
 def fit_decay(deltas, floor: float = 0.0) -> float:
@@ -332,22 +353,13 @@ def correction_det(
     [N, N + w); w doubles from window until the determinant is Cauchy below
     tol.  Past a window of 512 ConvergenceError is raised.
     """
-    w = window
-    prev = None
-    while True:
-        idx = range(N, N + w)
-        K = hankel_product_matrix(u, v, idx, idx)
-        d = complex(np.linalg.det(np.eye(len(K)) - K))
-        if prev is not None and abs(d - prev) < tol:
-            return BorodinOkounkovResult(
-                K_matrix=K, det_correction=d, window_used=w, est_error=abs(d - prev)
-            )
-        if w >= 512:
-            raise ConvergenceError(
-                f"correction determinant not Cauchy below {tol:g} by window {w}"
-            )
-        prev = d
-        w *= 2
+    sections = (
+        (w, hankel_product_matrix(u, v, range(N, N + w), range(N, N + w)))
+        for w in doubling(window, 512)
+    )
+    steps = ((w, complex(np.linalg.det(np.eye(len(K)) - K)), K) for w, K in sections)
+    w, d, K, err, _ = settle(steps, tol, "correction determinant")
+    return BorodinOkounkovResult(K_matrix=K, det_correction=d, window_used=w, est_error=err)
 
 
 def borodin_okounkov(fact, N: int, tol: float = 1e-10) -> BorodinOkounkovResult:

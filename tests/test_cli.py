@@ -198,6 +198,18 @@ def test_shipped_config_factorizes(path, tmp_path):
     assert "B_used" in (tmp_path / "report.txt").read_text()
 
 
+SHIPPED_RUNS = [(c, p) for c in ("converge", "tau") for p in SHIPPED_CONFIGS] + [
+    ("spectral", p) for p in SHIPPED_CONFIGS if p.name == "covering.ini"
+]
+
+
+@pytest.mark.parametrize(
+    "command, path", SHIPPED_RUNS, ids=[f"{c}-{p.name}" for c, p in SHIPPED_RUNS]
+)
+def test_shipped_config_runs(command, path, tmp_path):
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
 # -- spectral report ----------------------------------------------------------
 
 

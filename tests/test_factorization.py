@@ -51,17 +51,6 @@ def test_factors_have_correct_sidedness():
     assert np.max(np.abs(tm.block(0) - np.eye(2))) < 1e-10
 
 
-def test_minus_factor_band_doubling_is_stable():
-    x = _samples()
-    f1 = wiener_hopf(x, B=32, tol=1e-9)
-    f2 = wiener_hopf(x, B=64, tol=1e-9)
-    worst = max(
-        float(np.max(np.abs(f1.T_minus.block(q) - f2.T_minus.block(q))))
-        for q in range(-32, 1)
-    )
-    assert worst < 1e-9
-
-
 def test_product_reconstructs_symbol_minus_first():
     fact = wiener_hopf(_samples(), B=40, tol=1e-9)
     z = np.exp(2j * np.pi * (np.arange(64) + 0.13) / 64)

@@ -1,11 +1,13 @@
 """Block Toeplitz truncations, Plemelj operators, determinant limit theorems."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from blocktau.errors import HypothesisError
+from blocktau.errors import ConvergenceError, HypothesisError
 from blocktau.laurent import (
     LaurentMatrix,
     inverse_transform,
@@ -26,14 +28,18 @@ from blocktau.symbols import (
 from blocktau.toeplitz import (
     borodin_okounkov,
     build_TN,
+    correction_det,
     det_DN,
+    doubling,
     fredholm_det,
     half_truncated_shortcut,
     hankel_identity_check,
     hankel_product_matrix,
     plemelj_fourier,
     plemelj_quadrature,
+    settle,
     szego_widom,
+    truncation_dets,
     widom_derivative_check,
 )
 from blocktau.factorization import (
@@ -261,6 +267,61 @@ def test_quadrature_projector_12_blocks(spec):
     x, x_inv = _quadrature_samples(spec, tv, 256)
     got = plemelj_quadrature(x, x_inv, 12).matrix
     assert np.max(np.abs(got - _quadrature_reference(x, x_inv, 12))) < 1e-12
+
+
+# -- the Cauchy ladder --------------------------------------------------------
+
+
+def test_settle_stops_at_first_cauchy_step():
+    read = []
+
+    def steps():
+        for size, value in ((1, 1.0), (2, 0.5), (4, 0.45), (8, 0.449)):
+            read.append(size)
+            yield size, value, f"extra {size}"
+
+    size, value, extra, err, history = settle(steps(), 0.1, "test sequence")
+    assert (size, value, extra) == (4, 0.45, "extra 4")
+    assert err == abs(0.45 - 0.5)
+    assert history == [(1, 1.0), (2, 0.5), (4, 0.45)]
+    assert read == [1, 2, 4]  # nothing is computed past the stop
+
+
+def test_settle_raises_naming_the_last_size():
+    steps = [(10, 0.0, None), (20, 1.0, None), (40, 3.0, None)]
+    with pytest.raises(ConvergenceError, match="test sequence not Cauchy below 0.5 by 40"):
+        settle(iter(steps), 0.5, "test sequence")
+    # a single step leaves no pair to compare
+    with pytest.raises(ConvergenceError, match="by 10"):
+        settle(iter(steps[:1]), 1e3, "test sequence")
+
+
+def test_doubling_includes_the_first_size_at_or_past_the_cap():
+    assert list(doubling(40, 512)) == [40, 80, 160, 320, 640]
+    assert list(doubling(16, 4096)) == [16 << k for k in range(9)]
+    assert list(doubling(32, 512)) == [32, 64, 128, 256, 512]
+    assert list(doubling(40, 40)) == [40]
+
+
+def test_truncation_dets_match_per_n_determinants():
+    lm = gd_symbol(RSPEC, TV, (-30, 30))
+    got = list(islice(truncation_dets(lm), 8))
+    assert got == [det_DN(build_TN(lm, N)) for N in range(1, 9)]
+
+
+def test_fredholm_det_raises_when_sections_do_not_settle():
+    pf, pq = _plemelj_pair(RSPEC, TV, 8, M=256)
+    with pytest.raises(ConvergenceError, match="by 32"):
+        fredholm_det(pf, tol=0.0, max_M=32)
+    # the quadrature section has no rebuild, so it cannot be refined at all
+    with pytest.raises(ConvergenceError, match="fixed size"):
+        fredholm_det(pq)
+
+
+def test_correction_det_raises_past_window_512():
+    lm = gd_symbol(RSPEC, TV, (-30, 30))
+    with pytest.raises(ConvergenceError, match="by 512"):
+        correction_det(lm, lm_invert(lm), 1, 256, 0.0)
 
 
 # -- Fredholm determinant and the Szego-Widom limit --------------------------
