@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebro, checks, factorization, laurent, symbols, tau, toeplitz
-from .errors import BlocktauError, FactorizationError
+from .errors import BlocktauError
 
 # -- number formatting -------------------------------------------------------
 
@@ -411,7 +411,7 @@ def cmd_factorize(cfg: RunConfig, out: str, tol: float | None, seed: int | None)
         x = factorization.deformed_symbol_samples(spec, tv, 1024)
         try:
             fact = factorization.wiener_hopf(x, tol=max(use_tol, 1e-10))
-        except (FactorizationError, BlocktauError) as exc:
+        except BlocktauError as exc:
             failures.append(f"draw {d}: {exc}")
             report.append(f"draw {d}: FAILED {exc}")
             continue

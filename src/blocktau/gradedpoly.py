@@ -647,23 +647,3 @@ def sato_shift(tau: GradedPoly, orders: int) -> tuple[GradedPoly, ...]:
         GradedPoly(tau.K, tau.Q, scale[layer] @ stacked[layer]) for layer in layers
     )
 
-
-def schur_at_shifted_times(k: int, K: int, Q: int) -> list[GradedPoly]:
-    """Expansion of p_k(t - [1/z]): equals p_k - z^-1 p_{k-1} identically."""
-    ps = schur_sequence(K, Q)
-    if k < 0 or k > Q:
-        raise ValueError("need 0 <= k <= Q")
-    prev = ps[k - 1] if k >= 1 else gp_zero(K, Q)
-    return [ps[k], -1.0 * prev]
-
-
-def multinomial(*ks: int) -> int:
-    """Multinomial coefficient (sum ks)! / prod ks!."""
-    return factorial(sum(ks)) // _prod_fact(ks)
-
-
-def _prod_fact(ks) -> int:
-    out = 1
-    for k in ks:
-        out *= factorial(k)
-    return out

@@ -21,9 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasError, BranchError, NearSingularSymbol, WindingUndefined
+from .errors import (
+    AliasError,
+    BranchError,
+    NearSingularSymbol,
+    TruncationError,
+    WindingUndefined,
+)
 
-COND_LIMIT = 1e12        # pointwise inversion refuses beyond this condition number
+COND_LIMIT = 1e12        # inversion refuses beyond this condition number (or bound)
 DET_FLOOR = 1e-13        # |det| below this (relative) makes the winding undefined
 UNWRAP_JUMP = np.pi / 2  # largest tolerated argument step between neighbour samples
 
@@ -159,16 +165,17 @@ def transform(x: CircleSamples, band: tuple[int, int]) -> LaurentMatrix:
 
 
 def transform_tail(x: CircleSamples, band: tuple[int, int]) -> float:
-    """Relative energy of the DFT modes that fall outside the band."""
+    """Largest norm of a DFT mode outside the band, relative to the largest sample.
+
+    On this scale the round-off of the modes stays near eps whatever x is.
+    """
     lo, hi = band
-    modes = _fft_modes(x)
-    energy = np.sum(np.abs(modes) ** 2, axis=(1, 2))
-    total = float(np.sum(energy))
-    if total == 0.0:
+    top = float(np.max(np.linalg.norm(x.values, axis=(1, 2))))
+    if top == 0.0:
         return 0.0
-    keep = np.zeros(x.M, dtype=bool)
-    keep[np.arange(lo, hi + 1) % x.M] = True
-    return float(np.sum(energy[~keep])) / total
+    norms = np.linalg.norm(_fft_modes(x), axis=(1, 2))
+    norms[np.arange(lo, hi + 1) % x.M] = 0.0
+    return float(np.max(norms)) / top
 
 
 def inverse_transform(lm: LaurentMatrix, M: int) -> CircleSamples:
@@ -194,8 +201,6 @@ def transform_adaptive(
 
     Past max_M the symbol does not fit the band and TruncationError is raised.
     """
-    from .errors import TruncationError
-
     M = max(start_M, next_pow2(2 * (band[1] - band[0] + 1)))
     while True:
         x = sample_function(fn, n, M)
@@ -287,19 +292,6 @@ def lm_trim(a: LaurentMatrix, rel_tol: float = 0.0) -> LaurentMatrix:
     return LaurentMatrix(a.n, a.lo + i0, a.lo + i1, a.coeffs[i0 : i1 + 1].copy())
 
 
-def lm_norm(a: LaurentMatrix) -> float:
-    """Frobenius norm over the whole band."""
-    return float(np.linalg.norm(a.coeffs))
-
-
-def band_energy(a: LaurentMatrix, lo: int, hi: int) -> float:
-    """Sum of squared Frobenius norms of the coefficients with lo <= k <= hi."""
-    total = 0.0
-    for k in range(max(lo, a.lo), min(hi, a.hi) + 1):
-        total += float(np.linalg.norm(a.coeffs[k - a.lo]) ** 2)
-    return total
-
-
 # -- pointwise sample algebra ----------------------------------------------
 
 
@@ -324,16 +316,14 @@ def invert_symbol(x: CircleSamples) -> CircleSamples:
 def lm_invert(a: LaurentMatrix, tail_tol: float = 1e-13) -> LaurentMatrix:
     """Banded coefficients of the pointwise inverse of a banded symbol.
 
-    The band grows (doubling) until the discarded tail of the inverse is
-    below tail_tol of its total energy; past half-width 4096 TruncationError
-    is raised.
+    The band grows (doubling) until every discarded mode of the inverse is
+    below tail_tol of its largest value on the circle; past half-width 4096
+    TruncationError is raised.
     """
-    from .errors import TruncationError
-
     half = max(8, a.width)
     while True:
         band_try = (-half, half)
-        M = max(512, next_pow2(4 * half))
+        M = max(512, next_pow2(4 * half + 2))
         x = invert_symbol(sample_function(a, a.n, M))
         if transform_tail(x, band_try) < tail_tol:
             return lm_trim(transform(x, band_try), 1e-16)

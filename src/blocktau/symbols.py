@@ -12,7 +12,9 @@ The deformation multiplies the base symbol on the left by exp(xi(t, L))
 where L is the n x n companion-type shift matrix with L^n = z*I and
 xi(t, L) = sum_m t_m L^m.  Deformed symbols exist in three versions:
 pointwise values, banded Fourier coefficients, and banded coefficients
-over the truncated graded ring (entries polynomial in the times).
+over the truncated graded ring (entries polynomial in the times).  The
+inverse W^-1 exp(xi(-t, L)) is banded in closed form from the same Schur
+values and W^-1, which is computed once per spec.
 
 The flattening map identifies C^n-valued series in z with scalar series in
 a root zeta of z (zeta^n = z) by interleaving components; together with its
@@ -23,6 +25,7 @@ Wronskian and character routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .laurent import (
     LaurentMatrix,
     ScalarSeries,
     VectorSeries,
+    lm_invert,
     lm_mul,
     lm_trim,
     transform_adaptive,
@@ -84,19 +88,15 @@ def random_times(spec: SymbolSpec, rng: np.random.Generator, scale: float) -> Ti
     return time_vector(vals, True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymbolSpec:
-    """Description of a symbol family member."""
+    """Description of a symbol family member; frozen, so it keys the base caches."""
 
     family: str               # 'rational' | 'covering'
     n: int
     params: tuple = ()
     k: int = 0                # covering replication count, len(params) = n*k+1
     rho: float = 0.0          # modulus of the outermost singularity inside S^1
-
-    def default_times(self) -> int:
-        """Default number of deformation times."""
-        return 2 * self.n + 1
 
 
 def rational_spec(c) -> SymbolSpec:
@@ -170,8 +170,9 @@ def base_band(spec: SymbolSpec) -> tuple[int, int]:
     return (-depth, 0)
 
 
+@lru_cache
 def base_symbol(spec: SymbolSpec, band: tuple[int, int] | None = None) -> LaurentMatrix:
-    """Banded Fourier coefficients of the undeformed symbol."""
+    """Banded Fourier coefficients of the undeformed symbol (cached and shared)."""
     if band is None:
         band = base_band(spec)
     if spec.family == "rational":
@@ -197,13 +198,10 @@ def base_symbol(spec: SymbolSpec, band: tuple[int, int] | None = None) -> Lauren
 # -- shift matrix and its exponential ----------------------------------------
 
 
-def lambda_matrix(n: int) -> LaurentMatrix:
-    """The n x n shift symbol L: subdiagonal ones, top-right corner z."""
-    return lambda_power(n, 1)
-
-
 def lambda_power(n: int, k: int) -> LaurentMatrix:
     """L^k as a banded symbol; L^n = z * I extends to negative k as well.
+
+    L = L^1 is the n x n shift symbol: subdiagonal ones, top-right corner z.
 
     Entry (i, j) equals z^q when q = (k + j - i)/n is an integer, else 0.
     """
@@ -310,6 +308,25 @@ def gd_symbol(
     return lm_mul(e, w, band)
 
 
+@lru_cache
+def base_inverse(spec: SymbolSpec) -> LaurentMatrix:
+    """Banded coefficients of W^-1, the one sampled inversion of a family member."""
+    return lm_invert(base_symbol(spec), tail_tol=1e-16)
+
+
+def gd_symbol_inverse(
+    spec: SymbolSpec, t: TimeVector, band: tuple[int, int]
+) -> LaurentMatrix:
+    """Fourier coefficients of W^-1 * exp(xi(-t, L)), the inverse of gd_symbol.
+
+    In-band coefficients are exact up to the cut of W^-1; the band must hold
+    the exponential factor globally, else TruncationError.
+    """
+    w_inv = base_inverse(spec)
+    e = exp_xi_lambda(t.negated(), spec.n, (0, band[1] - w_inv.lo))
+    return lm_mul(w_inv, e, band)
+
+
 def gd_symbol_values(spec: SymbolSpec, t: TimeVector, z) -> np.ndarray:
     """Pointwise values of the deformed symbol."""
     return exp_xi_values(t, spec.n, z) @ base_symbol_values(spec, z)
@@ -334,11 +351,7 @@ class GradedLaurentMatrix:
 
 
 def gd_symbol_graded(
-    spec: SymbolSpec,
-    band: tuple[int, int],
-    K: int | None = None,
-    Q: int = 6,
-    gd_reduced: bool = True,
+    spec: SymbolSpec, band: tuple[int, int], K: int, Q: int, gd_reduced: bool
 ) -> GradedLaurentMatrix:
     """Deformed symbol with entries kept as polynomials in the times.
 
@@ -346,8 +359,6 @@ def gd_symbol_graded(
     truncated ring, so the layer sum is finite and no band-edge tail exists.
     """
     n = spec.n
-    if K is None:
-        K = spec.default_times()
     ps = schur_sequence_reduced(K, Q, n) if gd_reduced else schur_sequence(K, Q)
     w = base_symbol(spec)
     lo, hi = band

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateInput, TruncationError
+from .errors import DegenerateInput, NearSingularSymbol, TruncationError
 from .gradedpoly import (
     GradedPoly,
     gp_const,
@@ -49,14 +49,14 @@ from .gradedpoly import (
     schur_sequence,
     schur_sequence_reduced,
 )
-from .laurent import ScalarSeries, invert_symbol, sample_function, transform
+from .laurent import COND_LIMIT, ScalarSeries
 from .symbols import (
     SymbolSpec,
     TimeVector,
     column_series,
     gd_symbol,
     gd_symbol_graded,
-    gd_symbol_values,
+    gd_symbol_inverse,
 )
 from .toeplitz import (
     FredholmResult,
@@ -731,23 +731,29 @@ def tau_stable_report(
 ) -> FredholmResult:
     """Large-N limit of the truncated determinants at a concrete time vector.
 
-    Delegates to the operator determinant of I - (Toeplitz defect), with the
-    symbol band widened until the deformed coefficients fit and the section
-    size doubled to a Cauchy stop.
+    Delegates to the operator determinant of I - (Toeplitz defect) of the
+    banded pair g = exp(xi(t,L)) W and g^-1 = W^-1 exp(xi(-t,L)), with the
+    band widened until both fit and the section size doubled to a Cauchy
+    stop.  NearSingularSymbol is raised when ||g||_W ||g^-1||_W, an upper
+    bound of the condition number of g on the circle, exceeds COND_LIMIT.
     """
-    n = spec.n
     B = 32
     while True:
         try:
             lm = gd_symbol(spec, t, (-B, B))
+            lm_inv = gd_symbol_inverse(spec, t, (-B - 8, B + 8))
             break
         except TruncationError:
             if B >= 4096:
                 raise
             B *= 2
-    M = 1 << max(9, (4 * (B + 8)).bit_length())
-    x = sample_function(lambda z: gd_symbol_values(spec, t, z), n, M)
-    lm_inv = transform(invert_symbol(x), (-B - 8, B + 8))
+    # ||a||_W = sum_k ||a_k||_2 bounds the spectral norm of a(z) on the circle
+    norms = [np.linalg.norm(a.coeffs, 2, axis=(1, 2)).sum() for a in (lm, lm_inv)]
+    cond = norms[0] * norms[1]
+    if cond > COND_LIMIT:
+        raise NearSingularSymbol(
+            f"Wiener-norm condition bound {cond:.3g} exceeds {COND_LIMIT:g}"
+        )
     op = plemelj_fourier(lm, lm_inv, 16)
     return fredholm_det(op, tol=min(tol, 1e-9), max_M=4096)
 

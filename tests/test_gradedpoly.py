@@ -21,11 +21,9 @@ from blocktau.gradedpoly import (
     jacobi_trudi,
     miwa_times,
     monomial_weight,
-    multinomial,
     normalize_partition,
     partitions_upto,
     sato_shift,
-    schur_at_shifted_times,
     schur_sequence,
     schur_sequence_reduced,
     zero_times,
@@ -247,20 +245,6 @@ def test_sato_shift_generating_function():
     assert abs(direct - series) < 1e-12
 
 
-def test_schur_at_shifted_times():
-    K = Q = 6
-    ps = schur_sequence(K, Q)
-    for k in range(4):
-        rows = schur_at_shifted_times(k, K, Q)
-        # entry m is the z^-m coefficient of p_k(t - [1/z]): p_k - z^-1 p_{k-1}
-        assert len(rows) == 2
-        assert coefficient_gap(rows[0], ps[k]) < 1e-14
-        if k >= 1:
-            assert coefficient_gap(rows[1], -1.0 * ps[k - 1]) < 1e-14
-        else:
-            assert max_abs_coeff(rows[1]) == 0.0
-
-
 # -- characters and partitions -----------------------------------------------
 
 
@@ -354,12 +338,6 @@ def test_hirota_flags_non_tau():
     t1 = gp_time(8, 8, 1)
     res = hirota_kdv_residual(gp_const(8, 8, 1.0) + t1 * t1)
     assert max_abs_coeff(res) > 1e-2
-
-
-def test_multinomial():
-    assert multinomial(2, 1) == 3
-    assert multinomial(0, 0) == 1
-    assert multinomial(3, 2, 1) == 60
 
 
 def test_evaluate_short_time_vector():

@@ -6,13 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blocktau.errors import AliasError, BranchError, WindingUndefined
+from blocktau.symbols import base_symbol, rational_spec
 from blocktau.laurent import (
     CSV_HEADER,
     LaurentMatrix,
     ScalarSeries,
     VectorSeries,
     admissibility,
-    band_energy,
     geometric_mean,
     inverse_transform,
     lm_add,
@@ -20,7 +20,6 @@ from blocktau.laurent import (
     lm_identity,
     lm_invert,
     lm_mul,
-    lm_norm,
     lm_project,
     lm_reflect,
     lm_scale,
@@ -97,19 +96,18 @@ def test_identity_add_scale_project():
     prod = lm_mul(ident, a, (a.lo, a.hi))
     assert np.max(np.abs(prod.coeffs - a.coeffs)) < 1e-14
     s = lm_add(a, lm_scale(a, -1.0))
-    assert lm_norm(s) == 0.0
+    assert np.linalg.norm(s.coeffs) == 0.0
     p = lm_project(a, 0, a.hi)
     assert p.lo == 0 and np.max(np.abs(p.block(0) - a.block(0))) == 0.0
 
 
-def test_trim_and_band_energy():
+def test_trim():
     co = np.zeros((5, 1, 1), dtype=complex)
     co[2, 0, 0] = 1.0
     co[0, 0, 0] = 1e-20
     lm = LaurentMatrix(1, -2, 2, co)
     t = lm_trim(lm, 1e-15)
     assert t.lo == 0 and t.hi == 0
-    assert band_energy(lm, -2, -1) == pytest.approx(1e-20)
 
 
 def test_reflect_involution_and_norms():
@@ -132,6 +130,24 @@ def test_lm_invert_pointwise():
     z = np.exp(2j * np.pi * (np.arange(24) + 0.1) / 24)
     gap = np.max(np.abs(np.einsum("lab,lbc->lac", a(z), inv(z)) - np.eye(2)[None]))
     assert gap < 1e-12
+
+
+def test_lm_invert_tail_bounds_amplitude():
+    # diag(1 - c^2/z): an energy cut kept modes of amplitude ~1e-8 (2.9e-8 here)
+    w = base_symbol(rational_spec([0.3, 0.6]))
+    inv = lm_invert(w)
+    z = np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
+    gap = np.max(np.abs(np.einsum("lab,lbc->lac", w(z), inv(z)) - np.eye(2)[None]))
+    assert gap <= 1e-13
+
+
+def test_lm_invert_past_half_width_128():
+    # 1/(1 - 0.95/z) needs a band past 128 modes; the grid must hold 2*128+1
+    a = LaurentMatrix(1, -1, 0, np.array([[[-0.95]], [[1.0]]]))
+    inv = lm_invert(a)
+    assert inv.width > 257
+    got = np.array([inv.block(-k)[0, 0] for k in range(200)])
+    assert np.max(np.abs(got - 0.95 ** np.arange(200))) < 1e-13
 
 
 # -- winding and geometric mean ----------------------------------------------

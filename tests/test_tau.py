@@ -1,17 +1,21 @@
 """Tau functions: routes, structure of the generator family, stable values."""
 
+from itertools import islice
 from math import factorial
 
 import numpy as np
 import pytest
 
+from blocktau.errors import NearSingularSymbol
+from blocktau.factorization import deformed_symbol_samples
 from blocktau.gradedpoly import (
     evaluate,
     gp_const,
     hirota_kdv_residual,
     schur_sequence_reduced,
 )
-from blocktau.symbols import covering_spec, rational_spec, time_vector
+from blocktau.laurent import geometric_mean
+from blocktau.symbols import covering_spec, gd_symbol, rational_spec, time_vector
 from blocktau.tau import (
     coefficient_gap,
     delta_action,
@@ -29,16 +33,22 @@ from blocktau.tau import (
     wave_function,
     wronskian_tau,
 )
+from blocktau.toeplitz import truncation_dets
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
 D, C = 0.3, 0.6
 
 
+def _tau_closed_all_times(t, d=D, c=C):
+    """The 2-soliton closed form of rational_spec([d, c]) in every odd time."""
+    th_d = sum(tk * d ** (k + 1) for k, tk in enumerate(t) if k % 2 == 0)
+    th_c = sum(tk * c ** (k + 1) for k, tk in enumerate(t) if k % 2 == 0)
+    return np.cosh(th_d) * np.cosh(th_c) - (d / c) * np.sinh(th_d) * np.sinh(th_c)
+
+
 def _tau_closed(t1, t3):
-    th_d = t1 * D + t3 * D**3
-    th_c = t1 * C + t3 * C**3
-    return np.cosh(th_d) * np.cosh(th_c) - (D / C) * np.sinh(th_d) * np.sinh(th_c)
+    return _tau_closed_all_times((t1, 0.0, t3))
 
 
 def _tau_closed_t1_coefficient(k):
@@ -156,6 +166,45 @@ def test_two_soliton_closed_form():
         got = tau_stable(RSPEC, time_vector((t1, 0.0, t3)))
         want = _tau_closed(t1, t3)
         assert abs(got - want) / abs(want) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "direction, s",
+    [((1, 0, 0.5, 0, 0.25), 5.4), ((1, 0, 0.5, 0, 0.25), 7.0), ((0, 0, 1, 0, 0), 10.5)],
+    ids=["diagonal-5.4", "diagonal-7", "t3-10.5"],
+)
+def test_stable_tau_far_from_the_origin(direction, s):
+    # the sampled inverse symbol was 7.7e-8, 2.8e-5 and 8.5e-4 off here
+    t = [s * d for d in direction]
+    got = tau_stable(RSPEC, time_vector(t))
+    want = _tau_closed_all_times(t)
+    assert abs(got - want) / abs(want) < 1e-8
+
+
+def test_stable_tau_with_a_slowly_decaying_base_inverse():
+    # W^-1 = diag(sum (c^2/z)^k) with c = 0.99 needs ~1700 modes; the sampled
+    # inverse cut to the symbol band was 3.6e-6 off
+    t = [0.5, 0.0, 0.25, 0.0, 0.125]
+    got = tau_stable(rational_spec([0.99, 0.2]), time_vector(t))
+    want = _tau_closed_all_times(t, 0.99, 0.2)
+    assert abs(got - want) / abs(want) < 1e-12
+
+
+def test_covering_stable_tau_matches_a_deep_section():
+    # a route with no inverse symbol at all: D_40 / G^40 on band +-40
+    tv = time_vector([5.8 * d for d in (1, 0, 0.5, 0, 0.25)])
+    lm = gd_symbol(CSPEC, tv, (-40, 40), exact_only=True)
+    G = geometric_mean(deformed_symbol_samples(CSPEC, tv, 4096))
+    d40 = next(islice(truncation_dets(lm), 39, None))
+    want = d40 / G**40
+    got = tau_stable(CSPEC, tv)
+    assert abs(got - want) / abs(want) < 1e-6
+
+
+def test_stable_tau_refuses_an_ill_conditioned_symbol():
+    tv = time_vector([8.0 * d for d in (1, 0, 0.5, 0, 0.25)])
+    with pytest.raises(NearSingularSymbol):
+        tau_stable(RSPEC, tv)
 
 
 def test_finite_sections_approach_closed_form():
