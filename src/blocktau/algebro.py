@@ -19,9 +19,8 @@ equal to the curve.  This module computes
 
 Conventions.  The fiber over z is ordered zeta_i = zeta_1 * exp(2*pi*i*(i-1)/n)
 with zeta_1 the principal n-th root; every Vandermonde and eigenvector
-assembly uses this ordering.  Folding a scalar series s(zeta) produces the
-matrix with entry (i, j) equal to sum_q s_{nq+i-j} z^q, consistent with
-lambda_power in the symbols module.
+assembly uses this ordering (symbols.root_grid).  Folding a scalar series
+s(zeta) into its n x n block action over z is symbols.fold.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .laurent import (
     next_pow2,
     transform,
 )
-from .symbols import SymbolSpec, base_symbol_values, big_cell_check
+from .symbols import SymbolSpec, base_symbol_values, big_cell_check, fold, root_grid
 
 __all__ = [
     "CharPoly",
@@ -318,25 +317,9 @@ def branch_series(cp: CharPoly, J: int = 96) -> BranchSeries:
 
 
 def fold_scalar(s: ScalarSeries, n: int) -> LaurentMatrix:
-    """Fold a scalar series into its n x n block action.
-
-    The mode zeta^k lands in entry (i, j) with i = (j + k) mod n at z-power
-    (k + j - i)/n, matching lambda_power; a general series is the sum of its
-    folded modes.
-    """
-    ks = [k for k in range(s.lo, s.hi + 1) if s.coeff(k) != 0.0]
-    if not ks:
-        return LaurentMatrix(n, 0, 0, np.zeros((1, n, n), dtype=complex))
-    qs = [(k + j - ((j + k) % n)) // n for k in ks for j in range(n)]
-    lo, hi = min(qs), max(qs)
-    coeffs = np.zeros((hi - lo + 1, n, n), dtype=complex)
-    for k in ks:
-        v = s.coeff(k)
-        for j in range(n):
-            i = (j + k) % n
-            q = (k + j - i) // n
-            coeffs[q - lo, i, j] += v
-    return LaurentMatrix(n, lo, hi, coeffs)
+    """Fold a scalar series into its n x n block action (symbols.fold), trimmed."""
+    band = ((s.lo - n + 1) // n, (s.hi + n - 1) // n)
+    return lm_trim(LaurentMatrix(n, *band, fold(s.coeffs, s.lo, n, band)))
 
 
 @dataclass
@@ -389,14 +372,10 @@ def bc_matrices(
 
     C = lm_trim(transform(CircleSamples(n, M, Cv), band), 1e-13)
 
-    pattern = 0
-    thr = 1e-9 * cscale
-    for q in range(C.lo, C.hi + 1):
-        blk = C.block(q)
-        for i in range(n):
-            for j in range(n):
-                if abs(blk[i, j]) > thr:
-                    pattern = max(pattern, i - j + n * q)
+    # the folded zeta-degree of entry (i, j) of mode q, read off the fold of a ramp
+    zs = np.arange(n * (C.lo - 1), n * (C.hi + 1))
+    degrees = fold(zs, zs[0], n, (C.lo, C.hi))
+    pattern = int(np.max(degrees[np.abs(C.coeffs) > 1e-9 * cscale], initial=0))
 
     curve_dev = np.nan
     if cp is not None:
@@ -420,13 +399,6 @@ def bc_matrices(
 
 
 # -- reconstruction ----------------------------------------------------------
-
-
-def _fiber(z: np.ndarray, n: int) -> np.ndarray:
-    """Ordered fiber zeta_i = principal root * omega^(i-1), shape z + (n,)."""
-    zeta1 = np.exp(np.log(z) / n)
-    omega = np.exp(2j * np.pi * np.arange(n) / n)
-    return zeta1[..., None] * omega
 
 
 def _match_branches(eigvals: np.ndarray, expected: np.ndarray) -> np.ndarray:
@@ -489,7 +461,7 @@ def _reconstruct_samples(
     """Symbol samples W(z) from eigenvector rows of C(z) matched to branches."""
     n = C.n
     Cv = C(z)
-    zetas = _fiber(z, n)
+    zetas = root_grid(z, n)
     expected = bs(zetas)
     eigvals, right = np.linalg.eig(np.transpose(Cv, (0, 2, 1)))
     pick = _match_branches(eigvals, expected)
@@ -603,10 +575,10 @@ def spectral_check(
     z1 = np.exp(2j * np.pi * np.arange(M1) / M1)
     z2 = np.exp(2j * np.pi * np.arange(2 * M1) / (2 * M1))
     p1 = _match_branches(
-        np.linalg.eig(np.transpose(bc.C(z1), (0, 2, 1)))[0], bs(_fiber(z1, spec.n))
+        np.linalg.eig(np.transpose(bc.C(z1), (0, 2, 1)))[0], bs(root_grid(z1, spec.n))
     )
     p2 = _match_branches(
-        np.linalg.eig(np.transpose(bc.C(z2), (0, 2, 1)))[0], bs(_fiber(z2, spec.n))
+        np.linalg.eig(np.transpose(bc.C(z2), (0, 2, 1)))[0], bs(root_grid(z2, spec.n))
     )
     stable = bool(np.array_equal(p1, p2[::2]))
 

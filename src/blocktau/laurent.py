@@ -69,15 +69,26 @@ class LaurentMatrix:
         """
         modes = np.asarray(modes, dtype=int)
         R, C = modes.shape
-        n = self.n
-        padded = np.concatenate([self.coeffs, np.zeros((1, n, n), dtype=complex)])
-        idx = modes - self.lo
-        idx[(idx < 0) | (idx >= self.width)] = self.width
-        return padded[idx].transpose(0, 2, 1, 3).reshape(R * n, C * n)
+        blocks = gather_modes(self.coeffs, self.lo, modes)
+        return blocks.transpose(0, 2, 1, 3).reshape(R * self.n, C * self.n)
 
     def __call__(self, z) -> np.ndarray:
         """Evaluate at one point or an array of points."""
         return _eval_horner(self, np.asarray(z, dtype=complex))
+
+
+def gather_modes(coeffs: np.ndarray, lo: int, modes) -> np.ndarray:
+    """coeffs[modes - lo] for an integer array of modes, zero off the stored band.
+
+    coeffs holds the modes lo, lo+1, ... along its first axis and may carry
+    any trailing shape; the result has shape modes.shape + coeffs.shape[1:].
+    Every block and fold index of the package is one call of this map.
+    """
+    idx = np.asarray(modes, dtype=int) - lo
+    off = (idx < 0) | (idx >= len(coeffs))
+    out = np.take(coeffs, np.where(off, 0, idx), axis=0)
+    out[off] = 0
+    return out
 
 
 def _eval_horner(lm: LaurentMatrix, z: np.ndarray) -> np.ndarray:
@@ -247,22 +258,27 @@ def lm_scale(a: LaurentMatrix, s: complex) -> LaurentMatrix:
 def lm_mul(a: LaurentMatrix, b: LaurentMatrix, band_out: tuple[int, int]) -> LaurentMatrix:
     """Product of two banded series, restricted to the output band.
 
-    c^(k) = sum_m a^(m) b^(k-m); exact within band_out because each output
-    coefficient is a finite sum over the stored bands.
+    c^(k) = sum_m a^(m) b^(k-m) is one GEMM: the row of the narrower
+    operand's blocks times the Toeplitz section of the other along that
+    band, so the section holds width_out * min(width_a, width_b) blocks.
+    Exact within band_out because each output coefficient is a finite sum
+    over the stored bands.
     """
     if a.n != b.n:
         raise ValueError("block size mismatch")
+    n = a.n
     lo, hi = band_out
-    coeffs = np.zeros((hi - lo + 1, a.n, a.n), dtype=complex)
-    for m in range(a.lo, a.hi + 1):
-        am = a.coeffs[m - a.lo]
-        # k - m must lie within b's band
-        k0 = max(lo, m + b.lo)
-        k1 = min(hi, m + b.hi)
-        if k0 > k1:
-            continue
-        coeffs[k0 - lo : k1 - lo + 1] += am @ b.coeffs[k0 - m - b.lo : k1 - m - b.lo + 1]
-    return LaurentMatrix(a.n, lo, hi, coeffs)
+    ks = np.arange(lo, hi + 1)
+    if a.width <= b.width:
+        ms = np.arange(a.lo, a.hi + 1)
+        row = a.coeffs.transpose(1, 0, 2).reshape(n, a.width * n)
+        coeffs = (row @ b.block_matrix(ks - ms[:, None])).reshape(n, len(ks), n)
+        coeffs = coeffs.transpose(1, 0, 2)
+    else:
+        ms = np.arange(b.lo, b.hi + 1)
+        col = b.coeffs.reshape(b.width * n, n)
+        coeffs = (a.block_matrix(ks[:, None] - ms) @ col).reshape(len(ks), n, n)
+    return LaurentMatrix(n, lo, hi, coeffs)
 
 
 def lm_project(a: LaurentMatrix, lo: int, hi: int) -> LaurentMatrix:
@@ -318,7 +334,8 @@ def lm_invert(a: LaurentMatrix, tail_tol: float = 1e-13) -> LaurentMatrix:
 
     The band grows (doubling) until every discarded mode of the inverse is
     below tail_tol of its largest value on the circle; past half-width 4096
-    TruncationError is raised.
+    TruncationError is raised.  Modes below 1e-16 of that largest value are
+    cut from the result.
     """
     half = max(8, a.width)
     while True:
@@ -326,7 +343,11 @@ def lm_invert(a: LaurentMatrix, tail_tol: float = 1e-13) -> LaurentMatrix:
         M = max(512, next_pow2(4 * half + 2))
         x = invert_symbol(sample_function(a, a.n, M))
         if transform_tail(x, band_try) < tail_tol:
-            return lm_trim(transform(x, band_try), 1e-16)
+            inv = transform(x, band_try)
+            # cut round-off on the scale of the tail test, the largest sample
+            top = np.max(np.linalg.norm(x.values, axis=(1, 2)))
+            peak = np.max(np.linalg.norm(inv.coeffs, axis=(1, 2)))
+            return lm_trim(inv, 1e-16 * top / peak)
         if half >= 1 << 12:
             raise TruncationError(
                 f"inverse symbol does not fit a band of half-width {half}"

@@ -30,16 +30,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateInput, SpecError, TruncationError
-from .gradedpoly import (
-    GradedPoly,
-    gp_zero,
-    schur_sequence,
-    schur_sequence_reduced,
-)
+from .gradedpoly import schur_sequence, schur_sequence_reduced
 from .laurent import (
     LaurentMatrix,
     ScalarSeries,
     VectorSeries,
+    gather_modes,
+    lm_column,
     lm_invert,
     lm_mul,
     lm_trim,
@@ -198,26 +195,27 @@ def base_symbol(spec: SymbolSpec, band: tuple[int, int] | None = None) -> Lauren
 # -- shift matrix and its exponential ----------------------------------------
 
 
+def fold(s: np.ndarray, lo: int, n: int, band: tuple[int, int]) -> np.ndarray:
+    """Fold a zeta-series into n x n blocks over z = zeta^n, on the band of z-modes.
+
+    s holds the zeta-modes lo, lo+1, ... along its first axis (any trailing
+    shape).  Entry (i, j) of z-mode q is s_{nq+i-j}: the block action of
+    multiplication by the series, since zeta acts as the shift L.  The
+    result has shape (width, n, n) + s.shape[1:].
+    """
+    qs = np.arange(band[0], band[1] + 1)
+    ij = np.arange(n)
+    return gather_modes(s, lo, n * qs[:, None, None] + ij[:, None] - ij)
+
+
 def lambda_power(n: int, k: int) -> LaurentMatrix:
     """L^k as a banded symbol; L^n = z * I extends to negative k as well.
 
     L = L^1 is the n x n shift symbol: subdiagonal ones, top-right corner z.
-
-    Entry (i, j) equals z^q when q = (k + j - i)/n is an integer, else 0.
+    L^k is the fold of zeta^k: entry (i, j) equals z^q when nq + i - j = k.
     """
-    qs = [
-        (k + j - i) // n
-        for i in range(n)
-        for j in range(n)
-        if (k + j - i) % n == 0
-    ]
-    lo, hi = min(qs), max(qs)
-    coeffs = np.zeros((hi - lo + 1, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if (k + j - i) % n == 0:
-                coeffs[(k + j - i) // n - lo, i, j] = 1.0
-    return LaurentMatrix(n, lo, hi, coeffs)
+    band = ((k - n + 1) // n, (k + n - 1) // n)
+    return lm_trim(LaurentMatrix(n, *band, fold(np.ones(1), k, n, band)))
 
 
 def schur_numeric(tvals, kmax: int) -> np.ndarray:
@@ -238,11 +236,11 @@ def exp_xi_lambda(
 ) -> LaurentMatrix:
     """exp(xi(t, L)) = sum_k p_k(t) L^k as a banded symbol.
 
-    Every in-band Fourier mode is exact: entry (i,j) of mode q receives the
-    single Schur value p_{nq+i-j}.  By default the band must also hold the
-    whole function, i.e. the Schur values at the band edge must have decayed
-    below EXP_TAIL_TOL, so that the banded object can stand in for the
-    symbol globally (sampling, factorization, limit theorems).  Pass
+    Every in-band Fourier mode is exact: the band is the fold of the Schur
+    values p_0..p_kmax, one value per entry.  By default the band must also
+    hold the whole function, i.e. the Schur values at the band edge must
+    have decayed below EXP_TAIL_TOL, so that the banded object can stand in
+    for the symbol globally (sampling, factorization, limit theorems).  Pass
     exact_only=True to skip that guard when only the in-band projection is
     needed (finite Toeplitz truncations read a fixed window of modes).
     """
@@ -258,13 +256,7 @@ def exp_xi_lambda(
             raise TruncationError(
                 f"Schur values at the band edge are {edge:.3g} (band hi={hi} too small)"
             )
-    # entry (i, j) of mode q is p_{nq+i-j}: a 1x1-block matrix over rows (q, i)
-    qs = np.arange(lo, hi + 1)
-    ij = np.arange(n)
-    modes = (n * qs[:, None] + ij).reshape(-1, 1) - ij[None, :]
-    schur = LaurentMatrix(1, 0, kmax, p[:, None, None])
-    coeffs = schur.block_matrix(modes).reshape(hi - lo + 1, n, n)
-    return LaurentMatrix(n, lo, hi, coeffs)
+    return LaurentMatrix(n, lo, hi, fold(p, 0, n, band))
 
 
 def root_grid(z: np.ndarray, n: int) -> np.ndarray:
@@ -332,50 +324,33 @@ def gd_symbol_values(spec: SymbolSpec, t: TimeVector, z) -> np.ndarray:
     return exp_xi_values(t, spec.n, z) @ base_symbol_values(spec, z)
 
 
-@dataclass
-class GradedLaurentMatrix:
-    """Banded series whose matrix entries are graded polynomials in the times."""
-
-    n: int
-    lo: int
-    hi: int
-    K: int
-    Q: int
-    entries: list  # entries[k-lo][i][j] is a GradedPoly
-
-    def block(self, k: int) -> list:
-        if self.lo <= k <= self.hi:
-            return self.entries[k - self.lo]
-        zero = gp_zero(self.K, self.Q)
-        return [[zero for _ in range(self.n)] for _ in range(self.n)]
-
-
 def gd_symbol_graded(
-    spec: SymbolSpec, band: tuple[int, int], K: int, Q: int, gd_reduced: bool
-) -> GradedLaurentMatrix:
-    """Deformed symbol with entries kept as polynomials in the times.
+    spec: SymbolSpec, band: tuple[int, int], Q: int, gd_reduced: bool
+) -> np.ndarray:
+    """Deformed symbol with entries kept as polynomials in the times t_1..t_Q.
 
-    Exact within the grading: Schur polynomials p_k with k > Q vanish in the
+    Returns the coefficient array of shape (width, n, n, basis) on the band:
+    entry [q, i, j] is the coefficient vector, over the (Q, Q) monomial
+    basis, of entry (i, j) of the z^q mode.  The layers L^k W, k = 0..Q, are
+    one GEMM of the folded unit vectors against a section of W; the layers
+    p_k of the Schur sequence then combine them in one product.  Exact
+    within the grading: Schur polynomials p_k with k > Q vanish in the
     truncated ring, so the layer sum is finite and no band-edge tail exists.
     """
     n = spec.n
-    ps = schur_sequence_reduced(K, Q, n) if gd_reduced else schur_sequence(K, Q)
+    ps = schur_sequence_reduced(Q, Q, n) if gd_reduced else schur_sequence(Q, Q)
     w = base_symbol(spec)
-    lo, hi = band
+    ks = np.arange(band[0], band[1] + 1)
+    e_hi = (Q + n - 1) // n
+    ms = np.arange(e_hi + 1)
+    # entry (i, l) of L^k at mode m, rows (k, i) by columns (m, l)
+    powers = fold(np.eye(Q + 1), 0, n, (0, e_hi)).transpose(3, 1, 0, 2)
+    layers = powers.reshape((Q + 1) * n, len(ms) * n) @ w.block_matrix(ks - ms[:, None])
+    layers = layers.reshape(Q + 1, n, len(ks), n).transpose(2, 1, 3, 0)
+    layers = np.where(np.abs(layers) > 1e-300, layers, 0.0)
     # the p_k are disjoint weight layers, so each coefficient of an entry
     # is one product: the L^k W coefficient times the p_k coefficient
-    coeffs = np.zeros((hi - lo + 1, n, n, len(ps[0].coeffs)), dtype=complex)
-    for k in range(0, Q + 1):
-        if ps[k].is_zero():
-            continue
-        blocks = lm_mul(lambda_power(n, k), w, band).coeffs
-        blocks = np.where(np.abs(blocks) > 1e-300, blocks, 0.0)
-        coeffs += blocks[..., None] * ps[k].coeffs
-    entries = [
-        [[GradedPoly(K, Q, coeffs[m, i, j]) for j in range(n)] for i in range(n)]
-        for m in range(hi - lo + 1)
-    ]
-    return GradedLaurentMatrix(n=n, lo=lo, hi=hi, K=K, Q=Q, entries=entries)
+    return layers @ np.stack([p.coeffs for p in ps])
 
 
 # -- flattening between C^n-valued and scalar series -------------------------
@@ -386,31 +361,20 @@ def xi_map(v: VectorSeries) -> ScalarSeries:
 
     Component a of the z^k coefficient becomes the zeta^(n*k+a) coefficient.
     """
-    n = v.n
-    lo = n * v.lo
-    hi = n * v.hi + n - 1
-    out = np.zeros(hi - lo + 1, dtype=complex)
-    for k in range(v.lo, v.hi + 1):
-        row = v.coeffs[k - v.lo]
-        out[n * k - lo : n * k - lo + n] = row
-    return ScalarSeries(lo, out)
+    return ScalarSeries(v.n * v.lo, v.coeffs.flatten())
 
 
 def xi_inverse(s: ScalarSeries, n: int) -> VectorSeries:
-    """Undo xi_map: scalar zeta-series back to a C^n-valued z-series."""
-    klo = s.lo // n   # floor division handles negative lows correctly
-    khi = s.hi // n
-    out = np.zeros((khi - klo + 1, n), dtype=complex)
-    for m in range(s.lo, s.hi + 1):
-        k, a = divmod(m, n)
-        out[k - klo, a] = s.coeff(m)
-    return VectorSeries(n, klo, out)
+    """Undo xi_map: scalar zeta-series back to a C^n-valued z-series.
+
+    Component a of the z^k coefficient is s_{nk+a}, column 0 of the fold.
+    """
+    band = (s.lo // n, s.hi // n)   # floor division handles negative lows correctly
+    return VectorSeries(n, band[0], fold(s.coeffs, s.lo, n, band)[:, :, 0])
 
 
 def column_series(spec: SymbolSpec, j: int) -> ScalarSeries:
     """Scalar generator: flattened column j (0-based) of the base symbol."""
-    from .laurent import lm_column
-
     w = base_symbol(spec)
     return xi_map(lm_column(lm_trim(w, 0.0), j))
 

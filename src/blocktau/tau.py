@@ -49,7 +49,7 @@ from .gradedpoly import (
     schur_sequence,
     schur_sequence_reduced,
 )
-from .laurent import COND_LIMIT, ScalarSeries
+from .laurent import COND_LIMIT, gather_modes
 from .symbols import (
     SymbolSpec,
     TimeVector,
@@ -82,7 +82,6 @@ __all__ = [
     "kernel_facts_check",
     "lemma_wronsky_check",
     "max_abs_coeff",
-    "omega_series",
     "random_graded",
     "recursion_check",
     "stability_check",
@@ -167,37 +166,22 @@ def tau_numeric(spec: SymbolSpec, t: TimeVector, N: int) -> complex:
     return det_DN(build_TN(lm, N))
 
 
-def tau_graded(
-    spec: SymbolSpec,
-    N: int,
-    Q: int,
-    K: int | None = None,
-    gd_reduced: bool = True,
-) -> GradedPoly:
+def tau_graded(spec: SymbolSpec, N: int, Q: int, gd_reduced: bool = True) -> GradedPoly:
     """Same determinant carried out over the truncated graded ring."""
     n = spec.n
-    if K is None:
-        K = Q
     if N == 0:
-        return gp_const(K, Q, 1.0)
-    glm = gd_symbol_graded(spec, (-(N - 1), N - 1), K=K, Q=Q, gd_reduced=gd_reduced)
-    rows: list[list[GradedPoly]] = []
-    blocks = {d: glm.block(d) for d in range(-(N - 1), N)}
-    for I in range(N):
-        for i in range(n):
-            row: list[GradedPoly] = []
-            for J in range(N):
-                row.extend(blocks[I - J][i])
-            rows.append(row)
-    return gp_det(rows)
+        return gp_const(Q, Q, 1.0)
+    coeffs = gd_symbol_graded(spec, (-(N - 1), N - 1), Q, gd_reduced)
+    idx = np.arange(N)
+    T = gather_modes(coeffs, -(N - 1), idx[:, None] - idx)  # block (I, J) is mode I - J
+    T = T.transpose(0, 2, 1, 3, 4).reshape(N * n, N * n, -1)
+    return gp_det([[GradedPoly(Q, Q, entry) for entry in row] for row in T])
 
 
-def stable_tau_graded(
-    spec: SymbolSpec, Q: int, K: int | None = None, gd_reduced: bool = True
-) -> GradedPoly:
+def stable_tau_graded(spec: SymbolSpec, Q: int, gd_reduced: bool = True) -> GradedPoly:
     """Graded tau at a truncation level deep enough for all weights <= Q."""
     N = max(1, math.ceil(Q / spec.n))
-    return tau_graded(spec, N, Q, K=K, gd_reduced=gd_reduced)
+    return tau_graded(spec, N, Q, gd_reduced=gd_reduced)
 
 
 @dataclass
@@ -215,20 +199,17 @@ def tau_series(
     N: int,
     Q: int,
     representation: str = "graded",
-    K: int | None = None,
     gd_reduced: bool = True,
 ) -> TauSeries:
     """Build the tau polynomial along the requested route."""
     if representation == "graded":
-        series = tau_graded(spec, N, Q, K=K, gd_reduced=gd_reduced)
+        series = tau_graded(spec, N, Q, gd_reduced=gd_reduced)
     elif representation == "character":
         if gd_reduced:
             raise ValueError("the character route is a full-hierarchy statement")
-        series = character_assembly(
-            character_expansion(spec, N, Q, K=K), K if K is not None else Q, Q
-        )
+        series = character_assembly(character_expansion(spec, N, Q), Q, Q)
     elif representation == "wronskian":
-        series = wronskian_tau(f_family(spec, N, Q, K=K, gd_reduced=gd_reduced))
+        series = wronskian_tau(f_family(spec, N, Q, gd_reduced=gd_reduced))
     else:
         raise ValueError(f"unknown representation {representation!r}")
     return TauSeries(spec=spec, N=N, representation=representation, series=series)
@@ -237,30 +218,26 @@ def tau_series(
 # -- character expansion ------------------------------------------------------
 
 
-def character_expansion(
-    spec: SymbolSpec, N: int, Q: int, K: int | None = None
-) -> dict[tuple[int, ...], complex]:
+def character_expansion(spec: SymbolSpec, N: int, Q: int) -> dict[tuple[int, ...], complex]:
     """Partition-indexed expansion coefficients of the graded tau.
 
     The coefficient of a partition is the minor of the column-generator
     modes picked out by the shifted parts; pairing it with the matching
     polynomial basis element and summing reproduces the full (unreduced)
     graded tau.  Partitions run over all weights <= Q and at most n*N rows.
+    Every minor comes from one gather and all go through one batched det.
     """
     n = spec.n
     M = n * N
-    oms = [omega_series(spec, s) for s in range(1, M + 1)]
-    out: dict[tuple[int, ...], complex] = {}
-    for lam in partitions_upto(Q, max_len=M):
-        lam_t = normalize_partition(lam)
-        parts = list(lam_t) + [0] * (M - len(lam_t))
-        mat = np.empty((M, M), dtype=complex)
-        for i in range(M):
-            for j in range(M):
-                # mode -(d_j + 1) with d_j = part_j - (j+1) in 0-based j
-                mat[i, j] = oms[i].coeff((j + 1) - parts[j] - 1)
-        out[lam_t] = complex(np.linalg.det(mat))
-    return out
+    lams = [normalize_partition(lam) for lam in partitions_upto(Q, max_len=M)]
+    parts = np.array([list(lam) + [0] * (M - len(lam)) for lam in lams], dtype=int)
+    lo, cols = _base_generators(spec)
+    # entry (i, j) of a minor is mode j - part_j of generator i = q*n + b,
+    # which is mode j - part_j - n*q of base generator b
+    modes = np.arange(M) - parts[:, None, :] - n * np.arange(N)[:, None]
+    minors = gather_modes(cols, lo, modes).transpose(0, 1, 3, 2)
+    dets = np.linalg.det(minors.reshape(len(lams), M, M))
+    return {lam: complex(d) for lam, d in zip(lams, dets)}
 
 
 def character_assembly(
@@ -278,31 +255,13 @@ def character_assembly(
 # -- generator family and Wronskian route -------------------------------------
 
 
-def omega_series(spec: SymbolSpec, s: int) -> ScalarSeries:
-    """Flattened scalar generator number s (1-based) of the symbol's span.
+def _base_generators(spec: SymbolSpec) -> tuple[int, np.ndarray]:
+    """Lowest mode and the (modes, n) array of the first n scalar generators.
 
-    Generators beyond the first n are shifts of the base columns: generator
-    s+n is the base generator s multiplied by the flattening variable to the
-    n-th power, i.e. the same coefficients moved up n modes.
+    Generator s = q*n + b + 1 is column b of this array moved up n*q modes.
     """
-    if s < 1:
-        raise ValueError("generator index is 1-based")
-    q, b = divmod(s - 1, spec.n)
-    base = column_series(spec, b)
-    return ScalarSeries(base.lo + spec.n * q, base.coeffs.copy())
-
-
-def _f_from_omega(
-    om: ScalarSeries, nN: int, ps: list[GradedPoly], K: int, Q: int
-) -> GradedPoly:
-    f = gp_zero(K, Q)
-    for m in range(om.lo, om.hi + 1):
-        idx = nN - 1 - m
-        if 0 <= idx <= Q:
-            c = om.coeff(m)
-            if c != 0:
-                f = f + ps[idx] * c
-    return f
+    cols = [column_series(spec, b) for b in range(spec.n)]
+    return cols[0].lo, np.stack([c.coeffs for c in cols], axis=1)
 
 
 @dataclass
@@ -325,15 +284,21 @@ def f_family(
     K: int | None = None,
     gd_reduced: bool = True,
 ) -> FFamily:
-    """Build the generator family at truncation level N."""
+    """Build the generator family at truncation level N.
+
+    Member s is sum_k p_k * (mode nN - 1 - k of generator s): one gather of
+    the generator modes against the stacked Schur layers p_0..p_Q.
+    """
     n = spec.n
     if K is None:
         K = Q
     ps = schur_sequence_reduced(K, Q, n) if gd_reduced else schur_sequence(K, Q)
-    funcs = [
-        _f_from_omega(omega_series(spec, s), n * N, ps, K, Q)
-        for s in range(1, n * N + 1)
-    ]
+    lo, cols = _base_generators(spec)
+    # generator q*n + b at mode nN - 1 - k is base generator b at nN - 1 - k - n*q
+    modes = n * N - 1 - np.arange(Q + 1) - n * np.arange(N)[:, None]
+    picked = gather_modes(cols, lo, modes).transpose(0, 2, 1).reshape(n * N, Q + 1)
+    coeffs = picked @ np.stack([p.coeffs for p in ps])
+    funcs = [GradedPoly(K, Q, c) for c in coeffs]
     return FFamily(spec=spec, N=N, Q=Q, K=K, gd_reduced=gd_reduced, funcs=funcs)
 
 
@@ -702,24 +667,17 @@ class StabilityReport:
         return self.max_gap <= self.tol
 
 
-def stability_check(
-    spec: SymbolSpec,
-    N: int,
-    Q: int,
-    K: int | None = None,
-    gd_reduced: bool = True,
-    tol: float = 1e-12,
-) -> StabilityReport:
+def stability_check(spec: SymbolSpec, N: int, Q: int) -> StabilityReport:
     """Compare graded tau at levels N and N+1 up to weight min(N, Q)."""
-    a = tau_graded(spec, N, Q, K=K, gd_reduced=gd_reduced)
-    b = tau_graded(spec, N + 1, Q, K=K, gd_reduced=gd_reduced)
+    a = tau_graded(spec, N, Q)
+    b = tau_graded(spec, N + 1, Q)
     upto = min(N, Q)
     diff = np.abs(a.coeffs - b.coeffs)
     gaps = {
         w: float(np.max(diff[a.weights == w], initial=0.0)) for w in range(upto + 1)
     }
     return StabilityReport(
-        N=N, Q=Q, upto=upto, gaps=gaps, max_gap=max(gaps.values()), tol=tol
+        N=N, Q=Q, upto=upto, gaps=gaps, max_gap=max(gaps.values()), tol=1e-12
     )
 
 
@@ -766,14 +724,7 @@ def tau_stable(spec: SymbolSpec, t: TimeVector, tol: float = 1e-8) -> complex:
 # -- wave (Baker) coefficients ------------------------------------------------
 
 
-def wave_function(
-    spec: SymbolSpec,
-    N: int,
-    Q: int,
-    orders: int,
-    K: int | None = None,
-    gd_reduced: bool = True,
-) -> tuple[GradedPoly, ...]:
+def wave_function(spec: SymbolSpec, N: int, Q: int, orders: int) -> tuple[GradedPoly, ...]:
     """Laurent coefficients of the normalized wave function at level N.
 
     Entry m is the coefficient of the m-th inverse power in the shifted-time
@@ -782,7 +733,7 @@ def wave_function(
     """
     if orders < 0:
         raise ValueError("orders must be >= 0")
-    tau = tau_graded(spec, N, Q, K=K, gd_reduced=gd_reduced)
+    tau = tau_graded(spec, N, Q)
     if abs(tau.constant_term()) == 0.0:
         raise DegenerateInput("graded tau has zero constant term")
     cs = sato_shift(tau, orders)

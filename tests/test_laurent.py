@@ -13,6 +13,7 @@ from blocktau.laurent import (
     ScalarSeries,
     VectorSeries,
     admissibility,
+    gather_modes,
     geometric_mean,
     inverse_transform,
     lm_add,
@@ -87,6 +88,53 @@ def test_mul_matches_pointwise():
     z = np.exp(2j * np.pi * (np.arange(32) + 0.4) / 32)
     gap = np.max(np.abs(prod(z) - np.einsum("lab,lbc->lac", a(z), b(z))))
     assert gap < 1e-12
+
+
+def _lm_mul_loop(a, b, band):
+    """Reference product: one block GEMM per mode of a."""
+    lo, hi = band
+    coeffs = np.zeros((hi - lo + 1, a.n, a.n), dtype=complex)
+    for m in range(a.lo, a.hi + 1):
+        k0, k1 = max(lo, m + b.lo), min(hi, m + b.hi)
+        if k0 <= k1:
+            coeffs[k0 - lo : k1 - lo + 1] += (
+                a.block(m) @ b.coeffs[k0 - m - b.lo : k1 - m - b.lo + 1]
+            )
+    return coeffs
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.integers(-6, 6),
+    st.integers(0, 9),
+    st.integers(-6, 6),
+    st.integers(0, 9),
+    st.integers(-14, 14),
+    st.integers(0, 12),
+)
+def test_lm_mul_matches_mode_loop(seed, n, alo, aw, blo, bw, lo, w):
+    # output bands that overlap, touch or miss the product band, with the
+    # wider operand on either side
+    rng = np.random.default_rng(seed)
+    a = _random_lm(rng, n, alo, alo + aw)
+    b = _random_lm(rng, n, blo, blo + bw)
+    got = lm_mul(a, b, (lo, lo + w))
+    assert (got.lo, got.hi) == (lo, lo + w)
+    assert np.max(np.abs(got.coeffs - _lm_mul_loop(a, b, (lo, lo + w)))) < 1e-12
+
+
+def test_gather_modes_with_a_trailing_axis():
+    rng = np.random.default_rng(8)
+    coeffs = rng.normal(size=(5, 2, 3)) + 1j * rng.normal(size=(5, 2, 3))
+    modes = np.array([[-4, -2, 0], [2, 3, 7]])
+    got = gather_modes(coeffs, -2, modes)
+    assert got.shape == (2, 3, 2, 3)
+    for r in range(2):
+        for c in range(3):
+            k = modes[r, c] + 2
+            want = coeffs[k] if 0 <= k < 5 else np.zeros((2, 3))
+            assert np.array_equal(got[r, c], want)
 
 
 def test_identity_add_scale_project():

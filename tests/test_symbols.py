@@ -6,9 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blocktau.errors import DegenerateInput, SpecError, TruncationError
+from blocktau.gradedpoly import schur_sequence, schur_sequence_reduced
 from blocktau.laurent import ScalarSeries, VectorSeries, lm_mul
 from blocktau.symbols import (
     base_band,
+    base_inverse,
     base_symbol,
     base_symbol_values,
     big_cell_check,
@@ -16,7 +18,9 @@ from blocktau.symbols import (
     covering_spec,
     exp_xi_lambda,
     exp_xi_values,
+    fold,
     gd_symbol,
+    gd_symbol_graded,
     gd_symbol_values,
     lambda_power,
     rational_spec,
@@ -93,6 +97,21 @@ def test_lambda_matrix_entries():
     assert np.max(np.abs(lam.block(1) - np.array([[0, 1], [0, 0]]))) == 0.0
 
 
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(-9, 3), st.integers(-4, 1))
+def test_fold_matches_entry_loop(seed, n, lo, qlo):
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
+    band = (qlo, qlo + 4)
+    got = fold(s, lo, n, band)
+    assert got.shape == (5, n, n, 2)
+    for q in range(band[0], band[1] + 1):
+        for i in range(n):
+            for j in range(n):
+                k = n * q + i - j - lo
+                want = s[k] if 0 <= k < len(s) else np.zeros(2)
+                assert np.array_equal(got[q - band[0], i, j], want)
+
+
 # -- time deformation --------------------------------------------------------
 
 
@@ -133,6 +152,33 @@ def test_exp_xi_inverse_is_reversed_times():
     for q in range(0, 17):
         want = np.eye(2) if q == 0 else np.zeros((2, 2))
         assert np.max(np.abs(prod.block(q) - want)) < 1e-10
+
+
+@pytest.mark.parametrize("spec", [RSPEC, CSPEC], ids=["rational", "covering"])
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "full"])
+def test_gd_symbol_graded_matches_layer_sum(spec, reduced):
+    # sum over k of (L^k W) times the Schur layer p_k, one layer at a time
+    Q, band = 7, (-3, 3)
+    ps = schur_sequence_reduced(Q, Q, spec.n) if reduced else schur_sequence(Q, Q)
+    want = 0.0
+    for k in range(Q + 1):
+        blocks = lm_mul(lambda_power(spec.n, k), base_symbol(spec), band).coeffs
+        blocks = np.where(np.abs(blocks) > 1e-300, blocks, 0.0)
+        want = want + blocks[..., None] * ps[k].coeffs
+    got = gd_symbol_graded(spec, band, Q, reduced)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_base_inverse_of_a_slow_decay_is_cut_on_the_sample_scale():
+    # 1/(1 - 0.9801/z) decays slowly; round-off modes of positive index and
+    # beyond ~1,650 negative modes sit below 1e-16 of the largest sample
+    spec = rational_spec([0.99, 0.2])
+    w, w_inv = base_symbol(spec), base_inverse(spec)
+    assert w_inv.hi == 0 and w_inv.width <= 1700
+    z = np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
+    gap = np.max(np.abs(np.einsum("lab,lbc->lac", w(z), w_inv(z)) - np.eye(2)[None]))
+    assert gap <= 1e-13
 
 
 def test_exp_xi_band_guard():

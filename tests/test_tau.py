@@ -12,11 +12,21 @@ from blocktau.gradedpoly import (
     evaluate,
     gp_const,
     hirota_kdv_residual,
+    normalize_partition,
+    partitions_upto,
+    schur_sequence,
     schur_sequence_reduced,
 )
 from blocktau.laurent import geometric_mean
-from blocktau.symbols import covering_spec, gd_symbol, rational_spec, time_vector
+from blocktau.symbols import (
+    column_series,
+    covering_spec,
+    gd_symbol,
+    rational_spec,
+    time_vector,
+)
 from blocktau.tau import (
+    character_expansion,
     coefficient_gap,
     delta_action,
     f_family,
@@ -88,6 +98,40 @@ def test_f_family_derivative_raises_index():
     assert coefficient_gap(d2f, f31) < 1e-15
 
 
+def _generator_mode(spec, s, m):
+    """Mode m of generator s (1-based): base column (s-1) % n moved up n*((s-1)//n)."""
+    q, b = divmod(s - 1, spec.n)
+    return column_series(spec, b).coeff(m - spec.n * q)
+
+
+@pytest.mark.parametrize("spec", [RSPEC, CSPEC], ids=["rational", "covering"])
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "full"])
+def test_f_family_matches_generator_mode_sum(spec, reduced):
+    N, Q, K = 2, 7, 5
+    ps = schur_sequence_reduced(K, Q, spec.n) if reduced else schur_sequence(K, Q)
+    ff = f_family(spec, N, Q, K=K, gd_reduced=reduced)
+    nN = spec.n * N
+    for s, f in enumerate(ff.funcs, start=1):
+        want = sum(ps[k] * _generator_mode(spec, s, nN - 1 - k) for k in range(Q + 1))
+        assert coefficient_gap(f, want) <= 1e-15
+
+
+@pytest.mark.parametrize("spec", [RSPEC, CSPEC], ids=["rational", "covering"])
+def test_character_expansion_matches_minor_loop(spec):
+    N, Q = 2, 6
+    M = spec.n * N
+    got = character_expansion(spec, N, Q)
+    lams = [normalize_partition(lam) for lam in partitions_upto(Q, max_len=M)]
+    assert list(got) == lams
+    for lam in lams:
+        parts = list(lam) + [0] * (M - len(lam))
+        mat = np.empty((M, M), dtype=complex)
+        for i in range(M):
+            for j in range(M):
+                mat[i, j] = _generator_mode(spec, i + 1, j - parts[j])
+        assert abs(got[lam] - np.linalg.det(mat)) <= 1e-14
+
+
 def test_delta_action_annihilates_family():
     ff2 = f_family(RSPEC, 2, 6)
     dg = delta_action(ff2, ff2.funcs[2])
@@ -130,7 +174,7 @@ def test_wronskian_route_headroom():
 def test_numeric_equals_graded_evaluation():
     tv = time_vector((0.08, 0.0, -0.05, 0.0, 0.03))
     tau_n = tau_numeric(RSPEC, tv, 2)
-    tau_g = tau_graded(RSPEC, 2, 10, K=10)
+    tau_g = tau_graded(RSPEC, 2, 10)
     val = evaluate(tau_g, list(tv.values) + [0.0] * 5)
     assert abs(tau_n - val) < 1e-9
 
