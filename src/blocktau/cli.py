@@ -375,7 +375,8 @@ def cmd_converge(cfg: RunConfig, out: str, tol: float | None) -> int:
         )
         prev = ratio
     _write_lines(os.path.join(out, "converge.csv"), lines)
-    fit = toeplitz.fit_decay(deltas)
+    # deltas at round-off (criterion 3's 1e-14, on the scale of the ratio) carry no decay
+    fit = toeplitz.fit_decay(deltas, floor=1e-14 * abs(ratio))
     use_tol = tol if tol is not None else cfg.converge_tol
     settled = deltas[-1] <= use_tol
     _write_lines(

@@ -33,6 +33,7 @@ from .errors import AliasError, FactorizationError
 from .laurent import (
     CircleSamples,
     LaurentMatrix,
+    inverse_transform,
     invert_symbol,
     lm_invert,
     lm_mul,
@@ -83,38 +84,45 @@ def wiener_hopf(
         held = np.flatnonzero(norms[:cap] > 1e-16 * norms.max())  # modes -cap..-1
         depth = cap - int(held[0]) if len(held) else 0
         B = min(depth + DEFAULT_EXTRA_BAND, cap)
-    z = x.grid()
     scale = float(np.max(np.abs(x.values)))
     while True:
         # block system: sum_{k=1..B} (g^{-1})^(k-m) T_minus^(-k) = -(g^{-1})^(-m)
         ms = np.arange(1, B + 1)
         A = ginv.block_matrix(ms[None, :] - ms[:, None])
         rhs = -ginv.block_matrix(-ms[:, None])
-        cond = float(np.linalg.cond(A))
-        if not np.isfinite(cond) or cond > 1e13:
+        try:
+            X = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError:
             raise FactorizationError(
-                f"factorization system is numerically singular (cond={cond:.3g})"
-            )
-        X = np.linalg.solve(A, rhs)
+                f"factorization system is numerically singular (solve failed at B={B})"
+            ) from None
         coeffs = np.zeros((B + 1, n, n), dtype=complex)
         coeffs[B] = np.eye(n)  # mode 0
         coeffs[:B] = X.reshape(B, n, n)[::-1]  # modes -B..-1
         T_minus = LaurentMatrix(n, -B, 0, coeffs)
 
-        tm_vals = T_minus(z)
+        tm_vals = inverse_transform(T_minus, x.M, x.radius).values
         plus_vals = np.linalg.solve(tm_vals, x.values)
         full = transform(CircleSamples(n, x.M, plus_vals, x.radius), (-cap, cap - 1))
         T_plus = lm_trim(lm_project(full, 0, full.hi), 1e-16)
-        recon = np.einsum("lab,lbc->lac", tm_vals, T_plus(z))
+        plus_samples = inverse_transform(T_plus, x.M, x.radius).values
+        recon = np.einsum("lab,lbc->lac", tm_vals, plus_samples)
         residual = float(np.max(np.abs(x.values - recon))) / max(scale, 1e-300)
-        if residual <= tol:
+        if residual <= tol or last or B >= cap:
             break
-        if last or B >= cap:
-            raise FactorizationError(
-                f"residual {residual:.3g} exceeds tol {tol:g} at depth B={B}; "
-                "increase the depth or the sample grid"
-            )
         B = min(2 * B, cap)
+    # the system at a depth contains every shallower one as a leading block,
+    # so its condition number is the largest: only the last depth needs it
+    cond = float(np.linalg.cond(A))
+    if not np.isfinite(cond) or cond > 1e13:
+        raise FactorizationError(
+            f"factorization system is numerically singular (cond={cond:.3g})"
+        )
+    if residual > tol:
+        raise FactorizationError(
+            f"residual {residual:.3g} exceeds tol {tol:g} at depth B={B}; "
+            "increase the depth or the sample grid"
+        )
     # energy bookkeeping before projection onto non-negative modes
     neg_energy = float(np.linalg.norm(full.coeffs[: -full.lo]) ** 2)
     tot_energy = float(np.linalg.norm(full.coeffs) ** 2)
@@ -124,7 +132,7 @@ def wiener_hopf(
         residual=residual,
         leakage=neg_energy / tot_energy if tot_energy > 0 else 0.0,
         cond=cond,
-        det_plus_dev=float(np.max(np.abs(np.linalg.det(T_plus(z)) - 1.0))),
+        det_plus_dev=float(np.max(np.abs(np.linalg.det(plus_samples) - 1.0))),
         B_used=B,
     )
 

@@ -30,6 +30,7 @@ from .errors import (
 )
 
 COND_LIMIT = 1e12        # inversion refuses beyond this condition number (or bound)
+COND_SCREEN = 0.5 * COND_LIMIT  # a Frobenius bound (>= cond_2) below this skips the SVD
 DET_FLOOR = 1e-13        # |det| below this (relative) makes the winding undefined
 UNWRAP_JUMP = np.pi / 2  # largest tolerated argument step between neighbour samples
 
@@ -189,15 +190,21 @@ def transform_tail(x: CircleSamples, band: tuple[int, int]) -> float:
     return float(np.max(norms)) / top
 
 
-def inverse_transform(lm: LaurentMatrix, M: int) -> CircleSamples:
-    """Synthesize unit-circle samples from banded coefficients (FFT synthesis)."""
+def inverse_transform(lm: LaurentMatrix, M: int, radius: float = 1.0) -> CircleSamples:
+    """Synthesize samples on |z| = radius from banded coefficients (FFT synthesis).
+
+    Mode k is scaled by radius^k first, the inverse of transform's scaling.
+    """
     if M < 2 * lm.width:
         raise AliasError(f"grid M={M} too coarse for bandwidth {lm.width}")
     spectrum = np.zeros((M, lm.n, lm.n), dtype=complex)
     ks = np.arange(lm.lo, lm.hi + 1)
-    np.add.at(spectrum, ks % M, lm.coeffs)
+    coeffs = lm.coeffs
+    if radius != 1.0:
+        coeffs = coeffs * (radius**ks)[:, None, None]
+    np.add.at(spectrum, ks % M, coeffs)
     values = np.fft.ifft(spectrum, axis=0) * M
-    return CircleSamples(lm.n, M, values)
+    return CircleSamples(lm.n, M, values, radius)
 
 
 def transform_adaptive(
@@ -318,15 +325,28 @@ def samples_mul(a: CircleSamples, b: CircleSamples) -> CircleSamples:
 
 
 def invert_symbol(x: CircleSamples) -> CircleSamples:
-    """Pointwise matrix inverse; rejects nearly singular sample points."""
-    conds = np.linalg.cond(x.values)
-    worst = float(np.max(conds))
-    if not np.isfinite(worst) or worst > COND_LIMIT:
-        j = int(np.argmax(np.where(np.isfinite(conds), conds, np.inf)))
-        raise NearSingularSymbol(
-            f"condition number {worst:.3g} at sample {j} exceeds {COND_LIMIT:g}"
-        )
-    return CircleSamples(x.n, x.M, np.linalg.inv(x.values), x.radius)
+    """Pointwise matrix inverse; rejects nearly singular sample points.
+
+    ||A||_F ||A^-1||_F, an upper bound of cond_2(A), screens every sample
+    from the inverse itself.  Only when a sample misses COND_SCREEN (half
+    of COND_LIMIT: room for the round-off of an inverse at that
+    conditioning) are the SVD condition numbers computed; they decide.
+    """
+    try:
+        inv = np.linalg.inv(x.values)
+    except np.linalg.LinAlgError:  # exactly singular: the condition numbers say so
+        inv = None
+    if inv is None or not np.all(
+        np.linalg.norm(x.values, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2)) <= COND_SCREEN
+    ):
+        conds = np.linalg.cond(x.values)
+        worst = float(np.max(conds))
+        if not np.isfinite(worst) or worst > COND_LIMIT:
+            j = int(np.argmax(np.where(np.isfinite(conds), conds, np.inf)))
+            raise NearSingularSymbol(
+                f"condition number {worst:.3g} at sample {j} exceeds {COND_LIMIT:g}"
+            )
+    return CircleSamples(x.n, x.M, inv, x.radius)
 
 
 def lm_invert(a: LaurentMatrix, tail_tol: float = 1e-13) -> LaurentMatrix:
@@ -341,7 +361,7 @@ def lm_invert(a: LaurentMatrix, tail_tol: float = 1e-13) -> LaurentMatrix:
     while True:
         band_try = (-half, half)
         M = max(512, next_pow2(4 * half + 2))
-        x = invert_symbol(sample_function(a, a.n, M))
+        x = invert_symbol(inverse_transform(a, M))
         if transform_tail(x, band_try) < tail_tol:
             inv = transform(x, band_try)
             # cut round-off on the scale of the tail test, the largest sample

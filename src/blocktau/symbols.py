@@ -219,15 +219,23 @@ def lambda_power(n: int, k: int) -> LaurentMatrix:
 
 
 def schur_numeric(tvals, kmax: int) -> np.ndarray:
-    """Numeric values p_0..p_kmax of the Schur sequence at given times."""
-    t = np.asarray(tvals, dtype=complex)
+    """Numeric values p_0..p_kmax of the Schur sequence at given times.
+
+    p_k is the zeta^k coefficient of prod_i exp(t_i zeta^i).  The series of
+    each factor, t_i^m / m! at index i*m, is one cumprod cut at its last
+    nonzero entry, so folding it into p by one truncated convolution costs
+    O(kmax * factor length); zero times are skipped.
+    """
     p = np.zeros(kmax + 1, dtype=complex)
     p[0] = 1.0
-    for k in range(1, kmax + 1):
-        acc = 0.0 + 0.0j
-        for i in range(1, min(k, len(t)) + 1):
-            acc += i * t[i - 1] * p[k - i]
-        p[k] = acc / k
+    for i, ti in enumerate(np.asarray(tvals, dtype=complex)[:kmax], start=1):
+        if ti == 0:
+            continue
+        c = np.cumprod(np.concatenate([[1.0], ti / np.arange(1, kmax // i + 1)]))
+        c = c[: np.flatnonzero(c)[-1] + 1]
+        factor = np.zeros(i * (len(c) - 1) + 1, dtype=complex)
+        factor[::i] = c
+        p = np.convolve(p, factor)[: kmax + 1]
     return p
 
 

@@ -49,7 +49,7 @@ from .gradedpoly import (
     schur_sequence,
     schur_sequence_reduced,
 )
-from .laurent import COND_LIMIT, gather_modes
+from .laurent import COND_LIMIT, COND_SCREEN, LaurentMatrix, gather_modes
 from .symbols import (
     SymbolSpec,
     TimeVector,
@@ -684,6 +684,29 @@ def stability_check(spec: SymbolSpec, N: int, Q: int) -> StabilityReport:
 # -- stable value at a concrete time vector -----------------------------------
 
 
+def _wiener_gate(g: LaurentMatrix, g_inv: LaurentMatrix) -> None:
+    """Raise NearSingularSymbol when ||g||_W ||g^-1||_W exceeds COND_LIMIT.
+
+    ||a||_W = sum_k ||a_k||_2 bounds the spectral norm of a(z) on the
+    circle, so the product bounds the condition number of g there.  The
+    same sums over Frobenius norms bound it in turn and clear most symbols
+    without an SVD per block; only above COND_SCREEN is the spectral bound
+    computed, and it decides.
+    """
+
+    def bound(ord) -> float:
+        g_norm, inv_norm = (np.linalg.norm(a.coeffs, ord, axis=(1, 2)).sum() for a in (g, g_inv))
+        return float(g_norm * inv_norm)
+
+    if bound("fro") <= COND_SCREEN:
+        return
+    cond = bound(2)
+    if cond > COND_LIMIT:
+        raise NearSingularSymbol(
+            f"Wiener-norm condition bound {cond:.3g} exceeds {COND_LIMIT:g}"
+        )
+
+
 def tau_stable_report(
     spec: SymbolSpec, t: TimeVector, tol: float = 1e-8
 ) -> FredholmResult:
@@ -705,13 +728,7 @@ def tau_stable_report(
             if B >= 4096:
                 raise
             B *= 2
-    # ||a||_W = sum_k ||a_k||_2 bounds the spectral norm of a(z) on the circle
-    norms = [np.linalg.norm(a.coeffs, 2, axis=(1, 2)).sum() for a in (lm, lm_inv)]
-    cond = norms[0] * norms[1]
-    if cond > COND_LIMIT:
-        raise NearSingularSymbol(
-            f"Wiener-norm condition bound {cond:.3g} exceeds {COND_LIMIT:g}"
-        )
+    _wiener_gate(lm, lm_inv)
     op = plemelj_fourier(lm, lm_inv, 16)
     return fredholm_det(op, tol=min(tol, 1e-9), max_M=4096)
 

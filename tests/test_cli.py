@@ -163,6 +163,33 @@ def test_converge_unreachable_tolerance_fails(tmp_path, capsys):
     assert "FAIL converge" in capsys.readouterr().err
 
 
+def test_converge_fit_ignores_roundoff_tail(tmp_path, monkeypatch):
+    # covering.ini settles by N ~ 10; its later deltas are round-off (~3e-16)
+    path = str(Path(__file__).parents[1] / "configs" / "covering.ini")
+
+    def fitted(out):
+        assert cli.main(["converge", "--config", path, "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text().splitlines()
+        csv = (out / "converge.csv").read_text().strip().splitlines()[1:]
+        deltas = [float(line.split(",")[-1]) for line in csv]
+        return next(r for r in report if r.startswith("fitted decay ratio")), deltas
+
+    plain, plain_deltas = fitted(tmp_path / "plain")
+    real = cli.toeplitz.truncation_dets
+
+    def nudged(lm):
+        # one-ulp-scale relative perturbations of D_N past N = 10
+        for N, d in enumerate(real(lm), start=1):
+            yield d * (1.0 + (N > 10) * (-1) ** N * 4e-16)
+
+    monkeypatch.setattr(cli.toeplitz, "truncation_dets", nudged)
+    moved, moved_deltas = fitted(tmp_path / "nudged")
+    assert moved_deltas[:10] == plain_deltas[:10]
+    assert moved_deltas[10:] != plain_deltas[10:]
+    assert max(moved_deltas[11:]) < 1e-14
+    assert moved == plain
+
+
 # -- factorization dumps ------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from blocktau.symbols import (
     rational_spec,
     time_vector,
 )
+from blocktau import factorization
 from blocktau.factorization import (
     bo_consistency_check,
     deformed_symbol_samples,
@@ -110,6 +111,22 @@ def test_derived_depth_raises_at_the_cap():
     # no depth reaches a residual of 1e-17: the ladder stops at B = M//4
     with pytest.raises(FactorizationError, match="B=128"):
         wiener_hopf(_samples(M=512), tol=1e-17)
+
+
+def test_condition_number_is_taken_at_the_returned_depth_only(monkeypatch):
+    x = _samples(CSPEC, TV, 1024)
+    depths, cond = [], np.linalg.cond
+    monkeypatch.setattr(factorization.np.linalg, "cond", lambda a: depths.append(len(a)) or cond(a))
+    # g^{-1} holds 32 negative modes; starting the ladder at B = 10 misses tol
+    # (residual 5e-7) and B = 20 meets it (2e-12)
+    monkeypatch.setattr(factorization, "DEFAULT_EXTRA_BAND", 10 - 32)
+    fact = wiener_hopf(x, tol=1e-10)
+    assert fact.B_used == 20
+    assert depths == [2 * 20]
+    assert fact.cond == wiener_hopf(x, B=20, tol=1e-10).cond
+    with pytest.raises(FactorizationError, match="B=256"):
+        wiener_hopf(x, tol=1e-17)
+    assert depths[-1] == 2 * 256
 
 
 def test_alias_guard():

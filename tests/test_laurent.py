@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blocktau.errors import AliasError, BranchError, WindingUndefined
+from blocktau import laurent
+from blocktau.errors import AliasError, BranchError, NearSingularSymbol, WindingUndefined
 from blocktau.symbols import base_symbol, rational_spec
 from blocktau.laurent import (
+    COND_LIMIT,
     CSV_HEADER,
+    CircleSamples,
     LaurentMatrix,
     ScalarSeries,
     VectorSeries,
@@ -16,6 +19,7 @@ from blocktau.laurent import (
     gather_modes,
     geometric_mean,
     inverse_transform,
+    invert_symbol,
     lm_add,
     lm_column,
     lm_identity,
@@ -50,6 +54,42 @@ def test_transform_roundtrip(seed, n, lo, hi):
     lm = _random_lm(rng, n, lo, hi)
     back = transform(inverse_transform(lm, 64), (lo, hi))
     assert np.max(np.abs(back.coeffs - lm.coeffs)) < 1e-12
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.3])
+def test_inverse_transform_off_the_unit_circle(radius):
+    lm = _random_lm(np.random.default_rng(3), 2, -5, 6)
+    x = inverse_transform(lm, 64, radius)
+    assert x.radius == radius
+    assert np.max(np.abs(x.values - lm(x.grid()))) < 1e-12 * np.max(np.abs(x.values))
+    assert np.max(np.abs(transform(x, (-5, 6)).coeffs - lm.coeffs)) < 1e-12
+
+
+def _samples_with_condition(cond):
+    """Eight well-conditioned 2 x 2 samples and, at sample 5, one of the given cond_2."""
+    rng = np.random.default_rng(11)
+    values = np.eye(2) + 0.3 * rng.normal(size=(8, 2, 2))
+    u, _, vh = np.linalg.svd(rng.normal(size=(2, 2)))
+    values[5] = u @ np.diag([1.0, 1.0 / cond]) @ vh
+    return CircleSamples(2, 8, values)
+
+
+@pytest.mark.parametrize("cond", [1e3, 0.2e12, 0.7e12, 1.1e12, np.inf])
+def test_invert_symbol_screen_keeps_the_svd_decision(monkeypatch, cond):
+    x = _samples_with_condition(cond)
+    conds = np.linalg.cond(x.values)
+    svd_calls, svd_cond = [], np.linalg.cond
+    monkeypatch.setattr(laurent.np.linalg, "cond", lambda a: svd_calls.append(1) or svd_cond(a))
+    if not conds.max() <= COND_LIMIT:
+        with pytest.raises(NearSingularSymbol) as exc:
+            invert_symbol(x)
+        worst = conds.max()
+        assert str(exc.value) == f"condition number {worst:.3g} at sample 5 exceeds 1e+12"
+    else:
+        inv = invert_symbol(x)
+        assert np.array_equal(inv.values, np.linalg.inv(x.values))
+    # the Frobenius screen clears samples below half the limit without an SVD
+    assert len(svd_calls) == (0 if cond < 0.5 * COND_LIMIT else 1)
 
 
 def test_transform_alias_guard():

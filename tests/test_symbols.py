@@ -1,5 +1,6 @@
 """Symbol families, shift matrix calculus, time deformations, flattening."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -30,6 +31,7 @@ from blocktau.symbols import (
     xi_inverse,
     xi_map,
 )
+from oracles import schur_recurrence
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
@@ -115,11 +117,82 @@ def test_fold_matches_entry_loop(seed, n, lo, qlo):
 # -- time deformation --------------------------------------------------------
 
 
+def _miwa_times(count, K, seed):
+    """t_k = sum_j x_j^k / k for count points x_j inside the disk of radius 0.9."""
+    rng = np.random.default_rng(seed)
+    x = 0.9 * rng.random(count) * np.exp(2j * np.pi * rng.random(count))
+    return [np.sum(x**k) / k for k in range(1, K + 1)]
+
+
+def _assert_matches_recurrence(t, kmax, scale):
+    got = schur_numeric(t, kmax)
+    assert got.shape == (kmax + 1,)
+    assert np.max(np.abs(got - schur_recurrence(t, kmax))) <= 1e-15 * scale
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(2, 3),
+    st.integers(1, 48),
+    st.floats(0.05, 3.0),
+    st.integers(0, 300),
+    st.booleans(),
+)
+def test_schur_numeric_matches_recurrence(seed, n, K, scale, kmax, complex_times):
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=K) + (1j * rng.normal(size=K) if complex_times else 0.0)
+    teff = time_vector(scale * t / np.arange(1, K + 1)).effective(n)
+    # the factors exp(t_i zeta^i) carry coefficients of size p(|t|), and
+    # times of mixed phase cancel below that: it is the scale of the round-off
+    _assert_matches_recurrence(teff, kmax, np.max(np.abs(schur_recurrence(np.abs(teff), kmax))))
+
+
+@pytest.mark.parametrize(
+    "t, kmax",
+    [((11, 0, 5.5, 0, 2.75), 8300), (_miwa_times(20, 48, 5), 400)],
+    ids=["long-real", "miwa-48"],
+)
+def test_schur_numeric_matches_recurrence_on_its_own_scale(t, kmax):
+    _assert_matches_recurrence(t, kmax, np.max(np.abs(schur_recurrence(t, kmax))))
+
+
+def _schur_mpmath(t, kmax):
+    """The recurrence at 40 digits."""
+    with mpmath.workdps(40):
+        ts = [mpmath.mpc(complex(v)) for v in t]
+        p = [mpmath.mpc(1)]
+        for k in range(1, kmax + 1):
+            terms = (i * ts[i - 1] * p[k - i] for i in range(1, min(k, len(ts)) + 1))
+            p.append(mpmath.fsum(terms) / k)
+        return np.array([complex(v) for v in p])
+
+
+@pytest.mark.parametrize(
+    "t, kmax",
+    [
+        ((11, 0, 5.5, 0, 2.75), 8300),
+        ((0.4 + 0.3j, 0, -0.2j, 0, 0.1), 200),
+        (_miwa_times(20, 48, 11), 200),
+    ],
+    ids=["long-real", "complex", "miwa-48"],
+)
+def test_schur_numeric_matches_mpmath(t, kmax):
+    want = _schur_mpmath(t, kmax)
+    assert np.max(np.abs(schur_numeric(t, kmax) - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_schur_numeric_of_one_time_is_its_exponential_series():
+    p = schur_numeric([0.0, 0.5, 0.0], 9)
+    want = [0.5**m / np.prod(np.arange(1, m + 1)) for m in range(5)]
+    assert np.array_equal(p[::2], want)
+    assert not np.any(p[1::2])
+
+
 def test_exp_xi_block_entries_are_schur_values():
     tv = time_vector([0.21, 0.0, -0.13, 0.0, 0.08])
     n = 2
     e = exp_xi_lambda(tv, n, (0, 12), exact_only=True)
-    p = schur_numeric(tv.effective(n), 2 * 12 + n)
+    p = schur_recurrence(tv.effective(n), 2 * 12 + n)
     for q in range(0, 13):
         blk = e.block(q)
         for i in range(n):

@@ -5,6 +5,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blocktau.errors import NearSingularSymbol
 from blocktau.factorization import deformed_symbol_samples
@@ -17,7 +19,7 @@ from blocktau.gradedpoly import (
     schur_sequence,
     schur_sequence_reduced,
 )
-from blocktau.laurent import geometric_mean
+from blocktau.laurent import COND_LIMIT, LaurentMatrix, geometric_mean
 from blocktau.symbols import (
     column_series,
     covering_spec,
@@ -43,6 +45,7 @@ from blocktau.tau import (
     wave_function,
     wronskian_tau,
 )
+from blocktau import tau as tau_module
 from blocktau.toeplitz import truncation_dets
 
 RSPEC = rational_spec([0.3, 0.6])
@@ -247,8 +250,64 @@ def test_covering_stable_tau_matches_a_deep_section():
 
 def test_stable_tau_refuses_an_ill_conditioned_symbol():
     tv = time_vector([8.0 * d for d in (1, 0, 0.5, 0, 0.25)])
-    with pytest.raises(NearSingularSymbol):
+    with pytest.raises(NearSingularSymbol) as exc:
         tau_stable(RSPEC, tv)
+    assert str(exc.value) == "Wiener-norm condition bound 1.56e+12 exceeds 1e+12"
+
+
+def _gate_norm_orders(monkeypatch, g, g_inv):
+    """Run the Wiener-norm gate; return its message (None if it passed) and the norms it took."""
+    orders, norm = [], np.linalg.norm
+
+    def spy(x, ord=None, axis=None):
+        orders.append(ord)
+        return norm(x, ord, axis)
+
+    monkeypatch.setattr(tau_module.np.linalg, "norm", spy)
+    try:
+        tau_module._wiener_gate(g, g_inv)
+    except NearSingularSymbol as exc:
+        return str(exc), orders
+    return None, orders
+
+
+@pytest.mark.parametrize(
+    "ab, svd, message",
+    [
+        (0.2e12, False, None),  # Frobenius bound 0.4e12 clears the screen
+        (0.7e12, True, None),  # Frobenius 1.4e12 above the limit, spectral 0.7e12 below
+        (1.1e12, True, "Wiener-norm condition bound 1.1e+12 exceeds 1e+12"),
+    ],
+)
+def test_wiener_gate_on_both_sides_of_the_limit(monkeypatch, ab, svd, message):
+    # blocks a*I and b*I: spectral bound a*b, Frobenius bound 2*a*b
+    g = LaurentMatrix(2, 0, 0, 1e6 * np.eye(2)[None])
+    g_inv = LaurentMatrix(2, -1, 0, ab / 2e6 * np.array([np.eye(2), np.eye(2)]))
+    raised, orders = _gate_norm_orders(monkeypatch, g, g_inv)
+    assert raised == message
+    assert orders == (["fro", "fro", 2, 2] if svd else ["fro", "fro"])
+
+
+def _spectral_bound(g, g_inv):
+    return np.linalg.norm(g.coeffs, 2, axis=(1, 2)).sum() * np.linalg.norm(
+        g_inv.coeffs, 2, axis=(1, 2)
+    ).sum()
+
+
+@given(st.integers(0, 10**6), st.floats(-1.0, 1.0))
+def test_wiener_gate_decides_as_the_spectral_bound(seed, log_excess):
+    rng = np.random.default_rng(seed)
+    g, g_inv = (
+        LaurentMatrix(2, 0, w - 1, rng.normal(size=(w, 2, 2)) + 1j * rng.normal(size=(w, 2, 2)))
+        for w in rng.integers(1, 6, size=2)
+    )
+    g.coeffs *= COND_LIMIT * 10.0**log_excess / _spectral_bound(g, g_inv)
+    try:
+        tau_module._wiener_gate(g, g_inv)
+        raised = False
+    except NearSingularSymbol:
+        raised = True
+    assert raised == (_spectral_bound(g, g_inv) > COND_LIMIT)
 
 
 def test_finite_sections_approach_closed_form():

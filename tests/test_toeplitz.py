@@ -22,7 +22,6 @@ from blocktau.symbols import (
     gd_symbol,
     gd_symbol_values,
     rational_spec,
-    schur_numeric,
     time_vector,
 )
 from blocktau.toeplitz import (
@@ -47,6 +46,7 @@ from blocktau.factorization import (
     two_sided_factorization,
     wiener_hopf,
 )
+from oracles import schur_recurrence
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
@@ -103,7 +103,7 @@ def _exp_xi_reference(t, n, band):
     """Entry (i, j) of mode q collects p_k over k = nq + i - j, one k at a time."""
     lo, hi = band
     kmax = n * hi + n - 1
-    p = schur_numeric(t.effective(n), kmax)
+    p = schur_recurrence(t.effective(n), kmax)
     coeffs = np.zeros((hi - lo + 1, n, n), dtype=complex)
     for k in range(kmax + 1):
         for i in range(n):
@@ -208,7 +208,8 @@ def test_exp_xi_lambda_matches_schur_loop(tvals, n, lo, width):
     tv = time_vector(tvals, gd_reduced=False)
     band = (lo, max(lo, 0) + width)
     got = exp_xi_lambda(tv, n, band, exact_only=True)
-    assert np.array_equal(got.coeffs, _exp_xi_reference(tv, n, band))
+    want = _exp_xi_reference(tv, n, band)
+    assert np.max(np.abs(got.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_hankel_identity_banded_inputs():
