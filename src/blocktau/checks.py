@@ -232,6 +232,19 @@ def _check_flatten(ctx, tol):
     return worst, worst <= tol, "interleaving turns the shift into multiplication"
 
 
+def _check_hankel_product(ctx, tol):
+    worst = 0.0
+    for spec, tv in ((ctx.rspec, TV), (ctx.cspec, CTV)):
+        e = symbols.exp_xi_lambda(tv, spec.n, (0, 24))
+        rep = toeplitz.hankel_identity_check(e, symbols.base_symbol(spec), 8)
+        worst = max(worst, rep.max_error)
+    return (
+        worst,
+        worst <= tol,
+        "T_8(eW) - T_8(e) T_8(W) is the Hankel product, e = exp(xi(t,L)), both families",
+    )
+
+
 def _operator_det(lm, blocks):
     """Operator determinant det(I - H(g)H(g^-1)) on Fourier-route sections."""
     return toeplitz.fredholm_det(
@@ -568,6 +581,7 @@ CHECKS = [
     Check("symbols", "time_flow_inverse", 1e-10, _check_exp_xi_inverse),
     Check("symbols", "unimodular_time_flow", 1e-10, _check_unimodular_det),
     Check("symbols", "interleaving_shift", 1e-12, _check_flatten),
+    Check("toeplitz", "hankel_product_identity", 1e-12, _check_hankel_product),
     Check("toeplitz", "projector_two_forms", 1e-8, _check_plemelj),
     Check("toeplitz", "projector_random_times", 1e-8, _check_plemelj_random, 2),
     Check("toeplitz", "ratio_cauchy_decay", 1.0, _check_cauchy_decay),

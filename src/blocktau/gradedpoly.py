@@ -21,7 +21,7 @@ exp(sum_k t_k w^k) = sum_k p_k(t) w^k, numeric Schur characters via the
 Weyl quotient of Vandermonde-type determinants, the determinant expression
 of a character in terms of the p_k, power-sum times of a point multiset,
 the KdV bilinear residual, the shift of times by a single spectral point,
-and determinants of matrices over the ring.
+and products and determinants of matrices over the ring.
 """
 
 from __future__ import annotations
@@ -149,6 +149,25 @@ def _mul(a: np.ndarray, b: np.ndarray, K: int, Q: int) -> np.ndarray:
     for lo in range(0, len(a), step):
         prod = np.take(a[lo : lo + step], ia, axis=-1)
         prod *= pb
+        out[lo : lo + step] = np.add.reduceat(prod, starts, axis=-1)
+    return out
+
+
+def gp_matmul(a: np.ndarray, b: np.ndarray, K: int, Q: int) -> np.ndarray:
+    """Matrix product over the ring, on coefficient arrays.
+
+    a has shape (m, k, basis) and b (k, p, basis) over the (K, Q) basis.
+    The pair products of every entry pair are summed over the inner index
+    before the one segmented sum, a block of rows of a at a time.
+    """
+    ia, ib, starts = _product_table(K, Q)
+    (m, k), p = a.shape[:2], b.shape[1]
+    pb = np.take(b, ib, axis=-1)
+    out = np.empty((m, p, len(starts)), dtype=complex)
+    step = max(1, _PAIR_BLOCK // (len(ia) * k * p))
+    for lo in range(0, m, step):
+        pa = np.take(a[lo : lo + step], ia, axis=-1)
+        prod = np.einsum("ikx,kjx->ijx", pa, pb)
         out[lo : lo + step] = np.add.reduceat(prod, starts, axis=-1)
     return out
 
@@ -373,6 +392,12 @@ def zero_times(p: GradedPoly, indices) -> GradedPoly:
     dead = [i - 1 for i in indices]
     alive = ~_basis(p.K, p.Q).exps[:, dead].any(axis=1)
     return GradedPoly(p.K, p.Q, np.where(alive, p.coeffs, 0.0))
+
+
+def negate_times(p: GradedPoly) -> GradedPoly:
+    """p(-t): the coefficient of t^e changes sign with the degree sum(e)."""
+    odd = _basis(p.K, p.Q).exps.sum(axis=1) % 2 == 1
+    return GradedPoly(p.K, p.Q, np.where(odd, -p.coeffs, p.coeffs))
 
 
 # -- Schur polynomials and characters --------------------------------------

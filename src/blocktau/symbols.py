@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateInput, SpecError, TruncationError
-from .gradedpoly import schur_sequence, schur_sequence_reduced
+from .gradedpoly import negate_times, schur_sequence, schur_sequence_reduced
 from .laurent import (
     LaurentMatrix,
     ScalarSeries,
@@ -332,6 +332,23 @@ def gd_symbol_values(spec: SymbolSpec, t: TimeVector, z) -> np.ndarray:
     return exp_xi_values(t, spec.n, z) @ base_symbol_values(spec, z)
 
 
+@lru_cache
+def exp_xi_graded(n: int, Q: int, gd_reduced: bool, negate: bool = False) -> np.ndarray:
+    """exp(xi(t, L)), or exp(xi(-t, L)) with negate=True, over the graded ring.
+
+    Returns the coefficient array of shape (ceil(Q/n) + 1, n, n, basis) of
+    the z-modes 0..ceil(Q/n): the fold of the Schur layers p_0..p_Q, whose
+    higher layers vanish in the truncated ring.  exp(xi(-t, L)) folds the
+    layers p_k(-t).  Cached per arguments; the array is read-only.
+    """
+    ps = schur_sequence_reduced(Q, Q, n) if gd_reduced else schur_sequence(Q, Q)
+    if negate:
+        ps = [negate_times(p) for p in ps]
+    out = fold(np.stack([p.coeffs for p in ps]), 0, n, (0, (Q + n - 1) // n))
+    out.flags.writeable = False
+    return out
+
+
 def gd_symbol_graded(
     spec: SymbolSpec, band: tuple[int, int], Q: int, gd_reduced: bool
 ) -> np.ndarray:
@@ -339,26 +356,16 @@ def gd_symbol_graded(
 
     Returns the coefficient array of shape (width, n, n, basis) on the band:
     entry [q, i, j] is the coefficient vector, over the (Q, Q) monomial
-    basis, of entry (i, j) of the z^q mode.  The layers L^k W, k = 0..Q, are
-    one GEMM of the folded unit vectors against a section of W; the layers
-    p_k of the Schur sequence then combine them in one product.  Exact
-    within the grading: Schur polynomials p_k with k > Q vanish in the
-    truncated ring, so the layer sum is finite and no band-edge tail exists.
+    basis, of entry (i, j) of the z^q mode, sum_m e_m W_(q-m) with e =
+    exp_xi_graded.  Exact within the grading: e has no modes past
+    ceil(Q/n), so no band-edge tail exists, and the Schur layers in e are
+    disjoint in weight, so each coefficient is a single product.
     """
-    n = spec.n
-    ps = schur_sequence_reduced(Q, Q, n) if gd_reduced else schur_sequence(Q, Q)
+    e = exp_xi_graded(spec.n, Q, gd_reduced)
     w = base_symbol(spec)
     ks = np.arange(band[0], band[1] + 1)
-    e_hi = (Q + n - 1) // n
-    ms = np.arange(e_hi + 1)
-    # entry (i, l) of L^k at mode m, rows (k, i) by columns (m, l)
-    powers = fold(np.eye(Q + 1), 0, n, (0, e_hi)).transpose(3, 1, 0, 2)
-    layers = powers.reshape((Q + 1) * n, len(ms) * n) @ w.block_matrix(ks - ms[:, None])
-    layers = layers.reshape(Q + 1, n, len(ks), n).transpose(2, 1, 3, 0)
-    layers = np.where(np.abs(layers) > 1e-300, layers, 0.0)
-    # the p_k are disjoint weight layers, so each coefficient of an entry
-    # is one product: the L^k W coefficient times the p_k coefficient
-    return layers @ np.stack([p.coeffs for p in ps])
+    w_sec = gather_modes(w.coeffs, w.lo, ks - np.arange(len(e))[:, None])  # W_(q-m)
+    return np.einsum("mics,mqcj->qijs", e, w_sec, optimize=True)
 
 
 # -- flattening between C^n-valued and scalar series -------------------------

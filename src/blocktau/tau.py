@@ -4,7 +4,8 @@ Four representations of the same object are provided and cross-checkable:
 
 - numeric: determinant of the N-block truncation at a concrete time vector;
 - graded: the same determinant carried out over the truncated graded ring,
-  so the result is a polynomial in the times up to total weight Q;
+  so the result is a polynomial in the times up to total weight Q (a
+  rank-r update of the numeric T_N(W) where r < nN, else elimination);
 - character: expansion over partitions, with each coefficient a minor of
   the flattened column generators of the undeformed symbol;
 - wronskian: determinant of derivatives of a family of scalar generators
@@ -40,6 +41,7 @@ from .gradedpoly import (
     gp_const,
     gp_det,
     gp_from_terms,
+    gp_matmul,
     gp_zero,
     jacobi_trudi,
     monomial_weight,
@@ -53,7 +55,9 @@ from .laurent import COND_LIMIT, COND_SCREEN, LaurentMatrix, gather_modes
 from .symbols import (
     SymbolSpec,
     TimeVector,
+    base_symbol,
     column_series,
+    exp_xi_graded,
     gd_symbol,
     gd_symbol_graded,
     gd_symbol_inverse,
@@ -167,15 +171,66 @@ def tau_numeric(spec: SymbolSpec, t: TimeVector, N: int) -> complex:
 
 
 def tau_graded(spec: SymbolSpec, N: int, Q: int, gd_reduced: bool = True) -> GradedPoly:
-    """Same determinant carried out over the truncated graded ring."""
+    """Same determinant carried out over the truncated graded ring.
+
+    With e = exp(xi(t, L)), which has modes 0..ceil(Q/n) in the ring, and W
+    the base symbol, whose modes run down to W.lo, the Toeplitz-Hankel
+    identity reads T_N(eW) = T_N(e) T_N(W) + H(e) H(W~) with det T_N(e) = 1,
+    and the Hankel product has rank r = n min(-W.lo, ceil(Q/n)).  When
+    0 < r < nN, D_N = det T_N(W) det(I_r + V T_N(W)^-1 U): V is the numeric
+    block Hankel section of W's negative modes and U = T_N(e^-1) H(e) the
+    ring-valued one, so the ring determinant is r x r (n x n for the
+    rational family at N >= 2).  Otherwise, as for the covering family at
+    N <= ceil(Q/n), the nN x nN ring matrix is eliminated.
+    """
     n = spec.n
     if N == 0:
         return gp_const(Q, Q, 1.0)
+    rb = min(-base_symbol(spec).lo, math.ceil(Q / n))
+    if 0 < rb < N:
+        return _tau_graded_low_rank(spec, N, Q, gd_reduced, rb)
+    return _tau_graded_elimination(spec, N, Q, gd_reduced)
+
+
+def _ring_blocks(coeffs: np.ndarray, lo: int, modes: np.ndarray) -> np.ndarray:
+    """Ring matrix (R*n, C*n, basis) whose (r, c) block is mode modes[r, c]."""
+    (R, C), n = modes.shape, coeffs.shape[1]
+    blocks = gather_modes(coeffs, lo, modes)
+    return blocks.transpose(0, 2, 1, 3, 4).reshape(R * n, C * n, -1)
+
+
+def _tau_graded_elimination(
+    spec: SymbolSpec, N: int, Q: int, gd_reduced: bool
+) -> GradedPoly:
+    """D_N by elimination on the nN x nN ring matrix T_N(exp(xi(t, L)) W)."""
     coeffs = gd_symbol_graded(spec, (-(N - 1), N - 1), Q, gd_reduced)
     idx = np.arange(N)
-    T = gather_modes(coeffs, -(N - 1), idx[:, None] - idx)  # block (I, J) is mode I - J
-    T = T.transpose(0, 2, 1, 3, 4).reshape(N * n, N * n, -1)
+    T = _ring_blocks(coeffs, -(N - 1), idx[:, None] - idx)  # block (I, J) is mode I - J
     return gp_det([[GradedPoly(Q, Q, entry) for entry in row] for row in T])
+
+
+def _tau_graded_low_rank(
+    spec: SymbolSpec, N: int, Q: int, gd_reduced: bool, rb: int
+) -> GradedPoly:
+    """D_N = det T_N(W) det(I_r + V T_N(W)^-1 U) with r = n rb (see tau_graded).
+
+    U_{I,l} = -sum_{j=1..l} (e^-1)_{I+j} e_{l-j}, l = 1..rb, telescoped from
+    T_N(e^-1) H(e) by e^-1 e = 1: the block Hankel section of e^-1 times the
+    upper block Toeplitz section of e, one ring matrix product.
+    """
+    w = base_symbol(spec)
+    idx, ls = np.arange(N), np.arange(1, rb + 1)
+    TW = build_TN(w, N).matrix
+    V = w.block_matrix(-(ls[:, None] + idx))  # block (l, J) is W_{-l-J}
+    X = np.linalg.solve(TW.T, V.T).T  # V T_N(W)^-1
+    e = exp_xi_graded(spec.n, Q, gd_reduced)
+    e_inv = exp_xi_graded(spec.n, Q, gd_reduced, negate=True)
+    A = _ring_blocks(e_inv, 0, idx[:, None] + ls)  # block (I, j) is (e^-1)_{I+j}
+    B = _ring_blocks(e, 0, ls - ls[:, None])  # block (j, l) is e_{l-j}
+    M = -np.tensordot(X, gp_matmul(A, B, Q, Q), axes=(1, 0))
+    M[:, :, 0] += np.eye(len(M))
+    det = gp_det([[GradedPoly(Q, Q, entry) for entry in row] for row in M])
+    return det * complex(np.linalg.det(TW))
 
 
 def stable_tau_graded(spec: SymbolSpec, Q: int, gd_reduced: bool = True) -> GradedPoly:

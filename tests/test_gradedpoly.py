@@ -15,12 +15,14 @@ from blocktau.gradedpoly import (
     gp_const,
     gp_det,
     gp_from_terms,
+    gp_matmul,
     gp_time,
     gp_zero,
     hirota_kdv_residual,
     jacobi_trudi,
     miwa_times,
     monomial_weight,
+    negate_times,
     normalize_partition,
     partitions_upto,
     sato_shift,
@@ -306,6 +308,32 @@ def test_gp_det_matches_numeric():
     tv = 0.25 * rng.normal(size=12)
     num = np.linalg.det([[evaluate(e, tv) for e in row] for row in rows])
     assert abs(evaluate(d, tv) - num) < 1e-12
+
+
+@given(ring_sizes, st.integers(0, 10**6))
+def test_gp_matmul_matches_entrywise_products(KQ, seed):
+    K, Q = KQ
+    rng = _rng(seed)
+    a = [[gp_from_terms(K, Q, _ref_random(K, Q, rng)) for _ in range(2)] for _ in range(3)]
+    b = [[gp_from_terms(K, Q, _ref_random(K, Q, rng)) for _ in range(4)] for _ in range(2)]
+    got = gp_matmul(
+        np.array([[e.coeffs for e in row] for row in a]),
+        np.array([[e.coeffs for e in row] for row in b]),
+        K,
+        Q,
+    )
+    assert got.shape == (3, 4, len(a[0][0].coeffs))
+    for i in range(3):
+        for j in range(4):
+            want = a[i][0] * b[0][j] + a[i][1] * b[1][j]
+            assert coefficient_gap(GradedPoly(K, Q, got[i, j]), want) < 1e-14
+
+
+def test_negate_times_evaluates_at_minus_t():
+    rng = _rng(41)
+    p = random_graded(5, 7, rng)
+    tv = 0.4 * rng.normal(size=5)
+    assert abs(evaluate(negate_times(p), tv) - evaluate(p, -tv)) < 1e-14
 
 
 def test_gp_det_zero_column():

@@ -50,6 +50,8 @@ from blocktau.toeplitz import truncation_dets
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
+RSPEC3 = rational_spec([0.3, 0.6, 0.9])
+CSPEC3 = covering_spec([0.3, -0.25, 0.35j, -0.2 - 0.15j], 3)
 D, C = 0.3, 0.6
 
 
@@ -180,6 +182,67 @@ def test_numeric_equals_graded_evaluation():
     tau_g = tau_graded(RSPEC, 2, 10)
     val = evaluate(tau_g, list(tv.values) + [0.0] * 5)
     assert abs(tau_n - val) < 1e-9
+
+
+@pytest.mark.parametrize("spec", [RSPEC3, CSPEC3], ids=["rational", "covering"])
+def test_numeric_equals_graded_evaluation_n3(spec):
+    # stable N = ceil(Q/3): the rational family takes the rank-3 update,
+    # the covering one the elimination; t_k = s^k / k keeps the part of tau
+    # above weight Q near s^(Q+1)
+    N, Q = 4, 12
+    tv = time_vector([0.2**k / k for k in range(1, 6)])
+    tau_n = tau_numeric(spec, tv, N)
+    tau_g = tau_graded(spec, N, Q)
+    val = evaluate(tau_g, list(tv.effective(3)) + [0.0] * (Q - 5))
+    assert abs(tau_n - 1.0) > 1e-3  # the times move tau
+    assert abs(tau_n - val) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec", [RSPEC, RSPEC3, CSPEC], ids=["rational", "rational3", "covering"]
+)
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "full"])
+def test_low_rank_graded_tau_equals_elimination(spec, reduced):
+    # the covering family takes the rank-r update, r = n ceil(Q/n) > n, only
+    # past its stable level: at Q = 4 for N = 3..5 and at Q = 8 for N = 5
+    for Q in (4, 8, 12):
+        for N in range(1, 6):
+            got = tau_graded(spec, N, Q, gd_reduced=reduced)
+            want = tau_module._tau_graded_elimination(spec, N, Q, reduced)
+            assert coefficient_gap(got, want) <= 1e-13 * max_abs_coeff(want), (Q, N)
+
+
+@pytest.mark.parametrize(
+    "spec, N, path, det_size",
+    [
+        (RSPEC, 1, "elimination", 2),  # r = n = nN: the boundary
+        (RSPEC, 2, "low_rank", 2),
+        (RSPEC, 5, "low_rank", 2),
+        (RSPEC3, 2, "low_rank", 3),
+        (CSPEC, 4, "elimination", 8),  # stable N = ceil(Q/n): r = nN
+        (CSPEC, 5, "low_rank", 8),
+        (CSPEC3, 3, "elimination", 9),
+    ],
+    ids=["rat-N1", "rat-N2", "rat-N5", "rat3-N2", "cov-N4", "cov-N5", "cov3-N3"],
+)
+def test_graded_tau_path_choice(monkeypatch, spec, N, path, det_size):
+    # Q = 8: r = n min(-W.lo, ceil(8/n)) is n for the rational family and
+    # n ceil(8/n) for the covering family, whose W has a deep negative band
+    taken, sizes = [], []
+    for name in ("_tau_graded_low_rank", "_tau_graded_elimination"):
+
+        def spy(*args, real=getattr(tau_module, name), name=name):
+            taken.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(tau_module, name, spy)
+    real_det = tau_module.gp_det
+    monkeypatch.setattr(
+        tau_module, "gp_det", lambda rows: sizes.append(len(rows)) or real_det(rows)
+    )
+    tau_graded(spec, N, 8)
+    assert taken == [f"_tau_graded_{path}"]
+    assert sizes == [det_size]
 
 
 def test_tau_normalization_at_zero():
