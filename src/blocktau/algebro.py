@@ -84,6 +84,21 @@ def _poly_eval(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.polynomial.polynomial.polyval(z, np.asarray(c, dtype=complex))
 
 
+def _charpoly_coeffs(A: np.ndarray) -> np.ndarray:
+    """c_1..c_n of det(lambda I - A) for every matrix of an (M, n, n) stack.
+
+    np.poly for a whole stack: the batched eigenvalues, then the monic
+    polynomial with those roots, one factor (lambda - root) at a time.
+    """
+    roots = np.linalg.eigvals(A)
+    M, n = roots.shape
+    c = np.zeros((M, n + 1), dtype=complex)
+    c[:, 0] = 1.0
+    for k in range(n):
+        c[:, 1 : k + 2] -= roots[:, k, None] * c[:, : k + 1]
+    return c[:, 1:]
+
+
 def _poly_degree(c: np.ndarray, tol: float = 0.0) -> int:
     """Largest index with |coefficient| > tol, or -1 for the zero polynomial."""
     idx = np.nonzero(np.abs(np.asarray(c)) > tol)[0]
@@ -180,11 +195,7 @@ def charpoly_from_matrix(C: LaurentMatrix) -> CharPoly:
     reach = n * max(abs(C.lo), abs(C.hi), 1)
     M = next_pow2(4 * (reach + 4))
     z = np.exp(2j * np.pi * np.arange(M) / M)
-    Cv = C(z)
-    coeff_samples = np.empty((M, n), dtype=complex)
-    for j in range(M):
-        coeff_samples[j] = np.poly(Cv[j])[1:]
-    modes = np.fft.fft(coeff_samples, axis=0) / M
+    modes = np.fft.fft(_charpoly_coeffs(C(z)), axis=0) / M
     half = M // 2
     out = []
     for s in range(n):
@@ -379,13 +390,9 @@ def bc_matrices(
 
     curve_dev = np.nan
     if cp is not None:
-        worst = 0.0
-        for j in range(M):
-            got = np.poly(Cv[j])[1:]
-            for s in range(1, n + 1):
-                want = _poly_eval(cp.c(s), z[j])
-                worst = max(worst, abs(got[s - 1] - want) / max(1.0, abs(want)))
-        curve_dev = worst
+        got = _charpoly_coeffs(Cv)
+        want = np.stack([_poly_eval(cp.c(s), z) for s in range(1, n + 1)], axis=1)
+        curve_dev = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
 
     return BCMatrices(
         B=B,

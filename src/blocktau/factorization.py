@@ -67,10 +67,12 @@ def wiener_hopf(
     """Factor the sampled symbol with minus-factor band depth B.
 
     With B=None the depth is read off the Fourier coefficients of g^{-1}:
-    its deepest negative mode whose norm is above 1e-16 of the largest mode
-    norm, plus DEFAULT_EXTRA_BAND.  The depth then doubles, capped at a
-    quarter of the grid, while the residual exceeds tol.  An explicit B is
-    solved once.  Raises FactorizationError when the system is singular or
+    the negative modes from -1 outward up to the first whose norm is not
+    above 1e-16 of the largest mode norm, plus DEFAULT_EXTRA_BAND.  The scan
+    stops there because the FFT's round-off sits at that level: a far mode
+    just above it is noise, not a deeper band.  The depth then doubles,
+    capped at a quarter of the grid, while the residual exceeds tol.  An
+    explicit B is solved once.  Raises FactorizationError when the system is singular or
     the residual still exceeds tol at the last depth tried.
     """
     cap = x.M // 4
@@ -81,8 +83,9 @@ def wiener_hopf(
     last = B is not None
     if B is None:
         norms = np.linalg.norm(ginv.coeffs, axis=(1, 2))
-        held = np.flatnonzero(norms[:cap] > 1e-16 * norms.max())  # modes -cap..-1
-        depth = cap - int(held[0]) if len(held) else 0
+        # modes -1, -2, ..., -cap
+        below = np.flatnonzero(norms[cap - 1 :: -1] <= 1e-16 * norms.max())
+        depth = int(below[0]) if len(below) else cap
         B = min(depth + DEFAULT_EXTRA_BAND, cap)
     scale = float(np.max(np.abs(x.values)))
     while True:

@@ -203,31 +203,45 @@ def plemelj_quadrature(
     strictly between the symbol's singularity modulus and 1.  The integrand
     is analytic in the closed annulus, so the trapezoid rule converges
     geometrically; output modes are read off with an FFT in z.
+
+    The trapezoid sum is diagonal in Fourier space (Bornemann 2010).  On
+    zeta_m = r e^{2 pi i m / M_in} and |z| = 1, expanding 1/(zeta - z) in
+    zeta/z and summing its period-M_in wrap in closed form gives exactly
+
+        (1/M_in) sum_m f_m / (zeta_m - z)
+            = -[z (1 - (r/z)^M_in)]^{-1} sum_{q<M_in} r^q fhat_{-q} z^{-q},
+
+    fhat = fft(f) / M_in, for any sample values f; the q-sum folded mod M_out
+    is one FFT over z.  Only pointwise samples of g and g^{-1} are read, never
+    their Fourier coefficients, so the route stays independent of
+    plemelj_fourier.
     """
-    n = x.n
+    n, Mo, Mi, r = x.n, x.M, x_inv.M, x_inv.radius
     if x.radius != 1.0:
         raise QuadratureError("outer samples must sit on the unit circle")
-    if not 0.0 < x_inv.radius < 1.0:
-        raise QuadratureError(
-            f"inner radius {x_inv.radius} must lie strictly inside the circle"
-        )
-    if x.M < 2 * M:
-        raise AliasError(f"outer grid M={x.M} too coarse for {M} output modes")
-    z = x.grid()
-    zeta = x_inv.grid()
-    G, H = x.values, x_inv.values
-    C = 1.0 / (zeta[None, :] - z[:, None])
-    Zpow = zeta[:, None] ** (np.arange(M) + 1)[None, :]
+    if not 0.0 < r < 1.0:
+        raise QuadratureError(f"inner radius {r} must lie strictly inside the circle")
+    if Mo < 2 * M:
+        raise AliasError(f"outer grid M={Mo} too coarse for {M} output modes")
     # g(z_l) does not depend on zeta, so it leaves the zeta-sum:
-    # T_lj = G_l W_lj - S_lj I with W = C (H zeta^{j+1}), S = C zeta^{j+1}
-    HZ = Zpow[:, :, None, None] * H[:, None]           # (m, j, b, c)
-    W = (C @ HZ.reshape(x_inv.M, -1)).reshape(x.M, M, n, n)
-    S = C @ Zpow
-    T = G[:, None] @ W - S[:, :, None, None] * np.eye(n)
-    T /= x_inv.M                                       # (l, j, a, c)
-    modes = np.fft.fft(T, axis=0)[:M] / x.M            # output mode index i
-    P = modes.transpose(0, 2, 1, 3).reshape(M * n, M * n)
-    P += np.eye(M * n)
+    # T_lj = G_l W_lj - S_lj I, the sums of f = (g^{-1}(zeta), 1) zeta^{j+1}.
+    # Their moments r^q fhat_{-q} are r^p Fhat_{-p} at p = q + j + 1.
+    F = np.concatenate([x_inv.values.reshape(Mi, n * n), np.ones((Mi, 1))], axis=1)
+    Fhat = np.fft.fft(F, axis=0) / Mi
+    p = np.arange(Mi)[:, None] + np.arange(1, M + 1)
+    moments = (r**p)[:, :, None] * Fhat[-p % Mi]       # (q, j, column)
+    folds = -(-Mi // Mo)
+    folded = np.zeros((folds * Mo, M, n * n + 1), dtype=complex)
+    folded[:Mi] = moments
+    folded = folded.reshape(folds, Mo, M, n * n + 1).sum(axis=0)
+    wrap = r**Mi * np.exp(-2j * np.pi * (np.arange(Mo) * Mi % Mo) / Mo)
+    scale = -1.0 / (x.grid() * (1.0 - wrap))
+    sums = np.fft.fft(folded, axis=0) * scale[:, None, None]   # (l, j, column)
+    W = sums[..., : n * n].reshape(Mo, M, n, n).transpose(0, 2, 1, 3)
+    T = (x.values @ W.reshape(Mo, n, M * n)).reshape(Mo, n, M, n)   # (l, a, j, c)
+    T -= sums[:, None, :, n * n, None] * np.eye(n)[:, None, :]
+    modes = np.fft.fft(T, axis=0)[:M] / Mo             # output mode index i
+    P = modes.reshape(M * n, M * n) + np.eye(M * n)
     return PlemeljOperator(n=n, M=M, matrix=P, rebuild=None)
 
 
@@ -236,6 +250,7 @@ class FredholmResult:
     value: complex
     M_used: int
     est_error: float
+    history: list = field(default_factory=list)
 
 
 def fredholm_det(
@@ -248,8 +263,8 @@ def fredholm_det(
         (M, complex(np.linalg.det((p if M == p.M else p.rebuild(M)).matrix)), None)
         for M in doubling(p.M, max_M)
     )
-    M, value, _, err, _ = settle(steps, tol, "finite-section determinant")
-    return FredholmResult(value=value, M_used=M, est_error=err)
+    M, value, _, err, history = settle(steps, tol, "finite-section determinant")
+    return FredholmResult(value=value, M_used=M, est_error=err, history=history)
 
 
 # -- strong limit ------------------------------------------------------------
@@ -342,6 +357,7 @@ class BorodinOkounkovResult:
     det_correction: complex
     window_used: int
     est_error: float
+    history: list = field(default_factory=list)
 
 
 def correction_det(
@@ -358,8 +374,10 @@ def correction_det(
         for w in doubling(window, 512)
     )
     steps = ((w, complex(np.linalg.det(np.eye(len(K)) - K)), K) for w, K in sections)
-    w, d, K, err, _ = settle(steps, tol, "correction determinant")
-    return BorodinOkounkovResult(K_matrix=K, det_correction=d, window_used=w, est_error=err)
+    w, d, K, err, history = settle(steps, tol, "correction determinant")
+    return BorodinOkounkovResult(
+        K_matrix=K, det_correction=d, window_used=w, est_error=err, history=history
+    )
 
 
 def borodin_okounkov(fact, N: int, tol: float = 1e-10) -> BorodinOkounkovResult:

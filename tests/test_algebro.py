@@ -7,6 +7,7 @@ from blocktau.errors import BranchMatchError, SpecError
 from blocktau.laurent import LaurentMatrix, ScalarSeries, lm_mul
 from blocktau.symbols import base_symbol, covering_spec, lambda_power
 from blocktau.algebro import (
+    _charpoly_coeffs,
     bc_matrices,
     branch_series,
     charpoly,
@@ -132,6 +133,18 @@ def test_conjugated_matrix_closed_form(covering_curve):
     assert bc.trace_deviation < 1e-12
     assert bc.degree_pattern == 3
     assert bc.curve_deviation < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_charpoly_matches_np_poly_per_sample(n):
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(64, n, n)) + 1j * rng.normal(size=(64, n, n))
+    A[0] = np.eye(n)  # a repeated root
+    got = _charpoly_coeffs(A)
+    assert got.shape == (64, n)
+    for j in range(64):
+        want = np.poly(A[j])[1:]
+        assert np.max(np.abs(got[j] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_charpoly_roundtrip_from_matrix(covering_curve):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blocktau.errors import AliasError, ConvergenceError, FactorizationError
-from blocktau.laurent import inverse_transform, lm_trim
+from blocktau.laurent import inverse_transform, lm_trim, sample_function
 from blocktau.symbols import (
     covering_spec,
     gd_symbol,
@@ -103,6 +103,24 @@ def test_derived_depth_matches_deep_solve(spec, tv):
     fact, deep = wiener_hopf(x), wiener_hopf(x, B=512)
     assert fact.B_used <= 64
     # both factors end at mode 0: compare modes -B_used..0
+    tail = deep.T_minus.coeffs[-fact.B_used - 1 :]
+    assert np.max(np.abs(fact.T_minus.coeffs - tail)) < 1e-14
+
+
+def test_derived_depth_stops_at_the_round_off_floor():
+    # g = I + A/z + E/z^100 with |E| at the FFT's round-off level: the modes
+    # of g^{-1} decay like 0.3^k to that level by k ~ 31, and the far mode
+    # near -100 must not pull the depth past it
+    A = np.array([[0.3, 0.1], [0.0, 0.2]])
+    E = 5e-16 * np.eye(2)
+
+    def g(z):
+        zz = z[:, None, None]
+        return np.eye(2) + A / zz + E / zz**100
+
+    x = sample_function(g, 2, 1024)
+    fact, deep = wiener_hopf(x), wiener_hopf(x, B=256)
+    assert fact.B_used < 64
     tail = deep.T_minus.coeffs[-fact.B_used - 1 :]
     assert np.max(np.abs(fact.T_minus.coeffs - tail)) < 1e-14
 

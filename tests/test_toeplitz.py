@@ -1,5 +1,6 @@
 """Block Toeplitz truncations, Plemelj operators, determinant limit theorems."""
 
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from blocktau import laurent, toeplitz
 from blocktau.errors import ConvergenceError, HypothesisError
 from blocktau.laurent import (
+    CircleSamples,
     LaurentMatrix,
     inverse_transform,
     invert_symbol,
@@ -270,6 +273,74 @@ def test_quadrature_projector_12_blocks(spec):
     assert np.max(np.abs(got - _quadrature_reference(x, x_inv, 12))) < 1e-12
 
 
+def test_plemelj_fourier_vs_quadrature_rational_n3():
+    tv = time_vector([0.1, 0.05, 0.0, 0.02, 0.01])
+    pf, pq = _plemelj_pair(rational_spec([0.3, 0.6, 0.9]), tv, 8)
+    assert np.max(np.abs(pf.matrix - np.eye(24))) > 1e-2  # the times move P
+    assert np.max(np.abs(pf.matrix - pq.matrix)) < 1e-10
+
+
+def _random_samples(rng, n, M, radius):
+    shape = (M, n, n)
+    return CircleSamples(n, M, rng.normal(size=shape) + 1j * rng.normal(size=shape), radius)
+
+
+@pytest.mark.parametrize(
+    "M_out, M_in, radius",
+    [
+        (256, 256, 0.6),
+        (256, 128, 0.6),
+        (128, 256, 0.6),
+        (256, 64, 0.97),
+        (128, 256, 0.97),
+    ],
+)
+@pytest.mark.parametrize("n", [2, 3])
+def test_quadrature_equals_the_direct_trapezoid_sum(M_out, M_in, radius, n):
+    # at r = 0.97 and M_in = 64 the wrap (r/z)^M_in is about 0.14, so the
+    # closed-form geometric sum over the aliased moments is exercised; at
+    # M_in = 2 M_out the moments past M_out (r^128 = 0.02) fold back onto z
+    rng = np.random.default_rng(M_out + M_in + n)
+    x = _random_samples(rng, n, M_out, 1.0)
+    x_inv = _random_samples(rng, n, M_in, radius)
+    got = plemelj_quadrature(x, x_inv, 12).matrix
+    assert np.max(np.abs(got - _quadrature_reference(x, x_inv, 12))) < 1e-12
+
+
+def test_quadrature_reads_no_fourier_coefficients(monkeypatch):
+    x, x_inv = _quadrature_samples(RSPEC, TV, 256)
+    want = plemelj_quadrature(x, x_inv, 8).matrix
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the contour route read a Fourier-route kernel")
+
+    for module, name in [
+        (toeplitz, "plemelj_fourier"),
+        (toeplitz, "hankel_product_matrix"),
+        (toeplitz, "lm_invert"),
+        (toeplitz, "inverse_transform"),
+        (laurent, "lm_invert"),
+        (laurent, "transform"),
+        (laurent, "inverse_transform"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    assert np.array_equal(plemelj_quadrature(x, x_inv, 8).matrix, want)
+
+
+def test_quadrature_memory_is_linear_in_the_grids():
+    # a dense M_out x M_in Cauchy matrix alone would be 268 MB at 4096 / 4096
+    rng = np.random.default_rng(4096)
+    x = _random_samples(rng, 2, 4096, 1.0)
+    x_inv = _random_samples(rng, 2, 4096, 0.7)
+    tracemalloc.start()
+    try:
+        plemelj_quadrature(x, x_inv, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 # -- the Cauchy ladder --------------------------------------------------------
 
 
@@ -338,6 +409,14 @@ def test_fredholm_matches_direct_limit():
     assert abs(sw.G - 1.0) < 1e-10  # reduced flows leave G = det-mean at 1
 
 
+def test_fredholm_det_keeps_its_ladder():
+    lm = gd_symbol(RSPEC, TV, (-30, 30))
+    fr = fredholm_det(plemelj_fourier(lm, lm_invert(lm), 8), tol=1e-11)
+    assert [M for M, _ in fr.history] == list(doubling(8, fr.M_used))
+    assert fr.history[-1] == (fr.M_used, fr.value)
+    assert abs(fr.history[-1][1] - fr.history[-2][1]) == fr.est_error
+
+
 def test_fredholm_grid_invariance():
     lm30 = gd_symbol(RSPEC, TV, (-30, 30))
     lm60 = gd_symbol(RSPEC, TV, (-60, 60))
@@ -377,6 +456,8 @@ def test_borodin_okounkov_small_sections():
         bo = borodin_okounkov(pair, N, tol=1e-12)
         lhs = det_DN(build_TN(lm, N)) / sw.G**N
         assert abs(lhs - sw.D_inf * bo.det_correction) < 1e-8
+        assert [w for w, _ in bo.history] == list(doubling(8, bo.window_used))
+        assert bo.history[-1] == (bo.window_used, bo.det_correction)
 
 
 # -- Widom derivative formula ------------------------------------------------
