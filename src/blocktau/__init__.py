@@ -16,7 +16,6 @@ Subpackages by task:
 from . import algebro, checks, cli, factorization, gradedpoly, laurent, symbols, tau, toeplitz
 from .errors import (
     AliasError,
-    AnalyticityError,
     BlocktauError,
     BranchError,
     BranchMatchError,
@@ -43,7 +42,6 @@ __all__ = [
     "tau",
     "toeplitz",
     "AliasError",
-    "AnalyticityError",
     "BlocktauError",
     "BranchError",
     "BranchMatchError",

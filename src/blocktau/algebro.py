@@ -46,7 +46,6 @@ __all__ = [
     "BranchSeries",
     "BCMatrices",
     "SpectralReport",
-    "charpoly",
     "curve_from_covering",
     "charpoly_from_matrix",
     "branch_series",
@@ -164,11 +163,6 @@ class CharPoly:
         for s in range(1, self.n + 1):
             out = out + _poly_eval(self.c(s), z) * lam ** (self.n - s)
         return out
-
-
-def charpoly(n: int, coeffs) -> CharPoly:
-    """Build and validate a curve polynomial from c_1..c_n arrays."""
-    return CharPoly(n, tuple(coeffs))
 
 
 def curve_from_covering(spec: SymbolSpec) -> CharPoly:

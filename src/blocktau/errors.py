@@ -54,10 +54,6 @@ class SpecError(BlocktauError):
     """A symbol/curve specification violates its structural constraints."""
 
 
-class AnalyticityError(BlocktauError):
-    """Coefficient decay contradicts the declared annulus of analyticity."""
-
-
 class FactorizationError(BlocktauError):
     """Wiener-Hopf factorization failed (singular system or bad residual)."""
 

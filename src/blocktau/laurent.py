@@ -75,7 +75,7 @@ class LaurentMatrix:
 
     def __call__(self, z) -> np.ndarray:
         """Evaluate at one point or an array of points."""
-        return _eval_horner(self, np.asarray(z, dtype=complex))
+        return _power_sum(self.coeffs, self.lo, z)
 
 
 def gather_modes(coeffs: np.ndarray, lo: int, modes) -> np.ndarray:
@@ -92,30 +92,11 @@ def gather_modes(coeffs: np.ndarray, lo: int, modes) -> np.ndarray:
     return out
 
 
-def _eval_horner(lm: LaurentMatrix, z: np.ndarray) -> np.ndarray:
-    """Evaluate sum g^(k) z^k by a two-sided Horner scheme."""
-    scalar = z.ndim == 0
-    zs = np.atleast_1d(z)
-    out = np.zeros(zs.shape + (lm.n, lm.n), dtype=complex)
-    # non-negative part, highest power first
-    top = None
-    for k in range(lm.hi, max(lm.lo, 0) - 1, -1):
-        blk = lm.block(k)
-        top = blk if top is None else top * zs[..., None, None] + blk
-    if top is not None:
-        if max(lm.lo, 0) > 0:
-            top = top * zs[..., None, None] ** max(lm.lo, 0)
-        out += top
-    # negative part, most negative first
-    bottom = None
-    if lm.lo < 0:
-        w = 1.0 / zs
-        for k in range(lm.lo, min(lm.hi, -1) + 1):
-            blk = lm.block(k)
-            bottom = blk if bottom is None else bottom * w[..., None, None] + blk
-        bottom = bottom * w[..., None, None] ** (-min(lm.hi, -1))
-        out += bottom
-    return out[0] if scalar else out
+def _power_sum(coeffs: np.ndarray, lo: int, z) -> np.ndarray:
+    """sum_k coeffs[k - lo] * z^k at every point of z; shape z.shape + coeffs.shape[1:]."""
+    z = np.asarray(z, dtype=complex)
+    ks = np.arange(lo, lo + len(coeffs))
+    return np.tensordot(z[..., None] ** ks, coeffs, axes=(-1, 0))
 
 
 @dataclass
@@ -241,10 +222,6 @@ def next_pow2(m: int) -> int:
 
 
 # -- arithmetic -------------------------------------------------------------
-
-
-def lm_identity(n: int) -> LaurentMatrix:
-    return LaurentMatrix(n, 0, 0, np.eye(n, dtype=complex)[None])
 
 
 def lm_add(a: LaurentMatrix, b: LaurentMatrix, scale_b: complex = 1.0) -> LaurentMatrix:
@@ -479,9 +456,7 @@ class ScalarSeries:
         return 0.0 + 0.0j
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        ks = np.arange(self.lo, self.hi + 1)
-        return np.tensordot(self.coeffs, z[None, ...] ** ks.reshape((-1,) + (1,) * z.ndim), axes=(0, 0))
+        return _power_sum(self.coeffs, self.lo, z)
 
 
 @dataclass

@@ -12,15 +12,14 @@ Four representations of the same object are provided and cross-checkable:
   built from the same column data.
 
 On top of these sit the stabilization of the graded coefficients in N, the
-wave (Baker) coefficients obtained by shifted-time evaluation, and two
-structural checks of the annihilating differential operator Delta_N of the
+wave (Baker) coefficients obtained by shifted-time evaluation, and one
+structural check of the annihilating differential operator Delta_N of the
 level-N generator family.  kernel_facts_check verifies that Delta_N kills
-the family and its n-th derivatives and splits into an order-n stage after
-the operator of members n+1..nN; recursion_check verifies that Delta_{N+1}
-factors the same way through Delta_N.  Both splittings are one identity,
-checked by the single ladder routine _ladder: Delta_upper(g) * Wr(v) =
-Wr(Delta_lower g, v) with v the lower images of the first n upper members,
-plus the first-order factor ladder of the order-n stage.
+the family and its n-th derivatives, that members n+1..nN are the
+level-(N-1) family, and that Delta_N factors as an order-n stage after
+Delta_{N-1}: Delta_N(g) * Wr(v) = Wr(Delta_{N-1} g, v) with v the
+level-(N-1) images of the first n level-N members, plus the first-order
+factor ladder of the order-n stage.
 
 Ratios of Wronskians that enter first-order factors are frequently singular
 at t = 0 (an intermediate Wronskian can have zero constant term even though
@@ -31,7 +30,7 @@ cleared-denominator polynomial form, which is exact in the truncated ring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,7 +72,6 @@ from .toeplitz import (
 __all__ = [
     "FFamily",
     "KernelFactsReport",
-    "RecursionReport",
     "StabilityReport",
     "TauSeries",
     "apply_first_order_factors",
@@ -87,7 +85,6 @@ __all__ = [
     "lemma_wronsky_check",
     "max_abs_coeff",
     "random_graded",
-    "recursion_check",
     "stability_check",
     "stable_tau_graded",
     "tau_graded",
@@ -466,69 +463,28 @@ def _scaled_gap(a: GradedPoly, b: GradedPoly, upto: int | None = None) -> float:
     return coefficient_gap(a, b * sigma, upto) / scale
 
 
-# -- structural checks --------------------------------------------------------
+# -- structural check ---------------------------------------------------------
 
-# Contract tolerance of both structural checks.
+# Contract tolerance of the structural check.
 _STRUCTURAL_TOL = 1e-9
-
-
-def _ladder(
-    upper: FFamily, lower: FFamily, basket: list[GradedPoly], Q: int
-) -> tuple[list[float], float, float, list[GradedPoly]]:
-    """Check that the annihilator of upper factors through that of lower.
-
-    lower holds the last members of upper, n fewer of them.  With
-    Delta_lower(h) = Wr(h, lower) / Wr(lower) and v_j = Delta_lower of
-    upper member j (j <= n), the factorization reads, with cleared
-    denominators, Delta_upper(g) * Wr(v) = Wr(Delta_lower g, v).  The
-    displayed first-order factors D log(Wr(v_<j)/Wr(v_<=j)) of the order-n
-    stage must match D log(W_{j-1}/W_j), W_j = Wr(lower, upper members
-    1..j), and Wr(v_<=j) * W_0 must be proportional to W_j.
-
-    Returns the relative gap of the factorization for each basket element,
-    the factor consistency, the composite residual and the images v, all
-    read up to weight Q.
-    """
-    n = len(upper.funcs) - len(lower.funcs)
-    K, Qw = upper.K, upper.Q
-    vs = [delta_action(lower, f) for f in upper.funcs[:n]]
-    Wr_v = wronskian(vs, K, Qw)
-    gaps = []
-    for g in basket:
-        lhs = delta_action(upper, g) * Wr_v
-        rhs = wronskian([delta_action(lower, g)] + vs)
-        # floor the scale: for annihilated g both sides vanish to roundoff
-        scale = max(max_abs_coeff(lhs, Q), max_abs_coeff(rhs, Q), 1.0)
-        gaps.append(coefficient_gap(lhs, rhs, Q) / scale)
-
-    W = [wronskian_tau(lower)]
-    Hat = [gp_const(K, Qw, 1.0)]
-    for j in range(1, n + 1):
-        W.append(wronskian(lower.funcs + upper.funcs[:j], K, Qw))
-        Hat.append(wronskian(vs[:j], K, Qw))
-    factor_consistency = max(
-        _cleared_logratio_gap(Hat[j - 1], Hat[j], W[j - 1], W[j], Q)
-        for j in range(1, n + 1)
-    )
-    composite_residual = max(
-        _scaled_gap(Hat[j] * W[0], W[j], Q) for j in range(1, n + 1)
-    )
-    return gaps, factor_consistency, composite_residual, vs
 
 
 @dataclass
 class KernelFactsReport:
-    """Ring-exact facts about the annihilator of the generator family."""
+    """Ring-exact facts about the annihilator at level N and its ladder from N-1."""
 
     N: int
     Q: int
     annihilation: float
     annihilation_shifted: float
     shift_symmetry: float
+    family_shift: float
     prefix_tau_identity: float
     operator_split: float
     factor_consistency: float
     composite_residual: float
+    unit_action_magnitude: float
+    kernel_images_magnitude: float
 
     @property
     def max_residual(self) -> float:
@@ -536,6 +492,7 @@ class KernelFactsReport:
             self.annihilation,
             self.annihilation_shifted,
             self.shift_symmetry,
+            self.family_shift,
             self.prefix_tau_identity,
             self.operator_split,
             self.factor_consistency,
@@ -544,23 +501,34 @@ class KernelFactsReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= _STRUCTURAL_TOL
+        return (
+            self.max_residual <= _STRUCTURAL_TOL
+            and self.unit_action_magnitude > _STRUCTURAL_TOL
+            and self.kernel_images_magnitude > _STRUCTURAL_TOL
+        )
 
 
 def kernel_facts_check(spec: SymbolSpec, N: int, Q: int) -> KernelFactsReport:
     """Verify the annihilator facts at level N in cleared-denominator form.
 
     Checks, all exact in the truncated ring up to roundoff:
-    - the operator annihilates every family member;
+    - Delta_N annihilates every member of the level-N family;
     - it also annihilates the n-th derivative of members 1..n(N-1), because
       differentiating n times maps member s to member s+n;
-    - the Wronskian of members n+1..nN equals the full Wronskian one level
-      down (members shift down by n when N drops by 1);
-    - the operator splits through the monic order-(nN-n) stage built from
-      members n+1..nN (_ladder on a basket).  That stage is taken from this
-      level, not from f_family at N-1, so the split stays independent of the
-      level-down family; the Wronskian identity above links the two.
+    - members n+1..nN equal the level-(N-1) family, built on its own, and
+      their Wronskian equals that family's (members shift down by n when N
+      drops by 1);
+    - Delta_N factors as a monic order-n stage after Delta_{N-1}.  With
+      v_j = Delta_{N-1} of level-N member j (j <= n), the factorization
+      reads Delta_N(g) * Wr(v) = Wr(Delta_{N-1} g, v), checked on a basket.
+      The first-order factors D log(Wr(v_<j)/Wr(v_<=j)) of the stage must
+      match D log(W_{j-1}/W_j), W_j = Wr(level-(N-1) family, level-N
+      members 1..j), and Wr(v_<=j) * W_0 must be proportional to W_j.
+    It passes only if neither Delta_N(1) nor any v_j vanishes as well, so
+    that the factorization is not read off zero operators.
     """
+    if Q < 1:
+        raise ValueError(f"residuals are read up to weight Q >= 1, got Q={Q}")
     n = spec.n
     nN = n * N
     rng = np.random.default_rng(7)
@@ -569,6 +537,7 @@ def kernel_facts_check(spec: SymbolSpec, N: int, Q: int) -> KernelFactsReport:
     # is computed with headroom and residuals are read off up to weight Q.
     Qw = Q + n + 2
     ff = f_family(spec, N, Qw)
+    lower = f_family(spec, N - 1, Qw)
     funcs = ff.funcs
     annihilation = max(max_abs_coeff(delta_action(ff, f), Q) for f in funcs)
 
@@ -588,19 +557,44 @@ def kernel_facts_check(spec: SymbolSpec, N: int, Q: int) -> KernelFactsReport:
         (max_abs_coeff(delta_action(ff, g), Q) for g in shifted), default=0.0
     )
 
-    # members n+1..nN versus the full family one level down
-    lower = replace(ff, N=N - 1, funcs=funcs[n:], _tau=None)
-    if N >= 2:
-        tau_down = wronskian_tau(f_family(spec, N - 1, Qw))
-    else:
-        tau_down = gp_const(Qw, Qw, 1.0)
-    prefix_tau_identity = coefficient_gap(wronskian_tau(lower), tau_down, Q)
+    family_shift = max(
+        (coefficient_gap(a, b, Q) for a, b in zip(funcs[n:], lower.funcs)),
+        default=0.0,
+    )
+    prefix_tau_identity = coefficient_gap(
+        wronskian(funcs[n:], Qw, Qw), wronskian_tau(lower), Q
+    )
 
-    basket = [gp_const(Qw, Qw, 1.0), random_graded(Qw, Qw, rng)]
-    if Qw >= 5:
-        basket.append(schur_sequence_reduced(Qw, Qw, n)[5])
-    basket.extend([funcs[0], funcs[-1]])
-    gaps, factor_consistency, composite_residual, _ = _ladder(ff, lower, basket, Q)
+    # the ladder: W_j and Wr(v_<=j) for j = 0..n
+    vs = [delta_action(lower, f) for f in funcs[:n]]
+    W = [wronskian_tau(lower)] + [
+        wronskian(lower.funcs + funcs[:j], Qw, Qw) for j in range(1, n + 1)
+    ]
+    Hat = [wronskian(vs[:j], Qw, Qw) for j in range(n + 1)]
+    factor_consistency = max(
+        _cleared_logratio_gap(Hat[j - 1], Hat[j], W[j - 1], W[j], Q)
+        for j in range(1, n + 1)
+    )
+    composite_residual = max(
+        _scaled_gap(Hat[j] * W[0], W[j], Q) for j in range(1, n + 1)
+    )
+
+    basket = [
+        gp_const(Qw, Qw, 1.0),
+        random_graded(Qw, Qw, rng),
+        schur_sequence_reduced(Qw, Qw, n)[5],
+        funcs[0],
+        funcs[-1],
+        *lower.funcs[:1],
+    ]
+    actions = [delta_action(ff, g) for g in basket]
+    gaps = []
+    for g, act in zip(basket, actions):
+        lhs = act * Hat[n]  # Hat[n] = Wr(v)
+        rhs = wronskian([delta_action(lower, g)] + vs)
+        # floor the scale: for annihilated g both sides vanish to roundoff
+        scale = max(max_abs_coeff(lhs, Q), max_abs_coeff(rhs, Q), 1.0)
+        gaps.append(coefficient_gap(lhs, rhs, Q) / scale)
 
     return KernelFactsReport(
         N=N,
@@ -608,98 +602,13 @@ def kernel_facts_check(spec: SymbolSpec, N: int, Q: int) -> KernelFactsReport:
         annihilation=annihilation,
         annihilation_shifted=annihilation_shifted,
         shift_symmetry=shift_symmetry,
+        family_shift=family_shift,
         prefix_tau_identity=prefix_tau_identity,
         operator_split=max(gaps),
         factor_consistency=factor_consistency,
         composite_residual=composite_residual,
-    )
-
-
-@dataclass
-class RecursionReport:
-    """One-step recursion between truncation levels N and N+1."""
-
-    N: int
-    Q: int
-    family_shift: float
-    vanish_next_family: float
-    main_identity: float
-    unit_action_magnitude: float
-    unit_action_residual: float
-    p5_residual: float | None
-    factor_consistency: float
-    composite_residual: float
-    kernel_images_magnitude: float
-
-    @property
-    def max_residual(self) -> float:
-        worst = max(
-            self.family_shift,
-            self.vanish_next_family,
-            self.main_identity,
-            self.unit_action_residual,
-            self.factor_consistency,
-            self.composite_residual,
-        )
-        if self.p5_residual is not None:
-            worst = max(worst, self.p5_residual)
-        return worst
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.max_residual <= _STRUCTURAL_TOL
-            and self.unit_action_magnitude > _STRUCTURAL_TOL
-            and self.kernel_images_magnitude > _STRUCTURAL_TOL
-        )
-
-
-def recursion_check(spec: SymbolSpec, N: int, Q: int) -> RecursionReport:
-    """Verify the order-n ladder from level N to level N+1.
-
-    The annihilator at level N+1 factors as a monic order-n operator applied
-    after the annihilator at level N.  With g_j the level-N images of the
-    first n members of the level-(N+1) family, the ladder operator is the
-    Wronskian quotient on (g_1..g_n), so the recursion reads, with cleared
-    denominators, Delta_{N+1}(g) * Wr(g_1..g_n) = Wr(Delta_N g, g_1..g_n)
-    for every g.  _ladder checks it on a basket together with the displayed
-    factor coefficients.
-    """
-    n = spec.n
-    rng = np.random.default_rng(11)
-    # headroom against derivative truncation loss, as in kernel_facts_check
-    Qw = Q + n + 2
-    ffN = f_family(spec, N, Qw)
-    ffN1 = f_family(spec, N + 1, Qw)
-
-    # members shift down by n when the level drops
-    family_shift = max(
-        (coefficient_gap(a, b, Q) for a, b in zip(ffN1.funcs[n:], ffN.funcs)),
-        default=0.0,
-    )
-    vanish_next_family = max(
-        max_abs_coeff(delta_action(ffN1, f), Q) for f in ffN1.funcs
-    )
-
-    one = gp_const(Qw, Qw, 1.0)
-    unit_action_magnitude = max_abs_coeff(delta_action(ffN1, one), Q)
-    basket = [one, random_graded(Qw, Qw, rng), ffN1.funcs[0], ffN.funcs[0]]
-    if Qw >= 5:
-        basket.append(schur_sequence_reduced(Qw, Qw, n)[5])
-    gaps, factor_consistency, composite_residual, gs = _ladder(ffN1, ffN, basket, Q)
-
-    return RecursionReport(
-        N=N,
-        Q=Q,
-        family_shift=family_shift,
-        vanish_next_family=vanish_next_family,
-        main_identity=max(gaps[:4]),
-        unit_action_magnitude=unit_action_magnitude,
-        unit_action_residual=gaps[0],
-        p5_residual=gaps[4] if Qw >= 5 else None,
-        factor_consistency=factor_consistency,
-        composite_residual=composite_residual,
-        kernel_images_magnitude=min(max_abs_coeff(g, Q) for g in gs),
+        unit_action_magnitude=max_abs_coeff(actions[0], Q),
+        kernel_images_magnitude=min(max_abs_coeff(v, Q) for v in vs),
     )
 
 

@@ -7,10 +7,10 @@ from blocktau.errors import BranchMatchError, SpecError
 from blocktau.laurent import LaurentMatrix, ScalarSeries, lm_mul
 from blocktau.symbols import base_symbol, covering_spec, lambda_power
 from blocktau.algebro import (
+    CharPoly,
     _charpoly_coeffs,
     bc_matrices,
     branch_series,
-    charpoly,
     charpoly_from_matrix,
     curve_from_covering,
     fold_scalar,
@@ -32,7 +32,7 @@ def covering_curve():
 
 
 def test_monomial_curve_branch_is_exact_power():
-    cp = charpoly(2, [np.zeros(1), np.array([0, 0, 0, -1.0])])
+    cp = CharPoly(2, (np.zeros(1), np.array([0, 0, 0, -1.0])))
     bs = branch_series(cp, 40)
     assert bs.m == 3
     assert float(np.max(np.abs(bs.tail))) == 0.0
@@ -41,7 +41,7 @@ def test_monomial_curve_branch_is_exact_power():
 
 def test_square_root_series_binomial_oracle():
     # lambda^2 = z^3 + z^2: tail coefficients are the binomial (1/2 choose i)
-    cp = charpoly(2, [np.zeros(1), np.array([0, 0, -1.0, -1.0])])
+    cp = CharPoly(2, (np.zeros(1), np.array([0, 0, -1.0, -1.0])))
     bs = branch_series(cp, 60)
     want = np.zeros(61)
     b = 1.0
@@ -65,7 +65,7 @@ def test_oncircle_branch_point_residual_recorded_not_raised():
     # z = -1 is a branch point sitting on the unit circle, so the truncated
     # series cannot close the curve equation there; the residual is stored
     # for the caller to judge rather than raised
-    cp = charpoly(2, [np.zeros(1), np.array([0, 0, -1.0, -1.0])])
+    cp = CharPoly(2, (np.zeros(1), np.array([0, 0, -1.0, -1.0])))
     bs = branch_series(cp, 60)
     assert np.isfinite(bs.residual_unit_circle)
     assert bs.residual_unit_circle > 1e-8
@@ -187,17 +187,17 @@ def test_spectral_report_second_elliptic_curve():
 
 def test_reject_constant_curve():
     with pytest.raises(SpecError):
-        charpoly(2, [np.zeros(1), np.array([10.0])])
+        CharPoly(2, (np.zeros(1), np.array([10.0])))
 
 
 def test_reject_degree_bound_violation():
     with pytest.raises(SpecError):
-        charpoly(2, [np.array([0, 0, 1.0]), np.array([0, 0, 0, -1.0])])
+        CharPoly(2, (np.array([0, 0, 1.0]), np.array([0, 0, 0, -1.0])))
 
 
 def test_reject_non_coprime_orders():
     with pytest.raises(SpecError):
-        charpoly(2, [np.zeros(1), np.array([0, 0, 0, 0, -1.0])])
+        CharPoly(2, (np.zeros(1), np.array([0, 0, 0, 0, -1.0])))
 
 
 def test_reject_matrix_without_curve_structure():

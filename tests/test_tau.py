@@ -13,6 +13,7 @@ from blocktau.factorization import deformed_symbol_samples
 from blocktau.gradedpoly import (
     evaluate,
     gp_const,
+    gp_time,
     hirota_kdv_residual,
     normalize_partition,
     partitions_upto,
@@ -34,7 +35,6 @@ from blocktau.tau import (
     f_family,
     kernel_facts_check,
     max_abs_coeff,
-    recursion_check,
     stability_check,
     stable_tau_graded,
     tau_graded,
@@ -396,7 +396,7 @@ def test_zero_locus_on_imaginary_ray():
         assert abs(got) < bound  # marching into the zero locus
 
 
-# -- kernel facts and recursion ----------------------------------------------
+# -- kernel facts and the ladder from the level below ------------------------
 
 
 def test_kernel_facts_level_two():
@@ -405,37 +405,43 @@ def test_kernel_facts_level_two():
     assert kf.max_residual < 1e-9
 
 
-def test_recursion_level_one_to_two():
-    rc = recursion_check(RSPEC, 1, 6)
-    assert rc.passed, rc
-    assert rc.max_residual < 1e-9
-
-
-def test_recursion_level_two_to_three():
-    rc = recursion_check(RSPEC, 2, 6)
-    assert rc.passed, rc
-
-
 def test_kernel_facts_covering_family():
     kf = kernel_facts_check(CSPEC, 2, 6)
     assert kf.passed, kf
     assert kf.max_residual < 1e-9
 
 
-def test_recursion_covering_family():
-    rc = recursion_check(CSPEC, 1, 6)
-    assert rc.passed, rc
-    assert rc.max_residual < 1e-9
+@pytest.mark.parametrize(
+    "spec, N",
+    [(RSPEC, 1), (RSPEC, 3), (CSPEC, 1), (CSPEC, 3), (RSPEC3, 2), (CSPEC3, 2)],
+    ids=["rational-N1", "rational-N3", "covering-N1", "covering-N3", "rational-n3", "covering-n3"],
+)
+def test_kernel_facts_other_levels_and_block_sizes(spec, N):
+    kf = kernel_facts_check(spec, N, 6)
+    assert kf.passed, kf
+    assert kf.max_residual < 1e-9
 
 
-@pytest.mark.parametrize("N", [2, 3])
-def test_kernel_split_is_the_recursion_ladder(N):
-    # members n+1..nN of level N are the level-(N-1) family, so the operator
-    # split at level N and the ladder from N-1 run the same identities
-    kf = kernel_facts_check(RSPEC, N, 6)
-    rc = recursion_check(RSPEC, N - 1, 6)
-    assert kf.factor_consistency == rc.factor_consistency
-    assert kf.composite_residual == rc.composite_residual
+def test_kernel_facts_need_a_positive_weight():
+    with pytest.raises(ValueError):
+        kernel_facts_check(RSPEC, 2, 0)
+
+
+def test_kernel_facts_catch_a_perturbed_member(monkeypatch):
+    # the last level-2 member no longer continues the level-1 family
+    build = tau_module.f_family
+
+    def perturbed(spec, N, Q, K=None, gd_reduced=True):
+        ff = build(spec, N, Q, K=K, gd_reduced=gd_reduced)
+        if N == 2:
+            t1 = gp_time(ff.K, ff.Q, 1)
+            ff.funcs[-1] = ff.funcs[-1] + t1 * t1 * 1e-6
+        return ff
+
+    monkeypatch.setattr(tau_module, "f_family", perturbed)
+    kf = kernel_facts_check(RSPEC, 2, 6)
+    assert kf.family_shift > 1e-9
+    assert not kf.passed
 
 
 # -- wave coefficients -------------------------------------------------------
