@@ -405,10 +405,27 @@ def test_kernel_facts_level_two():
     assert kf.max_residual < 1e-9
 
 
+def test_recursion_level_one_to_two():
+    # the ladder from level 1 to level 2 runs inside the level-2 check
+    kf = kernel_facts_check(RSPEC, 2, 6)
+    assert kf.passed, kf
+    assert max(kf.family_shift, kf.factor_consistency, kf.composite_residual) < 1e-9
+    assert kf.unit_action_magnitude > 1e-9
+    assert kf.kernel_images_magnitude > 1e-9
+
+
 def test_kernel_facts_covering_family():
     kf = kernel_facts_check(CSPEC, 2, 6)
     assert kf.passed, kf
     assert kf.max_residual < 1e-9
+
+
+def test_recursion_covering_family():
+    kf = kernel_facts_check(CSPEC, 2, 6)
+    assert kf.passed, kf
+    assert max(kf.family_shift, kf.factor_consistency, kf.composite_residual) < 1e-9
+    assert kf.unit_action_magnitude > 1e-9
+    assert kf.kernel_images_magnitude > 1e-9
 
 
 @pytest.mark.parametrize(
