@@ -419,7 +419,7 @@ def _check_kernel_recursion(ctx, tol):
     return (
         kf.max_residual,
         kf.max_residual <= tol and kf.passed,
-        "annihilator kills the N=2 family and factors through N=1, Q=6",
+        "ker of the N=2 annihilator is D^n-closed; it factors through N=1, Q=6",
     )
 
 

@@ -515,27 +515,6 @@ def cmd_verify(cfg: RunConfig, out: str, seed: int | None) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-def cmd(name: str, cfg: RunConfig, **kw) -> int:
-    """Run one command against a validated config; returns the exit code."""
-    tol = kw.get("tol")
-    if name == "verify" and tol is not None:
-        raise ConfigError("--tol does not apply to verify: its tolerances are the contract")
-    out = _ensure_outdir(cfg, kw.get("out"))
-    seed = kw.get("seed")
-    threads = kw.get("threads", 1)
-    if name == "verify":
-        return cmd_verify(cfg, out, seed)
-    if name == "tau":
-        return cmd_tau(cfg, out, tol, threads)
-    if name == "converge":
-        return cmd_converge(cfg, out, tol)
-    if name == "factorize":
-        return cmd_factorize(cfg, out, tol, seed)
-    if name == "spectral":
-        return cmd_spectral(cfg, out)
-    raise ConfigError(f"unknown command {name!r}")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="blocktau",
@@ -556,14 +535,17 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         cfg = load_config(args.config)
-        return cmd(
-            args.command,
-            cfg,
-            out=args.out,
-            tol=args.tol,
-            threads=args.threads,
-            seed=args.seed,
-        )
+        if args.command == "verify" and args.tol is not None:
+            raise ConfigError("--tol does not apply to verify: its tolerances are the contract")
+        out = _ensure_outdir(cfg, args.out)
+        commands = {
+            "verify": lambda: cmd_verify(cfg, out, args.seed),
+            "tau": lambda: cmd_tau(cfg, out, args.tol, args.threads),
+            "converge": lambda: cmd_converge(cfg, out, args.tol),
+            "factorize": lambda: cmd_factorize(cfg, out, args.tol, args.seed),
+            "spectral": lambda: cmd_spectral(cfg, out),
+        }
+        return commands[args.command]()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -68,10 +68,7 @@ class LaurentMatrix:
         modes is a 2-D integer array; modes outside the stored band give
         zero blocks.  The result has shape (R*n, C*n).
         """
-        modes = np.asarray(modes, dtype=int)
-        R, C = modes.shape
-        blocks = gather_modes(self.coeffs, self.lo, modes)
-        return blocks.transpose(0, 2, 1, 3).reshape(R * self.n, C * self.n)
+        return block_layout(self.coeffs, self.lo, modes)
 
     def __call__(self, z) -> np.ndarray:
         """Evaluate at one point or an array of points."""
@@ -90,6 +87,19 @@ def gather_modes(coeffs: np.ndarray, lo: int, modes) -> np.ndarray:
     out = np.take(coeffs, np.where(off, 0, idx), axis=0)
     out[off] = 0
     return out
+
+
+def block_layout(coeffs: np.ndarray, lo: int, modes) -> np.ndarray:
+    """Block matrix (R*n, C*n, ...) whose (r, c) block is mode modes[r, c].
+
+    coeffs has shape (modes, n, n, ...) with the modes lo, lo+1, ... first;
+    any trailing shape rides along.  modes is a 2-D integer array; modes
+    outside the stored band give zero blocks.
+    """
+    modes = np.asarray(modes, dtype=int)
+    (R, C), n = modes.shape, coeffs.shape[1]
+    blocks = gather_modes(coeffs, lo, modes)
+    return blocks.swapaxes(1, 2).reshape(R * n, C * n, *coeffs.shape[3:])
 
 
 def _power_sum(coeffs: np.ndarray, lo: int, z) -> np.ndarray:

@@ -248,7 +248,7 @@ def exp_xi_lambda(
     values p_0..p_kmax, one value per entry.  By default the band must also
     hold the whole function, i.e. the Schur values at the band edge must
     have decayed below EXP_TAIL_TOL, so that the banded object can stand in
-    for the symbol globally (sampling, factorization, limit theorems).  Pass
+    for exp(xi) globally (sampling, factorization, limit theorems).  Pass
     exact_only=True to skip that guard when only the in-band projection is
     needed (finite Toeplitz truncations read a fixed window of modes).
     """
@@ -299,8 +299,10 @@ def gd_symbol(
     """Fourier coefficients of exp(xi(t,L)) * base symbol on the band.
 
     In-band coefficients are exact (the exponential factor is carried on
-    the wider band it needs); with exact_only=False the band must also hold
-    the deformed symbol globally, else TruncationError.
+    the wider band (0, band[1] - W.lo) it needs).  With exact_only=False,
+    exp(xi(t, L)) must hold to EXP_TAIL_TOL on that wider band, else
+    TruncationError; the modes of the product past band[1] are dropped
+    unchecked, so the band need not hold the deformed symbol globally.
     """
     w = base_symbol(spec)
     exp_band = (0, band[1] - w.lo)
@@ -319,8 +321,10 @@ def gd_symbol_inverse(
 ) -> LaurentMatrix:
     """Fourier coefficients of W^-1 * exp(xi(-t, L)), the inverse of gd_symbol.
 
-    In-band coefficients are exact up to the cut of W^-1; the band must hold
-    the exponential factor globally, else TruncationError.
+    In-band coefficients are exact up to the cut of W^-1.  exp(xi(-t, L))
+    must hold to EXP_TAIL_TOL on its band (0, band[1] - lo(W^-1)), else
+    TruncationError; the modes of the product past band[1] are dropped
+    unchecked.
     """
     w_inv = base_inverse(spec)
     e = exp_xi_lambda(t.negated(), spec.n, (0, band[1] - w_inv.lo))

@@ -25,6 +25,7 @@ from blocktau.symbols import (
     column_series,
     covering_spec,
     gd_symbol,
+    gd_symbol_inverse,
     rational_spec,
     time_vector,
 )
@@ -46,7 +47,7 @@ from blocktau.tau import (
     wronskian_tau,
 )
 from blocktau import tau as tau_module
-from blocktau.toeplitz import truncation_dets
+from blocktau.toeplitz import fredholm_det, plemelj_fourier, truncation_dets
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
@@ -311,6 +312,18 @@ def test_covering_stable_tau_matches_a_deep_section():
     assert abs(got - want) / abs(want) < 1e-6
 
 
+@pytest.mark.parametrize("s", [5.8, 6.5])
+def test_covering_stable_tau_matches_a_wide_band(s):
+    # at B = 32 the band drops modes of g up to 1e-4 of its largest one
+    # (the guard tests exp(xi), not g); the determinant must not notice
+    tv = time_vector([s * d for d in (1, 0, 0.5, 0, 0.25)])
+    lm = gd_symbol(CSPEC, tv, (-160, 160))
+    lm_inv = gd_symbol_inverse(CSPEC, tv, (-168, 168))
+    want = fredholm_det(plemelj_fourier(lm, lm_inv, 16), tol=1e-9, max_M=4096).value
+    got = tau_stable(CSPEC, tv)
+    assert abs(got - want) / abs(want) < 1e-11
+
+
 def test_stable_tau_refuses_an_ill_conditioned_symbol():
     tv = time_vector([8.0 * d for d in (1, 0, 0.5, 0, 0.25)])
     with pytest.raises(NearSingularSymbol) as exc:
@@ -409,7 +422,7 @@ def test_recursion_level_one_to_two():
     # the ladder from level 1 to level 2 runs inside the level-2 check
     kf = kernel_facts_check(RSPEC, 2, 6)
     assert kf.passed, kf
-    assert max(kf.family_shift, kf.factor_consistency, kf.composite_residual) < 1e-9
+    assert max(kf.family_shift, kf.operator_split) < 1e-9
     assert kf.unit_action_magnitude > 1e-9
     assert kf.kernel_images_magnitude > 1e-9
 
@@ -423,7 +436,7 @@ def test_kernel_facts_covering_family():
 def test_recursion_covering_family():
     kf = kernel_facts_check(CSPEC, 2, 6)
     assert kf.passed, kf
-    assert max(kf.family_shift, kf.factor_consistency, kf.composite_residual) < 1e-9
+    assert max(kf.family_shift, kf.operator_split) < 1e-9
     assert kf.unit_action_magnitude > 1e-9
     assert kf.kernel_images_magnitude > 1e-9
 
@@ -444,20 +457,64 @@ def test_kernel_facts_need_a_positive_weight():
         kernel_facts_check(RSPEC, 2, 0)
 
 
-def test_kernel_facts_catch_a_perturbed_member(monkeypatch):
-    # the last level-2 member no longer continues the level-1 family
+def _bump_last_level_two(ff):
+    if ff.N == 2:
+        t1 = gp_time(ff.K, ff.Q, 1)
+        ff.funcs[-1] = ff.funcs[-1] + t1 * t1 * 1e-6
+
+
+def _bump_first(ff):
+    if ff.N == 2:
+        t1 = gp_time(ff.K, ff.Q, 1)
+        ff.funcs[0] = ff.funcs[0] + t1 * t1 * t1 * 1e-6
+
+
+def _bump_level_one(ff):
+    if ff.N == 1:
+        ff.funcs[0] = ff.funcs[0] + gp_time(ff.K, ff.Q, 3) * 1e-6
+
+
+def _swap_first_two(ff):
+    if ff.N == 2:
+        ff.funcs[0], ff.funcs[1] = ff.funcs[1], ff.funcs[0]
+
+
+def _scale_third(ff):
+    if ff.N == 2:
+        ff.funcs[2] = ff.funcs[2] * (1.0 + gp_time(ff.K, ff.Q, 1) * 1e-6)
+
+
+def _bump_every_last(ff):
+    t1 = gp_time(ff.K, ff.Q, 1)
+    ff.funcs[-1] = ff.funcs[-1] + t1 * t1 * 1e-6
+
+
+@pytest.mark.parametrize("spec", [RSPEC, CSPEC], ids=["rational", "covering"])
+@pytest.mark.parametrize(
+    "perturb",
+    [
+        _bump_last_level_two,
+        _bump_first,
+        _bump_level_one,
+        _swap_first_two,
+        _scale_third,
+        _bump_every_last,
+    ],
+    ids=["last-level-2", "first", "level-1", "swap-1-2", "scale-3", "last-every-level"],
+)
+def test_kernel_facts_catch_a_perturbed_member(monkeypatch, spec, perturb):
+    # each perturbation leaves a family that is not the level-N generator
+    # family; at least one reported residual must move to 1e-6 or more
     build = tau_module.f_family
 
     def perturbed(spec, N, Q, K=None, gd_reduced=True):
         ff = build(spec, N, Q, K=K, gd_reduced=gd_reduced)
-        if N == 2:
-            t1 = gp_time(ff.K, ff.Q, 1)
-            ff.funcs[-1] = ff.funcs[-1] + t1 * t1 * 1e-6
+        perturb(ff)
         return ff
 
     monkeypatch.setattr(tau_module, "f_family", perturbed)
-    kf = kernel_facts_check(RSPEC, 2, 6)
-    assert kf.family_shift > 1e-9
+    kf = kernel_facts_check(spec, 2, 6)
+    assert kf.max_residual > 1e-7
     assert not kf.passed
 
 
