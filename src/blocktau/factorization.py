@@ -59,6 +59,7 @@ class FactorizationResult:
     cond: float           # condition number of the linear system
     det_plus_dev: float   # sup |det T_plus - 1| over the sample grid
     B_used: int
+    history: list[tuple[int, float]]  # (B, residual) of every depth tried, in order
 
 
 def wiener_hopf(
@@ -88,6 +89,7 @@ def wiener_hopf(
         depth = int(below[0]) if len(below) else cap
         B = min(depth + DEFAULT_EXTRA_BAND, cap)
     scale = float(np.max(np.abs(x.values)))
+    history = []
     while True:
         # block system: sum_{k=1..B} (g^{-1})^(k-m) T_minus^(-k) = -(g^{-1})^(-m)
         ms = np.arange(1, B + 1)
@@ -111,6 +113,7 @@ def wiener_hopf(
         plus_samples = inverse_transform(T_plus, x.M, x.radius).values
         recon = np.einsum("lab,lbc->lac", tm_vals, plus_samples)
         residual = float(np.max(np.abs(x.values - recon))) / max(scale, 1e-300)
+        history.append((B, residual))
         if residual <= tol or last or B >= cap:
             break
         B = min(2 * B, cap)
@@ -137,6 +140,7 @@ def wiener_hopf(
         cond=cond,
         det_plus_dev=float(np.max(np.abs(np.linalg.det(plus_samples) - 1.0))),
         B_used=B,
+        history=history,
     )
 
 

@@ -158,17 +158,22 @@ def gp_matmul(a: np.ndarray, b: np.ndarray, K: int, Q: int) -> np.ndarray:
 
     a has shape (m, k, basis) and b (k, p, basis) over the (K, Q) basis.
     The pair products of every entry pair are summed over the inner index
-    before the one segmented sum, a block of rows of a at a time.
+    before the one segmented sum.  A block of columns of b and a block of
+    rows of a go through at a time, sized so that each gathered operand
+    and their product stay near _PAIR_BLOCK pair products (one row and one
+    column at a time once k alone passes it).
     """
     ia, ib, starts = _product_table(K, Q)
     (m, k), p = a.shape[:2], b.shape[1]
-    pb = np.take(b, ib, axis=-1)
     out = np.empty((m, p, len(starts)), dtype=complex)
-    step = max(1, _PAIR_BLOCK // (len(ia) * k * p))
-    for lo in range(0, m, step):
-        pa = np.take(a[lo : lo + step], ia, axis=-1)
-        prod = np.einsum("ikx,kjx->ijx", pa, pb)
-        out[lo : lo + step] = np.add.reduceat(prod, starts, axis=-1)
+    cols = max(1, _PAIR_BLOCK // (len(ia) * k))
+    rows = max(1, _PAIR_BLOCK // (len(ia) * k * cols))
+    for c0 in range(0, p, cols):
+        pb = np.take(b[:, c0 : c0 + cols], ib, axis=-1)
+        for r0 in range(0, m, rows):
+            pa = np.take(a[r0 : r0 + rows], ia, axis=-1)
+            prod = np.einsum("ikx,kjx->ijx", pa, pb)
+            out[r0 : r0 + rows, c0 : c0 + cols] = np.add.reduceat(prod, starts, axis=-1)
     return out
 
 
@@ -176,12 +181,14 @@ def _inverse(a: np.ndarray, K: int, Q: int) -> np.ndarray:
     """Inverse of a coefficient vector with nonzero constant term.
 
     Newton's step b <- b (2 - a b) doubles the number of exact weight
-    layers; each step runs at the cutoff it can make exact.
+    layers; each step runs at the cutoff it can make exact.  The start
+    1 / a_0 is exact below the lowest weight of a - a_0.
     """
     basis = _basis(K, Q)
     b = np.zeros(basis.size, dtype=complex)
     b[0] = 1.0 / a[0]
-    w = 0  # b is exact through weight w
+    tail = np.flatnonzero(a[1 : basis.size])
+    w = int(basis.weights[tail[0] + 1]) - 1 if len(tail) else Q  # b is exact through w
     while w < Q:
         w = min(2 * w + 1, Q)
         n = basis.end(w)
@@ -527,8 +534,8 @@ def _gp_det_free(rows: list[list[GradedPoly]], K: int, Q: int) -> GradedPoly:
         for mask, val in minors.items():
             if val.is_zero():
                 continue
-            parity = 0
-            for j in range(m):
+            parity = 0  # used columns right of j: the inversions of placing j
+            for j in reversed(range(m)):
                 bit = 1 << j
                 if mask & bit:
                     parity ^= 1
@@ -545,6 +552,12 @@ def _gp_det_free(rows: list[list[GradedPoly]], K: int, Q: int) -> GradedPoly:
     return minors.get((1 << m) - 1, gp_zero(K, Q))
 
 
+def _valuations(coeffs: np.ndarray, weights: np.ndarray, Q: int) -> np.ndarray:
+    """Lowest weight with a nonzero coefficient along the last axis; Q + 1 for zero."""
+    nz = np.concatenate([coeffs != 0, np.ones(coeffs.shape[:-1] + (1,), bool)], axis=-1)
+    return np.append(weights, Q + 1)[nz.argmax(axis=-1)]
+
+
 def gp_det(rows: list[list[GradedPoly]]) -> GradedPoly:
     """Determinant of a square matrix over the graded ring.
 
@@ -553,8 +566,13 @@ def gp_det(rows: list[list[GradedPoly]]) -> GradedPoly:
     constant term).  Falls back to cofactor expansion for sizes <= 3 where
     it is both faster and division-free, and to a memoized division-free
     expansion when no unit pivot exists (possible up to size 12).  The
-    elimination works on the (m, m, basis) coefficient array and updates
-    one row of the trailing block per product.
+    elimination works on the (m, m, basis) coefficient array.  A row update
+    multiplies a factor by the pivot-row entries whose valuation (lowest
+    weight present) leaves the sum of the two at most Q; every other
+    product is zero in the truncated ring and is not formed, so the result
+    is the same as without the skip.  Matrices with a weight filtration,
+    such as I plus a matrix whose columns start at rising weights taken
+    heaviest first, skip most of their products.
     """
     m = len(rows)
     if m == 0:
@@ -577,10 +595,10 @@ def gp_det(rows: list[list[GradedPoly]]) -> GradedPoly:
             a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         ).truncate(Q)
 
-    n = _basis(K, Q).size
-    work = np.array([[entry.coeffs[:n] for entry in r] for r in rows])
+    basis = _basis(K, Q)
+    work = np.array([[entry.coeffs[: basis.size] for entry in r] for r in rows])
     sign = 1
-    det = np.zeros(n, dtype=complex)
+    det = np.zeros(basis.size, dtype=complex)
     det[0] = 1.0
     for col in range(m):
         lead = np.abs(work[col:, col, 0])
@@ -606,9 +624,15 @@ def gp_det(rows: list[list[GradedPoly]]) -> GradedPoly:
             sign = -sign
         pivot = work[col, col]
         det = _mul(det, pivot, K, Q)
-        factors = _mul(work[col + 1 :, col], _inverse(pivot, K, Q), K, Q)
-        for r in np.flatnonzero(factors.any(axis=1)):
-            work[col + 1 + r, col + 1 :] -= _mul(factors[r], work[col, col + 1 :], K, Q)
+        row_val = _valuations(work[col, col + 1 :], basis.weights, Q)
+        factor_val = _valuations(work[col + 1 :, col], basis.weights, Q)
+        live = np.flatnonzero(factor_val + row_val.min(initial=Q + 1) <= Q)
+        if not len(live):
+            continue
+        factors = _mul(work[col + 1 + live, col], _inverse(pivot, K, Q), K, Q)
+        for r, f, v in zip(col + 1 + live, factors, factor_val[live]):
+            cs = col + 1 + np.flatnonzero(row_val <= Q - v)
+            work[r, cs] -= _mul(f, work[col, cs], K, Q)
     return GradedPoly(K, Q, det * sign)
 
 

@@ -5,7 +5,8 @@ Four representations of the same object are provided and cross-checkable:
 - numeric: determinant of the N-block truncation at a concrete time vector;
 - graded: the same determinant carried out over the truncated graded ring,
   so the result is a polynomial in the times up to total weight Q (a
-  rank-r update of the numeric T_N(W) where r < nN, else elimination);
+  rank-r update of the numeric T_N(W), its ring determinant taken on the
+  smaller of the r x r and nN x nN sides);
 - character: expansion over partitions, with each coefficient a minor of
   the flattened column generators of the undeformed symbol;
 - wronskian: determinant of derivatives of a family of scalar generators
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,25 +42,23 @@ from .gradedpoly import (
     gp_const,
     gp_det,
     gp_from_terms,
-    gp_matmul,
     gp_zero,
     jacobi_trudi,
     monomial_weight,
+    negate_times,
     normalize_partition,
     partitions_upto,
     sato_shift,
     schur_sequence,
     schur_sequence_reduced,
 )
-from .laurent import COND_LIMIT, COND_SCREEN, LaurentMatrix, block_layout, gather_modes
+from .laurent import COND_LIMIT, COND_SCREEN, LaurentMatrix, gather_modes
 from .symbols import (
     SymbolSpec,
     TimeVector,
     base_symbol,
     column_series,
-    exp_xi_graded,
     gd_symbol,
-    gd_symbol_graded,
     gd_symbol_inverse,
 )
 from .toeplitz import (
@@ -173,54 +173,77 @@ def tau_graded(spec: SymbolSpec, N: int, Q: int, gd_reduced: bool = True) -> Gra
     With e = exp(xi(t, L)), which has modes 0..ceil(Q/n) in the ring, and W
     the base symbol, whose modes run down to W.lo, the Toeplitz-Hankel
     identity reads T_N(eW) = T_N(e) T_N(W) + H(e) H(W~) with det T_N(e) = 1,
-    and the Hankel product has rank r = n min(-W.lo, ceil(Q/n)).  When
-    0 < r < nN, D_N = det T_N(W) det(I_r + V T_N(W)^-1 U): V is the numeric
-    block Hankel section of W's negative modes and U = T_N(e^-1) H(e) the
-    ring-valued one, so the ring determinant is r x r (n x n for the
-    rational family at N >= 2).  Otherwise, as for the covering family at
-    N <= ceil(Q/n), the nN x nN ring matrix is eliminated.
+    and the Hankel product has rank r = n min(-W.lo, ceil(Q/n)).  So D_N =
+    det T_N(W) det(I + V T_N(W)^-1 U), V the numeric block Hankel section
+    of W's negative modes and U = T_N(e^-1) H(e) the ring-valued one, and
+    by Sylvester's identity the ring determinant is taken on the smaller
+    side: I_r + V T_N(W)^-1 U when r <= nN, else I_nN + U V T_N(W)^-1.
+    (det T_N(W) is 1 for the shipped families; it is computed, not assumed.)
+
+    In the flat index, entry (i, m) of U is sum_{0<=j<=i} p_j(-t) p_{i+m-j}
+    with p the Schur layers: it is homogeneous of weight i + m, so column m
+    of U is read off one ring element, the tail sum_{j>=m} p_j times
+    exp(-sum_k t_k) (_hankel_columns, cached per (n, Q, gd_reduced)), and
+    every coefficient of the ring matrix is one product of a numeric entry
+    and a coefficient of that table.  Rows of V T_N(W)^-1 that vanish leave
+    identity rows in the r x r matrix, and columns that vanish identity
+    columns in the nN x nN one (half of each for the covering family), so
+    both sides drop them and the smaller of what is left is taken.  Column
+    m (row i) of the ring matrix has no weight below m (i + 1); the matrix
+    goes to gp_det heaviest pivot first, where most products pass Q.
     """
     n = spec.n
     if N == 0:
         return gp_const(Q, Q, 1.0)
-    rb = min(-base_symbol(spec).lo, math.ceil(Q / n))
-    if 0 < rb < N:
-        return _tau_graded_low_rank(spec, N, Q, gd_reduced, rb)
-    return _tau_graded_elimination(spec, N, Q, gd_reduced)
-
-
-def _tau_graded_elimination(
-    spec: SymbolSpec, N: int, Q: int, gd_reduced: bool
-) -> GradedPoly:
-    """D_N by elimination on the nN x nN ring matrix T_N(exp(xi(t, L)) W)."""
-    coeffs = gd_symbol_graded(spec, (-(N - 1), N - 1), Q, gd_reduced)
-    idx = np.arange(N)
-    T = block_layout(coeffs, -(N - 1), idx[:, None] - idx)  # block (I, J) is mode I - J
-    return gp_det([[GradedPoly(Q, Q, entry) for entry in row] for row in T])
-
-
-def _tau_graded_low_rank(
-    spec: SymbolSpec, N: int, Q: int, gd_reduced: bool, rb: int
-) -> GradedPoly:
-    """D_N = det T_N(W) det(I_r + V T_N(W)^-1 U) with r = n rb (see tau_graded).
-
-    U_{I,l} = -sum_{j=1..l} (e^-1)_{I+j} e_{l-j}, l = 1..rb, telescoped from
-    T_N(e^-1) H(e) by e^-1 e = 1: the block Hankel section of e^-1 times the
-    upper block Toeplitz section of e, one ring matrix product.
-    """
     w = base_symbol(spec)
-    idx, ls = np.arange(N), np.arange(1, rb + 1)
     TW = build_TN(w, N).matrix
-    V = w.block_matrix(-(ls[:, None] + idx))  # block (l, J) is W_{-l-J}
-    X = np.linalg.solve(TW.T, V.T).T  # V T_N(W)^-1
-    e = exp_xi_graded(spec.n, Q, gd_reduced)
-    e_inv = exp_xi_graded(spec.n, Q, gd_reduced, negate=True)
-    A = block_layout(e_inv, 0, idx[:, None] + ls)  # block (I, j) is (e^-1)_{I+j}
-    B = block_layout(e, 0, ls - ls[:, None])  # block (j, l) is e_{l-j}
-    M = -np.tensordot(X, gp_matmul(A, B, Q, Q), axes=(1, 0))
-    M[:, :, 0] += np.eye(len(M))
-    det = gp_det([[GradedPoly(Q, Q, entry) for entry in row] for row in M])
-    return det * complex(np.linalg.det(TW))
+    det_w = complex(np.linalg.det(TW))
+    rb = min(-w.lo, math.ceil(Q / n))
+    r, nN = n * rb, n * N
+    # flat index m = n l - b of H(e)'s columns is row b of block row l of V,
+    # whose block (l, J) is W_{-l-J}
+    ms = np.arange(1, r + 1)
+    ls = -(-ms // n)
+    V = w.block_matrix(-(np.arange(1, rb + 1)[:, None] + np.arange(N)))
+    X = np.linalg.solve(TW.T, V[n * (2 * ls - 1) - ms].T).T  # V T_N(W)^-1
+    ms, i_s = ms[X.any(axis=1)], np.flatnonzero(X.any(axis=0))
+    if not len(ms):  # no Hankel term (Q = 0, or W without negative modes)
+        return gp_const(Q, Q, det_w)
+    # zero-padded gathers: row 0 of Xp and Cp and column nN of Xp stand for
+    # the entries of U outside 0 <= i < nN, 1 <= m <= r
+    Xp = np.zeros((r + 1, nN + 1), dtype=complex)
+    Xp[1:, :nN] = X
+    cols = _hankel_columns(n, Q, gd_reduced)[:r]
+    Cp = np.zeros((r + 1, cols.shape[1]), dtype=complex)
+    Cp[1 : len(cols) + 1] = cols
+    weights = gp_zero(Q, Q).weights
+    if len(ms) <= len(i_s):
+        i = weights - ms[:, None]  # (m, coefficient): row i of U it comes from
+        i = np.where((i >= 0) & (i < nN), i, nN)
+        M = Xp[ms][:, i] * Cp[ms]
+    else:
+        m = weights - i_s[:, None]  # (i, coefficient): column m
+        m = np.where(m <= r, np.maximum(m, 0), 0)
+        M = (Xp[m][..., i_s] * Cp[m, np.arange(len(weights))][..., None]).transpose(0, 2, 1)
+    M[np.arange(len(M)), np.arange(len(M)), 0] += 1.0
+    M = M[::-1, ::-1]  # heaviest columns (rows) first
+    return gp_det([[GradedPoly(Q, Q, entry) for entry in row] for row in M]) * det_w
+
+
+@lru_cache(maxsize=None)
+def _hankel_columns(n: int, Q: int, gd_reduced: bool) -> np.ndarray:
+    """Columns m = 1..Q of U = T(e^-1) H(e), each summed over its rows.
+
+    Row m - 1 is exp(-sum_k t_k) sum_{j>=m} p_j over the (Q, Q) basis; its
+    weight-(i + m) layer is entry (i, m) of U, for every N.  Read-only.
+    """
+    ps = schur_sequence_reduced(Q, Q, n) if gd_reduced else schur_sequence(Q, Q)
+    layers = np.stack([p.coeffs for p in ps])
+    tails = np.cumsum(layers[::-1], axis=0)[::-1]  # tails[m] = sum_{j>=m} p_j
+    e_inv = negate_times(GradedPoly(Q, Q, tails[0]))
+    out = np.stack([(e_inv * GradedPoly(Q, Q, t)).coeffs for t in tails[1:]])
+    out.flags.writeable = False
+    return out
 
 
 def stable_tau_graded(spec: SymbolSpec, Q: int, gd_reduced: bool = True) -> GradedPoly:

@@ -1,6 +1,15 @@
-"""Reference routines kept independent of the code under test."""
+"""Reference routines the tests compare against.
+
+schur_recurrence is a loop kept independent of the vectorized code;
+tau_graded_elimination eliminates the whole nN x nN ring matrix, the
+reference for the rank-r route of tau.tau_graded.
+"""
 
 import numpy as np
+
+from blocktau.gradedpoly import GradedPoly, gp_det
+from blocktau.laurent import block_layout
+from blocktau.symbols import gd_symbol_graded
 
 
 def schur_recurrence(tvals, kmax):
@@ -14,3 +23,11 @@ def schur_recurrence(tvals, kmax):
             acc += i * t[i - 1] * p[k - i]
         p[k] = acc / k
     return p
+
+
+def tau_graded_elimination(spec, N, Q, gd_reduced):
+    """D_N by Gaussian elimination on the nN x nN ring matrix T_N(exp(xi(t, L)) W)."""
+    coeffs = gd_symbol_graded(spec, (-(N - 1), N - 1), Q, gd_reduced)
+    idx = np.arange(N)
+    T = block_layout(coeffs, -(N - 1), idx[:, None] - idx)  # block (I, J) is mode I - J
+    return gp_det([[GradedPoly(Q, Q, entry) for entry in row] for row in T])

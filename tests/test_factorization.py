@@ -147,6 +147,18 @@ def test_condition_number_is_taken_at_the_returned_depth_only(monkeypatch):
     assert depths[-1] == 2 * 256
 
 
+def test_depth_history_records_every_depth_tried(monkeypatch):
+    # the ladder of the test above: B = 10 misses tol, B = 20 meets it
+    x = _samples(CSPEC, TV, 1024)
+    monkeypatch.setattr(factorization, "DEFAULT_EXTRA_BAND", 10 - 32)
+    fact = wiener_hopf(x, tol=1e-10)
+    assert [B for B, _ in fact.history] == [10, 20]
+    assert fact.history[0][1] > 1e-10
+    assert fact.history[-1] == (fact.B_used, fact.residual)
+    once = wiener_hopf(x, B=20, tol=1e-10)
+    assert once.history == [(once.B_used, once.residual)]
+
+
 def test_alias_guard():
     with pytest.raises(AliasError):
         wiener_hopf(_samples(M=64), B=40)

@@ -1,12 +1,14 @@
 """Graded ring of time polynomials: arithmetic, Schur family, characters."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from blocktau import gradedpoly
 from blocktau.errors import DegenerateInput, SingularVandermonde
 from blocktau.gradedpoly import (
     GradedPoly,
@@ -268,8 +270,9 @@ def test_normalize_partition():
 
 
 def test_character_vs_jacobi_trudi():
+    # seven points: the characters of the six-row partitions are nonzero
     rng = _rng(21)
-    X = 0.9 * (rng.random(4) + 1j * rng.random(4) - 0.5 - 0.5j)
+    X = 0.9 * (rng.random(7) + 1j * rng.random(7) - 0.5 - 0.5j)
     tv = miwa_times(X, 6)
     for lam in partitions_upto(6):
         chi = character(lam, X)
@@ -329,6 +332,45 @@ def test_gp_matmul_matches_entrywise_products(KQ, seed):
             assert coefficient_gap(GradedPoly(K, Q, got[i, j]), want) < 1e-14
 
 
+def _gp_matmul_whole_b(a, b, K, Q):
+    """gp_matmul as it gathered before the b side was blocked: all of b at once."""
+    ia, ib, starts = gradedpoly._product_table(K, Q)
+    (m, k), p = a.shape[:2], b.shape[1]
+    pb = np.take(b, ib, axis=-1)
+    out = np.empty((m, p, len(starts)), dtype=complex)
+    step = max(1, gradedpoly._PAIR_BLOCK // (len(ia) * k * p))
+    for lo in range(0, m, step):
+        pa = np.take(a[lo : lo + step], ia, axis=-1)
+        prod = np.einsum("ikx,kjx->ijx", pa, pb)
+        out[lo : lo + step] = np.add.reduceat(prod, starts, axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("k, p", [(4, 8), (2, 64), (30, 3)])
+def test_gp_matmul_bounds_its_gather(k, p):
+    # k * p * pairs passes _PAIR_BLOCK at every shape; (30, 3) passes it
+    # with k alone, so rows and columns go one at a time
+    K = Q = 10
+    pairs = len(gradedpoly._product_table(K, Q)[0])
+    assert k * p * pairs > gradedpoly._PAIR_BLOCK
+    rng = _rng(k * p)
+    size = gp_zero(K, Q).coeffs.size
+    a = rng.normal(size=(5, k, size)) + 1j * rng.normal(size=(5, k, size))
+    b = rng.normal(size=(k, p, size)) + 1j * rng.normal(size=(k, p, size))
+    want = _gp_matmul_whole_b(a, b, K, Q)
+    tracemalloc.start()
+    try:
+        got = gp_matmul(a, b, K, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    # the gathered operands, their product and einsum's buffer: four blocks
+    # of pair products at most on top of the output (the whole-b gather
+    # takes 9.6 and 5.1 blocks at the last two shapes)
+    assert peak - got.nbytes <= 4 * 16 * max(gradedpoly._PAIR_BLOCK, k * pairs)
+
+
 def test_negate_times_evaluates_at_minus_t():
     rng = _rng(41)
     p = random_graded(5, 7, rng)
@@ -351,6 +393,73 @@ def test_gp_det_nonunit_pivots():
     d = gp_det(rows)
     expect = ps[1] * ps[1] - ps[2] * ps[0]
     assert coefficient_gap(d, expect) < 1e-14
+
+
+def _filtered_matrix(kind, m, Q, rng):
+    """An m x m ring matrix over (Q, Q) for the valuation skip of gp_det.
+
+    "col" and "row": I plus entries whose lowest weight rises with the
+    column (row) index, in a seeded order and past Q for some; "none": dense
+    with random constant terms; "nonunit": dense, but column 1 has no
+    constant term, so elimination finds no unit pivot there and finishes
+    division-free.
+    """
+    weights = gp_zero(Q, Q).weights
+    shape = (m, m, len(weights))
+    coeffs = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 0.5**weights
+    vals = rng.integers(1, Q + 2, size=m)
+    if kind == "col":
+        coeffs *= weights >= vals[:, None]
+    elif kind == "row":
+        coeffs *= weights >= vals[:, None, None]
+    elif kind == "nonunit":
+        coeffs[:, 1, 0] = 0.0
+    if kind in ("col", "row"):
+        coeffs[np.arange(m), np.arange(m), 0] += 1.0
+    return [[GradedPoly(Q, Q, c) for c in row] for row in coeffs]
+
+
+@given(
+    st.sampled_from(["col", "row", "none", "nonunit"]),
+    st.integers(4, 7),
+    st.integers(5, 8),
+    st.integers(0, 10**6),
+)
+def test_gp_det_valuation_skip(kind, m, Q, seed):
+    rng = _rng(seed)
+    rows = _filtered_matrix(kind, m, Q, rng)
+    got = gp_det(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        # every valuation 0: no product is skipped
+        mp.setattr(gradedpoly, "_valuations", lambda c, w, Q: np.zeros(c.shape[:-1], int))
+        unskipped = gp_det(rows)
+    assert np.array_equal(got.coeffs, unskipped.coeffs)
+    free = gradedpoly._gp_det_free(rows, Q, Q)
+    assert coefficient_gap(got, free) <= 1e-12 * max(max_abs_coeff(free), 1.0)
+    # numeric check: at t_k = u_k z^k every entry is a polynomial in z of
+    # degree <= Q and the numeric determinant one of degree <= mQ < 64, so
+    # 64 points on |z| = 1 give its z^w coefficients exactly, and the one
+    # of z^w is the weight-w layer of the ring determinant at u
+    u = rng.normal(size=Q)
+    basis = gradedpoly._basis(Q, Q)
+    mono = np.prod(u**basis.exps, axis=1)
+    z = np.exp(2j * np.pi * np.arange(64) / 64)
+    entries = np.array([[e.coeffs for e in row] for row in rows])
+    dets = np.linalg.det(np.moveaxis(entries @ (mono[:, None] * z ** basis.weights[:, None]), -1, 0))
+    layers = np.fft.fft(dets)[: Q + 1] / 64
+    want = np.array([np.sum((got.coeffs * mono)[basis.weights == w]) for w in range(Q + 1)])
+    # roundoff of the FFT scales with the largest determinant on the circle
+    assert np.max(np.abs(layers - want)) <= 1e-12 * max(np.max(np.abs(dets)), 1.0)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_gp_det_free_signs_a_permutation_matrix(m):
+    # rows of the identity in reversed order: det = (-1)^(m(m-1)/2)
+    one, zero = gp_const(2, 2, 1.0), gp_zero(2, 2)
+    rows = [[one if i + j == m - 1 else zero for j in range(m)] for i in range(m)]
+    assert gradedpoly._gp_det_free(rows, 2, 2).constant_term() == (-1) ** (m * (m - 1) // 2)
+    rows = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    assert gradedpoly._gp_det_free(rows, 2, 2).constant_term() == 1.0
 
 
 # -- Hirota residual ---------------------------------------------------------

@@ -1,13 +1,14 @@
 """Tau functions: routes, structure of the generator family, stable values."""
 
 from itertools import islice
-from math import factorial
+from math import ceil, factorial
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from blocktau import gradedpoly
 from blocktau.errors import NearSingularSymbol
 from blocktau.factorization import deformed_symbol_samples
 from blocktau.gradedpoly import (
@@ -48,6 +49,7 @@ from blocktau.tau import (
 )
 from blocktau import tau as tau_module
 from blocktau.toeplitz import fredholm_det, plemelj_fourier, truncation_dets
+from oracles import tau_graded_elimination
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
@@ -187,9 +189,9 @@ def test_numeric_equals_graded_evaluation():
 
 @pytest.mark.parametrize("spec", [RSPEC3, CSPEC3], ids=["rational", "covering"])
 def test_numeric_equals_graded_evaluation_n3(spec):
-    # stable N = ceil(Q/3): the rational family takes the rank-3 update,
-    # the covering one the elimination; t_k = s^k / k keeps the part of tau
-    # above weight Q near s^(Q+1)
+    # stable N = ceil(Q/3): both families take the r x r side of the rank-r
+    # identity (3 x 3 and 8 x 8); t_k = s^k / k keeps the part of tau above
+    # weight Q near s^(Q+1)
     N, Q = 4, 12
     tv = time_vector([0.2**k / k for k in range(1, 6)])
     tau_n = tau_numeric(spec, tv, N)
@@ -200,50 +202,96 @@ def test_numeric_equals_graded_evaluation_n3(spec):
 
 
 @pytest.mark.parametrize(
-    "spec", [RSPEC, RSPEC3, CSPEC], ids=["rational", "rational3", "covering"]
+    "spec",
+    [RSPEC, RSPEC3, CSPEC, CSPEC3],
+    ids=["rational", "rational3", "covering", "covering3"],
 )
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "full"])
 def test_low_rank_graded_tau_equals_elimination(spec, reduced):
-    # the covering family takes the rank-r update, r = n ceil(Q/n) > n, only
-    # past its stable level: at Q = 4 for N = 3..5 and at Q = 8 for N = 5
-    for Q in (4, 8, 12):
-        for N in range(1, 6):
+    # N runs past the stable level ceil(Q/n), so the covering family takes
+    # both sides of the rank-r identity: nN x nN below it, r x r from it on
+    for Q in (4, 8, 12, 16):
+        for N in range(1, ceil(Q / spec.n) + 3):
             got = tau_graded(spec, N, Q, gd_reduced=reduced)
-            want = tau_module._tau_graded_elimination(spec, N, Q, reduced)
+            want = tau_graded_elimination(spec, N, Q, reduced)
             assert coefficient_gap(got, want) <= 1e-13 * max_abs_coeff(want), (Q, N)
 
 
+def _lowest_weights(rows):
+    """Lowest weight present in each entry of a ring matrix minus I (Q + 1 if none)."""
+    out = np.empty((len(rows), len(rows)), dtype=int)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            c = entry.coeffs.copy()
+            c[0] -= i == j
+            nz = np.flatnonzero(c)
+            out[i, j] = entry.weights[nz[0]] if len(nz) else entry.Q + 1
+    return out
+
+
+def _falls_along_rows(low, Q):
+    """The lowest weights of the nonzero entries strictly fall along every row."""
+    return all(np.all(np.diff(row[row <= Q]) < 0) for row in low)
+
+
 @pytest.mark.parametrize(
-    "spec, N, path, det_size",
+    "spec, N, side, det_size",
     [
-        (RSPEC, 1, "elimination", 2),  # r = n = nN: the boundary
-        (RSPEC, 2, "low_rank", 2),
-        (RSPEC, 5, "low_rank", 2),
-        (RSPEC3, 2, "low_rank", 3),
-        (CSPEC, 4, "elimination", 8),  # stable N = ceil(Q/n): r = nN
-        (CSPEC, 5, "low_rank", 8),
-        (CSPEC3, 3, "elimination", 9),
+        (RSPEC, 1, "r", 2),  # r = n = nN: the boundary takes the r x r side
+        (RSPEC, 2, "r", 2),
+        (RSPEC, 5, "r", 2),
+        (RSPEC3, 2, "r", 3),
+        (CSPEC, 2, "nN", 2),  # r = n ceil(8/n) = 8 > nN = 4
+        (CSPEC, 4, "r", 4),  # stable N = ceil(Q/n): r = nN
+        (CSPEC, 5, "r", 4),
+        (CSPEC3, 2, "nN", 4),
+        (CSPEC3, 3, "r", 6),
     ],
-    ids=["rat-N1", "rat-N2", "rat-N5", "rat3-N2", "cov-N4", "cov-N5", "cov3-N3"],
+    ids=[
+        "rat-N1", "rat-N2", "rat-N5", "rat3-N2",
+        "cov-N2", "cov-N4", "cov-N5", "cov3-N2", "cov3-N3",
+    ],
 )
-def test_graded_tau_path_choice(monkeypatch, spec, N, path, det_size):
+def test_graded_tau_path_choice(monkeypatch, spec, N, side, det_size):
     # Q = 8: r = n min(-W.lo, ceil(8/n)) is n for the rational family and
-    # n ceil(8/n) for the covering family, whose W has a deep negative band
-    taken, sizes = [], []
-    for name in ("_tau_graded_low_rank", "_tau_graded_elimination"):
-
-        def spy(*args, real=getattr(tau_module, name), name=name):
-            taken.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(tau_module, name, spy)
+    # n ceil(8/n) for the covering family, whose W has a deep negative band;
+    # there V T_N(W)^-1 vanishes on half its rows and half its columns, which
+    # both sides drop, so the covering sizes are half of r and nN.  Entry
+    # (a, m) of I_r + V T^-1 U starts at weight >= m and entry (i, j) of
+    # I_nN + U V T^-1 at weight >= i + 1; gp_det gets the heavy end first,
+    # so lowest weights fall along the rows on the r x r side and down the
+    # columns on the nN x nN side.
+    mats = []
     real_det = tau_module.gp_det
     monkeypatch.setattr(
-        tau_module, "gp_det", lambda rows: sizes.append(len(rows)) or real_det(rows)
+        tau_module, "gp_det", lambda rows: mats.append(rows) or real_det(rows)
     )
     tau_graded(spec, N, 8)
-    assert taken == [f"_tau_graded_{path}"]
-    assert sizes == [det_size]
+    assert [len(rows) for rows in mats] == [det_size]
+    low = _lowest_weights(mats[0])
+    assert (_falls_along_rows(low, 8), _falls_along_rows(low.T, 8)) == (
+        side == "r",
+        side == "nN",
+    )
+
+
+def test_covering_graded_tau_skips_most_ring_products(monkeypatch):
+    # stable covering tau at Q = 12: the columns of its 6 x 6 ring matrix
+    # start at weights 12, 10, ..., 2, so most products pass Q
+    products = []
+    real_mul = gradedpoly._mul
+
+    def spy(a, b, K, Q):
+        products[-1] += (len(a) if a.ndim > 1 else 1) * (len(b) if b.ndim > 1 else 1)
+        return real_mul(a, b, K, Q)
+
+    tau_graded(CSPEC, 6, 12, gd_reduced=False)  # the cached tables
+    monkeypatch.setattr(gradedpoly, "_mul", spy)
+    products.append(0)
+    tau_graded_elimination(CSPEC, 6, 12, False)
+    products.append(0)
+    tau_graded(CSPEC, 6, 12, gd_reduced=False)
+    assert 0 < products[1] <= products[0] / 3
 
 
 def test_tau_normalization_at_zero():
