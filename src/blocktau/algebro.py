@@ -98,9 +98,9 @@ def _charpoly_coeffs(A: np.ndarray) -> np.ndarray:
     return c[:, 1:]
 
 
-def _poly_degree(c: np.ndarray, tol: float = 0.0) -> int:
-    """Largest index with |coefficient| > tol, or -1 for the zero polynomial."""
-    idx = np.nonzero(np.abs(np.asarray(c)) > tol)[0]
+def _poly_degree(c: np.ndarray) -> int:
+    """Largest index with |coefficient| > 0, or -1 for the zero polynomial."""
+    idx = np.nonzero(np.abs(np.asarray(c)) > 0.0)[0]
     return int(idx[-1]) if idx.size else -1
 
 

@@ -351,6 +351,41 @@ def _check_fredholm_invariance(ctx, tol):
     return worst, worst <= tol, "value invariant under doubling band and sections"
 
 
+def _check_half_truncated(ctx, tol):
+    # negative modes down to -2 take the negative-tail branch; down to -20
+    # they pass its 16-mode limit and take the reflected one
+    gaps, sides = [], []
+    for neg in ([0.3, -0.2], 0.4 * 0.5 ** np.arange(20, 0, -1)):
+        c = np.concatenate([neg, [1.0, 0.45]]).astype(complex).reshape(-1, 1, 1)
+        lm = laurent.LaurentMatrix(1, -len(neg), 1, c)
+        sc = toeplitz.half_truncated_shortcut(lm)
+        sw = toeplitz.szego_widom(lm, laurent.inverse_transform(lm, 1024), tol=1e-12)
+        gaps.append(abs(sc.D_inf - sw.D_inf))
+        sides.append(sc.side)
+    worst = max(gaps)
+    ok = worst <= tol and sides == ["negative-tail", "reflected"]
+    detail = ", ".join(f"{s} {g:.1e}" for s, g in zip(sides, gaps))
+    return worst, ok, f"closed-form D_inf of a one-sided band vs D_N/G^N [{detail}]"
+
+
+def _check_widom_derivative(ctx, tol):
+    # the symbol (1 - x z)(1 - b/z) has log D_inf = -log(1 - x b)
+    b, x0 = 0.35, 0.4
+
+    def symbol(x):
+        c = np.array([-b, 1 + x * b, -x], dtype=complex).reshape(3, 1, 1)
+        return laurent.LaurentMatrix(1, -1, 1, c)
+
+    wd = toeplitz.widom_derivative_check(symbol, x0, tol=1e-12)
+    worst = abs(wd.contour - b / (1 - x0 * b))
+    return (
+        worst,
+        worst <= tol and wd.abs_err <= 1e-6,
+        f"contour formula for d/dx log D_inf vs b/(1 - x b) "
+        f"[difference quotient off by {wd.abs_err:.1e} <= 1e-6]",
+    )
+
+
 def _check_tau_normalization(ctx, tol):
     worst = 0.0
     for spec in (ctx.rspec, ctx.cspec):
@@ -442,6 +477,16 @@ def _check_frobenius_lemma(ctx, tol):
     return worst, worst <= tol, "Frobenius factors annihilate their Wronskian ladder"
 
 
+def _check_wave_miwa_shift(ctx, tol):
+    # tau at t - [1/z0] through Miwa times against the series in 1/z0
+    consts = [w.constant_term() for w in tau.wave_function(ctx.rspec, 1, 6, 4)]
+    z0 = 2.5 + 1.1j
+    shifted = symbols.time_vector([-1.0 / (k * z0**k) for k in range(1, 49)])
+    series = sum(c * z0 ** (-m) for m, c in enumerate(consts))
+    worst = abs(tau.tau_numeric(ctx.rspec, shifted, 1) - series)
+    return worst, worst <= tol, "level-1 wave coefficients vs tau at Miwa-shifted times"
+
+
 def _random_factorizations(spec, rng):
     """Wiener-Hopf factors of the deformed symbol at 3 random reduced times."""
     facts = []
@@ -525,6 +570,11 @@ def _check_ratio_block_det(ctx, tol):
     )
 
 
+def _check_wave_matrix_correction(ctx, tol):
+    worst = max(factorization.bo_consistency_check(ctx.rspec, TV, N) for N in (1, 2))
+    return worst, worst <= tol, "D_N/G^N = D_inf det(I - K_N), K from the wave matrix, N=1,2"
+
+
 def _check_branch_residual(ctx, tol):
     worst = ctx.spectral().branch_residual
     return worst, worst <= tol, "curve residual of the branch on the unit circle"
@@ -589,6 +639,8 @@ CHECKS = [
         "toeplitz", "finite_section_correction", 1e-8, _check_finite_section_correction, 4
     ),
     Check("toeplitz", "fredholm_grid_invariance", 1e-9, _check_fredholm_invariance),
+    Check("toeplitz", "half_truncated_limit", 1e-9, _check_half_truncated),
+    Check("toeplitz", "widom_derivative", 1e-8, _check_widom_derivative),
     Check("tau", "normalization_at_zero", 1e-12, _check_tau_normalization),
     Check("tau", "triple_route_equality", 1e-10, _check_triple_route, 6),
     Check("tau", "coefficient_stabilization", 1e-12, _check_stabilization, 5),
@@ -596,12 +648,14 @@ CHECKS = [
     Check("tau", "two_soliton_oracle", 1e-6, _check_two_soliton, 1),
     Check("tau", "kernel_and_recursion", 1e-9, _check_kernel_recursion, 7),
     Check("tau", "frobenius_lemma", 1e-9, _check_frobenius_lemma),
+    Check("tau", "wave_miwa_shift", 1e-12, _check_wave_miwa_shift),
     Check("factorization", "sample_reconstruction", 1e-8, _check_wh_reconstruction),
     Check("factorization", "band_doubling_uniqueness", 1e-9, _check_wh_band_uniqueness),
     Check("factorization", "determinant_bookkeeping", 1e-8, _check_wh_determinants),
     Check("factorization", "zero_locus_conditioning", None, _check_zero_locus),
     Check("factorization", "certificates_random_times", 1e-8, _check_wh_certificates, 9),
     Check("factorization", "ratio_block_determinant", 1e-7, _check_ratio_block_det, 11),
+    Check("factorization", "wave_matrix_correction", 1e-8, _check_wave_matrix_correction),
     Check("algebro", "branch_curve_residual", 1e-8, _check_branch_residual),
     Check("algebro", "branch_match_stability", None, _check_match_stability),
     Check("algebro", "reconstruction_roundtrip", 1e-8, _check_spectral_roundtrip),

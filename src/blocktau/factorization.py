@@ -222,13 +222,7 @@ class TauRatioReport:
     window: int
 
 
-def tau_ratio_check(
-    spec: SymbolSpec,
-    t: TimeVector,
-    N: int,
-    window: int = 40,
-    max_window: int = 512,
-) -> TauRatioReport:
+def tau_ratio_check(spec: SymbolSpec, t: TimeVector, N: int) -> TauRatioReport:
     """Consecutive determinant ratio against an ordinary n x n determinant.
 
     lhs: D_N / D_{N+1} for the deformed symbol.  With M the Hankel-product
@@ -241,13 +235,14 @@ def tau_ratio_check(
     where r, c are the row and column coupling block N to deeper indices and
     Mtail is M restricted to indices > N.  The bare single-block determinant
     det(I_n - M_NN) drops the second-order resolvent term; its deviation is
-    reported separately (it is small but genuinely nonzero).  The window of
-    tail indices is doubled until the corrected value settles (Cauchy below
-    1e-11); past max_window ConvergenceError is raised.
-    """
-    from .toeplitz import build_TN, det_DN, doubling, hankel_product_matrix, settle
+    reported separately (it is small but genuinely nonzero).
 
-    tol = 1e-10
+    M is cut to block indices N .. N + w - 1, w = max(Psi.hi - N, 1).  The
+    cut is exact: rows i >= Psi.hi of M vanish, so the resolvent couples r
+    to c only through the window.
+    """
+    from .toeplitz import build_TN, det_DN, hankel_product_matrix
+
     n = spec.n
     lm = gd_symbol(spec, t, (-(N + 1), N + 1), exact_only=True)
     D_N = det_DN(build_TN(lm, N))
@@ -257,19 +252,14 @@ def tau_ratio_check(
     lhs = D_N / D_N1
 
     psi, psi_inv = wave_matrix(spec, t)
-
-    def step(w):
-        idx = range(N, N + w)
-        M = hankel_product_matrix(psi, psi_inv, idx, idx)
-        MNN = M[:n, :n]
-        r, c, Mtail = M[:n, n:], M[n:, :n], M[n:, n:]
-        cross = r @ np.linalg.solve(np.eye(len(Mtail)) - Mtail, c)
-        corrected = complex(np.linalg.det(np.eye(n) - MNN - cross))
-        return w, corrected, complex(np.linalg.det(np.eye(n) - MNN))
-
-    w, corrected, block_det, _, _ = settle(
-        map(step, doubling(window, max_window)), 0.1 * tol, "ratio determinant"
-    )
+    w = max(psi.hi - N, 1)
+    idx = range(N, N + w)
+    M = hankel_product_matrix(psi, psi_inv, idx, idx)
+    MNN = M[:n, :n]
+    r, c, Mtail = M[:n, n:], M[n:, :n], M[n:, n:]
+    cross = r @ np.linalg.solve(np.eye(len(Mtail)) - Mtail, c)
+    corrected = complex(np.linalg.det(np.eye(n) - MNN - cross))
+    block_det = complex(np.linalg.det(np.eye(n) - MNN))
     return TauRatioReport(
         lhs=lhs,
         block_det=block_det,

@@ -21,7 +21,7 @@ exp(sum_k t_k w^k) = sum_k p_k(t) w^k, numeric Schur characters via the
 Weyl quotient of Vandermonde-type determinants, the determinant expression
 of a character in terms of the p_k, power-sum times of a point multiset,
 the KdV bilinear residual, the shift of times by a single spectral point,
-and products and determinants of matrices over the ring.
+and determinants of matrices over the ring.
 """
 
 from __future__ import annotations
@@ -150,30 +150,6 @@ def _mul(a: np.ndarray, b: np.ndarray, K: int, Q: int) -> np.ndarray:
         prod = np.take(a[lo : lo + step], ia, axis=-1)
         prod *= pb
         out[lo : lo + step] = np.add.reduceat(prod, starts, axis=-1)
-    return out
-
-
-def gp_matmul(a: np.ndarray, b: np.ndarray, K: int, Q: int) -> np.ndarray:
-    """Matrix product over the ring, on coefficient arrays.
-
-    a has shape (m, k, basis) and b (k, p, basis) over the (K, Q) basis.
-    The pair products of every entry pair are summed over the inner index
-    before the one segmented sum.  A block of columns of b and a block of
-    rows of a go through at a time, sized so that each gathered operand
-    and their product stay near _PAIR_BLOCK pair products (one row and one
-    column at a time once k alone passes it).
-    """
-    ia, ib, starts = _product_table(K, Q)
-    (m, k), p = a.shape[:2], b.shape[1]
-    out = np.empty((m, p, len(starts)), dtype=complex)
-    cols = max(1, _PAIR_BLOCK // (len(ia) * k))
-    rows = max(1, _PAIR_BLOCK // (len(ia) * k * cols))
-    for c0 in range(0, p, cols):
-        pb = np.take(b[:, c0 : c0 + cols], ib, axis=-1)
-        for r0 in range(0, m, rows):
-            pa = np.take(a[r0 : r0 + rows], ia, axis=-1)
-            prod = np.einsum("ikx,kjx->ijx", pa, pb)
-            out[r0 : r0 + rows, c0 : c0 + cols] = np.add.reduceat(prod, starts, axis=-1)
     return out
 
 

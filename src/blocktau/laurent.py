@@ -497,7 +497,7 @@ def lm_column(lm: LaurentMatrix, j: int) -> VectorSeries:
     return VectorSeries(lm.n, lm.lo, lm.coeffs[:, :, j].copy())
 
 
-# -- CSV round trip ---------------------------------------------------------
+# -- CSV dump ---------------------------------------------------------------
 
 CSV_HEADER = "k,row,col,re,im"
 
@@ -515,28 +515,3 @@ def write_csv(lm: LaurentMatrix, path) -> None:
                 lines.append(f"{k},{r},{c},{v.real:.17g},{v.imag:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_csv(path, n: int | None = None) -> LaurentMatrix:
-    """Rebuild a LaurentMatrix from a CSV produced by write_csv."""
-    entries = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            k, r, c, re, im = line.split(",")
-            entries.append((int(k), int(r), int(c), float(re), float(im)))
-    if not entries:
-        raise ValueError("empty coefficient file")
-    if n is None:
-        n = max(max(r, c) for _, r, c, _, _ in entries) + 1
-    lo = min(e[0] for e in entries)
-    hi = max(e[0] for e in entries)
-    coeffs = np.zeros((hi - lo + 1, n, n), dtype=complex)
-    for k, r, c, re, im in entries:
-        coeffs[k - lo, r, c] = re + 1j * im
-    return LaurentMatrix(n, lo, hi, coeffs)

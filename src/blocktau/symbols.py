@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateInput, SpecError, TruncationError
-from .gradedpoly import negate_times, schur_sequence, schur_sequence_reduced
+from .gradedpoly import schur_sequence, schur_sequence_reduced
 from .laurent import (
     LaurentMatrix,
     ScalarSeries,
@@ -337,17 +337,15 @@ def gd_symbol_values(spec: SymbolSpec, t: TimeVector, z) -> np.ndarray:
 
 
 @lru_cache
-def exp_xi_graded(n: int, Q: int, gd_reduced: bool, negate: bool = False) -> np.ndarray:
-    """exp(xi(t, L)), or exp(xi(-t, L)) with negate=True, over the graded ring.
+def exp_xi_graded(n: int, Q: int, gd_reduced: bool) -> np.ndarray:
+    """exp(xi(t, L)) over the graded ring.
 
     Returns the coefficient array of shape (ceil(Q/n) + 1, n, n, basis) of
     the z-modes 0..ceil(Q/n): the fold of the Schur layers p_0..p_Q, whose
-    higher layers vanish in the truncated ring.  exp(xi(-t, L)) folds the
-    layers p_k(-t).  Cached per arguments; the array is read-only.
+    higher layers vanish in the truncated ring.  Cached per arguments; the
+    array is read-only.
     """
     ps = schur_sequence_reduced(Q, Q, n) if gd_reduced else schur_sequence(Q, Q)
-    if negate:
-        ps = [negate_times(p) for p in ps]
     out = fold(np.stack([p.coeffs for p in ps]), 0, n, (0, (Q + n - 1) // n))
     out.flags.writeable = False
     return out

@@ -134,9 +134,9 @@ def coefficient_gap(a: GradedPoly, b: GradedPoly, upto: int | None = None) -> fl
 
 
 def random_graded(
-    K: int, Q: int, rng: np.random.Generator, terms: int = 8, unit: bool = True
+    K: int, Q: int, rng: np.random.Generator, unit: bool = True
 ) -> GradedPoly:
-    """Random sparse ring element; unit=True forces constant term 1.
+    """Random sparse ring element of eight drawn terms; unit=True adds 1.
 
     Coefficients decay geometrically in the weight so derivative towers and
     inverses built from the result keep moderate coefficient sizes.
@@ -144,7 +144,7 @@ def random_graded(
     coeffs: dict[tuple[int, ...], complex] = {}
     if unit:
         coeffs[(0,) * K] = 1.0
-    for _ in range(terms):
+    for _ in range(8):
         exp = [0] * K
         w = int(rng.integers(1, Q + 1))
         while w > 0:

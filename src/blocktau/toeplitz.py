@@ -18,8 +18,8 @@ at modes -j-k; its (i a, j d) row-major layout is already the dense
 (R*n, C*n) result.
 
 Every finite-section limit (the operator determinant, D_N/G^N, the
-correction determinant, the ratio window of factorization) stops through
-settle, the one Cauchy rule; truncation_dets is the one loop over N of D_N.
+correction determinant) stops through settle, the one Cauchy rule;
+truncation_dets is the one loop over N of D_N.
 """
 
 from __future__ import annotations

@@ -2,13 +2,14 @@
 
 schur_recurrence is a loop kept independent of the vectorized code;
 tau_graded_elimination eliminates the whole nN x nN ring matrix, the
-reference for the rank-r route of tau.tau_graded.
+reference for the rank-r route of tau.tau_graded; read_csv reads back the
+coefficient CSVs the command line writes.
 """
 
 import numpy as np
 
 from blocktau.gradedpoly import GradedPoly, gp_det
-from blocktau.laurent import block_layout
+from blocktau.laurent import CSV_HEADER, LaurentMatrix, block_layout
 from blocktau.symbols import gd_symbol_graded
 
 
@@ -31,3 +32,27 @@ def tau_graded_elimination(spec, N, Q, gd_reduced):
     idx = np.arange(N)
     T = block_layout(coeffs, -(N - 1), idx[:, None] - idx)  # block (I, J) is mode I - J
     return gp_det([[GradedPoly(Q, Q, entry) for entry in row] for row in T])
+
+
+def read_csv(path) -> LaurentMatrix:
+    """Rebuild a LaurentMatrix from a CSV produced by laurent.write_csv."""
+    entries = []
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != CSV_HEADER:
+            raise ValueError(f"unexpected CSV header {header!r}")
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            k, r, c, re, im = line.split(",")
+            entries.append((int(k), int(r), int(c), float(re), float(im)))
+    if not entries:
+        raise ValueError("empty coefficient file")
+    n = max(max(r, c) for _, r, c, _, _ in entries) + 1
+    lo = min(e[0] for e in entries)
+    hi = max(e[0] for e in entries)
+    coeffs = np.zeros((hi - lo + 1, n, n), dtype=complex)
+    for k, r, c, re, im in entries:
+        coeffs[k - lo, r, c] = re + 1j * im
+    return LaurentMatrix(n, lo, hi, coeffs)

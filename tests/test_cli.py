@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blocktau import checks, cli, factorization, laurent, symbols
+from blocktau import checks, cli, factorization, symbols
+from oracles import read_csv
 
 RATIONAL_INI = """\
 [spec]
@@ -198,8 +199,8 @@ def test_factorize_artifacts_roundtrip(tmp_path):
     out = tmp_path / "fact"
     assert cli.main(["factorize", "--config", path, "--out", str(out)]) == 0
 
-    tm = laurent.read_csv(str(out / "T_minus_0.csv"))
-    tp = laurent.read_csv(str(out / "T_plus_0.csv"))
+    tm = read_csv(str(out / "T_minus_0.csv"))
+    tp = read_csv(str(out / "T_plus_0.csv"))
     assert tm.hi <= 0 and tp.lo >= 0
 
     # replay the seeded draw and check the factors rebuild the symbol
@@ -247,7 +248,7 @@ def test_spectral_report_and_matrix_dump(tmp_path):
     report = (out / "report.txt").read_text()
     assert "passed: True" in report
     assert "entry degree table" in report
-    C = laurent.read_csv(str(out / "C.csv"))
+    C = read_csv(str(out / "C.csv"))
     assert C.lo >= 0 and C.hi <= 2
 
 

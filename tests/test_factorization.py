@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blocktau.errors import AliasError, ConvergenceError, FactorizationError
+from blocktau.errors import AliasError, FactorizationError
 from blocktau.laurent import inverse_transform, lm_trim, sample_function
 from blocktau.symbols import (
     covering_spec,
@@ -26,6 +26,7 @@ RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
 TV = time_vector([0.2, 0.0, -0.15, 0.0, 0.08])
 CTV = time_vector([0.1, 0.0, 0.05, 0.0, 0.02])
+RSPEC3 = rational_spec([0.3, 0.6, 0.9])
 
 
 def _samples(spec=RSPEC, tv=TV, M=2048):
@@ -199,18 +200,16 @@ def test_wave_matrix_mode_support():
 
 
 def test_tau_ratio_corrected_identity():
-    for N in (1, 2):
-        tr = tau_ratio_check(RSPEC, TV, N)
-        assert tr.residual < 1e-10
-        # the bare single-block display misses the coupling stripes: its
-        # deviation is genuinely nonzero, which is why the correction exists
-        assert 1e-12 < tr.block_residual < 1e-4
-
-
-def test_tau_ratio_unsettled_window_raises():
-    # one window leaves no Cauchy pair to compare, so the check cannot settle
-    with pytest.raises(ConvergenceError):
-        tau_ratio_check(RSPEC, TV, 1, window=40, max_window=40)
+    for spec, tv in ((RSPEC, TV), (CSPEC, CTV), (RSPEC3, TV)):
+        psi_hi = wave_matrix(spec, tv)[0].hi
+        for N in (1, 2):
+            tr = tau_ratio_check(spec, tv, N)
+            assert tr.residual < 1e-10
+            # the bare single-block display misses the coupling stripes: its
+            # deviation is genuinely nonzero, which is why the correction exists
+            assert 1e-12 < tr.block_residual < 1e-4
+            # rows of the kernel past Psi.hi vanish, so this window is exact
+            assert tr.window == max(psi_hi - N, 1)
 
 
 def test_bo_consistency_via_wave_matrix():

@@ -1,7 +1,6 @@
 """Graded ring of time polynomials: arithmetic, Schur family, characters."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from blocktau.gradedpoly import (
     gp_const,
     gp_det,
     gp_from_terms,
-    gp_matmul,
     gp_time,
     gp_zero,
     hirota_kdv_residual,
@@ -311,64 +309,6 @@ def test_gp_det_matches_numeric():
     tv = 0.25 * rng.normal(size=12)
     num = np.linalg.det([[evaluate(e, tv) for e in row] for row in rows])
     assert abs(evaluate(d, tv) - num) < 1e-12
-
-
-@given(ring_sizes, st.integers(0, 10**6))
-def test_gp_matmul_matches_entrywise_products(KQ, seed):
-    K, Q = KQ
-    rng = _rng(seed)
-    a = [[gp_from_terms(K, Q, _ref_random(K, Q, rng)) for _ in range(2)] for _ in range(3)]
-    b = [[gp_from_terms(K, Q, _ref_random(K, Q, rng)) for _ in range(4)] for _ in range(2)]
-    got = gp_matmul(
-        np.array([[e.coeffs for e in row] for row in a]),
-        np.array([[e.coeffs for e in row] for row in b]),
-        K,
-        Q,
-    )
-    assert got.shape == (3, 4, len(a[0][0].coeffs))
-    for i in range(3):
-        for j in range(4):
-            want = a[i][0] * b[0][j] + a[i][1] * b[1][j]
-            assert coefficient_gap(GradedPoly(K, Q, got[i, j]), want) < 1e-14
-
-
-def _gp_matmul_whole_b(a, b, K, Q):
-    """gp_matmul as it gathered before the b side was blocked: all of b at once."""
-    ia, ib, starts = gradedpoly._product_table(K, Q)
-    (m, k), p = a.shape[:2], b.shape[1]
-    pb = np.take(b, ib, axis=-1)
-    out = np.empty((m, p, len(starts)), dtype=complex)
-    step = max(1, gradedpoly._PAIR_BLOCK // (len(ia) * k * p))
-    for lo in range(0, m, step):
-        pa = np.take(a[lo : lo + step], ia, axis=-1)
-        prod = np.einsum("ikx,kjx->ijx", pa, pb)
-        out[lo : lo + step] = np.add.reduceat(prod, starts, axis=-1)
-    return out
-
-
-@pytest.mark.parametrize("k, p", [(4, 8), (2, 64), (30, 3)])
-def test_gp_matmul_bounds_its_gather(k, p):
-    # k * p * pairs passes _PAIR_BLOCK at every shape; (30, 3) passes it
-    # with k alone, so rows and columns go one at a time
-    K = Q = 10
-    pairs = len(gradedpoly._product_table(K, Q)[0])
-    assert k * p * pairs > gradedpoly._PAIR_BLOCK
-    rng = _rng(k * p)
-    size = gp_zero(K, Q).coeffs.size
-    a = rng.normal(size=(5, k, size)) + 1j * rng.normal(size=(5, k, size))
-    b = rng.normal(size=(k, p, size)) + 1j * rng.normal(size=(k, p, size))
-    want = _gp_matmul_whole_b(a, b, K, Q)
-    tracemalloc.start()
-    try:
-        got = gp_matmul(a, b, K, Q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(got, want)
-    # the gathered operands, their product and einsum's buffer: four blocks
-    # of pair products at most on top of the output (the whole-b gather
-    # takes 9.6 and 5.1 blocks at the last two shapes)
-    assert peak - got.nbytes <= 4 * 16 * max(gradedpoly._PAIR_BLOCK, k * pairs)
 
 
 def test_negate_times_evaluates_at_minus_t():

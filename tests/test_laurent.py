@@ -28,7 +28,6 @@ from blocktau.laurent import (
     lm_reflect,
     lm_scale,
     lm_trim,
-    read_csv,
     sample_function,
     samples_mul,
     transform,
@@ -36,6 +35,7 @@ from blocktau.laurent import (
     winding_number,
     write_csv,
 )
+from oracles import read_csv
 
 
 def _random_lm(rng, n=2, lo=-3, hi=4):

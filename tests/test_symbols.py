@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blocktau.errors import DegenerateInput, SpecError, TruncationError
-from blocktau.gradedpoly import gp_matmul, schur_sequence, schur_sequence_reduced
+from blocktau.gradedpoly import schur_sequence, schur_sequence_reduced
 from blocktau.laurent import ScalarSeries, VectorSeries, lm_mul
 from blocktau.symbols import (
     base_band,
@@ -17,7 +17,6 @@ from blocktau.symbols import (
     big_cell_check,
     column_series,
     covering_spec,
-    exp_xi_graded,
     exp_xi_lambda,
     exp_xi_values,
     fold,
@@ -242,22 +241,6 @@ def test_gd_symbol_graded_matches_layer_sum(spec, reduced):
     got = gd_symbol_graded(spec, band, Q, reduced)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-15
-
-
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "full"])
-def test_exp_xi_graded_negation_is_the_inverse(n, reduced):
-    # sum_m (e^-1)_(q-m) e_m is I at q = 0 and 0 above, within the grading
-    Q = 7
-    e = exp_xi_graded(n, Q, reduced)
-    e_inv = exp_xi_graded(n, Q, reduced, negate=True)
-    assert e.shape == ((Q + n - 1) // n + 1, n, n, e.shape[-1])
-    for q in range(len(e)):
-        got = sum(gp_matmul(e_inv[q - m], e[m], Q, Q) for m in range(q + 1))
-        want = np.zeros_like(got)
-        if q == 0:
-            want[:, :, 0] = np.eye(n)
-        assert np.max(np.abs(got - want)) <= 1e-15, q
 
 
 def test_base_inverse_of_a_slow_decay_is_cut_on_the_sample_scale():
