@@ -376,7 +376,7 @@ def _check_widom_derivative(ctx, tol):
         c = np.array([-b, 1 + x * b, -x], dtype=complex).reshape(3, 1, 1)
         return laurent.LaurentMatrix(1, -1, 1, c)
 
-    wd = toeplitz.widom_derivative_check(symbol, x0, tol=1e-12)
+    wd = toeplitz.widom_derivative_check(symbol, x0)
     worst = abs(wd.contour - b / (1 - x0 * b))
     return (
         worst,
@@ -610,7 +610,7 @@ def _check_rerun_determinism(ctx, tol):
     for name in ("rerun_a", "rerun_b"):
         sub = os.path.join(ctx.out, name)
         os.makedirs(sub, exist_ok=True)
-        cmd_tau(sub_cfg, sub, None, 1)
+        cmd_tau(sub_cfg, sub, None)
         with open(os.path.join(sub, "tau.csv"), "rb") as fh:
             bytes_.append(fh.read())
     same = bytes_[0] == bytes_[1]

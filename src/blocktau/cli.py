@@ -25,7 +25,6 @@ import argparse
 import configparser
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,19 +313,10 @@ def _grid_points(cfg: RunConfig) -> tuple[list, list]:
     return idxs, rows
 
 
-def cmd_tau(cfg: RunConfig, out: str, tol: float | None, threads: int) -> int:
+def cmd_tau(cfg: RunConfig, out: str, tol: float | None) -> int:
     idxs, points = _grid_points(cfg)
     use_tol = tol if tol is not None else cfg.tau_tol
-
-    def one(item):
-        _p, tv = item
-        return tau.tau_stable_report(cfg.spec, tv, tol=use_tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, points))
-    else:
-        results = [one(item) for item in points]
+    results = [tau.tau_stable_report(cfg.spec, tv, tol=use_tol) for _p, tv in points]
 
     header = ",".join([f"t{i}" for i in idxs] + ["N", "tau", "est_error"])
     lines = [header]
@@ -526,21 +516,18 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--tol", type=float, default=None, help="tolerance override (tau, converge, factorize)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for grids")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized draws")
     args = parser.parse_args(argv)
     try:
         if args.tol is not None and not (args.tol > 0):
             raise ConfigError("--tol must be positive")
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         cfg = load_config(args.config)
         if args.command == "verify" and args.tol is not None:
             raise ConfigError("--tol does not apply to verify: its tolerances are the contract")
         out = _ensure_outdir(cfg, args.out)
         commands = {
             "verify": lambda: cmd_verify(cfg, out, args.seed),
-            "tau": lambda: cmd_tau(cfg, out, args.tol, args.threads),
+            "tau": lambda: cmd_tau(cfg, out, args.tol),
             "converge": lambda: cmd_converge(cfg, out, args.tol),
             "factorize": lambda: cmd_factorize(cfg, out, args.tol, args.seed),
             "spectral": lambda: cmd_spectral(cfg, out),

@@ -237,11 +237,11 @@ def tau_ratio_check(spec: SymbolSpec, t: TimeVector, N: int) -> TauRatioReport:
     det(I_n - M_NN) drops the second-order resolvent term; its deviation is
     reported separately (it is small but genuinely nonzero).
 
-    M is cut to block indices N .. N + w - 1, w = max(Psi.hi - N, 1).  The
-    cut is exact: rows i >= Psi.hi of M vanish, so the resolvent couples r
-    to c only through the window.
+    M and its window w = max(Psi.hi - N, 1) come from
+    toeplitz.correction_det, whose cut is exact: rows i >= Psi.hi of M
+    vanish, so the resolvent couples r to c only through the window.
     """
-    from .toeplitz import build_TN, det_DN, hankel_product_matrix
+    from .toeplitz import build_TN, correction_det, det_DN
 
     n = spec.n
     lm = gd_symbol(spec, t, (-(N + 1), N + 1), exact_only=True)
@@ -252,9 +252,8 @@ def tau_ratio_check(spec: SymbolSpec, t: TimeVector, N: int) -> TauRatioReport:
     lhs = D_N / D_N1
 
     psi, psi_inv = wave_matrix(spec, t)
-    w = max(psi.hi - N, 1)
-    idx = range(N, N + w)
-    M = hankel_product_matrix(psi, psi_inv, idx, idx)
+    kernel = correction_det(psi, psi_inv, N)
+    M = kernel.K_matrix
     MNN = M[:n, :n]
     r, c, Mtail = M[:n, n:], M[n:, :n], M[n:, n:]
     cross = r @ np.linalg.solve(np.eye(len(Mtail)) - Mtail, c)
@@ -266,7 +265,7 @@ def tau_ratio_check(spec: SymbolSpec, t: TimeVector, N: int) -> TauRatioReport:
         corrected_det=corrected,
         residual=float(abs(lhs - corrected)),
         block_residual=float(abs(lhs - block_det)),
-        window=w,
+        window=kernel.window_used,
     )
 
 
@@ -275,18 +274,16 @@ def bo_consistency_check(spec: SymbolSpec, t: TimeVector, N: int) -> float:
 
     Uses the wave-matrix pair (Psi, Psi^{-1}) directly as the kernel symbols;
     D_inf comes from the strong limit of the deformed symbol (its geometric
-    mean is 1 for these families).  The kernel window is doubled from 32
-    until det(I - K_N) is Cauchy below 1e-11 (toeplitz.correction_det).
+    mean is 1 for these families).  det(I - K_N) is read on its exact window
+    (toeplitz.correction_det).
     """
     from .toeplitz import build_TN, correction_det, det_DN, szego_widom
 
-    tol = 1e-10
-    depth = 28
-    lm = gd_symbol(spec, t, (-depth, depth), exact_only=True)
+    lm = gd_symbol(spec, t, (-28, 28), exact_only=True)
     x = deformed_symbol_samples(spec, t, 1024)
-    sw = szego_widom(lm, x, tol=0.01 * tol)
+    sw = szego_widom(lm, x, tol=1e-12)
     psi, psi_inv = wave_matrix(spec, t)
-    d = correction_det(psi, psi_inv, N, 32, 0.1 * tol).det_correction
+    d = correction_det(psi, psi_inv, N).det_correction
     lm_small = gd_symbol(spec, t, (-N, N), exact_only=True)
     lhs = det_DN(build_TN(lm_small, N)) / sw.G**N
     return float(abs(lhs - sw.D_inf * d))

@@ -198,26 +198,20 @@ def inverse_transform(lm: LaurentMatrix, M: int, radius: float = 1.0) -> CircleS
     return CircleSamples(lm.n, M, values, radius)
 
 
-def transform_adaptive(
-    fn,
-    n: int,
-    band: tuple[int, int],
-    start_M: int = 512,
-    tail_tol: float = 1e-12,
-    max_M: int = 1 << 17,
-) -> LaurentMatrix:
-    """Transform with the grid doubled until the out-of-band tail is tiny.
+def transform_adaptive(fn, n: int, band: tuple[int, int]) -> LaurentMatrix:
+    """Transform with the grid doubled until the out-of-band tail is below 1e-13.
 
-    Past max_M the symbol does not fit the band and TruncationError is raised.
+    The grid starts at 2^10 points (more if the band needs them); past 2^16
+    the symbol does not fit the band and TruncationError is raised.
     """
-    M = max(start_M, next_pow2(2 * (band[1] - band[0] + 1)))
+    M = max(1 << 10, next_pow2(2 * (band[1] - band[0] + 1)))
     while True:
         x = sample_function(fn, n, M)
-        if transform_tail(x, band) < tail_tol:
+        if transform_tail(x, band) < 1e-13:
             return transform(x, band)
-        if M >= max_M:
+        if M >= 1 << 16:
             raise TruncationError(
-                f"band {band} cannot hold the symbol to {tail_tol:g} "
+                f"band {band} cannot hold the symbol to 1e-13 "
                 f"(grid saturated at M={M})"
             )
         M *= 2

@@ -182,14 +182,7 @@ def base_symbol(spec: SymbolSpec, band: tuple[int, int] | None = None) -> Lauren
             for i, c in enumerate(spec.params):
                 coeffs[-1 - lo, i, i] = -(c**2)
         return LaurentMatrix(n, lo, hi, coeffs)
-    return transform_adaptive(
-        lambda zz: base_symbol_values(spec, zz),
-        spec.n,
-        band,
-        start_M=1 << 10,
-        tail_tol=1e-13,
-        max_M=1 << 16,
-    )
+    return transform_adaptive(lambda zz: base_symbol_values(spec, zz), spec.n, band)
 
 
 # -- shift matrix and its exponential ----------------------------------------

@@ -275,7 +275,7 @@ def tau_series(
     elif representation == "character":
         if gd_reduced:
             raise ValueError("the character route is a full-hierarchy statement")
-        series = character_assembly(character_expansion(spec, N, Q), Q, Q)
+        series = character_assembly(character_expansion(spec, N, Q), Q)
     elif representation == "wronskian":
         series = wronskian_tau(f_family(spec, N, Q, gd_reduced=gd_reduced))
     else:
@@ -308,15 +308,16 @@ def character_expansion(spec: SymbolSpec, N: int, Q: int) -> dict[tuple[int, ...
     return {lam: complex(d) for lam, d in zip(lams, dets)}
 
 
-def character_assembly(
-    coeffs: dict[tuple[int, ...], complex], K: int, Q: int
-) -> GradedPoly:
-    """Recombine expansion coefficients against the polynomial basis."""
-    acc = gp_zero(K, Q)
+def character_assembly(coeffs: dict[tuple[int, ...], complex], Q: int) -> GradedPoly:
+    """Recombine expansion coefficients against the polynomial basis.
+
+    The basis runs over the times t_1 .. t_Q, the most a weight-Q series reads.
+    """
+    acc = gp_zero(Q, Q)
     for lam, c in coeffs.items():
         if abs(c) == 0.0:
             continue
-        acc = acc + jacobi_trudi(lam, K, Q) * c
+        acc = acc + jacobi_trudi(lam, Q, Q) * c
     return acc
 
 

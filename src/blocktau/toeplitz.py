@@ -17,9 +17,10 @@ the (R*n, k*n) section of u at modes i+k times the (k*n, C*n) section of v
 at modes -j-k; its (i a, j d) row-major layout is already the dense
 (R*n, C*n) result.
 
-Every finite-section limit (the operator determinant, D_N/G^N, the
-correction determinant) stops through settle, the one Cauchy rule;
-truncation_dets is the one loop over N of D_N.
+The two finite-section limits (the operator determinant and D_N/G^N) stop
+through settle, the one Cauchy rule; truncation_dets is the one loop over N
+of D_N.  The correction determinant needs no limit: its kernel has no rows
+past the band of its first symbol, so one window is exact.
 """
 
 from __future__ import annotations
@@ -94,19 +95,19 @@ def doubling(start: int, cap: int):
 
 
 def settle(steps, tol: float, what: str):
-    """Read (size, value, extra) steps up to the first Cauchy one.
+    """Read (size, value) steps up to the first Cauchy one.
 
-    Returns (size, value, extra, est_error, history) at the first step whose
-    value is within tol of the previous one; est_error is that difference and
+    Returns (size, value, est_error, history) at the first step whose value
+    is within tol of the previous one; est_error is that difference and
     history lists every (size, value) read.  Raises ConvergenceError, naming
     the last size, when the steps run out first.
     """
     history = []
     prev = size = None
-    for size, value, extra in steps:
+    for size, value in steps:
         history.append((size, value))
         if prev is not None and abs(value - prev) < tol:
-            return size, value, extra, abs(value - prev), history
+            return size, value, abs(value - prev), history
         prev = value
     raise ConvergenceError(f"{what} not Cauchy below {tol:g} by {size}")
 
@@ -260,10 +261,10 @@ def fredholm_det(
     if p.rebuild is None:
         raise ConvergenceError("operator was built at fixed size and cannot be refined")
     steps = (
-        (M, complex(np.linalg.det((p if M == p.M else p.rebuild(M)).matrix)), None)
+        (M, complex(np.linalg.det((p if M == p.M else p.rebuild(M)).matrix)))
         for M in doubling(p.M, max_M)
     )
-    M, value, _, err, history = settle(steps, tol, "finite-section determinant")
+    M, value, err, history = settle(steps, tol, "finite-section determinant")
     return FredholmResult(value=value, M_used=M, est_error=err, history=history)
 
 
@@ -291,8 +292,8 @@ def szego_widom(
     if winding_number(x) != 0:
         raise HypothesisError("winding of det(symbol) is nonzero")
     G = geometric_mean(x)
-    steps = ((N, d / G**N, None) for N, d in zip(range(1, 257), truncation_dets(lm)))
-    N, ratio, _, err, history = settle(steps, tol, "D_N/G^N")
+    steps = ((N, d / G**N) for N, d in zip(range(1, 257), truncation_dets(lm)))
+    N, ratio, err, history = settle(steps, tol, "D_N/G^N")
     return SzegoWidomResult(D_inf=ratio, G=G, N_used=N, est_error=err, history=history)
 
 
@@ -356,28 +357,21 @@ class BorodinOkounkovResult:
     K_matrix: np.ndarray
     det_correction: complex
     window_used: int
-    est_error: float
-    history: list = field(default_factory=list)
 
 
-def correction_det(
-    u: LaurentMatrix, v: LaurentMatrix, N: int, window: int, tol: float
-) -> BorodinOkounkovResult:
+def correction_det(u: LaurentMatrix, v: LaurentMatrix, N: int) -> BorodinOkounkovResult:
     """det(I - K) for the Hankel-product kernel of (u, v) on block indices >= N.
 
     K_ij = sum_{k>=1} u^(i+k) v^(-j-k) is cut to the window i, j in
-    [N, N + w); w doubles from window until the determinant is Cauchy below
-    tol.  Past a window of 512 ConvergenceError is raised.
+    [N, N + w), w = max(u.hi - N, 1).  The cut is exact: rows i >= u.hi of K
+    vanish, so I - K is block-triangular past the window and has the
+    window's determinant.
     """
-    sections = (
-        (w, hankel_product_matrix(u, v, range(N, N + w), range(N, N + w)))
-        for w in doubling(window, 512)
-    )
-    steps = ((w, complex(np.linalg.det(np.eye(len(K)) - K)), K) for w, K in sections)
-    w, d, K, err, history = settle(steps, tol, "correction determinant")
-    return BorodinOkounkovResult(
-        K_matrix=K, det_correction=d, window_used=w, est_error=err, history=history
-    )
+    w = max(u.hi - N, 1)
+    idx = range(N, N + w)
+    K = hankel_product_matrix(u, v, idx, idx)
+    d = complex(np.linalg.det(np.eye(len(K)) - K))
+    return BorodinOkounkovResult(K_matrix=K, det_correction=d, window_used=w)
 
 
 def borodin_okounkov(fact, N: int, tol: float = 1e-10) -> BorodinOkounkovResult:
@@ -387,15 +381,16 @@ def borodin_okounkov(fact, N: int, tol: float = 1e-10) -> BorodinOkounkovResult:
     gamma_plus * gamma_minus) and theta_minus, theta_plus (symbol =
     theta_minus * theta_plus).  The kernel lives on block indices >= N:
     K_ij = sum_{k>=1} phi^(i+k) phi_inv^(-j-k) with phi = gamma_minus *
-    theta_plus^{-1}; the window past N is widened from 8 until the
-    determinant settles (correction_det).
+    theta_plus^{-1}.  phi and phi_inv are cut to their outermost modes above
+    tol times their largest mode norm; the kernel window follows from the
+    cut band of phi (correction_det).
     """
-    phi, phi_inv = bo_symbols(fact)
-    return correction_det(phi, phi_inv, N, 8, tol)
+    phi, phi_inv = (lm_trim(s, tol) for s in bo_symbols(fact))
+    return correction_det(phi, phi_inv, N)
 
 
 def bo_symbols(fact) -> tuple[LaurentMatrix, LaurentMatrix]:
-    """phi = gamma_minus theta_plus^{-1} and its inverse, as banded series."""
+    """phi = gamma_minus theta_plus^{-1} and its inverse, uncut on one wide band."""
     gm: LaurentMatrix = fact.gamma_minus
     gp: LaurentMatrix = fact.gamma_plus
     tm: LaurentMatrix = fact.theta_minus
@@ -404,9 +399,7 @@ def bo_symbols(fact) -> tuple[LaurentMatrix, LaurentMatrix]:
     tm_inv = lm_invert(tm)
     span = max(gm.width, gp.width, tp_inv.width, tm_inv.width) + 8
     band = (-span, span)
-    phi = lm_trim(lm_mul(gm, tp_inv, band), 1e-16)
-    phi_inv = lm_trim(lm_mul(tm_inv, gp, band), 1e-16)
-    return phi, phi_inv
+    return lm_mul(gm, tp_inv, band), lm_mul(tm_inv, gp, band)
 
 
 # -- derivative of the limit through the factorization ------------------------
@@ -428,7 +421,6 @@ class WidomDerivativeReport:
 def widom_derivative_check(
     make_symbol: Callable[[float], LaurentMatrix],
     x0: float,
-    tol: float = 1e-10,
 ) -> WidomDerivativeReport:
     """Compare d/dx log D_inf with the contour-integral trace formula.
 
@@ -436,7 +428,8 @@ def widom_derivative_check(
     over 1024 points of the circle, where symbol^{-1} = g_+ g_- = h_- h_+
     are the two factorization orders of the inverse symbol (gamma and theta
     of two_sided_factorization, from its samples on that grid).  The
-    numeric derivative and d_x(symbol) are central differences, step 1e-5.
+    numeric derivative and d_x(symbol) are central differences, step 1e-5,
+    of log D_inf settled to 1e-12 (szego_widom).
     """
     from .factorization import two_sided_factorization
 
@@ -445,7 +438,7 @@ def widom_derivative_check(
     def log_Dinf(x: float) -> complex:
         lm = make_symbol(x)
         samples = inverse_transform(lm, max(512, 4 * lm.width))
-        res = szego_widom(lm, samples, tol=tol)
+        res = szego_widom(lm, samples, tol=1e-12)
         return np.log(res.D_inf)
 
     numeric = (log_Dinf(x0 + h) - log_Dinf(x0 - h)) / (2 * h)

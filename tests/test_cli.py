@@ -95,7 +95,6 @@ def test_missing_config_file(tmp_path):
 def test_nonpositive_tol_flag_rejected(tmp_path):
     path = _write(tmp_path, RATIONAL_INI)
     assert cli.main(["tau", "--config", path, "--tol", "-1"]) == 2
-    assert cli.main(["tau", "--config", path, "--threads", "0"]) == 2
 
 
 # -- tau sweep ----------------------------------------------------------------
@@ -120,14 +119,6 @@ def test_tau_grid_runs_and_is_deterministic(tmp_path):
         assert float(cells[4]) <= 1e-8  # est_error column within tolerance
     report = (tmp_path / "a" / "report.txt").read_text()
     assert "worst est_error" in report
-
-
-def test_tau_threads_match_serial(tmp_path):
-    path = _write(tmp_path, RATIONAL_INI)
-    a, b = tmp_path / "serial", tmp_path / "pool"
-    assert cli.main(["tau", "--config", path, "--out", str(a)]) == 0
-    assert cli.main(["tau", "--config", path, "--out", str(b), "--threads", "3"]) == 0
-    assert (a / "tau.csv").read_bytes() == (b / "tau.csv").read_bytes()
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch):

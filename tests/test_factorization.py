@@ -21,6 +21,7 @@ from blocktau.factorization import (
     wave_matrix,
     wiener_hopf,
 )
+from blocktau.toeplitz import bo_symbols, correction_det, hankel_product_matrix
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
@@ -201,7 +202,7 @@ def test_wave_matrix_mode_support():
 
 def test_tau_ratio_corrected_identity():
     for spec, tv in ((RSPEC, TV), (CSPEC, CTV), (RSPEC3, TV)):
-        psi_hi = wave_matrix(spec, tv)[0].hi
+        psi, psi_inv = wave_matrix(spec, tv)
         for N in (1, 2):
             tr = tau_ratio_check(spec, tv, N)
             assert tr.residual < 1e-10
@@ -209,9 +210,34 @@ def test_tau_ratio_corrected_identity():
             # deviation is genuinely nonzero, which is why the correction exists
             assert 1e-12 < tr.block_residual < 1e-4
             # rows of the kernel past Psi.hi vanish, so this window is exact
-            assert tr.window == max(psi_hi - N, 1)
+            assert tr.window == max(psi.hi - N, 1)
+            # Schur complement: D_N = D_inf det(I - K_N) gives
+            # D_N / D_{N+1} = det(I - K_N) / det(I - K_{N+1})
+            schur = (
+                correction_det(psi, psi_inv, N).det_correction
+                / correction_det(psi, psi_inv, N + 1).det_correction
+            )
+            assert abs(tr.corrected_det - schur) < 1e-13
 
 
 def test_bo_consistency_via_wave_matrix():
     for N in (1, 2):
         assert bo_consistency_check(RSPEC, TV, N) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "spec, tv",
+    [(RSPEC, TV), (CSPEC, CTV), (RSPEC3, TV)],
+    ids=["rational", "covering", "rational3"],
+)
+def test_correction_det_window_is_exact(spec, tv):
+    # rows i >= u.hi of the kernel vanish: twice the window adds nothing
+    pair = two_sided_factorization(_samples(spec, tv), B=40, tol=1e-9)
+    bo_kernel = tuple(lm_trim(s, 1e-12) for s in bo_symbols(pair))
+    for u, v in (bo_kernel, wave_matrix(spec, tv)):
+        for N in (1, 2, 3, 4):
+            cd = correction_det(u, v, N)
+            assert cd.window_used == max(u.hi - N, 1)
+            idx = range(N, N + 2 * cd.window_used)
+            K = hankel_product_matrix(u, v, idx, idx)
+            assert abs(cd.det_correction - np.linalg.det(np.eye(len(K)) - K)) <= 1e-15
