@@ -127,6 +127,7 @@ def _exp_coefficients(K: int, Q: int) -> np.ndarray:
 
 
 _PAIR_BLOCK = 1 << 15  # pair products held at once: 512 KiB of complex
+_PIVOT_GROWTH = 1e3  # gp_det divides only by pivots that amplify round-off less
 
 
 def _mul(a: np.ndarray, b: np.ndarray, K: int, Q: int) -> np.ndarray:
@@ -528,6 +529,28 @@ def _gp_det_free(rows: list[list[GradedPoly]], K: int, Q: int) -> GradedPoly:
     return minors.get((1 << m) - 1, gp_zero(K, Q))
 
 
+def _amplifies(a: np.ndarray, weights: np.ndarray, Q: int) -> bool:
+    """Whether ||a||_1 ||a^-1||_1 may pass _PIVOT_GROWTH, for a unit a.
+
+    Elimination by a pivot multiplies the round-off it carries by about
+    this factor.  The coefficient 1-norm is submultiplicative, so layer w
+    of a^-1 is bounded by beta_w of the majorant series
+    1 / (|a_0| - sum_w alpha_w x^w), alpha_w the 1-norm of layer w of a.
+    When sum_w alpha_w < |a_0| the whole series sums to at most
+    1 / (|a_0| - sum_w alpha_w), and the layers are not formed.
+    """
+    mag = np.abs(a)
+    norm = float(mag.sum())
+    rest = norm - mag[0]
+    if rest < mag[0] and norm <= _PIVOT_GROWTH * (mag[0] - rest):
+        return False
+    alpha = np.bincount(weights, mag, minlength=Q + 1).tolist()
+    beta = [1.0 / alpha[0]]
+    for w in range(1, Q + 1):
+        beta.append(sum(alpha[j] * beta[w - j] for j in range(1, w + 1)) * beta[0])
+    return norm * sum(beta) > _PIVOT_GROWTH
+
+
 def _valuations(coeffs: np.ndarray, weights: np.ndarray, Q: int) -> np.ndarray:
     """Lowest weight with a nonzero coefficient along the last axis; Q + 1 for zero."""
     nz = np.concatenate([coeffs != 0, np.ones(coeffs.shape[:-1] + (1,), bool)], axis=-1)
@@ -541,7 +564,9 @@ def gp_det(rows: list[list[GradedPoly]]) -> GradedPoly:
     division happens only by pivots, which must be ring units (nonzero
     constant term).  Falls back to cofactor expansion for sizes <= 3 where
     it is both faster and division-free, and to a memoized division-free
-    expansion when no unit pivot exists (possible up to size 12).  The
+    expansion (up to size 12) when no unit pivot exists or the chosen one
+    would amplify round-off by more than _PIVOT_GROWTH (`_amplifies`: a
+    small constant term under heavy higher weights).  The
     elimination works on the (m, m, basis) coefficient array.  A row update
     multiplies a factor by the pivot-row entries whose valuation (lowest
     weight present) leaves the sum of the two at most Q; every other
@@ -579,22 +604,25 @@ def gp_det(rows: list[list[GradedPoly]]) -> GradedPoly:
     for col in range(m):
         lead = np.abs(work[col:, col, 0])
         pivot_row = col + int(np.argmax(lead))
-        if lead[pivot_row - col] == 0.0:
-            if not work[col:, col].any():
-                return gp_zero(K, Q)  # structurally singular: a zero column
+        unit = lead[pivot_row - col] > 0.0
+        if not unit and not work[col:, col].any():
+            return gp_zero(K, Q)  # structurally singular: a zero column
+        if not unit or _amplifies(work[pivot_row, col], basis.weights, Q):
             if m <= 12:
-                # no unit pivot in this column: finish division-free on the
-                # remaining minor and fold in the eliminated prefix
+                # no unit pivot in this column, or one whose inverse would
+                # amplify round-off: finish division-free on the remaining
+                # minor and fold in the eliminated prefix
                 tail = [
                     [GradedPoly(K, Q, work[r, c]) for c in range(col, m)]
                     for r in range(col, m)
                 ]
                 return GradedPoly(K, Q, det * sign) * _gp_det_free(tail, K, Q)
-            from .errors import DegenerateInput
+            if not unit:
+                from .errors import DegenerateInput
 
-            raise DegenerateInput(
-                "graded elimination needs a pivot with nonzero constant term"
-            )
+                raise DegenerateInput(
+                    "graded elimination needs a pivot with nonzero constant term"
+                )
         if pivot_row != col:
             work[[col, pivot_row]] = work[[pivot_row, col]]
             sign = -sign

@@ -24,6 +24,8 @@ Wronskian and character routes.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -211,25 +213,47 @@ def lambda_power(n: int, k: int) -> LaurentMatrix:
     return lm_trim(LaurentMatrix(n, *band, fold(np.ones(1), k, n, band)))
 
 
+def _one_phase(t: np.ndarray) -> bool:
+    """Whether t_i = |t_i| w^i for one unit w (true for all-zero times).
+
+    Then every term of p_k has the phase w^k and nothing cancels.
+    """
+    nz = [(i, v) for i, v in enumerate(t.tolist(), start=1) if v]
+    if not nz:
+        return True
+    j, tj = nz[0]
+    for m in range(j):
+        w = cmath.exp(1j * (cmath.phase(tj) + 2 * math.pi * m) / j)
+        if all(abs(v - abs(v) * w**i) <= 1e-13 * abs(v) for i, v in nz):
+            return True
+    return False
+
+
 def schur_numeric(tvals, kmax: int) -> np.ndarray:
     """Numeric values p_0..p_kmax of the Schur sequence at given times.
 
     p_k is the zeta^k coefficient of prod_i exp(t_i zeta^i).  The series of
     each factor, t_i^m / m! at index i*m, is one cumprod cut at its last
-    nonzero entry, so folding it into p by one truncated convolution costs
-    O(kmax * factor length); zero times are skipped.
+    entry that a double still holds, so folding it into p by one truncated
+    convolution costs O(kmax * factor length); zero times are skipped.
+    Times of mixed sign or phase make p_k a sum of terms far larger than
+    itself; those run in the platform's extended precision (np.clongdouble,
+    64-bit mantissa on x86, several times slower) and p is rounded to
+    complex once at the end.
     """
-    p = np.zeros(kmax + 1, dtype=complex)
+    t = np.asarray(tvals, dtype=complex)[:kmax]
+    dtype = complex if _one_phase(t) else np.clongdouble
+    p = np.zeros(kmax + 1, dtype=dtype)
     p[0] = 1.0
-    for i, ti in enumerate(np.asarray(tvals, dtype=complex)[:kmax], start=1):
+    for i, ti in enumerate(t.astype(dtype, copy=False), start=1):
         if ti == 0:
             continue
         c = np.cumprod(np.concatenate([[1.0], ti / np.arange(1, kmax // i + 1)]))
-        c = c[: np.flatnonzero(c)[-1] + 1]
-        factor = np.zeros(i * (len(c) - 1) + 1, dtype=complex)
+        c = c[: np.flatnonzero(c.astype(complex, copy=False))[-1] + 1]
+        factor = np.zeros(i * (len(c) - 1) + 1, dtype=dtype)
         factor[::i] = c
         p = np.convolve(p, factor)[: kmax + 1]
-    return p
+    return p.astype(complex, copy=False)
 
 
 def exp_xi_lambda(

@@ -1,11 +1,14 @@
 """Reference routines the tests compare against.
 
-schur_recurrence is a loop kept independent of the vectorized code;
+schur_recurrence is a loop kept independent of the vectorized code, and
+schur_mpmath the same recurrence at 40 digits, a reference for values that
+cancel below the round-off of a double;
 tau_graded_elimination eliminates the whole nN x nN ring matrix, the
 reference for the rank-r route of tau.tau_graded; read_csv reads back the
 coefficient CSVs the command line writes.
 """
 
+import mpmath
 import numpy as np
 
 from blocktau.gradedpoly import GradedPoly, gp_det
@@ -24,6 +27,17 @@ def schur_recurrence(tvals, kmax):
             acc += i * t[i - 1] * p[k - i]
         p[k] = acc / k
     return p
+
+
+def schur_mpmath(tvals, kmax):
+    """The recurrence at 40 digits."""
+    with mpmath.workdps(40):
+        ts = [mpmath.mpc(complex(v)) for v in tvals]
+        p = [mpmath.mpc(1)]
+        for k in range(1, kmax + 1):
+            terms = (i * ts[i - 1] * p[k - i] for i in range(1, min(k, len(ts)) + 1))
+            p.append(mpmath.fsum(terms) / k)
+        return np.array([complex(v) for v in p])
 
 
 def tau_graded_elimination(spec, N, Q, gd_reduced):

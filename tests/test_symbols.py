@@ -1,6 +1,5 @@
 """Symbol families, shift matrix calculus, time deformations, flattening."""
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -31,7 +30,7 @@ from blocktau.symbols import (
     xi_inverse,
     xi_map,
 )
-from oracles import schur_recurrence
+from oracles import schur_mpmath, schur_recurrence
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
@@ -156,17 +155,6 @@ def test_schur_numeric_matches_recurrence_on_its_own_scale(t, kmax):
     _assert_matches_recurrence(t, kmax, np.max(np.abs(schur_recurrence(t, kmax))))
 
 
-def _schur_mpmath(t, kmax):
-    """The recurrence at 40 digits."""
-    with mpmath.workdps(40):
-        ts = [mpmath.mpc(complex(v)) for v in t]
-        p = [mpmath.mpc(1)]
-        for k in range(1, kmax + 1):
-            terms = (i * ts[i - 1] * p[k - i] for i in range(1, min(k, len(ts)) + 1))
-            p.append(mpmath.fsum(terms) / k)
-        return np.array([complex(v) for v in p])
-
-
 @pytest.mark.parametrize(
     "t, kmax",
     [
@@ -177,7 +165,7 @@ def _schur_mpmath(t, kmax):
     ids=["long-real", "complex", "miwa-48"],
 )
 def test_schur_numeric_matches_mpmath(t, kmax):
-    want = _schur_mpmath(t, kmax)
+    want = schur_mpmath(t, kmax)
     assert np.max(np.abs(schur_numeric(t, kmax) - want)) <= 1e-15 * np.max(np.abs(want))
 
 

@@ -48,7 +48,7 @@ from blocktau.factorization import (
     two_sided_factorization,
     wiener_hopf,
 )
-from oracles import schur_recurrence
+from oracles import schur_mpmath
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
@@ -102,10 +102,14 @@ def _build_tn_reference(lm, N):
 
 
 def _exp_xi_reference(t, n, band):
-    """Entry (i, j) of mode q collects p_k over k = nq + i - j, one k at a time."""
+    """Entry (i, j) of mode q collects p_k over k = nq + i - j, one k at a time.
+
+    The values are the 40-digit recurrence: a band far from mode 0 can hold
+    only values that cancel, below the round-off of any double recurrence.
+    """
     lo, hi = band
     kmax = n * hi + n - 1
-    p = schur_recurrence(t.effective(n), kmax)
+    p = schur_mpmath(t.effective(n), kmax)
     coeffs = np.zeros((hi - lo + 1, n, n), dtype=complex)
     for k in range(kmax + 1):
         for i in range(n):
@@ -206,6 +210,10 @@ def test_wiener_hopf_system_matches_block_loop():
     st.integers(-3, 4),
     st.integers(0, 10),
 )
+# p_3 of the first and p_10 of the second are 1/155 and 1/138 of p(|t|),
+# where a convolution in doubles was 5.1e-15 and 1.8e-15 of the band off
+@example([0.34375, 0.1875, -0.0703125], 1, 3, 0)
+@example([0.17323606777393075, -0.0625], 3, 4, 0)
 def test_exp_xi_lambda_matches_schur_loop(tvals, n, lo, width):
     tv = time_vector(tvals, gd_reduced=False)
     band = (lo, max(lo, 0) + width)
