@@ -353,15 +353,19 @@ def _check_fredholm_invariance(ctx, tol):
 
 def _check_half_truncated(ctx, tol):
     # negative modes down to -2 take the negative-tail branch; down to -20
-    # they pass its 16-mode limit and take the reflected one
+    # they pass Day's 16-mode limit, and z -> 1/z leaves one negative mode
     gaps, sides = [], []
     for neg in ([0.3, -0.2], 0.4 * 0.5 ** np.arange(20, 0, -1)):
         c = np.concatenate([neg, [1.0, 0.45]]).astype(complex).reshape(-1, 1, 1)
         lm = laurent.LaurentMatrix(1, -len(neg), 1, c)
-        sc = toeplitz.half_truncated_shortcut(lm)
+        side, work = "negative-tail", lm
+        if -lm.lo > toeplitz.HALF_TRUNCATED_J_MAX:
+            side, work = "reflected", laurent.lm_reflect(lm)
+        G = laurent.geometric_mean(laurent.inverse_transform(work, 1024))
+        d_inf, _ = toeplitz.half_truncated_shortcut(laurent.lm_invert(work), G, -work.lo)
         sw = toeplitz.szego_widom(lm, laurent.inverse_transform(lm, 1024), tol=1e-12)
-        gaps.append(abs(sc.D_inf - sw.D_inf))
-        sides.append(sc.side)
+        gaps.append(abs(d_inf - sw.D_inf))
+        sides.append(side)
     worst = max(gaps)
     ok = worst <= tol and sides == ["negative-tail", "reflected"]
     detail = ", ".join(f"{s} {g:.1e}" for s, g in zip(sides, gaps))
@@ -446,6 +450,26 @@ def _check_two_soliton(ctx, tol):
         worst,
         worst <= tol and elapsed <= 60.0,
         f"closed-form oracle on the 5x5 grid [{elapsed:.1f}s <= 60s]",
+    )
+
+
+def _check_finite_rank_identity(ctx, tol):
+    # D_40 on the band +-40 reads no inverse symbol; G = 1 for rational
+    # families (W_0 = I, and det exp(xi) has geometric mean 1)
+    worst = 0.0
+    for spec, direction in (
+        (ctx.rspec, (1, 0, 0.5, 0, 0.25)),
+        (symbols.rational_spec([0.3, 0.6, 0.9]), (1, 0.5, 0, 0.25, 0.1)),
+    ):
+        for s in (2.0, 4.0, 5.8, 7.0):
+            tv = symbols.time_vector([s * d for d in direction])
+            lm = symbols.gd_symbol(spec, tv, (-40, 40), exact_only=True)
+            want = toeplitz.det_DN(toeplitz.build_TN(lm, 40))
+            worst = max(worst, abs(tau.tau_stable(spec, tv) - want) / abs(want))
+    return (
+        worst,
+        worst <= tol,
+        "stable tau vs D_40, rational n = 2 and 3, s <= 7 along two directions",
     )
 
 
@@ -646,6 +670,7 @@ CHECKS = [
     Check("tau", "coefficient_stabilization", 1e-12, _check_stabilization, 5),
     Check("tau", "stable_kdv_residual", 1e-8, _check_kdv, 8),
     Check("tau", "two_soliton_oracle", 1e-6, _check_two_soliton, 1),
+    Check("tau", "finite_rank_identity", 1e-8, _check_finite_rank_identity),
     Check("tau", "kernel_and_recursion", 1e-9, _check_kernel_recursion, 7),
     Check("tau", "frobenius_lemma", 1e-9, _check_frobenius_lemma),
     Check("tau", "wave_miwa_shift", 1e-12, _check_wave_miwa_shift),

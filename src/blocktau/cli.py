@@ -335,6 +335,10 @@ def cmd_tau(cfg: RunConfig, out: str, tol: float | None) -> int:
             f"grid indices: {idxs}",
             f"tolerance: {_fmt(use_tol)}",
             f"worst est_error: {_fmt(worst)}",
+            "routes: " + ", ".join(
+                f"{route} {sum(r.route == route for r in results)}"
+                for route in ("finite_rank", "fredholm")
+            ),
         ],
     )
     if worst > use_tol:

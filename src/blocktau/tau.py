@@ -52,20 +52,23 @@ from .gradedpoly import (
     schur_sequence,
     schur_sequence_reduced,
 )
-from .laurent import COND_LIMIT, COND_SCREEN, LaurentMatrix, gather_modes
+from .laurent import COND_LIMIT, COND_SCREEN, LaurentMatrix, gather_modes, lm_mul
 from .symbols import (
     SymbolSpec,
     TimeVector,
+    base_inverse,
     base_symbol,
     column_series,
+    exp_xi_lambda,
     gd_symbol,
     gd_symbol_inverse,
 )
 from .toeplitz import (
-    FredholmResult,
+    HALF_TRUNCATED_J_MAX,
     build_TN,
     det_DN,
     fredholm_det,
+    half_truncated_shortcut,
     plemelj_fourier,
 )
 
@@ -73,6 +76,7 @@ __all__ = [
     "FFamily",
     "KernelFactsReport",
     "StabilityReport",
+    "StableTauReport",
     "TauSeries",
     "apply_first_order_factors",
     "character_assembly",
@@ -634,19 +638,42 @@ def _wiener_gate(g: LaurentMatrix, g_inv: LaurentMatrix) -> None:
         )
 
 
+@dataclass
+class StableTauReport:
+    """A stable tau value, the route that produced it and its error bound.
+
+    route is "finite_rank" (Day's formula on the nj x nj section, M_used = j)
+    or "fredholm" (the operator determinant, M_used its section size in
+    blocks); history lists the Fredholm route's (size, value) steps.
+    """
+
+    value: complex
+    est_error: float
+    route: str
+    M_used: int
+    history: list = field(default_factory=list)
+
+
 def tau_stable_report(
     spec: SymbolSpec, t: TimeVector, tol: float = 1e-8
-) -> FredholmResult:
+) -> StableTauReport:
     """Large-N limit of the truncated determinants at a concrete time vector.
 
-    Delegates to the operator determinant of I - (Toeplitz defect) of the
-    banded pair g = exp(xi(t,L)) W and g^-1 = W^-1 exp(xi(-t,L)), with the
-    band widened until both exponential factors fit (gd_symbol and
-    gd_symbol_inverse do not test the modes of g and g^-1 past the band)
-    and the section size doubled to a Cauchy stop.  NearSingularSymbol is
-    raised when ||g||_W ||g^-1||_W, an upper bound of the condition number
-    of g on the circle, exceeds COND_LIMIT.
+    When W has j = -W.lo <= HALF_TRUNCATED_J_MAX negative modes (every
+    rational family, j = 1), so does g = exp(xi(t,L)) W, and the limit is
+    G^j det T_j(g^-1) exactly (Day's formula, _finite_rank).  Otherwise
+    (the covering families, whose W.lo cuts an infinite tail) it is the
+    operator determinant of I - (Toeplitz defect) of the banded pair g and
+    g^-1 = W^-1 exp(xi(-t,L)), with the band widened until both
+    exponential factors fit (gd_symbol and gd_symbol_inverse do not test
+    the modes of g and g^-1 past the band) and the section size doubled to
+    a Cauchy stop below tol.  NearSingularSymbol is raised when cond
+    T_j(g^-1) exceeds COND_LIMIT on the first route, and when
+    ||g||_W ||g^-1||_W, an upper bound of the condition number of g on the
+    circle, does on the second.
     """
+    if -base_symbol(spec).lo <= HALF_TRUNCATED_J_MAX:
+        return _finite_rank(spec, t)
     B = 32
     while True:
         try:
@@ -659,7 +686,64 @@ def tau_stable_report(
             B *= 2
     _wiener_gate(lm, lm_inv)
     op = plemelj_fourier(lm, lm_inv, 16)
-    return fredholm_det(op, tol=min(tol, 1e-9), max_M=4096)
+    fr = fredholm_det(op, tol=min(tol, 1e-9), max_M=4096)
+    return StableTauReport(fr.value, fr.est_error, "fredholm", fr.M_used, fr.history)
+
+
+_EPS = float(np.finfo(float).eps)
+# radii r >= 1 of the Cauchy bound on the Schur values past exp(xi)'s band
+_TAIL_RADII = np.array([1.0, 1.1, 1.25, 1.5, 2.0, 3.0])
+
+
+def _finite_rank(spec: SymbolSpec, t: TimeVector) -> StableTauReport:
+    """G^j det T_j(g^-1) from the modes -j+1..j-1 of W^-1 exp(xi(-t,L)).
+
+    Those modes are exact sums of W^-1 (base_inverse) against the Schur
+    values of exp(xi(-t,L)); no circle is sampled.  G = det W_0 exactly:
+    W has no positive modes, so log det W averages to its value at
+    infinity, and det exp(xi) = exp(n sum_q t_nq z^q) averages to 1.
+
+    est_error is the first-order bound sum |G^j adj T|^T o Delta, with
+    Delta an entrywise bound of the error of T = T_j(g^-1):
+    - the rounding of each mode's sum of L = n width(W^-1) products, and of
+      the nj x nj determinant, (L + 2nj) eps times the same sums over the
+      moduli of the terms;
+    - the modes of W^-1, each known to eps ||W^-1||_W (the round-off of its
+      sampled inversion, which also cuts the modes past its band below
+      that), against every mode of exp(xi(-t,L)): sum_m ||e_m||_2 <=
+      2 sum_k |p_k(-t)|, summed exactly up to the last Schur value K in
+      e and past it by the Cauchy bound sum_{k>K} |p_k(-t)| <=
+      r^-(K+1) exp(sum_i |t_i| r^i), the least over r in _TAIL_RADII.
+    """
+    n = spec.n
+    w, w_inv = base_symbol(spec), base_inverse(spec)
+    j = -w.lo
+    band = (1 - j, j - 1)
+    e = exp_xi_lambda(t.negated(), n, (0, band[1] - w_inv.lo), exact_only=True)
+    G = complex(np.linalg.det(w.block(0)))
+    value, T = half_truncated_shortcut(lm_mul(w_inv, e, band), G, j)
+    cond = float(np.linalg.cond(T))
+    if not cond <= COND_LIMIT:
+        raise NearSingularSymbol(
+            f"condition number {cond:.3g} of T_{j}(g^-1) exceeds {COND_LIMIT:g}"
+        )
+    moduli = lm_mul(
+        LaurentMatrix(n, w_inv.lo, w_inv.hi, np.abs(w_inv.coeffs)),
+        LaurentMatrix(n, e.lo, e.hi, np.abs(e.coeffs)),
+        band,
+    )
+    w_err = _EPS * np.linalg.norm(w_inv.coeffs, axis=(1, 2)).sum()
+    # column 0 of mode m of e holds p_nm .. p_nm+n-1, each p_k <= K once
+    K = n * e.hi + n - 1
+    t_abs = np.abs(t.effective(n))
+    log_tail = t_abs @ _TAIL_RADII ** np.arange(1, len(t_abs) + 1)[:, None]
+    log_tail -= (K + 1) * np.log(_TAIL_RADII)
+    e_norm = 2.0 * (np.abs(e.coeffs[:, :, 0]).sum() + float(np.exp(log_tail.min())))
+    delta = (n * w_inv.width + 2 * n * j) * _EPS * build_TN(moduli, j).matrix.real
+    delta += w_err * e_norm
+    adj = value * np.linalg.inv(T)  # G^j adj T
+    est = float(np.sum(np.abs(adj).T * delta))
+    return StableTauReport(value, est, "finite_rank", j)
 
 
 def tau_stable(spec: SymbolSpec, t: TimeVector, tol: float = 1e-8) -> complex:

@@ -310,43 +310,29 @@ def fit_decay(deltas, floor: float = 0.0) -> float:
     return float(np.exp(np.polyfit(xs, ys, 1)[0]))
 
 
-@dataclass
-class ShortcutResult:
-    D_inf: complex
-    G: complex
-    side: str
-    j: int
+# Widest negative band of a symbol that Day's formula is applied to.
+HALF_TRUNCATED_J_MAX = 16
 
 
-def half_truncated_shortcut(lm: LaurentMatrix) -> ShortcutResult:
-    """Closed-form D_inf for symbols with a one-sided finite band.
+def half_truncated_shortcut(
+    inv: LaurentMatrix, G: complex, j: int
+) -> tuple[complex, np.ndarray]:
+    """Day's closed form of D_inf for a symbol with no modes below -j.
 
-    If the symbol has no modes below -j (a finite tail on the negative
-    side), then D_inf equals det T_j(symbol^{-1}) * G^j.  A finite tail on
-    the positive side reduces to this case by z -> 1/z, which leaves every
-    D_N and G invariant.  Symbols with more than 16 modes on both sides are
-    rejected.
+    D_inf = lim D_N / G^N then equals G^j det T_j(symbol^{-1}), which reads
+    only modes -j+1..j-1 of the inverse symbol; inv must hold them exactly
+    (the caller inverts the symbol) and G is the symbol's geometric mean.
+    A finite tail on the positive side reduces to this case by z -> 1/z,
+    which leaves every D_N and G invariant.  Returns D_inf and the section
+    T_j(inv) whose determinant it took; SpecError unless 1 <= j <=
+    HALF_TRUNCATED_J_MAX.
     """
-    j_max = 16
-    core = lm_trim(lm, 1e-14)
-    side = None
-    if -core.lo <= j_max:
-        side, work = "negative-tail", core
-    elif core.hi <= j_max:
-        side, work = "reflected", lm_reflect(core)
-    else:
+    if not 1 <= j <= HALF_TRUNCATED_J_MAX:
         raise SpecError(
-            f"symbol band [{core.lo}, {core.hi}] is not half-truncated "
-            f"within j_max={j_max}"
+            f"negative band {j} is outside 1..{HALF_TRUNCATED_J_MAX} of Day's formula"
         )
-    j = max(0, -work.lo)
-    x = inverse_transform(work, max(1024, 4 * work.width))
-    G = geometric_mean(x)
-    if j == 0:
-        return ShortcutResult(D_inf=1.0 + 0.0j, G=G, side=side, j=0)
-    inv = lm_invert(work)
-    Dj = det_DN(build_TN(inv, j))
-    return ShortcutResult(D_inf=Dj * G**j, G=G, side=side, j=j)
+    T = build_TN(inv, j)
+    return G**j * det_DN(T), T.matrix
 
 
 # -- exact finite-N correction ----------------------------------------------

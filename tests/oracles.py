@@ -2,7 +2,8 @@
 
 schur_recurrence is a loop kept independent of the vectorized code, and
 schur_mpmath the same recurrence at 40 digits, a reference for values that
-cancel below the round-off of a double;
+cancel below the round-off of a double; rational_tau_mpmath is the stable
+tau of a rational family at 40 digits, for every block size n;
 tau_graded_elimination eliminates the whole nN x nN ring matrix, the
 reference for the rank-r route of tau.tau_graded; read_csv reads back the
 coefficient CSVs the command line writes.
@@ -38,6 +39,28 @@ def schur_mpmath(tvals, kmax):
             terms = (i * ts[i - 1] * p[k - i] for i in range(1, min(k, len(ts)) + 1))
             p.append(mpmath.fsum(terms) / k)
         return np.array([complex(v) for v in p])
+
+
+def rational_tau_mpmath(c, t):
+    """Stable tau of rational_spec(c) at the applied times t_1, t_2, ..., at 40 digits.
+
+    W^-1 = diag(1 / (1 - c_i^2 / z)) sums mode by mode to evaluation at
+    z = c_i^2, so det M is the stable tau, with row i of M row i of
+    exp(xi(-t, L(z))) at z = c_i^2.  That matrix is V^-1 diag(e^(-xi(t, zeta_k))) V
+    over the n roots zeta_k of z, V[k, a] = zeta_k^a.
+    """
+    n = len(c)
+    with mpmath.workdps(40):
+        ts = [mpmath.mpc(complex(v)) for v in t]
+        rows = []
+        for i, ci in enumerate(c):
+            z = mpmath.mpc(complex(ci)) ** 2
+            zetas = [mpmath.root(z, n, k) for k in range(n)]
+            V = mpmath.matrix([[zeta**a for a in range(n)] for zeta in zetas])
+            xi = [mpmath.fsum(tm * zeta ** (m + 1) for m, tm in enumerate(ts)) for zeta in zetas]
+            E = mpmath.inverse(V) * mpmath.diag([mpmath.exp(-x) for x in xi]) * V
+            rows.append([E[i, a] for a in range(n)])
+        return complex(mpmath.det(mpmath.matrix(rows)))
 
 
 def tau_graded_elimination(spec, N, Q, gd_reduced):

@@ -121,6 +121,16 @@ def test_tau_grid_runs_and_is_deterministic(tmp_path):
     assert "worst est_error" in report
 
 
+def test_tau_report_counts_each_route(tmp_path):
+    for name, text, routes in (
+        ("rat", RATIONAL_INI, "finite_rank 2, fredholm 0"),
+        ("cov", COVERING_INI + "\n[tau]\ngrid_t1 = 0.1\n", "finite_rank 0, fredholm 1"),
+    ):
+        out = tmp_path / name
+        assert cli.main(["tau", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+        assert f"routes: {routes}" in (out / "report.txt").read_text().splitlines()
+
+
 def test_output_dir_precedence(tmp_path, monkeypatch):
     path = _write(tmp_path, RATIONAL_INI)
     envdir = tmp_path / "from_env"

@@ -49,7 +49,7 @@ from blocktau.tau import (
 )
 from blocktau import tau as tau_module
 from blocktau.toeplitz import fredholm_det, plemelj_fourier, truncation_dets
-from oracles import tau_graded_elimination
+from oracles import rational_tau_mpmath, tau_graded_elimination
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
@@ -373,10 +373,64 @@ def test_covering_stable_tau_matches_a_wide_band(s):
 
 
 def test_stable_tau_refuses_an_ill_conditioned_symbol():
+    # the Fredholm route refused these rational points (Wiener-norm bound
+    # 1.56e12 at s = 8); the finite-rank route returns their closed form
+    for s in (8.0, 10.0):
+        t = [s * d for d in (1, 0, 0.5, 0, 0.25)]
+        got = tau_stable(RSPEC, time_vector(t))
+        want = _tau_closed_all_times(t)
+        assert abs(got - want) / abs(want) < 1e-10
+    # the covering family keeps the Fredholm route and its gate
     tv = time_vector([8.0 * d for d in (1, 0, 0.5, 0, 0.25)])
     with pytest.raises(NearSingularSymbol) as exc:
+        tau_stable(CSPEC, tv)
+    assert str(exc.value) == "Wiener-norm condition bound 1.52e+12 exceeds 1e+12"
+
+
+def test_finite_rank_route_refuses_a_singular_section():
+    # tau = cos(0.3 s)^3 on t1 = i s vanishes at s = pi / 0.6: T_1(g^-1) is singular
+    tv = time_vector((1j * np.pi / 0.6, 0.0, 0.0))
+    with pytest.raises(NearSingularSymbol, match=r"of T_1\(g\^-1\) exceeds 1e\+12"):
         tau_stable(RSPEC, tv)
-    assert str(exc.value) == "Wiener-norm condition bound 1.56e+12 exceeds 1e+12"
+
+
+def test_stable_tau_routes():
+    tv = time_vector((0.3, 0.0, -0.2))
+    rational, covering = tau_stable_report(RSPEC, tv), tau_stable_report(CSPEC, tv)
+    assert (rational.route, rational.M_used, rational.history) == ("finite_rank", 1, [])
+    assert covering.route == "fredholm"
+    assert covering.history[-1] == (covering.M_used, covering.value)
+
+
+def test_rational_oracle_matches_the_two_soliton_closed_form():
+    for s in (1.0, 5.0, 11.0):
+        t = [s * d for d in (1, 0, 0.5, 0, 0.25)]
+        want = _tau_closed_all_times(t)
+        assert abs(rational_tau_mpmath((D, C), t) - want) / abs(want) < 1e-14
+
+
+@pytest.mark.parametrize("s", [4.0, 5.8, 7.0])
+def test_rational_n3_stable_tau_matches_the_oracle(s):
+    # the Fredholm route was 1.6e-9, 2.4e-6 and 2.3e-5 off here, est_error 0.0
+    t = [s * d for d in (1, 0.5, 0, 0.25, 0.1)]
+    rep = tau_stable_report(RSPEC3, time_vector(t))
+    want = rational_tau_mpmath((0.3, 0.6, 0.9), t)
+    err = abs(rep.value - want)
+    assert err / abs(want) < 1e-12
+    assert rep.est_error >= err
+
+
+@pytest.mark.parametrize(
+    "direction, s",
+    [((1, 0, 0.5, 0, 0.25), 7.0), ((0, 0, 1, 0, 0), 10.5), ((-1, 0, 0.5, 0, -0.25), 11.0)],
+    ids=["diagonal-7", "t3-10.5", "antidiagonal-11"],
+)
+def test_stable_tau_error_estimate_bounds_the_error(direction, s):
+    # the defect probe's directions; the Fredholm route read est_error 0.0
+    # against an error of 4.9e-8 on the third
+    t = [s * d for d in direction]
+    rep = tau_stable_report(RSPEC, time_vector(t))
+    assert rep.est_error >= abs(rep.value - _tau_closed_all_times(t))
 
 
 def _gate_norm_orders(monkeypatch, g, g_inv):

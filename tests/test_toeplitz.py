@@ -9,10 +9,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blocktau import laurent, toeplitz
-from blocktau.errors import ConvergenceError, HypothesisError
+from blocktau.errors import ConvergenceError, HypothesisError, SpecError
 from blocktau.laurent import (
     CircleSamples,
     LaurentMatrix,
+    geometric_mean,
     inverse_transform,
     invert_symbol,
     lm_invert,
@@ -28,6 +29,7 @@ from blocktau.symbols import (
     time_vector,
 )
 from blocktau.toeplitz import (
+    HALF_TRUNCATED_J_MAX,
     borodin_okounkov,
     build_TN,
     det_DN,
@@ -440,9 +442,13 @@ def test_half_truncated_shortcut():
     co[2, 0, 0] = 1.0   # mode 0
     co[3, 0, 0] = 0.45  # mode +1: the inverse has an infinite plus tail
     sym = LaurentMatrix(1, -2, 1, co)
-    sc = half_truncated_shortcut(sym)
+    G = geometric_mean(inverse_transform(sym, 1024))
+    d_inf, T = half_truncated_shortcut(lm_invert(sym), G, 2)
     sw = szego_widom(sym, inverse_transform(sym, 1024), tol=1e-12)
-    assert abs(sc.D_inf - sw.D_inf) < 1e-9
+    assert abs(d_inf - sw.D_inf) < 1e-9
+    assert T.shape == (2, 2)
+    with pytest.raises(SpecError):
+        half_truncated_shortcut(lm_invert(sym), G, HALF_TRUNCATED_J_MAX + 1)
 
 
 # -- Borodin-Okounkov --------------------------------------------------------
