@@ -114,14 +114,20 @@ def _check_schur_derivative(ctx, tol):
 
 def _check_character(ctx, tol):
     rng = ctx.rng(2)
-    X = 0.8 * (rng.random(4) + 1j * rng.random(4) - 0.5 - 0.5j)
-    tv = gradedpoly.miwa_times(X, 6)
+    # four points, then seven, at which the six-row characters are nonzero
+    point_sets = [0.8 * (rng.random(4) + 1j * rng.random(4) - 0.5 - 0.5j)]
+    point_sets.append(0.9 * (rng.random(7) + 1j * rng.random(7) - 0.5 - 0.5j))
+    unit = np.eye(gradedpoly.gp_zero(6, 6).coeffs.size)
     worst = 0.0
-    for lam in gradedpoly.partitions_upto(6):
-        chi = gradedpoly.character(lam, X)
-        val = gradedpoly.evaluate(gradedpoly.jacobi_trudi(lam, 6, 6), tv)
-        worst = max(worst, abs(chi - val))
-    return worst, worst <= tol, "determinant character vs polynomial route, weight <= 6"
+    for X in point_sets:
+        tv = gradedpoly.miwa_times(X, 6)
+        for k, lam in enumerate(gradedpoly.partitions_upto(6)):  # basis order
+            chi = gradedpoly.character(lam, X)
+            for s in (gradedpoly.jacobi_trudi(lam, 6, 6), tau.character_assembly(unit[k], 6)):
+                worst = max(worst, abs(chi - gradedpoly.evaluate(s, tv)))
+    return worst, worst <= tol, (
+        "Weyl determinant vs Jacobi-Trudi and character-table rows, weight <= 6"
+    )
 
 
 def _check_series_inverse(ctx, tol):

@@ -18,8 +18,10 @@ and the index maps of the derivatives d/dt_i.
 
 The module also provides the Schur polynomial family p_k(t) defined by
 exp(sum_k t_k w^k) = sum_k p_k(t) w^k, numeric Schur characters via the
-Weyl quotient of Vandermonde-type determinants, the determinant expression
-of a character in terms of the p_k, power-sum times of a point multiset,
+Weyl quotient of Vandermonde-type determinants, the Schur functions s_lam
+over the basis from a cached Murnaghan-Nakayama character table (one real
+block per weight), their Jacobi-Trudi determinant in the p_k (the check
+of that table), power-sum times of a point multiset,
 the KdV bilinear residual, the shift of times by a single spectral point,
 and determinants of matrices over the ring.
 """
@@ -427,16 +429,18 @@ def normalize_partition(l) -> Partition:
     return tuple(parts)
 
 
-def partitions_upto(max_weight: int, max_len: int | None = None):
-    """Yield all partitions of total weight 1..max_weight (and the empty one)."""
+def partitions_upto(max_weight: int):
+    """Yield all partitions of total weight 1..max_weight (and the empty one).
+
+    The order, by weight, is the order of the monomial basis.
+    """
     yield ()
 
     def rec(remaining: int, largest: int, prefix: tuple[int, ...]):
         for part in range(min(remaining, largest), 0, -1):
             cur = prefix + (part,)
-            if max_len is None or len(cur) <= max_len:
-                yield cur
-                yield from rec(remaining - part, part, cur)
+            yield cur
+            yield from rec(remaining - part, part, cur)
 
     for w in range(1, max_weight + 1):
         for lam in rec(w, w, ()):
@@ -466,6 +470,78 @@ def character(l, X) -> complex:
     num = np.array([[x ** (padded[j] + m - 1 - j) for j in range(m)] for x in xs])
     den = np.array([[x ** (m - 1 - j) for j in range(m)] for x in xs])
     return complex(np.linalg.det(num) / np.linalg.det(den))
+
+
+@lru_cache(maxsize=None)
+def _basis_parts(Q: int) -> np.ndarray:
+    """Parts of each (Q, Q) basis monomial as a partition, largest first.
+
+    Row k is padded with zeros to length Q; part j is the number of
+    weights i with more than j parts >= i.  Read-only.
+    """
+    at_least = np.cumsum(_basis(Q, Q).exps[:, ::-1], axis=1)[:, ::-1]
+    parts = (at_least[:, :, None] > np.arange(Q)).sum(axis=1)
+    parts.flags.writeable = False
+    return parts
+
+
+@lru_cache(maxsize=None)
+def _character_table(Q: int) -> tuple[np.ndarray, ...]:
+    """Coefficients of the Schur functions s_lam over the (Q, Q) basis.
+
+    Block w is the real (p(w), p(w)) array whose row lam and column mu, both
+    partitions of w in basis order (a monomial t^e is the cycle type with
+    e_k parts k), hold chi^lam(mu) / prod_k e_k!: the coefficient of t^e in
+    s_lam.  chi comes from the Murnaghan-Nakayama rule on beta-numbers:
+    bead i of lam sits at lam_i + Q - i, an r-rim hook moves one bead down r
+    places to an empty one, with sign (-1)^(beads jumped).  Removing a
+    largest part r from mu, the columns with largest part r are R_r times
+    the weight-(w - r) block, R_r the signed rim-hook matrix.  The
+    characters are integers of size at most sqrt(w!), so they and every
+    partial sum of R_r times a block are exact in doubles through w = 27;
+    each entry is scaled by 1 / prod_k e_k! once.  The blocks are read-only.
+    """
+    basis = _basis(Q, Q)
+    ends = np.concatenate([[0], basis.ends])  # weight w runs ends[w]:ends[w + 1]
+    parts = _basis_parts(Q)
+    occupied = np.zeros((basis.size, 2 * Q), dtype=bool)
+    np.put_along_axis(occupied, parts + np.arange(Q - 1, -1, -1), True, axis=1)
+    below = np.cumsum(occupied, axis=1)  # beads at or below each place
+    # a bead's part is the number of empty places below it; placed[p] is the
+    # key of a part p (0 for p = 0), so a partition's key is a sum over beads
+    placed = np.concatenate([[0], basis.place])
+    hooks = []  # per r: (lam, nu) basis indices and sign of each r-rim hook
+    for r in range(1, Q + 1):
+        lam, top = np.nonzero(occupied[:, r:] & ~occupied[:, :-r])
+        top += r
+        moved = occupied[lam]
+        moved[np.arange(len(lam)), top] = False
+        moved[np.arange(len(lam)), top - r] = True
+        empty_below = np.cumsum(~moved, axis=1)
+        nu = basis.lookup((moved * placed[empty_below]).sum(axis=1))
+        jumped = below[lam, top - 1] - below[lam, top - r]
+        hooks.append((lam, nu, 1.0 - 2.0 * (jumped % 2)))
+    chi = [np.ones((1, 1))]
+    for w in range(1, Q + 1):
+        lo, hi = ends[w], ends[w + 1]
+        largest = parts[lo:hi, 0]
+        rest = basis.lookup(basis.keys[lo:hi] - basis.place[largest - 1])  # mu less one
+        block = np.zeros((hi - lo, hi - lo))
+        for r in range(1, w + 1):
+            cols = np.flatnonzero(largest == r)
+            lam, nu, sign = hooks[r - 1]
+            sel = slice(*np.searchsorted(lam, ends[w : w + 2]))
+            R = np.zeros((hi - lo, ends[w - r + 1] - ends[w - r]))
+            R[lam[sel] - lo, nu[sel] - ends[w - r]] = sign[sel]
+            block[:, cols] = R @ chi[w - r][:, rest[cols] - ends[w - r]]
+        chi.append(block)
+    scale = _exp_coefficients(Q, Q)  # 1 / prod_k e_k! of each column
+    table = []
+    for w, block in enumerate(chi):
+        X = block * scale[ends[w] : ends[w + 1]]
+        X.flags.writeable = False
+        table.append(X)
+    return tuple(table)
 
 
 def jacobi_trudi(l, K: int, Q: int) -> GradedPoly:

@@ -8,7 +8,9 @@ Four representations of the same object are provided and cross-checkable:
   rank-r update of the numeric T_N(W), its ring determinant taken on the
   smaller of the r x r and nN x nN sides);
 - character: expansion over partitions, with each coefficient a minor of
-  the flattened column generators of the undeformed symbol;
+  the flattened column generators of the undeformed symbol, summed against
+  the Schur functions of the Murnaghan-Nakayama character table (one
+  product per weight, no ring determinant);
 - wronskian: determinant of derivatives of a family of scalar generators
   built from the same column data.
 
@@ -39,15 +41,14 @@ import numpy as np
 from .errors import DegenerateInput, NearSingularSymbol, TruncationError
 from .gradedpoly import (
     GradedPoly,
+    _basis_parts,
+    _character_table,
     gp_const,
     gp_det,
     gp_from_terms,
     gp_zero,
-    jacobi_trudi,
     monomial_weight,
     negate_times,
-    normalize_partition,
-    partitions_upto,
     sato_shift,
     schur_sequence,
     schur_sequence_reduced,
@@ -290,39 +291,46 @@ def tau_series(
 # -- character expansion ------------------------------------------------------
 
 
-def character_expansion(spec: SymbolSpec, N: int, Q: int) -> dict[tuple[int, ...], complex]:
-    """Partition-indexed expansion coefficients of the graded tau.
+def character_expansion(spec: SymbolSpec, N: int, Q: int) -> np.ndarray:
+    """Expansion coefficients of the graded tau over the Schur functions.
 
-    The coefficient of a partition is the minor of the column-generator
-    modes picked out by the shifted parts; pairing it with the matching
-    polynomial basis element and summing reproduces the full (unreduced)
-    graded tau.  Partitions run over all weights <= Q and at most n*N rows.
-    Every minor comes from one gather and all go through one batched det.
+    Entry k belongs to the partition lam of the (Q, Q) basis monomial k (its
+    exponents count the parts).  It is the minor of the column-generator
+    modes picked out by the shifted parts of lam, or 0 when lam has more
+    than n*N rows; paired with s_lam (character_assembly) the entries sum to
+    the full (unreduced) graded tau.  Every minor comes from one gather and
+    all go through one batched det.
     """
     n = spec.n
     M = n * N
-    lams = [normalize_partition(lam) for lam in partitions_upto(Q, max_len=M)]
-    parts = np.array([list(lam) + [0] * (M - len(lam)) for lam in lams], dtype=int)
+    parts = _basis_parts(Q)
+    fits = ~parts[:, M:].any(axis=1)
+    shifted = np.zeros((int(fits.sum()), M), dtype=np.int64)
+    shifted[:, : min(M, Q)] = parts[fits, :M]
     lo, cols = _base_generators(spec)
     # entry (i, j) of a minor is mode j - part_j of generator i = q*n + b,
     # which is mode j - part_j - n*q of base generator b
-    modes = np.arange(M) - parts[:, None, :] - n * np.arange(N)[:, None]
+    modes = np.arange(M) - shifted[:, None, :] - n * np.arange(N)[:, None]
     minors = gather_modes(cols, lo, modes).transpose(0, 1, 3, 2)
-    dets = np.linalg.det(minors.reshape(len(lams), M, M))
-    return {lam: complex(d) for lam, d in zip(lams, dets)}
+    out = np.zeros(len(parts), dtype=complex)
+    out[fits] = np.linalg.det(minors.reshape(len(shifted), M, M))
+    return out
 
 
-def character_assembly(coeffs: dict[tuple[int, ...], complex], Q: int) -> GradedPoly:
-    """Recombine expansion coefficients against the polynomial basis.
+def character_assembly(coeffs: np.ndarray, Q: int) -> GradedPoly:
+    """Sum of coeffs[k] s_lam over the (Q, Q) basis partitions lam.
 
-    The basis runs over the times t_1 .. t_Q, the most a weight-Q series reads.
+    s_lam is homogeneous, so the weight-w coefficients of the sum are the
+    weight-w slice of coeffs times block w of the character table.  The
+    basis runs over the times t_1 .. t_Q, the most a weight-Q series reads.
     """
-    acc = gp_zero(Q, Q)
-    for lam, c in coeffs.items():
-        if abs(c) == 0.0:
-            continue
-        acc = acc + jacobi_trudi(lam, Q, Q) * c
-    return acc
+    out = np.empty(len(coeffs), dtype=complex)
+    start = 0
+    for X in _character_table(Q):
+        stop = start + len(X)
+        out[start:stop] = coeffs[start:stop] @ X
+        start = stop
+    return GradedPoly(Q, Q, out)
 
 
 # -- generator family and Wronskian route -------------------------------------
@@ -385,6 +393,10 @@ def wronskian(
         if K is None or Q is None:
             raise ValueError("empty Wronskian needs explicit ring parameters")
         return gp_const(K, Q, 1.0)
+    if m > 1 and funcs[0].K < 1:
+        raise ValueError(
+            "the Wronskian route needs t_1 (Q >= 1): its rows are t_1-derivatives"
+        )
     towers = [_tower(h, m - 1) for h in funcs]
     rows = [[tw[m - 1 - j] for j in range(m)] for tw in towers]
     return gp_det(rows)

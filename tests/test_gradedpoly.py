@@ -1,6 +1,7 @@
 """Graded ring of time polynomials: arithmetic, Schur family, characters."""
 
 import itertools
+from math import factorial
 
 import numpy as np
 import pytest
@@ -267,15 +268,59 @@ def test_normalize_partition():
         normalize_partition([1, -2])
 
 
+def _table_rows(Q: int) -> np.ndarray:
+    """s_lam over the (Q, Q) basis, row k for basis partition k, from the table."""
+    blocks = gradedpoly._character_table(Q)
+    size = sum(len(X) for X in blocks)
+    rows = np.zeros((size, size))
+    start = 0
+    for X in blocks:
+        rows[start : start + len(X), start : start + len(X)] = X
+        start += len(X)
+    return rows
+
+
 def test_character_vs_jacobi_trudi():
     # seven points: the characters of the six-row partitions are nonzero
     rng = _rng(21)
     X = 0.9 * (rng.random(7) + 1j * rng.random(7) - 0.5 - 0.5j)
     tv = miwa_times(X, 6)
-    for lam in partitions_upto(6):
+    rows = _table_rows(6)
+    for k, lam in enumerate(partitions_upto(6)):  # basis order
         chi = character(lam, X)
-        val = evaluate(jacobi_trudi(lam, 6, 6), tv)
-        assert abs(chi - val) < 1e-10
+        assert abs(chi - evaluate(jacobi_trudi(lam, 6, 6), tv)) < 1e-10
+        assert abs(chi - evaluate(GradedPoly(6, 6, rows[k]), tv)) < 1e-10
+
+
+def test_character_table_rows_match_jacobi_trudi():
+    rows = _table_rows(10)
+    for k, lam in enumerate(partitions_upto(10)):
+        assert np.max(np.abs(jacobi_trudi(lam, 10, 10).coeffs - rows[k])) <= 1e-15
+
+
+def test_character_table_column_orthogonality():
+    # chi = X prod_k e_k! is the integer character table of S_w, whose
+    # columns are orthogonal: sum_lam chi^lam(mu) chi^lam(nu) = z_mu delta_mu,nu
+    Q = 12
+    exps = gradedpoly._basis(Q, Q).exps
+    fact = np.array([factorial(e) for e in range(Q + 1)], dtype=np.int64)
+    start = 0
+    for X in gradedpoly._character_table(Q):
+        e = exps[start : start + len(X)]
+        start += len(X)
+        chi = X * np.prod(fact[e], axis=1)
+        ints = np.rint(chi).astype(np.int64)
+        assert np.max(np.abs(chi - ints)) <= 1e-9
+        z = np.prod(fact[e] * np.arange(1, Q + 1) ** e, axis=1)
+        assert np.array_equal(ints.T @ ints, np.diag(z))
+
+
+def test_character_table_is_read_only():
+    for X in gradedpoly._character_table(6):
+        assert not X.flags.writeable
+    with pytest.raises(ValueError):
+        gradedpoly._character_table(6)[2][0, 0] = 0.0
+    assert not gradedpoly._basis_parts(6).flags.writeable
 
 
 def test_character_more_rows_than_points():

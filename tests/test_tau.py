@@ -16,7 +16,6 @@ from blocktau.gradedpoly import (
     gp_const,
     gp_time,
     hirota_kdv_residual,
-    normalize_partition,
     partitions_upto,
     schur_sequence,
     schur_sequence_reduced,
@@ -129,15 +128,18 @@ def test_character_expansion_matches_minor_loop(spec):
     N, Q = 2, 6
     M = spec.n * N
     got = character_expansion(spec, N, Q)
-    lams = [normalize_partition(lam) for lam in partitions_upto(Q, max_len=M)]
-    assert list(got) == lams
-    for lam in lams:
+    lams = list(partitions_upto(Q))  # the (Q, Q) basis order
+    assert got.shape == (len(lams),)
+    for lam, c in zip(lams, got):
+        if len(lam) > M:
+            assert c == 0.0
+            continue
         parts = list(lam) + [0] * (M - len(lam))
         mat = np.empty((M, M), dtype=complex)
         for i in range(M):
             for j in range(M):
                 mat[i, j] = _generator_mode(spec, i + 1, j - parts[j])
-        assert abs(got[lam] - np.linalg.det(mat)) <= 1e-14
+        assert abs(c - np.linalg.det(mat)) <= 1e-14
 
 
 def test_delta_action_annihilates_family():
@@ -157,6 +159,31 @@ def test_triple_route_full_ring():
     for i in range(3):
         for j in range(i + 1, 3):
             assert coefficient_gap(routes[i], routes[j]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec", [RSPEC, CSPEC, RSPEC3], ids=["rational", "covering", "rational3"]
+)
+def test_character_route_runs_no_ring_determinant(spec, monkeypatch):
+    want = tau_series(spec, 2, 8, representation="graded", gd_reduced=False).series
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the character route took a ring determinant")
+
+    monkeypatch.setattr(gradedpoly, "gp_det", refuse)
+    monkeypatch.setattr(gradedpoly, "_gp_det_free", refuse)
+    monkeypatch.setattr(tau_module, "gp_det", refuse)
+    got = tau_series(spec, 2, 8, representation="character", gd_reduced=False).series
+    assert coefficient_gap(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_wronskian_route_needs_t1(N):
+    for r in ("graded", "character"):
+        series = tau_series(RSPEC, N, 0, representation=r, gd_reduced=False).series
+        assert abs(series.constant_term() - 1.0) < 1e-14
+    with pytest.raises(ValueError, match="t_1"):
+        tau_series(RSPEC, N, 0, representation="wronskian", gd_reduced=False)
 
 
 def test_character_route_rejects_reduced_ring():
