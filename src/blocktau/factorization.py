@@ -26,6 +26,7 @@ n x n determinant (checked by tau_ratio_check).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -154,6 +155,18 @@ class FactorizationPair:
     theta_plus: LaurentMatrix
     minus_first: FactorizationResult
     plus_first: FactorizationResult
+
+    @cached_property
+    def bo_symbols(self) -> tuple[LaurentMatrix, LaurentMatrix]:
+        """phi = gamma_minus theta_plus^{-1} and its inverse, uncut on one wide band.
+
+        Built once per pair: the Borodin-Okounkov kernel of every N reads them.
+        """
+        gm, gp = self.gamma_minus, self.gamma_plus
+        tp_inv, tm_inv = lm_invert(self.theta_plus), lm_invert(self.theta_minus)
+        span = max(gm.width, gp.width, tp_inv.width, tm_inv.width) + 8
+        band = (-span, span)
+        return lm_mul(gm, tp_inv, band), lm_mul(tm_inv, gp, band)
 
 
 def two_sided_factorization(

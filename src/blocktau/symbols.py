@@ -8,13 +8,18 @@ A symbol family is described by a SymbolSpec:
   curve (spectral parameter)^n = prod_j (z - a_j) with n*k+1 distinct roots
   a_j inside the unit disk, via w_i(z) = (P(z)/z)^((i-1)/n) / prod_{j<=(i-1)k}(z-a_j).
 
+Both are W = diag(w_i), w_i(z) = prod_j (1 - b_j/z)^E_ij: rational b = c^2,
+E = I; covering b = a, E_ij = i/n - [j < ik] (i, j from 0).  The modes of W
+and W^-1 (exponents -E) are products of binomial series in 1/z, built with
+no circle samples; base_symbol_values is the separate pointwise route.
+
 The deformation multiplies the base symbol on the left by exp(xi(t, L))
 where L is the n x n companion-type shift matrix with L^n = z*I and
 xi(t, L) = sum_m t_m L^m.  Deformed symbols exist in three versions:
 pointwise values, banded Fourier coefficients, and banded coefficients
 over the truncated graded ring (entries polynomial in the times).  The
 inverse W^-1 exp(xi(-t, L)) is banded in closed form from the same Schur
-values and W^-1, which is computed once per spec.
+values and W^-1, which is built once per spec.
 
 The flattening map identifies C^n-valued series in z with scalar series in
 a root zeta of z (zeta^n = z) by interleaving components; together with its
@@ -39,14 +44,15 @@ from .laurent import (
     VectorSeries,
     gather_modes,
     lm_column,
-    lm_invert,
     lm_mul,
+    lm_project,
     lm_trim,
-    transform_adaptive,
 )
 
 EXP_TAIL_TOL = 1e-14     # exp(xi) series must have decayed to this at the band edge
 BASE_DECAY_TOL = 1e-17   # base-symbol coefficients kept down to this level
+BASE_TAIL_TOL = 1e-13    # a mode of W past a requested band must stay below this
+INVERSE_CUT = 1e-16      # modes of W^-1 at most this times its Wiener norm are cut
 
 
 @dataclass
@@ -170,21 +176,98 @@ def base_band(spec: SymbolSpec) -> tuple[int, int]:
 
 
 @lru_cache
+def _base_exponents(family: str, n: int, k: int, sign: int) -> tuple:
+    """Factors (1 - b_j/z)^e of row i, e = sign E_ij != 0: the polynomials
+    (integer e >= 0) as (i, j, e) triples, the series as the arrays (i, j,
+    e[:, None]), and s = max_i sum_j |E_ij|."""
+    if family == "rational":
+        E = np.eye(n)
+    elif family == "covering":
+        i, j = np.arange(n)[:, None], np.arange(n * k + 1)
+        E = i / n - (j < i * k)
+    else:
+        raise SpecError(f"unknown family {family!r}")
+    rows, cols = np.nonzero(E)
+    e = sign * E[rows, cols]
+    poly = (e >= 0) & (e % 1 == 0)
+    polys = tuple(zip(rows[poly].tolist(), cols[poly].tolist(), e[poly].astype(int).tolist()))
+    series = (rows[~poly], cols[~poly], e[~poly, None])
+    return polys, series, float(np.abs(E).sum(axis=1).max())
+
+
+def _base_power(spec: SymbolSpec, sign: int, depth: int, tol: float) -> LaurentMatrix:
+    """W^sign on the modes -D..0, D >= depth.
+
+    Entry i is prod_j (1 - b_j/z)^e_j with e = sign E_i.  The z^-m
+    coefficient of a factor is binom(e, m) (-b)^m: one cumprod of the
+    ratios (m - 1 - e) b / m.  These series multiply by truncated
+    convolution, in np.clongdouble rounded once (as schur_numeric); a
+    factor of integer e >= 0 is a polynomial, applied last as e exact
+    steps d_m -= b d_(m-1).  Unless every factor is a polynomial, D is at
+    least the first m past the peak of mu_m = binom(s + m - 1, m) rho^m
+    (rho = max_j |b_j|) with mu_m < tol; as |binom(e, m)| <= binom(|e| +
+    m - 1, m), mu bounds every mode past D.
+    """
+    polys, (rows, cols, e), s = _base_exponents(spec.family, spec.n, spec.k, sign)
+    b = [c * c for c in spec.params] if spec.family == "rational" else spec.params
+    rho, mu, D = max(map(abs, b)), 1.0, 0
+    if not len(e):
+        D = int(s)
+    else:
+        while not (mu < tol and (s + D) * rho < D + 1):
+            D += 1
+            mu *= (s + D - 1) / D * rho
+            if D > max(depth, 1 << 12):
+                raise TruncationError(f"base series does not fall below {tol:g} in {D} modes")
+    D = max(D, depth)
+    d = np.zeros((D + 1, spec.n), dtype=complex)
+    d[0] = 1.0
+    if len(e):
+        m = np.arange(1, D + 1, dtype=np.longdouble)
+        terms = np.cumprod((m - 1 - e) / m * np.array(b)[cols, None], axis=1)
+        acc = [np.ones(1, dtype=np.clongdouble)] * spec.n
+        for i, f in zip(rows, terms):
+            acc[i] = np.convolve(acc[i], np.concatenate([[1.0], f]))[: D + 1]
+        for i, a in enumerate(acc):
+            d[: len(a), i] = a
+    for i, j, ei in polys:
+        for _ in range(ei):
+            d[1:, i] -= b[j] * d[:-1, i]
+    return LaurentMatrix(spec.n, -D, 0, d[::-1, :, None] * np.eye(spec.n))
+
+
+@lru_cache
 def base_symbol(spec: SymbolSpec, band: tuple[int, int] | None = None) -> LaurentMatrix:
-    """Banded Fourier coefficients of the undeformed symbol (cached and shared)."""
+    """Banded Fourier coefficients of W = diag(prod_j (1 - b_j/z)^E_ij) (cached, shared).
+
+    The modes are the binomial products of _base_power.  TruncationError
+    when a mode past the band reaches BASE_TAIL_TOL of sqrt(sum_k
+    ||W_k||^2), the root mean square of W on the circle (Parseval), which
+    is at most its largest value there.
+    """
     if band is None:
         band = base_band(spec)
-    if spec.family == "rational":
-        n = spec.n
-        lo, hi = band
-        coeffs = np.zeros((hi - lo + 1, n, n), dtype=complex)
-        if lo <= 0 <= hi:
-            coeffs[0 - lo] = np.eye(n)
-        if lo <= -1 <= hi:
-            for i, c in enumerate(spec.params):
-                coeffs[-1 - lo, i, i] = -(c**2)
-        return LaurentMatrix(n, lo, hi, coeffs)
-    return transform_adaptive(lambda zz: base_symbol_values(spec, zz), spec.n, band)
+    lo, hi = band
+    w = _base_power(spec, 1, max(-lo, 0), BASE_TAIL_TOL)
+    if w.lo < lo or hi < 0:  # modes past the band were computed
+        norms = np.linalg.norm(w.coeffs, axis=(1, 2))
+        ks = np.arange(w.lo, 1)
+        if norms[(ks < lo) | (ks > hi)].max() >= BASE_TAIL_TOL * np.linalg.norm(norms):
+            raise TruncationError(f"band {band} cannot hold W to {BASE_TAIL_TOL:g}")
+    return lm_project(w, lo, hi)
+
+
+@lru_cache
+def base_inverse(spec: SymbolSpec) -> LaurentMatrix:
+    """Banded coefficients of W^-1 = diag(prod_j (1 - b_j/z)^-E_ij) (cached, shared).
+
+    The same binomial products as base_symbol with the exponents negated,
+    cut past the last mode of norm above INVERSE_CUT times the Wiener norm
+    sum_k ||W^-1_k||, which bounds the largest value of W^-1 on the circle.
+    """
+    w_inv = _base_power(spec, -1, 0, INVERSE_CUT)
+    norms = np.linalg.norm(w_inv.coeffs, axis=(1, 2))
+    return lm_trim(w_inv, INVERSE_CUT * norms.sum() / norms.max())
 
 
 # -- shift matrix and its exponential ----------------------------------------
@@ -325,12 +408,6 @@ def gd_symbol(
     exp_band = (0, band[1] - w.lo)
     e = exp_xi_lambda(t, spec.n, exp_band, exact_only=exact_only)
     return lm_mul(e, w, band)
-
-
-@lru_cache
-def base_inverse(spec: SymbolSpec) -> LaurentMatrix:
-    """Banded coefficients of W^-1, the one sampled inversion of a family member."""
-    return lm_invert(base_symbol(spec), tail_tol=1e-16)
 
 
 def gd_symbol_inverse(

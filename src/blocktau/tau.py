@@ -720,8 +720,9 @@ def _finite_rank(spec: SymbolSpec, t: TimeVector) -> StableTauReport:
     - the rounding of each mode's sum of L = n width(W^-1) products, and of
       the nj x nj determinant, (L + 2nj) eps times the same sums over the
       moduli of the terms;
-    - the modes of W^-1, each known to eps ||W^-1||_W (the round-off of its
-      sampled inversion, which also cuts the modes past its band below
+    - the modes of W^-1, each known to eps ||W^-1||_W (the round-off of
+      its binomial series, rounded once from extended precision, and its
+      cut of the modes past its band at 1e-16 ||W^-1||_W, both below
       that), against every mode of exp(xi(-t,L)): sum_m ||e_m||_2 <=
       2 sum_k |p_k(-t)|, summed exactly up to the last Schur value K in
       e and past it by the Cauchy bound sum_{k>K} |p_k(-t)| <=

@@ -363,29 +363,16 @@ def correction_det(u: LaurentMatrix, v: LaurentMatrix, N: int) -> BorodinOkounko
 def borodin_okounkov(fact, N: int, tol: float = 1e-10) -> BorodinOkounkovResult:
     """det(I - K_N) from the two factorizations of one symbol.
 
-    fact must provide banded factors gamma_plus, gamma_minus (symbol =
-    gamma_plus * gamma_minus) and theta_minus, theta_plus (symbol =
-    theta_minus * theta_plus).  The kernel lives on block indices >= N:
-    K_ij = sum_{k>=1} phi^(i+k) phi_inv^(-j-k) with phi = gamma_minus *
-    theta_plus^{-1}.  phi and phi_inv are cut to their outermost modes above
-    tol times their largest mode norm; the kernel window follows from the
-    cut band of phi (correction_det).
+    fact is a factorization.FactorizationPair (symbol = gamma_plus *
+    gamma_minus = theta_minus * theta_plus).  The kernel lives on block
+    indices >= N: K_ij = sum_{k>=1} phi^(i+k) phi_inv^(-j-k) with phi =
+    gamma_minus * theta_plus^{-1}, the pair's bo_symbols, built once per
+    pair for every N.  phi and phi_inv are cut to their outermost modes
+    above tol times their largest mode norm; the kernel window follows
+    from the cut band of phi (correction_det).
     """
-    phi, phi_inv = (lm_trim(s, tol) for s in bo_symbols(fact))
+    phi, phi_inv = (lm_trim(s, tol) for s in fact.bo_symbols)
     return correction_det(phi, phi_inv, N)
-
-
-def bo_symbols(fact) -> tuple[LaurentMatrix, LaurentMatrix]:
-    """phi = gamma_minus theta_plus^{-1} and its inverse, uncut on one wide band."""
-    gm: LaurentMatrix = fact.gamma_minus
-    gp: LaurentMatrix = fact.gamma_plus
-    tm: LaurentMatrix = fact.theta_minus
-    tp: LaurentMatrix = fact.theta_plus
-    tp_inv = lm_invert(tp)
-    tm_inv = lm_invert(tm)
-    span = max(gm.width, gp.width, tp_inv.width, tm_inv.width) + 8
-    band = (-span, span)
-    return lm_mul(gm, tp_inv, band), lm_mul(tm_inv, gp, band)
 
 
 # -- derivative of the limit through the factorization ------------------------

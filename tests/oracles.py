@@ -6,14 +6,25 @@ cancel below the round-off of a double; rational_tau_mpmath is the stable
 tau of a rational family at 40 digits, for every block size n;
 tau_graded_elimination eliminates the whole nN x nN ring matrix, the
 reference for the rank-r route of tau.tau_graded; read_csv reads back the
-coefficient CSVs the command line writes.
+coefficient CSVs the command line writes.  transform_adaptive (FFT of
+circle samples) and binomial_series_mpmath (the power-sum recurrence at 40
+digits) are the two references for the closed-form base symbols.
 """
 
 import mpmath
 import numpy as np
 
+from blocktau.errors import TruncationError
 from blocktau.gradedpoly import GradedPoly, gp_det
-from blocktau.laurent import CSV_HEADER, LaurentMatrix, block_layout
+from blocktau.laurent import (
+    CSV_HEADER,
+    LaurentMatrix,
+    block_layout,
+    next_pow2,
+    sample_function,
+    transform,
+    transform_tail,
+)
 from blocktau.symbols import gd_symbol_graded
 
 
@@ -39,6 +50,47 @@ def schur_mpmath(tvals, kmax):
             terms = (i * ts[i - 1] * p[k - i] for i in range(1, min(k, len(ts)) + 1))
             p.append(mpmath.fsum(terms) / k)
         return np.array([complex(v) for v in p])
+
+
+def binomial_series_mpmath(b, E, depth):
+    """Modes 0..depth in 1/z of prod_j (1 - b_j/z)^E_ij, one column per row i, at 40 digits.
+
+    log of row i is sum_m tau_m z^-m with tau_m = -sum_j E_ij b_j^m / m, so
+    its modes p_k follow k p_k = sum_m m tau_m p_(k-m).  b holds complex
+    roots, E exact exponents (ints or fractions.Fraction).
+    """
+    with mpmath.workdps(40):
+        bs = [mpmath.mpc(complex(v)) for v in b]
+        out = np.zeros((depth + 1, len(E)), dtype=complex)
+        for i, row in enumerate(E):
+            es = [mpmath.mpf(e.numerator) / e.denominator for e in row]
+            tau = [
+                mpmath.fsum(-e * bj**m for e, bj in zip(es, bs)) / m for m in range(1, depth + 1)
+            ]
+            p = [mpmath.mpc(1)]
+            for k in range(1, depth + 1):
+                p.append(mpmath.fsum(m * tau[m - 1] * p[k - m] for m in range(1, k + 1)) / k)
+            out[:, i] = [complex(v) for v in p]
+        return out
+
+
+def transform_adaptive(fn, n: int, band: tuple[int, int]) -> LaurentMatrix:
+    """Transform of circle samples, the grid doubled until the out-of-band tail is below 1e-13.
+
+    The grid starts at 2^10 points (more if the band needs them); past 2^16
+    the function does not fit the band and TruncationError is raised.
+    """
+    M = max(1 << 10, next_pow2(2 * (band[1] - band[0] + 1)))
+    while True:
+        x = sample_function(fn, n, M)
+        if transform_tail(x, band) < 1e-13:
+            return transform(x, band)
+        if M >= 1 << 16:
+            raise TruncationError(
+                f"band {band} cannot hold the symbol to 1e-13 "
+                f"(grid saturated at M={M})"
+            )
+        M *= 2
 
 
 def rational_tau_mpmath(c, t):

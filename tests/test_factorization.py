@@ -1,5 +1,7 @@
 """Numerical Wiener-Hopf factorization and its determinant bookkeeping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from blocktau.factorization import (
     wave_matrix,
     wiener_hopf,
 )
-from blocktau.toeplitz import bo_symbols, correction_det, hankel_product_matrix
+from blocktau.toeplitz import borodin_okounkov, correction_det, hankel_product_matrix
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
@@ -233,7 +235,7 @@ def test_bo_consistency_via_wave_matrix():
 def test_correction_det_window_is_exact(spec, tv):
     # rows i >= u.hi of the kernel vanish: twice the window adds nothing
     pair = two_sided_factorization(_samples(spec, tv), B=40, tol=1e-9)
-    bo_kernel = tuple(lm_trim(s, 1e-12) for s in bo_symbols(pair))
+    bo_kernel = tuple(lm_trim(s, 1e-12) for s in pair.bo_symbols)
     for u, v in (bo_kernel, wave_matrix(spec, tv)):
         for N in (1, 2, 3, 4):
             cd = correction_det(u, v, N)
@@ -241,3 +243,17 @@ def test_correction_det_window_is_exact(spec, tv):
             idx = range(N, N + 2 * cd.window_used)
             K = hankel_product_matrix(u, v, idx, idx)
             assert abs(cd.det_correction - np.linalg.det(np.eye(len(K)) - K)) <= 1e-15
+
+
+def test_bo_symbols_are_built_once_per_pair(monkeypatch):
+    pair = two_sided_factorization(_samples(), B=40, tol=1e-9)
+    fresh = dataclasses.replace(pair)  # the same factors, nothing cached
+    calls = []
+    real = factorization.lm_invert
+    monkeypatch.setattr(factorization, "lm_invert", lambda a: calls.append(a) or real(a))
+    got = [borodin_okounkov(pair, N, tol=1e-12) for N in (1, 2, 3, 4)]
+    assert len(calls) == 2
+    for N, bo in zip((1, 2, 3, 4), got):
+        want = correction_det(*(lm_trim(s, 1e-12) for s in fresh.bo_symbols), N)
+        assert np.array_equal(bo.K_matrix, want.K_matrix)
+        assert bo.det_correction == want.det_correction

@@ -31,11 +31,10 @@ from blocktau.laurent import (
     sample_function,
     samples_mul,
     transform,
-    transform_adaptive,
     winding_number,
     write_csv,
 )
-from oracles import read_csv
+from oracles import read_csv, transform_adaptive
 
 
 def _random_lm(rng, n=2, lo=-3, hi=4):

@@ -1,14 +1,18 @@
 """Symbol families, shift matrix calculus, time deformations, flattening."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from blocktau import laurent
 from blocktau.errors import DegenerateInput, SpecError, TruncationError
 from blocktau.gradedpoly import schur_sequence, schur_sequence_reduced
 from blocktau.laurent import ScalarSeries, VectorSeries, lm_mul
 from blocktau.symbols import (
+    _base_power,
     base_band,
     base_inverse,
     base_symbol,
@@ -30,7 +34,7 @@ from blocktau.symbols import (
     xi_inverse,
     xi_map,
 )
-from oracles import schur_mpmath, schur_recurrence
+from oracles import binomial_series_mpmath, schur_mpmath, schur_recurrence, transform_adaptive
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
@@ -263,6 +267,94 @@ def test_base_symbol_raises_when_band_cannot_hold_it():
     # discarded tail stays above 1e-13 of the energy on every grid
     with pytest.raises(TruncationError):
         base_symbol(CSPEC, band=(-10, 0))
+
+
+# the closed-form base pair against its references: the two shipped families,
+# a 4-root n = 3 covering and a rational pair whose W^-1 decays slowly
+C3SPEC = covering_spec([0.3, -0.25, 0.35j, -0.2 + 0.1j], 3)
+BASE_SPECS = [RSPEC, CSPEC, C3SPEC, rational_spec([0.99, 0.2])]
+BASE_IDS = ["rational", "covering", "covering3", "rational99"]
+
+
+def _exact_table(spec):
+    """Roots b_j and exact exponents E_ij of w_i = prod_j (1 - b_j/z)^E_ij.
+
+    W of a rational family stores the double c^2 as its mode -1, so W^-1
+    is the series of that double.
+    """
+    if spec.family == "rational":
+        E = [[Fraction(int(i == j)) for j in range(spec.n)] for i in range(spec.n)]
+        return [c**2 for c in spec.params], E
+    roots = range(len(spec.params))
+    E = [[Fraction(i, spec.n) - (j < i * spec.k) for j in roots] for i in range(spec.n)]
+    return list(spec.params), E
+
+
+@pytest.mark.parametrize("spec", BASE_SPECS, ids=BASE_IDS)
+def test_closed_form_base_pair_matches_sampled_oracle(spec):
+    w, w_inv = base_symbol(spec), base_inverse(spec)
+    got = transform_adaptive(lambda z: base_symbol_values(spec, z), spec.n, (w.lo, w.hi))
+    assert np.max(np.abs(w.coeffs - got.coeffs)) <= 1e-15
+
+    def inverse_values(z):
+        return np.linalg.inv(base_symbol_values(spec, z))
+
+    got = transform_adaptive(inverse_values, spec.n, (w_inv.lo, w_inv.hi))
+    # the oracle's FFT round-off is eps times the scale of its samples:
+    # ~50 for (0.99, 0.2), whose sampled W^-1 is 2.5e-15 off the 40-digit modes
+    circle = np.exp(2j * np.pi * np.arange(64) / 64)
+    top = max(1.0, float(np.max(np.abs(inverse_values(circle)))))
+    assert np.max(np.abs(w_inv.coeffs - got.coeffs)) <= 1e-15 * top
+
+
+@pytest.mark.parametrize("spec", BASE_SPECS, ids=BASE_IDS)
+def test_closed_form_base_pair_matches_40_digit_series(spec):
+    b, E = _exact_table(spec)
+    E_inv = [[-e for e in row] for row in E]
+    for lm, exps in ((base_symbol(spec), E), (base_inverse(spec), E_inv)):
+        assert lm.hi == 0
+        # the recurrence is quadratic in the depth at 40 digits; 200 modes pass
+        # the largest terms of every series here
+        depth = min(-lm.lo, 200)
+        want = binomial_series_mpmath(b, exps, depth)[::-1, :, None] * np.eye(spec.n)
+        assert np.max(np.abs(lm.coeffs[-depth - lm.lo :] - want)) <= 1e-16
+
+
+@pytest.mark.parametrize("spec", BASE_SPECS, ids=BASE_IDS)
+def test_base_pair_is_inverse_off_grid(spec):
+    w, w_inv = base_symbol(spec), base_inverse(spec)
+    for r in (1.0, 1.3):
+        z = r * np.exp(2j * np.pi * (np.arange(61) + 0.29) / 61)
+        vals = base_symbol_values(spec, z)
+        assert np.max(np.abs(w(z) - vals)) <= 1e-14
+        assert np.max(np.abs(vals @ w_inv(z) - np.eye(spec.n))) <= 1e-14
+        assert np.max(np.abs(w(z) @ w_inv(z) - np.eye(spec.n))) <= 1e-14
+
+
+# three nearby roots whose W^-1 exponents add up to -3/2: modes ~ sqrt(m) rho^m
+CLUSTER = covering_spec([0.1, -0.1j, 0.6, 0.6 * np.exp(0.01j), 0.6 * np.exp(-0.01j)], 2)
+
+
+@pytest.mark.parametrize("spec", BASE_SPECS + [CLUSTER], ids=BASE_IDS + ["cluster"])
+def test_base_series_stop_where_the_majorant_bounds_the_rest(spec):
+    # the depth the majorant picks leaves no entry past it at or above tol
+    for sign, tol in ((1, 1e-13), (-1, 1e-16)):
+        depth = -_base_power(spec, sign, 0, tol).lo
+        longer = _base_power(spec, sign, 3 * depth + 20, tol)
+        assert np.max(np.abs(longer.coeffs[: -depth - longer.lo])) < tol
+
+
+def test_base_pair_samples_no_circle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the base pair is built without circle samples")
+
+    for name in ("sample_function", "transform", "inverse_transform", "lm_invert"):
+        monkeypatch.setattr(laurent, name, refuse)
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    spec = covering_spec([0.31, -0.27, 0.33j], 2)  # built nowhere else: no cache hit
+    w, w_inv = base_symbol(spec), base_inverse(spec)
+    assert w.lo == base_band(spec)[0] and w_inv.hi == 0
 
 
 def test_rational_base_symbol_values():
