@@ -17,9 +17,8 @@ The deformation multiplies the base symbol on the left by exp(xi(t, L))
 where L is the n x n companion-type shift matrix with L^n = z*I and
 xi(t, L) = sum_m t_m L^m.  Deformed symbols exist in three versions:
 pointwise values, banded Fourier coefficients, and banded coefficients
-over the truncated graded ring (entries polynomial in the times).  The
-inverse W^-1 exp(xi(-t, L)) is banded in closed form from the same Schur
-values and W^-1, which is built once per spec.
+over the truncated graded ring (entries polynomial in the times).  W^-1
+is built once per spec, in closed form like W.
 
 The flattening map identifies C^n-valued series in z with scalar series in
 a root zeta of z (zeta^n = z) by interleaving components; together with its
@@ -408,21 +407,6 @@ def gd_symbol(
     exp_band = (0, band[1] - w.lo)
     e = exp_xi_lambda(t, spec.n, exp_band, exact_only=exact_only)
     return lm_mul(e, w, band)
-
-
-def gd_symbol_inverse(
-    spec: SymbolSpec, t: TimeVector, band: tuple[int, int]
-) -> LaurentMatrix:
-    """Fourier coefficients of W^-1 * exp(xi(-t, L)), the inverse of gd_symbol.
-
-    In-band coefficients are exact up to the cut of W^-1.  exp(xi(-t, L))
-    must hold to EXP_TAIL_TOL on its band (0, band[1] - lo(W^-1)), else
-    TruncationError; the modes of the product past band[1] are dropped
-    unchecked.
-    """
-    w_inv = base_inverse(spec)
-    e = exp_xi_lambda(t.negated(), spec.n, (0, band[1] - w_inv.lo))
-    return lm_mul(w_inv, e, band)
 
 
 def gd_symbol_values(spec: SymbolSpec, t: TimeVector, z) -> np.ndarray:

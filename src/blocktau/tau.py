@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import DegenerateInput, NearSingularSymbol, TruncationError
+from .errors import DegenerateInput, NearSingularSymbol
 from .gradedpoly import (
     GradedPoly,
     _basis_parts,
@@ -62,15 +62,14 @@ from .symbols import (
     column_series,
     exp_xi_lambda,
     gd_symbol,
-    gd_symbol_inverse,
 )
 from .toeplitz import (
     HALF_TRUNCATED_J_MAX,
+    PlemeljOperator,
     build_TN,
     det_DN,
     fredholm_det,
     half_truncated_shortcut,
-    plemelj_fourier,
 )
 
 __all__ = [
@@ -627,23 +626,29 @@ def stability_check(spec: SymbolSpec, N: int, Q: int) -> StabilityReport:
 # -- stable value at a concrete time vector -----------------------------------
 
 
-def _wiener_gate(g: LaurentMatrix, g_inv: LaurentMatrix) -> None:
-    """Raise NearSingularSymbol when ||g||_W ||g^-1||_W exceeds COND_LIMIT.
+def _wiener_bound(factors, ord) -> float:
+    """prod sum_k ||a_k||_ord over the factors: LaurentMatrix, or functions of ord."""
+    norms = (
+        np.linalg.norm(f.coeffs, ord, axis=(1, 2)).sum() if isinstance(f, LaurentMatrix)
+        else f(ord)
+        for f in factors
+    )
+    return float(math.prod(norms))
+
+
+def _wiener_gate(*factors) -> None:
+    """Raise NearSingularSymbol when prod ||a||_W over the factors exceeds COND_LIMIT.
 
     ||a||_W = sum_k ||a_k||_2 bounds the spectral norm of a(z) on the
-    circle, so the product bounds the condition number of g there.  The
-    same sums over Frobenius norms bound it in turn and clear most symbols
-    without an SVD per block; only above COND_SCREEN is the spectral bound
-    computed, and it decides.
+    circle and is submultiplicative, so its product over the factors of g
+    and g^-1 bounds the condition number of g there.  The same sums over
+    Frobenius norms bound it in turn and clear most symbols without an SVD
+    per block; only above COND_SCREEN is the spectral bound computed, and
+    it decides.
     """
-
-    def bound(ord) -> float:
-        g_norm, inv_norm = (np.linalg.norm(a.coeffs, ord, axis=(1, 2)).sum() for a in (g, g_inv))
-        return float(g_norm * inv_norm)
-
-    if bound("fro") <= COND_SCREEN:
+    if _wiener_bound(factors, "fro") <= COND_SCREEN:
         return
-    cond = bound(2)
+    cond = _wiener_bound(factors, 2)
     if cond > COND_LIMIT:
         raise NearSingularSymbol(
             f"Wiener-norm condition bound {cond:.3g} exceeds {COND_LIMIT:g}"
@@ -655,8 +660,8 @@ class StableTauReport:
     """A stable tau value, the route that produced it and its error bound.
 
     route is "finite_rank" (Day's formula on the nj x nj section, M_used = j)
-    or "fredholm" (the operator determinant, M_used its section size in
-    blocks); history lists the Fredholm route's (size, value) steps.
+    or "fredholm" (the operator determinant of the Hankel corner, M_used its
+    section size in blocks); history lists the Fredholm route's (size, value) steps.
     """
 
     value: complex
@@ -674,37 +679,81 @@ def tau_stable_report(
     When W has j = -W.lo <= HALF_TRUNCATED_J_MAX negative modes (every
     rational family, j = 1), so does g = exp(xi(t,L)) W, and the limit is
     G^j det T_j(g^-1) exactly (Day's formula, _finite_rank).  Otherwise
-    (the covering families, whose W.lo cuts an infinite tail) it is the
-    operator determinant of I - (Toeplitz defect) of the banded pair g and
-    g^-1 = W^-1 exp(xi(-t,L)), with the band widened until both
-    exponential factors fit (gd_symbol and gd_symbol_inverse do not test
-    the modes of g and g^-1 past the band) and the section size doubled to
-    a Cauchy stop below tol.  NearSingularSymbol is raised when cond
-    T_j(g^-1) exceeds COND_LIMIT on the first route, and when
-    ||g||_W ||g^-1||_W, an upper bound of the condition number of g on the
-    circle, does on the second.
+    (the covering families) it is det(I - K), K = H(g) H(g~^-1).  W and
+    W^-1 have no positive modes and e = exp(xi(t,L)) and e^-1 no negative
+    ones, so K = H(e) V T(e^-1) exactly, V = T(W~) H(W~^-1) cached per spec
+    (_symbol_core).  V has no columns past block j' = -W^-1.lo, so each
+    section M >= j' of I - K is block lower triangular with the
+    determinant of the j'-block corner (_hankel_corner); its leading
+    sections are doubled to a Cauchy stop below tol.  NearSingularSymbol
+    is raised when cond T_j(g^-1) exceeds COND_LIMIT on the first route,
+    and on the second when ||e||_W ||W||_W ||W^-1||_W ||e^-1||_W, a bound
+    of cond g on the circle, does.
     """
     if -base_symbol(spec).lo <= HALF_TRUNCATED_J_MAX:
         return _finite_rank(spec, t)
-    B = 32
-    while True:
-        try:
-            lm = gd_symbol(spec, t, (-B, B))
-            lm_inv = gd_symbol_inverse(spec, t, (-B - 8, B + 8))
-            break
-        except TruncationError:
-            if B >= 4096:
-                raise
-            B *= 2
-    _wiener_gate(lm, lm_inv)
-    op = plemelj_fourier(lm, lm_inv, 16)
-    fr = fredholm_det(op, tol=min(tol, 1e-9), max_M=4096)
+    K = _hankel_corner(spec, t)
+    fr = fredholm_det(_corner_section(np.eye(len(K)) - K, spec.n, 16), min(tol, 1e-9), 4096)
     return StableTauReport(fr.value, fr.est_error, "fredholm", fr.M_used, fr.history)
+
+
+@lru_cache
+def _symbol_core(spec: SymbolSpec) -> tuple[np.ndarray, dict]:
+    """V on block rows 0..j' - W.lo - 1 (none past), columns 0..j' - 1, and
+    {ord: ||W||_W ||W^-1||_W} (cached, read-only)."""
+    w, w_inv = base_symbol(spec), base_inverse(spec)
+    q = np.arange(-w_inv.lo)  # block (k, r) of V: sum_q W_(q-k) W^-1_(-q-r-1)
+    V = w.block_matrix(q - np.arange(len(q) - w.lo)[:, None])
+    V = V @ w_inv.block_matrix(-(q[:, None] + q + 1))
+    V.flags.writeable = False
+    return V, {ord: _wiener_bound((w, w_inv), ord) for ord in ("fro", 2)}
+
+
+def _hankel_corner(spec: SymbolSpec, t: TimeVector) -> np.ndarray:
+    """The j'-block corner H(e) V T(e^-1) of K, after the four-factor Wiener gate.
+
+    _exp_tail bounds e and e^-1 past their bands, the same term on both
+    orders, so the Frobenius one stays the larger."""
+    n = spec.n
+    V, base_norms = _symbol_core(spec)
+    R, j = len(V) // n, V.shape[1] // n
+    e = exp_xi_lambda(t, n, (0, j + R - 1), exact_only=True)
+    e_inv = exp_xi_lambda(t.negated(), n, (0, j - 1), exact_only=True)
+    tail, tail_inv = (_exp_tail(x, t, n * x.hi + 1) for x in (e, e_inv))
+    _wiener_gate(
+        base_norms.get,
+        lambda ord: _wiener_bound((e,), ord) + tail,
+        lambda ord: _wiener_bound((e_inv,), ord) + tail_inv,
+    )
+    i = np.arange(j)
+    H = e.block_matrix(i[:, None] + np.arange(1, R + 1))
+    return H @ V @ e_inv.block_matrix(i[:, None] - i)
+
+
+def _corner_section(corner: np.ndarray, n: int, M: int) -> PlemeljOperator:
+    """Leading M-block section of I - K from its corner; the identity past it
+    keeps the corner's determinant (the dropped block is below the diagonal)."""
+    P = np.eye(M * n, dtype=complex)
+    k = min(M * n, len(corner))
+    P[:k, :k] = corner[:k, :k]
+    return PlemeljOperator(n, M, P, rebuild=partial(_corner_section, corner, n))
 
 
 _EPS = float(np.finfo(float).eps)
 # radii r >= 1 of the Cauchy bound on the Schur values past exp(xi)'s band
 _TAIL_RADII = np.array([1.0, 1.1, 1.25, 1.5, 2.0, 3.0])
+
+
+def _exp_tail(e: LaurentMatrix, t: TimeVector, k0: int) -> float:
+    """2 sum_{k>=k0} |p_k(+-t)| >= sum_m ||e_m||_2 of exp(xi(+-t,L)) over the modes
+    with no p_k below k0 (p_k sits on two diagonals at most).  The band e holds
+    p_0..p_K (column 0 of mode m is p_nm..p_nm+n-1); the rest is bounded by
+    r^-(K+1) exp(sum_i |t_i| r^i), the least over r in _TAIL_RADII."""
+    p = e.coeffs[:, :, 0].ravel()
+    t_abs = np.abs(t.effective(e.n))
+    log_tail = t_abs @ _TAIL_RADII ** np.arange(1, len(t_abs) + 1)[:, None]
+    log_tail -= len(p) * np.log(_TAIL_RADII)
+    return 2.0 * (float(np.abs(p[k0:]).sum()) + float(np.exp(log_tail.min())))
 
 
 def _finite_rank(spec: SymbolSpec, t: TimeVector) -> StableTauReport:
@@ -724,9 +773,7 @@ def _finite_rank(spec: SymbolSpec, t: TimeVector) -> StableTauReport:
       its binomial series, rounded once from extended precision, and its
       cut of the modes past its band at 1e-16 ||W^-1||_W, both below
       that), against every mode of exp(xi(-t,L)): sum_m ||e_m||_2 <=
-      2 sum_k |p_k(-t)|, summed exactly up to the last Schur value K in
-      e and past it by the Cauchy bound sum_{k>K} |p_k(-t)| <=
-      r^-(K+1) exp(sum_i |t_i| r^i), the least over r in _TAIL_RADII.
+      2 sum_k |p_k(-t)| (_exp_tail).
     """
     n = spec.n
     w, w_inv = base_symbol(spec), base_inverse(spec)
@@ -746,14 +793,8 @@ def _finite_rank(spec: SymbolSpec, t: TimeVector) -> StableTauReport:
         band,
     )
     w_err = _EPS * np.linalg.norm(w_inv.coeffs, axis=(1, 2)).sum()
-    # column 0 of mode m of e holds p_nm .. p_nm+n-1, each p_k <= K once
-    K = n * e.hi + n - 1
-    t_abs = np.abs(t.effective(n))
-    log_tail = t_abs @ _TAIL_RADII ** np.arange(1, len(t_abs) + 1)[:, None]
-    log_tail -= (K + 1) * np.log(_TAIL_RADII)
-    e_norm = 2.0 * (np.abs(e.coeffs[:, :, 0]).sum() + float(np.exp(log_tail.min())))
     delta = (n * w_inv.width + 2 * n * j) * _EPS * build_TN(moduli, j).matrix.real
-    delta += w_err * e_norm
+    delta += w_err * _exp_tail(e, t, 0)
     adj = value * np.linalg.inv(T)  # G^j adj T
     est = float(np.sum(np.abs(adj).T * delta))
     return StableTauReport(value, est, "finite_rank", j)

@@ -5,8 +5,10 @@ schur_mpmath the same recurrence at 40 digits, a reference for values that
 cancel below the round-off of a double; rational_tau_mpmath is the stable
 tau of a rational family at 40 digits, for every block size n;
 tau_graded_elimination eliminates the whole nN x nN ring matrix, the
-reference for the rank-r route of tau.tau_graded; read_csv reads back the
-coefficient CSVs the command line writes.  transform_adaptive (FFT of
+reference for the rank-r route of tau.tau_graded; gd_symbol_inverse is
+the banded inverse of the deformed symbol, the wide-band reference for
+the Hankel corner of tau.tau_stable; read_csv reads back the coefficient
+CSVs the command line writes.  transform_adaptive (FFT of
 circle samples) and binomial_series_mpmath (the power-sum recurrence at 40
 digits) are the two references for the closed-form base symbols.
 """
@@ -20,12 +22,13 @@ from blocktau.laurent import (
     CSV_HEADER,
     LaurentMatrix,
     block_layout,
+    lm_mul,
     next_pow2,
     sample_function,
     transform,
     transform_tail,
 )
-from blocktau.symbols import gd_symbol_graded
+from blocktau.symbols import base_inverse, exp_xi_lambda, gd_symbol_graded
 
 
 def schur_recurrence(tvals, kmax):
@@ -113,6 +116,19 @@ def rational_tau_mpmath(c, t):
             E = mpmath.inverse(V) * mpmath.diag([mpmath.exp(-x) for x in xi]) * V
             rows.append([E[i, a] for a in range(n)])
         return complex(mpmath.det(mpmath.matrix(rows)))
+
+
+def gd_symbol_inverse(spec, t, band) -> LaurentMatrix:
+    """Fourier coefficients of W^-1 * exp(xi(-t, L)), the inverse of gd_symbol.
+
+    In-band coefficients are exact up to the cut of W^-1.  exp(xi(-t, L))
+    must hold to EXP_TAIL_TOL on its band (0, band[1] - lo(W^-1)), else
+    TruncationError; the modes of the product past band[1] are dropped
+    unchecked.
+    """
+    w_inv = base_inverse(spec)
+    e = exp_xi_lambda(t.negated(), spec.n, (0, band[1] - w_inv.lo))
+    return lm_mul(w_inv, e, band)
 
 
 def tau_graded_elimination(spec, N, Q, gd_reduced):

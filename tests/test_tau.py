@@ -1,5 +1,6 @@
 """Tau functions: routes, structure of the generator family, stable values."""
 
+import gc
 from itertools import islice
 from math import ceil, factorial
 
@@ -22,10 +23,10 @@ from blocktau.gradedpoly import (
 )
 from blocktau.laurent import COND_LIMIT, LaurentMatrix, geometric_mean
 from blocktau.symbols import (
+    base_inverse,
     column_series,
     covering_spec,
     gd_symbol,
-    gd_symbol_inverse,
     rational_spec,
     time_vector,
 )
@@ -47,13 +48,21 @@ from blocktau.tau import (
     wronskian_tau,
 )
 from blocktau import tau as tau_module
-from blocktau.toeplitz import fredholm_det, plemelj_fourier, truncation_dets
-from oracles import rational_tau_mpmath, tau_graded_elimination
+from blocktau.toeplitz import (
+    fredholm_det,
+    hankel_product_matrix,
+    plemelj_fourier,
+    truncation_dets,
+)
+from oracles import gd_symbol_inverse, rational_tau_mpmath, tau_graded_elimination
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
 RSPEC3 = rational_spec([0.3, 0.6, 0.9])
 CSPEC3 = covering_spec([0.3, -0.25, 0.35j, -0.2 - 0.15j], 3)
+# the n = 3 covering whose stable tau loses digits past s ~ 6 along DIAG3
+CSPEC3B = covering_spec([0.3, -0.25, 0.35j, 0.2 + 0.2j], 3)
+DIAG, DIAG3 = (1, 0, 0.5, 0, 0.25), (1, 0.5, 0, 0.25, 0.1)
 D, C = 0.3, 0.6
 
 
@@ -387,16 +396,70 @@ def test_covering_stable_tau_matches_a_deep_section():
     assert abs(got - want) / abs(want) < 1e-6
 
 
-@pytest.mark.parametrize("s", [5.8, 6.5])
-def test_covering_stable_tau_matches_a_wide_band(s):
-    # at B = 32 the band drops modes of g up to 1e-4 of its largest one
-    # (the guard tests exp(xi), not g); the determinant must not notice
-    tv = time_vector([s * d for d in (1, 0, 0.5, 0, 0.25)])
-    lm = gd_symbol(CSPEC, tv, (-160, 160))
-    lm_inv = gd_symbol_inverse(CSPEC, tv, (-168, 168))
+@pytest.mark.parametrize(
+    "spec, direction, s",
+    [
+        pytest.param(CSPEC, DIAG, 5.8, id="5.8"),
+        pytest.param(CSPEC, DIAG, 6.5, id="6.5"),
+        pytest.param(CSPEC3B, DIAG3, 1.0, id="n3-1"),
+        pytest.param(CSPEC3B, DIAG3, 4.0, id="n3-4"),
+    ],
+)
+def test_covering_stable_tau_matches_a_wide_band(spec, direction, s):
+    # the Fredholm ladder on the pair g, g^-1 banded far past every mode
+    # the Hankel product reads
+    tv = time_vector([s * d for d in direction])
+    lm = gd_symbol(spec, tv, (-160, 160))
+    lm_inv = gd_symbol_inverse(spec, tv, (-168, 168))
     want = fredholm_det(plemelj_fourier(lm, lm_inv, 16), tol=1e-9, max_M=4096).value
-    got = tau_stable(CSPEC, tv)
+    got = tau_stable(spec, tv)
     assert abs(got - want) / abs(want) < 1e-11
+
+
+@pytest.mark.parametrize("s", [1.0, 4.0, 5.8])
+@pytest.mark.parametrize("spec, direction", [(CSPEC, DIAG), (CSPEC3B, DIAG3)], ids=["n2", "n3"])
+def test_hankel_corner_is_the_wide_band_product(spec, direction, s):
+    # K = H(g) H(g~^-1) on blocks 0..j'-1, j' = -W^-1.lo, with no column past j'
+    tv = time_vector([s * d for d in direction])
+    j = -base_inverse(spec).lo
+    lm = gd_symbol(spec, tv, (-160, 160))
+    lm_inv = gd_symbol_inverse(spec, tv, (-168, 168))
+    wide = hankel_product_matrix(lm, lm_inv, range(j), range(j + 8))
+    nj = spec.n * j
+    assert not wide[:, nj:].any()
+    got = tau_module._hankel_corner(spec, tv)
+    assert np.abs(got - wide[:, :nj]).max() <= 1e-13 * np.abs(wide).max()
+
+
+@pytest.mark.parametrize("s", [5.8, 7.0, 7.5])
+def test_covering_gate_bounds_the_band_pair(monkeypatch, s):
+    # ||e||_W ||W||_W ||W^-1||_W ||e^-1||_W >= ||g||_W ||g^-1||_W of any band,
+    # here the pair g, g^-1 on the band B = 32 that the gate once read
+    tv = time_vector([s * d for d in DIAG])
+    seen, gate = [], tau_module._wiener_gate
+    monkeypatch.setattr(tau_module, "_wiener_gate", lambda *f: (seen.append(f), gate(*f))[1])
+    tau_stable(CSPEC, tv)
+    four = tau_module._wiener_bound(seen[0], 2)
+    band_pair = gd_symbol(CSPEC, tv, (-32, 32)), gd_symbol_inverse(CSPEC, tv, (-40, 40))
+    two = tau_module._wiener_bound(band_pair, 2)
+    assert two <= four < 2.5 * two
+
+
+def test_stable_tau_leaves_no_garbage():
+    # every object a point builds is freed by reference counting alone
+    def run():
+        for spec in (RSPEC, CSPEC):
+            for s in (1.0, 5.0):
+                tau_stable_report(spec, time_vector([s * d for d in DIAG]))
+
+    run()  # fill the per-spec caches
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_stable_tau_refuses_an_ill_conditioned_symbol():
@@ -407,11 +470,12 @@ def test_stable_tau_refuses_an_ill_conditioned_symbol():
         got = tau_stable(RSPEC, time_vector(t))
         want = _tau_closed_all_times(t)
         assert abs(got - want) / abs(want) < 1e-10
-    # the covering family keeps the Fredholm route and its gate
+    # the covering family keeps the Fredholm route and its gate, here the
+    # four-factor bound (the band pair g, g^-1 read 1.52e12)
     tv = time_vector([8.0 * d for d in (1, 0, 0.5, 0, 0.25)])
     with pytest.raises(NearSingularSymbol) as exc:
         tau_stable(CSPEC, tv)
-    assert str(exc.value) == "Wiener-norm condition bound 1.52e+12 exceeds 1e+12"
+    assert str(exc.value) == "Wiener-norm condition bound 2.96e+12 exceeds 1e+12"
 
 
 def test_finite_rank_route_refuses_a_singular_section():
