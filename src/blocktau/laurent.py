@@ -33,6 +33,7 @@ COND_LIMIT = 1e12        # inversion refuses beyond this condition number (or bo
 COND_SCREEN = 0.5 * COND_LIMIT  # a Frobenius bound (>= cond_2) below this skips the SVD
 DET_FLOOR = 1e-13        # |det| below this (relative) makes the winding undefined
 UNWRAP_JUMP = np.pi / 2  # largest tolerated argument step between neighbour samples
+INVERT_TAIL_TOL = 1e-13  # lm_invert: discarded modes below this of the largest sample
 
 
 @dataclass
@@ -333,20 +334,20 @@ def invert_symbol(x: CircleSamples) -> CircleSamples:
     return CircleSamples(x.n, x.M, inv, x.radius)
 
 
-def lm_invert(a: LaurentMatrix, tail_tol: float = 1e-13) -> LaurentMatrix:
+def lm_invert(a: LaurentMatrix) -> LaurentMatrix:
     """Banded coefficients of the pointwise inverse of a banded symbol.
 
     The band grows (doubling) until every discarded mode of the inverse is
-    below tail_tol of its largest value on the circle; past half-width 4096
-    TruncationError is raised.  Modes below 1e-16 of that largest value are
-    cut from the result.
+    below INVERT_TAIL_TOL of its largest value on the circle; past
+    half-width 4096 TruncationError is raised.  Modes below 1e-16 of that
+    largest value are cut from the result.
     """
     half = max(8, a.width)
     while True:
         band_try = (-half, half)
         M = max(512, next_pow2(4 * half + 2))
         x = invert_symbol(inverse_transform(a, M))
-        if transform_tail(x, band_try) < tail_tol:
+        if transform_tail(x, band_try) < INVERT_TAIL_TOL:
             inv = transform(x, band_try)
             # cut round-off on the scale of the tail test, the largest sample
             top = np.max(np.linalg.norm(x.values, axis=(1, 2)))

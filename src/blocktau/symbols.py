@@ -11,14 +11,16 @@ A symbol family is described by a SymbolSpec:
 Both are W = diag(w_i), w_i(z) = prod_j (1 - b_j/z)^E_ij: rational b = c^2,
 E = I; covering b = a, E_ij = i/n - [j < ik] (i, j from 0).  The modes of W
 and W^-1 (exponents -E) are products of binomial series in 1/z, built with
-no circle samples; base_symbol_values is the separate pointwise route.
+no circle samples by one builder under one rule: each is cut past its last
+mode above INVERSE_CUT times its Wiener norm.  A rational W is a polynomial
+in 1/z and is exact; base_symbol_values is the separate pointwise route.
 
 The deformation multiplies the base symbol on the left by exp(xi(t, L))
 where L is the n x n companion-type shift matrix with L^n = z*I and
 xi(t, L) = sum_m t_m L^m.  Deformed symbols exist in three versions:
 pointwise values, banded Fourier coefficients, and banded coefficients
-over the truncated graded ring (entries polynomial in the times).  W^-1
-is built once per spec, in closed form like W.
+over the truncated graded ring (entries polynomial in the times).  W and
+W^-1 are built once per spec.
 
 The flattening map identifies C^n-valued series in z with scalar series in
 a root zeta of z (zeta^n = z) by interleaving components; together with its
@@ -44,14 +46,11 @@ from .laurent import (
     gather_modes,
     lm_column,
     lm_mul,
-    lm_project,
     lm_trim,
 )
 
 EXP_TAIL_TOL = 1e-14     # exp(xi) series must have decayed to this at the band edge
-BASE_DECAY_TOL = 1e-17   # base-symbol coefficients kept down to this level
-BASE_TAIL_TOL = 1e-13    # a mode of W past a requested band must stay below this
-INVERSE_CUT = 1e-16      # modes of W^-1 at most this times its Wiener norm are cut
+INVERSE_CUT = 1e-16      # modes of W^+-1 at most this times its Wiener norm are cut
 
 
 @dataclass
@@ -165,15 +164,6 @@ def base_symbol_values(spec: SymbolSpec, z) -> np.ndarray:
     raise SpecError(f"unknown family {spec.family!r}")
 
 
-def base_band(spec: SymbolSpec) -> tuple[int, int]:
-    """Band that holds the base symbol's coefficients to BASE_DECAY_TOL."""
-    if spec.family == "rational":
-        return (-1, 0)
-    # covering: coefficients decay like rho^{|k|}
-    depth = int(np.ceil(np.log(BASE_DECAY_TOL) / np.log(spec.rho))) + 8
-    return (-depth, 0)
-
-
 @lru_cache
 def _base_exponents(family: str, n: int, k: int, sign: int) -> tuple:
     """Factors (1 - b_j/z)^e of row i, e = sign E_ij != 0: the polynomials
@@ -194,18 +184,21 @@ def _base_exponents(family: str, n: int, k: int, sign: int) -> tuple:
     return polys, series, float(np.abs(E).sum(axis=1).max())
 
 
-def _base_power(spec: SymbolSpec, sign: int, depth: int, tol: float) -> LaurentMatrix:
-    """W^sign on the modes -D..0, D >= depth.
+def _base_power(spec: SymbolSpec, sign: int) -> LaurentMatrix:
+    """W^sign, cut past its last mode of norm above INVERSE_CUT ||W^sign||_W.
 
     Entry i is prod_j (1 - b_j/z)^e_j with e = sign E_i.  The z^-m
     coefficient of a factor is binom(e, m) (-b)^m: one cumprod of the
     ratios (m - 1 - e) b / m.  These series multiply by truncated
     convolution, in np.clongdouble rounded once (as schur_numeric); a
     factor of integer e >= 0 is a polynomial, applied last as e exact
-    steps d_m -= b d_(m-1).  Unless every factor is a polynomial, D is at
-    least the first m past the peak of mu_m = binom(s + m - 1, m) rho^m
-    (rho = max_j |b_j|) with mu_m < tol; as |binom(e, m)| <= binom(|e| +
-    m - 1, m), mu bounds every mode past D.
+    steps d_m -= b d_(m-1).  Unless every factor is a polynomial, the
+    modes stop at the first m past the peak of mu_m = binom(s + m - 1, m)
+    rho^m (rho = max_j |b_j|) with mu_m < INVERSE_CUT; as |binom(e, m)| <=
+    binom(|e| + m - 1, m), mu bounds every entry past the stop, so each
+    mode there lies below the cut.  The cut is relative to the Wiener norm
+    ||W^sign||_W = sum_k ||W^sign_k||, which bounds the largest value of
+    W^sign on the circle.
     """
     polys, (rows, cols, e), s = _base_exponents(spec.family, spec.n, spec.k, sign)
     b = [c * c for c in spec.params] if spec.family == "rational" else spec.params
@@ -213,12 +206,13 @@ def _base_power(spec: SymbolSpec, sign: int, depth: int, tol: float) -> LaurentM
     if not len(e):
         D = int(s)
     else:
-        while not (mu < tol and (s + D) * rho < D + 1):
+        while not (mu < INVERSE_CUT and (s + D) * rho < D + 1):
             D += 1
             mu *= (s + D - 1) / D * rho
-            if D > max(depth, 1 << 12):
-                raise TruncationError(f"base series does not fall below {tol:g} in {D} modes")
-    D = max(D, depth)
+            if D > 1 << 12:
+                raise TruncationError(
+                    f"base series does not fall below {INVERSE_CUT:g} in {D} modes"
+                )
     d = np.zeros((D + 1, spec.n), dtype=complex)
     d[0] = 1.0
     if len(e):
@@ -232,41 +226,26 @@ def _base_power(spec: SymbolSpec, sign: int, depth: int, tol: float) -> LaurentM
     for i, j, ei in polys:
         for _ in range(ei):
             d[1:, i] -= b[j] * d[:-1, i]
-    return LaurentMatrix(spec.n, -D, 0, d[::-1, :, None] * np.eye(spec.n))
+    norms = np.linalg.norm(d, axis=1)
+    w = LaurentMatrix(spec.n, -D, 0, d[::-1, :, None] * np.eye(spec.n))
+    return lm_trim(w, INVERSE_CUT * norms.sum() / norms.max())
+
+
+def base_is_polynomial(spec: SymbolSpec) -> bool:
+    """Whether every factor of W is a polynomial in 1/z, so its modes are finite and exact."""
+    return not len(_base_exponents(spec.family, spec.n, spec.k, 1)[1][2])
 
 
 @lru_cache
-def base_symbol(spec: SymbolSpec, band: tuple[int, int] | None = None) -> LaurentMatrix:
-    """Banded Fourier coefficients of W = diag(prod_j (1 - b_j/z)^E_ij) (cached, shared).
-
-    The modes are the binomial products of _base_power.  TruncationError
-    when a mode past the band reaches BASE_TAIL_TOL of sqrt(sum_k
-    ||W_k||^2), the root mean square of W on the circle (Parseval), which
-    is at most its largest value there.
-    """
-    if band is None:
-        band = base_band(spec)
-    lo, hi = band
-    w = _base_power(spec, 1, max(-lo, 0), BASE_TAIL_TOL)
-    if w.lo < lo or hi < 0:  # modes past the band were computed
-        norms = np.linalg.norm(w.coeffs, axis=(1, 2))
-        ks = np.arange(w.lo, 1)
-        if norms[(ks < lo) | (ks > hi)].max() >= BASE_TAIL_TOL * np.linalg.norm(norms):
-            raise TruncationError(f"band {band} cannot hold W to {BASE_TAIL_TOL:g}")
-    return lm_project(w, lo, hi)
+def base_symbol(spec: SymbolSpec) -> LaurentMatrix:
+    """Fourier coefficients of W = diag(prod_j (1 - b_j/z)^E_ij) (cached, shared)."""
+    return _base_power(spec, 1)
 
 
 @lru_cache
 def base_inverse(spec: SymbolSpec) -> LaurentMatrix:
-    """Banded coefficients of W^-1 = diag(prod_j (1 - b_j/z)^-E_ij) (cached, shared).
-
-    The same binomial products as base_symbol with the exponents negated,
-    cut past the last mode of norm above INVERSE_CUT times the Wiener norm
-    sum_k ||W^-1_k||, which bounds the largest value of W^-1 on the circle.
-    """
-    w_inv = _base_power(spec, -1, 0, INVERSE_CUT)
-    norms = np.linalg.norm(w_inv.coeffs, axis=(1, 2))
-    return lm_trim(w_inv, INVERSE_CUT * norms.sum() / norms.max())
+    """Fourier coefficients of W^-1, the same products with -E (cached, shared)."""
+    return _base_power(spec, -1)
 
 
 # -- shift matrix and its exponential ----------------------------------------
@@ -357,13 +336,17 @@ def exp_xi_lambda(
     kmax = n * hi + n - 1
     p = schur_numeric(t.effective(n), kmax)
     if not exact_only:
-        scale = max(1.0, float(np.max(np.abs(p))))
-        edge = float(np.max(np.abs(p[n * hi : kmax + 1])))
-        if edge >= EXP_TAIL_TOL * scale:
-            raise TruncationError(
-                f"Schur values at the band edge are {edge:.3g} (band hi={hi} too small)"
-            )
+        _check_schur_tail(p, n * hi)
     return LaurentMatrix(n, lo, hi, fold(p, 0, n, band))
+
+
+def _check_schur_tail(p: np.ndarray, k0: int) -> None:
+    """TruncationError unless the Schur values p_k0, p_k0+1, ... of p are
+    below EXP_TAIL_TOL of max(1, max_k |p_k|)."""
+    scale = max(1.0, float(np.max(np.abs(p))))
+    edge = float(np.max(np.abs(p[k0:]), initial=0.0))
+    if edge >= EXP_TAIL_TOL * scale:
+        raise TruncationError(f"Schur values from p_{k0} reach {edge:.3g} (band too small)")
 
 
 def root_grid(z: np.ndarray, n: int) -> np.ndarray:
@@ -398,14 +381,16 @@ def gd_symbol(
     """Fourier coefficients of exp(xi(t,L)) * base symbol on the band.
 
     In-band coefficients are exact (the exponential factor is carried on
-    the wider band (0, band[1] - W.lo) it needs).  With exact_only=False,
-    exp(xi(t, L)) must hold to EXP_TAIL_TOL on that wider band, else
-    TruncationError; the modes of the product past band[1] are dropped
-    unchecked, so the band need not hold the deformed symbol globally.
+    the wider band (0, band[1] - W.lo) it needs).  The modes of the product
+    past band[1] are dropped; they are fed by the modes of exp(xi(t, L))
+    past band[1], i.e. by its Schur values p_k, k > n band[1].  With
+    exact_only=False those must be below EXP_TAIL_TOL, else
+    TruncationError, so that the band holds the deformed symbol.
     """
     w = base_symbol(spec)
-    exp_band = (0, band[1] - w.lo)
-    e = exp_xi_lambda(t, spec.n, exp_band, exact_only=exact_only)
+    e = exp_xi_lambda(t, spec.n, (0, band[1] - w.lo), exact_only=True)
+    if not exact_only:
+        _check_schur_tail(e.coeffs[:, :, 0].ravel(), spec.n * band[1] + 1)
     return lm_mul(e, w, band)
 
 
@@ -471,7 +456,7 @@ def xi_inverse(s: ScalarSeries, n: int) -> VectorSeries:
 def column_series(spec: SymbolSpec, j: int) -> ScalarSeries:
     """Scalar generator: flattened column j (0-based) of the base symbol."""
     w = base_symbol(spec)
-    return xi_map(lm_column(lm_trim(w, 0.0), j))
+    return xi_map(lm_column(w, j))
 
 
 # -- structural check of the undeformed symbol --------------------------------

@@ -58,13 +58,13 @@ from .symbols import (
     SymbolSpec,
     TimeVector,
     base_inverse,
+    base_is_polynomial,
     base_symbol,
     column_series,
     exp_xi_lambda,
     gd_symbol,
 )
 from .toeplitz import (
-    HALF_TRUNCATED_J_MAX,
     PlemeljOperator,
     build_TN,
     det_DN,
@@ -676,13 +676,14 @@ def tau_stable_report(
 ) -> StableTauReport:
     """Large-N limit of the truncated determinants at a concrete time vector.
 
-    When W has j = -W.lo <= HALF_TRUNCATED_J_MAX negative modes (every
-    rational family, j = 1), so does g = exp(xi(t,L)) W, and the limit is
-    G^j det T_j(g^-1) exactly (Day's formula, _finite_rank).  Otherwise
-    (the covering families) it is det(I - K), K = H(g) H(g~^-1).  W and
-    W^-1 have no positive modes and e = exp(xi(t,L)) and e^-1 no negative
-    ones, so K = H(e) V T(e^-1) exactly, V = T(W~) H(W~^-1) cached per spec
-    (_symbol_core).  V has no columns past block j' = -W^-1.lo, so each
+    When W is a polynomial in 1/z (base_is_polynomial: every rational
+    family, j = -W.lo = 1), g = exp(xi(t,L)) W has no modes below -j, and
+    the limit is G^j det T_j(g^-1) exactly (Day's formula, _finite_rank).
+    The route does not read where a series W is cut: Day's formula has no
+    error term for a cut W.  Otherwise (the covering families) the limit
+    is det(I - K), K = H(g) H(g~^-1).  W and W^-1 have no positive modes
+    and e = exp(xi(t,L)) and e^-1 no negative ones, so K = H(e) V T(e^-1)
+    exactly, V = T(W~) H(W~^-1) cached per spec (_symbol_core).  V has no columns past block j' = -W^-1.lo, so each
     section M >= j' of I - K is block lower triangular with the
     determinant of the j'-block corner (_hankel_corner); its leading
     sections are doubled to a Cauchy stop below tol.  NearSingularSymbol
@@ -690,7 +691,7 @@ def tau_stable_report(
     and on the second when ||e||_W ||W||_W ||W^-1||_W ||e^-1||_W, a bound
     of cond g on the circle, does.
     """
-    if -base_symbol(spec).lo <= HALF_TRUNCATED_J_MAX:
+    if base_is_polynomial(spec):
         return _finite_rank(spec, t)
     K = _hankel_corner(spec, t)
     fr = fredholm_det(_corner_section(np.eye(len(K)) - K, spec.n, 16), min(tol, 1e-9), 4096)
@@ -777,7 +778,7 @@ def _finite_rank(spec: SymbolSpec, t: TimeVector) -> StableTauReport:
     """
     n = spec.n
     w, w_inv = base_symbol(spec), base_inverse(spec)
-    j = -w.lo
+    j = max(-w.lo, 1)  # W = I to the cut when every c_i^2 is below it
     band = (1 - j, j - 1)
     e = exp_xi_lambda(t.negated(), n, (0, band[1] - w_inv.lo), exact_only=True)
     G = complex(np.linalg.det(w.block(0)))

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blocktau import laurent
+from blocktau import laurent, symbols
 from blocktau.errors import DegenerateInput, SpecError, TruncationError
 from blocktau.gradedpoly import schur_sequence, schur_sequence_reduced
 from blocktau.laurent import ScalarSeries, VectorSeries, lm_mul
 from blocktau.symbols import (
+    INVERSE_CUT,
     _base_power,
-    base_band,
     base_inverse,
     base_symbol,
     base_symbol_values,
@@ -257,16 +257,8 @@ def test_exp_xi_band_guard():
 
 def test_base_symbols_live_in_big_cell():
     for spec in (RSPEC, CSPEC):
-        w = base_symbol(spec, base_band(spec))
-        rep = big_cell_check(w)
+        rep = big_cell_check(base_symbol(spec))
         assert rep.ok, rep.violations
-
-
-def test_base_symbol_raises_when_band_cannot_hold_it():
-    # the covering symbol's coefficients decay like rho^|k|; cut at -10 the
-    # discarded tail stays above 1e-13 of the energy on every grid
-    with pytest.raises(TruncationError):
-        base_symbol(CSPEC, band=(-10, 0))
 
 
 # the closed-form base pair against its references: the two shipped families,
@@ -336,12 +328,20 @@ CLUSTER = covering_spec([0.1, -0.1j, 0.6, 0.6 * np.exp(0.01j), 0.6 * np.exp(-0.0
 
 
 @pytest.mark.parametrize("spec", BASE_SPECS + [CLUSTER], ids=BASE_IDS + ["cluster"])
-def test_base_series_stop_where_the_majorant_bounds_the_rest(spec):
-    # the depth the majorant picks leaves no entry past it at or above tol
-    for sign, tol in ((1, 1e-13), (-1, 1e-16)):
-        depth = -_base_power(spec, sign, 0, tol).lo
-        longer = _base_power(spec, sign, 3 * depth + 20, tol)
-        assert np.max(np.abs(longer.coeffs[: -depth - longer.lo])) < tol
+def test_base_series_stop_where_the_majorant_bounds_the_rest(spec, monkeypatch):
+    # W and W^-1 end at their last mode above INVERSE_CUT ||.||_W: a run of
+    # the builder stopped and cut far deeper holds nothing past it above that
+    for sign in (1, -1):
+        cut = _base_power(spec, sign)
+        with monkeypatch.context() as m:
+            m.setattr(symbols, "INVERSE_CUT", 1e-24)
+            deep = _base_power(spec, sign)
+        assert deep.lo <= cut.lo and deep.hi == cut.hi == 0
+        norms = np.linalg.norm(deep.coeffs, axis=(1, 2))
+        bar = INVERSE_CUT * norms.sum()
+        assert norms[cut.lo - deep.lo] > bar
+        assert np.all(norms[: cut.lo - deep.lo] <= bar)
+        assert np.array_equal(cut.coeffs, deep.coeffs[cut.lo - deep.lo :])
 
 
 def test_base_pair_samples_no_circle(monkeypatch):
@@ -354,7 +354,16 @@ def test_base_pair_samples_no_circle(monkeypatch):
         monkeypatch.setattr(np.fft, name, refuse)
     spec = covering_spec([0.31, -0.27, 0.33j], 2)  # built nowhere else: no cache hit
     w, w_inv = base_symbol(spec), base_inverse(spec)
-    assert w.lo == base_band(spec)[0] and w_inv.hi == 0
+    assert w.lo < 0 and w.hi == w_inv.hi == 0
+
+
+def test_gd_symbol_band_guard_reads_the_dropped_modes():
+    # g = exp(xi) W past band[1] comes from the modes of exp(xi) past band[1]:
+    # at s = 5.8 the modes of g past 32 reach 1.2e-4 of its largest
+    tv = time_vector([5.8 * d for d in (1, 0, 0.5, 0, 0.25)])
+    with pytest.raises(TruncationError):
+        gd_symbol(CSPEC, tv, (-32, 32))
+    gd_symbol(CSPEC, tv, (-32, 32), exact_only=True)
 
 
 def test_rational_base_symbol_values():

@@ -24,6 +24,7 @@ from blocktau.gradedpoly import (
 from blocktau.laurent import COND_LIMIT, LaurentMatrix, geometric_mean
 from blocktau.symbols import (
     base_inverse,
+    base_symbol,
     column_series,
     covering_spec,
     gd_symbol,
@@ -440,9 +441,27 @@ def test_covering_gate_bounds_the_band_pair(monkeypatch, s):
     monkeypatch.setattr(tau_module, "_wiener_gate", lambda *f: (seen.append(f), gate(*f))[1])
     tau_stable(CSPEC, tv)
     four = tau_module._wiener_bound(seen[0], 2)
-    band_pair = gd_symbol(CSPEC, tv, (-32, 32)), gd_symbol_inverse(CSPEC, tv, (-40, 40))
+    band_pair = (
+        gd_symbol(CSPEC, tv, (-32, 32), exact_only=True),
+        gd_symbol_inverse(CSPEC, tv, (-40, 40)),
+    )
     two = tau_module._wiener_bound(band_pair, 2)
     assert two <= four < 2.5 * two
+
+
+# the covering with roots of modulus <= 0.05 has its cut W end at mode -11
+SMALL_COVERING = covering_spec([0.05, -0.04, 0.03j], 2)
+
+
+def test_route_follows_whether_W_is_exact():
+    # Day's formula is exact only for a polynomial W, so a covering W cut
+    # short of HALF_TRUNCATED_J_MAX modes keeps the Fredholm route
+    assert base_symbol(SMALL_COVERING).lo == -11
+    tv = time_vector([0.2 * d for d in DIAG])
+    for spec in (RSPEC, RSPEC3, rational_spec([0.99, 0.2]), rational_spec([1e-9, 1e-10])):
+        assert tau_stable_report(spec, tv).route == "finite_rank"
+    for spec in (CSPEC, CSPEC3, CSPEC3B, SMALL_COVERING):
+        assert tau_stable_report(spec, tv).route == "fredholm"
 
 
 def test_stable_tau_leaves_no_garbage():
