@@ -153,8 +153,8 @@ def _check_reflection_norm(ctx, tol):
     rng = ctx.rng(5)
     co = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
     lm = laurent.LaurentMatrix(2, -3, 4, co)
-    a = laurent.admissibility(lm).norm_2half
-    b = laurent.admissibility(laurent.lm_reflect(lm)).norm_2half
+    a = laurent.half_norm(lm)
+    b = laurent.half_norm(laurent.lm_reflect(lm))
     worst = abs(a - b) / max(1.0, abs(a))
     return worst, worst <= tol, "Besov half-norm invariant under coefficient reflection"
 
@@ -251,10 +251,10 @@ def _check_hankel_product(ctx, tol):
     )
 
 
-def _operator_det(lm, blocks):
-    """Operator determinant det(I - H(g)H(g^-1)) on Fourier-route sections."""
+def _operator_det(lm):
+    """Operator determinant det(I - H(g)H(g^-1)) on its exact window, g.hi blocks."""
     return toeplitz.fredholm_det(
-        toeplitz.plemelj_fourier(lm, laurent.lm_invert(lm), blocks), tol=1e-11
+        toeplitz.plemelj_fourier(lm, laurent.lm_invert(lm), lm.hi)
     ).value
 
 
@@ -310,7 +310,7 @@ def _check_truncation_limit(ctx, tol):
     worst_gap, worst_fit = 0.0, 0.0
     for spec, tv in ((ctx.rspec, TV), (ctx.cspec, CTV)):
         lm = symbols.gd_symbol(spec, tv, (-30, 30))
-        d_inf = _operator_det(lm, 8)
+        d_inf = _operator_det(lm)
         G = laurent.geometric_mean(factorization.deformed_symbol_samples(spec, tv, 1024))
         ratios = [d / G**N for N, d in zip(range(1, 25), toeplitz.truncation_dets(lm))]
         deltas = [abs(b - a) for a, b in zip(ratios, ratios[1:])]
@@ -342,7 +342,7 @@ def _check_finite_section_correction(ctx, tol):
     # D_inf from the operator determinant, not from the Szego-Widom limit
     # that determinant_identity uses
     tv, x, lm = ctx.rational_setup()
-    worst = _correction_gap(ctx, _operator_det(lm, 8), laurent.geometric_mean(x))
+    worst = _correction_gap(ctx, _operator_det(lm), laurent.geometric_mean(x))
     return (
         worst,
         worst <= tol,
@@ -353,8 +353,8 @@ def _check_finite_section_correction(ctx, tol):
 def _check_fredholm_invariance(ctx, tol):
     tv, x, lm = ctx.rational_setup()
     lm2 = symbols.gd_symbol(ctx.rspec, tv, (-60, 60))
-    worst = abs(_operator_det(lm, 8) - _operator_det(lm2, 16))
-    return worst, worst <= tol, "value invariant under doubling band and sections"
+    worst = abs(_operator_det(lm) - _operator_det(lm2))
+    return worst, worst <= tol, "value invariant under doubling the band and its window"
 
 
 def _check_half_truncated(ctx, tol):

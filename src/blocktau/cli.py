@@ -61,7 +61,6 @@ _SCHEMA = {
     "tau": {"tol"},          # plus any grid_t<index> key
     "converge": {"n_max", "tol"},
     "factorize": {"draws", "seed", "scale", "tol"},
-    "spectral": {"j"},
     "verify": {"seed"},
     "output": {"dir"},
 }
@@ -80,7 +79,6 @@ _DEFAULTS = {
     "seed": 0,
     "scale": 0.3,
     "factorize_tol": 1e-8,
-    "j": 96,
     "verify_seed": 7,
     "dir": "out",
 }
@@ -100,7 +98,6 @@ class RunConfig:
     factorize_seed: int
     factorize_scale: float
     factorize_tol: float
-    spectral_j: int
     verify_seed: int
     outdir: str
 
@@ -274,7 +271,6 @@ def load_config(path: str | None) -> RunConfig:
         factorize_tol=_parse_tol(
             get("factorize", "tol", str(_DEFAULTS["factorize_tol"])), "[factorize] tol"
         ),
-        spectral_j=_parse_int(get("spectral", "j", str(_DEFAULTS["j"])), "[spectral] j", 8),
         verify_seed=_parse_int(
             get("verify", "seed", str(_DEFAULTS["verify_seed"])), "[verify] seed", 0
         ),
@@ -440,11 +436,10 @@ def cmd_spectral(cfg: RunConfig, out: str) -> int:
     spec = cfg.spec
     if spec.family != "covering":
         raise ConfigError("the spectral command needs a covering spec")
-    J = cfg.spectral_j
     cp = algebro.curve_from_covering(spec)
-    rep = algebro.spectral_check(spec, J, cp=cp)
+    rep = algebro.spectral_check(spec, cp=cp)
     laurent.write_csv(rep.C, os.path.join(out, "C.csv"))
-    lines = ["command: spectral", f"sheets: {spec.n}", f"branch terms: {J}", ""]
+    lines = ["command: spectral", f"sheets: {spec.n}", ""]
     lines.append("curve lambda^n = P(z), P coefficients (ascending):")
     lines.append("  " + ", ".join(_fmt_c(-c) for c in cp.c(spec.n)))
     lines.append("")

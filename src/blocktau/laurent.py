@@ -360,14 +360,7 @@ def lm_invert(a: LaurentMatrix) -> LaurentMatrix:
         half *= 2
 
 
-# -- admissibility and geometric mean ---------------------------------------
-
-
-@dataclass
-class AdmissibilityReport:
-    norm_inf: float
-    norm_2half: float
-    winding: int
+# -- half-norm, winding and geometric mean ----------------------------------
 
 
 def _continuous_log_det(x: CircleSamples) -> tuple[np.ndarray, int]:
@@ -404,29 +397,15 @@ def winding_number(x: CircleSamples) -> int:
     return w
 
 
-def admissibility(lm: LaurentMatrix) -> AdmissibilityReport:
-    """Sup-norm, Besov-type half-norm and winding number of a banded symbol.
+def half_norm(lm: LaurentMatrix) -> float:
+    """Besov-type half-norm sum_k sqrt(|k|) * ||g^(k)||_HS of a banded symbol.
 
-    norm_2half = sum_k sqrt(|k|) * ||g^(k)||_HS, the quantity whose
-    finiteness (together with winding zero) the limit theorems assume.  The
-    sample grid doubles from max(512, 2 * width) while the argument of the
-    determinant cannot be unwrapped, up to 2^16 points.
+    Its finiteness, together with winding zero, is what the limit theorems
+    assume.
     """
-    M = max(512, next_pow2(2 * lm.width))
     norms = np.linalg.norm(lm.coeffs, axis=(1, 2))
     ks = np.arange(lm.lo, lm.hi + 1)
-    norm_2half = float(np.sum(np.sqrt(np.abs(ks)) * norms))
-    while True:
-        x = inverse_transform(lm, M)
-        norm_inf = float(np.max(np.linalg.svd(x.values, compute_uv=False)[:, 0]))
-        try:
-            winding = winding_number(x)
-            break
-        except BranchError:
-            if M >= 1 << 16:
-                raise
-            M *= 2
-    return AdmissibilityReport(norm_inf=norm_inf, norm_2half=norm_2half, winding=winding)
+    return float(np.sum(np.sqrt(np.abs(ks)) * norms))
 
 
 def geometric_mean(x: CircleSamples) -> complex:

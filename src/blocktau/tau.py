@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -660,15 +660,15 @@ class StableTauReport:
     """A stable tau value, the route that produced it and its error bound.
 
     route is "finite_rank" (Day's formula on the nj x nj section, M_used = j)
-    or "fredholm" (the operator determinant of the Hankel corner, M_used its
-    section size in blocks); history lists the Fredholm route's (size, value) steps.
+    or "fredholm" (the operator determinant of the j'-block Hankel corner,
+    M_used = j' = -W^-1.lo, est_error 0.0: the corner is exact, and its
+    round-off is not bounded).
     """
 
     value: complex
     est_error: float
     route: str
     M_used: int
-    history: list = field(default_factory=list)
 
 
 def tau_stable_report(
@@ -683,19 +683,19 @@ def tau_stable_report(
     error term for a cut W.  Otherwise (the covering families) the limit
     is det(I - K), K = H(g) H(g~^-1).  W and W^-1 have no positive modes
     and e = exp(xi(t,L)) and e^-1 no negative ones, so K = H(e) V T(e^-1)
-    exactly, V = T(W~) H(W~^-1) cached per spec (_symbol_core).  V has no columns past block j' = -W^-1.lo, so each
-    section M >= j' of I - K is block lower triangular with the
-    determinant of the j'-block corner (_hankel_corner); its leading
-    sections are doubled to a Cauchy stop below tol.  NearSingularSymbol
-    is raised when cond T_j(g^-1) exceeds COND_LIMIT on the first route,
-    and on the second when ||e||_W ||W||_W ||W^-1||_W ||e^-1||_W, a bound
-    of cond g on the circle, does.
+    exactly, V = T(W~) H(W~^-1) cached per spec (_symbol_core).  V has no
+    columns past block j' = -W^-1.lo, so I - K is block lower triangular
+    past the j'-block corner (_hankel_corner) and has its determinant.
+    NearSingularSymbol is raised when cond T_j(g^-1) exceeds COND_LIMIT on
+    the first route, and on the second when ||e||_W ||W||_W ||W^-1||_W
+    ||e^-1||_W, a bound of cond g on the circle, does.  Neither route
+    reads tol: both are exact up to round-off.
     """
     if base_is_polynomial(spec):
         return _finite_rank(spec, t)
     K = _hankel_corner(spec, t)
-    fr = fredholm_det(_corner_section(np.eye(len(K)) - K, spec.n, 16), min(tol, 1e-9), 4096)
-    return StableTauReport(fr.value, fr.est_error, "fredholm", fr.M_used, fr.history)
+    fr = fredholm_det(PlemeljOperator(spec.n, len(K) // spec.n, np.eye(len(K)) - K))
+    return StableTauReport(fr.value, 0.0, "fredholm", fr.M_used)
 
 
 @lru_cache
@@ -729,15 +729,6 @@ def _hankel_corner(spec: SymbolSpec, t: TimeVector) -> np.ndarray:
     i = np.arange(j)
     H = e.block_matrix(i[:, None] + np.arange(1, R + 1))
     return H @ V @ e_inv.block_matrix(i[:, None] - i)
-
-
-def _corner_section(corner: np.ndarray, n: int, M: int) -> PlemeljOperator:
-    """Leading M-block section of I - K from its corner; the identity past it
-    keeps the corner's determinant (the dropped block is below the diagonal)."""
-    P = np.eye(M * n, dtype=complex)
-    k = min(M * n, len(corner))
-    P[:k, :k] = corner[:k, :k]
-    return PlemeljOperator(n, M, P, rebuild=partial(_corner_section, corner, n))
 
 
 _EPS = float(np.finfo(float).eps)

@@ -17,10 +17,12 @@ the (R*n, k*n) section of u at modes i+k times the (k*n, C*n) section of v
 at modes -j-k; its (i a, j d) row-major layout is already the dense
 (R*n, C*n) result.
 
-The two finite-section limits (the operator determinant and D_N/G^N) stop
-through settle, the one Cauchy rule; truncation_dets is the one loop over N
-of D_N.  The correction determinant needs no limit: its kernel has no rows
-past the band of its first symbol, so one window is exact.
+No operator determinant here takes a limit: each kernel has no rows, or
+no columns, past a known block (the positive band of its first symbol, or
+the negative band of its second), so I - K is block triangular past that
+window and has the window's determinant (fredholm_det, correction_det).
+The one finite-section limit, D_N/G^N, stops through settle, a Cauchy
+rule; truncation_dets is the one loop over N of D_N.
 """
 
 from __future__ import annotations
@@ -82,16 +84,7 @@ def truncation_dets(lm: LaurentMatrix):
         yield det_DN(build_TN(lm, N))
 
 
-# -- the Cauchy ladder of every finite-section limit -------------------------
-
-
-def doubling(start: int, cap: int):
-    """Section sizes start, 2 start, 4 start, ... up to the first size >= cap."""
-    size = start
-    yield size
-    while size < cap:
-        size *= 2
-        yield size
+# -- the Cauchy rule of the finite-section limit -----------------------------
 
 
 def settle(steps, tol: float, what: str):
@@ -180,17 +173,17 @@ class PlemeljOperator:
     n: int
     M: int
     matrix: np.ndarray
-    rebuild: Callable[[int], "PlemeljOperator"] | None = None
 
 
 def plemelj_fourier(lm: LaurentMatrix, lm_inv: LaurentMatrix, M: int) -> PlemeljOperator:
-    """Operator truncation assembled from Fourier coefficients."""
+    """Operator truncation assembled from Fourier coefficients.
+
+    Rows i >= lm.hi of the kernel vanish, so M = lm.hi is the exact window
+    of fredholm_det.
+    """
     n = lm.n
     K = hankel_product_matrix(lm, lm_inv, range(M), range(M))
-    P = np.eye(M * n, dtype=complex) - K
-    return PlemeljOperator(
-        n=n, M=M, matrix=P, rebuild=lambda M2: plemelj_fourier(lm, lm_inv, M2)
-    )
+    return PlemeljOperator(n=n, M=M, matrix=np.eye(M * n, dtype=complex) - K)
 
 
 def plemelj_quadrature(
@@ -243,29 +236,24 @@ def plemelj_quadrature(
     T -= sums[:, None, :, n * n, None] * np.eye(n)[:, None, :]
     modes = np.fft.fft(T, axis=0)[:M] / Mo             # output mode index i
     P = modes.reshape(M * n, M * n) + np.eye(M * n)
-    return PlemeljOperator(n=n, M=M, matrix=P, rebuild=None)
+    return PlemeljOperator(n=n, M=M, matrix=P)
 
 
 @dataclass
 class FredholmResult:
     value: complex
     M_used: int
-    est_error: float
-    history: list = field(default_factory=list)
 
 
-def fredholm_det(
-    p: PlemeljOperator, tol: float = 1e-10, max_M: int = 2048
-) -> FredholmResult:
-    """Determinant of the operator, section size doubled to a Cauchy stop."""
-    if p.rebuild is None:
-        raise ConvergenceError("operator was built at fixed size and cannot be refined")
-    steps = (
-        (M, complex(np.linalg.det((p if M == p.M else p.rebuild(M)).matrix)))
-        for M in doubling(p.M, max_M)
-    )
-    M, value, err, history = settle(steps, tol, "finite-section determinant")
-    return FredholmResult(value=value, M_used=M, est_error=err, history=history)
+def fredholm_det(p: PlemeljOperator) -> FredholmResult:
+    """det(I - K) of an operator given on its exact window.
+
+    p = I - K must be cut where the kernel K has no rows, or no columns,
+    past block p.M: the whole operator is then block triangular with p on
+    its diagonal and the identity past it, so det p is its determinant and
+    no limit is taken.
+    """
+    return FredholmResult(value=complex(np.linalg.det(p.matrix)), M_used=p.M)
 
 
 # -- strong limit ------------------------------------------------------------

@@ -28,7 +28,7 @@ from blocktau.laurent import (
     transform,
     transform_tail,
 )
-from blocktau.symbols import base_inverse, exp_xi_lambda, gd_symbol_graded
+from blocktau.symbols import _check_schur_tail, base_inverse, exp_xi_lambda, gd_symbol_graded
 
 
 def schur_recurrence(tvals, kmax):
@@ -118,16 +118,19 @@ def rational_tau_mpmath(c, t):
         return complex(mpmath.det(mpmath.matrix(rows)))
 
 
-def gd_symbol_inverse(spec, t, band) -> LaurentMatrix:
+def gd_symbol_inverse(spec, t, band, exact_only=False) -> LaurentMatrix:
     """Fourier coefficients of W^-1 * exp(xi(-t, L)), the inverse of gd_symbol.
 
-    In-band coefficients are exact up to the cut of W^-1.  exp(xi(-t, L))
-    must hold to EXP_TAIL_TOL on its band (0, band[1] - lo(W^-1)), else
-    TruncationError; the modes of the product past band[1] are dropped
-    unchecked.
+    In-band coefficients are exact up to the cut of W^-1 (exp(xi(-t, L)) is
+    carried on the band (0, band[1] - lo(W^-1)) it needs).  The modes of
+    the product past band[1] are dropped; they are fed by the Schur values
+    p_k(-t), k > n band[1].  With exact_only=False those must be below
+    EXP_TAIL_TOL, else TruncationError, as in symbols.gd_symbol.
     """
     w_inv = base_inverse(spec)
-    e = exp_xi_lambda(t.negated(), spec.n, (0, band[1] - w_inv.lo))
+    e = exp_xi_lambda(t.negated(), spec.n, (0, band[1] - w_inv.lo), exact_only=True)
+    if not exact_only:
+        _check_schur_tail(e.coeffs[:, :, 0].ravel(), spec.n * band[1] + 1)
     return lm_mul(w_inv, e, band)
 
 

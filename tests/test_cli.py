@@ -44,9 +44,6 @@ n = 2
 
 [times]
 values = 0.1, 0.0, 0.05
-
-[spectral]
-j = 96
 """
 
 

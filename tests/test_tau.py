@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blocktau import gradedpoly
-from blocktau.errors import NearSingularSymbol
+from blocktau.errors import NearSingularSymbol, TruncationError
 from blocktau.factorization import deformed_symbol_samples
 from blocktau.gradedpoly import (
     evaluate,
@@ -407,12 +407,12 @@ def test_covering_stable_tau_matches_a_deep_section():
     ],
 )
 def test_covering_stable_tau_matches_a_wide_band(spec, direction, s):
-    # the Fredholm ladder on the pair g, g^-1 banded far past every mode
-    # the Hankel product reads
+    # the operator determinant of the pair g, g^-1 banded far past every
+    # mode the Hankel product reads, on its exact window of g.hi blocks
     tv = time_vector([s * d for d in direction])
     lm = gd_symbol(spec, tv, (-160, 160))
     lm_inv = gd_symbol_inverse(spec, tv, (-168, 168))
-    want = fredholm_det(plemelj_fourier(lm, lm_inv, 16), tol=1e-9, max_M=4096).value
+    want = fredholm_det(plemelj_fourier(lm, lm_inv, lm.hi)).value
     got = tau_stable(spec, tv)
     assert abs(got - want) / abs(want) < 1e-11
 
@@ -441,9 +441,11 @@ def test_covering_gate_bounds_the_band_pair(monkeypatch, s):
     monkeypatch.setattr(tau_module, "_wiener_gate", lambda *f: (seen.append(f), gate(*f))[1])
     tau_stable(CSPEC, tv)
     four = tau_module._wiener_bound(seen[0], 2)
+    with pytest.raises(TruncationError):  # p_k(-t), k > 80, feed the modes past 40
+        gd_symbol_inverse(CSPEC, tv, (-40, 40))
     band_pair = (
         gd_symbol(CSPEC, tv, (-32, 32), exact_only=True),
-        gd_symbol_inverse(CSPEC, tv, (-40, 40)),
+        gd_symbol_inverse(CSPEC, tv, (-40, 40), exact_only=True),
     )
     two = tau_module._wiener_bound(band_pair, 2)
     assert two <= four < 2.5 * two
@@ -507,9 +509,8 @@ def test_finite_rank_route_refuses_a_singular_section():
 def test_stable_tau_routes():
     tv = time_vector((0.3, 0.0, -0.2))
     rational, covering = tau_stable_report(RSPEC, tv), tau_stable_report(CSPEC, tv)
-    assert (rational.route, rational.M_used, rational.history) == ("finite_rank", 1, [])
-    assert covering.route == "fredholm"
-    assert covering.history[-1] == (covering.M_used, covering.value)
+    assert (rational.route, rational.M_used) == ("finite_rank", 1)
+    assert (covering.route, covering.M_used, covering.est_error) == ("fredholm", 32, 0.0)
 
 
 def test_rational_oracle_matches_the_two_soliton_closed_form():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from blocktau import laurent, toeplitz
+from blocktau import laurent, tau, toeplitz
 from blocktau.errors import ConvergenceError, HypothesisError, SpecError
 from blocktau.laurent import (
     CircleSamples,
@@ -21,6 +21,8 @@ from blocktau.laurent import (
     transform,
 )
 from blocktau.symbols import (
+    base_inverse,
+    base_is_polynomial,
     covering_spec,
     exp_xi_lambda,
     gd_symbol,
@@ -30,10 +32,10 @@ from blocktau.symbols import (
 )
 from blocktau.toeplitz import (
     HALF_TRUNCATED_J_MAX,
+    PlemeljOperator,
     borodin_okounkov,
     build_TN,
     det_DN,
-    doubling,
     fredholm_det,
     half_truncated_shortcut,
     hankel_identity_check,
@@ -50,10 +52,11 @@ from blocktau.factorization import (
     two_sided_factorization,
     wiener_hopf,
 )
-from oracles import schur_mpmath
+from oracles import gd_symbol_inverse, schur_mpmath
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
+CSPEC3B = covering_spec([0.3, -0.25, 0.35j, 0.2 + 0.2j], 3)
 TV = time_vector([0.2, 0.0, -0.15, 0.0, 0.08])
 
 
@@ -66,10 +69,10 @@ def _quadrature_samples(spec, tv, M):
     return x, x_inv
 
 
-def _plemelj_pair(spec, tv, blocks, M=1024):
+def _plemelj_pair(spec, tv, blocks):
     lm = gd_symbol(spec, tv, (-30, 30))
     pf = plemelj_fourier(lm, lm_invert(lm), blocks)
-    pq = plemelj_quadrature(*_quadrature_samples(spec, tv, M), blocks)
+    pq = plemelj_quadrature(*_quadrature_samples(spec, tv, 1024), blocks)
     return pf, pq
 
 
@@ -377,54 +380,59 @@ def test_settle_raises_naming_the_last_size():
         settle(iter(steps[:1]), 1e3, "test sequence")
 
 
-def test_doubling_includes_the_first_size_at_or_past_the_cap():
-    assert list(doubling(40, 512)) == [40, 80, 160, 320, 640]
-    assert list(doubling(16, 4096)) == [16 << k for k in range(9)]
-    assert list(doubling(32, 512)) == [32, 64, 128, 256, 512]
-    assert list(doubling(40, 40)) == [40]
-
-
 def test_truncation_dets_match_per_n_determinants():
     lm = gd_symbol(RSPEC, TV, (-30, 30))
     got = list(islice(truncation_dets(lm), 8))
     assert got == [det_DN(build_TN(lm, N)) for N in range(1, 9)]
 
 
-def test_fredholm_det_raises_when_sections_do_not_settle():
-    pf, pq = _plemelj_pair(RSPEC, TV, 8, M=256)
-    with pytest.raises(ConvergenceError, match="by 32"):
-        fredholm_det(pf, tol=0.0, max_M=32)
-    # the quadrature section has no rebuild, so it cannot be refined at all
-    with pytest.raises(ConvergenceError, match="fixed size"):
-        fredholm_det(pq)
-
-
 # -- Fredholm determinant and the Szego-Widom limit --------------------------
+
+
+@pytest.mark.parametrize(
+    "spec", [RSPEC, CSPEC, CSPEC3B], ids=["rational", "covering", "covering-n3"]
+)
+def test_fredholm_det_reads_its_exact_window(spec):
+    # I - K is block triangular past the window, so a section 8 blocks
+    # wider has the window's determinant
+    if base_is_polynomial(spec):
+        # the registry symbol: rows past block g.hi of K vanish
+        lm = gd_symbol(spec, TV, (-30, 30))
+        lm_inv = lm_invert(lm)
+        window = plemelj_fourier(lm, lm_inv, lm.hi)
+        wider = plemelj_fourier(lm, lm_inv, lm.hi + 8)
+    else:
+        # the covering corner: columns past block j' = -W^-1.lo of K vanish;
+        # the wider section is read off the pair g, g^-1 on wide bands
+        tv = time_vector([0.5, 0.0, 0.25, 0.0, 0.125])
+        j = -base_inverse(spec).lo
+        K = tau._hankel_corner(spec, tv)
+        window = PlemeljOperator(spec.n, j, np.eye(len(K)) - K)
+        lm = gd_symbol(spec, tv, (-160, 160))
+        wide = hankel_product_matrix(
+            lm, gd_symbol_inverse(spec, tv, (-168, 168)), range(j + 8), range(j + 8)
+        )
+        wider = PlemeljOperator(spec.n, j + 8, np.eye(len(wide)) - wide)
+        assert tau.tau_stable_report(spec, tv).M_used == j
+    fr, want = fredholm_det(window), fredholm_det(wider).value
+    assert fr.M_used == window.M
+    assert abs(fr.value - want) <= 1e-13 * abs(want)
 
 
 def test_fredholm_matches_direct_limit():
     lm = gd_symbol(RSPEC, TV, (-30, 30))
-    pf = plemelj_fourier(lm, lm_invert(lm), 8)
-    fr = fredholm_det(pf, tol=1e-11)
+    fr = fredholm_det(plemelj_fourier(lm, lm_invert(lm), lm.hi))
     x = deformed_symbol_samples(RSPEC, TV, 1024)
     sw = szego_widom(lm, x, tol=1e-11)
     assert abs(fr.value - sw.D_inf) < 1e-9
     assert abs(sw.G - 1.0) < 1e-10  # reduced flows leave G = det-mean at 1
 
 
-def test_fredholm_det_keeps_its_ladder():
-    lm = gd_symbol(RSPEC, TV, (-30, 30))
-    fr = fredholm_det(plemelj_fourier(lm, lm_invert(lm), 8), tol=1e-11)
-    assert [M for M, _ in fr.history] == list(doubling(8, fr.M_used))
-    assert fr.history[-1] == (fr.M_used, fr.value)
-    assert abs(fr.history[-1][1] - fr.history[-2][1]) == fr.est_error
-
-
 def test_fredholm_grid_invariance():
     lm30 = gd_symbol(RSPEC, TV, (-30, 30))
     lm60 = gd_symbol(RSPEC, TV, (-60, 60))
-    v1 = fredholm_det(plemelj_fourier(lm30, lm_invert(lm30), 8), tol=1e-11).value
-    v2 = fredholm_det(plemelj_fourier(lm60, lm_invert(lm60), 16), tol=1e-11).value
+    v1 = fredholm_det(plemelj_fourier(lm30, lm_invert(lm30), lm30.hi)).value
+    v2 = fredholm_det(plemelj_fourier(lm60, lm_invert(lm60), lm60.hi)).value
     assert abs(v1 - v2) < 1e-9
 
 
