@@ -8,10 +8,11 @@ negative modes; the plus factor is recovered pointwise as T_minus^{-1} g
 and projected onto non-negative modes.  Residual, leakage and conditioning
 certificates quantify how well the truncated factors multiply back.
 
-The depth of the minus factor comes from the data: the system needs as many
-modes as g^{-1} carries (the projection method of Gohberg and Feldman), so
-the solve starts a little past the deepest negative mode of g^{-1} and
-doubles the depth only while the residual fails.
+The depth of the minus factor comes from the data.  T_minus = g T_plus^{-1}
+and T_plus^{-1} has no negative modes, so T_minus is no deeper than g, and
+the B-block projection system (Gohberg and Feldman) is exact once B reaches
+the deepest negative mode of g.  The solver reads that depth off the
+samples of g and solves once.
 
 The opposite factor order g = g_plus * g_minus is obtained from the same
 solver applied to g(1/z): reflection exchanges inside and outside without
@@ -46,8 +47,6 @@ from .laurent import (
 )
 from .symbols import SymbolSpec, TimeVector, exp_xi_lambda, gd_symbol, gd_symbol_values
 
-DEFAULT_EXTRA_BAND = 16   # minus-factor depth beyond the deepest mode of g^{-1}
-
 
 @dataclass
 class FactorizationResult:
@@ -60,71 +59,62 @@ class FactorizationResult:
     cond: float           # condition number of the linear system
     det_plus_dev: float   # sup |det T_plus - 1| over the sample grid
     B_used: int
-    history: list[tuple[int, float]]  # (B, residual) of every depth tried, in order
 
 
 def wiener_hopf(
     x: CircleSamples, B: int | None = None, tol: float = 1e-10
 ) -> FactorizationResult:
-    """Factor the sampled symbol with minus-factor band depth B.
+    """Factor the sampled symbol with minus-factor band depth B, in one solve.
 
-    With B=None the depth is read off the Fourier coefficients of g^{-1}:
+    With B=None the depth is read off the Fourier coefficients of g itself:
     the negative modes from -1 outward up to the first whose norm is not
-    above 1e-16 of the largest mode norm, plus DEFAULT_EXTRA_BAND.  The scan
-    stops there because the FFT's round-off sits at that level: a far mode
-    just above it is noise, not a deeper band.  The depth then doubles,
-    capped at a quarter of the grid, while the residual exceeds tol.  An
-    explicit B is solved once.  Raises FactorizationError when the system is singular or
-    the residual still exceeds tol at the last depth tried.
+    above 1e-16 of the largest mode norm (at least 1, at most a quarter of
+    the grid).  The scan stops there because the FFT's round-off sits at
+    that level: a far mode just above it is noise, not a deeper band.  That
+    depth is exact, since T_minus = g T_plus^{-1} and T_plus^{-1} has no
+    negative modes, so T_minus has no mode below the lowest mode of g; any
+    deeper B gives the same factor at a larger size.  Raises
+    FactorizationError when the system is singular or the residual exceeds
+    tol at depth B.
     """
     cap = x.M // 4
     if B is not None and B > cap:
         raise AliasError(f"grid M={x.M} too coarse for factor depth B={B}")
-    n = x.n
-    ginv = transform(invert_symbol(x), (-cap, cap - 1))
-    last = B is not None
     if B is None:
-        norms = np.linalg.norm(ginv.coeffs, axis=(1, 2))
+        norms = np.linalg.norm(transform(x, (-cap, cap - 1)).coeffs, axis=(1, 2))
         # modes -1, -2, ..., -cap
         below = np.flatnonzero(norms[cap - 1 :: -1] <= 1e-16 * norms.max())
-        depth = int(below[0]) if len(below) else cap
-        B = min(depth + DEFAULT_EXTRA_BAND, cap)
+        B = max(int(below[0]) if len(below) else cap, 1)
+    n = x.n
+    ginv = transform(invert_symbol(x), (-cap, cap - 1))
     scale = float(np.max(np.abs(x.values)))
-    history = []
-    while True:
-        # block system: sum_{k=1..B} (g^{-1})^(k-m) T_minus^(-k) = -(g^{-1})^(-m)
-        ms = np.arange(1, B + 1)
-        A = ginv.block_matrix(ms[None, :] - ms[:, None])
-        rhs = -ginv.block_matrix(-ms[:, None])
-        try:
-            X = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            raise FactorizationError(
-                f"factorization system is numerically singular (solve failed at B={B})"
-            ) from None
-        coeffs = np.zeros((B + 1, n, n), dtype=complex)
-        coeffs[B] = np.eye(n)  # mode 0
-        coeffs[:B] = X.reshape(B, n, n)[::-1]  # modes -B..-1
-        T_minus = LaurentMatrix(n, -B, 0, coeffs)
-
-        tm_vals = inverse_transform(T_minus, x.M, x.radius).values
-        plus_vals = np.linalg.solve(tm_vals, x.values)
-        full = transform(CircleSamples(n, x.M, plus_vals, x.radius), (-cap, cap - 1))
-        T_plus = lm_trim(lm_project(full, 0, full.hi), 1e-16)
-        plus_samples = inverse_transform(T_plus, x.M, x.radius).values
-        recon = np.einsum("lab,lbc->lac", tm_vals, plus_samples)
-        residual = float(np.max(np.abs(x.values - recon))) / max(scale, 1e-300)
-        history.append((B, residual))
-        if residual <= tol or last or B >= cap:
-            break
-        B = min(2 * B, cap)
-    # the system at a depth contains every shallower one as a leading block,
-    # so its condition number is the largest: only the last depth needs it
+    # block system: sum_{k=1..B} (g^{-1})^(k-m) T_minus^(-k) = -(g^{-1})^(-m)
+    ms = np.arange(1, B + 1)
+    A = ginv.block_matrix(ms[None, :] - ms[:, None])
+    rhs = -ginv.block_matrix(-ms[:, None])
+    try:
+        X = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        raise FactorizationError(
+            f"factorization system is numerically singular (solve failed at B={B})"
+        ) from None
     cond = float(np.linalg.cond(A))
     if not np.isfinite(cond) or cond > 1e13:
         raise FactorizationError(
             f"factorization system is numerically singular (cond={cond:.3g})"
         )
+    coeffs = np.zeros((B + 1, n, n), dtype=complex)
+    coeffs[B] = np.eye(n)  # mode 0
+    coeffs[:B] = X.reshape(B, n, n)[::-1]  # modes -B..-1
+    T_minus = LaurentMatrix(n, -B, 0, coeffs)
+
+    tm_vals = inverse_transform(T_minus, x.M, x.radius).values
+    plus_vals = np.linalg.solve(tm_vals, x.values)
+    full = transform(CircleSamples(n, x.M, plus_vals, x.radius), (-cap, cap - 1))
+    T_plus = lm_trim(lm_project(full, 0, full.hi), 1e-16)
+    plus_samples = inverse_transform(T_plus, x.M, x.radius).values
+    recon = np.einsum("lab,lbc->lac", tm_vals, plus_samples)
+    residual = float(np.max(np.abs(x.values - recon))) / max(scale, 1e-300)
     if residual > tol:
         raise FactorizationError(
             f"residual {residual:.3g} exceeds tol {tol:g} at depth B={B}; "
@@ -141,7 +131,6 @@ def wiener_hopf(
         cond=cond,
         det_plus_dev=float(np.max(np.abs(np.linalg.det(plus_samples) - 1.0))),
         B_used=B,
-        history=history,
     )
 
 
@@ -214,14 +203,13 @@ def wave_matrix(spec: SymbolSpec, t: TimeVector) -> tuple[LaurentMatrix, Laurent
     inverse is T_minus^{-1} exp(xi(t,L)).
     """
     T_minus = wiener_hopf(deformed_symbol_samples(spec, t, 2048)).T_minus
-    depth = T_minus.width + 8
     e_hi = 40 + 2 * len(t.values)
     e_minus = exp_xi_lambda(t.negated(), spec.n, (0, e_hi), exact_only=True)
     e_plus = exp_xi_lambda(t, spec.n, (0, e_hi), exact_only=True)
-    band = (-depth, e_hi)
-    psi = lm_trim(lm_mul(e_minus, T_minus, band), 1e-16)
+    # exp(+-xi) have no negative modes: each product starts where its minus operand does
+    psi = lm_trim(lm_mul(e_minus, T_minus, (T_minus.lo, e_hi)), 1e-16)
     tm_inv = lm_invert(T_minus)
-    psi_inv = lm_trim(lm_mul(tm_inv, e_plus, (-tm_inv.width - 4, e_hi)), 1e-16)
+    psi_inv = lm_trim(lm_mul(tm_inv, e_plus, (tm_inv.lo, e_hi)), 1e-16)
     return psi, psi_inv
 
 

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from blocktau.errors import AliasError, FactorizationError
-from blocktau.laurent import inverse_transform, lm_trim, sample_function
+from blocktau.laurent import (
+    LaurentMatrix,
+    inverse_transform,
+    lm_invert,
+    lm_trim,
+    sample_function,
+)
 from blocktau.symbols import (
+    base_symbol,
     covering_spec,
     gd_symbol,
     gd_symbol_values,
@@ -129,38 +136,44 @@ def test_derived_depth_stops_at_the_round_off_floor():
     assert np.max(np.abs(fact.T_minus.coeffs - tail)) < 1e-14
 
 
-def test_derived_depth_raises_at_the_cap():
-    # no depth reaches a residual of 1e-17: the ladder stops at B = M//4
-    with pytest.raises(FactorizationError, match="B=128"):
+def _widom_inverse_samples():
+    # the inverse of (1 - x z)(1 - b/z) at b = 0.35, x = 0.4: the symbol that
+    # the registry row toeplitz.widom_derivative factors
+    c = np.array([-0.35, 1 + 0.4 * 0.35, -0.4], dtype=complex).reshape(3, 1, 1)
+    return inverse_transform(lm_invert(LaurentMatrix(1, -1, 1, c)), 1024)
+
+
+@pytest.mark.parametrize(
+    "make_x, depth",
+    [
+        (_samples, 1),
+        (lambda: _samples(CSPEC, CTV), -base_symbol(CSPEC).lo),
+        (_widom_inverse_samples, 32),
+    ],
+    ids=["rational", "covering", "widom"],
+)
+def test_derived_depth_is_the_depth_of_g(make_x, depth):
+    # T_minus = g T_plus^{-1} has no mode below the lowest mode of g, so one
+    # solve at g's depth meets a tight tol and holds the deep solve's factor
+    x = make_x()
+    fact, deep = wiener_hopf(x, tol=1e-14), wiener_hopf(x, B=256)
+    assert fact.B_used == depth
+    tail = deep.T_minus.coeffs[-depth - 1 :]
+    assert np.max(np.abs(fact.T_minus.coeffs - tail)) < 1e-14
+
+
+def test_derived_depth_ignores_the_round_off_of_g_inverse():
+    # at s = 2 along (1, 0, 1/2, 0, 1/4) the covering's g^{-1} carries FFT
+    # round-off at 1e-15 to 4e-15 of its largest mode out to M//4 = 512,
+    # while g ends at mode -27
+    x = _samples(CSPEC, time_vector([2.0, 0.0, 1.0, 0.0, 0.5]))
+    assert wiener_hopf(x).B_used <= 32
+
+
+def test_derived_depth_raises_at_the_derived_depth():
+    # no depth reaches a residual of 1e-17, and the derived depth is tried once
+    with pytest.raises(FactorizationError, match="B=1;"):
         wiener_hopf(_samples(M=512), tol=1e-17)
-
-
-def test_condition_number_is_taken_at_the_returned_depth_only(monkeypatch):
-    x = _samples(CSPEC, TV, 1024)
-    depths, cond = [], np.linalg.cond
-    monkeypatch.setattr(factorization.np.linalg, "cond", lambda a: depths.append(len(a)) or cond(a))
-    # g^{-1} holds 32 negative modes; starting the ladder at B = 10 misses tol
-    # (residual 5e-7) and B = 20 meets it (2e-12)
-    monkeypatch.setattr(factorization, "DEFAULT_EXTRA_BAND", 10 - 32)
-    fact = wiener_hopf(x, tol=1e-10)
-    assert fact.B_used == 20
-    assert depths == [2 * 20]
-    assert fact.cond == wiener_hopf(x, B=20, tol=1e-10).cond
-    with pytest.raises(FactorizationError, match="B=256"):
-        wiener_hopf(x, tol=1e-17)
-    assert depths[-1] == 2 * 256
-
-
-def test_depth_history_records_every_depth_tried(monkeypatch):
-    # the ladder of the test above: B = 10 misses tol, B = 20 meets it
-    x = _samples(CSPEC, TV, 1024)
-    monkeypatch.setattr(factorization, "DEFAULT_EXTRA_BAND", 10 - 32)
-    fact = wiener_hopf(x, tol=1e-10)
-    assert [B for B, _ in fact.history] == [10, 20]
-    assert fact.history[0][1] > 1e-10
-    assert fact.history[-1] == (fact.B_used, fact.residual)
-    once = wiener_hopf(x, B=20, tol=1e-10)
-    assert once.history == [(once.B_used, once.residual)]
 
 
 def test_alias_guard():
