@@ -12,7 +12,9 @@ The depth of the minus factor comes from the data.  T_minus = g T_plus^{-1}
 and T_plus^{-1} has no negative modes, so T_minus is no deeper than g, and
 the B-block projection system (Gohberg and Feldman) is exact once B reaches
 the deepest negative mode of g.  The solver reads that depth off the
-samples of g and solves once.
+samples of g and solves once.  The nB x nB projection system is one
+numpy.linalg solve; the pointwise plus factor and its determinant run in
+the stacked sample kernel (laurent.stacked_solve).
 
 The opposite factor order g = g_plus * g_minus is obtained from the same
 solver applied to g(1/z): reflection exchanges inside and outside without
@@ -21,13 +23,14 @@ changing any block Toeplitz determinant.
 The factorization of a deformed symbol encodes the wave matrix of the
 hierarchy: the minus factor at times t equals exp(xi(t, L)) times the wave
 matrix at -t, which turns the finite-N determinant ratio into an ordinary
-n x n determinant (checked by tau_ratio_check).
+n x n determinant (checked by tau_ratio_check).  The wave matrix is built
+once per (spec, t) and shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .laurent import (
     lm_reflect,
     lm_trim,
     sample_function,
+    stacked_solve,
     transform,
 )
 from .symbols import SymbolSpec, TimeVector, exp_xi_lambda, gd_symbol, gd_symbol_values
@@ -109,7 +113,7 @@ def wiener_hopf(
     T_minus = LaurentMatrix(n, -B, 0, coeffs)
 
     tm_vals = inverse_transform(T_minus, x.M, x.radius).values
-    plus_vals = np.linalg.solve(tm_vals, x.values)
+    plus_vals = stacked_solve(tm_vals, x.values)[0]
     full = transform(CircleSamples(n, x.M, plus_vals, x.radius), (-cap, cap - 1))
     T_plus = lm_trim(lm_project(full, 0, full.hi), 1e-16)
     plus_samples = inverse_transform(T_plus, x.M, x.radius).values
@@ -123,13 +127,14 @@ def wiener_hopf(
     # energy bookkeeping before projection onto non-negative modes
     neg_energy = float(np.linalg.norm(full.coeffs[: -full.lo]) ** 2)
     tot_energy = float(np.linalg.norm(full.coeffs) ** 2)
+    det_plus = stacked_solve(plus_samples, plus_samples[:, :, :0])[1]
     return FactorizationResult(
         T_minus=T_minus,
         T_plus=T_plus,
         residual=residual,
         leakage=neg_energy / tot_energy if tot_energy > 0 else 0.0,
         cond=cond,
-        det_plus_dev=float(np.max(np.abs(np.linalg.det(plus_samples) - 1.0))),
+        det_plus_dev=float(np.max(np.abs(det_plus - 1.0))),
         B_used=B,
     )
 
@@ -200,8 +205,15 @@ def wave_matrix(spec: SymbolSpec, t: TimeVector) -> tuple[LaurentMatrix, Laurent
     The minus factor of the deformed symbol (2048 samples, depth derived
     from the data, default residual tol) factors as exp(xi(t,L)) times the
     wave matrix at -t, so the wave matrix is exp(-xi(t,L)) T_minus and its
-    inverse is T_minus^{-1} exp(xi(t,L)).
+    inverse is T_minus^{-1} exp(xi(t,L)).  Built once per (spec, t) and
+    shared (bounded cache); the coefficient arrays are read-only.
     """
+    return _wave_matrix(spec, t.values, t.gd_reduced)
+
+
+@lru_cache(maxsize=16)
+def _wave_matrix(spec: SymbolSpec, values: tuple, gd_reduced: bool):
+    t = TimeVector(values, gd_reduced)
     T_minus = wiener_hopf(deformed_symbol_samples(spec, t, 2048)).T_minus
     e_hi = 40 + 2 * len(t.values)
     e_minus = exp_xi_lambda(t.negated(), spec.n, (0, e_hi), exact_only=True)
@@ -210,6 +222,8 @@ def wave_matrix(spec: SymbolSpec, t: TimeVector) -> tuple[LaurentMatrix, Laurent
     psi = lm_trim(lm_mul(e_minus, T_minus, (T_minus.lo, e_hi)), 1e-16)
     tm_inv = lm_invert(T_minus)
     psi_inv = lm_trim(lm_mul(tm_inv, e_plus, (tm_inv.lo, e_hi)), 1e-16)
+    for lm in (psi, psi_inv):
+        lm.coeffs.flags.writeable = False
     return psi, psi_inv
 
 

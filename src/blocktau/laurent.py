@@ -10,6 +10,12 @@ Conversions use the FFT.  A grid of M points can faithfully carry a band of
 width at most M/2 (one-in-two oversampling); both conversion directions
 enforce this and raise AliasError otherwise.
 
+Pointwise inverses, solves and determinants of a sample stack go through
+one kernel, stacked_solve: partial-pivoting elimination with every matrix
+entry held as a length-M array, O(n^3) array operations in place of one
+LAPACK call per sample.  numpy.linalg stays the independent reference in
+the check registry and the tests.
+
 Scalar and vector valued series (single row of coefficients per power)
 reuse the same conventions and are used for the column generators of the
 symbols and for the flattening map between C^n-valued and scalar series.
@@ -309,19 +315,68 @@ def samples_mul(a: CircleSamples, b: CircleSamples) -> CircleSamples:
     return CircleSamples(a.n, a.M, a.values @ b.values, a.radius)
 
 
+def _mag(v: np.ndarray) -> np.ndarray:
+    """|Re| + |Im|, the pivot size of LAPACK's izamax."""
+    return np.abs(v.real) + np.abs(v.imag)
+
+
+def stacked_solve(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """x_m = a_m^-1 b_m and det a_m for every matrix of a stack a of shape (M, n, n).
+
+    b has shape (M, n, k); None solves for the inverse, and k = 0 gives the
+    determinants alone.  Gaussian elimination with partial pivoting on the
+    augmented rows [a_m | b_m], with each entry held as one length-M array:
+    O(n^3) array operations in place of one LAPACK call per matrix, and
+    backward stable all the same (Higham 2002, ch. 9).  The pivot is the
+    first entry of largest |Re| + |Im| in its column, as LAPACK's izamax
+    picks it.  A zero pivot gives det 0 and a non-finite x, where np.linalg
+    would raise.
+    """
+    M, n = a.shape[0], a.shape[-1]
+    k = n if b is None else b.shape[-1]
+    T = np.empty((n, n + k, M), dtype=complex)  # T[i, j]: entry (i, j) of every matrix
+    T[:, :n] = a.transpose(1, 2, 0)
+    T[:, n:] = np.eye(n)[:, :, None] if b is None else b.transpose(1, 2, 0)
+    det = np.ones(M, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in range(n):
+            best = _mag(T[c, c])
+            for r in range(c + 1, n):  # row c takes each larger pivot in turn
+                m = _mag(T[r, c])
+                swap = m > best
+                if swap.any():
+                    top, row = T[c, c:], T[r, c:]
+                    new_top = np.where(swap, row, top)
+                    row[...] = np.where(swap, top, row)
+                    top[...] = new_top
+                    det = np.where(swap, -det, det)
+                    best = np.where(swap, m, best)
+            piv = T[c, c]
+            det *= piv
+            # below a zero pivot the column is zero already: nothing to eliminate
+            f = T[c + 1 :, c] / np.where(piv == 0, 1, piv)
+            T[c + 1 :, c + 1 :] -= f[:, None] * T[c, c + 1 :]
+        X = T[:, n:]
+        if k:
+            for c in range(n - 1, -1, -1):
+                for j in range(c + 1, n):
+                    X[c] -= T[c, j] * X[j]
+                X[c] /= T[c, c]
+    return np.ascontiguousarray(X.transpose(2, 0, 1)), det
+
+
 def invert_symbol(x: CircleSamples) -> CircleSamples:
     """Pointwise matrix inverse; rejects nearly singular sample points.
 
     ||A||_F ||A^-1||_F, an upper bound of cond_2(A), screens every sample
-    from the inverse itself.  Only when a sample misses COND_SCREEN (half
-    of COND_LIMIT: room for the round-off of an inverse at that
-    conditioning) are the SVD condition numbers computed; they decide.
+    from the inverse itself (stacked_solve; an exactly singular sample
+    gives a non-finite inverse and misses the screen).  Only when a sample
+    misses COND_SCREEN (half of COND_LIMIT: room for the round-off of an
+    inverse at that conditioning) are the SVD condition numbers computed;
+    they decide.
     """
-    try:
-        inv = np.linalg.inv(x.values)
-    except np.linalg.LinAlgError:  # exactly singular: the condition numbers say so
-        inv = None
-    if inv is None or not np.all(
+    inv = stacked_solve(x.values)[0]
+    if not np.all(
         np.linalg.norm(x.values, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2)) <= COND_SCREEN
     ):
         conds = np.linalg.cond(x.values)
@@ -369,7 +424,7 @@ def _continuous_log_det(x: CircleSamples) -> tuple[np.ndarray, int]:
     Raises WindingUndefined when det nearly vanishes and BranchError when the
     sampled argument jumps too fast to be unwrapped confidently.
     """
-    dets = np.linalg.det(x.values)
+    dets = stacked_solve(x.values, x.values[:, :, :0])[1]
     mags = np.abs(dets)
     floor = DET_FLOOR * float(np.max(mags, initial=0.0))
     if np.any(mags <= floor) or np.max(mags, initial=0.0) == 0.0:
@@ -378,15 +433,19 @@ def _continuous_log_det(x: CircleSamples) -> tuple[np.ndarray, int]:
             f"det of the symbol is ~0 at sample {j} (|det|={mags[j]:.3g})"
         )
     args = np.angle(dets)
-    steps = np.diff(np.concatenate([args, args[:1]]))
-    steps = (steps + np.pi) % (2 * np.pi) - np.pi
+    raw = np.diff(np.concatenate([args, args[:1]]))
+    steps = (raw + np.pi) % (2 * np.pi) - np.pi
     if np.max(np.abs(steps)) > UNWRAP_JUMP:
         raise BranchError(
             "argument of det jumps by more than pi/2 between neighbour "
             f"samples (max {np.max(np.abs(steps)):.3f} rad at M={x.M}); "
             "refine the grid"
         )
-    unwrapped = args[0] + np.concatenate([[0.0], np.cumsum(steps[:-1])])
+    # the branch is args plus whole turns, counted exactly: a running sum of
+    # the steps would carry the round-off of every step into the mean, and
+    # G^N multiplies that by N
+    turns = np.rint((steps - raw) / (2 * np.pi))
+    unwrapped = args + 2 * np.pi * np.concatenate([[0.0], np.cumsum(turns[:-1])])
     winding = int(np.rint(np.sum(steps) / (2 * np.pi)))
     return np.log(mags) + 1j * unwrapped, winding
 

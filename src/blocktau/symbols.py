@@ -20,7 +20,9 @@ where L is the n x n companion-type shift matrix with L^n = z*I and
 xi(t, L) = sum_m t_m L^m.  Deformed symbols exist in three versions:
 pointwise values, banded Fourier coefficients, and banded coefficients
 over the truncated graded ring (entries polynomial in the times).  W and
-W^-1 are built once per spec.
+W^-1 are built once per spec.  Pointwise, exp(xi(t, L(z))) is a closed
+form over the n roots of z (one inverse DFT, no solve), and the diagonal
+W(z) scales its columns.
 
 The flattening map identifies C^n-valued series in z with scalar series in
 a root zeta of z (zeta^n = z) by interleaving components; together with its
@@ -142,26 +144,30 @@ def covering_spec(a, n: int) -> SymbolSpec:
 # -- base symbol -------------------------------------------------------------
 
 
-def base_symbol_values(spec: SymbolSpec, z) -> np.ndarray:
-    """Pointwise values of the undeformed symbol on an array of z."""
+def _base_diagonal(spec: SymbolSpec, z) -> np.ndarray:
+    """Diagonal of the undeformed symbol W(z) on an array of z; shape z.shape + (n,)."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    n = spec.n
-    out = np.zeros(z.shape + (n, n), dtype=complex)
     if spec.family == "rational":
-        for i, c in enumerate(spec.params):
-            out[..., i, i] = 1.0 - c**2 / z
-        return out
+        return 1.0 - np.array(spec.params) ** 2 / z[..., None]
     if spec.family == "covering":
-        roots = np.array(spec.params)
         # w_i = prod_j (1 - a_j/z)^((i-1)/n) / prod_{j <= (i-1)k} (1 - a_j/z),
         # all branches principal: each factor stays in Re > 0 for |z| > |a_j|.
-        logs = np.log1p(-roots / z[..., None])  # shape z-shape + (nk+1,)
+        logs = np.log1p(-np.array(spec.params) / z[..., None])  # shape z-shape + (nk+1,)
         total = np.sum(logs, axis=-1)
-        for i in range(n):
+        out = np.empty(z.shape + (spec.n,), dtype=complex)
+        for i in range(spec.n):
             head = np.sum(logs[..., : i * spec.k], axis=-1)
-            out[..., i, i] = np.exp((i / n) * total - head)
+            out[..., i] = np.exp((i / spec.n) * total - head)
         return out
     raise SpecError(f"unknown family {spec.family!r}")
+
+
+def base_symbol_values(spec: SymbolSpec, z) -> np.ndarray:
+    """Pointwise values of the undeformed symbol on an array of z."""
+    d = _base_diagonal(spec, z)
+    out = np.zeros(d.shape + (spec.n,), dtype=complex)
+    out[..., np.arange(spec.n), np.arange(spec.n)] = d
+    return out
 
 
 @lru_cache
@@ -358,18 +364,26 @@ def root_grid(z: np.ndarray, n: int) -> np.ndarray:
 
 
 def exp_xi_values(t: TimeVector, n: int, z) -> np.ndarray:
-    """Pointwise exp(xi(t, L(z))) by diagonalizing L over the roots of z.
+    """Pointwise exp(xi(t, L(z))) in closed form over the roots of z.
 
     The rows of the Vandermonde V(zeta_i) = zeta_i^a are left eigenvectors
     of L(z) with eigenvalues zeta_i, so exp(xi(t,L)) = V^-1 diag(e^xi) V.
+    With zeta_i = zeta_1 w^i (w = e^(2 pi i/n)), V = F diag(zeta_1^a) for
+    the n-point DFT matrix F, and V^-1 = diag(zeta_1^-a) conj(F) / n.  So
+    entry (a, b) is zeta_1^(b-a) c_((b-a) mod n), c the inverse DFT of
+    e^xi(zeta_i) over the n roots: no solve.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     zeta = root_grid(z, n)                      # ( ..., n)
-    V = zeta[..., :, None] ** np.arange(n)      # ( ..., n, n): V[i,a] = zeta_i^a
-    teff = t.effective(n)
-    ks = np.arange(1, len(teff) + 1)
-    xi = np.tensordot(zeta[..., None] ** ks, teff, axes=(-1, 0))  # ( ..., n)
-    return np.linalg.solve(V, np.exp(xi)[..., None] * V)
+    xi = ScalarSeries(1, t.effective(n))(zeta)  # sum_k t_k zeta_i^k
+    c = np.fft.ifft(np.exp(xi), axis=-1)
+    # zeta_1^d for d = -(n-1) .. n-1 at index n-1+d, by repeated products
+    pw = np.ones(z.shape + (2 * n - 1,), dtype=complex)
+    for k in range(1, n):
+        pw[..., n - 1 + k] = pw[..., n - 2 + k] * zeta[..., 0]
+        pw[..., n - 1 - k] = pw[..., n - k] / zeta[..., 0]
+    d = np.arange(n) - np.arange(n)[:, None]    # b - a
+    return pw[..., n - 1 + d] * c[..., d % n]
 
 
 # -- deformed symbol ---------------------------------------------------------
@@ -395,8 +409,12 @@ def gd_symbol(
 
 
 def gd_symbol_values(spec: SymbolSpec, t: TimeVector, z) -> np.ndarray:
-    """Pointwise values of the deformed symbol."""
-    return exp_xi_values(t, spec.n, z) @ base_symbol_values(spec, z)
+    """Pointwise values of the deformed symbol.
+
+    W(z) is diagonal for both families, so exp(xi) W scales the columns of
+    exp(xi) by the diagonal of W.
+    """
+    return exp_xi_values(t, spec.n, z) * _base_diagonal(spec, z)[..., None, :]
 
 
 @lru_cache

@@ -2,8 +2,9 @@
 
 schur_recurrence is a loop kept independent of the vectorized code, and
 schur_mpmath the same recurrence at 40 digits, a reference for values that
-cancel below the round-off of a double; rational_tau_mpmath is the stable
-tau of a rational family at 40 digits, for every block size n;
+cancel below the round-off of a double; exp_xi_mpmath sums those values
+into the pointwise exp(xi(t, L(z))) at 40 digits; rational_tau_mpmath is
+the stable tau of a rational family at 40 digits, for every block size n;
 tau_graded_elimination eliminates the whole nN x nN ring matrix, the
 reference for the rank-r route of tau.tau_graded; gd_symbol_inverse is
 the banded inverse of the deformed symbol, the wide-band reference for
@@ -44,15 +45,45 @@ def schur_recurrence(tvals, kmax):
     return p
 
 
+def _schur_mp(tvals, kmax):
+    """p_0..p_kmax by the recurrence, as mpmath numbers at the working precision."""
+    ts = [mpmath.mpc(complex(v)) for v in tvals]
+    p = [mpmath.mpc(1)]
+    for k in range(1, kmax + 1):
+        terms = (i * ts[i - 1] * p[k - i] for i in range(1, min(k, len(ts)) + 1))
+        p.append(mpmath.fsum(terms) / k)
+    return p
+
+
 def schur_mpmath(tvals, kmax):
     """The recurrence at 40 digits."""
     with mpmath.workdps(40):
-        ts = [mpmath.mpc(complex(v)) for v in tvals]
-        p = [mpmath.mpc(1)]
-        for k in range(1, kmax + 1):
-            terms = (i * ts[i - 1] * p[k - i] for i in range(1, min(k, len(ts)) + 1))
-            p.append(mpmath.fsum(terms) / k)
-        return np.array([complex(v) for v in p])
+        return np.array([complex(v) for v in _schur_mp(tvals, kmax)])
+
+
+def exp_xi_mpmath(tvals, n, z, kmax=150):
+    """exp(xi(t, L(z))) at each z, at 40 digits, from the series sum_k p_k L^k.
+
+    Entry (a, b) of L^k is z^q when nq + a - b = k, so entry (a, b) is
+    sum_q p_(nq+a-b) z^q, summed by Horner's rule: no roots of z and no
+    diagonalization.  tvals are the times as applied (TimeVector.effective).
+    """
+    with mpmath.workdps(40):
+        p = _schur_mp(tvals, kmax)
+        if abs(p[-1]) > mpmath.mpf(10) ** -38:
+            raise TruncationError(f"Schur values reach {float(abs(p[-1])):.3g} at k={kmax}")
+        out = np.zeros((len(z), n, n), dtype=complex)
+        for m, zv in enumerate(z):
+            zm = mpmath.mpc(complex(zv))
+            for d in range(1 - n, n):  # d = a - b
+                acc = mpmath.mpc(0)
+                for k in reversed(range(d % n, kmax + 1, n)):
+                    acc = acc * zm + p[k]
+                if d < 0:  # the first term, k = n + d, has q = 1
+                    acc *= zm
+                a = np.arange(max(d, 0), min(n, n + d))
+                out[m, a, a - d] = complex(acc)
+        return out
 
 
 def binomial_series_mpmath(b, E, depth):

@@ -21,7 +21,7 @@ from blocktau.symbols import (
     rational_spec,
     time_vector,
 )
-from blocktau import factorization
+from blocktau import checks, cli, factorization
 from blocktau.factorization import (
     bo_consistency_check,
     deformed_symbol_samples,
@@ -233,6 +233,26 @@ def test_tau_ratio_corrected_identity():
                 / correction_det(psi, psi_inv, N + 1).det_correction
             )
             assert abs(tr.corrected_det - schur) < 1e-13
+
+
+def test_registry_rows_build_the_wave_matrix_once(monkeypatch, tmp_path):
+    # ratio_block_determinant and wave_matrix_correction read the wave matrix
+    # of one (spec, t) at N = 1, 2: one minus factor serves all four
+    cfg = cli.load_config(None)
+    ctx = checks.Context(cfg.verify_seed, cfg, str(tmp_path))
+    calls = []
+    real = factorization.wiener_hopf
+    monkeypatch.setattr(
+        factorization, "wiener_hopf", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    factorization._wave_matrix.cache_clear()
+    for entry in checks.CHECKS:
+        if entry.name in ("ratio_block_determinant", "wave_matrix_correction"):
+            assert entry.fn(ctx, entry.tol)[1]
+    assert len(calls) == 1
+    psi, psi_inv = wave_matrix(ctx.rspec, checks.TV)
+    assert not psi.coeffs.flags.writeable and not psi_inv.coeffs.flags.writeable
+    assert len(calls) == 1
 
 
 def test_bo_consistency_via_wave_matrix():

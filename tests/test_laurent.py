@@ -30,6 +30,7 @@ from blocktau.laurent import (
     lm_trim,
     sample_function,
     samples_mul,
+    stacked_solve,
     transform,
     winding_number,
     write_csv,
@@ -85,9 +86,90 @@ def test_invert_symbol_screen_keeps_the_svd_decision(monkeypatch, cond):
         assert str(exc.value) == f"condition number {worst:.3g} at sample 5 exceeds 1e+12"
     else:
         inv = invert_symbol(x)
-        assert np.array_equal(inv.values, np.linalg.inv(x.values))
+        assert np.array_equal(inv.values, stacked_solve(x.values)[0])
     # the Frobenius screen clears samples below half the limit without an SVD
     assert len(svd_calls) == (0 if cond < 0.5 * COND_LIMIT else 1)
+    if conds.max() <= COND_LIMIT:
+        _assert_near_lapack(x.values, inv.values, np.linalg.inv(x.values))
+
+
+# -- the stacked elimination kernel ------------------------------------------
+
+
+def _assert_near_lapack(a, got, want):
+    """Two backward stable solves of one stack differ by at most ~n eps cond(a_m) |x_m|."""
+    n = a.shape[-1]
+    scale = np.linalg.cond(a) * np.linalg.norm(want.reshape(len(a), -1), axis=1)
+    gap = np.linalg.norm((got - want).reshape(len(a), -1), axis=1)
+    assert np.all(gap <= 8 * n * np.finfo(float).eps * scale)
+
+
+def _random_stack(rng, M, n, k=None):
+    shape = (M, n, n if k is None else k)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_solve_matches_lapack(n):
+    rng = np.random.default_rng(40 + n)
+    a = _random_stack(rng, 256, n)
+    b = _random_stack(rng, 256, n, 3)
+    x, det = stacked_solve(a, b)
+    _assert_near_lapack(a, x, np.linalg.solve(a, b))
+    inv, det_inv = stacked_solve(a)
+    _assert_near_lapack(a, inv, np.linalg.inv(a))
+    det_only = stacked_solve(a, a[:, :, :0])[1]
+    assert np.array_equal(det, det_inv) and np.array_equal(det, det_only)
+    want = np.linalg.det(a)
+    bound = 8 * n * np.finfo(float).eps * np.linalg.cond(a) * np.abs(want)
+    assert np.all(np.abs(det - want) <= bound)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_solve_swaps_a_row_at_every_step(n):
+    # the shift L(z) with a small diagonal: column c's pivot is the
+    # subdiagonal one, one row below, at every elimination step
+    rng = np.random.default_rng(50 + n)
+    z = np.exp(2j * np.pi * np.arange(64) / 64)
+    a = np.zeros((64, n, n), dtype=complex)
+    a[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    a[:, 0, n - 1] = z
+    a += 1e-3 * _random_stack(rng, 64, n)
+    x, det = stacked_solve(a)
+    _assert_near_lapack(a, x, np.linalg.inv(a))
+    want = np.linalg.det(a)
+    assert np.max(np.abs(det - want)) <= 1e-14
+    # n - 1 swaps: det ~ (-1)^(n-1) z
+    assert np.max(np.abs(det - (-1) ** (n - 1) * z)) < 1e-2
+
+
+def test_stacked_solve_singular_sample():
+    # an exactly singular sample gives det 0 and a non-finite inverse there,
+    # and leaves its neighbours alone
+    rng = np.random.default_rng(60)
+    a = _random_stack(rng, 8, 2)
+    a[3] = [[1.0, 2.0], [2.0, 4.0]]
+    a[6] = 0.0
+    inv, det = stacked_solve(a)
+    assert det[3] == 0 and det[6] == 0
+    assert not np.isfinite(inv[3]).all() and not np.isfinite(inv[6]).all()
+    ok = np.array([0, 1, 2, 4, 5, 7])
+    _assert_near_lapack(a[ok], inv[ok], np.linalg.inv(a[ok]))
+
+
+def test_singular_sample_keeps_the_errors():
+    values = np.eye(2) + 0.1 * _random_stack(np.random.default_rng(61), 16, 2)
+    values[9] = [[1.0, 2.0], [2.0, 4.0]]
+    x = CircleSamples(2, 16, values)
+    conds = np.linalg.cond(values)
+    worst = float(np.max(conds))
+    j = int(np.argmax(np.where(np.isfinite(conds), conds, np.inf)))
+    with pytest.raises(NearSingularSymbol) as exc:
+        invert_symbol(x)
+    assert str(exc.value) == f"condition number {worst:.3g} at sample {j} exceeds 1e+12"
+    with pytest.raises(WindingUndefined) as exc:
+        winding_number(x)
+    assert str(exc.value) == "det of the symbol is ~0 at sample 9 (|det|=0)"
 
 
 def test_transform_alias_guard():

@@ -34,7 +34,13 @@ from blocktau.symbols import (
     xi_inverse,
     xi_map,
 )
-from oracles import binomial_series_mpmath, schur_mpmath, schur_recurrence, transform_adaptive
+from oracles import (
+    binomial_series_mpmath,
+    exp_xi_mpmath,
+    schur_mpmath,
+    schur_recurrence,
+    transform_adaptive,
+)
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
@@ -208,6 +214,18 @@ def test_exp_xi_values_match_scalar_exponential():
         assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(eigs))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("radius", [1.0, 0.8])
+def test_exp_xi_values_closed_form_vs_40_digits(n, radius):
+    # times of mixed sign and phase; 1e-15 of the largest entry is met by
+    # the Vandermonde solve V^-1 diag(e^xi) V as well (9.8e-16 at worst here)
+    tv = time_vector([0.4, -0.3, 0.25j, 0.2, -0.1, 0.05])
+    z = radius * np.exp(2j * np.pi * (np.arange(64) + 0.37) / 64)
+    want = exp_xi_mpmath(tv.effective(n), n, z)
+    gap = np.max(np.abs(exp_xi_values(tv, n, z) - want))
+    assert gap <= 1e-15 * np.max(np.abs(want))
+
+
 def test_exp_xi_inverse_is_reversed_times():
     tv = time_vector([0.3, 0.0, -0.2, 0.0, 0.12])
     neg = time_vector([-v for v in tv.values])
@@ -372,6 +390,26 @@ def test_rational_base_symbol_values():
     for li, zv in enumerate(z):
         want = np.diag([1 - 0.3**2 / zv, 1 - 0.6**2 / zv])
         assert np.max(np.abs(vals[li] - want)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [RSPEC, CSPEC, rational_spec([0.3, 0.6, 0.9]), covering_spec([0.3, -0.25, 0.35j, 0.1], 3)],
+    ids=["rational", "covering", "rational3", "covering3"],
+)
+def test_base_symbol_values_are_diagonal(spec):
+    # gd_symbol_values scales the columns of exp(xi) by the diagonal of W,
+    # which is the product exp(xi) W only while W is diagonal
+    tv = time_vector([0.4, -0.3, 0.25j, 0.2, -0.1, 0.05])
+    for radius in (1.0, 0.8):
+        z = radius * np.exp(2j * np.pi * (np.arange(64) + 0.37) / 64)
+        w = base_symbol_values(spec, z)
+        off = w.copy()
+        off[:, np.arange(spec.n), np.arange(spec.n)] = 0.0
+        assert not np.any(off)
+        want = exp_xi_values(tv, spec.n, z) @ w
+        gap = np.max(np.abs(gd_symbol_values(spec, tv, z) - want))
+        assert gap <= 4 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 def test_covering_base_symbol_is_diagonal_unit_det():
