@@ -576,10 +576,10 @@ def spectral_check(
     z1 = np.exp(2j * np.pi * np.arange(M1) / M1)
     z2 = np.exp(2j * np.pi * np.arange(2 * M1) / (2 * M1))
     p1 = _match_branches(
-        np.linalg.eig(np.transpose(bc.C(z1), (0, 2, 1)))[0], bs(root_grid(z1, spec.n))
+        np.linalg.eigvals(np.transpose(bc.C(z1), (0, 2, 1))), bs(root_grid(z1, spec.n))
     )
     p2 = _match_branches(
-        np.linalg.eig(np.transpose(bc.C(z2), (0, 2, 1)))[0], bs(root_grid(z2, spec.n))
+        np.linalg.eigvals(np.transpose(bc.C(z2), (0, 2, 1))), bs(root_grid(z2, spec.n))
     )
     stable = bool(np.array_equal(p1, p2[::2]))
 

@@ -373,11 +373,14 @@ def evaluate(p: GradedPoly, tvals) -> complex:
     return complex(monomials @ p.coeffs[nz])
 
 
+@lru_cache(maxsize=None)
+def _alive(K: int, Q: int, dead: tuple[int, ...]) -> np.ndarray:
+    return ~_basis(K, Q).exps[:, [i - 1 for i in dead]].any(axis=1)
+
+
 def zero_times(p: GradedPoly, indices) -> GradedPoly:
     """Substitute t_i = 0 for every i in indices (1-based)."""
-    dead = [i - 1 for i in indices]
-    alive = ~_basis(p.K, p.Q).exps[:, dead].any(axis=1)
-    return GradedPoly(p.K, p.Q, np.where(alive, p.coeffs, 0.0))
+    return GradedPoly(p.K, p.Q, np.where(_alive(p.K, p.Q, tuple(indices)), p.coeffs, 0.0))
 
 
 def negate_times(p: GradedPoly) -> GradedPoly:
@@ -408,12 +411,6 @@ def schur_sequence(K: int, Q: int) -> list[GradedPoly]:
     their coefficient vectors are read-only.
     """
     return list(_schur_layers(K, Q))
-
-
-def schur_sequence_reduced(K: int, Q: int, n: int) -> list[GradedPoly]:
-    """Schur sequence with every t_i, i divisible by n, frozen to zero."""
-    dead = [i for i in range(1, K + 1) if i % n == 0]
-    return [zero_times(p, dead) for p in schur_sequence(K, Q)]
 
 
 def normalize_partition(l) -> Partition:

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateInput, SpecError, TruncationError
-from .gradedpoly import schur_sequence, schur_sequence_reduced
+from .gradedpoly import schur_sequence
 from .laurent import (
     LaurentMatrix,
     ScalarSeries,
@@ -418,7 +418,7 @@ def gd_symbol_values(spec: SymbolSpec, t: TimeVector, z) -> np.ndarray:
 
 
 @lru_cache
-def exp_xi_graded(n: int, Q: int, gd_reduced: bool) -> np.ndarray:
+def exp_xi_graded(n: int, Q: int) -> np.ndarray:
     """exp(xi(t, L)) over the graded ring.
 
     Returns the coefficient array of shape (ceil(Q/n) + 1, n, n, basis) of
@@ -426,15 +426,12 @@ def exp_xi_graded(n: int, Q: int, gd_reduced: bool) -> np.ndarray:
     higher layers vanish in the truncated ring.  Cached per arguments; the
     array is read-only.
     """
-    ps = schur_sequence_reduced(Q, Q, n) if gd_reduced else schur_sequence(Q, Q)
-    out = fold(np.stack([p.coeffs for p in ps]), 0, n, (0, (Q + n - 1) // n))
+    out = fold(np.stack([p.coeffs for p in schur_sequence(Q, Q)]), 0, n, (0, -(-Q // n)))
     out.flags.writeable = False
     return out
 
 
-def gd_symbol_graded(
-    spec: SymbolSpec, band: tuple[int, int], Q: int, gd_reduced: bool
-) -> np.ndarray:
+def gd_symbol_graded(spec: SymbolSpec, band: tuple[int, int], Q: int) -> np.ndarray:
     """Deformed symbol with entries kept as polynomials in the times t_1..t_Q.
 
     Returns the coefficient array of shape (width, n, n, basis) on the band:
@@ -444,7 +441,7 @@ def gd_symbol_graded(
     ceil(Q/n), so no band-edge tail exists, and the Schur layers in e are
     disjoint in weight, so each coefficient is a single product.
     """
-    e = exp_xi_graded(spec.n, Q, gd_reduced)
+    e = exp_xi_graded(spec.n, Q)
     w = base_symbol(spec)
     ks = np.arange(band[0], band[1] + 1)
     w_sec = gather_modes(w.coeffs, w.lo, ks - np.arange(len(e))[:, None])  # W_(q-m)

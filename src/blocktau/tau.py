@@ -51,7 +51,7 @@ from .gradedpoly import (
     negate_times,
     sato_shift,
     schur_sequence,
-    schur_sequence_reduced,
+    zero_times,
 )
 from .laurent import COND_LIMIT, COND_SCREEN, LaurentMatrix, gather_modes, lm_mul
 from .symbols import (
@@ -108,6 +108,11 @@ __all__ = [
 def _D(p: GradedPoly) -> GradedPoly:
     """Derivative along the first time, the direction of all Wronskians."""
     return p.derivative(1)
+
+
+def _gd_freeze(p: GradedPoly, n: int) -> GradedPoly:
+    """p at t_n = t_2n = ... = 0, a substitution that commutes with the ring operations."""
+    return zero_times(p, range(n, p.K + 1, n))
 
 
 def _tower(p: GradedPoly, count: int) -> list[GradedPoly]:
@@ -187,7 +192,7 @@ def tau_graded(spec: SymbolSpec, N: int, Q: int, gd_reduced: bool = True) -> Gra
     In the flat index, entry (i, m) of U is sum_{0<=j<=i} p_j(-t) p_{i+m-j}
     with p the Schur layers: it is homogeneous of weight i + m, so column m
     of U is read off one ring element, the tail sum_{j>=m} p_j times
-    exp(-sum_k t_k) (_hankel_columns, cached per (n, Q, gd_reduced)), and
+    exp(-sum_k t_k) (_hankel_columns, cached per Q), and
     every coefficient of the ring matrix is one product of a numeric entry
     and a coefficient of that table.  Rows of V T_N(W)^-1 that vanish leave
     identity rows in the r x r matrix, and columns that vanish identity
@@ -195,6 +200,7 @@ def tau_graded(spec: SymbolSpec, N: int, Q: int, gd_reduced: bool = True) -> Gra
     both sides drop them and the smaller of what is left is taken.  Column
     m (row i) of the ring matrix has no weight below m (i + 1); the matrix
     goes to gp_det heaviest pivot first, where most products pass Q.
+    gd_reduced sets t_n, t_2n, ... to zero in the result (_gd_freeze).
     """
     n = spec.n
     if N == 0:
@@ -217,7 +223,7 @@ def tau_graded(spec: SymbolSpec, N: int, Q: int, gd_reduced: bool = True) -> Gra
     # the entries of U outside 0 <= i < nN, 1 <= m <= r
     Xp = np.zeros((r + 1, nN + 1), dtype=complex)
     Xp[1:, :nN] = X
-    cols = _hankel_columns(n, Q, gd_reduced)[:r]
+    cols = _hankel_columns(Q)[:r]
     Cp = np.zeros((r + 1, cols.shape[1]), dtype=complex)
     Cp[1 : len(cols) + 1] = cols
     weights = gp_zero(Q, Q).weights
@@ -231,18 +237,18 @@ def tau_graded(spec: SymbolSpec, N: int, Q: int, gd_reduced: bool = True) -> Gra
         M = (Xp[m][..., i_s] * Cp[m, np.arange(len(weights))][..., None]).transpose(0, 2, 1)
     M[np.arange(len(M)), np.arange(len(M)), 0] += 1.0
     M = M[::-1, ::-1]  # heaviest columns (rows) first
-    return gp_det([[GradedPoly(Q, Q, entry) for entry in row] for row in M]) * det_w
+    tau = gp_det([[GradedPoly(Q, Q, entry) for entry in row] for row in M]) * det_w
+    return _gd_freeze(tau, n) if gd_reduced else tau
 
 
 @lru_cache(maxsize=None)
-def _hankel_columns(n: int, Q: int, gd_reduced: bool) -> np.ndarray:
+def _hankel_columns(Q: int) -> np.ndarray:
     """Columns m = 1..Q of U = T(e^-1) H(e), each summed over its rows.
 
     Row m - 1 is exp(-sum_k t_k) sum_{j>=m} p_j over the (Q, Q) basis; its
-    weight-(i + m) layer is entry (i, m) of U, for every N.  Read-only.
+    weight-(i + m) layer is entry (i, m) of U, for every n and N.  Read-only.
     """
-    ps = schur_sequence_reduced(Q, Q, n) if gd_reduced else schur_sequence(Q, Q)
-    layers = np.stack([p.coeffs for p in ps])
+    layers = np.stack([p.coeffs for p in schur_sequence(Q, Q)])
     tails = np.cumsum(layers[::-1], axis=0)[::-1]  # tails[m] = sum_{j>=m} p_j
     e_inv = negate_times(GradedPoly(Q, Q, tails[0]))
     out = np.stack([(e_inv * GradedPoly(Q, Q, t)).coeffs for t in tails[1:]])
@@ -273,17 +279,16 @@ def tau_series(
     representation: str = "graded",
     gd_reduced: bool = True,
 ) -> TauSeries:
-    """Build the tau polynomial along the requested route."""
+    """Tau polynomial along the requested route; gd_reduced then freezes it."""
     if representation == "graded":
-        series = tau_graded(spec, N, Q, gd_reduced=gd_reduced)
+        series = tau_graded(spec, N, Q, gd_reduced=False)
     elif representation == "character":
-        if gd_reduced:
-            raise ValueError("the character route is a full-hierarchy statement")
         series = character_assembly(character_expansion(spec, N, Q), Q)
     elif representation == "wronskian":
-        series = wronskian_tau(f_family(spec, N, Q, gd_reduced=gd_reduced))
+        series = wronskian_tau(f_family(spec, N, Q, gd_reduced=False))
     else:
         raise ValueError(f"unknown representation {representation!r}")
+    series = _gd_freeze(series, spec.n) if gd_reduced else series
     return TauSeries(spec=spec, N=N, representation=representation, series=series)
 
 
@@ -352,7 +357,6 @@ class FFamily:
     N: int
     Q: int
     K: int
-    gd_reduced: bool
     funcs: list[GradedPoly]
     _tau: GradedPoly | None = field(default=None, repr=False)
 
@@ -368,18 +372,19 @@ def f_family(
 
     Member s is sum_k p_k * (mode nN - 1 - k of generator s): one gather of
     the generator modes against the stacked Schur layers p_0..p_Q.
+    gd_reduced freezes every member (_gd_freeze).
     """
     n = spec.n
     if K is None:
         K = Q
-    ps = schur_sequence_reduced(K, Q, n) if gd_reduced else schur_sequence(K, Q)
     lo, cols = _base_generators(spec)
     # generator q*n + b at mode nN - 1 - k is base generator b at nN - 1 - k - n*q
     modes = n * N - 1 - np.arange(Q + 1) - n * np.arange(N)[:, None]
     picked = gather_modes(cols, lo, modes).transpose(0, 2, 1).reshape(n * N, Q + 1)
-    coeffs = picked @ np.stack([p.coeffs for p in ps])
+    coeffs = picked @ np.stack([p.coeffs for p in schur_sequence(K, Q)])
     funcs = [GradedPoly(K, Q, c) for c in coeffs]
-    return FFamily(spec=spec, N=N, Q=Q, K=K, gd_reduced=gd_reduced, funcs=funcs)
+    funcs = [_gd_freeze(f, n) for f in funcs] if gd_reduced else funcs
+    return FFamily(spec=spec, N=N, Q=Q, K=K, funcs=funcs)
 
 
 def wronskian(
@@ -564,7 +569,7 @@ def kernel_facts_check(spec: SymbolSpec, N: int, Q: int) -> KernelFactsReport:
     basket = [
         gp_const(Qw, Qw, 1.0),
         random_graded(Qw, Qw, rng),
-        schur_sequence_reduced(Qw, Qw, n)[5],
+        _gd_freeze(schur_sequence(Qw, Qw)[5], n),
         funcs[0],
         funcs[-1],
         *lower.funcs[:1],

@@ -165,9 +165,9 @@ def gd_symbol_inverse(spec, t, band, exact_only=False) -> LaurentMatrix:
     return lm_mul(w_inv, e, band)
 
 
-def tau_graded_elimination(spec, N, Q, gd_reduced):
+def tau_graded_elimination(spec, N, Q):
     """D_N by Gaussian elimination on the nN x nN ring matrix T_N(exp(xi(t, L)) W)."""
-    coeffs = gd_symbol_graded(spec, (-(N - 1), N - 1), Q, gd_reduced)
+    coeffs = gd_symbol_graded(spec, (-(N - 1), N - 1), Q)
     idx = np.arange(N)
     T = block_layout(coeffs, -(N - 1), idx[:, None] - idx)  # block (I, J) is mode I - J
     return gp_det([[GradedPoly(Q, Q, entry) for entry in row] for row in T])

@@ -28,8 +28,6 @@ from blocktau.gradedpoly import (
     partitions_upto,
     sato_shift,
     schur_sequence,
-    schur_sequence_reduced,
-    zero_times,
 )
 from blocktau.tau import coefficient_gap, max_abs_coeff, random_graded
 
@@ -216,14 +214,6 @@ def test_schur_generating_identity_numeric():
     lhs = sum(evaluate(p, tv) * z**k for k, p in enumerate(ps))
     rhs = np.exp(sum(tv[i] * z ** (i + 1) for i in range(6)))
     assert abs(lhs - rhs) < 1e-13  # tail beyond weight 18 is ~1e-15
-
-
-def test_reduced_schur_drops_multiples():
-    ps = schur_sequence_reduced(6, 6, 2)
-    full = schur_sequence(6, 6)
-    for k in range(7):
-        expect = zero_times(full[k], [2, 4, 6])
-        assert coefficient_gap(ps[k], expect) < 1e-14
 
 
 def test_sato_shift_worked_values():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from blocktau import laurent, symbols
 from blocktau.errors import DegenerateInput, SpecError, TruncationError
-from blocktau.gradedpoly import schur_sequence, schur_sequence_reduced
+from blocktau.gradedpoly import schur_sequence
 from blocktau.laurent import ScalarSeries, VectorSeries, lm_mul
 from blocktau.symbols import (
     INVERSE_CUT,
@@ -237,18 +237,17 @@ def test_exp_xi_inverse_is_reversed_times():
         assert np.max(np.abs(prod.block(q) - want)) < 1e-10
 
 
-@pytest.mark.parametrize("spec", [RSPEC, CSPEC], ids=["rational", "covering"])
-@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "full"])
-def test_gd_symbol_graded_matches_layer_sum(spec, reduced):
+@pytest.mark.parametrize("spec", [RSPEC, CSPEC], ids=["full-rational", "full-covering"])
+def test_gd_symbol_graded_matches_layer_sum(spec):
     # sum over k of (L^k W) times the Schur layer p_k, one layer at a time
     Q, band = 7, (-3, 3)
-    ps = schur_sequence_reduced(Q, Q, spec.n) if reduced else schur_sequence(Q, Q)
+    ps = schur_sequence(Q, Q)
     want = 0.0
     for k in range(Q + 1):
         blocks = lm_mul(lambda_power(spec.n, k), base_symbol(spec), band).coeffs
         blocks = np.where(np.abs(blocks) > 1e-300, blocks, 0.0)
         want = want + blocks[..., None] * ps[k].coeffs
-    got = gd_symbol_graded(spec, band, Q, reduced)
+    got = gd_symbol_graded(spec, band, Q)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-15
 

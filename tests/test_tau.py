@@ -19,7 +19,7 @@ from blocktau.gradedpoly import (
     hirota_kdv_residual,
     partitions_upto,
     schur_sequence,
-    schur_sequence_reduced,
+    zero_times,
 )
 from blocktau.laurent import COND_LIMIT, LaurentMatrix, geometric_mean
 from blocktau.symbols import (
@@ -92,7 +92,7 @@ def _tau_closed_t1_coefficient(k):
 
 def test_f_family_explicit_low_level():
     Q = K = 6
-    ps = schur_sequence_reduced(K, Q, 2)
+    ps = [zero_times(p, [2, 4, 6]) for p in schur_sequence(K, Q)]
     ff1 = f_family(RSPEC, 1, Q)
     assert coefficient_gap(ff1.funcs[0], ps[1] - D**2 * ps[3]) < 1e-15
     assert coefficient_gap(ff1.funcs[1], gp_const(K, Q, 1.0) - C**2 * ps[2]) < 1e-15
@@ -109,7 +109,7 @@ def test_f_family_shift_symmetry():
 def test_f_family_derivative_raises_index():
     # D^n f_{s,N} = f_{s+n,N} (differentiation raises, not lowers)
     ff1 = f_family(RSPEC, 1, 6)
-    ps = schur_sequence_reduced(6, 6, 2)
+    ps = [zero_times(p, [2, 4, 6]) for p in schur_sequence(6, 6)]
     d2f = ff1.funcs[0].derivative(1).derivative(1)
     f31 = -(D**2) * ps[1]
     assert coefficient_gap(d2f, f31) < 1e-15
@@ -125,7 +125,9 @@ def _generator_mode(spec, s, m):
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "full"])
 def test_f_family_matches_generator_mode_sum(spec, reduced):
     N, Q, K = 2, 7, 5
-    ps = schur_sequence_reduced(K, Q, spec.n) if reduced else schur_sequence(K, Q)
+    ps = schur_sequence(K, Q)
+    if reduced:
+        ps = [zero_times(p, range(spec.n, K + 1, spec.n)) for p in ps]
     ff = f_family(spec, N, Q, K=K, gd_reduced=reduced)
     nN = spec.n * N
     for s, f in enumerate(ff.funcs, start=1):
@@ -196,9 +198,22 @@ def test_wronskian_route_needs_t1(N):
         tau_series(RSPEC, N, 0, representation="wronskian", gd_reduced=False)
 
 
-def test_character_route_rejects_reduced_ring():
-    with pytest.raises(ValueError):
-        tau_series(RSPEC, 2, 4, representation="character", gd_reduced=True)
+@pytest.mark.parametrize(
+    "spec, Q, head",
+    [(RSPEC, 6, 0), (CSPEC, 4, 4), (CSPEC3, 4, 6)],
+    ids=["rational", "covering", "covering3"],
+)
+def test_reduced_triple_route(spec, Q, head):
+    # each route freezes t_n, t_2n, ... in its full series; the Wronskian
+    # route needs n*N weights of headroom for the covering family, as in
+    # the triple_route_equality row
+    routes = [
+        tau_series(spec, 2, Q + head, representation=r, gd_reduced=True).series
+        for r in ("graded", "character", "wronskian")
+    ]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert coefficient_gap(routes[i], routes[j], upto=Q) < 1e-10
 
 
 def test_reduced_graded_vs_wronskian():
@@ -241,16 +256,15 @@ def test_numeric_equals_graded_evaluation_n3(spec):
 @pytest.mark.parametrize(
     "spec",
     [RSPEC, RSPEC3, CSPEC, CSPEC3],
-    ids=["rational", "rational3", "covering", "covering3"],
+    ids=["full-rational", "full-rational3", "full-covering", "full-covering3"],
 )
-@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "full"])
-def test_low_rank_graded_tau_equals_elimination(spec, reduced):
+def test_low_rank_graded_tau_equals_elimination(spec):
     # N runs past the stable level ceil(Q/n), so the covering family takes
     # both sides of the rank-r identity: nN x nN below it, r x r from it on
     for Q in (4, 8, 12, 16):
         for N in range(1, ceil(Q / spec.n) + 3):
-            got = tau_graded(spec, N, Q, gd_reduced=reduced)
-            want = tau_graded_elimination(spec, N, Q, reduced)
+            got = tau_graded(spec, N, Q, gd_reduced=False)
+            want = tau_graded_elimination(spec, N, Q)
             assert coefficient_gap(got, want) <= 1e-13 * max_abs_coeff(want), (Q, N)
 
 
@@ -325,7 +339,7 @@ def test_covering_graded_tau_skips_most_ring_products(monkeypatch):
     tau_graded(CSPEC, 6, 12, gd_reduced=False)  # the cached tables
     monkeypatch.setattr(gradedpoly, "_mul", spy)
     products.append(0)
-    tau_graded_elimination(CSPEC, 6, 12, False)
+    tau_graded_elimination(CSPEC, 6, 12)
     products.append(0)
     tau_graded(CSPEC, 6, 12, gd_reduced=False)
     assert 0 < products[1] <= products[0] / 3
