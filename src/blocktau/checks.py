@@ -612,8 +612,8 @@ def _check_branch_residual(ctx, tol):
 
 
 def _check_match_stability(ctx, tol):
-    ok = ctx.spectral().match_stable
-    return float(not ok), ok, "same branch-eigenvalue pairing after grid doubling"
+    margin = ctx.spectral().match_margin
+    return margin, margin < 1, "eigenvalue-branch distance over quarter separation"
 
 
 def _check_spectral_roundtrip(ctx, tol):

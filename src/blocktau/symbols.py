@@ -144,7 +144,7 @@ def covering_spec(a, n: int) -> SymbolSpec:
 # -- base symbol -------------------------------------------------------------
 
 
-def _base_diagonal(spec: SymbolSpec, z) -> np.ndarray:
+def base_diagonal(spec: SymbolSpec, z) -> np.ndarray:
     """Diagonal of the undeformed symbol W(z) on an array of z; shape z.shape + (n,)."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if spec.family == "rational":
@@ -164,7 +164,7 @@ def _base_diagonal(spec: SymbolSpec, z) -> np.ndarray:
 
 def base_symbol_values(spec: SymbolSpec, z) -> np.ndarray:
     """Pointwise values of the undeformed symbol on an array of z."""
-    d = _base_diagonal(spec, z)
+    d = base_diagonal(spec, z)
     out = np.zeros(d.shape + (spec.n,), dtype=complex)
     out[..., np.arange(spec.n), np.arange(spec.n)] = d
     return out
@@ -414,7 +414,7 @@ def gd_symbol_values(spec: SymbolSpec, t: TimeVector, z) -> np.ndarray:
     W(z) is diagonal for both families, so exp(xi) W scales the columns of
     exp(xi) by the diagonal of W.
     """
-    return exp_xi_values(t, spec.n, z) * _base_diagonal(spec, z)[..., None, :]
+    return exp_xi_values(t, spec.n, z) * base_diagonal(spec, z)[..., None, :]
 
 
 @lru_cache

@@ -5,10 +5,13 @@ import pytest
 
 from blocktau.errors import BranchMatchError, SpecError
 from blocktau.laurent import LaurentMatrix, ScalarSeries, lm_mul, lm_project
-from blocktau.symbols import base_symbol, covering_spec, lambda_power
+from blocktau.symbols import base_symbol, covering_spec, lambda_power, root_grid
+from blocktau import algebro
 from blocktau.algebro import (
     CharPoly,
     _charpoly_coeffs,
+    _match_branches,
+    _reconstruct_samples,
     bc_matrices,
     branch_series,
     charpoly_from_matrix,
@@ -19,6 +22,12 @@ from blocktau.algebro import (
 )
 
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
+# n = 2 alone cannot tell a conjugated or unscaled fiber DFT (omega = -1)
+SHEET_SPECS = {
+    "n2": covering_spec([0.2, 0.4j, -0.35], 2),
+    "n3": covering_spec([0.3, -0.25, 0.35j, 0.2 + 0.2j], 3),
+    "n4": covering_spec([0.3, -0.25, 0.35j, 0.2 + 0.2j, -0.15j], 4),
+}
 
 
 @pytest.fixture(scope="module")
@@ -167,19 +176,60 @@ def test_reconstruction_recovers_base_symbol(covering_curve):
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize("sheets", sorted(SHEET_SPECS))
+def test_fiber_dft_matches_vandermonde_solve(sheets):
+    spec = SHEET_SPECS[sheets]
+    n = spec.n
+    bs = branch_series(curve_from_covering(spec), 96)
+    C = bc_matrices(spec, bs).C
+    z = np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
+    got = _reconstruct_samples(C, bs, z)
+
+    # reference: the matched, normalized eigenvector rows through a Vandermonde solve
+    zetas = root_grid(z, n)
+    eigvals, right = np.linalg.eig(np.transpose(C(z), (0, 2, 1)))
+    pick, _margin = _match_branches(eigvals, bs(zetas))
+    rows = np.transpose(np.take_along_axis(right, pick[:, None, :], axis=2), (0, 2, 1))
+    rows = rows / rows[:, :, :1]
+    V = zetas[:, :, None] ** np.arange(n)[None, None, :]
+    want = np.linalg.solve(V, rows)
+    assert float(np.max(np.abs(got - want))) <= 1e-13 * float(np.max(np.abs(want)))
+
+
 def test_spectral_report_passes():
     rep = spectral_check(CSPEC)
     assert rep.passed, "\n".join(rep.lines())
     assert rep.roundtrip_residual < 1e-8
     assert rep.symbol_residual < 1e-8
-    assert rep.match_stable
+    assert rep.match_margin < 1
     assert rep.big_cell_ok
 
 
-def test_spectral_report_second_elliptic_curve():
-    spec = covering_spec([0.2, 0.4j, -0.35], 2)
-    rep = spectral_check(spec)
+@pytest.mark.parametrize("sheets", sorted(SHEET_SPECS))
+def test_spectral_report_second_elliptic_curve(sheets):
+    rep = spectral_check(SHEET_SPECS[sheets])
     assert rep.passed, "\n".join(rep.lines())
+
+
+def test_spectral_check_stacked_lapack_calls(monkeypatch):
+    # eigenvalues for the curve deviation, the rebuilt curve and the match
+    # margin, and eigenvectors for the rebuild: 4 LAPACK calls on sample stacks
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                calls.append(name)
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type) and "norm" not in name:
+            monkeypatch.setattr(np.linalg, name, counted(name, fn))
+    assert spectral_check(CSPEC).passed
+    assert sorted(calls) == ["eig", "eigvals", "eigvals", "eigvals"]
 
 
 # -- negative controls -------------------------------------------------------
@@ -206,14 +256,30 @@ def test_reject_matrix_without_curve_structure():
         charpoly_from_matrix(diag)
 
 
-def test_branch_match_ambiguity_detected():
-    from blocktau.algebro import _match_branches
+def test_symbol_residual_sees_a_scalar_factor(monkeypatch):
+    # W (1 + 1e-6/z) has the same column flags as W; the direct comparison sees it
+    rebuild = algebro.reconstruct_W
 
-    # clean separation: each expected branch claims its nearest eigenvalue
-    pick = _match_branches(
+    def perturbed(C, J=96):
+        w = rebuild(C, J)
+        eye = np.eye(w.n, dtype=complex)
+        scalar = LaurentMatrix(w.n, -1, 0, np.stack([1e-6 * eye, eye]))
+        return lm_mul(w, scalar, (w.lo - 1, w.hi))
+
+    monkeypatch.setattr(algebro, "reconstruct_W", perturbed)
+    rep = spectral_check(CSPEC)
+    assert rep.symbol_residual >= 5e-7
+    assert rep.passed is False
+
+
+def test_branch_match_ambiguity_detected():
+    # clean separation: each expected branch claims its nearest eigenvalue;
+    # the farthest claim, 0.02, against a quarter of the separation 2
+    pick, margin = _match_branches(
         np.array([[-1.02 + 0j, 1.01 + 0j]]), np.array([[1.0 + 0j, -1.0 + 0j]])
     )
     assert pick.tolist() == [[1, 0]]
+    assert margin == pytest.approx(0.04, rel=1e-12)
 
     # coincident eigenvalues leave nothing to separate: must be flagged
     with pytest.raises(BranchMatchError):
