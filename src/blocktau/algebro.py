@@ -77,16 +77,22 @@ def _ser_mul(a: np.ndarray, b: np.ndarray, L: int) -> np.ndarray:
 
 
 def _ser_inv(a: np.ndarray, L: int) -> np.ndarray:
-    """Reciprocal power series (a[0] != 0) truncated to L coefficients."""
+    """Reciprocal power series (a[0] != 0) truncated to L coefficients.
+
+    Newton's step b <- b (2 - a b) doubles the number of exact coefficients
+    (as in gradedpoly._inverse); each step runs at the length it makes exact.
+    """
     if abs(a[0]) < 1e-300:
         raise BranchError("cannot invert a power series with vanishing constant term")
-    out = np.zeros(L, dtype=complex)
-    out[0] = 1.0 / a[0]
     pad = np.zeros(L, dtype=complex)
     pad[: min(L, len(a))] = a[: min(L, len(a))]
-    for k in range(1, L):
-        out[k] = -np.dot(pad[1 : k + 1], out[k - 1 :: -1][:k]) / a[0]
-    return out
+    b, k = np.array([1.0 / a[0]], dtype=complex), 1
+    while k < L:
+        k = min(2 * k, L)
+        r = -_ser_mul(pad[:k], b, k)
+        r[0] += 2.0
+        b = _ser_mul(b, r, k)
+    return b
 
 
 def _poly_eval(c: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -16,7 +16,9 @@ and report.txt) into the output directory; re-running a command with the
 same config reproduces the CSV byte for byte.  Numbers are written with 17
 significant digits, '.' decimal point, no locale.  The output directory can
 also be set through the environment variable BLOCKTAU_OUT; the --out flag
-wins over both it and the config file.
+wins over both it and the config file.  --tol and --seed override the
+command's own [<command>] tol or seed key and are parsed as that key; a
+command without such a key rejects the flag (exit 2, nothing written).
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -53,35 +56,6 @@ def _fmt_c(v: complex) -> str:
 
 class ConfigError(Exception):
     """Raised for malformed configs; mapped to exit code 2."""
-
-
-_SCHEMA = {
-    "spec": {"family", "params", "n"},
-    "times": {"values", "gd_reduced"},
-    "tau": {"tol"},          # plus any grid_t<index> key
-    "converge": {"n_max", "tol"},
-    "factorize": {"draws", "seed", "scale", "tol"},
-    "verify": {"seed"},
-    "output": {"dir"},
-}
-
-_DEFAULTS = {
-    "family": "rational",
-    "params": (0.3 + 0j, 0.6 + 0j),
-    "n": None,
-    "values": (0.2 + 0j, 0.0j, -0.15 + 0j, 0.0j, 0.08 + 0j),
-    "gd_reduced": True,
-    "grids": {1: "-0.5:0.5:5", 3: "-0.5:0.5:5"},
-    "tau_tol": 1e-8,
-    "n_max": 20,
-    "converge_tol": 1e-6,
-    "draws": 3,
-    "seed": 0,
-    "scale": 0.3,
-    "factorize_tol": 1e-8,
-    "verify_seed": 7,
-    "dir": "out",
-}
 
 
 @dataclass
@@ -166,6 +140,25 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
         raise ConfigError(f"bad grid for {what}: {text!r}") from exc
 
 
+# (section, key) -> (RunConfig field, parser, default): every scalar key, once.
+_KEYS = {
+    ("tau", "tol"): ("tau_tol", _parse_tol, 1e-8),
+    ("converge", "n_max"): ("converge_n_max", partial(_parse_int, least=2), 20),
+    ("converge", "tol"): ("converge_tol", _parse_tol, 1e-6),
+    ("factorize", "draws"): ("factorize_draws", partial(_parse_int, least=1), 3),
+    ("factorize", "seed"): ("factorize_seed", partial(_parse_int, least=0), 0),
+    ("factorize", "scale"): ("factorize_scale", _parse_tol, 0.3),
+    ("factorize", "tol"): ("factorize_tol", _parse_tol, 1e-8),
+    ("verify", "seed"): ("verify_seed", partial(_parse_int, least=0), 7),
+}
+# --<key> on command c overrides the key (c, key); main rejects it if c has none
+_FLAGS = ("tol", "seed")
+
+# the scalar keys plus those read apart in load_config ([tau] also takes grid_t<i>)
+_SCHEMA = {"spec": {"family", "params", "n"}, "times": {"values", "gd_reduced"}, "output": {"dir"}}
+_SCHEMA |= {section: {k for s, k in _KEYS if s == section} for section, _ in _KEYS}
+
+
 def load_config(path: str | None) -> RunConfig:
     """Parse and validate a config file (or use built-in defaults)."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -190,17 +183,14 @@ def load_config(path: str | None) -> RunConfig:
                 raise ConfigError(f"bad grid key [tau] {key}")
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section: str, key: str, default=None):
-        if cp.has_section(section) and key in cp[section]:
-            return cp[section][key]
-        return default
+    get = partial(cp.get, fallback=None)
 
-    family = (get("spec", "family") or _DEFAULTS["family"]).strip().lower()
+    family = (get("spec", "family") or "rational").strip().lower()
     params_text = get("spec", "params")
     params = (
         _parse_complex_list(params_text, "spec params")
         if params_text is not None
-        else _DEFAULTS["params"]
+        else (0.3 + 0j, 0.6 + 0j)
     )
     n_text = get("spec", "n")
     try:
@@ -221,60 +211,31 @@ def load_config(path: str | None) -> RunConfig:
     values = (
         _parse_complex_list(values_text, "times")
         if values_text is not None
-        else _DEFAULTS["values"]
+        else (0.2 + 0j, 0.0j, -0.15 + 0j, 0.0j, 0.08 + 0j)
     )
-    gd_reduced = (
-        _parse_bool(get("times", "gd_reduced"), "gd_reduced")
-        if get("times", "gd_reduced") is not None
-        else _DEFAULTS["gd_reduced"]
-    )
+    reduced_text = get("times", "gd_reduced")
+    gd_reduced = _parse_bool(reduced_text, "gd_reduced") if reduced_text is not None else True
     try:
         times = symbols.time_vector(values, gd_reduced)
     except BlocktauError as exc:
         raise ConfigError(f"bad times: {exc}") from exc
 
-    grids: dict[int, np.ndarray] = {}
-    if cp.has_section("tau"):
-        for key in cp["tau"]:
-            if key.startswith("grid_t"):
-                grids[int(key[len("grid_t") :])] = _parse_grid(
-                    cp["tau"][key], f"[tau] {key}"
-                )
-    if not grids:
-        grids = {
-            i: _parse_grid(text, f"default grid_t{i}")
-            for i, text in _DEFAULTS["grids"].items()
-        }
+    grids = {
+        int(key[len("grid_t") :]): _parse_grid(text, f"[tau] {key}")
+        for key, text in (cp["tau"].items() if cp.has_section("tau") else ())
+        if key.startswith("grid_t")
+    } or {1: np.linspace(-0.5, 0.5, 5), 3: np.linspace(-0.5, 0.5, 5)}
 
-    outdir = get("output", "dir") or _DEFAULTS["dir"]
-
+    scalars = {}
+    for (section, key), (name, parse, default) in _KEYS.items():
+        text = get(section, key)
+        scalars[name] = parse(text, f"[{section}] {key}") if text is not None else default
     return RunConfig(
         spec=spec,
         times=times,
         tau_grids=grids,
-        tau_tol=_parse_tol(get("tau", "tol", str(_DEFAULTS["tau_tol"])), "[tau] tol"),
-        converge_n_max=_parse_int(
-            get("converge", "n_max", str(_DEFAULTS["n_max"])), "[converge] n_max", 2
-        ),
-        converge_tol=_parse_tol(
-            get("converge", "tol", str(_DEFAULTS["converge_tol"])), "[converge] tol"
-        ),
-        factorize_draws=_parse_int(
-            get("factorize", "draws", str(_DEFAULTS["draws"])), "[factorize] draws", 1
-        ),
-        factorize_seed=_parse_int(
-            get("factorize", "seed", str(_DEFAULTS["seed"])), "[factorize] seed", 0
-        ),
-        factorize_scale=_parse_tol(
-            get("factorize", "scale", str(_DEFAULTS["scale"])), "[factorize] scale"
-        ),
-        factorize_tol=_parse_tol(
-            get("factorize", "tol", str(_DEFAULTS["factorize_tol"])), "[factorize] tol"
-        ),
-        verify_seed=_parse_int(
-            get("verify", "seed", str(_DEFAULTS["verify_seed"])), "[verify] seed", 0
-        ),
-        outdir=outdir,
+        outdir=get("output", "dir") or "out",
+        **scalars,
     )
 
 
@@ -309,10 +270,10 @@ def _grid_points(cfg: RunConfig) -> tuple[list, list]:
     return idxs, rows
 
 
-def cmd_tau(cfg: RunConfig, out: str, tol: float | None) -> int:
+def cmd_tau(cfg: RunConfig, out: str) -> int:
     idxs, points = _grid_points(cfg)
-    use_tol = tol if tol is not None else cfg.tau_tol
-    results = [tau.tau_stable_report(cfg.spec, tv, tol=use_tol) for _p, tv in points]
+    tol = cfg.tau_tol
+    results = [tau.tau_stable_report(cfg.spec, tv) for _p, tv in points]
 
     header = ",".join([f"t{i}" for i in idxs] + ["N", "tau", "est_error"])
     lines = [header]
@@ -329,7 +290,7 @@ def cmd_tau(cfg: RunConfig, out: str, tol: float | None) -> int:
             "command: tau",
             f"points: {len(points)}",
             f"grid indices: {idxs}",
-            f"tolerance: {_fmt(use_tol)}",
+            f"tolerance: {_fmt(tol)}",
             f"worst est_error: {_fmt(worst)}",
             "routes: " + ", ".join(
                 f"{route} {sum(r.route == route for r in results)}"
@@ -337,8 +298,8 @@ def cmd_tau(cfg: RunConfig, out: str, tol: float | None) -> int:
             ),
         ],
     )
-    if worst > use_tol:
-        print(f"FAIL tau est_error {worst:.3e} > {use_tol:g}", file=sys.stderr)
+    if worst > tol:
+        print(f"FAIL tau est_error {worst:.3e} > {tol:g}", file=sys.stderr)
         return 1
     return 0
 
@@ -346,7 +307,7 @@ def cmd_tau(cfg: RunConfig, out: str, tol: float | None) -> int:
 # -- convergence table -------------------------------------------------------
 
 
-def cmd_converge(cfg: RunConfig, out: str, tol: float | None) -> int:
+def cmd_converge(cfg: RunConfig, out: str) -> int:
     spec, tv = cfg.spec, cfg.times
     n_max = cfg.converge_n_max
     x = factorization.deformed_symbol_samples(spec, tv, 1024)
@@ -367,8 +328,8 @@ def cmd_converge(cfg: RunConfig, out: str, tol: float | None) -> int:
     _write_lines(os.path.join(out, "converge.csv"), lines)
     # deltas at round-off (criterion 3's 1e-14, on the scale of the ratio) carry no decay
     fit = toeplitz.fit_decay(deltas, floor=1e-14 * abs(ratio))
-    use_tol = tol if tol is not None else cfg.converge_tol
-    settled = deltas[-1] <= use_tol
+    tol = cfg.converge_tol
+    settled = deltas[-1] <= tol
     _write_lines(
         os.path.join(out, "report.txt"),
         [
@@ -377,7 +338,7 @@ def cmd_converge(cfg: RunConfig, out: str, tol: float | None) -> int:
             f"geometric mean: {_fmt_c(G)}",
             f"fitted decay ratio: {_fmt(fit)}",
             f"final delta: {_fmt(deltas[-1])}",
-            f"settled below {_fmt(use_tol)}: {settled}",
+            f"settled below {_fmt(tol)}: {settled}",
         ],
     )
     if not settled or not (fit < 1.0):
@@ -391,17 +352,17 @@ def cmd_converge(cfg: RunConfig, out: str, tol: float | None) -> int:
 # -- factorization dumps -----------------------------------------------------
 
 
-def cmd_factorize(cfg: RunConfig, out: str, tol: float | None, seed: int | None) -> int:
+def cmd_factorize(cfg: RunConfig, out: str) -> int:
     spec = cfg.spec
-    use_tol = tol if tol is not None else cfg.factorize_tol
-    rng = np.random.default_rng(seed if seed is not None else cfg.factorize_seed)
+    tol = cfg.factorize_tol
+    rng = np.random.default_rng(cfg.factorize_seed)
     report = ["command: factorize", f"draws: {cfg.factorize_draws}"]
     failures = []
     for d in range(cfg.factorize_draws):
         tv = symbols.random_times(spec, rng, cfg.factorize_scale)
         x = factorization.deformed_symbol_samples(spec, tv, 1024)
         try:
-            fact = factorization.wiener_hopf(x, tol=max(use_tol, 1e-10))
+            fact = factorization.wiener_hopf(x, tol=max(tol, 1e-10))
         except BlocktauError as exc:
             failures.append(f"draw {d}: {exc}")
             report.append(f"draw {d}: FAILED {exc}")
@@ -418,10 +379,10 @@ def cmd_factorize(cfg: RunConfig, out: str, tol: float | None, seed: int | None)
             f"    B_used: {fact.B_used}",
             "  }",
         ]
-        if fact.residual > use_tol or fact.det_plus_dev > use_tol:
+        if fact.residual > tol or fact.det_plus_dev > tol:
             failures.append(
                 f"draw {d}: residual {fact.residual:.3e} "
-                f"det_plus_dev {fact.det_plus_dev:.3e} > {use_tol:g}"
+                f"det_plus_dev {fact.det_plus_dev:.3e} > {tol:g}"
             )
     _write_lines(os.path.join(out, "report.txt"), report)
     for f in failures:
@@ -466,8 +427,8 @@ def cmd_spectral(cfg: RunConfig, out: str) -> int:
 # -- the verify table --------------------------------------------------------
 
 
-def cmd_verify(cfg: RunConfig, out: str, seed: int | None) -> int:
-    ctx = checks.Context(seed if seed is not None else cfg.verify_seed, cfg, out)
+def cmd_verify(cfg: RunConfig, out: str) -> int:
+    ctx = checks.Context(cfg, out)
     lines = [f"{'module':<14}{'check':<26}{'value':<12}{'tol':<10}status"]
     failures = []
     infos = 0
@@ -504,34 +465,39 @@ def cmd_verify(cfg: RunConfig, out: str, seed: int | None) -> int:
 # -- entry point -------------------------------------------------------------
 
 
+_COMMANDS = {
+    "verify": cmd_verify,
+    "tau": cmd_tau,
+    "converge": cmd_converge,
+    "factorize": cmd_factorize,
+    "spectral": cmd_spectral,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="blocktau",
         description="Block Toeplitz tau functions: experiments and checks.",
     )
-    parser.add_argument(
-        "command", choices=["verify", "tau", "converge", "factorize", "spectral"]
-    )
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override (tau, converge, factorize)")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized draws")
+    for key in _FLAGS:
+        commands = ", ".join(c for c, k in _KEYS if k == key)
+        parser.add_argument(f"--{key}", help=f"override the command's {key} key ({commands})")
     args = parser.parse_args(argv)
     try:
-        if args.tol is not None and not (args.tol > 0):
-            raise ConfigError("--tol must be positive")
         cfg = load_config(args.config)
-        if args.command == "verify" and args.tol is not None:
-            raise ConfigError("--tol does not apply to verify: its tolerances are the contract")
+        for key in _FLAGS:
+            text = getattr(args, key)
+            if text is None:
+                continue
+            if (args.command, key) not in _KEYS:
+                raise ConfigError(f"--{key} does not apply to {args.command}: it has no {key} key")
+            name, parse, _default = _KEYS[args.command, key]
+            cfg = replace(cfg, **{name: parse(text, f"--{key} ([{args.command}] {key})")})
         out = _ensure_outdir(cfg, args.out)
-        commands = {
-            "verify": lambda: cmd_verify(cfg, out, args.seed),
-            "tau": lambda: cmd_tau(cfg, out, args.tol),
-            "converge": lambda: cmd_converge(cfg, out, args.tol),
-            "factorize": lambda: cmd_factorize(cfg, out, args.tol, args.seed),
-            "spectral": lambda: cmd_spectral(cfg, out),
-        }
-        return commands[args.command]()
+        return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -49,7 +49,14 @@ from .laurent import (
     stacked_solve,
     transform,
 )
-from .symbols import SymbolSpec, TimeVector, exp_xi_lambda, gd_symbol, gd_symbol_values
+from .symbols import (
+    SymbolSpec,
+    TimeVector,
+    base_inverse,
+    exp_xi_lambda,
+    gd_symbol,
+    gd_symbol_values,
+)
 
 
 @dataclass
@@ -204,9 +211,11 @@ def wave_matrix(spec: SymbolSpec, t: TimeVector) -> tuple[LaurentMatrix, Laurent
 
     The minus factor of the deformed symbol (2048 samples, depth derived
     from the data, default residual tol) factors as exp(xi(t,L)) times the
-    wave matrix at -t, so the wave matrix is exp(-xi(t,L)) T_minus and its
-    inverse is T_minus^{-1} exp(xi(t,L)).  Built once per (spec, t) and
-    shared (bounded cache); the coefficient arrays are read-only.
+    wave matrix at -t, so the wave matrix is exp(-xi(t,L)) T_minus.  Its
+    inverse T_minus^{-1} exp(xi(t,L)) is read off the same factorization:
+    g = exp(xi(t,L)) W = T_minus T_plus gives T_minus^{-1} exp(xi(t,L)) =
+    T_plus W^{-1}.  Built once per (spec, t) and shared (bounded cache);
+    the coefficient arrays are read-only.
     """
     return _wave_matrix(spec, t.values, t.gd_reduced)
 
@@ -214,14 +223,13 @@ def wave_matrix(spec: SymbolSpec, t: TimeVector) -> tuple[LaurentMatrix, Laurent
 @lru_cache(maxsize=16)
 def _wave_matrix(spec: SymbolSpec, values: tuple, gd_reduced: bool):
     t = TimeVector(values, gd_reduced)
-    T_minus = wiener_hopf(deformed_symbol_samples(spec, t, 2048)).T_minus
+    fact = wiener_hopf(deformed_symbol_samples(spec, t, 2048))
+    T_minus, T_plus, w_inv = fact.T_minus, fact.T_plus, base_inverse(spec)
     e_hi = 40 + 2 * len(t.values)
     e_minus = exp_xi_lambda(t.negated(), spec.n, (0, e_hi), exact_only=True)
-    e_plus = exp_xi_lambda(t, spec.n, (0, e_hi), exact_only=True)
-    # exp(+-xi) have no negative modes: each product starts where its minus operand does
+    # exp(-xi) has no negative modes: the product starts where T_minus does
     psi = lm_trim(lm_mul(e_minus, T_minus, (T_minus.lo, e_hi)), 1e-16)
-    tm_inv = lm_invert(T_minus)
-    psi_inv = lm_trim(lm_mul(tm_inv, e_plus, (tm_inv.lo, e_hi)), 1e-16)
+    psi_inv = lm_trim(lm_mul(T_plus, w_inv, (w_inv.lo, T_plus.hi + w_inv.hi)), 1e-16)
     for lm in (psi, psi_inv):
         lm.coeffs.flags.writeable = False
     return psi, psi_inv

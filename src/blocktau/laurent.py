@@ -540,14 +540,9 @@ CSV_HEADER = "k,row,col,re,im"
 
 def write_csv(lm: LaurentMatrix, path) -> None:
     """Dump nonzero coefficients as rows (k, row, col, re, im)."""
-    lines = [CSV_HEADER]
-    for k in range(lm.lo, lm.hi + 1):
-        blk = lm.coeffs[k - lm.lo]
-        for r in range(lm.n):
-            for c in range(lm.n):
-                v = blk[r, c]
-                if v == 0.0:
-                    continue
-                lines.append(f"{k},{r},{c},{v.real:.17g},{v.imag:.17g}")
+    q, r, c = np.nonzero(lm.coeffs)
+    v = lm.coeffs[q, r, c]
+    rows = zip((q + lm.lo).tolist(), r.tolist(), c.tolist(), v.real.tolist(), v.imag.tolist())
+    lines = [CSV_HEADER] + [f"{k},{i},{j},{re:.17g},{im:.17g}" for k, i, j, re, im in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -694,7 +694,8 @@ def tau_stable_report(
     NearSingularSymbol is raised when cond T_j(g^-1) exceeds COND_LIMIT on
     the first route, and on the second when ||e||_W ||W||_W ||W^-1||_W
     ||e^-1||_W, a bound of cond g on the circle, does.  Neither route
-    reads tol: both are exact up to round-off.
+    reads tol, kept only for callers that pass one (the benchmark
+    harness): both are exact up to round-off.
     """
     if base_is_polynomial(spec):
         return _finite_rank(spec, t)
@@ -797,9 +798,9 @@ def _finite_rank(spec: SymbolSpec, t: TimeVector) -> StableTauReport:
     return StableTauReport(value, est, "finite_rank", j)
 
 
-def tau_stable(spec: SymbolSpec, t: TimeVector, tol: float = 1e-8) -> complex:
+def tau_stable(spec: SymbolSpec, t: TimeVector) -> complex:
     """Value of the stabilized tau at a concrete time vector."""
-    return tau_stable_report(spec, t, tol=tol).value
+    return tau_stable_report(spec, t).value
 
 
 # -- wave (Baker) coefficients ------------------------------------------------

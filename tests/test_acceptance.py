@@ -33,7 +33,7 @@ CRITERION_TESTS = {
 @pytest.fixture(scope="module")
 def ctx(tmp_path_factory):
     cfg = cli.load_config(None)
-    return checks.Context(cfg.verify_seed, cfg, str(tmp_path_factory.mktemp("verify")))
+    return checks.Context(cfg, str(tmp_path_factory.mktemp("verify")))
 
 
 def _entry_test(entry):

@@ -1,12 +1,14 @@
 """Spectral curves: branch series, commuting pair, symbol reconstruction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from blocktau.errors import BranchMatchError, SpecError
+from blocktau.errors import BranchError, BranchMatchError, SpecError
 from blocktau.laurent import LaurentMatrix, ScalarSeries, lm_mul, lm_project
 from blocktau.symbols import base_symbol, covering_spec, lambda_power, root_grid
-from blocktau import algebro
+from blocktau import algebro, checks, cli
 from blocktau.algebro import (
     CharPoly,
     _charpoly_coeffs,
@@ -78,6 +80,34 @@ def test_oncircle_branch_point_residual_recorded_not_raised():
     bs = branch_series(cp, 60)
     assert np.isfinite(bs.residual_unit_circle)
     assert bs.residual_unit_circle > 1e-8
+
+
+def _ser_inv_recurrence(a, L):
+    """The reciprocal series one coefficient at a time: sum_j a_j b_(k-j) = 0."""
+    b = np.zeros(L, dtype=complex)
+    b[0] = 1.0 / a[0]
+    for k in range(1, L):
+        b[k] = -np.dot(a[1 : k + 1], b[k - 1 :: -1][:k]) / a[0]
+    return b
+
+
+@pytest.mark.parametrize("L", [1, 2, 97, 200])
+def test_series_inverse_matches_the_recurrence(L):
+    rng = np.random.default_rng(L)
+    a = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) * 0.6 ** np.arange(L)
+    a[0] = 1.3 - 0.4j
+    want = _ser_inv_recurrence(a, L)
+    got = algebro._ser_inv(a, L)
+    assert got.shape == (L,)
+    assert float(np.max(np.abs(got - want))) <= 1e-14 * float(np.max(np.abs(want)))
+    # a shorter input is a series with zero tail
+    short = algebro._ser_inv(a[:3], L)
+    assert float(np.max(np.abs(short - _ser_inv_recurrence(np.pad(a[:3], (0, L)), L)))) < 1e-13
+
+
+def test_series_inverse_rejects_vanishing_constant_term():
+    with pytest.raises(BranchError, match="vanishing constant term"):
+        algebro._ser_inv(np.array([0.0, 1.0, 2.0]), 5)
 
 
 # -- folding -----------------------------------------------------------------
@@ -203,6 +233,22 @@ def test_spectral_report_passes():
     assert rep.symbol_residual < 1e-8
     assert rep.match_margin < 1
     assert rep.big_cell_ok
+
+
+@pytest.mark.parametrize(
+    "certificate, value",
+    [("trace_deviation", 1e-6), ("curve_deviation", 1e-6), ("big_cell_ok", False)],
+)
+def test_criterion_10_row_judges_every_spectral_certificate(certificate, value, tmp_path):
+    # a certificate only `blocktau spectral` used to judge fails the verify row too
+    ctx = checks.Context(cli.load_config(None), str(tmp_path))
+    row = next(c for c in checks.CHECKS if c.name == "conjugated_polynomial")
+    energy, ok, _ = row.fn(ctx, row.tol)
+    assert ok
+    ctx._cache["spectral"] = dataclasses.replace(ctx.spectral(), **{certificate: value})
+    moved, ok, detail = row.fn(ctx, row.tol)
+    assert moved == energy and not ok
+    assert "every certificate passed: False" in detail
 
 
 @pytest.mark.parametrize("sheets", sorted(SHEET_SPECS))

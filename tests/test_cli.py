@@ -94,6 +94,101 @@ def test_nonpositive_tol_flag_rejected(tmp_path):
     assert cli.main(["tau", "--config", path, "--tol", "-1"]) == 2
 
 
+# (section, key) -> (text, value) off the default, for every scalar key
+NON_DEFAULT = {
+    ("tau", "tol"): ("3e-9", 3e-9),
+    ("converge", "n_max"): ("5", 5),
+    ("converge", "tol"): ("2e-5", 2e-5),
+    ("factorize", "draws"): ("2", 2),
+    ("factorize", "seed"): ("11", 11),
+    ("factorize", "scale"): ("0.125", 0.125),
+    ("factorize", "tol"): ("4e-9", 4e-9),
+    ("verify", "seed"): ("12", 12),
+}
+
+DEFAULTS = {
+    "tau_tol": 1e-8,
+    "converge_n_max": 20,
+    "converge_tol": 1e-6,
+    "factorize_draws": 3,
+    "factorize_seed": 0,
+    "factorize_scale": 0.3,
+    "factorize_tol": 1e-8,
+    "verify_seed": 7,
+}
+
+
+def test_every_scalar_key_lands_in_its_field(tmp_path):
+    assert set(cli._KEYS) == set(NON_DEFAULT)
+    assert {name: getattr(cli.load_config(None), name) for name in DEFAULTS} == DEFAULTS
+    for (section, key), (text, value) in NON_DEFAULT.items():
+        name = cli._KEYS[section, key][0]
+        cfg = cli.load_config(_write(tmp_path, f"[{section}]\n{key} = {text}\n"))
+        assert getattr(cfg, name) == value
+        assert {n: getattr(cfg, n) for n in DEFAULTS if n != name} == {
+            n: v for n, v in DEFAULTS.items() if n != name
+        }
+
+
+@pytest.mark.parametrize("command", ["verify", "factorize"])
+def test_bad_seed_flag_exits_2_and_writes_nothing(command, tmp_path, capsys):
+    out = tmp_path / "o"
+    path = _write(tmp_path, RATIONAL_INI)
+    assert cli.main([command, "--config", path, "--out", str(out), "--seed", "-1"]) == 2
+    assert "must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, ini",
+    [
+        ("spectral", ["--tol", "1e-3"], COVERING_INI),
+        ("spectral", ["--seed", "1"], COVERING_INI),
+        ("tau", ["--seed", "1"], RATIONAL_INI),
+        ("converge", ["--seed", "1"], RATIONAL_INI),
+    ],
+    ids=["spectral-tol", "spectral-seed", "tau-seed", "converge-seed"],
+)
+def test_flag_rejected_where_the_command_has_no_such_key(command, flag, ini, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", _write(tmp_path, ini), "--out", str(out), *flag]) == 2
+    assert f"{flag[0]} does not apply to {command}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "inf", "nan", "zebra"])
+def test_tol_flag_parsed_as_the_key(tol, tmp_path, capsys):
+    out = tmp_path / "o"
+    path = _write(tmp_path, RATIONAL_INI)
+    assert cli.main(["converge", "--config", path, "--out", str(out), "--tol", tol]) == 2
+    assert "--tol ([converge] tol)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flag_overrides_its_own_command_key(tmp_path, monkeypatch):
+    seen = []
+
+    def capture(cfg, out):
+        seen.append(cfg)
+        return 0
+
+    for command in ("tau", "converge", "factorize", "verify"):
+        monkeypatch.setitem(cli._COMMANDS, command, capture)
+    path = _write(tmp_path, RATIONAL_INI)
+    base = cli.load_config(path)
+    for command, flag, name, value in (
+        ("tau", "--tol", "tau_tol", 2e-9),
+        ("converge", "--tol", "converge_tol", 3e-7),
+        ("factorize", "--tol", "factorize_tol", 5e-9),
+        ("factorize", "--seed", "factorize_seed", 9),
+        ("verify", "--seed", "verify_seed", 4),
+    ):
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o"), flag, repr(value)]) == 0
+        cfg = seen.pop()
+        assert getattr(cfg, name) == value
+        assert all(getattr(cfg, n) == getattr(base, n) for n in DEFAULTS if n != name)
+
+
 # -- tau sweep ----------------------------------------------------------------
 
 

@@ -10,12 +10,14 @@ from blocktau.laurent import (
     LaurentMatrix,
     inverse_transform,
     lm_invert,
+    lm_mul,
     lm_trim,
     sample_function,
 )
 from blocktau.symbols import (
     base_symbol,
     covering_spec,
+    exp_xi_lambda,
     gd_symbol,
     gd_symbol_values,
     rational_spec,
@@ -215,6 +217,31 @@ def test_wave_matrix_mode_support():
     assert np.max(np.abs(prod - np.eye(2)[None])) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "spec, tv",
+    [
+        (RSPEC, TV),
+        (RSPEC, time_vector([0.1, 0.0, -0.2])),
+        (CSPEC, CTV),
+        (CSPEC, time_vector([-0.15, 0.0, 0.1])),
+    ],
+    ids=["rational-TV", "rational-t2", "covering-CTV", "covering-t2"],
+)
+def test_wave_matrix_inverse_matches_inverting_the_minus_factor(spec, tv):
+    # reference: Psi^-1 = T_minus^-1 exp(xi(t,L)), with T_minus inverted on samples
+    psi_inv = wave_matrix(spec, tv)[1]
+    tm_inv = lm_invert(wiener_hopf(deformed_symbol_samples(spec, tv, 2048)).T_minus)
+    e_hi = 40 + 2 * len(tv.values)
+    e_plus = exp_xi_lambda(tv, spec.n, (0, e_hi), exact_only=True)
+    want = lm_mul(tm_inv, e_plus, (tm_inv.lo, e_hi))
+    lo, hi = max(want.lo, psi_inv.lo), min(want.hi, psi_inv.hi)
+    assert hi - lo > 30
+    assert max(np.max(np.abs(psi_inv.block(k) - want.block(k))) for k in range(lo, hi + 1)) < 1e-13
+    # neither route holds a mode above 1e-13 past the common band
+    for a in (want, psi_inv):
+        assert all(np.max(np.abs(a.block(k))) < 1e-13 for k in range(a.lo, a.hi + 1) if not lo <= k <= hi)
+
+
 def test_tau_ratio_corrected_identity():
     for spec, tv in ((RSPEC, TV), (CSPEC, CTV), (RSPEC3, TV)):
         psi, psi_inv = wave_matrix(spec, tv)
@@ -239,7 +266,7 @@ def test_registry_rows_build_the_wave_matrix_once(monkeypatch, tmp_path):
     # ratio_block_determinant and wave_matrix_correction read the wave matrix
     # of one (spec, t) at N = 1, 2: one minus factor serves all four
     cfg = cli.load_config(None)
-    ctx = checks.Context(cfg.verify_seed, cfg, str(tmp_path))
+    ctx = checks.Context(cfg, str(tmp_path))
     calls = []
     real = factorization.wiener_hopf
     monkeypatch.setattr(

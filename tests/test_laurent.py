@@ -426,6 +426,37 @@ def test_csv_17_digit_fidelity(tmp_path):
     assert back.block(0)[0, 0].real == value
 
 
+def _write_csv_loop(lm, path):
+    """One block, row and column at a time, skipping entries equal to 0."""
+    lines = [CSV_HEADER]
+    for k in range(lm.lo, lm.hi + 1):
+        for r in range(lm.n):
+            for c in range(lm.n):
+                v = lm.block(k)[r, c]
+                if v != 0.0:
+                    lines.append(f"{k},{r},{c},{v.real:.17g},{v.imag:.17g}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_csv_gather_matches_the_loop(tmp_path):
+    rng = np.random.default_rng(12)
+    lm = _random_lm(rng, 3, -4, 2)
+    co = lm.coeffs
+    co[0] = 0.0                       # an all-zero block
+    co[1, 0, 1] = -0.0                # negative zeros are zeros
+    co[1, 2, 0] = complex(-0.0, -0.0)
+    co[2, 1, 1] = complex(0.0, -2.5)  # purely imaginary, negative
+    co[3, 0, 0] = 7.0                 # purely real
+    co[4, 2, 2] = complex(-1e-300, 0.0)
+    co[5, 1, 0] = complex(3.0, -0.0)  # a signed zero in a nonzero entry is kept
+    for name, a in (("mixed", lm), ("zero", LaurentMatrix(2, 0, 1, np.zeros((2, 2, 2), dtype=complex)))):
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_loop.csv"
+        write_csv(a, got)
+        _write_csv_loop(a, want)
+        assert got.read_bytes() == want.read_bytes()
+    assert len(got.read_text().splitlines()) == 1
+
+
 def test_sample_function_radius():
     fn = lambda z: z[:, None, None] * np.eye(1)[None]
     x = sample_function(fn, 1, 64, radius=0.5)
