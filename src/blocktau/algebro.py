@@ -29,6 +29,7 @@ scalar series s(zeta) into its n x n block action over z is symbols.fold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import ceil, gcd, log2
 
 import numpy as np
@@ -38,8 +39,10 @@ from .laurent import (
     CircleSamples,
     LaurentMatrix,
     ScalarSeries,
+    grid_values,
     lm_trim,
     next_pow2,
+    stacked_mul,
     stacked_solve,
     transform,
 )
@@ -103,16 +106,18 @@ def _poly_eval(c: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _charpoly_coeffs(A: np.ndarray) -> np.ndarray:
     """c_1..c_n of det(lambda I - A) for every matrix of an (M, n, n) stack.
 
-    np.poly for a whole stack: the batched eigenvalues, then the monic
-    polynomial with those roots, one factor (lambda - root) at a time.
+    c_k is (-1)^k times the sum of the k x k principal minors of A.  The
+    minors of one size are one stack, and their determinants one
+    stacked_solve: no eigenvalues, no per-matrix LAPACK call.
     """
-    roots = np.linalg.eigvals(A)
-    M, n = roots.shape
-    c = np.zeros((M, n + 1), dtype=complex)
-    c[:, 0] = 1.0
-    for k in range(n):
-        c[:, 1 : k + 2] -= roots[:, k, None] * c[:, : k + 1]
-    return c[:, 1:]
+    M, n = A.shape[0], A.shape[-1]
+    c = np.empty((M, n), dtype=complex)
+    for k in range(1, n + 1):
+        rows = np.array(list(combinations(range(n), k)))  # (minors, k)
+        minors = A[:, rows[:, :, None], rows[:, None, :]].reshape(-1, k, k)
+        dets = stacked_solve(minors, minors[:, :, :0])[1]
+        c[:, k - 1] = (-1) ** k * dets.reshape(M, -1).sum(axis=1)
+    return c
 
 
 def _poly_degree(c: np.ndarray) -> int:
@@ -205,8 +210,7 @@ def charpoly_from_matrix(C: LaurentMatrix) -> CharPoly:
     n = C.n
     reach = n * max(abs(C.lo), abs(C.hi), 1)
     M = next_pow2(4 * (reach + 4))
-    z = np.exp(2j * np.pi * np.arange(M) / M)
-    modes = np.fft.fft(_charpoly_coeffs(C(z)), axis=0) / M
+    modes = np.fft.fft(_charpoly_coeffs(grid_values(C.coeffs, C.lo, M)), axis=0) / M
     half = M // 2
     out = []
     for s in range(n):
@@ -265,9 +269,10 @@ class BranchSeries:
 
 def branch_residual(cp: CharPoly, bs: BranchSeries) -> float:
     """Max relative curve residual |p(b(zeta))| on 64 points of |zeta| = 1."""
-    M = 64
-    zeta = np.exp(2j * np.pi * (np.arange(M) + 0.37) / M)
-    bv = bs(zeta)
+    M, shift = 64, 0.37
+    zeta = np.exp(2j * np.pi * (np.arange(M) + shift) / M)
+    series = bs.series()
+    bv = grid_values(series.coeffs, series.lo, M, shift)
     res = cp.evaluate(bv, zeta**cp.n)
     scale = max(1.0, float(np.max(np.abs(bv) ** cp.n)))
     return float(np.max(np.abs(res))) / scale
@@ -382,7 +387,7 @@ def bc_matrices(
     M = next_pow2(max(4 * (abs(band[0]) + abs(band[1]) + 2), 64))
     z = np.exp(2j * np.pi * np.arange(M) / M)
     w = base_diagonal(spec, z)
-    Cv = B(z) * w[:, None, :] / w[:, :, None]
+    Cv = grid_values(B.coeffs, B.lo, M) * w[:, None, :] / w[:, :, None]
 
     modes = np.fft.fft(Cv, axis=0) / M
     half = M // 2
@@ -586,10 +591,8 @@ def spectral_check(
 
     M = 2 * bc.M_used
     z = np.exp(2j * np.pi * (np.arange(M) + 0.5) / M)
-    Wr = w_rec(z)
-    Bv = bc.B(z)
-    Cv = bc.C(z)
-    conj, _det = stacked_solve(Wr, Bv @ Wr)
+    Wr, Bv, Cv = (grid_values(lm.coeffs, lm.lo, M, 0.5) for lm in (w_rec, bc.B, bc.C))
+    conj, _det = stacked_solve(Wr, stacked_mul(Bv, Wr))
     cscale = max(1.0, float(np.max(np.abs(Cv))))
     roundtrip = float(np.max(np.abs(conj - Cv))) / cscale
 

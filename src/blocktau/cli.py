@@ -18,7 +18,8 @@ significant digits, '.' decimal point, no locale.  The output directory can
 also be set through the environment variable BLOCKTAU_OUT; the --out flag
 wins over both it and the config file.  --tol and --seed override the
 command's own [<command>] tol or seed key and are parsed as that key; a
-command without such a key rejects the flag (exit 2, nothing written).
+command without such a key rejects the flag (exit 2, nothing written), and
+spectral on a spec that is not a covering one exits 2 the same way.
 """
 
 from __future__ import annotations
@@ -111,11 +112,12 @@ def _parse_int(text: str, what: str, least: int) -> int:
     return v
 
 
-def _parse_tol(text: str, what: str) -> float:
+def _parse_positive(text: str, what: str, kind: str = "tolerance") -> float:
+    """A positive finite number; kind names what the key holds in the error."""
     try:
         v = float(text)
     except ValueError as exc:
-        raise ConfigError(f"bad tolerance for {what}: {text!r}") from exc
+        raise ConfigError(f"bad {kind} for {what}: {text!r}") from exc
     if not (v > 0 and np.isfinite(v)):
         raise ConfigError(f"{what} must be positive, got {text!r}")
     return v
@@ -142,13 +144,15 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
 
 # (section, key) -> (RunConfig field, parser, default): every scalar key, once.
 _KEYS = {
-    ("tau", "tol"): ("tau_tol", _parse_tol, 1e-8),
+    ("tau", "tol"): ("tau_tol", _parse_positive, 1e-8),
     ("converge", "n_max"): ("converge_n_max", partial(_parse_int, least=2), 20),
-    ("converge", "tol"): ("converge_tol", _parse_tol, 1e-6),
+    ("converge", "tol"): ("converge_tol", _parse_positive, 1e-6),
     ("factorize", "draws"): ("factorize_draws", partial(_parse_int, least=1), 3),
     ("factorize", "seed"): ("factorize_seed", partial(_parse_int, least=0), 0),
-    ("factorize", "scale"): ("factorize_scale", _parse_tol, 0.3),
-    ("factorize", "tol"): ("factorize_tol", _parse_tol, 1e-8),
+    ("factorize", "scale"): (
+        "factorize_scale", partial(_parse_positive, kind="positive number"), 0.3
+    ),
+    ("factorize", "tol"): ("factorize_tol", _parse_positive, 1e-8),
     ("verify", "seed"): ("verify_seed", partial(_parse_int, least=0), 7),
 }
 # --<key> on command c overrides the key (c, key); main rejects it if c has none
@@ -395,8 +399,6 @@ def cmd_factorize(cfg: RunConfig, out: str) -> int:
 
 def cmd_spectral(cfg: RunConfig, out: str) -> int:
     spec = cfg.spec
-    if spec.family != "covering":
-        raise ConfigError("the spectral command needs a covering spec")
     cp = algebro.curve_from_covering(spec)
     rep = algebro.spectral_check(spec, cp=cp)
     laurent.write_csv(rep.C, os.path.join(out, "C.csv"))
@@ -496,6 +498,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--{key} does not apply to {args.command}: it has no {key} key")
             name, parse, _default = _KEYS[args.command, key]
             cfg = replace(cfg, **{name: parse(text, f"--{key} ([{args.command}] {key})")})
+        if args.command == "spectral" and cfg.spec.family != "covering":
+            raise ConfigError("the spectral command needs a covering spec")
         out = _ensure_outdir(cfg, args.out)
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:

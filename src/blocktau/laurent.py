@@ -13,8 +13,10 @@ enforce this and raise AliasError otherwise.
 Pointwise inverses, solves and determinants of a sample stack go through
 one kernel, stacked_solve: partial-pivoting elimination with every matrix
 entry held as a length-M array, O(n^3) array operations in place of one
-LAPACK call per sample.  numpy.linalg stays the independent reference in
-the check registry and the tests.
+LAPACK call per sample.  Pointwise products go through stacked_mul, k
+multiply-adds of length-M arrays per entry, and a banded series is
+evaluated on a (shifted) uniform grid by one inverse FFT (grid_values).  numpy.linalg stays the
+independent reference in the check registry and the tests.
 
 Scalar and vector valued series (single row of coefficients per power)
 reuse the same conventions and are used for the column generators of the
@@ -174,7 +176,9 @@ def sample_function(fn, n: int, M: int, radius: float = 1.0) -> CircleSamples:
 
 def _fft_modes(x: CircleSamples) -> np.ndarray:
     """Raw DFT modes: modes[k] = (1/M) sum_j values[j] e^{-2 pi i jk/M}."""
-    return np.fft.fft(x.values, axis=0) / x.M
+    modes = np.fft.fft(x.values, axis=0)
+    modes /= x.M
+    return modes
 
 
 def transform(x: CircleSamples, band: tuple[int, int]) -> LaurentMatrix:
@@ -222,9 +226,32 @@ def inverse_transform(lm: LaurentMatrix, M: int, radius: float = 1.0) -> CircleS
     coeffs = lm.coeffs
     if radius != 1.0:
         coeffs = coeffs * (radius**ks)[:, None, None]
-    np.add.at(spectrum, ks % M, coeffs)
-    values = np.fft.ifft(spectrum, axis=0) * M
+    spectrum[ks % M] = coeffs  # M >= 2 * width: every mode has its own slot
+    values = np.fft.ifft(spectrum, axis=0)
+    values *= M
     return CircleSamples(lm.n, M, values, radius)
+
+
+def grid_values(coeffs: np.ndarray, lo: int, M: int, shift: float = 0.0) -> np.ndarray:
+    """sum_k coeffs[k - lo] z_j^k on z_j = exp(2 pi i (j + shift) / M), j < M, by one FFT.
+
+    Mode k is twisted by exp(2 pi i k shift / M) and folded onto slot k mod
+    M, so a band of any width is exact on the grid; coeffs may carry any
+    trailing shape, and the points run along the first axis of the result.
+    """
+    width = len(coeffs)
+    ks = np.arange(lo, lo + width)
+    twisted = np.asarray(coeffs, dtype=complex)
+    if shift:
+        phase = np.exp(2j * np.pi * shift * ks / M)
+        twisted = twisted * phase.reshape((width,) + (1,) * (twisted.ndim - 1))
+    folds = -(-width // M)
+    padded = np.zeros((folds * M,) + twisted.shape[1:], dtype=complex)
+    padded[:width] = twisted  # row i holds mode lo + i: slot (lo + i) mod M
+    spectrum = np.roll(padded.reshape((folds, M) + twisted.shape[1:]).sum(axis=0), lo, axis=0)
+    values = np.fft.ifft(spectrum, axis=0)
+    values *= M
+    return values
 
 
 def next_pow2(m: int) -> int:
@@ -309,10 +336,34 @@ def lm_trim(a: LaurentMatrix, rel_tol: float = 0.0) -> LaurentMatrix:
 # -- pointwise sample algebra ----------------------------------------------
 
 
+def stacked_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_m b_m for every pair of stacks a (..., n, k) and b (..., k, p).
+
+    Entry (i, j) of every product is k multiply-adds of whole strided
+    arrays over the stack: on a tall stack of small matrices np.matmul and
+    np.einsum pay a dispatch per matrix, and a broadcast product over the
+    small axes runs through ufunc buffers of 2 x 128 KiB per call.
+    """
+    n, k, p = a.shape[-2], a.shape[-1], b.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (n, p), dtype=complex)
+    for i in range(n):
+        for j in range(p):
+            entry = out[..., i, j]
+            np.multiply(a[..., i, 0], b[..., 0, j], out=entry)
+            for c in range(1, k):
+                entry += a[..., i, c] * b[..., c, j]
+    return out
+
+
 def samples_mul(a: CircleSamples, b: CircleSamples) -> CircleSamples:
     if (a.n, a.M, a.radius) != (b.n, b.M, b.radius):
         raise ValueError("incompatible sample grids")
-    return CircleSamples(a.n, a.M, a.values @ b.values, a.radius)
+    return CircleSamples(a.n, a.M, stacked_mul(a.values, b.values), a.radius)
+
+
+def _sq_frobenius(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every matrix of an (M, n, n) stack."""
+    return (a.real**2 + a.imag**2).sum(axis=(1, 2))
 
 
 def _mag(v: np.ndarray) -> np.ndarray:
@@ -370,15 +421,14 @@ def invert_symbol(x: CircleSamples) -> CircleSamples:
 
     ||A||_F ||A^-1||_F, an upper bound of cond_2(A), screens every sample
     from the inverse itself (stacked_solve; an exactly singular sample
-    gives a non-finite inverse and misses the screen).  Only when a sample
+    gives a non-finite inverse and misses the screen), squared norms
+    against COND_SCREEN^2 with no square root.  Only when a sample
     misses COND_SCREEN (half of COND_LIMIT: room for the round-off of an
     inverse at that conditioning) are the SVD condition numbers computed;
     they decide.
     """
     inv = stacked_solve(x.values)[0]
-    if not np.all(
-        np.linalg.norm(x.values, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2)) <= COND_SCREEN
-    ):
+    if not np.all(_sq_frobenius(x.values) * _sq_frobenius(inv) <= COND_SCREEN**2):
         conds = np.linalg.cond(x.values)
         worst = float(np.max(conds))
         if not np.isfinite(worst) or worst > COND_LIMIT:

@@ -51,6 +51,7 @@ from .laurent import (
     lm_reflect,
     lm_scale,
     lm_trim,
+    stacked_mul,
     winding_number,
 )
 
@@ -195,20 +196,30 @@ def plemelj_quadrature(
     projection of psi(z) + (1/2 pi i) * contour integral over |zeta| = r of
     (g(z) g^{-1}(zeta) - I) psi(zeta) / (zeta - z), with the inner radius r
     strictly between the symbol's singularity modulus and 1.  The integrand
-    is analytic in the closed annulus, so the trapezoid rule converges
-    geometrically; output modes are read off with an FFT in z.
+    is analytic in the closed annulus, so the trapezoid rule on zeta_m =
+    r e^{2 pi i m / M_in} converges geometrically; output modes are read off
+    the M_out samples z_l = omega^l, omega = e^{2 pi i / M_out}.
 
-    The trapezoid sum is diagonal in Fourier space (Bornemann 2010).  On
-    zeta_m = r e^{2 pi i m / M_in} and |z| = 1, expanding 1/(zeta - z) in
-    zeta/z and summing its period-M_in wrap in closed form gives exactly
+    The trapezoid sum has a closed form (Bornemann 2010; Trefethen and
+    Weideman 2014).  Let fhat be the
+    M_in-point DFT (/M_in) of the columns f = (entries of g^{-1}(zeta_m), 1),
+    s_p = r^p fhat_{-p mod M_in}, S_p and sigma_p its matrix and scalar
+    parts.  Expanding 1/(zeta - z) in zeta/z and summing its period-M_in
+    wrap gives, at every z_l, the M_out-point DFT B_l of s (folded mod
+    M_out) over 1 - (r/z_l)^M_in:
 
-        (1/M_in) sum_m f_m / (zeta_m - z)
-            = -[z (1 - (r/z)^M_in)]^{-1} sum_{q<M_in} r^q fhat_{-q} z^{-q},
+        D_l = B_l / (1 - r^M_in omega^{-M_in l}),   Phi_l = G_l D_l - d_l I,
 
-    fhat = fft(f) / M_in, for any sample values f; the q-sum folded mod M_out
-    is one FFT over z.  Only pointwise samples of g and g^{-1} are read, never
-    their Fourier coefficients, so the route stays independent of
-    plemelj_fourier.
+    G_l = g(z_l) and d the scalar part of D.  With Ghat and Phihat the
+    M_out-point DFTs (/M_out) of G and Phi, block (i, j) of the truncation
+    is exactly
+
+        delta_ij I - Phihat_{i-j}
+            + sum_{p<=j} (Ghat_{i-j+p} S_p - sigma_p [i-j+p = 0] I):
+
+    one FFT per sample column, nothing of size M_out x M.  Only pointwise
+    samples of g and g^{-1} are read, never their Fourier coefficients, so
+    the route stays independent of plemelj_fourier.
     """
     n, Mo, Mi, r = x.n, x.M, x_inv.M, x_inv.radius
     if x.radius != 1.0:
@@ -217,25 +228,27 @@ def plemelj_quadrature(
         raise QuadratureError(f"inner radius {r} must lie strictly inside the circle")
     if Mo < 2 * M:
         raise AliasError(f"outer grid M={Mo} too coarse for {M} output modes")
-    # g(z_l) does not depend on zeta, so it leaves the zeta-sum:
-    # T_lj = G_l W_lj - S_lj I, the sums of f = (g^{-1}(zeta), 1) zeta^{j+1}.
-    # Their moments r^q fhat_{-q} are r^p Fhat_{-p} at p = q + j + 1.
     F = np.concatenate([x_inv.values.reshape(Mi, n * n), np.ones((Mi, 1))], axis=1)
     Fhat = np.fft.fft(F, axis=0) / Mi
-    p = np.arange(Mi)[:, None] + np.arange(1, M + 1)
-    moments = (r**p)[:, :, None] * Fhat[-p % Mi]       # (q, j, column)
+    p = np.arange(max(Mi, M))
+    s = (r**p)[:, None] * Fhat[-p % Mi]       # s_p, quasi-periodic past M_in
     folds = -(-Mi // Mo)
-    folded = np.zeros((folds * Mo, M, n * n + 1), dtype=complex)
-    folded[:Mi] = moments
-    folded = folded.reshape(folds, Mo, M, n * n + 1).sum(axis=0)
-    wrap = r**Mi * np.exp(-2j * np.pi * (np.arange(Mo) * Mi % Mo) / Mo)
-    scale = -1.0 / (x.grid() * (1.0 - wrap))
-    sums = np.fft.fft(folded, axis=0) * scale[:, None, None]   # (l, j, column)
-    W = sums[..., : n * n].reshape(Mo, M, n, n).transpose(0, 2, 1, 3)
-    T = (x.values @ W.reshape(Mo, n, M * n)).reshape(Mo, n, M, n)   # (l, a, j, c)
-    T -= sums[:, None, :, n * n, None] * np.eye(n)[:, None, :]
-    modes = np.fft.fft(T, axis=0)[:M] / Mo             # output mode index i
-    P = modes.reshape(M * n, M * n) + np.eye(M * n)
+    folded = np.zeros((folds * Mo, n * n + 1), dtype=complex)
+    folded[:Mi] = s[:Mi]
+    B = np.fft.fft(folded.reshape(folds, Mo, n * n + 1).sum(axis=0), axis=0)
+    D = B / (1.0 - r**Mi * np.exp(-2j * np.pi * (np.arange(Mo) * Mi % Mo) / Mo))[:, None]
+    Phi = stacked_mul(x.values, D[:, : n * n].reshape(Mo, n, n))
+    Phi -= D[:, n * n, None, None] * np.eye(n)
+    Ghat = np.fft.fft(x.values, axis=0) / Mo
+    Phihat = np.fft.fft(Phi, axis=0) / Mo
+    # A[d, p] = Ghat_{d+p} S_p at d = i - j in (-M, M); block (i, j) sums p <= j
+    d = np.arange(1 - M, M)
+    A = stacked_mul(Ghat[(d[:, None] + p[:M]) % Mo], s[:M, : n * n].reshape(M, n, n))
+    i, j = np.indices((M, M))
+    blocks = np.cumsum(A, axis=1)[i - j + M - 1, j] - Phihat[(i - j) % Mo]
+    # sigma_p [d + p = 0] enters block (i, j) once p = j - i >= 0 is summed
+    blocks -= np.where(i <= j, s[(j - i) % M, n * n], 0.0)[:, :, None, None] * np.eye(n)
+    P = blocks.transpose(0, 2, 1, 3).reshape(M * n, M * n) + np.eye(M * n)
     return PlemeljOperator(n=n, M=M, matrix=P)
 
 

@@ -9,7 +9,9 @@ tau_graded_elimination eliminates the whole nN x nN ring matrix, the
 reference for the rank-r route of tau.tau_graded; gd_symbol_inverse is
 the banded inverse of the deformed symbol, the wide-band reference for
 the Hankel corner of tau.tau_stable; read_csv reads back the coefficient
-CSVs the command line writes.  transform_adaptive (FFT of
+CSVs the command line writes; plemelj_quadrature_folded is the contour
+projector's trapezoid sum as an FFT per output column over the folded
+moment tensor, the reference for its closed form.  transform_adaptive (FFT of
 circle samples) and binomial_series_mpmath (the power-sum recurrence at 40
 digits) are the two references for the closed-form base symbols.
 """
@@ -171,6 +173,34 @@ def tau_graded_elimination(spec, N, Q):
     idx = np.arange(N)
     T = block_layout(coeffs, -(N - 1), idx[:, None] - idx)  # block (I, J) is mode I - J
     return gp_det([[GradedPoly(Q, Q, entry) for entry in row] for row in T])
+
+
+def plemelj_quadrature_folded(x, x_inv, M):
+    """The trapezoid projector of toeplitz.plemelj_quadrature, one output column at a time.
+
+    For every column j the moments r^p fhat_{-p}, p = q + j + 1, of f =
+    (g^-1(zeta_m) entries, 1) are folded mod M_out into an (M_out, M, n^2+1)
+    tensor and summed over q by one FFT per column, times -1 / (z (1 -
+    (r/z)^M_in)); the output modes are an FFT over z.  Returns the dense
+    (M n, M n) matrix.
+    """
+    n, Mo, Mi, r = x.n, x.M, x_inv.M, x_inv.radius
+    F = np.concatenate([x_inv.values.reshape(Mi, n * n), np.ones((Mi, 1))], axis=1)
+    Fhat = np.fft.fft(F, axis=0) / Mi
+    p = np.arange(Mi)[:, None] + np.arange(1, M + 1)
+    moments = (r**p)[:, :, None] * Fhat[-p % Mi]  # (q, j, column)
+    folds = -(-Mi // Mo)
+    folded = np.zeros((folds * Mo, M, n * n + 1), dtype=complex)
+    folded[:Mi] = moments
+    folded = folded.reshape(folds, Mo, M, n * n + 1).sum(axis=0)
+    wrap = r**Mi * np.exp(-2j * np.pi * (np.arange(Mo) * Mi % Mo) / Mo)
+    scale = -1.0 / (x.grid() * (1.0 - wrap))
+    sums = np.fft.fft(folded, axis=0) * scale[:, None, None]  # (l, j, column)
+    W = sums[..., : n * n].reshape(Mo, M, n, n).transpose(0, 2, 1, 3)
+    T = (x.values @ W.reshape(Mo, n, M * n)).reshape(Mo, n, M, n)  # (l, a, j, c)
+    T -= sums[:, None, :, n * n, None] * np.eye(n)[:, None, :]
+    modes = np.fft.fft(T, axis=0)[:M] / Mo  # output mode index i
+    return modes.reshape(M * n, M * n) + np.eye(M * n)
 
 
 def read_csv(path) -> LaurentMatrix:

@@ -80,9 +80,29 @@ def test_covering_requires_sheet_count(tmp_path):
     assert cli.main(["spectral", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_spectral_rejects_rational_family(tmp_path):
+def test_spectral_rejects_rational_family(tmp_path, capsys):
     path = _write(tmp_path, RATIONAL_INI)
     assert cli.main(["spectral", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "needs a covering spec" in capsys.readouterr().err
+
+
+def test_spectral_on_shipped_rational_config_writes_nothing(tmp_path):
+    out = tmp_path / "o"
+    rational = Path(__file__).resolve().parents[1] / "configs" / "rational.ini"
+    assert cli.main(["spectral", "--config", str(rational), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["big", "0", "-0.5", "inf", "nan"])
+def test_scale_is_a_positive_number(text, tmp_path, capsys):
+    path = _write(tmp_path, RATIONAL_INI.replace("scale = 0.25", f"scale = {text}"))
+    assert cli.main(["factorize", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "tolerance" not in err
+    if text == "big":
+        assert "bad positive number for [factorize] scale: 'big'" in err
+    else:
+        assert f"[factorize] scale must be positive, got '{text}'" in err
 
 
 def test_missing_config_file(tmp_path):

@@ -17,6 +17,7 @@ from blocktau.laurent import (
     VectorSeries,
     gather_modes,
     geometric_mean,
+    grid_values,
     half_norm,
     inverse_transform,
     invert_symbol,
@@ -30,6 +31,7 @@ from blocktau.laurent import (
     lm_trim,
     sample_function,
     samples_mul,
+    stacked_mul,
     stacked_solve,
     transform,
     winding_number,
@@ -187,6 +189,37 @@ def test_transform_adaptive_finds_band():
         assert np.max(np.abs(got.block(q) - lm.block(q))) < 1e-11
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("radius", [1.0, 0.7])
+def test_inverse_transform_equals_the_accumulating_reference(n, radius):
+    # distinct slots (M >= 2 width) make assignment and np.add.at one sum
+    lm = _random_lm(np.random.default_rng(10 + n), n, -7, 9)
+    M = 64
+    spectrum = np.zeros((M, n, n), dtype=complex)
+    ks = np.arange(lm.lo, lm.hi + 1)
+    coeffs = lm.coeffs if radius == 1.0 else lm.coeffs * (radius**ks)[:, None, None]
+    np.add.at(spectrum, ks % M, coeffs)
+    want = np.fft.ifft(spectrum, axis=0) * M
+    assert np.array_equal(inverse_transform(lm, M, radius).values, want)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5, 0.37])
+@pytest.mark.parametrize("lo, hi, M", [(-3, 4, 32), (-40, 25, 16), (5, 90, 32), (-70, -3, 24)])
+def test_grid_values_match_the_power_sum(shift, lo, hi, M):
+    # the last three bands are wider than the grid: modes fold onto k mod M
+    rng = np.random.default_rng(M + hi - lo)
+    lm = _random_lm(rng, 2, lo, hi)
+    lm.coeffs *= (0.9 ** np.abs(np.arange(lo, hi + 1)))[:, None, None]
+    z = np.exp(2j * np.pi * (np.arange(M) + shift) / M)
+    want = lm(z)
+    got = grid_values(lm.coeffs, lm.lo, M, shift)
+    assert got.shape == (M, 2, 2)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(lm.coeffs))
+    series = ScalarSeries(lo, lm.coeffs[:, 0, 1])
+    gap = np.max(np.abs(grid_values(series.coeffs, lo, M, shift) - series(z)))
+    assert gap <= 1e-14 * np.sum(np.abs(series.coeffs))
+
+
 def test_evaluation_matches_direct_power_sum():
     rng = np.random.default_rng(2)
     lm = _random_lm(rng, 2, -3, 2)
@@ -198,6 +231,22 @@ def test_evaluation_matches_direct_power_sum():
 
 
 # -- arithmetic --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_mul_matches_matmul(n):
+    rng = np.random.default_rng(70 + n)
+    for k, p in [(n, n), (n + 1, 2), (1, 3)]:
+        a = _random_stack(rng, 96, n, k)
+        b = _random_stack(rng, 96, k, p)
+        want = np.matmul(a, b)
+        bound = 4 * k * np.finfo(float).eps * np.max(np.abs(a)) * np.max(np.abs(b))
+        assert np.max(np.abs(stacked_mul(a, b) - want)) <= bound
+    # non-contiguous operands: a transposed stack and every other sample
+    a = _random_stack(rng, 96, n).transpose(0, 2, 1)
+    b = _random_stack(rng, 192, n, 2)[::2]
+    assert not b.flags.c_contiguous and (n == 1 or not a.flags.c_contiguous)
+    assert np.allclose(stacked_mul(a, b), np.matmul(a, b), rtol=0, atol=1e-13)
 
 
 def test_mul_matches_pointwise():

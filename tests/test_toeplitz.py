@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from blocktau import laurent, tau, toeplitz
+from blocktau import laurent, symbols, tau, toeplitz
 from blocktau.errors import ConvergenceError, HypothesisError, SpecError
 from blocktau.laurent import (
     CircleSamples,
@@ -52,7 +52,7 @@ from blocktau.factorization import (
     two_sided_factorization,
     wiener_hopf,
 )
-from oracles import gd_symbol_inverse, schur_mpmath
+from oracles import gd_symbol_inverse, plemelj_quadrature_folded, schur_mpmath
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
@@ -319,6 +319,16 @@ def test_quadrature_equals_the_direct_trapezoid_sum(M_out, M_in, radius, n):
     assert np.max(np.abs(got - _quadrature_reference(x, x_inv, 12))) < 1e-12
 
 
+@pytest.mark.parametrize("M_out", [512, 1024, 2048])
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_quadrature_equals_the_folded_column_sums(M_out, n):
+    rng = np.random.default_rng(M_out + n)
+    x = _random_samples(rng, n, M_out, 1.0)
+    x_inv = _random_samples(rng, n, 1024, 0.8)
+    got = plemelj_quadrature(x, x_inv, 12).matrix
+    assert np.max(np.abs(got - plemelj_quadrature_folded(x, x_inv, 12))) <= 1e-13
+
+
 def test_quadrature_reads_no_fourier_coefficients(monkeypatch):
     x, x_inv = _quadrature_samples(RSPEC, TV, 256)
     want = plemelj_quadrature(x, x_inv, 8).matrix
@@ -334,6 +344,7 @@ def test_quadrature_reads_no_fourier_coefficients(monkeypatch):
         (laurent, "lm_invert"),
         (laurent, "transform"),
         (laurent, "inverse_transform"),
+        (symbols, "gd_symbol"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
     assert np.array_equal(plemelj_quadrature(x, x_inv, 8).matrix, want)
