@@ -97,39 +97,9 @@ def wiener_hopf(
         # modes -1, -2, ..., -cap
         below = np.flatnonzero(norms[cap - 1 :: -1] <= 1e-16 * norms.max())
         B = max(int(below[0]) if len(below) else cap, 1)
-    # each stage is a helper so that its sample stacks die with it: the
-    # whole call then holds a few (M, n, n) stacks at a time
-    T_minus, cond = _minus_factor(x, B, cap)
-    tm_vals = inverse_transform(T_minus, x.M, x.radius).values
-    T_plus, leakage = _plus_factor(x, tm_vals, cap)
-    plus_samples = inverse_transform(T_plus, x.M, x.radius).values
-    recon = stacked_mul(tm_vals, plus_samples)
-    del tm_vals
-    recon -= x.values
-    scale = float(np.max(np.abs(x.values)))
-    residual = float(np.max(np.abs(recon))) / max(scale, 1e-300)
-    del recon
-    if residual > tol:
-        raise FactorizationError(
-            f"residual {residual:.3g} exceeds tol {tol:g} at depth B={B}; "
-            "increase the depth or the sample grid"
-        )
-    det_plus = stacked_solve(plus_samples, plus_samples[:, :, :0])[1]
-    return FactorizationResult(
-        T_minus=T_minus,
-        T_plus=T_plus,
-        residual=residual,
-        leakage=leakage,
-        cond=cond,
-        det_plus_dev=float(np.max(np.abs(det_plus - 1.0))),
-        B_used=B,
-    )
-
-
-def _minus_factor(x: CircleSamples, B: int, cap: int) -> tuple[LaurentMatrix, float]:
-    """T_minus of depth B from the projection system, and the system's condition number."""
     n = x.n
     ginv = transform(invert_symbol(x), (-cap, cap - 1))
+    scale = float(np.max(np.abs(x.values)))
     # block system: sum_{k=1..B} (g^{-1})^(k-m) T_minus^(-k) = -(g^{-1})^(-m)
     ms = np.arange(1, B + 1)
     A = ginv.block_matrix(ms[None, :] - ms[:, None])
@@ -148,20 +118,33 @@ def _minus_factor(x: CircleSamples, B: int, cap: int) -> tuple[LaurentMatrix, fl
     coeffs = np.zeros((B + 1, n, n), dtype=complex)
     coeffs[B] = np.eye(n)  # mode 0
     coeffs[:B] = X.reshape(B, n, n)[::-1]  # modes -B..-1
-    return LaurentMatrix(n, -B, 0, coeffs), cond
+    T_minus = LaurentMatrix(n, -B, 0, coeffs)
 
-
-def _plus_factor(
-    x: CircleSamples, tm_vals: np.ndarray, cap: int
-) -> tuple[LaurentMatrix, float]:
-    """T_plus, the non-negative modes of T_minus^{-1} g, and the energy share it drops."""
+    tm_vals = inverse_transform(T_minus, x.M, x.radius).values
     plus_vals = stacked_solve(tm_vals, x.values)[0]
-    full = transform(CircleSamples(x.n, x.M, plus_vals, x.radius), (-cap, cap - 1))
+    full = transform(CircleSamples(n, x.M, plus_vals, x.radius), (-cap, cap - 1))
+    T_plus = lm_trim(lm_project(full, 0, full.hi), 1e-16)
+    plus_samples = inverse_transform(T_plus, x.M, x.radius).values
+    recon = stacked_mul(tm_vals, plus_samples)
+    residual = float(np.max(np.abs(x.values - recon))) / max(scale, 1e-300)
+    if residual > tol:
+        raise FactorizationError(
+            f"residual {residual:.3g} exceeds tol {tol:g} at depth B={B}; "
+            "increase the depth or the sample grid"
+        )
     # energy bookkeeping before projection onto non-negative modes
     neg_energy = float(np.linalg.norm(full.coeffs[: -full.lo]) ** 2)
     tot_energy = float(np.linalg.norm(full.coeffs) ** 2)
-    T_plus = lm_trim(lm_project(full, 0, full.hi), 1e-16)
-    return T_plus, neg_energy / tot_energy if tot_energy > 0 else 0.0
+    det_plus = stacked_solve(plus_samples, plus_samples[:, :, :0])[1]
+    return FactorizationResult(
+        T_minus=T_minus,
+        T_plus=T_plus,
+        residual=residual,
+        leakage=neg_energy / tot_energy if tot_energy > 0 else 0.0,
+        cond=cond,
+        det_plus_dev=float(np.max(np.abs(det_plus - 1.0))),
+        B_used=B,
+    )
 
 
 @dataclass

@@ -15,8 +15,9 @@ one kernel, stacked_solve: partial-pivoting elimination with every matrix
 entry held as a length-M array, O(n^3) array operations in place of one
 LAPACK call per sample.  Pointwise products go through stacked_mul, k
 multiply-adds of length-M arrays per entry, and a banded series is
-evaluated on a (shifted) uniform grid by one inverse FFT (grid_values).  numpy.linalg stays the
-independent reference in the check registry and the tests.
+evaluated on a (shifted) uniform grid by one inverse FFT (grid_values,
+which inverse_transform also runs).  numpy.linalg stays the independent
+reference in the check registry and the tests.
 
 Scalar and vector valued series (single row of coefficients per power)
 reuse the same conventions and are used for the column generators of the
@@ -176,9 +177,7 @@ def sample_function(fn, n: int, M: int, radius: float = 1.0) -> CircleSamples:
 
 def _fft_modes(x: CircleSamples) -> np.ndarray:
     """Raw DFT modes: modes[k] = (1/M) sum_j values[j] e^{-2 pi i jk/M}."""
-    modes = np.fft.fft(x.values, axis=0)
-    modes /= x.M
-    return modes
+    return np.fft.fft(x.values, axis=0) / x.M
 
 
 def transform(x: CircleSamples, band: tuple[int, int]) -> LaurentMatrix:
@@ -221,15 +220,10 @@ def inverse_transform(lm: LaurentMatrix, M: int, radius: float = 1.0) -> CircleS
     """
     if M < 2 * lm.width:
         raise AliasError(f"grid M={M} too coarse for bandwidth {lm.width}")
-    spectrum = np.zeros((M, lm.n, lm.n), dtype=complex)
-    ks = np.arange(lm.lo, lm.hi + 1)
     coeffs = lm.coeffs
     if radius != 1.0:
-        coeffs = coeffs * (radius**ks)[:, None, None]
-    spectrum[ks % M] = coeffs  # M >= 2 * width: every mode has its own slot
-    values = np.fft.ifft(spectrum, axis=0)
-    values *= M
-    return CircleSamples(lm.n, M, values, radius)
+        coeffs = coeffs * (radius ** np.arange(lm.lo, lm.hi + 1))[:, None, None]
+    return CircleSamples(lm.n, M, grid_values(coeffs, lm.lo, M), radius)
 
 
 def grid_values(coeffs: np.ndarray, lo: int, M: int, shift: float = 0.0) -> np.ndarray:
@@ -245,13 +239,10 @@ def grid_values(coeffs: np.ndarray, lo: int, M: int, shift: float = 0.0) -> np.n
     if shift:
         phase = np.exp(2j * np.pi * shift * ks / M)
         twisted = twisted * phase.reshape((width,) + (1,) * (twisted.ndim - 1))
-    folds = -(-width // M)
-    padded = np.zeros((folds * M,) + twisted.shape[1:], dtype=complex)
-    padded[:width] = twisted  # row i holds mode lo + i: slot (lo + i) mod M
-    spectrum = np.roll(padded.reshape((folds, M) + twisted.shape[1:]).sum(axis=0), lo, axis=0)
-    values = np.fft.ifft(spectrum, axis=0)
-    values *= M
-    return values
+    spectrum = np.zeros((M,) + twisted.shape[1:], dtype=complex)
+    for start in range(0, width, M):  # M modes in a row take M distinct slots
+        spectrum[ks[start : start + M] % M] += twisted[start : start + M]
+    return np.fft.ifft(spectrum, axis=0) * M
 
 
 def next_pow2(m: int) -> int:
@@ -361,11 +352,6 @@ def samples_mul(a: CircleSamples, b: CircleSamples) -> CircleSamples:
     return CircleSamples(a.n, a.M, stacked_mul(a.values, b.values), a.radius)
 
 
-def _sq_frobenius(a: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of every matrix of an (M, n, n) stack."""
-    return (a.real**2 + a.imag**2).sum(axis=(1, 2))
-
-
 def _mag(v: np.ndarray) -> np.ndarray:
     """|Re| + |Im|, the pivot size of LAPACK's izamax."""
     return np.abs(v.real) + np.abs(v.imag)
@@ -421,14 +407,15 @@ def invert_symbol(x: CircleSamples) -> CircleSamples:
 
     ||A||_F ||A^-1||_F, an upper bound of cond_2(A), screens every sample
     from the inverse itself (stacked_solve; an exactly singular sample
-    gives a non-finite inverse and misses the screen), squared norms
-    against COND_SCREEN^2 with no square root.  Only when a sample
+    gives a non-finite inverse and misses the screen).  Only when a sample
     misses COND_SCREEN (half of COND_LIMIT: room for the round-off of an
     inverse at that conditioning) are the SVD condition numbers computed;
     they decide.
     """
     inv = stacked_solve(x.values)[0]
-    if not np.all(_sq_frobenius(x.values) * _sq_frobenius(inv) <= COND_SCREEN**2):
+    if not np.all(
+        np.linalg.norm(x.values, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2)) <= COND_SCREEN
+    ):
         conds = np.linalg.cond(x.values)
         worst = float(np.max(conds))
         if not np.isfinite(worst) or worst > COND_LIMIT:
