@@ -365,24 +365,20 @@ class BCMatrices:
     M_used: int
 
 
-def bc_matrices(
-    spec: SymbolSpec, bs: BranchSeries, *, cp: CharPoly | None = None
-) -> BCMatrices:
+def bc_matrices(spec: SymbolSpec, bs: BranchSeries, cp: CharPoly) -> BCMatrices:
     """Fold the branch into B(z) and conjugate by the base symbol.
 
     C(z) = W(z)^{-1} B(z) W(z) is assembled from circle samples; W is
     diagonal, so C_ij = B_ij w_j / w_i.  The certificates measure how well
     C behaves as the theory predicts: no negative modes, zero trace (after
     the trace reduction of b), degree pattern equal to the branch weight m,
-    and characteristic polynomial equal to the curve.  All four are
+    and characteristic polynomial equal to the curve cp.  All four are
     reported, none is asserted here.
     """
     n = spec.n
     if bs.n != n:
         raise SpecError(f"branch lives on {bs.n} sheets, symbol has {n}")
     B = fold_scalar(bs.trace_reduced().series(), n)
-    if cp is None and spec.family == "covering":
-        cp = curve_from_covering(spec)
 
     depth = bs.J // n + 4
     degmax = (bs.m + n - 1) // n + 1
@@ -407,11 +403,9 @@ def bc_matrices(
     degrees = fold(zs, zs[0], n, (C.lo, C.hi))
     pattern = int(np.max(degrees[np.abs(C.coeffs) > 1e-9 * cscale], initial=0))
 
-    curve_dev = np.nan
-    if cp is not None:
-        got = _charpoly_coeffs(Cv)
-        want = np.stack([_poly_eval(cp.c(s), z) for s in range(1, n + 1)], axis=1)
-        curve_dev = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+    got = _charpoly_coeffs(Cv)
+    want = np.stack([_poly_eval(cp.c(s), z) for s in range(1, n + 1)], axis=1)
+    curve_dev = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
 
     return BCMatrices(
         B=B,
@@ -457,32 +451,25 @@ def _match_branches(
     return pick, float(np.max(best / (0.25 * sep_min[:, None])))
 
 
-def reconstruct_W(C: LaurentMatrix, J: int = 96) -> LaurentMatrix:
+def reconstruct_W(C: LaurentMatrix) -> LaurentMatrix:
     """Rebuild the base symbol from its commuting matrix polynomial.
 
     Derives the curve from C's characteristic polynomial, expands the branch
     at infinity, and per circle sample matches the left eigenvectors of C(z)
     to the branch values over the ordered fiber.  The matched eigenvector
     rows, normalized to unit leading component, assemble the symbol through
-    the fiber Vandermonde; a final constant upper-triangular right factor
-    (when solvable) puts the z^0 block into unit lower-triangular form.
+    the fiber Vandermonde.  For a covering symbol (diagonal, w_0 = 1, every
+    w_i -> 1 at infinity) that normalization makes the rebuilt z^0 block I;
+    spectral_check's big-cell certificate reports any other outcome.
     """
     n = C.n
     cp = charpoly_from_matrix(C)
-    bs = branch_series(cp, J)
-    band = (-max(J // n + 4, 8), 0)
+    bs = branch_series(cp)
+    band = (-max(bs.J // n + 4, 8), 0)
     M = next_pow2(max(2 * (abs(band[0]) + abs(band[1]) + 2), 64))
     z = np.exp(2j * np.pi * np.arange(M) / M)
     Wv = _reconstruct_samples(C, bs, z)
-    w = lm_trim(transform(CircleSamples(n, M, Wv), band), 1e-13)
-
-    # normalize the constant block to the unit lower-triangular cell
-    z0 = w.block(0)
-    if float(np.max(np.abs(z0 - np.eye(n)))) > 1e-12:
-        factor = _upper_normalizer(z0)
-        if factor is not None:
-            w = LaurentMatrix(n, w.lo, w.hi, w.coeffs @ factor)
-    return w
+    return lm_trim(transform(CircleSamples(n, M, Wv), band), 1e-13)
 
 
 def _reconstruct_samples(
@@ -511,19 +498,6 @@ def _reconstruct_samples(
         )
     rows = rows / lead[:, :, None]
     return np.fft.fft(rows, axis=1) / (n * zetas[:, :1, None] ** np.arange(n)[:, None])
-
-
-def _upper_normalizer(z0: np.ndarray) -> np.ndarray | None:
-    """Upper-triangular factor U^-1 from an unpivoted z0 = L U split, if stable."""
-    n = z0.shape[0]
-    U = z0.astype(complex).copy()
-    scale = max(1.0, float(np.max(np.abs(z0))))
-    for c in range(n):
-        if abs(U[c, c]) < 1e-10 * scale:
-            return None
-        for r in range(c + 1, n):
-            U[r] -= (U[r, c] / U[c, c]) * U[c]
-    return np.linalg.solve(U, np.eye(n, dtype=complex))
 
 
 # -- end-to-end check --------------------------------------------------------
@@ -573,24 +547,18 @@ class SpectralReport:
         ]
 
 
-def spectral_check(
-    spec: SymbolSpec,
-    J: int = 96,
-    *,
-    cp: CharPoly | None = None,
-) -> SpectralReport:
-    """Run the whole spectral round trip on a covering spec, or any spec given cp.
+def spectral_check(spec: SymbolSpec) -> SpectralReport:
+    """Run the whole spectral round trip on a covering spec.
 
     Builds the curve and branch, certifies the commuting pair, rebuilds the
     symbol from C alone, and measures on a fresh, half-shifted sample grid:
     the conjugation identity, the relative distance of the rebuilt symbol
     from the original, and the margin of the branch matching.
     """
-    if cp is None:
-        cp = curve_from_covering(spec)
-    bs = branch_series(cp, J)
-    bc = bc_matrices(spec, bs, cp=cp)
-    w_rec = reconstruct_W(bc.C, J)
+    cp = curve_from_covering(spec)
+    bs = branch_series(cp)
+    bc = bc_matrices(spec, bs, cp)
+    w_rec = reconstruct_W(bc.C)
 
     M = 2 * bc.M_used
     z = np.exp(2j * np.pi * (np.arange(M) + 0.5) / M)

@@ -400,7 +400,7 @@ def cmd_factorize(cfg: RunConfig, out: str) -> int:
 def cmd_spectral(cfg: RunConfig, out: str) -> int:
     spec = cfg.spec
     cp = algebro.curve_from_covering(spec)
-    rep = algebro.spectral_check(spec, cp=cp)
+    rep = algebro.spectral_check(spec)
     laurent.write_csv(rep.C, os.path.join(out, "C.csv"))
     lines = ["command: spectral", f"sheets: {spec.n}", ""]
     lines.append("curve lambda^n = P(z), P coefficients (ascending):")

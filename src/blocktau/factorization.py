@@ -227,7 +227,7 @@ def _wave_matrix(spec: SymbolSpec, values: tuple, gd_reduced: bool):
     fact = wiener_hopf(deformed_symbol_samples(spec, t, 2048))
     T_minus, T_plus, w_inv = fact.T_minus, fact.T_plus, base_inverse(spec)
     e_hi = 40 + 2 * len(t.values)
-    e_minus = exp_xi_lambda(t.negated(), spec.n, (0, e_hi), exact_only=True)
+    e_minus = exp_xi_lambda(t.negated(), spec.n, (0, e_hi))
     # exp(-xi) has no negative modes: the product starts where T_minus does
     psi = lm_trim(lm_mul(e_minus, T_minus, (T_minus.lo, e_hi)), 1e-16)
     psi_inv = lm_trim(lm_mul(T_plus, w_inv, (w_inv.lo, T_plus.hi + w_inv.hi)), 1e-16)

@@ -65,10 +65,6 @@ class TimeVector:
     def __post_init__(self) -> None:
         self.values = tuple(complex(v) for v in self.values)
 
-    @property
-    def K(self) -> int:
-        return len(self.values)
-
     def effective(self, n: int) -> np.ndarray:
         """Times actually applied to a block size n symbol."""
         t = np.array(self.values, dtype=complex)
@@ -323,26 +319,18 @@ def schur_numeric(tvals, kmax: int) -> np.ndarray:
     return p.astype(complex, copy=False)
 
 
-def exp_xi_lambda(
-    t: TimeVector, n: int, band: tuple[int, int], exact_only: bool = False
-) -> LaurentMatrix:
-    """exp(xi(t, L)) = sum_k p_k(t) L^k as a banded symbol.
+def exp_xi_lambda(t: TimeVector, n: int, band: tuple[int, int]) -> LaurentMatrix:
+    """The in-band projection of exp(xi(t, L)) = sum_k p_k(t) L^k.
 
     Every in-band Fourier mode is exact: the band is the fold of the Schur
-    values p_0..p_kmax, one value per entry.  By default the band must also
-    hold the whole function, i.e. the Schur values at the band edge must
-    have decayed below EXP_TAIL_TOL, so that the banded object can stand in
-    for exp(xi) globally (sampling, factorization, limit theorems).  Pass
-    exact_only=True to skip that guard when only the in-band projection is
-    needed (finite Toeplitz truncations read a fixed window of modes).
+    values p_0..p_kmax, one value per entry.  The modes past the band are
+    dropped unchecked; a caller that needs the band to hold the whole
+    function checks the tail itself (gd_symbol's exact_only=False).
     """
     lo, hi = band
     if hi < 0:
         raise ValueError("exp(xi) has no negative modes; need hi >= 0")
-    kmax = n * hi + n - 1
-    p = schur_numeric(t.effective(n), kmax)
-    if not exact_only:
-        _check_schur_tail(p, n * hi)
+    p = schur_numeric(t.effective(n), n * hi + n - 1)
     return LaurentMatrix(n, lo, hi, fold(p, 0, n, band))
 
 
@@ -402,7 +390,7 @@ def gd_symbol(
     TruncationError, so that the band holds the deformed symbol.
     """
     w = base_symbol(spec)
-    e = exp_xi_lambda(t, spec.n, (0, band[1] - w.lo), exact_only=True)
+    e = exp_xi_lambda(t, spec.n, (0, band[1] - w.lo))
     if not exact_only:
         _check_schur_tail(e.coeffs[:, :, 0].ravel(), spec.n * band[1] + 1)
     return lm_mul(e, w, band)

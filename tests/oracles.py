@@ -161,7 +161,7 @@ def gd_symbol_inverse(spec, t, band, exact_only=False) -> LaurentMatrix:
     EXP_TAIL_TOL, else TruncationError, as in symbols.gd_symbol.
     """
     w_inv = base_inverse(spec)
-    e = exp_xi_lambda(t.negated(), spec.n, (0, band[1] - w_inv.lo), exact_only=True)
+    e = exp_xi_lambda(t.negated(), spec.n, (0, band[1] - w_inv.lo))
     if not exact_only:
         _check_schur_tail(e.coeffs[:, :, 0].ravel(), spec.n * band[1] + 1)
     return lm_mul(w_inv, e, band)

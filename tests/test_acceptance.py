@@ -55,3 +55,11 @@ for _entry in checks.CHECKS:
     else:
         _name = f"test_criterion_{_entry.criterion:02d}_{CRITERION_TESTS[_entry.criterion]}"
     globals()[_name] = _entry_test(_entry)
+
+
+@pytest.mark.parametrize("name", ["rspec", "cspec", "_cache"])
+def test_context_refuses_the_fields_it_sets_itself(name, tmp_path):
+    # the checks run on the fixed specs of the registry; a spec passed in
+    # would be overwritten without a word, so it is refused instead
+    with pytest.raises(TypeError):
+        checks.Context(cli.load_config(None), str(tmp_path), **{name: None})

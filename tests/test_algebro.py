@@ -170,8 +170,8 @@ def _blk(lm, q):
 
 
 def test_conjugated_matrix_closed_form(covering_curve):
-    _cp, bs = covering_curve
-    bc = bc_matrices(CSPEC, bs)
+    cp, bs = covering_curve
+    bc = bc_matrices(CSPEC, bs, cp)
     a0, a1, a2 = CSPEC.params
     expect = {
         0: np.array([[0, a1 * a2], [-a0, 0]], dtype=complex),
@@ -203,16 +203,16 @@ def test_batched_charpoly_matches_np_poly_per_sample(n):
 
 def test_charpoly_roundtrip_from_matrix(covering_curve):
     cp, bs = covering_curve
-    bc = bc_matrices(CSPEC, bs)
+    bc = bc_matrices(CSPEC, bs, cp)
     cp_back = charpoly_from_matrix(bc.C)
     assert cp_back.m == 3
     assert np.allclose(cp_back.c(2), cp.c(2), atol=1e-9)
 
 
 def test_reconstruction_recovers_base_symbol(covering_curve):
-    _cp, bs = covering_curve
-    bc = bc_matrices(CSPEC, bs)
-    w_rec = reconstruct_W(bc.C, 96)
+    cp, bs = covering_curve
+    bc = bc_matrices(CSPEC, bs, cp)
+    w_rec = reconstruct_W(bc.C)
     w_true = lm_project(base_symbol(CSPEC), w_rec.lo, 0)
     worst = max(
         float(np.max(np.abs(_blk(w_rec, q) - _blk(w_true, q))))
@@ -225,8 +225,9 @@ def test_reconstruction_recovers_base_symbol(covering_curve):
 def test_fiber_dft_matches_vandermonde_solve(sheets):
     spec = SHEET_SPECS[sheets]
     n = spec.n
-    bs = branch_series(curve_from_covering(spec), 96)
-    C = bc_matrices(spec, bs).C
+    cp = curve_from_covering(spec)
+    bs = branch_series(cp, 96)
+    C = bc_matrices(spec, bs, cp).C
     z = np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
     got = _reconstruct_samples(C, bs, z)
 
@@ -322,8 +323,8 @@ def test_symbol_residual_sees_a_scalar_factor(monkeypatch):
     # W (1 + 1e-6/z) has the same column flags as W; the direct comparison sees it
     rebuild = algebro.reconstruct_W
 
-    def perturbed(C, J=96):
-        w = rebuild(C, J)
+    def perturbed(C):
+        w = rebuild(C)
         eye = np.eye(w.n, dtype=complex)
         scalar = LaurentMatrix(w.n, -1, 0, np.stack([1e-6 * eye, eye]))
         return lm_mul(w, scalar, (w.lo - 1, w.hi))

@@ -222,7 +222,7 @@ def test_wiener_hopf_system_matches_block_loop():
 def test_exp_xi_lambda_matches_schur_loop(tvals, n, lo, width):
     tv = time_vector(tvals, gd_reduced=False)
     band = (lo, max(lo, 0) + width)
-    got = exp_xi_lambda(tv, n, band, exact_only=True)
+    got = exp_xi_lambda(tv, n, band)
     want = _exp_xi_reference(tv, n, band)
     assert np.max(np.abs(got.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -235,8 +235,7 @@ def test_hankel_identity_banded_inputs():
     b = LaurentMatrix(
         2, -3, 2, rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
     )
-    rep = hankel_identity_check(a, b, 5)
-    assert rep.ok, rep.max_error
+    assert hankel_identity_check(a, b, 5) <= 1e-12
 
 
 @given(st.integers(0, 10**6))
