@@ -366,7 +366,7 @@ def _check_half_truncated(ctx, tol):
         if -lm.lo > toeplitz.HALF_TRUNCATED_J_MAX:
             side, work = "reflected", laurent.lm_reflect(lm)
         G = laurent.geometric_mean(laurent.inverse_transform(work, 1024))
-        d_inf, _ = toeplitz.half_truncated_shortcut(laurent.lm_invert(work), G, -work.lo)
+        d_inf = toeplitz.half_truncated_shortcut(laurent.lm_invert(work), G, -work.lo)
         sw = toeplitz.szego_widom(lm, laurent.inverse_transform(lm, 1024), tol=1e-12)
         gaps.append(abs(d_inf - sw.D_inf))
         sides.append(side)
@@ -470,6 +470,26 @@ def _check_finite_rank_identity(ctx, tol):
         worst,
         worst <= tol,
         "stable tau vs 40-digit values, rational n = 2 and 3, s <= 7 along two directions",
+    )
+
+
+def _check_covering_stable_value(ctx, tol):
+    # det(I - K) of the band pair g, g^-1 on the window g.hi, g^-1 inverted
+    # on the circle: neither the Schur gather, V nor the corner is shared
+    spec3 = symbols.covering_spec([0.3, -0.25, 0.35j, 0.2 + 0.2j], 3)
+    worst = 0.0
+    for spec, d in ((ctx.cspec, (1, 0, 0.5, 0, 0.25)), (spec3, (1, 0.5, 0, 0.25, 0.1))):
+        for s in (0.5, 1.0, 2.0):
+            tv = symbols.time_vector([s * x for x in d])
+            lm = symbols.gd_symbol(spec, tv, (-160, 160))
+            p = toeplitz.plemelj_fourier(lm, laurent.lm_invert(lm), lm.hi)
+            want = toeplitz.fredholm_det(p).value
+            got = tau.tau_stable(spec, tv)
+            worst = max(worst, abs(got - want) / abs(want))
+    return (
+        worst,
+        worst <= tol,
+        "covering stable tau vs det(I - K) of the band pair on +-160, n = 2 and 3, s <= 2",
     )
 
 
@@ -671,6 +691,7 @@ CHECKS = [
     Check("tau", "stable_kdv_residual", 1e-8, _check_kdv, 8),
     Check("tau", "two_soliton_oracle", 1e-6, _check_two_soliton, 1),
     Check("tau", "finite_rank_identity", 1e-8, _check_finite_rank_identity),
+    Check("tau", "covering_stable_value", 1e-12, _check_covering_stable_value),
     Check("tau", "kernel_and_recursion", 1e-9, _check_kernel_recursion, 7),
     Check("tau", "frobenius_lemma", 1e-9, _check_frobenius_lemma),
     Check("tau", "wave_miwa_shift", 1e-12, _check_wave_miwa_shift),
@@ -687,3 +708,11 @@ CHECKS = [
     Check("algebro", "conjugated_polynomial", 1e-9, _check_conjugated_polynomial, 10),
     Check("cli", "rerun_determinism", None, _check_rerun_determinism),
 ]
+
+
+def tol(name: str) -> float | None:
+    """Contract tolerance of the registry row "module.name"; KeyError if there is none."""
+    for entry in CHECKS:
+        if f"{entry.module}.{entry.name}" == name:
+            return entry.tol
+    raise KeyError(f"no registry row {name!r}")

@@ -306,25 +306,21 @@ def fit_decay(deltas, floor: float = 0.0) -> float:
 HALF_TRUNCATED_J_MAX = 16
 
 
-def half_truncated_shortcut(
-    inv: LaurentMatrix, G: complex, j: int
-) -> tuple[complex, np.ndarray]:
+def half_truncated_shortcut(inv: LaurentMatrix, G: complex, j: int) -> complex:
     """Day's closed form of D_inf for a symbol with no modes below -j.
 
     D_inf = lim D_N / G^N then equals G^j det T_j(symbol^{-1}), which reads
     only modes -j+1..j-1 of the inverse symbol; inv must hold them exactly
     (the caller inverts the symbol) and G is the symbol's geometric mean.
     A finite tail on the positive side reduces to this case by z -> 1/z,
-    which leaves every D_N and G invariant.  Returns D_inf and the section
-    T_j(inv) whose determinant it took; SpecError unless 1 <= j <=
+    which leaves every D_N and G invariant.  SpecError unless 1 <= j <=
     HALF_TRUNCATED_J_MAX.
     """
     if not 1 <= j <= HALF_TRUNCATED_J_MAX:
         raise SpecError(
             f"negative band {j} is outside 1..{HALF_TRUNCATED_J_MAX} of Day's formula"
         )
-    T = build_TN(inv, j)
-    return G**j * det_DN(T), T.matrix
+    return G**j * det_DN(build_TN(inv, j))
 
 
 # -- exact finite-N correction ----------------------------------------------

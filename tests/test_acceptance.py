@@ -8,9 +8,11 @@ and its tolerance (visible with ``pytest -s``).  INFO entries report a
 value without judging it.
 """
 
+import dataclasses
+
 import pytest
 
-from blocktau import checks, cli
+from blocktau import checks, cli, tau
 
 # Criterion entries keep the test names the criteria have always had, so
 # one criterion's result can be followed from run to run; the other
@@ -63,3 +65,17 @@ def test_context_refuses_the_fields_it_sets_itself(name, tmp_path):
     # would be overwritten without a word, so it is refused instead
     with pytest.raises(TypeError):
         checks.Context(cli.load_config(None), str(tmp_path), **{name: None})
+
+
+def test_covering_stable_value_row_sees_a_planted_error(ctx, monkeypatch):
+    # the covering branch of tau_stable_report off by 1e-9, relative
+    det = tau.fredholm_det
+
+    def planted(p):
+        fr = det(p)
+        return dataclasses.replace(fr, value=fr.value * (1 + 1e-9))
+
+    monkeypatch.setattr(tau, "fredholm_det", planted)
+    row = next(c for c in checks.CHECKS if c.name == "covering_stable_value")
+    value, ok, _ = row.fn(ctx, row.tol)
+    assert not ok and value > 1e-10

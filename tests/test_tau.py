@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blocktau import gradedpoly
+from blocktau import checks, gradedpoly
 from blocktau.errors import NearSingularSymbol, TruncationError
 from blocktau.factorization import deformed_symbol_samples
 from blocktau.gradedpoly import (
@@ -55,7 +55,12 @@ from blocktau.toeplitz import (
     plemelj_fourier,
     truncation_dets,
 )
-from oracles import gd_symbol_inverse, rational_tau_mpmath, tau_graded_elimination
+from oracles import (
+    gd_symbol_inverse,
+    rational_tau_mpmath,
+    stable_tau_reference,
+    tau_graded_elimination,
+)
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
@@ -526,6 +531,38 @@ def test_stable_tau_routes():
     assert (covering.route, covering.M_used, covering.est_error) == ("fredholm", 32, 0.0)
 
 
+@pytest.mark.parametrize(
+    "spec, direction",
+    [
+        (CSPEC, DIAG),
+        (CSPEC3B, DIAG3),
+        (RSPEC, DIAG),
+        (RSPEC3, DIAG3),
+        (rational_spec([0.4 + 0.3j, -0.6j]), DIAG),
+    ],
+    ids=["covering", "covering-n3", "rational", "rational-3pole", "rational-complex"],
+)
+def test_stable_tau_plan_equals_reference(spec, direction):
+    # the per-spec gather plan reads exactly the entries the per-point
+    # assembly built, on times of one phase and of mixed sign alike; the
+    # complex poles give W^-1 modes whose moduli differ from the modes
+    rng = np.random.default_rng(2031)
+    for s in np.linspace(0.2, 7.5, 40):
+        signs = rng.choice([-1.0, 1.0], len(direction))
+        d = np.array(direction) * (1.0 + 0.2 * rng.standard_normal(len(direction))) * signs
+        tv = time_vector(s * d)
+        got, want = tau_stable_report(spec, tv), stable_tau_reference(spec, tv)
+        assert (got.value, got.route, got.M_used) == (want.value, want.route, want.M_used)
+        assert got.est_error == pytest.approx(want.est_error, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", [RSPEC, CSPEC], ids=["finite_rank", "fredholm"])
+def test_stable_tau_report_holds_python_scalars(spec):
+    rep = tau_stable_report(spec, time_vector((0.3, 0.0, -0.2)))
+    fields = (rep.value, rep.est_error, rep.route, rep.M_used)
+    assert [type(x) for x in fields] == [complex, float, str, int]
+
+
 def test_rational_oracle_matches_the_two_soliton_closed_form():
     for s in (1.0, 5.0, 11.0):
         t = [s * d for d in (1, 0, 0.5, 0, 0.25)]
@@ -676,6 +713,17 @@ def test_kernel_facts_other_levels_and_block_sizes(spec, N):
     kf = kernel_facts_check(spec, N, 6)
     assert kf.passed, kf
     assert kf.max_residual < 1e-9
+
+
+def test_kernel_facts_verdict_reads_the_registry_tolerance(monkeypatch):
+    kf = kernel_facts_check(RSPEC, 2, 6)
+    assert kf.passed, kf
+    rows = [
+        c._replace(tol=kf.max_residual / 2) if c.name == "kernel_and_recursion" else c
+        for c in checks.CHECKS
+    ]
+    monkeypatch.setattr(checks, "CHECKS", rows)
+    assert not kf.passed
 
 
 def test_kernel_facts_need_a_positive_weight():
