@@ -34,6 +34,8 @@ from math import factorial, prod
 
 import numpy as np
 
+from .errors import DegenerateInput, SingularVandermonde
+
 Exponent = tuple[int, ...]
 Partition = tuple[int, ...]
 
@@ -254,8 +256,6 @@ class GradedPoly:
     def invert(self) -> "GradedPoly":
         """Multiplicative inverse; requires a nonzero constant term."""
         if abs(self.coeffs[0]) == 0.0:
-            from .errors import DegenerateInput
-
             raise DegenerateInput("cannot invert: constant term is zero")
         return GradedPoly(self.K, self.Q, _inverse(self.coeffs, self.K, self.Q))
 
@@ -447,8 +447,6 @@ def partitions_upto(max_weight: int):
 
 def character(l, X) -> complex:
     """Numeric Schur character s_l(x_1..x_m) by the Weyl determinant quotient."""
-    from .errors import SingularVandermonde
-
     lam = normalize_partition(l)
     xs = np.asarray(list(X), dtype=complex)
     m = len(xs)
@@ -691,8 +689,6 @@ def gp_det(rows: list[list[GradedPoly]]) -> GradedPoly:
                 ]
                 return GradedPoly(K, Q, det * sign) * _gp_det_free(tail, K, Q)
             if not unit:
-                from .errors import DegenerateInput
-
                 raise DegenerateInput(
                     "graded elimination needs a pivot with nonzero constant term"
                 )
@@ -726,8 +722,6 @@ def hirota_kdv_residual(tau: GradedPoly) -> GradedPoly:
     cutoff and would be meaningless.
     """
     if tau.K < 3:
-        from .errors import DegenerateInput
-
         raise DegenerateInput("KdV residual needs at least times t_1..t_3")
     d1 = tau.derivative(1)
     d2 = d1.derivative(1)

@@ -233,11 +233,6 @@ def _base_power(spec: SymbolSpec, sign: int) -> LaurentMatrix:
     return lm_trim(w, INVERSE_CUT * norms.sum() / norms.max())
 
 
-def base_is_polynomial(spec: SymbolSpec) -> bool:
-    """Whether every factor of W is a polynomial in 1/z, so its modes are finite and exact."""
-    return not len(_base_exponents(spec.family, spec.n, spec.k, 1)[1][2])
-
-
 @lru_cache
 def base_symbol(spec: SymbolSpec) -> LaurentMatrix:
     """Fourier coefficients of W = diag(prod_j (1 - b_j/z)^E_ij) (cached, shared)."""

@@ -58,9 +58,9 @@ from .symbols import (
     SymbolSpec,
     TimeVector,
     base_inverse,
-    base_is_polynomial,
     base_symbol,
     column_series,
+    exp_xi_values,
     fold,
     gd_symbol,
     schur_numeric,
@@ -501,19 +501,6 @@ class KernelFactsReport:
             self.operator_split,
         )
 
-    @property
-    def passed(self) -> bool:
-        """Residuals within the tau.kernel_and_recursion registry tolerance, and
-        neither Delta_N(1) nor any v_j below it."""
-        from .checks import tol  # checks imports this module
-
-        limit = tol("tau.kernel_and_recursion")
-        return (
-            self.max_residual <= limit
-            and self.unit_action_magnitude > limit
-            and self.kernel_images_magnitude > limit
-        )
-
 
 def kernel_facts_check(spec: SymbolSpec, N: int, Q: int) -> KernelFactsReport:
     """Verify the annihilator facts at level N in cleared-denominator form.
@@ -527,8 +514,9 @@ def kernel_facts_check(spec: SymbolSpec, N: int, Q: int) -> KernelFactsReport:
     - Delta_N factors as a monic order-n stage after Delta_{N-1}.  With
       v_j = Delta_{N-1} of level-N member j (j <= n), the factorization
       reads Delta_N(g) * Wr(v) = Wr(Delta_{N-1} g, v), checked on a basket.
-    It passes only if neither Delta_N(1) nor any v_j vanishes as well, so
-    that the factorization is not read off zero operators.  That Delta_N
+    The magnitudes of Delta_N(1) and of the smallest v_j are reported too:
+    the registry row (checks) passes only if neither vanishes, so that the
+    factorization is not read off zero operators.  That Delta_N
     kills the family itself, and the Wronskian ladder identities behind the
     split (Crum's Wr(h, g) = Wr(h) Wr(Delta_h g)), hold for any family whose
     Wronskian is a unit and are not reported.
@@ -658,10 +646,11 @@ def _wiener_gate(*factors) -> None:
 class StableTauReport:
     """A stable tau value, the route that produced it and its error bound.
 
-    route is "finite_rank" (Day's formula on the nj x nj section, M_used = j)
-    or "fredholm" (the operator determinant of the j'-block Hankel corner,
-    M_used = j' = -W^-1.lo, est_error 0.0: the corner is exact, and its
-    round-off is not bounded).  Every field is a Python scalar on both routes.
+    route is "finite_rank" (Day's formula, T_1(g^-1) read off the poles of
+    W^-1, M_used = 1) or "fredholm" (the operator determinant of the
+    j'-block Hankel corner, M_used = j' = -W^-1.lo, est_error 0.0: the
+    corner is exact, and its round-off is not bounded).  Every field is a
+    Python scalar on both routes.
     """
 
     value: complex
@@ -675,28 +664,28 @@ def tau_stable_report(
 ) -> StableTauReport:
     """Large-N limit of the truncated determinants at a concrete time vector.
 
-    When W is a polynomial in 1/z (base_is_polynomial: every rational
-    family, j = -W.lo = 1), g = exp(xi(t,L)) W has no modes below -j, and
-    the limit is G^j det T_j(g^-1) exactly (Day's formula, _finite_rank).
-    The route does not read where a series W is cut: Day's formula has no
-    error term for a cut W.  Otherwise (the covering families) the limit
-    is det(I - K), K = H(g) H(g~^-1).  W and W^-1 have no positive modes
-    and e = exp(xi(t,L)) and e^-1 no negative ones, so K = H(e) V T(e^-1)
-    exactly, V = T(W~) H(W~^-1).  V has no columns past block j' =
-    -W^-1.lo, so I - K is block lower triangular past the j'-block corner
-    (_hankel_corner) and has its determinant.  Either way a point computes
-    the Schur values of exp(xi(+-t,L)), gathers its matrices from them by
-    the index arrays of the per-spec plan (_symbol_core), multiplies and
-    takes one determinant; no LaurentMatrix is built per point.
-    NearSingularSymbol is raised when cond T_j(g^-1) exceeds COND_LIMIT on
-    the first route, and on the second when ||e||_W ||W||_W ||W^-1||_W
-    ||e^-1||_W, a bound of cond g on the circle, does.  Neither route
-    reads tol, kept only for callers that pass one (the benchmark
-    harness): both are exact up to round-off.
+    For a rational family, W = diag(1 - c_a^2/z) is a polynomial in 1/z, so
+    g = exp(xi(t,L)) W has no modes below -1, and the limit is det
+    T_1(g^-1) exactly (Day's formula with G = det W_0 = 1).  Row a of that
+    section is row a of exp(xi(-t,L(z))) at the pole z = c_a^2 of W^-1
+    (_finite_rank).  Otherwise (the covering families) the limit is det(I -
+    K), K = H(g) H(g~^-1).  W and W^-1 have no positive modes and e =
+    exp(xi(t,L)) and e^-1 no negative ones, so K = H(e) V T(e^-1) exactly,
+    V = T(W~) H(W~^-1).  V has no columns past block j' = -W^-1.lo, so I -
+    K is block lower triangular past the j'-block corner (_hankel_corner)
+    and has its determinant.  A covering point computes the Schur values of
+    exp(xi(+-t,L)), gathers H(e) and T(e^-1) from them by the index arrays
+    of the per-spec plan (_symbol_core), multiplies and takes one
+    determinant; no LaurentMatrix is built per point.  NearSingularSymbol
+    is raised when cond T_1(g^-1) exceeds COND_LIMIT on the first route,
+    and on the second when ||e||_W ||W||_W ||W^-1||_W ||e^-1||_W, a bound of
+    cond g on the circle, does.  Neither route reads tol, kept only for
+    callers that pass one (the benchmark harness): both are exact up to
+    round-off.
     """
+    if spec.family == "rational":
+        return _finite_rank(spec, t)
     plan = _symbol_core(spec)
-    if isinstance(plan, _DayPlan):
-        return _finite_rank(plan, t)
     K = _hankel_corner(spec, t)
     fr = fredholm_det(PlemeljOperator(spec.n, plan.j, plan.eye - K))
     return StableTauReport(fr.value, 0.0, "fredholm", fr.M_used)
@@ -745,35 +734,9 @@ class _CornerPlan:
     eye: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class _DayPlan:
-    """What a point of the finite-rank route reads besides its Schur values.
-
-    With q = p_0..p_kmax(-t) and one zero appended, lm_mul(W^-1, e^-1, band)
-    on the band 1 - j..j - 1 is row @ q[section] (row: the modes of W^-1
-    side by side, section: the Toeplitz section of e^-1 = exp(xi(-t,L))
-    that lm_mul lays out), and T_j(g^-1) is that (n, (2j - 1) n) product
-    read at corner (build_TN's section, as a flat index).  row_abs and
-    |q| give the moduli product the same way.  Gj = (det W_0)^j; scale =
-    (n width(W^-1) + 2nj) eps and w_err = eps ||W^-1||_W are the two
-    terms of the error bound that do not depend on t.
-    """
-
-    n: int
-    j: int
-    kmax: int
-    Gj: complex
-    row: np.ndarray
-    row_abs: np.ndarray
-    section: np.ndarray
-    corner: np.ndarray
-    scale: float
-    w_err: float
-
-
 @lru_cache
-def _symbol_core(spec: SymbolSpec) -> _CornerPlan | _DayPlan:
-    """The gather plan of tau_stable_report's route for spec (cached, read-only).
+def _symbol_core(spec: SymbolSpec) -> _CornerPlan:
+    """The gather plan of the covering route for spec (cached, read-only).
 
     Every index array is the package's own block or fold map (fold,
     block_layout) applied once to the positions of the Schur values instead
@@ -782,29 +745,6 @@ def _symbol_core(spec: SymbolSpec) -> _CornerPlan | _DayPlan:
     """
     n = spec.n
     w, w_inv = base_symbol(spec), base_inverse(spec)
-    if base_is_polynomial(spec):
-        j = int(max(-w.lo, 1))  # W = I to the cut when every c_i^2 is below it
-        hi = j - 1 - int(w_inv.lo)  # e^-1 on modes 0..hi feeds modes 1-j..j-1 of g^-1
-        ks, ms = np.arange(1 - j, j), np.arange(w_inv.lo, w_inv.hi + 1)
-        section = _layout_index(_fold_index(n * hi + n - 1, n, hi), 0, ks - ms[:, None])
-        product = np.arange(n * len(ks) * n).reshape(n, len(ks), n).transpose(1, 0, 2)
-        i = np.arange(j)
-        corner = block_layout(product, 1 - j, i[:, None] - i)
-        row = w_inv.coeffs.transpose(1, 0, 2).reshape(n, w_inv.width * n)
-        row_abs = np.abs(row).astype(complex)
-        _read_only(section, corner, row, row_abs)
-        return _DayPlan(
-            n=n,
-            j=j,
-            kmax=n * hi + n - 1,
-            Gj=complex(np.linalg.det(w.block(0))) ** j,
-            row=row,
-            row_abs=row_abs,
-            section=section,
-            corner=corner,
-            scale=(n * w_inv.width + 2 * n * j) * _EPS,
-            w_err=_EPS * np.linalg.norm(w_inv.coeffs, axis=(1, 2)).sum(),
-        )
     q = np.arange(-w_inv.lo)  # block (k, r) of V: sum_q W_(q-k) W^-1_(-q-r-1)
     V = w.block_matrix(q - np.arange(len(q) - w.lo)[:, None])
     V = V @ w_inv.block_matrix(-(q[:, None] + q + 1))
@@ -868,42 +808,46 @@ def _exp_tail(p: np.ndarray, t_abs: np.ndarray, k0: int) -> float:
     return 2.0 * (float(np.abs(p[k0:]).sum()) + float(np.exp(log_tail.min())))
 
 
-def _finite_rank(plan: _DayPlan, t: TimeVector) -> StableTauReport:
-    """G^j det T_j(g^-1) from the modes -j+1..j-1 of W^-1 exp(xi(-t,L)).
+def _finite_rank(spec: SymbolSpec, t: TimeVector) -> StableTauReport:
+    """det T_1(g^-1) for rational W = diag(1 - c_a^2/z), by residues.
 
-    Those modes are exact sums of W^-1 (base_inverse) against the Schur
-    values of exp(xi(-t,L)), one GEMM of the plan (_DayPlan); no circle is
-    sampled.  G = det W_0 exactly: W has no positive modes, so log det W
-    averages to its value at infinity, and det exp(xi) = exp(n sum_q t_nq
-    z^q) averages to 1.
+    Row a of T_1(g^-1), mode 0 of W^-1 exp(xi(-t,L)), is (1/2 pi i) times
+    the contour integral of row a of exp(xi(-t,L(z))) dz / (z - c_a^2):
+    W^-1 = diag(z / (z - c_a^2)) has its one pole inside the circle and
+    exp(xi(-t,L(z))) is entire.  So it is row a of exp(xi(-t,L)) at z =
+    c_a^2, the closed form of exp_xi_values: no W^-1 series, no Schur
+    values.  G = det W_0 = 1 (Day's G^j with j = 1).
 
-    est_error is the first-order bound sum |G^j adj T|^T o Delta, with
-    Delta an entrywise bound of the error of T = T_j(g^-1):
-    - the rounding of each mode's sum of L = n width(W^-1) products, and of
-      the nj x nj determinant, (L + 2nj) eps times the same sums over the
-      moduli of the terms;
-    - the modes of W^-1, each known to eps ||W^-1||_W (the round-off of
-      its binomial series, rounded once from extended precision, and its
-      cut of the modes past its band at 1e-16 ||W^-1||_W, both below
-      that), against every mode of exp(xi(-t,L)): sum_m ||e_m||_2 <=
-      2 sum_k |p_k(-t)| (_exp_tail).
+    Entry (a, b) of that closed form is zeta^d c_(d mod n), d = b - a,
+    zeta = (c_a^2)^(1/n), c the inverse DFT of exp(-xi) over the n roots
+    zeta w^i.  By Parseval ||c||_2, which row a of T holds, is the root
+    mean square of those exponentials, so an error of each relative to its
+    modulus moves c by at most that much times ||c||_2.  With X = sum_k
+    |t_k| |zeta|^k over the K times, est_error is the first-order bound
+    sum |adj T|^T o Delta, Delta_ab = |zeta|^d ||c||_2 (5 K X + 8 n + 2) eps:
+    - Horner's sum of xi, 2 K eps X, and the roots zeta w^i, each 3 eps
+      off (power, exponential, product), 3 K eps X through their powers;
+    - the exponential, eps, and the n-point DFT, n eps of ||c||_2;
+    - the powers zeta^d, 4 n eps, and their product with c, eps;
+    - the n x n determinant, 3 n eps of the moduli.
     """
-    t_eff = t.effective(plan.n)
-    q = schur_numeric(-t_eff, plan.kmax)
-    q_pad = np.append(q, 0.0)
-    T = (plan.row @ q_pad[plan.section]).ravel()[plan.corner]
-    value = plan.Gj * complex(np.linalg.det(T))
-    cond = float(np.linalg.cond(T))
-    if not cond <= COND_LIMIT:
+    n, i = spec.n, np.arange(spec.n)
+    z = np.array(spec.params) ** 2
+    T = exp_xi_values(t.negated(), n, z)[i, i]
+    value = complex(np.linalg.det(T))
+    sv = np.linalg.svd(T, compute_uv=False)
+    if not sv[0] <= COND_LIMIT * sv[-1]:
         raise NearSingularSymbol(
-            f"condition number {cond:.3g} of T_{plan.j}(g^-1) exceeds {COND_LIMIT:g}"
+            f"condition number {sv[0] / sv[-1]:.3g} of T_1(g^-1) exceeds {COND_LIMIT:g}"
         )
-    moduli = plan.row_abs @ np.abs(q_pad).astype(complex)[plan.section]
-    delta = plan.scale * moduli.ravel()[plan.corner].real
-    delta += plan.w_err * _exp_tail(q, np.abs(t_eff), 0)
-    adj = value * np.linalg.inv(T)  # G^j adj T
-    est = float(np.sum(np.abs(adj).T * delta))
-    return StableTauReport(value, est, "finite_rank", plan.j)
+    t_abs = np.abs(t.effective(n))
+    r = np.abs(z)[:, None] ** (1.0 / n)  # |zeta| of each row
+    power = r ** (i - i[:, None])  # |zeta|^(b - a)
+    c_norm = np.sqrt(np.sum((np.abs(T) / power) ** 2, axis=1, keepdims=True))
+    xi_abs = r ** np.arange(1, len(t_abs) + 1) @ t_abs[:, None]
+    delta = power * (_EPS * c_norm * (5 * len(t_abs) * xi_abs + 8 * n + 2))
+    est = float(np.sum(np.abs(value * np.linalg.inv(T)).T * delta))
+    return StableTauReport(value, est, "finite_rank", 1)
 
 
 def tau_stable(spec: SymbolSpec, t: TimeVector) -> complex:

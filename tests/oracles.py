@@ -9,7 +9,7 @@ tau_graded_elimination eliminates the whole nN x nN ring matrix, the
 reference for the rank-r route of tau.tau_graded; gd_symbol_inverse is
 the banded inverse of the deformed symbol, the wide-band reference for
 the Hankel corner of tau.tau_stable; stable_tau_reference is
-tau.tau_stable_report by the per-point assembly its gather plan replaced;
+tau.tau_stable_report by the Schur-series assembly;
 read_csv reads back the coefficient CSVs the command line writes;
 plemelj_quadrature_folded is the contour projector's trapezoid sum as an
 FFT per output column over the folded moment tensor, the reference for
@@ -36,13 +36,11 @@ from blocktau.laurent import (
 from blocktau.symbols import (
     _check_schur_tail,
     base_inverse,
-    base_is_polynomial,
     base_symbol,
     exp_xi_lambda,
     gd_symbol_graded,
 )
-from blocktau.tau import _TAIL_RADII, StableTauReport
-from blocktau.toeplitz import build_TN
+from blocktau.tau import StableTauReport
 
 
 def schur_recurrence(tvals, kmax):
@@ -179,36 +177,24 @@ def gd_symbol_inverse(spec, t, band, exact_only=False) -> LaurentMatrix:
 
 
 def stable_tau_reference(spec, t):
-    """tau.tau_stable_report by the per-point assembly its gather plan replaced.
+    """tau.tau_stable_report by the Schur-series assembly, with no gather plan.
 
     Both routes fold the Schur values into LaurentMatrix bands with
-    exp_xi_lambda.  The finite-rank route forms the modes 1-j..j-1 of g^-1
-    with lm_mul and takes build_TN's section; its est_error sums the moduli
-    the same way.  The covering route lays out H(e) and T(e^-1) with
-    block_matrix around V, built here from base_symbol and base_inverse.
-    No gate is applied.  The value, est_error, route and M_used of the plan
-    must equal these (tests/test_tau.py).
+    exp_xi_lambda.  The rational route forms mode 0 of g^-1 = W^-1
+    exp(xi(-t,L)) with lm_mul, W^-1 the binomial series cut at INVERSE_CUT:
+    an assembly that shares nothing with the residue form of
+    tau._finite_rank, whose value it must meet to 1e-12; its est_error is
+    not computed (nan).  The covering route
+    lays out H(e) and T(e^-1) with block_matrix around V, built here from
+    base_symbol and base_inverse; its value, est_error, route and M_used
+    must equal the plan's (tests/test_tau.py).  No gate is applied.
     """
     n = spec.n
     w, w_inv = base_symbol(spec), base_inverse(spec)
-    if base_is_polynomial(spec):
-        j = max(-w.lo, 1)
-        band = (1 - j, j - 1)
-        e = exp_xi_lambda(t.negated(), n, (0, band[1] - w_inv.lo))
-        G = complex(np.linalg.det(w.block(0)))
-        T = build_TN(lm_mul(w_inv, e, band), j).matrix
-        value = G**j * complex(np.linalg.det(T))
-        moduli = lm_mul(
-            LaurentMatrix(n, w_inv.lo, w_inv.hi, np.abs(w_inv.coeffs)),
-            LaurentMatrix(n, e.lo, e.hi, np.abs(e.coeffs)),
-            band,
-        )
-        eps = np.finfo(float).eps
-        delta = (n * w_inv.width + 2 * n * j) * eps * build_TN(moduli, j).matrix.real
-        tail = _exp_tail_reference(e, t)
-        delta += eps * np.linalg.norm(w_inv.coeffs, axis=(1, 2)).sum() * tail
-        adj = value * np.linalg.inv(T)
-        return StableTauReport(value, float(np.sum(np.abs(adj).T * delta)), "finite_rank", j)
+    if spec.family == "rational":  # T_1(g^-1) is mode 0 of g^-1; G = det W_0 = 1
+        e = exp_xi_lambda(t.negated(), n, (0, -w_inv.lo))
+        T = lm_mul(w_inv, e, (0, 0)).block(0)
+        return StableTauReport(complex(np.linalg.det(T)), np.nan, "finite_rank", 1)
     q = np.arange(-w_inv.lo)
     V = w.block_matrix(q - np.arange(len(q) - w.lo)[:, None])
     V = V @ w_inv.block_matrix(-(q[:, None] + q + 1))
@@ -218,16 +204,6 @@ def stable_tau_reference(spec, t):
     i = np.arange(j)
     K = e.block_matrix(i[:, None] + np.arange(1, R + 1)) @ V @ e_inv.block_matrix(i[:, None] - i)
     return StableTauReport(complex(np.linalg.det(np.eye(len(K)) - K)), 0.0, "fredholm", j)
-
-
-def _exp_tail_reference(e, t):
-    """2 sum_k |p_k| over the Schur values column 0 of e's band holds, plus the
-    Cauchy bound of the rest (tau._exp_tail at k0 = 0, read off the band)."""
-    p = e.coeffs[:, :, 0].ravel()
-    t_abs = np.abs(t.effective(e.n))
-    log_tail = t_abs @ _TAIL_RADII ** np.arange(1, len(t_abs) + 1)[:, None]
-    log_tail -= len(p) * np.log(_TAIL_RADII)
-    return 2.0 * (float(np.abs(p).sum()) + float(np.exp(log_tail.min())))
 
 
 def tau_graded_elimination(spec, N, Q):
