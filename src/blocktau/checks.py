@@ -475,7 +475,8 @@ def _check_finite_rank_identity(ctx, tol):
 
 def _check_covering_stable_value(ctx, tol):
     # det(I - K) of the band pair g, g^-1 on the window g.hi, g^-1 inverted
-    # on the circle: neither the Schur gather, V nor the corner is shared
+    # on the circle: g is lm_mul's product, not the route's convolutions
+    # with W's diagonal, and neither g^-1 nor the corner is shared
     spec3 = symbols.covering_spec([0.3, -0.25, 0.35j, 0.2 + 0.2j], 3)
     worst = 0.0
     for spec, d in ((ctx.cspec, (1, 0, 0.5, 0, 0.25)), (spec3, (1, 0.5, 0, 0.25, 0.1))):

@@ -112,9 +112,10 @@ def block_layout(coeffs: np.ndarray, lo: int, modes) -> np.ndarray:
     return blocks.swapaxes(1, 2).reshape(R * n, C * n, *coeffs.shape[3:])
 
 
-def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_m coeffs[m] * x^m by Horner's rule, the last coefficient first."""
-    acc = np.zeros(np.broadcast_shapes(coeffs.shape[1:], x.shape), dtype=complex)
+def _horner(coeffs: np.ndarray, x: np.ndarray, shape: tuple) -> np.ndarray:
+    """sum_m coeffs[m] * x^m by Horner's rule, the last coefficient first;
+    shape is that of coeffs[0] and x broadcast together."""
+    acc = np.zeros(shape, dtype=complex)
     for c in coeffs[::-1]:
         acc *= x
         acc += c
@@ -133,12 +134,13 @@ def _power_sum(coeffs: np.ndarray, lo: int, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     t = coeffs.ndim - 1
+    shape = coeffs.shape[1:] + z.shape
     coeffs = coeffs.reshape(coeffs.shape + (1,) * z.ndim)
     neg = min(max(-lo, 0), len(coeffs))  # modes lo .. lo + neg - 1 are negative
-    out = _horner(coeffs[neg:], z) * z ** max(lo, 0)
+    out = _horner(coeffs[neg:], z, shape) * z ** max(lo, 0)
     if neg:
-        out = out + _horner(coeffs[neg - 1 :: -1], 1 / z) * z ** (lo + neg - 1)
-    return np.moveaxis(out, tuple(range(t)), tuple(range(-t, 0)))
+        out = out + _horner(coeffs[neg - 1 :: -1], 1 / z, shape) * z ** (lo + neg - 1)
+    return np.moveaxis(out, tuple(range(t)), tuple(range(-t, 0))) if t else out
 
 
 @dataclass

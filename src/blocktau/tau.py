@@ -53,7 +53,7 @@ from .gradedpoly import (
     schur_sequence,
     zero_times,
 )
-from .laurent import COND_LIMIT, COND_SCREEN, LaurentMatrix, block_layout, gather_modes
+from .laurent import COND_LIMIT, COND_SCREEN, LaurentMatrix, gather_modes
 from .symbols import (
     SymbolSpec,
     TimeVector,
@@ -669,13 +669,15 @@ def tau_stable_report(
     T_1(g^-1) exactly (Day's formula with G = det W_0 = 1).  Row a of that
     section is row a of exp(xi(-t,L(z))) at the pole z = c_a^2 of W^-1
     (_finite_rank).  Otherwise (the covering families) the limit is det(I -
-    K), K = H(g) H(g~^-1).  W and W^-1 have no positive modes and e =
-    exp(xi(t,L)) and e^-1 no negative ones, so K = H(e) V T(e^-1) exactly,
-    V = T(W~) H(W~^-1).  V has no columns past block j' = -W^-1.lo, so I -
-    K is block lower triangular past the j'-block corner (_hankel_corner)
-    and has its determinant.  A covering point computes the Schur values of
-    exp(xi(+-t,L)), gathers H(e) and T(e^-1) from them by the index arrays
-    of the per-spec plan (_symbol_core), multiplies and takes one
+    K), K = H(g) H(g~^-1).  g^-1 = W^-1 e^-1, e = exp(xi(t,L)), has no
+    modes below W^-1.lo = -j', so H(g~^-1) vanishes past its j'-block
+    corner, I - K is block lower triangular past the j'-block corner of K
+    (_hankel_corner) and has its determinant.  W is diagonal, so column b
+    of g and row a of g^-1 are scalar convolutions of the Schur values of
+    exp(xi(+-t,L)) with W's and W^-1's diagonal entries.  A covering point
+    computes those Schur values (one sequence when every even time is
+    zero), convolves, gathers both Hankel corners by the index arrays of
+    the per-spec plan (_symbol_core), multiplies them once and takes one
     determinant; no LaurentMatrix is built per point.  NearSingularSymbol
     is raised when cond T_1(g^-1) exceeds COND_LIMIT on the first route,
     and on the second when ||e||_W ||W||_W ||W^-1||_W ||e^-1||_W, a bound of
@@ -698,9 +700,12 @@ def _fold_index(kmax: int, n: int, hi: int) -> np.ndarray:
     return fold(np.arange(1, kmax + 2), 0, n, (0, hi)) - 1
 
 
-def _layout_index(modes: np.ndarray, lo: int, layout) -> np.ndarray:
-    """block_layout of a mode stack given by its index (_fold_index), lowest mode lo."""
-    return block_layout(modes + 1, lo, layout) - 1
+def _spread_diagonals(w: LaurentMatrix) -> np.ndarray:
+    """Row b is entry (b, b) of the diagonal w as a series in zeta = z^(1/n):
+    mode k of w at index n (k - w.lo), zeros between."""
+    out = np.zeros((w.n, w.n * (w.hi - w.lo) + 1), dtype=complex)
+    out[:, :: w.n] = np.diagonal(w.coeffs, axis1=1, axis2=2).T
+    return out
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -712,25 +717,32 @@ def _read_only(*arrays: np.ndarray) -> None:
 class _CornerPlan:
     """What a point of the covering route reads besides its Schur values.
 
-    p = p_0..p_kmax(t) and q = p_0..p_kmax_inv(-t), each with one zero
-    appended, give e's modes 0..j' + R - 1 as p[modes], e^-1's modes
-    0..j' - 1 as q[modes_inv], H(e) (block (r, c) mode r + c + 1; entry
-    (rn + a, cn + b) is p_{n(r+c+1)+a-b}) as p[hankel] and T(e^-1), the
-    lower-triangular scalar Toeplitz matrix of q, as q[toeplitz].  V is
-    T(W~) H(W~^-1) on R = j' - W.lo block rows and j' block columns,
-    base_norms {ord: ||W||_W ||W^-1||_W}, eye the identity of I - K.
+    p = p_0..p_kmax(t) and q = p_0..p_kmax_inv(-t) are the modes of e and
+    e^-1 as series in zeta = z^(1/n).  Row b of w_diag (w_inv_diag) is
+    W's (W^-1's) b-th diagonal entry spread to stride n, lowest mode first,
+    so column b of g = e W is p convolved with row b of w_diag and row a
+    of g^-1 = W^-1 e^-1 is q convolved with row a of w_inv_diag: entry (a,
+    b) of mode m of either is the zeta-mode nm + a - b of that product.
+    Laid end to end, each cut at kmax (kmax_inv) and with one zero
+    appended, the products give H(g) as [hankel] and H(g~^-1) as
+    [hankel_inv], both on the j'-block corner; the zero stands for the
+    modes of g^-1 below W^-1.lo = -j'.  modes and modes_inv fold p and q
+    (with one zero appended) into the modes 0..2j' - W.lo - 1 of e and
+    0..j' - 1 of e^-1 for the spectral gate, base_norms is {ord: ||W||_W
+    ||W^-1||_W} and eye the identity of I - K.
     """
 
     n: int
     j: int
     kmax: int
     kmax_inv: int
-    V: np.ndarray
+    w_diag: np.ndarray
+    w_inv_diag: np.ndarray
+    hankel: np.ndarray
+    hankel_inv: np.ndarray
     base_norms: dict
     modes: np.ndarray
     modes_inv: np.ndarray
-    hankel: np.ndarray
-    toeplitz: np.ndarray
     eye: np.ndarray
 
 
@@ -738,63 +750,113 @@ class _CornerPlan:
 def _symbol_core(spec: SymbolSpec) -> _CornerPlan:
     """The gather plan of the covering route for spec (cached, read-only).
 
-    Every index array is the package's own block or fold map (fold,
-    block_layout) applied once to the positions of the Schur values instead
-    of to the values at each point, so a point gathers exactly the entries
-    the per-point assembly would.
+    Entry (rn + a, cn + b) of the corner of H(g) is mode r + c + 1 of g,
+    the zeta-mode i + i' + n - 2b of column b (i, i' the flat row and
+    column); that of H(g~^-1) is mode -(r + c + 1) of g^-1, the zeta-mode
+    2a - i - i' - n of row a.  Both are offset by the lowest zeta-mode of
+    the spread diagonal, n W.lo and -n j'.
     """
     n = spec.n
     w, w_inv = base_symbol(spec), base_inverse(spec)
-    q = np.arange(-w_inv.lo)  # block (k, r) of V: sum_q W_(q-k) W^-1_(-q-r-1)
-    V = w.block_matrix(q - np.arange(len(q) - w.lo)[:, None])
-    V = V @ w_inv.block_matrix(-(q[:, None] + q + 1))
-    R, j = len(V) // n, V.shape[1] // n
-    modes = _fold_index(n * (j + R) - 1, n, j + R - 1)
-    modes_inv = _fold_index(n * j - 1, n, j - 1)
-    i = np.arange(j)
-    hankel = _layout_index(modes, 0, i[:, None] + np.arange(1, R + 1))
-    toeplitz = _layout_index(modes_inv, 0, i[:, None] - i)
+    j, lo = -int(w_inv.lo), int(w.lo)
+    kmax, kmax_inv = n * (2 * j - lo) - 1, n * j - 1
+    i = np.arange(n * j)
+    s, b, a = i[:, None] + i + n, i % n, i[:, None] % n  # i + i' + n, column and row residues
+    hankel = b * (kmax + 1) + s - 2 * b - n * lo
+    at = 2 * a - s + n * j  # in row a's product; below 0 past mode -j' of g^-1
+    hankel_inv = np.where(at >= 0, a * (kmax_inv + 1) + at, n * (kmax_inv + 1))
+    w_diag, w_inv_diag = _spread_diagonals(w), _spread_diagonals(w_inv)
+    modes = _fold_index(kmax, n, 2 * j - lo - 1)
+    modes_inv = _fold_index(kmax_inv, n, j - 1)
     eye = np.eye(n * j)
-    _read_only(V, modes, modes_inv, hankel, toeplitz, eye)
+    _read_only(w_diag, w_inv_diag, hankel, hankel_inv, modes, modes_inv, eye)
     return _CornerPlan(
         n=n,
         j=j,
-        kmax=n * (j + R) - 1,
-        kmax_inv=n * j - 1,
-        V=V,
+        kmax=kmax,
+        kmax_inv=kmax_inv,
+        w_diag=w_diag,
+        w_inv_diag=w_inv_diag,
+        hankel=hankel,
+        hankel_inv=hankel_inv,
         base_norms={ord: _wiener_bound((w, w_inv), ord) for ord in ("fro", 2)},
         modes=modes,
         modes_inv=modes_inv,
-        hankel=hankel,
-        toeplitz=toeplitz,
         eye=eye,
     )
 
 
+def _schur_pair(t_eff: np.ndarray, kmax: int, kmax_inv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Schur values p_0..p_kmax(t) and p_0..p_kmax_inv(-t) (kmax_inv <= kmax) at applied times.
+
+    When every even time is zero, exp(xi(-t,zeta)) = exp(xi(t,-zeta)), so
+    p_k(-t) = (-1)^k p_k(t) and the second sequence is the first with its
+    odd entries negated: one schur_numeric call, not two.
+    """
+    p = schur_numeric(t_eff, kmax)
+    if t_eff[1::2].any():
+        return p, schur_numeric(-t_eff, kmax_inv)
+    q = p[: kmax_inv + 1].copy()
+    q[1::2] *= -1.0
+    return p, q
+
+
+def _products(s: np.ndarray, diagonals: np.ndarray, kmax: int) -> np.ndarray:
+    """s convolved with each row of diagonals, cut at kmax, end to end, one zero appended."""
+    return np.concatenate([*(np.convolve(s, d)[: kmax + 1] for d in diagonals), [0.0]])
+
+
+def _exp_norm(p: np.ndarray, n: int, modes: np.ndarray, tail: float):
+    """ord -> sum_q ||e_q||_ord + tail over the modes of e = exp(xi(+-t,L)),
+    whose Schur values are p and whose fold modes index p with one zero appended.
+
+    ||e_q||_F^2 = sum_{|d|<n} (n - |d|) |p_(nq+d)|^2 (p_d sits on n - |d|
+    entries of mode q), so the Frobenius sum needs no fold: one
+    convolution of |p|^2 with those weights, read at nq + n - 1."""
+
+    def norm(ord) -> float:
+        if ord == "fro":
+            weights = n - np.abs(np.arange(1 - n, n))
+            sq = np.convolve(p.real**2 + p.imag**2, weights)[n - 1 : len(p) : n]
+            return float(np.sqrt(sq).sum()) + tail
+        return _mode_norms(np.append(p, 0.0)[modes], ord) + tail
+
+    return norm
+
+
 def _hankel_corner(spec: SymbolSpec, t: TimeVector) -> np.ndarray:
-    """The j'-block corner (H(e) V) T(e^-1) of K, after the four-factor Wiener gate.
+    """The j'-block corner H(g) H(g~^-1) of K, after the four-factor Wiener gate.
 
     _exp_tail bounds e and e^-1 past their bands, the same term on both
     orders, so the Frobenius one stays the larger."""
     plan = _symbol_core(spec)
     t_eff = t.effective(plan.n)
-    p = schur_numeric(t_eff, plan.kmax)
-    q = schur_numeric(-t_eff, plan.kmax_inv)
+    p, q = _schur_pair(t_eff, plan.kmax, plan.kmax_inv)
     t_abs = np.abs(t_eff)
     tail = _exp_tail(p, t_abs, plan.kmax - plan.n + 2)
     tail_inv = _exp_tail(q, t_abs, plan.kmax_inv - plan.n + 2)
-    p, q = np.append(p, 0.0), np.append(q, 0.0)
     _wiener_gate(
         plan.base_norms.get,
-        lambda ord: _mode_norms(p[plan.modes], ord) + tail,
-        lambda ord: _mode_norms(q[plan.modes_inv], ord) + tail_inv,
+        _exp_norm(p, plan.n, plan.modes, tail),
+        _exp_norm(q, plan.n, plan.modes_inv, tail_inv),
     )
-    return p[plan.hankel] @ plan.V @ q[plan.toeplitz]
+    g = _products(p, plan.w_diag, plan.kmax)
+    g_inv = _products(q, plan.w_inv_diag, plan.kmax_inv)
+    return g[plan.hankel] @ g_inv[plan.hankel_inv]
 
 
 _EPS = float(np.finfo(float).eps)
 # radii r >= 1 of the Cauchy bound on the Schur values past exp(xi)'s band
 _TAIL_RADII = np.array([1.0, 1.1, 1.25, 1.5, 2.0, 3.0])
+_LOG_TAIL_RADII = np.log(_TAIL_RADII)
+
+
+@lru_cache
+def _tail_powers(K: int) -> np.ndarray:
+    """r^i for i = 1..K (rows) and r in _TAIL_RADII (columns); read-only."""
+    out = _TAIL_RADII ** np.arange(1, K + 1)[:, None]
+    _read_only(out)
+    return out
 
 
 def _exp_tail(p: np.ndarray, t_abs: np.ndarray, k0: int) -> float:
@@ -803,8 +865,7 @@ def _exp_tail(p: np.ndarray, t_abs: np.ndarray, k0: int) -> float:
     Schur values p_0..p_K that the band reads, t_abs the moduli of the times
     as applied; the rest is bounded by r^-(K+1) exp(sum_i |t_i| r^i), the
     least over r in _TAIL_RADII."""
-    log_tail = t_abs @ _TAIL_RADII ** np.arange(1, len(t_abs) + 1)[:, None]
-    log_tail -= len(p) * np.log(_TAIL_RADII)
+    log_tail = t_abs @ _tail_powers(len(t_abs)) - len(p) * _LOG_TAIL_RADII
     return 2.0 * (float(np.abs(p[k0:]).sum()) + float(np.exp(log_tail.min())))
 
 

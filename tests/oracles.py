@@ -8,14 +8,16 @@ the stable tau of a rational family at 40 digits, for every block size n;
 tau_graded_elimination eliminates the whole nN x nN ring matrix, the
 reference for the rank-r route of tau.tau_graded; gd_symbol_inverse is
 the banded inverse of the deformed symbol, the wide-band reference for
-the Hankel corner of tau.tau_stable; stable_tau_reference is
+the Hankel corner of tau.tau_stable; hankel_corner_reference is that
+corner as the three-factor product H(e) V T(e^-1), and stable_tau_reference
 tau.tau_stable_report by the Schur-series assembly;
 read_csv reads back the coefficient CSVs the command line writes;
 plemelj_quadrature_folded is the contour projector's trapezoid sum as an
 FFT per output column over the folded moment tensor, the reference for
 its closed form.  transform_adaptive (FFT of circle samples) and
 binomial_series_mpmath (the power-sum recurrence at 40 digits) are the two
-references for the closed-form base symbols.
+references for the closed-form base symbols.  COVERING_TAU_32 holds six
+covering stable tau values at 32 digits.
 """
 
 import mpmath
@@ -41,6 +43,29 @@ from blocktau.symbols import (
     gd_symbol_graded,
 )
 from blocktau.tau import StableTauReport
+
+
+# Stable tau of two covering families at 32 digits, rounded to double, as
+# (roots, n, direction over t_1..t_5, s, tau at the times s * direction).
+# Each is det(T_j(e) - H(e) V) = det(I - K) with W and W^-1 from the
+# binomial recurrence of binomial_series_mpmath, kept as mpmath numbers to
+# depth 72 (tail below 1e-30), and the Schur values from _schur_mp; depths
+# 60 and 72 agree to every double digit.  One value takes 16-90 s, so the
+# values are constants here.
+COVERING_TAU_32 = (
+    ((0.3, -0.25, 0.35j), 2, (1, 0, 0.5, 0, 0.25), 6.0,
+     -19.518475241663747 - 17.298424442977925j),
+    ((0.3, -0.25, 0.35j), 2, (1, 0, 0.5, 0, 0.25), 7.0,
+     34.62812041909679 - 86.36429041916281j),
+    ((0.3, -0.25, 0.35j), 2, (1, 0, 0.5, 0, 0.25), 7.5,
+     182.9076014976784 - 167.00269813092186j),
+    ((0.3, -0.25, 0.35j, 0.2 + 0.2j), 3, (1, 0.5, 0, 0.25, 0.1), 6.0,
+     -681.0760363125236 - 395.9724837313103j),
+    ((0.3, -0.25, 0.35j, 0.2 + 0.2j), 3, (1, 0.5, 0, 0.25, 0.1), 7.0,
+     -5645.293834588652 - 3697.400770374408j),
+    ((0.3, -0.25, 0.35j, 0.2 + 0.2j), 3, (1, 0.5, 0, 0.25, 0.1), 8.0,
+     -42476.56272087164 + 32190.805147554925j),
+)
 
 
 def schur_recurrence(tvals, kmax):
@@ -176,6 +201,28 @@ def gd_symbol_inverse(spec, t, band, exact_only=False) -> LaurentMatrix:
     return lm_mul(w_inv, e, band)
 
 
+def hankel_corner_reference(spec, t):
+    """The j'-block corner of K = H(g) H(g~^-1) as H(e) V T(e^-1), V = T(W~) H(W~^-1).
+
+    W has no positive modes and e^-1 no negative ones, so K = H(e) T(W~)
+    H(W~^-1) T(e^-1) exactly.  V is built here from base_symbol and
+    base_inverse on R = j' - W.lo block rows and j' = -W^-1.lo block
+    columns, and H(e) and T(e^-1) are laid out with block_matrix from
+    exp_xi_lambda: the three-factor product that tau._hankel_corner, which
+    reads H(g) and H(g~^-1) off W's diagonal, must meet entrywise.
+    """
+    n = spec.n
+    w, w_inv = base_symbol(spec), base_inverse(spec)
+    q = np.arange(-w_inv.lo)
+    V = w.block_matrix(q - np.arange(len(q) - w.lo)[:, None])
+    V = V @ w_inv.block_matrix(-(q[:, None] + q + 1))
+    R, j = len(V) // n, V.shape[1] // n
+    e = exp_xi_lambda(t, n, (0, j + R - 1))
+    e_inv = exp_xi_lambda(t.negated(), n, (0, j - 1))
+    i = np.arange(j)
+    return e.block_matrix(i[:, None] + np.arange(1, R + 1)) @ V @ e_inv.block_matrix(i[:, None] - i)
+
+
 def stable_tau_reference(spec, t):
     """tau.tau_stable_report by the Schur-series assembly, with no gather plan.
 
@@ -184,25 +231,19 @@ def stable_tau_reference(spec, t):
     exp(xi(-t,L)) with lm_mul, W^-1 the binomial series cut at INVERSE_CUT:
     an assembly that shares nothing with the residue form of
     tau._finite_rank, whose value it must meet to 1e-12; its est_error is
-    not computed (nan).  The covering route
-    lays out H(e) and T(e^-1) with block_matrix around V, built here from
-    base_symbol and base_inverse; its value, est_error, route and M_used
-    must equal the plan's (tests/test_tau.py).  No gate is applied.
+    not computed (nan).  The covering route takes det(I - K) of
+    hankel_corner_reference; route, M_used and est_error must equal the
+    plan's, and the value meets it to the conditioning of I - K
+    (tests/test_tau.py).  No gate is applied.
     """
     n = spec.n
-    w, w_inv = base_symbol(spec), base_inverse(spec)
     if spec.family == "rational":  # T_1(g^-1) is mode 0 of g^-1; G = det W_0 = 1
+        w_inv = base_inverse(spec)
         e = exp_xi_lambda(t.negated(), n, (0, -w_inv.lo))
         T = lm_mul(w_inv, e, (0, 0)).block(0)
         return StableTauReport(complex(np.linalg.det(T)), np.nan, "finite_rank", 1)
-    q = np.arange(-w_inv.lo)
-    V = w.block_matrix(q - np.arange(len(q) - w.lo)[:, None])
-    V = V @ w_inv.block_matrix(-(q[:, None] + q + 1))
-    R, j = len(V) // n, V.shape[1] // n
-    e = exp_xi_lambda(t, n, (0, j + R - 1))
-    e_inv = exp_xi_lambda(t.negated(), n, (0, j - 1))
-    i = np.arange(j)
-    K = e.block_matrix(i[:, None] + np.arange(1, R + 1)) @ V @ e_inv.block_matrix(i[:, None] - i)
+    K = hankel_corner_reference(spec, t)
+    j = len(K) // n
     return StableTauReport(complex(np.linalg.det(np.eye(len(K)) - K)), 0.0, "fredholm", j)
 
 

@@ -56,7 +56,9 @@ from blocktau.toeplitz import (
     truncation_dets,
 )
 from oracles import (
+    COVERING_TAU_32,
     gd_symbol_inverse,
+    hankel_corner_reference,
     rational_tau_mpmath,
     stable_tau_reference,
     tau_graded_elimination,
@@ -435,6 +437,49 @@ def test_covering_stable_tau_matches_a_wide_band(spec, direction, s):
     assert abs(got - want) / abs(want) < 1e-11
 
 
+# the error the covering route may keep, by s: it grows with cond(I - K),
+# 7e7 to 2e13 over these points, from the cut of W^-1 (n = 2) and the
+# round-off of the products (n = 3)
+COVERING_TAU_BOUND = {6.0: 1e-9, 7.0: 1e-8, 7.5: 3e-8, 8.0: 3e-8}
+
+
+@pytest.mark.parametrize(
+    "roots, n, direction, s, want",
+    COVERING_TAU_32,
+    ids=[f"n{ref[1]}-{ref[3]:g}" for ref in COVERING_TAU_32],
+)
+def test_covering_stable_tau_meets_the_32_digit_references(roots, n, direction, s, want):
+    got = tau_stable(covering_spec(roots, n), time_vector([s * d for d in direction]))
+    assert abs(got - want) / abs(want) <= COVERING_TAU_BOUND[s]
+
+
+@pytest.mark.parametrize(
+    "spec, tv, calls",
+    [
+        pytest.param(CSPEC, time_vector([4.0 * d for d in DIAG]), 1, id="n2-reduced"),
+        pytest.param(
+            CSPEC, time_vector([-3.0, 0.0, 1.5, 0.0, -0.75]), 1, id="n2-reduced-mixed-sign"
+        ),
+        pytest.param(CSPEC, time_vector([0.6, 0.3, -0.2], gd_reduced=False), 2, id="n2-t2"),
+        pytest.param(CSPEC3B, time_vector([4.0 * d for d in DIAG3]), 2, id="n3"),
+    ],
+)
+def test_inverse_schur_values_come_from_one_sequence_when_even_times_vanish(
+    monkeypatch, spec, tv, calls
+):
+    # p_k(-t) = (-1)^k p_k(t) when every even time is zero; otherwise e^-1
+    # has its own sequence, and either way it is schur_numeric(-t)'s
+    seen, schur = [], tau_module.schur_numeric
+    monkeypatch.setattr(tau_module, "schur_numeric", lambda *a: (seen.append(a), schur(*a))[1])
+    tau_stable_report(spec, tv)
+    assert len(seen) == calls
+    plan, t_eff = tau_module._symbol_core(spec), tv.effective(spec.n)
+    p, q = tau_module._schur_pair(t_eff, plan.kmax, plan.kmax_inv)
+    assert np.array_equal(p, schur(t_eff, plan.kmax))
+    want = schur(-t_eff, plan.kmax_inv)
+    assert np.abs(q - want).max() <= 1e-15 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("s", [1.0, 4.0, 5.8])
 @pytest.mark.parametrize("spec, direction", [(CSPEC, DIAG), (CSPEC3B, DIAG3)], ids=["n2", "n3"])
 def test_hankel_corner_is_the_wide_band_product(spec, direction, s):
@@ -543,10 +588,13 @@ def test_stable_tau_routes():
     ids=["covering", "covering-n3", "rational", "rational-3pole", "rational-complex"],
 )
 def test_stable_tau_plan_equals_reference(spec, direction):
-    # the covering plan reads exactly the entries the per-point assembly
-    # built, on times of one phase and of mixed sign alike; the rational
-    # residue form meets the Schur-series section of W^-1 exp(xi(-t,L)),
-    # which shares none of its code, to 1e-12 (complex poles included)
+    # the covering corner H(g) H(g~^-1), read off W's diagonal, meets the
+    # three-factor H(e) V T(e^-1) entrywise to 1e-13 max|K| (an index error
+    # shows at O(max|K|)), on times of one phase and of mixed sign alike;
+    # the products differ in order, so the values differ by up to the
+    # conditioning of I - K (5e-8 at n = 3, s = 7.5).  The rational residue
+    # form meets the Schur-series section of W^-1 exp(xi(-t,L)), which
+    # shares none of its code, to 1e-12 (complex poles included)
     rng = np.random.default_rng(2031)
     for s in np.linspace(0.2, 7.5, 40):
         signs = rng.choice([-1.0, 1.0], len(direction))
@@ -557,7 +605,11 @@ def test_stable_tau_plan_equals_reference(spec, direction):
         if spec.family == "rational":
             assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
         else:
-            assert (got.value, got.est_error) == (want.value, want.est_error)
+            assert got.est_error == want.est_error
+            K, ref = tau_module._hankel_corner(spec, tv), hankel_corner_reference(spec, tv)
+            assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
+            cond = np.linalg.cond(np.eye(len(ref)) - ref)
+            assert abs(got.value - want.value) <= 1e-13 * cond * abs(want.value)
 
 
 @pytest.mark.parametrize("spec", [RSPEC, CSPEC], ids=["finite_rank", "fredholm"])
