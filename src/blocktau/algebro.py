@@ -582,6 +582,6 @@ def spectral_check(spec: SymbolSpec) -> SpectralReport:
         roundtrip_residual=roundtrip,
         symbol_residual=symbol_res,
         match_margin=margin,
-        big_cell_ok=big_cell_check(w_rec).ok,
+        big_cell_ok=big_cell_check(w_rec),
         C=bc.C,
     )

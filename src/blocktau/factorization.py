@@ -149,14 +149,12 @@ def wiener_hopf(
 
 @dataclass
 class FactorizationPair:
-    """Both factorization orders of one symbol, with certificates."""
+    """Both factorization orders of one symbol."""
 
     gamma_plus: LaurentMatrix    # symbol = gamma_plus * gamma_minus
     gamma_minus: LaurentMatrix
     theta_minus: LaurentMatrix   # symbol = theta_minus * theta_plus
     theta_plus: LaurentMatrix
-    minus_first: FactorizationResult
-    plus_first: FactorizationResult
 
     @cached_property
     def bo_symbols(self) -> tuple[LaurentMatrix, LaurentMatrix]:
@@ -192,8 +190,6 @@ def two_sided_factorization(
         gamma_minus=lm_reflect(plus_first.T_plus),
         theta_minus=minus_first.T_minus,
         theta_plus=minus_first.T_plus,
-        minus_first=minus_first,
-        plus_first=plus_first,
     )
 
 
@@ -238,18 +234,16 @@ def _wave_matrix(spec: SymbolSpec, values: tuple, gd_reduced: bool):
 
 @dataclass
 class TauRatioReport:
-    lhs: complex             # D_N / D_{N+1} of the deformed symbol
-    block_det: complex       # det(I_n - M_NN): single-block determinant
-    corrected_det: complex   # block det including the resolvent cross term
-    residual: float          # |lhs - corrected_det|, the identity actually checked
-    block_residual: float    # |lhs - block_det|, deviation of the bare block det
+    corrected_det: complex   # det(I_n - M_NN) with the resolvent cross term
+    residual: float          # |D_N / D_{N+1} - corrected_det|, the identity checked
+    block_residual: float    # |D_N / D_{N+1} - det(I_n - M_NN)|, the bare block det
     window: int
 
 
 def tau_ratio_check(spec: SymbolSpec, t: TimeVector, N: int) -> TauRatioReport:
     """Consecutive determinant ratio against an ordinary n x n determinant.
 
-    lhs: D_N / D_{N+1} for the deformed symbol.  With M the Hankel-product
+    lhs = D_N / D_{N+1} for the deformed symbol.  With M the Hankel-product
     kernel of the wave matrix, M_ij = sum_{k>=1} Psi^(i+k) (Psi^{-1})^(-j-k),
     eliminating all block indices > N from the pair of Fredholm determinants
     gives exactly
@@ -284,8 +278,6 @@ def tau_ratio_check(spec: SymbolSpec, t: TimeVector, N: int) -> TauRatioReport:
     corrected = complex(np.linalg.det(np.eye(n) - MNN - cross))
     block_det = complex(np.linalg.det(np.eye(n) - MNN))
     return TauRatioReport(
-        lhs=lhs,
-        block_det=block_det,
         corrected_det=corrected,
         residual=float(abs(lhs - corrected)),
         block_residual=float(abs(lhs - block_det)),

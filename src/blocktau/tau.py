@@ -609,37 +609,9 @@ def stability_check(spec: SymbolSpec, N: int, Q: int) -> StabilityReport:
 # -- stable value at a concrete time vector -----------------------------------
 
 
-def _wiener_bound(factors, ord) -> float:
-    """prod sum_k ||a_k||_ord over the factors: LaurentMatrix, or functions of ord."""
-    norms = (
-        _mode_norms(f.coeffs, ord) if isinstance(f, LaurentMatrix) else f(ord)
-        for f in factors
-    )
-    return float(math.prod(norms))
-
-
 def _mode_norms(stack: np.ndarray, ord) -> float:
     """sum_k ||a_k||_ord over a (modes, n, n) stack."""
     return float(np.linalg.norm(stack, ord, axis=(1, 2)).sum())
-
-
-def _wiener_gate(*factors) -> None:
-    """Raise NearSingularSymbol when prod ||a||_W over the factors exceeds COND_LIMIT.
-
-    ||a||_W = sum_k ||a_k||_2 bounds the spectral norm of a(z) on the
-    circle and is submultiplicative, so its product over the factors of g
-    and g^-1 bounds the condition number of g there.  The same sums over
-    Frobenius norms bound it in turn and clear most symbols without an SVD
-    per block; only above COND_SCREEN is the spectral bound computed, and
-    it decides.
-    """
-    if _wiener_bound(factors, "fro") <= COND_SCREEN:
-        return
-    cond = _wiener_bound(factors, 2)
-    if cond > COND_LIMIT:
-        raise NearSingularSymbol(
-            f"Wiener-norm condition bound {cond:.3g} exceeds {COND_LIMIT:g}"
-        )
 
 
 @dataclass
@@ -680,8 +652,9 @@ def tau_stable_report(
     the per-spec plan (_symbol_core), multiplies them once and takes one
     determinant; no LaurentMatrix is built per point.  NearSingularSymbol
     is raised when cond T_1(g^-1) exceeds COND_LIMIT on the first route,
-    and on the second when ||e||_W ||W||_W ||W^-1||_W ||e^-1||_W, a bound of
-    cond g on the circle, does.  Neither route reads tol, kept only for
+    and on the second when ||W||_W ||W^-1||_W ||e||_W ||e^-1||_W, a bound of
+    cond g on the circle, does: a product of four floats, two of them the
+    plan's (_hankel_corner).  Neither route reads tol, kept only for
     callers that pass one (the benchmark harness): both are exact up to
     round-off.
     """
@@ -691,13 +664,6 @@ def tau_stable_report(
     K = _hankel_corner(spec, t)
     fr = fredholm_det(PlemeljOperator(spec.n, plan.j, plan.eye - K))
     return StableTauReport(fr.value, 0.0, "fredholm", fr.M_used)
-
-
-def _fold_index(kmax: int, n: int, hi: int) -> np.ndarray:
-    """Where the modes 0..hi of exp(xi(t,L)) (exp_xi_lambda) read the Schur
-    values p_0..p_kmax: a (hi + 1, n, n) index into p with one zero appended,
-    -1 (that zero) where the fold holds 0."""
-    return fold(np.arange(1, kmax + 2), 0, n, (0, hi)) - 1
 
 
 def _spread_diagonals(w: LaurentMatrix) -> np.ndarray:
@@ -726,10 +692,10 @@ class _CornerPlan:
     Laid end to end, each cut at kmax (kmax_inv) and with one zero
     appended, the products give H(g) as [hankel] and H(g~^-1) as
     [hankel_inv], both on the j'-block corner; the zero stands for the
-    modes of g^-1 below W^-1.lo = -j'.  modes and modes_inv fold p and q
-    (with one zero appended) into the modes 0..2j' - W.lo - 1 of e and
-    0..j' - 1 of e^-1 for the spectral gate, base_norms is {ord: ||W||_W
-    ||W^-1||_W} and eye the identity of I - K.
+    modes of g^-1 below W^-1.lo = -j'.  fro_norms and spectral_norms are
+    ||W||_W ||W^-1||_W with the Wiener norm ||a||_W = sum_k ||a_k|| taken
+    over Frobenius and spectral block norms, the gate's base factor, and
+    eye is the identity of I - K.
     """
 
     n: int
@@ -740,15 +706,14 @@ class _CornerPlan:
     w_inv_diag: np.ndarray
     hankel: np.ndarray
     hankel_inv: np.ndarray
-    base_norms: dict
-    modes: np.ndarray
-    modes_inv: np.ndarray
+    fro_norms: float
+    spectral_norms: float
     eye: np.ndarray
 
 
 @lru_cache
 def _symbol_core(spec: SymbolSpec) -> _CornerPlan:
-    """The gather plan of the covering route for spec (cached, read-only).
+    """The gather plan and base norms of the covering route for spec (cached, read-only).
 
     Entry (rn + a, cn + b) of the corner of H(g) is mode r + c + 1 of g,
     the zeta-mode i + i' + n - 2b of column b (i, i' the flat row and
@@ -766,10 +731,8 @@ def _symbol_core(spec: SymbolSpec) -> _CornerPlan:
     at = 2 * a - s + n * j  # in row a's product; below 0 past mode -j' of g^-1
     hankel_inv = np.where(at >= 0, a * (kmax_inv + 1) + at, n * (kmax_inv + 1))
     w_diag, w_inv_diag = _spread_diagonals(w), _spread_diagonals(w_inv)
-    modes = _fold_index(kmax, n, 2 * j - lo - 1)
-    modes_inv = _fold_index(kmax_inv, n, j - 1)
     eye = np.eye(n * j)
-    _read_only(w_diag, w_inv_diag, hankel, hankel_inv, modes, modes_inv, eye)
+    _read_only(w_diag, w_inv_diag, hankel, hankel_inv, eye)
     return _CornerPlan(
         n=n,
         j=j,
@@ -779,9 +742,8 @@ def _symbol_core(spec: SymbolSpec) -> _CornerPlan:
         w_inv_diag=w_inv_diag,
         hankel=hankel,
         hankel_inv=hankel_inv,
-        base_norms={ord: _wiener_bound((w, w_inv), ord) for ord in ("fro", 2)},
-        modes=modes,
-        modes_inv=modes_inv,
+        fro_norms=_mode_norms(w.coeffs, "fro") * _mode_norms(w_inv.coeffs, "fro"),
+        spectral_norms=_mode_norms(w.coeffs, 2) * _mode_norms(w_inv.coeffs, 2),
         eye=eye,
     )
 
@@ -806,40 +768,47 @@ def _products(s: np.ndarray, diagonals: np.ndarray, kmax: int) -> np.ndarray:
     return np.concatenate([*(np.convolve(s, d)[: kmax + 1] for d in diagonals), [0.0]])
 
 
-def _exp_norm(p: np.ndarray, n: int, modes: np.ndarray, tail: float):
-    """ord -> sum_q ||e_q||_ord + tail over the modes of e = exp(xi(+-t,L)),
-    whose Schur values are p and whose fold modes index p with one zero appended.
+def _fro_sum(p: np.ndarray, n: int) -> float:
+    """sum_q ||e_q||_F over the modes of e = exp(xi(+-t,L)) whose Schur values are p.
 
     ||e_q||_F^2 = sum_{|d|<n} (n - |d|) |p_(nq+d)|^2 (p_d sits on n - |d|
-    entries of mode q), so the Frobenius sum needs no fold: one
-    convolution of |p|^2 with those weights, read at nq + n - 1."""
+    entries of mode q), so the sum needs no fold: one convolution of |p|^2
+    with those weights, read at nq + n - 1."""
+    weights = n - np.abs(np.arange(1 - n, n))
+    sq = np.convolve(p.real**2 + p.imag**2, weights)[n - 1 : len(p) : n]
+    return float(np.sqrt(sq).sum())
 
-    def norm(ord) -> float:
-        if ord == "fro":
-            weights = n - np.abs(np.arange(1 - n, n))
-            sq = np.convolve(p.real**2 + p.imag**2, weights)[n - 1 : len(p) : n]
-            return float(np.sqrt(sq).sum()) + tail
-        return _mode_norms(np.append(p, 0.0)[modes], ord) + tail
 
-    return norm
+def _spectral_sum(p: np.ndarray, n: int) -> float:
+    """sum_q ||e_q||_2 over the same modes, from the fold of p into n x n blocks."""
+    return _mode_norms(fold(p, 0, n, (0, len(p) // n - 1)), 2)
 
 
 def _hankel_corner(spec: SymbolSpec, t: TimeVector) -> np.ndarray:
     """The j'-block corner H(g) H(g~^-1) of K, after the four-factor Wiener gate.
 
-    _exp_tail bounds e and e^-1 past their bands, the same term on both
-    orders, so the Frobenius one stays the larger."""
+    ||a||_W = sum_k ||a_k||_2 bounds the spectral norm of a(z) on the
+    circle and is submultiplicative, so ||W||_W ||W^-1||_W ||e||_W
+    ||e^-1||_W bounds cond g there; NearSingularSymbol is raised when it
+    exceeds COND_LIMIT.  ||a_k||_F >= ||a_k||_2, so the same product over
+    Frobenius norms bounds it in turn and screens without an SVD per block:
+    only above COND_SCREEN are the spectral sums taken, and they decide.
+    _exp_tail bounds e and e^-1 past their bands; it adds the same term to
+    both orders, so the Frobenius product stays the larger."""
     plan = _symbol_core(spec)
-    t_eff = t.effective(plan.n)
+    n = plan.n
+    t_eff = t.effective(n)
     p, q = _schur_pair(t_eff, plan.kmax, plan.kmax_inv)
     t_abs = np.abs(t_eff)
-    tail = _exp_tail(p, t_abs, plan.kmax - plan.n + 2)
-    tail_inv = _exp_tail(q, t_abs, plan.kmax_inv - plan.n + 2)
-    _wiener_gate(
-        plan.base_norms.get,
-        _exp_norm(p, plan.n, plan.modes, tail),
-        _exp_norm(q, plan.n, plan.modes_inv, tail_inv),
-    )
+    tail = _exp_tail(p, t_abs, plan.kmax - n + 2)
+    tail_inv = _exp_tail(q, t_abs, plan.kmax_inv - n + 2)
+    # not <=, so that the screen clears no NaN bound
+    if not plan.fro_norms * (_fro_sum(p, n) + tail) * (_fro_sum(q, n) + tail_inv) <= COND_SCREEN:
+        cond = plan.spectral_norms * (_spectral_sum(p, n) + tail) * (_spectral_sum(q, n) + tail_inv)
+        if cond > COND_LIMIT:
+            raise NearSingularSymbol(
+                f"Wiener-norm condition bound {cond:.3g} exceeds {COND_LIMIT:g}"
+            )
     g = _products(p, plan.w_diag, plan.kmax)
     g_inv = _products(q, plan.w_inv_diag, plan.kmax_inv)
     return g[plan.hankel] @ g_inv[plan.hankel_inv]

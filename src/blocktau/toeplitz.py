@@ -374,7 +374,6 @@ def lm_z_derivative(a: LaurentMatrix) -> LaurentMatrix:
 
 @dataclass
 class WidomDerivativeReport:
-    numeric: complex
     contour: complex
     abs_err: float
 
@@ -417,7 +416,6 @@ def widom_derivative_check(
     f = np.trace(term, axis1=-2, axis2=-1)
     contour = -np.sum(f * z) / M
     return WidomDerivativeReport(
-        numeric=complex(numeric),
         contour=complex(contour),
         abs_err=float(abs(numeric - contour)),
     )

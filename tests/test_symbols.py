@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from blocktau import laurent, symbols
 from blocktau.errors import DegenerateInput, SpecError, TruncationError
 from blocktau.gradedpoly import schur_sequence
-from blocktau.laurent import ScalarSeries, VectorSeries, lm_mul
+from blocktau.laurent import LaurentMatrix, ScalarSeries, VectorSeries, lm_mul
 from blocktau.symbols import (
     INVERSE_CUT,
     _base_power,
@@ -268,8 +268,19 @@ def test_base_inverse_of_a_slow_decay_is_cut_on_the_sample_scale():
 
 def test_base_symbols_live_in_big_cell():
     for spec in (RSPEC, CSPEC):
-        rep = big_cell_check(base_symbol(spec))
-        assert rep.ok, rep.violations
+        assert big_cell_check(base_symbol(spec))
+
+
+@pytest.mark.parametrize(
+    "mode, entry, value",
+    [(1, (1, 0), 1e-9), (0, (1, 1), 1.0 + 1e-9), (0, (0, 1), 1e-9)],
+    ids=["positive-mode", "diagonal-not-one", "entry-above-diagonal"],
+)
+def test_big_cell_check_fails_each_condition(mode, entry, value):
+    w = base_symbol(CSPEC)
+    coeffs = np.concatenate([w.coeffs, np.zeros((1 - w.hi, 2, 2))])  # room for mode 1
+    coeffs[(mode - w.lo, *entry)] = value
+    assert not big_cell_check(LaurentMatrix(2, w.lo, 1, coeffs))
 
 
 # the closed-form base pair against its references: the two shipped families,

@@ -21,7 +21,7 @@ from blocktau.gradedpoly import (
     schur_sequence,
     zero_times,
 )
-from blocktau.laurent import COND_LIMIT, LaurentMatrix, geometric_mean
+from blocktau.laurent import geometric_mean
 from blocktau.symbols import (
     base_inverse,
     base_symbol,
@@ -497,20 +497,28 @@ def test_hankel_corner_is_the_wide_band_product(spec, direction, s):
 
 @pytest.mark.parametrize("s", [5.8, 7.0, 7.5])
 def test_covering_gate_bounds_the_band_pair(monkeypatch, s):
-    # ||e||_W ||W||_W ||W^-1||_W ||e^-1||_W >= ||g||_W ||g^-1||_W of any band,
+    # ||W||_W ||W^-1||_W ||e||_W ||e^-1||_W >= ||g||_W ||g^-1||_W of any band,
     # here the pair g, g^-1 on the band B = 32 that the gate once read
     tv = time_vector([s * d for d in DIAG])
-    seen, gate = [], tau_module._wiener_gate
-    monkeypatch.setattr(tau_module, "_wiener_gate", lambda *f: (seen.append(f), gate(*f))[1])
+    seen, exp_tail = [], tau_module._exp_tail
+
+    def spy(p, *args):
+        seen.append((p, exp_tail(p, *args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(tau_module, "_exp_tail", spy)
     tau_stable(CSPEC, tv)
-    four = tau_module._wiener_bound(seen[0], 2)
+    (p, tail), (q, tail_inv) = seen  # the Schur values of e and e^-1 and their tails
+    four = (
+        tau_module._symbol_core(CSPEC).spectral_norms
+        * (tau_module._spectral_sum(p, 2) + tail)
+        * (tau_module._spectral_sum(q, 2) + tail_inv)
+    )
     with pytest.raises(TruncationError):  # p_k(-t), k > 80, feed the modes past 40
         gd_symbol_inverse(CSPEC, tv, (-40, 40))
-    band_pair = (
-        gd_symbol(CSPEC, tv, (-32, 32), exact_only=True),
-        gd_symbol_inverse(CSPEC, tv, (-40, 40), exact_only=True),
-    )
-    two = tau_module._wiener_bound(band_pair, 2)
+    g = gd_symbol(CSPEC, tv, (-32, 32), exact_only=True)
+    g_inv = gd_symbol_inverse(CSPEC, tv, (-40, 40), exact_only=True)
+    two = tau_module._mode_norms(g.coeffs, 2) * tau_module._mode_norms(g_inv.coeffs, 2)
     assert two <= four < 2.5 * two
 
 
@@ -684,8 +692,10 @@ def test_stable_tau_next_to_the_unit_circle(s):
     assert rep.est_error >= err
 
 
-def _gate_norm_orders(monkeypatch, g, g_inv):
-    """Run the Wiener-norm gate; return its message (None if it passed) and the norms it took."""
+def _covering_norm_orders(monkeypatch, s):
+    """Run the covering route along DIAG at s with its plan cached; return its
+    refusal message (None if it passed) and the orders of its np.linalg.norm calls."""
+    tau_module._symbol_core(CSPEC)
     orders, norm = [], np.linalg.norm
 
     def spy(x, ord=None, axis=None):
@@ -694,49 +704,34 @@ def _gate_norm_orders(monkeypatch, g, g_inv):
 
     monkeypatch.setattr(tau_module.np.linalg, "norm", spy)
     try:
-        tau_module._wiener_gate(g, g_inv)
+        tau_stable_report(CSPEC, time_vector([s * d for d in DIAG]))
     except NearSingularSymbol as exc:
         return str(exc), orders
     return None, orders
 
 
 @pytest.mark.parametrize(
-    "ab, svd, message",
+    "s, spectral, message",
     [
-        (0.2e12, False, None),  # Frobenius bound 0.4e12 clears the screen
-        (0.7e12, True, None),  # Frobenius 1.4e12 above the limit, spectral 0.7e12 below
-        (1.1e12, True, "Wiener-norm condition bound 1.1e+12 exceeds 1e+12"),
+        (7.0, False, None),  # Frobenius bound 1.47e11 clears the screen
+        (7.5, True, None),  # Frobenius 8.51e11 above the screen, spectral 5.08e11 below the limit
+        (7.7, True, "Wiener-norm condition bound 1.03e+12 exceeds 1e+12"),
     ],
+    ids=["frobenius-passes", "spectral-passes", "spectral-refuses"],
 )
-def test_wiener_gate_on_both_sides_of_the_limit(monkeypatch, ab, svd, message):
-    # blocks a*I and b*I: spectral bound a*b, Frobenius bound 2*a*b
-    g = LaurentMatrix(2, 0, 0, 1e6 * np.eye(2)[None])
-    g_inv = LaurentMatrix(2, -1, 0, ab / 2e6 * np.array([np.eye(2), np.eye(2)]))
-    raised, orders = _gate_norm_orders(monkeypatch, g, g_inv)
+def test_covering_gate_screens_on_frobenius_sums(monkeypatch, s, spectral, message):
+    raised, orders = _covering_norm_orders(monkeypatch, s)
     assert raised == message
-    assert orders == (["fro", "fro", 2, 2] if svd else ["fro", "fro"])
+    assert orders.count(2) == (2 if spectral else 0)  # one fold of e, one of e^-1
 
 
-def _spectral_bound(g, g_inv):
-    return np.linalg.norm(g.coeffs, 2, axis=(1, 2)).sum() * np.linalg.norm(
-        g_inv.coeffs, 2, axis=(1, 2)
-    ).sum()
-
-
-@given(st.integers(0, 10**6), st.floats(-1.0, 1.0))
-def test_wiener_gate_decides_as_the_spectral_bound(seed, log_excess):
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 4]), st.integers(1, 6))
+def test_frobenius_sum_bounds_the_spectral_sum(seed, n, blocks):
+    # ||a_q||_F >= ||a_q||_2 on every mode, so the screen clears no point
+    # that the spectral sums would refuse
     rng = np.random.default_rng(seed)
-    g, g_inv = (
-        LaurentMatrix(2, 0, w - 1, rng.normal(size=(w, 2, 2)) + 1j * rng.normal(size=(w, 2, 2)))
-        for w in rng.integers(1, 6, size=2)
-    )
-    g.coeffs *= COND_LIMIT * 10.0**log_excess / _spectral_bound(g, g_inv)
-    try:
-        tau_module._wiener_gate(g, g_inv)
-        raised = False
-    except NearSingularSymbol:
-        raised = True
-    assert raised == (_spectral_bound(g, g_inv) > COND_LIMIT)
+    p = rng.normal(size=n * blocks) + 1j * rng.normal(size=n * blocks)
+    assert tau_module._fro_sum(p, n) >= tau_module._spectral_sum(p, n)
 
 
 def test_finite_sections_approach_closed_form():
