@@ -27,6 +27,7 @@ from blocktau.symbols import (
     base_symbol,
     column_series,
     covering_spec,
+    fold,
     gd_symbol,
     rational_spec,
     time_vector,
@@ -727,10 +728,12 @@ def test_covering_gate_screens_on_frobenius_sums(monkeypatch, s, spectral, messa
 
 @given(st.integers(0, 10**6), st.sampled_from([2, 3, 4]), st.integers(1, 6))
 def test_frobenius_sum_bounds_the_spectral_sum(seed, n, blocks):
-    # ||a_q||_F >= ||a_q||_2 on every mode, so the screen clears no point
-    # that the spectral sums would refuse
+    # _fro_sum is sum_q ||e_q||_F read without a fold, and ||e_q||_F >=
+    # ||e_q||_2, so the screen clears no point the spectral sums would refuse
     rng = np.random.default_rng(seed)
     p = rng.normal(size=n * blocks) + 1j * rng.normal(size=n * blocks)
+    folded = np.linalg.norm(fold(p, 0, n, (0, blocks - 1)), axis=(1, 2)).sum()
+    assert tau_module._fro_sum(p, n) == pytest.approx(folded, rel=1e-14)
     assert tau_module._fro_sum(p, n) >= tau_module._spectral_sum(p, n)
 
 
