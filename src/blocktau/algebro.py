@@ -28,7 +28,7 @@ scalar series s(zeta) into its n x n block action over z is symbols.fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import ceil, gcd, log2
 
@@ -239,7 +239,6 @@ class BranchSeries:
     m: int
     tail: np.ndarray  # l_1..l_J
     n: int            # sheet count of the curve the branch lives on
-    residual_unit_circle: float = field(default=np.nan)
 
     def __post_init__(self) -> None:
         self.tail = np.atleast_1d(np.asarray(self.tail, dtype=complex))
@@ -264,7 +263,7 @@ class BranchSeries:
         for j in range(1, self.J + 1):
             if (self.m - j) % self.n == 0:
                 tail[j - 1] = 0.0
-        return BranchSeries(self.m, tail, self.n, self.residual_unit_circle)
+        return BranchSeries(self.m, tail, self.n)
 
 
 def branch_residual(cp: CharPoly, bs: BranchSeries) -> float:
@@ -338,9 +337,7 @@ def branch_series(cp: CharPoly, J: int = 96) -> BranchSeries:
             raise BranchError(
                 f"branch iteration stalled at residual {float(np.max(np.abs(q))):.3g}"
             )
-    bs = BranchSeries(m, u[1:], n)
-    bs.residual_unit_circle = branch_residual(cp, bs)
-    return bs
+    return BranchSeries(m, u[1:], n)
 
 
 # -- folding and the commuting pair ------------------------------------------
@@ -574,7 +571,7 @@ def spectral_check(spec: SymbolSpec) -> SpectralReport:
 
     return SpectralReport(
         curve_degree=cp.m,
-        branch_residual=bs.residual_unit_circle,
+        branch_residual=branch_residual(cp, bs),
         neg_band_energy=bc.neg_band_energy,
         trace_deviation=bc.trace_deviation,
         degree_pattern=bc.degree_pattern,

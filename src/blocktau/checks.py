@@ -212,29 +212,21 @@ def _check_unimodular_det(ctx, tol):
     return worst, worst <= tol, "reduced time flow leaves the determinant alone"
 
 
-def _check_flatten(ctx, tol):
-    rng = ctx.rng(6)
-    n = 3
-    v = laurent.VectorSeries(
-        n, -2, rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
-    )
-    s = symbols.xi_map(v)
-    shifted = laurent.ScalarSeries(s.lo + 1, s.coeffs.copy())
-    v1 = symbols.xi_inverse(shifted, n)
+def _check_generator_interleaving(ctx, tol):
     zeta = np.exp(2j * np.pi * (np.arange(32) + 0.11) / 32)
-
-    def flat_eval(vs):
-        z = zeta**n
-        acc = np.zeros_like(zeta)
-        for r in range(n):
-            comp = np.zeros_like(zeta)
-            for k in range(vs.lo, vs.hi + 1):
-                comp += vs.coeff(k)[r] * z ** k
-            acc += zeta**r * comp
-        return acc
-
-    worst = float(np.max(np.abs(flat_eval(v1) - zeta * flat_eval(v))))
-    return worst, worst <= tol, "interleaving turns the shift into multiplication"
+    worst = 0.0
+    for spec in (ctx.rspec, ctx.cspec):
+        n, N, w = spec.n, 2, symbols.base_symbol(spec)
+        gens = tau.generator_modes(spec, N, np.arange(n * w.lo, n * (w.hi + N)))
+        got = np.stack([laurent.ScalarSeries(n * w.lo, g)(zeta) for g in gens])
+        # generator q*n + b + 1 at zeta is zeta^(nq) sum_a zeta^a W_ab(zeta^n)
+        wv = symbols.base_symbol_values(spec, zeta**n)
+        cols = np.einsum("pa,pab->bp", zeta[:, None] ** np.arange(n), wv)
+        want = (zeta ** (n * np.arange(N)[:, None]))[:, None] * cols  # (N, n, points)
+        worst = max(worst, float(np.max(np.abs(got - want.reshape(n * N, -1)))))
+    return worst, worst <= tol, (
+        "generator q*n+b+1 is zeta^(nq) sum_a zeta^a W_ab(zeta^n), both families"
+    )
 
 
 def _check_hankel_product(ctx, tol):
@@ -674,7 +666,7 @@ CHECKS = [
     Check("symbols", "shift_power_product", 1e-14, _check_shift_powers),
     Check("symbols", "time_flow_inverse", 1e-10, _check_exp_xi_inverse),
     Check("symbols", "unimodular_time_flow", 1e-10, _check_unimodular_det),
-    Check("symbols", "interleaving_shift", 1e-12, _check_flatten),
+    Check("symbols", "generator_interleaving", 1e-12, _check_generator_interleaving),
     Check("toeplitz", "hankel_product_identity", 1e-12, _check_hankel_product),
     Check("toeplitz", "projector_two_forms", 1e-8, _check_plemelj),
     Check("toeplitz", "projector_random_times", 1e-8, _check_plemelj_random, 2),

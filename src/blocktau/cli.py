@@ -12,9 +12,11 @@ Commands
 Configs are flat INI files (section headers, key = value); unknown sections
 or keys are rejected.  Exit codes: 0 all checks in tolerance, 1 a check
 failed, 2 configuration error.  Every run writes its artifacts (CSV files
-and report.txt) into the output directory; re-running a command with the
-same config reproduces the CSV byte for byte.  Numbers are written with 17
-significant digits, '.' decimal point, no locale.  The output directory can
+and report.txt) into the output directory, which is made at the first
+artifact, so a run refused before it writes leaves no directory behind;
+re-running a command with the same config reproduces the CSV byte for
+byte.  Numbers are written with 17 significant digits, '.' decimal point,
+no locale.  The output directory can
 also be set through the environment variable BLOCKTAU_OUT; the --out flag
 wins over both it and the config file.  --tol and --seed override the
 command's own [<command>] tol or seed key and are parsed as that key; a
@@ -243,10 +245,11 @@ def load_config(path: str | None) -> RunConfig:
     )
 
 
-def _ensure_outdir(cfg: RunConfig, override: str | None) -> str:
-    out = override or os.environ.get("BLOCKTAU_OUT") or cfg.outdir
+def _artifact(out: str, name: str) -> str:
+    """Path of artifact name in out; out is made on the first write, so a
+    command that fails before it writes leaves no directory behind."""
     os.makedirs(out, exist_ok=True)
-    return out
+    return os.path.join(out, name)
 
 
 def _write_lines(path: str, lines: list) -> None:
@@ -287,9 +290,9 @@ def cmd_tau(cfg: RunConfig, out: str) -> int:
         cells += [str(res.M_used), _fmt_c(res.value), _fmt(res.est_error)]
         lines.append(",".join(cells))
         worst = max(worst, res.est_error)
-    _write_lines(os.path.join(out, "tau.csv"), lines)
+    _write_lines(_artifact(out, "tau.csv"), lines)
     _write_lines(
-        os.path.join(out, "report.txt"),
+        _artifact(out, "report.txt"),
         [
             "command: tau",
             f"points: {len(points)}",
@@ -329,13 +332,13 @@ def cmd_converge(cfg: RunConfig, out: str) -> int:
             ",".join([str(N), _fmt_c(d), _fmt_c(gn), _fmt_c(ratio), _fmt(delta)])
         )
         prev = ratio
-    _write_lines(os.path.join(out, "converge.csv"), lines)
+    _write_lines(_artifact(out, "converge.csv"), lines)
     # deltas at round-off (criterion 3's 1e-14, on the scale of the ratio) carry no decay
     fit = toeplitz.fit_decay(deltas, floor=1e-14 * abs(ratio))
     tol = cfg.converge_tol
     settled = deltas[-1] <= tol
     _write_lines(
-        os.path.join(out, "report.txt"),
+        _artifact(out, "report.txt"),
         [
             "command: converge",
             f"N max: {n_max}",
@@ -371,8 +374,8 @@ def cmd_factorize(cfg: RunConfig, out: str) -> int:
             failures.append(f"draw {d}: {exc}")
             report.append(f"draw {d}: FAILED {exc}")
             continue
-        laurent.write_csv(fact.T_minus, os.path.join(out, f"T_minus_{d}.csv"))
-        laurent.write_csv(fact.T_plus, os.path.join(out, f"T_plus_{d}.csv"))
+        laurent.write_csv(fact.T_minus, _artifact(out, f"T_minus_{d}.csv"))
+        laurent.write_csv(fact.T_plus, _artifact(out, f"T_plus_{d}.csv"))
         report += [
             f"draw {d}: times {[_fmt_c(v) for v in tv.values]}",
             "  certificate {",
@@ -388,7 +391,7 @@ def cmd_factorize(cfg: RunConfig, out: str) -> int:
                 f"draw {d}: residual {fact.residual:.3e} "
                 f"det_plus_dev {fact.det_plus_dev:.3e} > {tol:g}"
             )
-    _write_lines(os.path.join(out, "report.txt"), report)
+    _write_lines(_artifact(out, "report.txt"), report)
     for f in failures:
         print(f"FAIL factorize {f}", file=sys.stderr)
     return 1 if failures else 0
@@ -401,7 +404,7 @@ def cmd_spectral(cfg: RunConfig, out: str) -> int:
     spec = cfg.spec
     cp = algebro.curve_from_covering(spec)
     rep = algebro.spectral_check(spec)
-    laurent.write_csv(rep.C, os.path.join(out, "C.csv"))
+    laurent.write_csv(rep.C, _artifact(out, "C.csv"))
     lines = ["command: spectral", f"sheets: {spec.n}", ""]
     lines.append("curve lambda^n = P(z), P coefficients (ascending):")
     lines.append("  " + ", ".join(_fmt_c(-c) for c in cp.c(spec.n)))
@@ -419,7 +422,7 @@ def cmd_spectral(cfg: RunConfig, out: str) -> int:
     lines += rep.lines()
     lines.append("")
     lines.append(f"passed: {rep.passed}")
-    _write_lines(os.path.join(out, "report.txt"), lines)
+    _write_lines(_artifact(out, "report.txt"), lines)
     if not rep.passed:
         print("FAIL spectral certificates out of tolerance", file=sys.stderr)
         return 1
@@ -455,7 +458,7 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
     lines.append("")
     lines.append(f"VERIFY: {passed} passed, {len(failures)} failed, {infos} info")
     print("\n".join(lines))
-    _write_lines(os.path.join(out, "report.txt"), lines)
+    _write_lines(_artifact(out, "report.txt"), lines)
     for module, name, value, tol, detail in failures:
         print(
             f"FAIL {module}.{name} value={value:.6e} tol={tol} {detail}",
@@ -500,7 +503,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, **{name: parse(text, f"--{key} ([{args.command}] {key})")})
         if args.command == "spectral" and cfg.spec.family != "covering":
             raise ConfigError("the spectral command needs a covering spec")
-        out = _ensure_outdir(cfg, args.out)
+        out = args.out or os.environ.get("BLOCKTAU_OUT") or cfg.outdir
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

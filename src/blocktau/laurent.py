@@ -19,9 +19,8 @@ evaluated on a (shifted) uniform grid by one inverse FFT (grid_values,
 which inverse_transform also runs).  numpy.linalg stays the independent
 reference in the check registry and the tests.
 
-Scalar and vector valued series (single row of coefficients per power)
-reuse the same conventions and are used for the column generators of the
-symbols and for the flattening map between C^n-valued and scalar series.
+ScalarSeries, one coefficient per power on the same conventions, holds
+the time series xi(t, zeta) and the branch of a spectral curve.
 """
 
 from __future__ import annotations
@@ -518,7 +517,7 @@ def geometric_mean(x: CircleSamples) -> complex:
     return complex(np.exp(np.mean(logs)))
 
 
-# -- scalar / vector series -------------------------------------------------
+# -- scalar series -----------------------------------------------------------
 
 
 @dataclass
@@ -535,41 +534,8 @@ class ScalarSeries:
     def hi(self) -> int:
         return self.lo + len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> complex:
-        if self.lo <= k <= self.hi:
-            return complex(self.coeffs[k - self.lo])
-        return 0.0 + 0.0j
-
     def __call__(self, z):
         return _power_sum(self.coeffs, self.lo, z)
-
-
-@dataclass
-class VectorSeries:
-    """C^n-valued Laurent polynomial; row k-lo holds the coefficient vector of z^k."""
-
-    n: int
-    lo: int
-    coeffs: np.ndarray  # shape (width, n)
-
-    def __post_init__(self) -> None:
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.ndim != 2 or self.coeffs.shape[1] != self.n:
-            raise ValueError(f"vector series coeffs shape {self.coeffs.shape}")
-
-    @property
-    def hi(self) -> int:
-        return self.lo + self.coeffs.shape[0] - 1
-
-    def coeff(self, k: int) -> np.ndarray:
-        if self.lo <= k <= self.hi:
-            return self.coeffs[k - self.lo]
-        return np.zeros(self.n, dtype=complex)
-
-
-def lm_column(lm: LaurentMatrix, j: int) -> VectorSeries:
-    """Column j of a matrix series as a vector series."""
-    return VectorSeries(lm.n, lm.lo, lm.coeffs[:, :, j].copy())
 
 
 # -- CSV dump ---------------------------------------------------------------

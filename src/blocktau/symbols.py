@@ -24,10 +24,12 @@ W^-1 are built once per spec.  Pointwise, exp(xi(t, L(z))) is a closed
 form over the n roots of z (one inverse DFT, no solve), and the diagonal
 W(z) scales its columns.
 
-The flattening map identifies C^n-valued series in z with scalar series in
-a root zeta of z (zeta^n = z) by interleaving components; together with its
-inverse it converts symbol columns into the scalar generators used by the
-Wronskian and character routes.
+Interleaving components identifies C^n-valued series in z with scalar
+series in a root zeta of z (zeta^n = z): component a of the z^k coefficient
+is the zeta^(nk+a) coefficient.  fold writes the block action of a
+zeta-series; the reverse reading, a column of W as one zeta-series, is W's
+coefficient array reshaped in place (tau.generator_modes), which gives the
+scalar generators of the Wronskian and character routes.
 """
 
 from __future__ import annotations
@@ -44,9 +46,7 @@ from .gradedpoly import schur_sequence
 from .laurent import (
     LaurentMatrix,
     ScalarSeries,
-    VectorSeries,
     gather_modes,
-    lm_column,
     lm_mul,
     lm_trim,
 )
@@ -431,32 +431,6 @@ def gd_symbol_graded(spec: SymbolSpec, band: tuple[int, int], Q: int) -> np.ndar
     return np.einsum("mics,mqcj->qijs", e, w_sec, optimize=True)
 
 
-# -- flattening between C^n-valued and scalar series -------------------------
-
-
-def xi_map(v: VectorSeries) -> ScalarSeries:
-    """Interleave a C^n-valued series in z into a scalar series in zeta.
-
-    Component a of the z^k coefficient becomes the zeta^(n*k+a) coefficient.
-    """
-    return ScalarSeries(v.n * v.lo, v.coeffs.flatten())
-
-
-def xi_inverse(s: ScalarSeries, n: int) -> VectorSeries:
-    """Undo xi_map: scalar zeta-series back to a C^n-valued z-series.
-
-    Component a of the z^k coefficient is s_{nk+a}, column 0 of the fold.
-    """
-    band = (s.lo // n, s.hi // n)   # floor division handles negative lows correctly
-    return VectorSeries(n, band[0], fold(s.coeffs, s.lo, n, band)[:, :, 0])
-
-
-def column_series(spec: SymbolSpec, j: int) -> ScalarSeries:
-    """Scalar generator: flattened column j (0-based) of the base symbol."""
-    w = base_symbol(spec)
-    return xi_map(lm_column(w, j))
-
-
 # -- structural check of the undeformed symbol --------------------------------
 
 
@@ -465,13 +439,12 @@ def big_cell_check(w: LaurentMatrix) -> bool:
 
     Requires: no modes with k > 0 anywhere; the z^0 block unit lower
     triangular (ones on the diagonal, zeros strictly above); each to 1e-12
-    of the largest entry (at least 1).  A NaN breaks none of them.
+    of the largest entry (at least 1).  A NaN anywhere breaks them.
     """
     bound = 1e-12 * max(1.0, float(np.max(np.abs(w.coeffs))))
-    positive = np.max(np.abs(w.coeffs[max(1 - w.lo, 0) :]), axis=(1, 2))
     z0 = w.block(0)
-    return not (
-        np.any(positive > bound)
-        or np.any(np.abs(np.diagonal(z0) - 1.0) > bound)
-        or np.any(np.abs(np.triu(z0, 1)) > bound)
+    return bool(
+        np.all(np.abs(w.coeffs[max(1 - w.lo, 0) :]) <= bound)
+        and np.all(np.abs(np.diagonal(z0) - 1.0) <= bound)
+        and np.all(np.abs(np.triu(z0, 1)) <= bound)
     )

@@ -59,7 +59,6 @@ from .symbols import (
     TimeVector,
     base_inverse,
     base_symbol,
-    column_series,
     exp_xi_values,
     fold,
     gd_symbol,
@@ -85,6 +84,7 @@ __all__ = [
     "delta_action",
     "f_family",
     "frobenius_factors",
+    "generator_modes",
     "kernel_facts_check",
     "lemma_wronsky_check",
     "max_abs_coeff",
@@ -311,13 +311,10 @@ def character_expansion(spec: SymbolSpec, N: int, Q: int) -> np.ndarray:
     fits = ~parts[:, M:].any(axis=1)
     shifted = np.zeros((int(fits.sum()), M), dtype=np.int64)
     shifted[:, : min(M, Q)] = parts[fits, :M]
-    lo, cols = _base_generators(spec)
-    # entry (i, j) of a minor is mode j - part_j of generator i = q*n + b,
-    # which is mode j - part_j - n*q of base generator b
-    modes = np.arange(M) - shifted[:, None, :] - n * np.arange(N)[:, None]
-    minors = gather_modes(cols, lo, modes).transpose(0, 1, 3, 2)
+    # entry (i, j) of a minor is mode j - part_j of generator i + 1
+    minors = generator_modes(spec, N, np.arange(M) - shifted)
     out = np.zeros(len(parts), dtype=complex)
-    out[fits] = np.linalg.det(minors.reshape(len(shifted), M, M))
+    out[fits] = np.linalg.det(minors)
     return out
 
 
@@ -340,13 +337,23 @@ def character_assembly(coeffs: np.ndarray, Q: int) -> GradedPoly:
 # -- generator family and Wronskian route -------------------------------------
 
 
-def _base_generators(spec: SymbolSpec) -> tuple[int, np.ndarray]:
-    """Lowest mode and the (modes, n) array of the first n scalar generators.
+def generator_modes(spec: SymbolSpec, N: int, modes) -> np.ndarray:
+    """Modes of the n*N scalar generators: entry (..., q*n + b, k) is mode
+    modes[..., k] of generator q*n + b + 1.
 
-    Generator s = q*n + b + 1 is column b of this array moved up n*q modes.
+    Generator b + 1 is column b of W(z) read as one series in zeta (zeta^n
+    = z): component a of its z^k coefficient is its zeta^(n*k + a)
+    coefficient, so the (modes, n) array of the first n generators is W's
+    coefficient array reshaped in place, lowest mode n*W.lo.  Generator
+    q*n + b + 1 is generator b + 1 moved up n*q modes.
     """
-    cols = [column_series(spec, b) for b in range(spec.n)]
-    return cols[0].lo, np.stack([c.coeffs for c in cols], axis=1)
+    n = spec.n
+    w = base_symbol(spec)
+    modes = np.asarray(modes, dtype=int)
+    picked = gather_modes(
+        w.coeffs.reshape(-1, n), n * w.lo, modes[..., None, :] - n * np.arange(N)[:, None]
+    )  # (..., N, K, n)
+    return np.swapaxes(picked, -1, -2).reshape(*modes.shape[:-1], n * N, modes.shape[-1])
 
 
 @dataclass
@@ -377,10 +384,7 @@ def f_family(
     n = spec.n
     if K is None:
         K = Q
-    lo, cols = _base_generators(spec)
-    # generator q*n + b at mode nN - 1 - k is base generator b at nN - 1 - k - n*q
-    modes = n * N - 1 - np.arange(Q + 1) - n * np.arange(N)[:, None]
-    picked = gather_modes(cols, lo, modes).transpose(0, 2, 1).reshape(n * N, Q + 1)
+    picked = generator_modes(spec, N, n * N - 1 - np.arange(Q + 1))
     coeffs = picked @ np.stack([p.coeffs for p in schur_sequence(K, Q)])
     funcs = [GradedPoly(K, Q, c) for c in coeffs]
     funcs = [_gd_freeze(f, n) for f in funcs] if gd_reduced else funcs

@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from blocktau import checks, cli, tau
+from blocktau import checks, cli, laurent, tau
 
 # Criterion entries keep the test names the criteria have always had, so
 # one criterion's result can be followed from run to run; the other
@@ -79,3 +79,22 @@ def test_covering_stable_value_row_sees_a_planted_error(ctx, monkeypatch):
     row = next(c for c in checks.CHECKS if c.name == "covering_stable_value")
     value, ok, _ = row.fn(ctx, row.tol)
     assert not ok and value > 1e-10
+
+
+@pytest.mark.parametrize("layout", ["component-major", "lowest-mode-plus-one"])
+def test_generator_interleaving_row_sees_a_planted_layout_error(ctx, monkeypatch, layout):
+    # generator_modes reading W's coefficient array in the wrong order, or
+    # from one mode too high
+    base = tau.base_symbol
+
+    def planted(spec):
+        w = base(spec)
+        if layout == "component-major":
+            coeffs = w.coeffs.transpose(1, 0, 2).reshape(w.coeffs.shape)
+            return laurent.LaurentMatrix(w.n, w.lo, w.hi, coeffs)
+        return laurent.LaurentMatrix(w.n, w.lo + 1, w.hi + 1, w.coeffs)
+
+    monkeypatch.setattr(tau, "base_symbol", planted)
+    row = next(c for c in checks.CHECKS if c.name == "generator_interleaving")
+    value, ok, _ = row.fn(ctx, row.tol)
+    assert not ok and value > 1.0

@@ -48,7 +48,7 @@ def test_monomial_curve_branch_is_exact_power():
     bs = branch_series(cp, 40)
     assert bs.m == 3
     assert float(np.max(np.abs(bs.tail))) == 0.0
-    assert bs.residual_unit_circle < 1e-12
+    assert branch_residual(cp, bs) < 1e-12
 
 
 def test_square_root_series_binomial_oracle():
@@ -65,12 +65,12 @@ def test_square_root_series_binomial_oracle():
 
 
 def test_covering_branch_matches_sampled_root(covering_curve):
-    _cp, bs = covering_curve
+    cp, bs = covering_curve
     zeta = np.exp(2j * np.pi * (np.arange(64) + 0.21) / 64)
     logs = sum(np.log1p(-a / zeta**2) for a in CSPEC.params)
     direct = zeta**3 * np.exp(0.5 * logs)
     assert float(np.max(np.abs(bs(zeta) - direct))) < 1e-12
-    assert bs.residual_unit_circle < 1e-10
+    assert branch_residual(cp, bs) < 1e-10
 
 
 def test_branch_residual_grid_matches_the_power_sum(covering_curve):
@@ -89,12 +89,13 @@ def test_branch_residual_grid_matches_the_power_sum(covering_curve):
 
 def test_oncircle_branch_point_residual_recorded_not_raised():
     # z = -1 is a branch point sitting on the unit circle, so the truncated
-    # series cannot close the curve equation there; the residual is stored
-    # for the caller to judge rather than raised
+    # series cannot close the curve equation there; branch_series returns
+    # it and branch_residual measures the gap for the caller to judge
     cp = CharPoly(2, (np.zeros(1), np.array([0, 0, -1.0, -1.0])))
     bs = branch_series(cp, 60)
-    assert np.isfinite(bs.residual_unit_circle)
-    assert bs.residual_unit_circle > 1e-8
+    res = branch_residual(cp, bs)
+    assert np.isfinite(res)
+    assert res > 1e-8
 
 
 def _ser_inv_recurrence(a, L):

@@ -243,6 +243,15 @@ def test_tau_report_counts_each_route(tmp_path):
         assert f"routes: {routes}" in (out / "report.txt").read_text().splitlines()
 
 
+def test_refused_tau_sweep_leaves_no_directory(tmp_path, capsys):
+    # the Wiener-norm gate refuses the covering symbol at t = (8, 0, 4, 0, 2)
+    text = COVERING_INI.replace("0.1, 0.0, 0.05", "8, 0, 4, 0, 2") + "\n[tau]\ngrid_t1 = 8\n"
+    out = tmp_path / "o"
+    assert cli.main(["tau", "--config", _write(tmp_path, text), "--out", str(out)]) == 1
+    assert "Wiener-norm condition bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_dir_precedence(tmp_path, monkeypatch):
     path = _write(tmp_path, RATIONAL_INI)
     envdir = tmp_path / "from_env"

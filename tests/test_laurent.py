@@ -14,7 +14,6 @@ from blocktau.laurent import (
     CircleSamples,
     LaurentMatrix,
     ScalarSeries,
-    VectorSeries,
     gather_modes,
     geometric_mean,
     grid_values,
@@ -22,7 +21,6 @@ from blocktau.laurent import (
     inverse_transform,
     invert_symbol,
     lm_add,
-    lm_column,
     lm_invert,
     lm_mul,
     lm_project,
@@ -425,16 +423,6 @@ def test_scalar_series_evaluate():
     s = ScalarSeries(-1, np.array([2.0, 0.0, 3.0]))
     z = 0.5 + 0.1j
     assert abs(s(np.array([z]))[0] - (2.0 / z + 3.0 * z)) < 1e-14
-    assert s.coeff(-1) == 2.0 and s.coeff(1) == 3.0 and s.coeff(5) == 0.0
-
-
-def test_vector_series_and_column():
-    rng = np.random.default_rng(8)
-    lm = _random_lm(rng, 3, -2, 2)
-    v = lm_column(lm, 1)
-    assert isinstance(v, VectorSeries)
-    for k in range(-2, 3):
-        assert np.max(np.abs(v.coeff(k) - lm.block(k)[:, 1])) == 0.0
 
 
 # -- CSV interchange ---------------------------------------------------------

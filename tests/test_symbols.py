@@ -1,4 +1,4 @@
-"""Symbol families, shift matrix calculus, time deformations, flattening."""
+"""Symbol families, shift matrix calculus, time deformations."""
 
 from fractions import Fraction
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from blocktau import laurent, symbols
 from blocktau.errors import DegenerateInput, SpecError, TruncationError
 from blocktau.gradedpoly import schur_sequence
-from blocktau.laurent import LaurentMatrix, ScalarSeries, VectorSeries, lm_mul
+from blocktau.laurent import LaurentMatrix, lm_mul
 from blocktau.symbols import (
     INVERSE_CUT,
     _base_power,
@@ -18,7 +18,6 @@ from blocktau.symbols import (
     base_symbol,
     base_symbol_values,
     big_cell_check,
-    column_series,
     covering_spec,
     exp_xi_lambda,
     exp_xi_values,
@@ -31,9 +30,8 @@ from blocktau.symbols import (
     root_grid,
     schur_numeric,
     time_vector,
-    xi_inverse,
-    xi_map,
 )
+from blocktau.tau import generator_modes
 from oracles import (
     binomial_series_mpmath,
     exp_xi_mpmath,
@@ -272,14 +270,27 @@ def test_base_symbols_live_in_big_cell():
 
 
 @pytest.mark.parametrize(
-    "mode, entry, value",
-    [(1, (1, 0), 1e-9), (0, (1, 1), 1.0 + 1e-9), (0, (0, 1), 1e-9)],
-    ids=["positive-mode", "diagonal-not-one", "entry-above-diagonal"],
+    "plants",  # {(mode, row, col): value}, over the covering W whose z^0 block is I
+    [
+        {(1, 1, 0): 1e-9},
+        {(0, 1, 1): 1.0 + 1e-9},
+        {(0, 0, 1): 1e-9},
+        {(1, 0, 0): np.nan, (1, 1, 0): 5.0},  # a NaN must not hide the 5
+        {(0, 1, 1): np.nan},
+    ],
+    ids=[
+        "positive-mode",
+        "diagonal-not-one",
+        "entry-above-diagonal",
+        "nan-in-positive-mode",
+        "nan-on-diagonal",
+    ],
 )
-def test_big_cell_check_fails_each_condition(mode, entry, value):
+def test_big_cell_check_fails_each_condition(plants):
     w = base_symbol(CSPEC)
     coeffs = np.concatenate([w.coeffs, np.zeros((1 - w.hi, 2, 2))])  # room for mode 1
-    coeffs[(mode - w.lo, *entry)] = value
+    for (mode, row, col), value in plants.items():
+        coeffs[mode - w.lo, row, col] = value
     assert not big_cell_check(LaurentMatrix(2, w.lo, 1, coeffs))
 
 
@@ -443,48 +454,12 @@ def test_gd_symbol_band_matches_values():
 
 
 def test_column_series_covering_first_column_is_one():
-    s = column_series(CSPEC, 0)
-    # flattened first column of the covering symbol: identically 1
-    assert s.lo <= 0 <= s.hi
-    coeffs = [s.coeff(k) for k in range(s.lo, s.hi + 1)]
-    for k, c in zip(range(s.lo, s.hi + 1), coeffs):
-        want = 1.0 if k == 0 else 0.0
-        assert abs(c - want) < 1e-12
-
-
-# -- flattening isometry -----------------------------------------------------
-
-
-@given(st.integers(0, 10**6), st.integers(2, 4))
-def test_xi_roundtrip(seed, n):
-    rng = np.random.default_rng(seed)
-    co = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
-    v = VectorSeries(n, -2, co)
-    back = xi_inverse(xi_map(v), n)
-    for k in range(-2, 3):
-        assert np.max(np.abs(back.coeff(k) - v.coeff(k))) == 0.0
-
-
-def test_xi_intertwines_shift():
-    # multiplying the flattened series by zeta corresponds to the block shift
-    rng = np.random.default_rng(17)
-    n = 3
-    v = VectorSeries(n, -2, rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n)))
-    s = xi_map(v)
-    v1 = xi_inverse(ScalarSeries(s.lo + 1, s.coeffs.copy()), n)
-    zeta = np.exp(2j * np.pi * (np.arange(32) + 0.11) / 32)
-
-    def flat(vs):
-        z = zeta**n
-        acc = np.zeros_like(zeta)
-        for r in range(n):
-            comp = np.zeros_like(zeta)
-            for k in range(vs.lo, vs.hi + 1):
-                comp = comp + vs.coeff(k)[r] * z**k
-            acc = acc + zeta**r * comp
-        return acc
-
-    assert np.max(np.abs(flat(v1) - zeta * flat(v))) < 1e-12
+    # generator 1, the first column of the covering symbol read as one
+    # zeta-series: identically 1
+    w = base_symbol(CSPEC)
+    modes = np.arange(2 * w.lo - 2, 2 * w.hi + 4)  # the whole series and two modes past each end
+    got = generator_modes(CSPEC, 1, modes)[0]
+    assert np.max(np.abs(got - (modes == 0))) < 1e-12
 
 
 def test_root_grid_principal_roots():

@@ -25,7 +25,6 @@ from blocktau.laurent import geometric_mean
 from blocktau.symbols import (
     base_inverse,
     base_symbol,
-    column_series,
     covering_spec,
     fold,
     gd_symbol,
@@ -124,9 +123,11 @@ def test_f_family_derivative_raises_index():
 
 
 def _generator_mode(spec, s, m):
-    """Mode m of generator s (1-based): base column (s-1) % n moved up n*((s-1)//n)."""
+    """Mode m of generator s (1-based): entry (a, b) of W's z^k block, with
+    b = (s-1) % n, q = (s-1) // n and nk + a = m - nq."""
     q, b = divmod(s - 1, spec.n)
-    return column_series(spec, b).coeff(m - spec.n * q)
+    k, a = divmod(m - spec.n * q, spec.n)
+    return base_symbol(spec).block(k)[a, b]
 
 
 @pytest.mark.parametrize("spec", [RSPEC, CSPEC], ids=["rational", "covering"])
