@@ -23,7 +23,9 @@ Conventions.  The fiber over z is ordered zeta_i = zeta_1 * exp(2*pi*i*(i-1)/n)
 with zeta_1 the principal n-th root; every Vandermonde and eigenvector
 assembly uses this ordering (symbols.root_grid).  The fiber Vandermonde
 zeta_i^a is then the n-point DFT matrix times diag(zeta_1^a).  Folding a
-scalar series s(zeta) into its n x n block action over z is symbols.fold.
+scalar series s(zeta) into its n x n block action over z is symbols.fold
+(symbols.fold_scalar as a trimmed symbol), and laurent.power_sum evaluates
+it.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from .errors import BranchError, BranchMatchError, SpecError
 from .laurent import (
     CircleSamples,
     LaurentMatrix,
-    ScalarSeries,
     grid_values,
     lm_trim,
     next_pow2,
+    power_sum,
     stacked_mul,
     stacked_solve,
     transform,
@@ -52,6 +54,7 @@ from .symbols import (
     base_symbol_values,
     big_cell_check,
     fold,
+    fold_scalar,
     root_grid,
 )
 
@@ -64,7 +67,6 @@ __all__ = [
     "charpoly_from_matrix",
     "branch_series",
     "branch_residual",
-    "fold_scalar",
     "bc_matrices",
     "reconstruct_W",
     "spectral_check",
@@ -96,11 +98,6 @@ def _ser_inv(a: np.ndarray, L: int) -> np.ndarray:
         r[0] += 2.0
         b = _ser_mul(b, r, k)
     return b
-
-
-def _poly_eval(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Evaluate an ascending-coefficient polynomial on an array."""
-    return np.polynomial.polynomial.polyval(z, np.asarray(c, dtype=complex))
 
 
 def _charpoly_coeffs(A: np.ndarray) -> np.ndarray:
@@ -180,10 +177,9 @@ class CharPoly:
     def evaluate(self, lam, z) -> np.ndarray:
         """lambda^n + sum_s c_s(z) lambda^(n-s) on broadcast arrays."""
         lam = np.asarray(lam, dtype=complex)
-        z = np.asarray(z, dtype=complex)
         out = lam**self.n
         for s in range(1, self.n + 1):
-            out = out + _poly_eval(self.c(s), z) * lam ** (self.n - s)
+            out = out + power_sum(self.c(s), 0, z) * lam ** (self.n - s)
         return out
 
 
@@ -247,30 +243,31 @@ class BranchSeries:
     def J(self) -> int:
         return len(self.tail)
 
-    def series(self) -> ScalarSeries:
-        """The branch as a scalar Laurent polynomial in zeta."""
-        coeffs = np.concatenate([self.tail[::-1], [1.0 + 0.0j]])
-        return ScalarSeries(self.m - self.J, coeffs)
+    @property
+    def lo(self) -> int:
+        """Lowest zeta-mode of the branch as a scalar series."""
+        return self.m - self.J
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The zeta-modes lo .. m of the branch: l_J, ..., l_1, 1."""
+        return np.concatenate([self.tail[::-1], [1.0 + 0.0j]])
 
     def __call__(self, zeta):
-        return self.series()(np.asarray(zeta, dtype=complex))
+        return power_sum(self.coeffs, self.lo, zeta)
 
     def trace_reduced(self) -> "BranchSeries":
         """Drop modes at exponents divisible by n (they fold to multiples of I)."""
         if self.n <= 1:
             return self
-        tail = self.tail.copy()
-        for j in range(1, self.J + 1):
-            if (self.m - j) % self.n == 0:
-                tail[j - 1] = 0.0
-        return BranchSeries(self.m, tail, self.n)
+        drop = np.arange(self.m - 1, self.lo - 1, -1) % self.n == 0  # exponents of l_1..l_J
+        return BranchSeries(self.m, np.where(drop, 0.0, self.tail), self.n)
 
 
 def branch_residual(cp: CharPoly, bs: BranchSeries) -> float:
     """Max relative curve residual |p(b(zeta))| on 64 points of |zeta| = 1."""
     M, shift = 64, 0.37
-    series = bs.series()
-    bv = grid_values(series.coeffs, series.lo, M, shift)
+    bv = grid_values(bs.coeffs, bs.lo, M, shift)
     # z = zeta^n on the same FFT grid as b: a zeta rounded in its argument
     # is another point, and b's deep negative modes (to -93 on the covering
     # config) would turn that into a residual of ~2e-15
@@ -343,12 +340,6 @@ def branch_series(cp: CharPoly, J: int = 96) -> BranchSeries:
 # -- folding and the commuting pair ------------------------------------------
 
 
-def fold_scalar(s: ScalarSeries, n: int) -> LaurentMatrix:
-    """Fold a scalar series into its n x n block action (symbols.fold), trimmed."""
-    band = ((s.lo - n + 1) // n, (s.hi + n - 1) // n)
-    return lm_trim(LaurentMatrix(n, *band, fold(s.coeffs, s.lo, n, band)))
-
-
 @dataclass
 class BCMatrices:
     """Folded branch action B, its conjugate C, and the certificates."""
@@ -375,7 +366,8 @@ def bc_matrices(spec: SymbolSpec, bs: BranchSeries, cp: CharPoly) -> BCMatrices:
     n = spec.n
     if bs.n != n:
         raise SpecError(f"branch lives on {bs.n} sheets, symbol has {n}")
-    B = fold_scalar(bs.trace_reduced().series(), n)
+    br = bs.trace_reduced()
+    B = fold_scalar(br.coeffs, br.lo, n)
 
     depth = bs.J // n + 4
     degmax = (bs.m + n - 1) // n + 1
@@ -401,7 +393,7 @@ def bc_matrices(spec: SymbolSpec, bs: BranchSeries, cp: CharPoly) -> BCMatrices:
     pattern = int(np.max(degrees[np.abs(C.coeffs) > 1e-9 * cscale], initial=0))
 
     got = _charpoly_coeffs(Cv)
-    want = np.stack([_poly_eval(cp.c(s), z) for s in range(1, n + 1)], axis=1)
+    want = np.stack([power_sum(cp.c(s), 0, z) for s in range(1, n + 1)], axis=1)
     curve_dev = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
 
     return BCMatrices(

@@ -24,13 +24,15 @@ The factorization of a deformed symbol encodes the wave matrix of the
 hierarchy: the minus factor at times t equals exp(xi(t, L)) times the wave
 matrix at -t, which turns the finite-N determinant ratio into an ordinary
 n x n determinant (checked by tau_ratio_check).  The wave matrix is built
-once per (spec, t) and shared.
+once per (spec, t) and shared.  The two factorization orders of g^-1 also
+give Widom's contour formula for d/dx log D_inf (widom_derivative_check).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -40,10 +42,12 @@ from .laurent import (
     LaurentMatrix,
     inverse_transform,
     invert_symbol,
+    lm_add,
     lm_invert,
     lm_mul,
     lm_project,
     lm_reflect,
+    lm_scale,
     lm_trim,
     sample_function,
     stacked_mul,
@@ -58,6 +62,7 @@ from .symbols import (
     gd_symbol,
     gd_symbol_values,
 )
+from .toeplitz import build_TN, correction_det, det_DN, szego_widom
 
 
 @dataclass
@@ -259,8 +264,6 @@ def tau_ratio_check(spec: SymbolSpec, t: TimeVector, N: int) -> TauRatioReport:
     toeplitz.correction_det, whose cut is exact: rows i >= Psi.hi of M
     vanish, so the resolvent couples r to c only through the window.
     """
-    from .toeplitz import build_TN, correction_det, det_DN
-
     n = spec.n
     lm = gd_symbol(spec, t, (-(N + 1), N + 1), exact_only=True)
     D_N = det_DN(build_TN(lm, N))
@@ -293,8 +296,6 @@ def bo_consistency_check(spec: SymbolSpec, t: TimeVector, N: int) -> float:
     mean is 1 for these families).  det(I - K_N) is read on its exact window
     (toeplitz.correction_det).
     """
-    from .toeplitz import build_TN, correction_det, det_DN, szego_widom
-
     lm = gd_symbol(spec, t, (-28, 28), exact_only=True)
     x = deformed_symbol_samples(spec, t, 1024)
     sw = szego_widom(lm, x, tol=1e-12)
@@ -302,3 +303,59 @@ def bo_consistency_check(spec: SymbolSpec, t: TimeVector, N: int) -> float:
     d = correction_det(psi, psi_inv, N).det_correction
     lhs = det_DN(build_TN(lm, N)) / sw.G**N
     return float(abs(lhs - sw.D_inf * d))
+
+
+# -- derivative of the limit through the factorization ------------------------
+
+
+def lm_z_derivative(a: LaurentMatrix) -> LaurentMatrix:
+    """Coefficient-wise derivative in z: k * a^(k) moves to mode k-1."""
+    ks = np.arange(a.lo, a.hi + 1)
+    return LaurentMatrix(a.n, a.lo - 1, a.hi - 1, a.coeffs * ks[:, None, None])
+
+
+@dataclass
+class WidomDerivativeReport:
+    contour: complex
+    abs_err: float
+
+
+def widom_derivative_check(
+    make_symbol: Callable[[float], LaurentMatrix],
+    x0: float,
+) -> WidomDerivativeReport:
+    """Compare d/dx log D_inf with the contour-integral trace formula.
+
+    The formula integrates tr[((d_z g_+) g_- - (d_z h_-) h_+) d_x(symbol)]
+    over 1024 points of the circle, where symbol^{-1} = g_+ g_- = h_- h_+
+    are the two factorization orders of the inverse symbol (gamma and theta
+    of two_sided_factorization, from its samples on that grid).  The
+    numeric derivative and d_x(symbol) are central differences, step 1e-5,
+    of log D_inf settled to 1e-12 (szego_widom).
+    """
+    h, M = 1e-5, 1024
+
+    def log_Dinf(x: float) -> complex:
+        lm = make_symbol(x)
+        samples = inverse_transform(lm, max(512, 4 * lm.width))
+        res = szego_widom(lm, samples, tol=1e-12)
+        return np.log(res.D_inf)
+
+    numeric = (log_Dinf(x0 + h) - log_Dinf(x0 - h)) / (2 * h)
+
+    pair = two_sided_factorization(inverse_transform(lm_invert(make_symbol(x0)), M))
+    dgam = lm_scale(
+        lm_add(make_symbol(x0 + h), make_symbol(x0 - h), scale_b=-1.0), 1.0 / (2 * h)
+    )
+
+    z = np.exp(2j * np.pi * np.arange(M) / M)
+    term = (
+        lm_z_derivative(pair.gamma_plus)(z) @ pair.gamma_minus(z)
+        - lm_z_derivative(pair.theta_minus)(z) @ pair.theta_plus(z)
+    ) @ dgam(z)
+    f = np.trace(term, axis1=-2, axis2=-1)
+    contour = -np.sum(f * z) / M
+    return WidomDerivativeReport(
+        contour=complex(contour),
+        abs_err=float(abs(numeric - contour)),
+    )

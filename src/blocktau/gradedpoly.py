@@ -272,10 +272,6 @@ class GradedPoly:
     def constant_term(self) -> complex:
         return complex(self.coeffs[0])
 
-    def coefficient(self, exp: Exponent) -> complex:
-        k = _basis(self.K, self.Q).index.get(tuple(exp))
-        return 0.0j if k is None else complex(self.coeffs[k])
-
     def coefficients_upto(self, w: int | None = None) -> np.ndarray:
         """Coefficients of the monomials of weight <= w (all when w is None)."""
         if w is None:
@@ -285,11 +281,6 @@ class GradedPoly:
     def truncate(self, Q: int) -> "GradedPoly":
         """Copy with cutoff moved to Q, dropping heavier monomials."""
         return GradedPoly(self.K, Q, self.coefficients_upto(Q).copy())
-
-    def max_weight(self) -> int:
-        """Largest monomial weight present (0 for the zero polynomial)."""
-        nz = np.flatnonzero(self.coeffs)
-        return int(self.weights[nz[-1]]) if len(nz) else 0
 
     def terms(self) -> dict[Exponent, complex]:
         """The nonzero coefficients keyed by exponent tuple, by weight."""

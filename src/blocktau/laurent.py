@@ -19,13 +19,15 @@ evaluated on a (shifted) uniform grid by one inverse FFT (grid_values,
 which inverse_transform also runs).  numpy.linalg stays the independent
 reference in the check registry and the tests.
 
-ScalarSeries, one coefficient per power on the same conventions, holds
-the time series xi(t, zeta) and the branch of a spectral curve.
+A scalar series is the same (coeffs, lo) pair with one coefficient per
+power: the columns of a symbol read in zeta, the time series xi(t, zeta)
+and the branch of a spectral curve.  power_sum evaluates it, and a matrix
+series, at any points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +83,7 @@ class LaurentMatrix:
 
     def __call__(self, z) -> np.ndarray:
         """Evaluate at one point or an array of points."""
-        return _power_sum(self.coeffs, self.lo, z)
+        return power_sum(self.coeffs, self.lo, z)
 
 
 def gather_modes(coeffs: np.ndarray, lo: int, modes) -> np.ndarray:
@@ -121,7 +123,7 @@ def _horner(coeffs: np.ndarray, x: np.ndarray, shape: tuple) -> np.ndarray:
     return acc
 
 
-def _power_sum(coeffs: np.ndarray, lo: int, z) -> np.ndarray:
+def power_sum(coeffs: np.ndarray, lo: int, z) -> np.ndarray:
     """sum_k coeffs[k - lo] * z^k at every point of z; shape z.shape + coeffs.shape[1:].
 
     Horner's rule from each far end in to mode 0 (modes >= 0 in z, modes
@@ -515,27 +517,6 @@ def geometric_mean(x: CircleSamples) -> complex:
     if winding != 0:
         raise BranchError(f"winding {winding} != 0: geometric mean undefined")
     return complex(np.exp(np.mean(logs)))
-
-
-# -- scalar series -----------------------------------------------------------
-
-
-@dataclass
-class ScalarSeries:
-    """Scalar Laurent polynomial sum_{k=lo..hi} coeffs[k-lo] * z^k."""
-
-    lo: int
-    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=complex))
-
-    def __post_init__(self) -> None:
-        self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.coeffs) - 1
-
-    def __call__(self, z):
-        return _power_sum(self.coeffs, self.lo, z)
 
 
 # -- CSV dump ---------------------------------------------------------------

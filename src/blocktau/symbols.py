@@ -27,7 +27,8 @@ W(z) scales its columns.
 Interleaving components identifies C^n-valued series in z with scalar
 series in a root zeta of z (zeta^n = z): component a of the z^k coefficient
 is the zeta^(nk+a) coefficient.  fold writes the block action of a
-zeta-series; the reverse reading, a column of W as one zeta-series, is W's
+zeta-series (fold_scalar trims it to a banded symbol: L^k is the fold of
+zeta^k); the reverse reading, a column of W as one zeta-series, is W's
 coefficient array reshaped in place (tau.generator_modes), which gives the
 scalar generators of the Wronskian and character routes.
 """
@@ -43,13 +44,7 @@ import numpy as np
 
 from .errors import DegenerateInput, SpecError, TruncationError
 from .gradedpoly import schur_sequence
-from .laurent import (
-    LaurentMatrix,
-    ScalarSeries,
-    gather_modes,
-    lm_mul,
-    lm_trim,
-)
+from .laurent import LaurentMatrix, gather_modes, lm_mul, lm_trim, power_sum
 
 EXP_TAIL_TOL = 1e-14     # exp(xi) series must have decayed to this at the band edge
 INVERSE_CUT = 1e-16      # modes of W^+-1 at most this times its Wiener norm are cut
@@ -261,14 +256,23 @@ def fold(s: np.ndarray, lo: int, n: int, band: tuple[int, int]) -> np.ndarray:
     return gather_modes(s, lo, n * qs[:, None, None] + ij[:, None] - ij)
 
 
+def fold_scalar(coeffs: np.ndarray, lo: int, n: int) -> LaurentMatrix:
+    """The block action (fold) of a scalar zeta-series as a banded symbol, trimmed.
+
+    coeffs holds the zeta-modes lo, lo+1, ...; the band is every z-mode the
+    fold can reach.
+    """
+    band = ((lo - n + 1) // n, (lo + len(coeffs) + n - 2) // n)
+    return lm_trim(LaurentMatrix(n, *band, fold(coeffs, lo, n, band)))
+
+
 def lambda_power(n: int, k: int) -> LaurentMatrix:
     """L^k as a banded symbol; L^n = z * I extends to negative k as well.
 
     L = L^1 is the n x n shift symbol: subdiagonal ones, top-right corner z.
     L^k is the fold of zeta^k: entry (i, j) equals z^q when nq + i - j = k.
     """
-    band = ((k - n + 1) // n, (k + n - 1) // n)
-    return lm_trim(LaurentMatrix(n, *band, fold(np.ones(1), k, n, band)))
+    return fold_scalar(np.ones(1), k, n)
 
 
 def _one_phase(t: np.ndarray) -> bool:
@@ -358,7 +362,7 @@ def exp_xi_values(t: TimeVector, n: int, z) -> np.ndarray:
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     zeta = root_grid(z, n)                      # ( ..., n)
-    xi = ScalarSeries(1, t.effective(n))(zeta)  # sum_k t_k zeta_i^k
+    xi = power_sum(t.effective(n), 1, zeta)     # sum_k t_k zeta_i^k
     c = np.fft.ifft(np.exp(xi), axis=-1)
     # zeta_1^d for d = -(n-1) .. n-1 at index n-1+d, by repeated products
     pw = np.ones(z.shape + (2 * n - 1,), dtype=complex)

@@ -264,11 +264,10 @@ def stable_tau_graded(spec: SymbolSpec, Q: int, gd_reduced: bool = True) -> Grad
 
 @dataclass
 class TauSeries:
-    """A graded tau polynomial tagged with how it was produced."""
+    """A graded tau polynomial with the spec and truncation it was built at."""
 
     spec: SymbolSpec
     N: int
-    representation: str
     series: GradedPoly
 
 
@@ -289,7 +288,7 @@ def tau_series(
     else:
         raise ValueError(f"unknown representation {representation!r}")
     series = _gd_freeze(series, spec.n) if gd_reduced else series
-    return TauSeries(spec=spec, N=N, representation=representation, series=series)
+    return TauSeries(spec=spec, N=N, series=series)
 
 
 # -- character expansion ------------------------------------------------------

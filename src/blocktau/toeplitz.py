@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Callable
 
 import numpy as np
 
@@ -44,12 +43,8 @@ from .laurent import (
     CircleSamples,
     LaurentMatrix,
     geometric_mean,
-    inverse_transform,
-    lm_add,
-    lm_invert,
     lm_mul,
     lm_reflect,
-    lm_scale,
     lm_trim,
     stacked_mul,
     winding_number,
@@ -361,61 +356,3 @@ def borodin_okounkov(fact, N: int, tol: float = 1e-10) -> BorodinOkounkovResult:
     """
     phi, phi_inv = (lm_trim(s, tol) for s in fact.bo_symbols)
     return correction_det(phi, phi_inv, N)
-
-
-# -- derivative of the limit through the factorization ------------------------
-
-
-def lm_z_derivative(a: LaurentMatrix) -> LaurentMatrix:
-    """Coefficient-wise derivative in z: k * a^(k) moves to mode k-1."""
-    ks = np.arange(a.lo, a.hi + 1)
-    return LaurentMatrix(a.n, a.lo - 1, a.hi - 1, a.coeffs * ks[:, None, None])
-
-
-@dataclass
-class WidomDerivativeReport:
-    contour: complex
-    abs_err: float
-
-
-def widom_derivative_check(
-    make_symbol: Callable[[float], LaurentMatrix],
-    x0: float,
-) -> WidomDerivativeReport:
-    """Compare d/dx log D_inf with the contour-integral trace formula.
-
-    The formula integrates tr[((d_z g_+) g_- - (d_z h_-) h_+) d_x(symbol)]
-    over 1024 points of the circle, where symbol^{-1} = g_+ g_- = h_- h_+
-    are the two factorization orders of the inverse symbol (gamma and theta
-    of two_sided_factorization, from its samples on that grid).  The
-    numeric derivative and d_x(symbol) are central differences, step 1e-5,
-    of log D_inf settled to 1e-12 (szego_widom).
-    """
-    from .factorization import two_sided_factorization
-
-    h, M = 1e-5, 1024
-
-    def log_Dinf(x: float) -> complex:
-        lm = make_symbol(x)
-        samples = inverse_transform(lm, max(512, 4 * lm.width))
-        res = szego_widom(lm, samples, tol=1e-12)
-        return np.log(res.D_inf)
-
-    numeric = (log_Dinf(x0 + h) - log_Dinf(x0 - h)) / (2 * h)
-
-    pair = two_sided_factorization(inverse_transform(lm_invert(make_symbol(x0)), M))
-    dgam = lm_scale(
-        lm_add(make_symbol(x0 + h), make_symbol(x0 - h), scale_b=-1.0), 1.0 / (2 * h)
-    )
-
-    z = np.exp(2j * np.pi * np.arange(M) / M)
-    term = (
-        lm_z_derivative(pair.gamma_plus)(z) @ pair.gamma_minus(z)
-        - lm_z_derivative(pair.theta_minus)(z) @ pair.theta_plus(z)
-    ) @ dgam(z)
-    f = np.trace(term, axis1=-2, axis2=-1)
-    contour = -np.sum(f * z) / M
-    return WidomDerivativeReport(
-        contour=complex(contour),
-        abs_err=float(abs(numeric - contour)),
-    )

@@ -46,6 +46,7 @@ def _entry_test(entry):
         if entry.criterion is not None:
             status = "PASS" if ok else "FAIL"
             print(f"[criterion {entry.criterion:02d}] {status} {label}")
+        assert (ok is None) == (entry.tol is None), label
         assert ok is None or ok, label
 
     return test

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from blocktau.errors import BranchError, BranchMatchError, SpecError
-from blocktau.laurent import LaurentMatrix, ScalarSeries, grid_values, lm_mul, lm_project
-from blocktau.symbols import base_symbol, covering_spec, lambda_power, root_grid
+from blocktau.laurent import LaurentMatrix, grid_values, lm_mul, lm_project
+from blocktau.symbols import base_symbol, covering_spec, fold_scalar, root_grid
 from blocktau import algebro, checks, cli
 from blocktau.algebro import (
     CharPoly,
@@ -19,7 +19,6 @@ from blocktau.algebro import (
     branch_series,
     charpoly_from_matrix,
     curve_from_covering,
-    fold_scalar,
     reconstruct_W,
     spectral_check,
 )
@@ -76,11 +75,10 @@ def test_covering_branch_matches_sampled_root(covering_curve):
 def test_branch_residual_grid_matches_the_power_sum(covering_curve):
     # 97 modes on 64 shifted points: the grid evaluation folds them mod 64
     cp, bs = covering_curve
-    series = bs.series()
-    assert len(series.coeffs) == 97
+    assert len(bs.coeffs) == 97
     zeta = np.exp(2j * np.pi * (np.arange(64) + 0.37) / 64)
-    want = series(zeta)
-    got = grid_values(series.coeffs, series.lo, 64, 0.37)
+    want = bs(zeta)
+    got = grid_values(bs.coeffs, bs.lo, 64, 0.37)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     horner = np.max(np.abs(cp.evaluate(want, zeta**cp.n))) / max(1.0, np.max(np.abs(want)) ** cp.n)
     # both sit at round-off (~5e-16); a wrong twist or fold would not
@@ -130,31 +128,37 @@ def test_series_inverse_rejects_vanishing_constant_term():
 
 
 def test_fold_matches_shift_powers():
-    for k in range(-3, 5):
-        f = fold_scalar(ScalarSeries(k, [1.0]), 2)
-        lp = lambda_power(2, k)
-        for q in range(min(f.lo, lp.lo), max(f.hi, lp.hi) + 1):
-            fb = f.block(q) if f.lo <= q <= f.hi else np.zeros((2, 2))
-            lb = lp.block(q) if lp.lo <= q <= lp.hi else np.zeros((2, 2))
-            assert np.max(np.abs(fb - lb)) == 0.0
+    # the fold of zeta^k against L^k multiplied out by hand: L has ones below
+    # the diagonal and z in the top-right corner, L^-1 ones above the
+    # diagonal and 1/z in the bottom-left corner
+    for n in (2, 3):
+        L = np.zeros((2, n, n))
+        L[0], L[1, 0, n - 1] = np.eye(n, k=-1), 1.0
+        L_inv = np.zeros((2, n, n))
+        L_inv[0, n - 1, 0], L_inv[1] = 1.0, np.eye(n, k=1)
+        steps = {1: LaurentMatrix(n, 0, 1, L), -1: LaurentMatrix(n, -1, 0, L_inv)}
+        for k in range(-7, 9):
+            step = steps[1 if k >= 0 else -1]
+            power = LaurentMatrix(n, 0, 0, np.eye(n)[None])
+            for _ in range(abs(k)):
+                power = lm_mul(power, step, (power.lo + step.lo, power.hi + step.hi))
+            f = fold_scalar(np.ones(1), k, n)
+            for q in range(min(f.lo, power.lo), max(f.hi, power.hi) + 1):
+                assert np.array_equal(f.block(q), power.block(q)), (n, k, q)
 
 
 def test_fold_square_is_z_identity():
-    f2 = fold_scalar(ScalarSeries(2, [1.0]), 2)
+    f2 = fold_scalar(np.ones(1), 2, 2)
     assert f2.lo == 1 and f2.hi == 1
     assert np.allclose(f2.block(1), np.eye(2))
 
 
 def test_fold_multiplicative():
     rng = np.random.default_rng(5)
-    a = ScalarSeries(-2, rng.normal(size=5) + 1j * rng.normal(size=5))
-    b = ScalarSeries(-1, rng.normal(size=4) + 1j * rng.normal(size=4))
-    conv = np.convolve(a.coeffs, b.coeffs)
-    ab = ScalarSeries(a.lo + b.lo, conv)
-    from blocktau.laurent import lm_mul
-
-    fa, fb = fold_scalar(a, 3), fold_scalar(b, 3)
-    fab = fold_scalar(ab, 3)
+    a = rng.normal(size=5) + 1j * rng.normal(size=5)
+    b = rng.normal(size=4) + 1j * rng.normal(size=4)
+    fa, fb = fold_scalar(a, -2, 3), fold_scalar(b, -1, 3)
+    fab = fold_scalar(np.convolve(a, b), -3, 3)
     prod = lm_mul(fa, fb, (fab.lo, fab.hi))
     worst = max(
         float(np.max(np.abs(prod.block(q) - fab.block(q))))
