@@ -292,30 +292,41 @@ def _one_phase(t: np.ndarray) -> bool:
 
 
 def schur_numeric(tvals, kmax: int) -> np.ndarray:
-    """Numeric values p_0..p_kmax of the Schur sequence at given times.
+    """Numeric values p_0..p_kmax of the Schur sequence at given times, as complex.
 
     p_k is the zeta^k coefficient of prod_i exp(t_i zeta^i).  The series of
-    each factor, t_i^m / m! at index i*m, is one cumprod cut at its last
-    entry that a double still holds, so folding it into p by one truncated
-    convolution costs O(kmax * factor length); zero times are skipped.
+    each factor, t_i^m / m! at index i*m, is one cumprod cut by
+    count_nonzero at its last entry that a double still holds.  The first
+    nonzero time's factor is written into p in place; each later one enters
+    by one truncated convolution, O(kmax * factor length); zero times are
+    skipped.  Real times run in real arithmetic, complex ones in complex.
     Times of mixed sign or phase make p_k a sum of terms far larger than
-    itself; those run in the platform's extended precision (np.clongdouble,
-    64-bit mantissa on x86, several times slower) and p is rounded to
-    complex once at the end.
+    itself; those run in the platform's extended precision (np.longdouble
+    or np.clongdouble, 64-bit mantissa on x86, several times slower), and
+    p is rounded to complex once at the end.
     """
     t = np.asarray(tvals, dtype=complex)[:kmax]
-    dtype = complex if _one_phase(t) else np.clongdouble
+    real = not t.imag.any()
+    if real:
+        t = t.real
+    short = float if real else complex
+    dtype = short if _one_phase(t) else (np.longdouble if real else np.clongdouble)
     p = np.zeros(kmax + 1, dtype=dtype)
     p[0] = 1.0
+    first = True
     for i, ti in enumerate(t.astype(dtype, copy=False), start=1):
         if ti == 0:
             continue
         c = np.cumprod(np.concatenate([[1.0], ti / np.arange(1, kmax // i + 1)]))
-        c = c[: np.flatnonzero(c.astype(complex, copy=False))[-1] + 1]
+        c = c[: np.count_nonzero(c.astype(short, copy=False))]
+        if first:  # p is 1, 0, 0, ...: the product is the factor itself
+            p[: i * len(c) : i] = c
+            first = False
+            continue
         factor = np.zeros(i * (len(c) - 1) + 1, dtype=dtype)
         factor[::i] = c
         p = np.convolve(p, factor)[: kmax + 1]
-    return p.astype(complex, copy=False)
+    return p.astype(complex)
 
 
 def exp_xi_lambda(t: TimeVector, n: int, band: tuple[int, int]) -> LaurentMatrix:

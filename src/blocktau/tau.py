@@ -651,13 +651,14 @@ def tau_stable_report(
     of g and row a of g^-1 are scalar convolutions of the Schur values of
     exp(xi(+-t,L)) with W's and W^-1's diagonal entries.  A covering point
     computes those Schur values (one sequence when every even time is
-    zero), convolves, gathers both Hankel corners by the index arrays of
-    the per-spec plan (_symbol_core), multiplies them once and takes one
-    determinant; no LaurentMatrix is built per point.  NearSingularSymbol
-    is raised when cond T_1(g^-1) exceeds COND_LIMIT on the first route,
-    and on the second when ||W||_W ||W^-1||_W ||e||_W ||e^-1||_W, a bound of
-    cond g on the circle, does: a product of four floats, two of them the
-    plan's (_hankel_corner).  Neither route reads tol, kept only for
+    zero), forms each product as one gather of them and one GEMM against
+    the unspread diagonals, gathers both Hankel corners by the index
+    arrays of the per-spec plan (_symbol_core), multiplies them once and
+    takes one determinant; no LaurentMatrix is built per point.
+    NearSingularSymbol is raised when cond T_1(g^-1) exceeds COND_LIMIT on
+    the first route, and on the second when ||W||_W ||W^-1||_W ||e||_W
+    ||e^-1||_W, a bound of cond g on the circle, does: a product of four
+    floats, two of them the plan's (_hankel_corner).  Neither route reads tol, kept only for
     callers that pass one (the benchmark harness): both are exact up to
     round-off.
     """
@@ -667,14 +668,6 @@ def tau_stable_report(
     K = _hankel_corner(spec, t)
     fr = fredholm_det(PlemeljOperator(spec.n, plan.j, plan.eye - K))
     return StableTauReport(fr.value, 0.0, "fredholm", fr.M_used)
-
-
-def _spread_diagonals(w: LaurentMatrix) -> np.ndarray:
-    """Row b is entry (b, b) of the diagonal w as a series in zeta = z^(1/n):
-    mode k of w at index n (k - w.lo), zeros between."""
-    out = np.zeros((w.n, w.n * (w.hi - w.lo) + 1), dtype=complex)
-    out[:, :: w.n] = np.diagonal(w.coeffs, axis1=1, axis2=2).T
-    return out
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -687,15 +680,19 @@ class _CornerPlan:
     """What a point of the covering route reads besides its Schur values.
 
     p = p_0..p_kmax(t) and q = p_0..p_kmax_inv(-t) are the modes of e and
-    e^-1 as series in zeta = z^(1/n).  Row b of w_diag (w_inv_diag) is
-    W's (W^-1's) b-th diagonal entry spread to stride n, lowest mode first,
-    so column b of g = e W is p convolved with row b of w_diag and row a
-    of g^-1 = W^-1 e^-1 is q convolved with row a of w_inv_diag: entry (a,
-    b) of mode m of either is the zeta-mode nm + a - b of that product.
-    Laid end to end, each cut at kmax (kmax_inv) and with one zero
-    appended, the products give H(g) as [hankel] and H(g~^-1) as
-    [hankel_inv], both on the j'-block corner; the zero stands for the
-    modes of g^-1 below W^-1.lo = -j'.  fro_norms and spectral_norms are
+    e^-1 as series in zeta = z^(1/n).  Column b of w_diag (w_inv_diag) is
+    W's (W^-1's) b-th diagonal entry, lowest mode first.  Column b of g =
+    e W is p convolved with that entry spread to stride n, and row a of
+    g^-1 = W^-1 e^-1 is q convolved with W^-1's a-th: entry (a, b) of mode
+    m of either is the zeta-mode nm + a - b of that product.  Those
+    convolutions skip the zeros of the spread: entry (m, k) of toeplitz
+    (toeplitz_inv) is m - nk, the index of p (q) that meets row k of the
+    diagonals at product index m, or the slot past its end, where a zero
+    is appended, when m < nk; so p[toeplitz] @ w_diag holds the products
+    of all n columns, cut at kmax, in its rows 0..kmax, and its last row,
+    all zeros, stands for the modes of g^-1 below W^-1.lo = -j'.  [hankel]
+    and [hankel_inv] read H(g) and H(g~^-1) on the j'-block corner from
+    those two products, flattened.  fro_norms and spectral_norms are
     ||W||_W ||W^-1||_W with the Wiener norm ||a||_W = sum_k ||a_k|| taken
     over Frobenius and spectral block norms, the gate's base factor, and
     eye is the identity of I - K.
@@ -707,11 +704,22 @@ class _CornerPlan:
     kmax_inv: int
     w_diag: np.ndarray
     w_inv_diag: np.ndarray
+    toeplitz: np.ndarray
+    toeplitz_inv: np.ndarray
     hankel: np.ndarray
     hankel_inv: np.ndarray
     fro_norms: float
     spectral_norms: float
     eye: np.ndarray
+
+
+def _toeplitz_index(kmax: int, modes: int, n: int) -> np.ndarray:
+    """Entry (m, k), m = 0..kmax + 1, k < modes, is m - nk, or kmax + 1 (the
+    appended zero) where that is negative and on the whole last row."""
+    at = np.arange(kmax + 2)[:, None] - n * np.arange(modes)
+    at[at < 0] = kmax + 1
+    at[-1] = kmax + 1
+    return at
 
 
 @lru_cache
@@ -722,7 +730,8 @@ def _symbol_core(spec: SymbolSpec) -> _CornerPlan:
     the zeta-mode i + i' + n - 2b of column b (i, i' the flat row and
     column); that of H(g~^-1) is mode -(r + c + 1) of g^-1, the zeta-mode
     2a - i - i' - n of row a.  Both are offset by the lowest zeta-mode of
-    the spread diagonal, n W.lo and -n j'.
+    the product, n W.lo and -n j', and read from row-major (modes, n)
+    products.
     """
     n = spec.n
     w, w_inv = base_symbol(spec), base_inverse(spec)
@@ -730,12 +739,15 @@ def _symbol_core(spec: SymbolSpec) -> _CornerPlan:
     kmax, kmax_inv = n * (2 * j - lo) - 1, n * j - 1
     i = np.arange(n * j)
     s, b, a = i[:, None] + i + n, i % n, i[:, None] % n  # i + i' + n, column and row residues
-    hankel = b * (kmax + 1) + s - 2 * b - n * lo
+    hankel = (s - 2 * b - n * lo) * n + b
     at = 2 * a - s + n * j  # in row a's product; below 0 past mode -j' of g^-1
-    hankel_inv = np.where(at >= 0, a * (kmax_inv + 1) + at, n * (kmax_inv + 1))
-    w_diag, w_inv_diag = _spread_diagonals(w), _spread_diagonals(w_inv)
+    hankel_inv = np.where(at >= 0, at * n + a, (kmax_inv + 1) * n)
+    w_diag = np.diagonal(w.coeffs, axis1=1, axis2=2).copy()
+    w_inv_diag = np.diagonal(w_inv.coeffs, axis1=1, axis2=2).copy()
+    toeplitz = _toeplitz_index(kmax, len(w_diag), n)
+    toeplitz_inv = _toeplitz_index(kmax_inv, len(w_inv_diag), n)
     eye = np.eye(n * j)
-    _read_only(w_diag, w_inv_diag, hankel, hankel_inv, eye)
+    _read_only(w_diag, w_inv_diag, toeplitz, toeplitz_inv, hankel, hankel_inv, eye)
     return _CornerPlan(
         n=n,
         j=j,
@@ -743,12 +755,19 @@ def _symbol_core(spec: SymbolSpec) -> _CornerPlan:
         kmax_inv=kmax_inv,
         w_diag=w_diag,
         w_inv_diag=w_inv_diag,
+        toeplitz=toeplitz,
+        toeplitz_inv=toeplitz_inv,
         hankel=hankel,
         hankel_inv=hankel_inv,
         fro_norms=_mode_norms(w.coeffs, "fro") * _mode_norms(w_inv.coeffs, "fro"),
         spectral_norms=_mode_norms(w.coeffs, 2) * _mode_norms(w_inv.coeffs, 2),
         eye=eye,
     )
+
+
+def _mirrored(t_eff: np.ndarray) -> bool:
+    """Whether every even time is zero, so that p_k(-t) = (-1)^k p_k(t)."""
+    return not t_eff[1::2].any()
 
 
 def _schur_pair(t_eff: np.ndarray, kmax: int, kmax_inv: int) -> tuple[np.ndarray, np.ndarray]:
@@ -759,32 +778,58 @@ def _schur_pair(t_eff: np.ndarray, kmax: int, kmax_inv: int) -> tuple[np.ndarray
     odd entries negated: one schur_numeric call, not two.
     """
     p = schur_numeric(t_eff, kmax)
-    if t_eff[1::2].any():
+    if not _mirrored(t_eff):
         return p, schur_numeric(-t_eff, kmax_inv)
     q = p[: kmax_inv + 1].copy()
     q[1::2] *= -1.0
     return p, q
 
 
-def _products(s: np.ndarray, diagonals: np.ndarray, kmax: int) -> np.ndarray:
-    """s convolved with each row of diagonals, cut at kmax, end to end, one zero appended."""
-    return np.concatenate([*(np.convolve(s, d)[: kmax + 1] for d in diagonals), [0.0]])
+def _product(s: np.ndarray, toeplitz: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
+    """s convolved with each column of diagonals spread to stride n, flattened
+    row-major from (modes, n): one gather of s, a zero appended, and one GEMM."""
+    return (np.concatenate([s, [0.0]])[toeplitz] @ diagonals).ravel()
+
+
+def _fro_squares(p: np.ndarray, n: int) -> np.ndarray:
+    """||e_q||_F^2 for each mode q of e = exp(xi(+-t,L)) whose Schur values are p.
+
+    ||e_q||_F^2 = sum_{|d|<n} (n - |d|) |p_(nq+d)|^2 (p_d sits on n - |d|
+    entries of mode q), so it needs no fold: one convolution of |p|^2 with
+    those weights, read at nq + n - 1."""
+    weights = n - np.abs(np.arange(1 - n, n))
+    return np.convolve(p.real**2 + p.imag**2, weights)[n - 1 : len(p) : n]
 
 
 def _fro_sum(p: np.ndarray, n: int) -> float:
-    """sum_q ||e_q||_F over the modes of e = exp(xi(+-t,L)) whose Schur values are p.
-
-    ||e_q||_F^2 = sum_{|d|<n} (n - |d|) |p_(nq+d)|^2 (p_d sits on n - |d|
-    entries of mode q), so the sum needs no fold: one convolution of |p|^2
-    with those weights, read at nq + n - 1."""
-    weights = n - np.abs(np.arange(1 - n, n))
-    sq = np.convolve(p.real**2 + p.imag**2, weights)[n - 1 : len(p) : n]
-    return float(np.sqrt(sq).sum())
+    """sum_q ||e_q||_F over the modes of e whose Schur values are p."""
+    return float(np.sqrt(_fro_squares(p, n)).sum())
 
 
 def _spectral_sum(p: np.ndarray, n: int) -> float:
     """sum_q ||e_q||_2 over the same modes, from the fold of p into n x n blocks."""
     return _mode_norms(fold(p, 0, n, (0, len(p) // n - 1)), 2)
+
+
+def _gate_terms(
+    p: np.ndarray, q: np.ndarray, n: int, t_abs: np.ndarray, mirrored: bool
+) -> tuple[float, float, float, float]:
+    """_fro_sum of p and q, then _exp_tail of p and q (k0 = len - n + 1).
+
+    When q mirrors p (_schur_pair), |q| is |p| on q's length, and the
+    convolution of |p|^2 read at nq + n - 1 < len(q) is that of |q|^2, so
+    q's two terms come from p's |p|^2 and |p|, bit for bit."""
+    sq = _fro_squares(p, n)
+    if mirrored:  # q's moduli are those of p's head
+        fro_inv, q = float(np.sqrt(sq[: len(q) // n]).sum()), p[: len(q)]
+    else:
+        fro_inv = _fro_sum(q, n)
+    return (
+        float(np.sqrt(sq).sum()),
+        fro_inv,
+        _exp_tail(p, t_abs, len(p) - n + 1),
+        _exp_tail(q, t_abs, len(q) - n + 1),
+    )
 
 
 def _hankel_corner(spec: SymbolSpec, t: TimeVector) -> np.ndarray:
@@ -802,18 +847,16 @@ def _hankel_corner(spec: SymbolSpec, t: TimeVector) -> np.ndarray:
     n = plan.n
     t_eff = t.effective(n)
     p, q = _schur_pair(t_eff, plan.kmax, plan.kmax_inv)
-    t_abs = np.abs(t_eff)
-    tail = _exp_tail(p, t_abs, plan.kmax - n + 2)
-    tail_inv = _exp_tail(q, t_abs, plan.kmax_inv - n + 2)
+    fro, fro_inv, tail, tail_inv = _gate_terms(p, q, n, np.abs(t_eff), _mirrored(t_eff))
     # not <=, so that the screen clears no NaN bound
-    if not plan.fro_norms * (_fro_sum(p, n) + tail) * (_fro_sum(q, n) + tail_inv) <= COND_SCREEN:
+    if not plan.fro_norms * (fro + tail) * (fro_inv + tail_inv) <= COND_SCREEN:
         cond = plan.spectral_norms * (_spectral_sum(p, n) + tail) * (_spectral_sum(q, n) + tail_inv)
         if cond > COND_LIMIT:
             raise NearSingularSymbol(
                 f"Wiener-norm condition bound {cond:.3g} exceeds {COND_LIMIT:g}"
             )
-    g = _products(p, plan.w_diag, plan.kmax)
-    g_inv = _products(q, plan.w_inv_diag, plan.kmax_inv)
+    g = _product(p, plan.toeplitz, plan.w_diag)
+    g_inv = _product(q, plan.toeplitz_inv, plan.w_inv_diag)
     return g[plan.hankel] @ g_inv[plan.hankel_inv]
 
 

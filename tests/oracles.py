@@ -9,7 +9,9 @@ tau_graded_elimination eliminates the whole nN x nN ring matrix, the
 reference for the rank-r route of tau.tau_graded; gd_symbol_inverse is
 the banded inverse of the deformed symbol, the wide-band reference for
 the Hankel corner of tau.tau_stable; hankel_corner_reference is that
-corner as the three-factor product H(e) V T(e^-1), and stable_tau_reference
+corner as the three-factor product H(e) V T(e^-1), diagonal_products the
+convolutions of the Schur values with W's diagonals spread to stride n,
+the reference for the route's products, and stable_tau_reference
 tau.tau_stable_report by the Schur-series assembly;
 read_csv reads back the coefficient CSVs the command line writes;
 plemelj_quadrature_folded is the contour projector's trapezoid sum as an
@@ -221,6 +223,21 @@ def hankel_corner_reference(spec, t):
     e_inv = exp_xi_lambda(t.negated(), n, (0, j - 1))
     i = np.arange(j)
     return e.block_matrix(i[:, None] + np.arange(1, R + 1)) @ V @ e_inv.block_matrix(i[:, None] - i)
+
+
+def diagonal_products(s, w, kmax):
+    """s convolved with each diagonal entry of w spread to stride n, cut at kmax.
+
+    Column b is np.convolve of the zeta-series s with entry (b, b) of the
+    diagonal LaurentMatrix w written as a zeta-series (mode k of w at
+    index n (k - w.lo), zeros between): the product series of column b of
+    e W (s = p(t), w = W) or of row b of W^-1 e^-1 (s = p(-t), w = W^-1),
+    lowest zeta-mode n w.lo first.  The reference for tau._product, which
+    skips the spread's zeros.
+    """
+    spread = np.zeros((w.n, w.n * (w.hi - w.lo) + 1), dtype=complex)
+    spread[:, :: w.n] = np.diagonal(w.coeffs, axis1=1, axis2=2).T
+    return np.stack([np.convolve(s, d)[: kmax + 1] for d in spread], axis=1)
 
 
 def stable_tau_reference(spec, t):

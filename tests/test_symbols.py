@@ -169,12 +169,20 @@ def test_schur_numeric_matches_recurrence_on_its_own_scale(t, kmax):
         ((11, 0, 5.5, 0, 2.75), 8300),
         ((0.4 + 0.3j, 0, -0.2j, 0, 0.1), 200),
         (_miwa_times(20, 48, 11), 200),
+        # real times of mixed sign, in long double: in doubles p_k cancels
+        # to 1.7e-14 of max|p|
+        ((-11, 0, 5.5, 0, -2.75), 200),
+        # one phase, omega = -1: t_i = |t_i| (-1)^i
+        ((-4, 1, -2, 0.5, -1), 181),
+        # a lone time: its factor is written into p with no convolution
+        ((0, 0, 2.0, 0, 0), 60),
     ],
-    ids=["long-real", "complex", "miwa-48"],
+    ids=["long-real", "complex", "miwa-48", "mixed-sign-real", "omega-minus-one", "lone-t3"],
 )
 def test_schur_numeric_matches_mpmath(t, kmax):
-    want = schur_mpmath(t, kmax)
-    assert np.max(np.abs(schur_numeric(t, kmax) - want)) <= 1e-15 * np.max(np.abs(want))
+    got, want = schur_numeric(t, kmax), schur_mpmath(t, kmax)
+    assert got.dtype == np.complex128
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_schur_numeric_of_one_time_is_its_exponential_series():

@@ -21,7 +21,7 @@ from blocktau.gradedpoly import (
     schur_sequence,
     zero_times,
 )
-from blocktau.laurent import geometric_mean
+from blocktau.laurent import LaurentMatrix, geometric_mean
 from blocktau.symbols import (
     base_inverse,
     base_symbol,
@@ -29,6 +29,7 @@ from blocktau.symbols import (
     fold,
     gd_symbol,
     rational_spec,
+    schur_numeric,
     time_vector,
 )
 from blocktau.tau import (
@@ -57,6 +58,7 @@ from blocktau.toeplitz import (
 )
 from oracles import (
     COVERING_TAU_32,
+    diagonal_products,
     gd_symbol_inverse,
     hankel_corner_reference,
     rational_tau_mpmath,
@@ -70,6 +72,7 @@ RSPEC3 = rational_spec([0.3, 0.6, 0.9])
 CSPEC3 = covering_spec([0.3, -0.25, 0.35j, -0.2 - 0.15j], 3)
 # the n = 3 covering whose stable tau loses digits past s ~ 6 along DIAG3
 CSPEC3B = covering_spec([0.3, -0.25, 0.35j, 0.2 + 0.2j], 3)
+CSPEC4 = covering_spec([0.3, -0.25, 0.35j, 0.2 + 0.2j, -0.15j], 4)
 DIAG, DIAG3 = (1, 0, 0.5, 0, 0.25), (1, 0.5, 0, 0.25, 0.1)
 D, C = 0.3, 0.6
 
@@ -495,6 +498,51 @@ def test_hankel_corner_is_the_wide_band_product(spec, direction, s):
     assert not wide[:, nj:].any()
     got = tau_module._hankel_corner(spec, tv)
     assert np.abs(got - wide[:, :nj]).max() <= 1e-13 * np.abs(wide).max()
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["g", "g_inv"])
+@pytest.mark.parametrize("spec", [CSPEC, CSPEC3B, CSPEC4], ids=["n2", "n3", "n4"])
+def test_products_skip_the_spread_zeros(spec, inverse):
+    # one gather of p and one GEMM against the unspread diagonals give the
+    # convolutions with the diagonals spread to stride n, and a last row of
+    # zeros.  Each side sums the L products of an entry in its own order,
+    # within gamma_(L+2) sum |p| |w| of the exact sum (complex inner
+    # product, gamma_k = k u, u = eps / 2), so they differ by at most
+    # (L + 2) eps sum |p| |w|; at n = 4 they differ by 1.93 eps sum |p| |w|
+    plan, n = tau_module._symbol_core(spec), spec.n
+    t_eff = time_vector([2.0, -0.7, 0.5j, 0.3, -0.2], gd_reduced=False).effective(n)
+    if inverse:
+        w, kmax, toeplitz, diag = base_inverse(spec), plan.kmax_inv, plan.toeplitz_inv, plan.w_inv_diag
+    else:
+        w, kmax, toeplitz, diag = base_symbol(spec), plan.kmax, plan.toeplitz, plan.w_diag
+    p = schur_numeric(-t_eff if inverse else t_eff, kmax)
+    got = tau_module._product(p, toeplitz, diag).reshape(-1, n)
+    w_abs = LaurentMatrix(n, w.lo, w.hi, np.abs(w.coeffs))
+    bound = (len(diag) + 2) * np.finfo(float).eps * diagonal_products(np.abs(p), w_abs, kmax).real
+    assert got.shape == (kmax + 2, n)
+    assert np.all(np.abs(got[:-1] - diagonal_products(p, w, kmax)) <= bound)
+    assert not got[-1].any()
+
+
+@pytest.mark.parametrize("s", [1.0, 5.8, 7.5])
+@pytest.mark.parametrize(
+    "spec, direction", [(CSPEC, DIAG), (CSPEC3B, (1, 0, 0.25, 0, 0.1))], ids=["n2", "n3"]
+)
+def test_mirrored_gate_terms_are_those_of_q(spec, direction, s):
+    # q_k = (-1)^k p_k when the even times vanish; q's Frobenius sum and
+    # tail are then read from p's |p|^2 and |p|, with the bits of q's own
+    plan, n = tau_module._symbol_core(spec), spec.n
+    t_eff = time_vector([s * d for d in direction]).effective(n)
+    assert tau_module._mirrored(t_eff)
+    p, q = tau_module._schur_pair(t_eff, plan.kmax, plan.kmax_inv)
+    t_abs = np.abs(t_eff)
+    want = (
+        tau_module._fro_sum(p, n),
+        tau_module._fro_sum(q, n),
+        tau_module._exp_tail(p, t_abs, plan.kmax - n + 2),
+        tau_module._exp_tail(q, t_abs, plan.kmax_inv - n + 2),
+    )
+    assert tau_module._gate_terms(p, q, n, t_abs, True) == want
 
 
 @pytest.mark.parametrize("s", [5.8, 7.0, 7.5])
