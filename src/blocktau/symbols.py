@@ -48,6 +48,7 @@ from .laurent import LaurentMatrix, gather_modes, lm_mul, lm_trim, power_sum
 
 EXP_TAIL_TOL = 1e-14     # exp(xi) series must have decayed to this at the band edge
 INVERSE_CUT = 1e-16      # modes of W^+-1 at most this times its Wiener norm are cut
+_TINY = float(np.finfo(float).tiny)  # the least normal double
 
 
 @dataclass
@@ -295,8 +296,10 @@ def schur_numeric(tvals, kmax: int) -> np.ndarray:
     """Numeric values p_0..p_kmax of the Schur sequence at given times, as complex.
 
     p_k is the zeta^k coefficient of prod_i exp(t_i zeta^i).  The series of
-    each factor, t_i^m / m! at index i*m, is one cumprod cut by
-    count_nonzero at its last entry that a double still holds.  The first
+    each factor, t_i^m / m! at index i*m, is one cumprod cut at its last
+    entry that is a normal double (np.finfo(float).tiny): the subnormal
+    ones past it cost several times a normal multiply in the convolutions
+    and move no value above the double range's floor.  The first
     nonzero time's factor is written into p in place; each later one enters
     by one truncated convolution, O(kmax * factor length); zero times are
     skipped.  Real times run in real arithmetic, complex ones in complex.
@@ -318,7 +321,7 @@ def schur_numeric(tvals, kmax: int) -> np.ndarray:
         if ti == 0:
             continue
         c = np.cumprod(np.concatenate([[1.0], ti / np.arange(1, kmax // i + 1)]))
-        c = c[: np.count_nonzero(c.astype(short, copy=False))]
+        c = c[: np.count_nonzero(np.abs(c.astype(short, copy=False)) >= _TINY)]
         if first:  # p is 1, 0, 0, ...: the product is the factor itself
             p[: i * len(c) : i] = c
             first = False

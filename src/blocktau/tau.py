@@ -55,6 +55,7 @@ from .gradedpoly import (
 )
 from .laurent import COND_LIMIT, COND_SCREEN, LaurentMatrix, gather_modes
 from .symbols import (
+    INVERSE_CUT,
     SymbolSpec,
     TimeVector,
     base_inverse,
@@ -622,10 +623,11 @@ class StableTauReport:
     """A stable tau value, the route that produced it and its error bound.
 
     route is "finite_rank" (Day's formula, T_1(g^-1) read off the poles of
-    W^-1, M_used = 1) or "fredholm" (the operator determinant of the
-    j'-block Hankel corner, M_used = j' = -W^-1.lo, est_error 0.0: the
-    corner is exact, and its round-off is not bounded).  Every field is a
-    Python scalar on both routes.
+    W^-1, M_used = 1) or "fredholm" (the operator determinant on the
+    j'-block window of K, M_used = j' = -W^-1.lo, est_error 0.0: the
+    window is exact, the rank-r cut of its fixed factor drops only
+    round-off, and round-off is not bounded).  Every field is a Python
+    scalar on both routes.
     """
 
     value: complex
@@ -646,27 +648,29 @@ def tau_stable_report(
     (_finite_rank).  Otherwise (the covering families) the limit is det(I -
     K), K = H(g) H(g~^-1).  g^-1 = W^-1 e^-1, e = exp(xi(t,L)), has no
     modes below W^-1.lo = -j', so H(g~^-1) vanishes past its j'-block
-    corner, I - K is block lower triangular past the j'-block corner of K
-    (_hankel_corner) and has its determinant.  W is diagonal, so column b
-    of g and row a of g^-1 are scalar convolutions of the Schur values of
-    exp(xi(+-t,L)) with W's and W^-1's diagonal entries.  A covering point
-    computes those Schur values (one sequence when every even time is
-    zero), forms each product as one gather of them and one GEMM against
-    the unspread diagonals, gathers both Hankel corners by the index
-    arrays of the per-spec plan (_symbol_core), multiplies them once and
-    takes one determinant; no LaurentMatrix is built per point.
+    corner, and I - K is block lower triangular past the j'-block corner of
+    K and has its determinant.  W has no positive modes and e^-1 no
+    negative ones, so that corner is H(e) V T(e^-1), V = T(W~) H(W~^-1)
+    fixed per spec, and V is X Y of rank r up to its round-off (the plan,
+    _symbol_core).  By Sylvester's identity det(I - H(e) X Y T(e^-1)) =
+    det(I_r - F), F = (Y T(e^-1)) (H(e) X): a point computes the Schur
+    values of e and e^-1 (one sequence when every even time is zero),
+    gathers H(e) and T(e^-1) from them by the plan's index arrays, takes
+    two thin GEMMs (_corner_factors), F and an r x r determinant; no
+    LaurentMatrix is built per point.  fredholm_det gets I_r - F with the
+    window size j', the M_used it reports.
     NearSingularSymbol is raised when cond T_1(g^-1) exceeds COND_LIMIT on
     the first route, and on the second when ||W||_W ||W^-1||_W ||e||_W
     ||e^-1||_W, a bound of cond g on the circle, does: a product of four
-    floats, two of them the plan's (_hankel_corner).  Neither route reads tol, kept only for
-    callers that pass one (the benchmark harness): both are exact up to
-    round-off.
+    floats, two of them the plan's (_corner_factors).  Neither route reads
+    tol, kept only for callers that pass one (the benchmark harness): both
+    are exact up to round-off.
     """
     if spec.family == "rational":
         return _finite_rank(spec, t)
     plan = _symbol_core(spec)
-    K = _hankel_corner(spec, t)
-    fr = fredholm_det(PlemeljOperator(spec.n, plan.j, plan.eye - K))
+    left, right = _corner_factors(spec, t)
+    fr = fredholm_det(PlemeljOperator(spec.n, plan.j, plan.eye - right @ left))
     return StableTauReport(fr.value, 0.0, "fredholm", fr.M_used)
 
 
@@ -680,85 +684,69 @@ class _CornerPlan:
     """What a point of the covering route reads besides its Schur values.
 
     p = p_0..p_kmax(t) and q = p_0..p_kmax_inv(-t) are the modes of e and
-    e^-1 as series in zeta = z^(1/n).  Column b of w_diag (w_inv_diag) is
-    W's (W^-1's) b-th diagonal entry, lowest mode first.  Column b of g =
-    e W is p convolved with that entry spread to stride n, and row a of
-    g^-1 = W^-1 e^-1 is q convolved with W^-1's a-th: entry (a, b) of mode
-    m of either is the zeta-mode nm + a - b of that product.  Those
-    convolutions skip the zeros of the spread: entry (m, k) of toeplitz
-    (toeplitz_inv) is m - nk, the index of p (q) that meets row k of the
-    diagonals at product index m, or the slot past its end, where a zero
-    is appended, when m < nk; so p[toeplitz] @ w_diag holds the products
-    of all n columns, cut at kmax, in its rows 0..kmax, and its last row,
-    all zeros, stands for the modes of g^-1 below W^-1.lo = -j'.  [hankel]
-    and [hankel_inv] read H(g) and H(g~^-1) on the j'-block corner from
-    those two products, flattened.  fro_norms and spectral_norms are
-    ||W||_W ||W^-1||_W with the Wiener norm ||a||_W = sum_k ||a_k|| taken
-    over Frobenius and spectral block norms, the gate's base factor, and
-    eye is the identity of I - K.
+    e^-1 as series in zeta = z^(1/n).  W has no positive modes and e^-1 no
+    negative ones, so the j'-block corner of K = H(g) H(g~^-1) is H(e) V
+    T(e^-1), with V = T(W~) H(W~^-1) on R = j' - W.lo block rows and j'
+    block columns, fixed per spec.  X Y is V's thin SVD cut at its r
+    singular values above INVERSE_CUT sigma_1 (X = U_r Sigma_r, Y = Vh_r):
+    the rest are round-off.  X and YT = Y^T are C-contiguous, so that a
+    real matrix multiplies either in one real GEMM (_by_complex).
+    p[hankel] is H(e) on j' x R blocks, entry (kn + a, ln + b) p at n(k +
+    l + 1) + a - b, at most kmax; q[toeplitz], q with a zero appended, is
+    T(e^-1), the lower-triangular scalar Toeplitz matrix of q, the zero
+    above its diagonal.  fro_norms and spectral_norms are ||W||_W
+    ||W^-1||_W with the Wiener norm ||a||_W = sum_k ||a_k|| taken over
+    Frobenius and spectral block norms, the gate's base factor, and eye is
+    I_r.
     """
 
     n: int
     j: int
     kmax: int
     kmax_inv: int
-    w_diag: np.ndarray
-    w_inv_diag: np.ndarray
-    toeplitz: np.ndarray
-    toeplitz_inv: np.ndarray
+    X: np.ndarray
+    YT: np.ndarray
     hankel: np.ndarray
-    hankel_inv: np.ndarray
+    toeplitz: np.ndarray
     fro_norms: float
     spectral_norms: float
     eye: np.ndarray
 
 
-def _toeplitz_index(kmax: int, modes: int, n: int) -> np.ndarray:
-    """Entry (m, k), m = 0..kmax + 1, k < modes, is m - nk, or kmax + 1 (the
-    appended zero) where that is negative and on the whole last row."""
-    at = np.arange(kmax + 2)[:, None] - n * np.arange(modes)
-    at[at < 0] = kmax + 1
-    at[-1] = kmax + 1
-    return at
-
-
 @lru_cache
 def _symbol_core(spec: SymbolSpec) -> _CornerPlan:
-    """The gather plan and base norms of the covering route for spec (cached, read-only).
+    """The rank-r factor, gather plan and base norms of the covering route
+    for spec (cached, read-only).
 
-    Entry (rn + a, cn + b) of the corner of H(g) is mode r + c + 1 of g,
-    the zeta-mode i + i' + n - 2b of column b (i, i' the flat row and
-    column); that of H(g~^-1) is mode -(r + c + 1) of g^-1, the zeta-mode
-    2a - i - i' - n of row a.  Both are offset by the lowest zeta-mode of
-    the product, n W.lo and -n j', and read from row-major (modes, n)
-    products.
+    Block (k, l) of V is sum_d W_(d-k) W^-1_(-(d+l+1)), as in
+    tests/oracles.py::corner_middle.  In the flat indices I = kn + a and C
+    = ln + b, entry (I, C) of H(e) is p at I + C + n - 2b, and entry (I,
+    I') of T(e^-1) is q at I - I', or the appended zero (index kmax_inv +
+    1) where that is negative.
     """
     n = spec.n
     w, w_inv = base_symbol(spec), base_inverse(spec)
     j, lo = -int(w_inv.lo), int(w.lo)
-    kmax, kmax_inv = n * (2 * j - lo) - 1, n * j - 1
-    i = np.arange(n * j)
-    s, b, a = i[:, None] + i + n, i % n, i[:, None] % n  # i + i' + n, column and row residues
-    hankel = (s - 2 * b - n * lo) * n + b
-    at = 2 * a - s + n * j  # in row a's product; below 0 past mode -j' of g^-1
-    hankel_inv = np.where(at >= 0, at * n + a, (kmax_inv + 1) * n)
-    w_diag = np.diagonal(w.coeffs, axis1=1, axis2=2).copy()
-    w_inv_diag = np.diagonal(w_inv.coeffs, axis1=1, axis2=2).copy()
-    toeplitz = _toeplitz_index(kmax, len(w_diag), n)
-    toeplitz_inv = _toeplitz_index(kmax_inv, len(w_inv_diag), n)
-    eye = np.eye(n * j)
-    _read_only(w_diag, w_inv_diag, toeplitz, toeplitz_inv, hankel, hankel_inv, eye)
+    q = np.arange(j)
+    V = w.block_matrix(q - np.arange(j - lo)[:, None]) @ w_inv.block_matrix(-(q[:, None] + q + 1))
+    U, s, Vh = np.linalg.svd(V, full_matrices=False)
+    r = int(np.count_nonzero(s > INVERSE_CUT * s[0]))
+    X, YT = U[:, :r] * s[:r], Vh[:r].T.copy()
+    i, c = np.arange(n * j)[:, None], np.arange(len(V))
+    hankel = i + c + n - 2 * (c % n)
+    toeplitz = i - np.arange(n * j)
+    toeplitz[toeplitz < 0] = n * j
+    eye = np.eye(r)
+    _read_only(X, YT, hankel, toeplitz, eye)
     return _CornerPlan(
         n=n,
         j=j,
-        kmax=kmax,
-        kmax_inv=kmax_inv,
-        w_diag=w_diag,
-        w_inv_diag=w_inv_diag,
-        toeplitz=toeplitz,
-        toeplitz_inv=toeplitz_inv,
+        kmax=n * (2 * j - lo) - 1,
+        kmax_inv=n * j - 1,
+        X=X,
+        YT=YT,
         hankel=hankel,
-        hankel_inv=hankel_inv,
+        toeplitz=toeplitz,
         fro_norms=_mode_norms(w.coeffs, "fro") * _mode_norms(w_inv.coeffs, "fro"),
         spectral_norms=_mode_norms(w.coeffs, 2) * _mode_norms(w_inv.coeffs, 2),
         eye=eye,
@@ -783,12 +771,6 @@ def _schur_pair(t_eff: np.ndarray, kmax: int, kmax_inv: int) -> tuple[np.ndarray
     q = p[: kmax_inv + 1].copy()
     q[1::2] *= -1.0
     return p, q
-
-
-def _product(s: np.ndarray, toeplitz: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
-    """s convolved with each column of diagonals spread to stride n, flattened
-    row-major from (modes, n): one gather of s, a zero appended, and one GEMM."""
-    return (np.concatenate([s, [0.0]])[toeplitz] @ diagonals).ravel()
 
 
 def _fro_squares(p: np.ndarray, n: int) -> np.ndarray:
@@ -832,8 +814,9 @@ def _gate_terms(
     )
 
 
-def _hankel_corner(spec: SymbolSpec, t: TimeVector) -> np.ndarray:
-    """The j'-block corner H(g) H(g~^-1) of K, after the four-factor Wiener gate.
+def _corner_factors(spec: SymbolSpec, t: TimeVector) -> tuple[np.ndarray, np.ndarray]:
+    """H(e) X and Y T(e^-1), whose product is the j'-block corner of K, after
+    the four-factor Wiener gate.
 
     ||a||_W = sum_k ||a_k||_2 bounds the spectral norm of a(z) on the
     circle and is submultiplicative, so ||W||_W ||W^-1||_W ||e||_W
@@ -855,9 +838,19 @@ def _hankel_corner(spec: SymbolSpec, t: TimeVector) -> np.ndarray:
             raise NearSingularSymbol(
                 f"Wiener-norm condition bound {cond:.3g} exceeds {COND_LIMIT:g}"
             )
-    g = _product(p, plan.toeplitz, plan.w_diag)
-    g_inv = _product(q, plan.toeplitz_inv, plan.w_inv_diag)
-    return g[plan.hankel] @ g_inv[plan.hankel_inv]
+    if not t_eff.imag.any():  # real times: real Schur values, real GEMMs
+        p, q = p.real, q.real
+    left = _by_complex(p[plan.hankel], plan.X)
+    return left, _by_complex(np.append(q, 0.0)[plan.toeplitz].T, plan.YT).T
+
+
+def _by_complex(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a C-contiguous complex b.  A real a multiplies b's interleaved
+    real and imaginary parts, b.view(float), in one real GEMM: half the
+    multiplies of the complex one, and the product is that view's pairs."""
+    if np.iscomplexobj(a):
+        return a @ b
+    return (a @ b.view(float)).view(complex)
 
 
 _EPS = float(np.finfo(float).eps)

@@ -9,10 +9,9 @@ tau_graded_elimination eliminates the whole nN x nN ring matrix, the
 reference for the rank-r route of tau.tau_graded; gd_symbol_inverse is
 the banded inverse of the deformed symbol, the wide-band reference for
 the Hankel corner of tau.tau_stable; hankel_corner_reference is that
-corner as the three-factor product H(e) V T(e^-1), diagonal_products the
-convolutions of the Schur values with W's diagonals spread to stride n,
-the reference for the route's products, and stable_tau_reference
-tau.tau_stable_report by the Schur-series assembly;
+corner as the three-factor product H(e) V T(e^-1), with V from
+corner_middle, the reference for the route's rank-r factor, and
+stable_tau_reference tau.tau_stable_report by the Schur-series assembly;
 read_csv reads back the coefficient CSVs the command line writes;
 plemelj_quadrature_folded is the contour projector's trapezoid sum as an
 FFT per output column over the folded moment tensor, the reference for
@@ -203,41 +202,34 @@ def gd_symbol_inverse(spec, t, band, exact_only=False) -> LaurentMatrix:
     return lm_mul(w_inv, e, band)
 
 
-def hankel_corner_reference(spec, t):
-    """The j'-block corner of K = H(g) H(g~^-1) as H(e) V T(e^-1), V = T(W~) H(W~^-1).
+def corner_middle(spec):
+    """V = T(W~) H(W~^-1) on R = j' - W.lo block rows and j' = -W^-1.lo block columns.
 
-    W has no positive modes and e^-1 no negative ones, so K = H(e) T(W~)
-    H(W~^-1) T(e^-1) exactly.  V is built here from base_symbol and
-    base_inverse on R = j' - W.lo block rows and j' = -W^-1.lo block
-    columns, and H(e) and T(e^-1) are laid out with block_matrix from
-    exp_xi_lambda: the three-factor product that tau._hankel_corner, which
-    reads H(g) and H(g~^-1) off W's diagonal, must meet entrywise.
+    Block (k, l) is sum_d W_(d-k) W^-1_(-(d+l+1)), laid out with
+    block_matrix from base_symbol and base_inverse.
     """
-    n = spec.n
     w, w_inv = base_symbol(spec), base_inverse(spec)
     q = np.arange(-w_inv.lo)
     V = w.block_matrix(q - np.arange(len(q) - w.lo)[:, None])
-    V = V @ w_inv.block_matrix(-(q[:, None] + q + 1))
+    return V @ w_inv.block_matrix(-(q[:, None] + q + 1))
+
+
+def hankel_corner_reference(spec, t):
+    """The j'-block corner of K = H(g) H(g~^-1) as H(e) V T(e^-1), V = corner_middle(spec).
+
+    W has no positive modes and e^-1 no negative ones, so K = H(e) T(W~)
+    H(W~^-1) T(e^-1) exactly.  H(e) (j' x R blocks) and T(e^-1) (j' x j')
+    are laid out with block_matrix from exp_xi_lambda: the product with V
+    itself, which the route's (H(e) X)(Y T(e^-1)), X Y the rank-r cut of V
+    (tau._corner_factors), must meet entrywise.
+    """
+    n = spec.n
+    V = corner_middle(spec)
     R, j = len(V) // n, V.shape[1] // n
     e = exp_xi_lambda(t, n, (0, j + R - 1))
     e_inv = exp_xi_lambda(t.negated(), n, (0, j - 1))
     i = np.arange(j)
     return e.block_matrix(i[:, None] + np.arange(1, R + 1)) @ V @ e_inv.block_matrix(i[:, None] - i)
-
-
-def diagonal_products(s, w, kmax):
-    """s convolved with each diagonal entry of w spread to stride n, cut at kmax.
-
-    Column b is np.convolve of the zeta-series s with entry (b, b) of the
-    diagonal LaurentMatrix w written as a zeta-series (mode k of w at
-    index n (k - w.lo), zeros between): the product series of column b of
-    e W (s = p(t), w = W) or of row b of W^-1 e^-1 (s = p(-t), w = W^-1),
-    lowest zeta-mode n w.lo first.  The reference for tau._product, which
-    skips the spread's zeros.
-    """
-    spread = np.zeros((w.n, w.n * (w.hi - w.lo) + 1), dtype=complex)
-    spread[:, :: w.n] = np.diagonal(w.coeffs, axis1=1, axis2=2).T
-    return np.stack([np.convolve(s, d)[: kmax + 1] for d in spread], axis=1)
 
 
 def stable_tau_reference(spec, t):

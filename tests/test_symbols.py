@@ -176,8 +176,19 @@ def test_schur_numeric_matches_recurrence_on_its_own_scale(t, kmax):
         ((-4, 1, -2, 0.5, -1), 181),
         # a lone time: its factor is written into p with no convolution
         ((0, 0, 2.0, 0, 0), 60),
+        # small times: each factor is cut at its last normal double, well
+        # short of kmax, and p ends below the normal range
+        ((0.2, 0, 0.1, 0, 0.05), 181),
     ],
-    ids=["long-real", "complex", "miwa-48", "mixed-sign-real", "omega-minus-one", "lone-t3"],
+    ids=[
+        "long-real",
+        "complex",
+        "miwa-48",
+        "mixed-sign-real",
+        "omega-minus-one",
+        "lone-t3",
+        "small-0.2",
+    ],
 )
 def test_schur_numeric_matches_mpmath(t, kmax):
     got, want = schur_numeric(t, kmax), schur_mpmath(t, kmax)

@@ -21,15 +21,16 @@ from blocktau.gradedpoly import (
     schur_sequence,
     zero_times,
 )
-from blocktau.laurent import LaurentMatrix, geometric_mean
+from blocktau.laurent import geometric_mean
 from blocktau.symbols import (
+    INVERSE_CUT,
     base_inverse,
     base_symbol,
     covering_spec,
+    exp_xi_lambda,
     fold,
     gd_symbol,
     rational_spec,
-    schur_numeric,
     time_vector,
 )
 from blocktau.tau import (
@@ -58,7 +59,7 @@ from blocktau.toeplitz import (
 )
 from oracles import (
     COVERING_TAU_32,
-    diagonal_products,
+    corner_middle,
     gd_symbol_inverse,
     hankel_corner_reference,
     rational_tau_mpmath,
@@ -496,32 +497,54 @@ def test_hankel_corner_is_the_wide_band_product(spec, direction, s):
     wide = hankel_product_matrix(lm, lm_inv, range(j), range(j + 8))
     nj = spec.n * j
     assert not wide[:, nj:].any()
-    got = tau_module._hankel_corner(spec, tv)
-    assert np.abs(got - wide[:, :nj]).max() <= 1e-13 * np.abs(wide).max()
+    left, right = tau_module._corner_factors(spec, tv)
+    assert np.abs(left @ right - wide[:, :nj]).max() <= 1e-13 * np.abs(wide).max()
 
 
-@pytest.mark.parametrize("inverse", [False, True], ids=["g", "g_inv"])
-@pytest.mark.parametrize("spec", [CSPEC, CSPEC3B, CSPEC4], ids=["n2", "n3", "n4"])
-def test_products_skip_the_spread_zeros(spec, inverse):
-    # one gather of p and one GEMM against the unspread diagonals give the
-    # convolutions with the diagonals spread to stride n, and a last row of
-    # zeros.  Each side sums the L products of an entry in its own order,
-    # within gamma_(L+2) sum |p| |w| of the exact sum (complex inner
-    # product, gamma_k = k u, u = eps / 2), so they differ by at most
-    # (L + 2) eps sum |p| |w|; at n = 4 they differ by 1.93 eps sum |p| |w|
+@pytest.mark.parametrize(
+    "spec, direction", [(CSPEC, DIAG), (CSPEC3B, DIAG3), (CSPEC4, DIAG)], ids=["n2", "n3", "n4"]
+)
+def test_corner_gathers_are_the_block_layouts_of_e(spec, direction):
+    # p[hankel] is H(e) on j' x R blocks, block (k, l) mode k + l + 1 of e,
+    # and q[toeplitz] is T(e^-1) on j' x j' blocks, block (k, l) mode k - l
+    # of e^-1: every entry one Schur value, so an index off by one shows at
+    # O(max|p|)
     plan, n = tau_module._symbol_core(spec), spec.n
-    t_eff = time_vector([2.0, -0.7, 0.5j, 0.3, -0.2], gd_reduced=False).effective(n)
-    if inverse:
-        w, kmax, toeplitz, diag = base_inverse(spec), plan.kmax_inv, plan.toeplitz_inv, plan.w_inv_diag
-    else:
-        w, kmax, toeplitz, diag = base_symbol(spec), plan.kmax, plan.toeplitz, plan.w_diag
-    p = schur_numeric(-t_eff if inverse else t_eff, kmax)
-    got = tau_module._product(p, toeplitz, diag).reshape(-1, n)
-    w_abs = LaurentMatrix(n, w.lo, w.hi, np.abs(w.coeffs))
-    bound = (len(diag) + 2) * np.finfo(float).eps * diagonal_products(np.abs(p), w_abs, kmax).real
-    assert got.shape == (kmax + 2, n)
-    assert np.all(np.abs(got[:-1] - diagonal_products(p, w, kmax)) <= bound)
-    assert not got[-1].any()
+    tv = time_vector([2.0 * d for d in direction])
+    p, q = tau_module._schur_pair(tv.effective(n), plan.kmax, plan.kmax_inv)
+    j, R = plan.j, plan.hankel.shape[1] // n
+    i = np.arange(j)
+    h = exp_xi_lambda(tv, n, (0, j + R - 1)).block_matrix(i[:, None] + np.arange(1, R + 1))
+    toe = exp_xi_lambda(tv.negated(), n, (0, j - 1)).block_matrix(i[:, None] - i)
+    assert np.abs(p[plan.hankel] - h).max() <= 1e-15 * np.abs(h).max()
+    assert np.abs(np.append(q, 0.0)[plan.toeplitz] - toe).max() <= 1e-15 * np.abs(toe).max()
+
+
+@pytest.mark.parametrize("spec", [CSPEC, CSPEC3B, CSPEC4], ids=["n2", "n3", "n4"])
+def test_corner_factor_is_V_up_to_its_round_off(spec):
+    # X Y keeps one column and row per singular value of V = T(W~) H(W~^-1)
+    # above INVERSE_CUT sigma_1 (22, 35 and 47 of 64, 99 and 128 here) and
+    # drops the rest, each below eps sigma_1 / 2.  LAPACK's SVD is backward
+    # stable, the exact SVD of V + E with ||E||_2 a modest multiple of eps
+    # ||V||_2 (LAPACK Users' Guide, sec. 4.9), so ||X Y - V||_2 is that
+    # backward error plus sigma_(r+1): 0.9, 13.7 and 14.4 eps sigma_1 here
+    plan, V = tau_module._symbol_core(spec), corner_middle(spec)
+    sv = np.linalg.svd(V, full_matrices=False)[1]
+    r = plan.X.shape[1]
+    assert plan.X.shape == (len(V), r) and plan.YT.shape == (V.shape[1], r)
+    assert r == np.count_nonzero(sv > INVERSE_CUT * sv[0])
+    assert np.linalg.norm(plan.X @ plan.YT.T - V, 2) <= 32 * np.finfo(float).eps * sv[0]
+
+
+@pytest.mark.parametrize("spec", [CSPEC, CSPEC3B, CSPEC4], ids=["n2", "n3", "n4"])
+@pytest.mark.parametrize("t3", [0.5, 0.5j], ids=["real", "complex"])
+def test_corner_factors_meet_the_reference_at_real_and_complex_times(spec, t3):
+    # real times give real Schur values, which multiply X and Y^T's real and
+    # imaginary parts in real GEMMs; complex ones keep the complex GEMMs
+    tv = time_vector([1.5, 0.0, t3, 0.0, 0.25])
+    left, right = tau_module._corner_factors(spec, tv)
+    ref = hankel_corner_reference(spec, tv)
+    assert np.abs(left @ right - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("s", [1.0, 5.8, 7.5])
@@ -646,13 +669,13 @@ def test_stable_tau_routes():
     ids=["covering", "covering-n3", "rational", "rational-3pole", "rational-complex"],
 )
 def test_stable_tau_plan_equals_reference(spec, direction):
-    # the covering corner H(g) H(g~^-1), read off W's diagonal, meets the
-    # three-factor H(e) V T(e^-1) entrywise to 1e-13 max|K| (an index error
-    # shows at O(max|K|)), on times of one phase and of mixed sign alike;
-    # the products differ in order, so the values differ by up to the
-    # conditioning of I - K (5e-8 at n = 3, s = 7.5).  The rational residue
-    # form meets the Schur-series section of W^-1 exp(xi(-t,L)), which
-    # shares none of its code, to 1e-12 (complex poles included)
+    # the covering corner (H(e) X)(Y T(e^-1)), X Y the rank-r cut of V,
+    # meets the three-factor H(e) V T(e^-1) entrywise to 1e-13 max|K| (an
+    # index error shows at O(max|K|)), on times of one phase and of mixed
+    # sign alike; the products differ in order, so the values differ by up
+    # to the conditioning of I - K.  The rational residue form meets the
+    # Schur-series section of W^-1 exp(xi(-t,L)), which shares none of its
+    # code, to 1e-12 (complex poles included)
     rng = np.random.default_rng(2031)
     for s in np.linspace(0.2, 7.5, 40):
         signs = rng.choice([-1.0, 1.0], len(direction))
@@ -664,8 +687,9 @@ def test_stable_tau_plan_equals_reference(spec, direction):
             assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
         else:
             assert got.est_error == want.est_error
-            K, ref = tau_module._hankel_corner(spec, tv), hankel_corner_reference(spec, tv)
-            assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
+            left, right = tau_module._corner_factors(spec, tv)
+            ref = hankel_corner_reference(spec, tv)
+            assert np.abs(left @ right - ref).max() <= 1e-13 * np.abs(ref).max()
             cond = np.linalg.cond(np.eye(len(ref)) - ref)
             assert abs(got.value - want.value) <= 1e-13 * cond * abs(want.value)
 
