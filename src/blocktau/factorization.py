@@ -11,14 +11,17 @@ certificates quantify how well the truncated factors multiply back.
 The depth of the minus factor comes from the data.  T_minus = g T_plus^{-1}
 and T_plus^{-1} has no negative modes, so T_minus is no deeper than g, and
 the B-block projection system (Gohberg and Feldman) is exact once B reaches
-the deepest negative mode of g.  The solver reads that depth off the
-samples of g and solves once.  The nB x nB projection system is one
-numpy.linalg solve; the pointwise plus factor and its determinant run in
-the stacked sample kernel (laurent.stacked_solve).
+the deepest negative mode of g.  The solver reads that depth off the modes
+of g and solves once; an explicit B only caps it.  One spectral pass
+(symbol_spectra: the modes of g, invert_symbol and the modes of g^{-1})
+feeds the solve and the certificates.  The nB x nB projection system is
+one numpy.linalg solve; the pointwise plus factor and its determinant run
+in the stacked sample kernel (laurent.stacked_solve).
 
 The opposite factor order g = g_plus * g_minus is obtained from the same
 solver applied to g(1/z): reflection exchanges inside and outside without
-changing any block Toeplitz determinant.
+changing any block Toeplitz determinant.  Mode k of g(1/z) is mode -k of
+g, so both orders read one spectral pass.
 
 The factorization of a deformed symbol encodes the wave matrix of the
 hierarchy: the minus factor at times t equals exp(xi(t, L)) times the wave
@@ -75,40 +78,90 @@ class FactorizationResult:
     leakage: float        # relative energy of discarded negative modes of T_plus
     cond: float           # condition number of the linear system
     det_plus_dev: float   # sup |det T_plus - 1| over the sample grid
-    B_used: int
+    B_used: int           # depth solved: the depth of g, capped by an explicit B
+
+
+@dataclass(frozen=True)
+class SymbolSpectra:
+    """One spectral pass over samples of g: the modes of g and of g^{-1}.
+
+    Both hold modes -M//4..M//4, the DFT of the samples read as the
+    transform reads it (one mode past transform's guard, so that the
+    reflected pass holds the same band); the inverse samples are
+    invert_symbol's.  Every
+    factorization of g reads this one pass: the depth from the modes of g,
+    the projection system from those of g^{-1}.  reflected() is the pass
+    of g(1/z) on the unit circle, whose mode k is mode -k of g: samples
+    and spectra reflected, with no second inversion or transform.
+    """
+
+    x: CircleSamples
+    g: LaurentMatrix
+    g_inv: LaurentMatrix
+
+    def depth(self) -> int:
+        """Depth of the minus factor: the lowest mode of g above the round-off.
+
+        The negative modes from -1 outward up to the first whose norm is
+        not above 1e-16 of the largest norm over modes -M//4..M//4-1 (at
+        least 1, at most M//4).  The scan stops there because the FFT's
+        round-off sits at that level: a far mode just above it is noise,
+        not a deeper band.
+        """
+        cap = self.x.M // 4
+        norms = np.linalg.norm(self.g.coeffs[: 2 * cap], axis=(1, 2))
+        # modes -1, -2, ..., -cap
+        below = np.flatnonzero(norms[cap - 1 :: -1] <= 1e-16 * norms.max())
+        return max(int(below[0]) if len(below) else cap, 1)
+
+    def reflected(self) -> SymbolSpectra:
+        x = self.x
+        values = np.concatenate([x.values[:1], x.values[:0:-1]])
+        return SymbolSpectra(
+            CircleSamples(x.n, x.M, values, x.radius), lm_reflect(self.g), lm_reflect(self.g_inv)
+        )
+
+
+def symbol_spectra(x: CircleSamples) -> SymbolSpectra:
+    """The spectral pass of the samples: one inversion and two FFTs."""
+    ks = np.arange(-(x.M // 4), x.M // 4 + 1)
+
+    def modes(values: np.ndarray) -> LaurentMatrix:
+        coeffs = (np.fft.fft(values, axis=0) / x.M)[ks % x.M]
+        if x.radius != 1.0:
+            coeffs = coeffs * (x.radius ** (-ks))[:, None, None]
+        return LaurentMatrix(x.n, int(ks[0]), int(ks[-1]), coeffs)
+
+    return SymbolSpectra(x, modes(x.values), modes(invert_symbol(x).values))
 
 
 def wiener_hopf(
     x: CircleSamples, B: int | None = None, tol: float = 1e-10
 ) -> FactorizationResult:
-    """Factor the sampled symbol with minus-factor band depth B, in one solve.
+    """Factor the sampled symbol at the depth of g, in one solve.
 
-    With B=None the depth is read off the Fourier coefficients of g itself:
-    the negative modes from -1 outward up to the first whose norm is not
-    above 1e-16 of the largest mode norm (at least 1, at most a quarter of
-    the grid).  The scan stops there because the FFT's round-off sits at
-    that level: a far mode just above it is noise, not a deeper band.  That
-    depth is exact, since T_minus = g T_plus^{-1} and T_plus^{-1} has no
-    negative modes, so T_minus has no mode below the lowest mode of g; any
-    deeper B gives the same factor at a larger size.  Raises
-    FactorizationError when the system is singular or the residual exceeds
-    tol at depth B.
+    The depth is read off the Fourier coefficients of g itself
+    (SymbolSpectra.depth).  It is exact, since T_minus = g T_plus^{-1} and
+    T_plus^{-1} has no negative modes, so T_minus has no mode below the
+    lowest mode of g.  An explicit B caps the depth: the solve runs at
+    min(B, depth), and B_used reports it.  Raises AliasError when B exceeds
+    a quarter of the grid, and FactorizationError when the system is
+    singular or the residual exceeds tol at the depth solved.
     """
-    cap = x.M // 4
+    return _factor(symbol_spectra(x), B, tol)
+
+
+def _factor(s: SymbolSpectra, B: int | None, tol: float) -> FactorizationResult:
+    """wiener_hopf on a spectral pass: the projection solve and the certificates."""
+    x, n, cap = s.x, s.x.n, s.x.M // 4
     if B is not None and B > cap:
         raise AliasError(f"grid M={x.M} too coarse for factor depth B={B}")
-    if B is None:
-        norms = np.linalg.norm(transform(x, (-cap, cap - 1)).coeffs, axis=(1, 2))
-        # modes -1, -2, ..., -cap
-        below = np.flatnonzero(norms[cap - 1 :: -1] <= 1e-16 * norms.max())
-        B = max(int(below[0]) if len(below) else cap, 1)
-    n = x.n
-    ginv = transform(invert_symbol(x), (-cap, cap - 1))
+    B = s.depth() if B is None else min(B, s.depth())
     scale = float(np.max(np.abs(x.values)))
     # block system: sum_{k=1..B} (g^{-1})^(k-m) T_minus^(-k) = -(g^{-1})^(-m)
     ms = np.arange(1, B + 1)
-    A = ginv.block_matrix(ms[None, :] - ms[:, None])
-    rhs = -ginv.block_matrix(-ms[:, None])
+    A = s.g_inv.block_matrix(ms[None, :] - ms[:, None])
+    rhs = -s.g_inv.block_matrix(-ms[:, None])
     try:
         X = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
@@ -154,12 +207,32 @@ def wiener_hopf(
 
 @dataclass
 class FactorizationPair:
-    """Both factorization orders of one symbol."""
+    """Both factorization orders of one symbol, with the certificates of each.
 
-    gamma_plus: LaurentMatrix    # symbol = gamma_plus * gamma_minus
-    gamma_minus: LaurentMatrix
-    theta_minus: LaurentMatrix   # symbol = theta_minus * theta_plus
-    theta_plus: LaurentMatrix
+    minus_first factors the symbol as theta_minus * theta_plus.  plus_first
+    factors the reflected symbol g(1/z) = R_minus R_plus (its B_used is the
+    depth of g(1/z)), mapped back as gamma_plus(z) = R_minus(1/z) and
+    gamma_minus(z) = R_plus(1/z): the symbol is gamma_plus * gamma_minus.
+    """
+
+    minus_first: FactorizationResult
+    plus_first: FactorizationResult
+
+    @property
+    def theta_minus(self) -> LaurentMatrix:
+        return self.minus_first.T_minus
+
+    @property
+    def theta_plus(self) -> LaurentMatrix:
+        return self.minus_first.T_plus
+
+    @cached_property
+    def gamma_plus(self) -> LaurentMatrix:
+        return lm_reflect(self.plus_first.T_minus)
+
+    @cached_property
+    def gamma_minus(self) -> LaurentMatrix:
+        return lm_reflect(self.plus_first.T_plus)
 
     @cached_property
     def bo_symbols(self) -> tuple[LaurentMatrix, LaurentMatrix]:
@@ -177,25 +250,19 @@ class FactorizationPair:
 def two_sided_factorization(
     x: CircleSamples, B: int | None = None, tol: float = 1e-10
 ) -> FactorizationPair:
-    """Factor the sampled symbol in both orders.
+    """Factor the sampled symbol in both orders, from one spectral pass.
 
     The plus-first order comes from factoring the reflected symbol
     g(1/z) = R_minus R_plus and mapping back: g_plus(z) = R_minus(1/z),
-    g_minus(z) = R_plus(1/z); g_plus is normalized to I at z = 0.
+    g_minus(z) = R_plus(1/z); g_plus is normalized to I at z = 0.  Both
+    orders read one symbol_spectra pass, the plus-first one through
+    SymbolSpectra.reflected, and each solves at its own depth, capped by
+    B as in wiener_hopf.
     """
     if abs(x.radius - 1.0) > 1e-14:
         raise AliasError("two-sided factorization requires unit-circle samples")
-    minus_first = wiener_hopf(x, B, tol)
-    reflected = CircleSamples(
-        x.n, x.M, np.concatenate([x.values[:1], x.values[:0:-1]]), x.radius
-    )
-    plus_first = wiener_hopf(reflected, B, tol)
-    return FactorizationPair(
-        gamma_plus=lm_reflect(plus_first.T_minus),
-        gamma_minus=lm_reflect(plus_first.T_plus),
-        theta_minus=minus_first.T_minus,
-        theta_plus=minus_first.T_plus,
-    )
+    spectra = symbol_spectra(x)
+    return FactorizationPair(_factor(spectra, B, tol), _factor(spectra.reflected(), B, tol))
 
 
 # -- wave matrix and the finite-N determinant ratio ---------------------------

@@ -405,20 +405,25 @@ def stacked_solve(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarra
     return np.ascontiguousarray(X.transpose(2, 0, 1)), det
 
 
+def _frobenius_sq(stack: np.ndarray) -> np.ndarray:
+    """||A||_F^2 of every matrix of a stack: a row dot of its float view."""
+    f = np.ascontiguousarray(stack).reshape(len(stack), -1).view(float)
+    return np.einsum("ij,ij->i", f, f)
+
+
 def invert_symbol(x: CircleSamples) -> CircleSamples:
     """Pointwise matrix inverse; rejects nearly singular sample points.
 
     ||A||_F ||A^-1||_F, an upper bound of cond_2(A), screens every sample
     from the inverse itself (stacked_solve; an exactly singular sample
-    gives a non-finite inverse and misses the screen).  Only when a sample
-    misses COND_SCREEN (half of COND_LIMIT: room for the round-off of an
-    inverse at that conditioning) are the SVD condition numbers computed;
-    they decide.
+    gives a non-finite inverse and misses the screen); both norms are
+    taken squared, as row dots (_frobenius_sq).  Only when a sample misses
+    COND_SCREEN (half of COND_LIMIT: room for the round-off of an inverse
+    at that conditioning) are the SVD condition numbers computed; they
+    decide.
     """
     inv = stacked_solve(x.values)[0]
-    if not np.all(
-        np.linalg.norm(x.values, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2)) <= COND_SCREEN
-    ):
+    if not np.all(_frobenius_sq(x.values) * _frobenius_sq(inv) <= COND_SCREEN**2):
         conds = np.linalg.cond(x.values)
         worst = float(np.max(conds))
         if not np.isfinite(worst) or worst > COND_LIMIT:
@@ -458,7 +463,7 @@ def lm_invert(a: LaurentMatrix) -> LaurentMatrix:
 # -- half-norm, winding and geometric mean ----------------------------------
 
 
-def _continuous_log_det(x: CircleSamples) -> tuple[np.ndarray, int]:
+def continuous_log_det(x: CircleSamples) -> tuple[np.ndarray, int]:
     """Continuous branch of log det along the grid and the winding number.
 
     Raises WindingUndefined when det nearly vanishes and BranchError when the
@@ -490,12 +495,6 @@ def _continuous_log_det(x: CircleSamples) -> tuple[np.ndarray, int]:
     return np.log(mags) + 1j * unwrapped, winding
 
 
-def winding_number(x: CircleSamples) -> int:
-    """Winding of det(symbol) around 0 along the sample circle."""
-    _, w = _continuous_log_det(x)
-    return w
-
-
 def half_norm(lm: LaurentMatrix) -> float:
     """Besov-type half-norm sum_k sqrt(|k|) * ||g^(k)||_HS of a banded symbol.
 
@@ -513,7 +512,7 @@ def geometric_mean(x: CircleSamples) -> complex:
     Requires winding zero; otherwise the average is branch-dependent and a
     BranchError is raised.
     """
-    logs, winding = _continuous_log_det(x)
+    logs, winding = continuous_log_det(x)
     if winding != 0:
         raise BranchError(f"winding {winding} != 0: geometric mean undefined")
     return complex(np.exp(np.mean(logs)))

@@ -13,6 +13,9 @@ corner as the three-factor product H(e) V T(e^-1), with V from
 corner_middle, the reference for the route's rank-r factor, and
 stable_tau_reference tau.tau_stable_report by the Schur-series assembly;
 read_csv reads back the coefficient CSVs the command line writes;
+minus_factor_at_depth is the Wiener-Hopf minus factor from the projection
+system at a fixed depth, assembled block by block, the deep reference for
+factorization.wiener_hopf, which solves at the depth of g;
 plemelj_quadrature_folded is the contour projector's trapezoid sum as an
 FFT per output column over the folded moment tensor, the reference for
 its closed form.  transform_adaptive (FFT of circle samples) and
@@ -30,6 +33,7 @@ from blocktau.laurent import (
     CSV_HEADER,
     LaurentMatrix,
     block_layout,
+    invert_symbol,
     lm_mul,
     next_pow2,
     sample_function,
@@ -290,6 +294,27 @@ def plemelj_quadrature_folded(x, x_inv, M):
     T -= sums[:, None, :, n * n, None] * np.eye(n)[:, None, :]
     modes = np.fft.fft(T, axis=0)[:M] / Mo  # output mode index i
     return modes.reshape(M * n, M * n) + np.eye(M * n)
+
+
+def minus_factor_at_depth(x, B) -> LaurentMatrix:
+    """T_minus on modes -B..0 from the B-block Gohberg-Feldman system, one block at a time.
+
+    sum_{k=1..B} (g^-1)^(k-m) T_minus^(-k) = -(g^-1)^(-m), m = 1..B, with
+    the modes of g^-1 from invert_symbol and transform, in one
+    np.linalg.solve; T_minus^(0) = I.  No depth is read off the data.
+    """
+    n = x.n
+    ginv = transform(invert_symbol(x), (-B, B - 1))
+    A = np.zeros((B * n, B * n), dtype=complex)
+    rhs = np.zeros((B * n, n), dtype=complex)
+    for m in range(1, B + 1):
+        rhs[(m - 1) * n : m * n] = -ginv.block(-m)
+        for k in range(1, B + 1):
+            A[(m - 1) * n : m * n, (k - 1) * n : k * n] = ginv.block(k - m)
+    coeffs = np.zeros((B + 1, n, n), dtype=complex)
+    coeffs[B] = np.eye(n)
+    coeffs[:B] = np.linalg.solve(A, rhs).reshape(B, n, n)[::-1]
+    return LaurentMatrix(n, -B, 0, coeffs)
 
 
 def read_csv(path) -> LaurentMatrix:

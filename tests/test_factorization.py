@@ -7,6 +7,7 @@ import pytest
 
 from blocktau.errors import AliasError, FactorizationError
 from blocktau.laurent import (
+    CircleSamples,
     LaurentMatrix,
     inverse_transform,
     lm_invert,
@@ -33,6 +34,7 @@ from blocktau.factorization import (
     wiener_hopf,
 )
 from blocktau.toeplitz import borodin_okounkov, correction_det, hankel_product_matrix
+from oracles import minus_factor_at_depth
 
 RSPEC = rational_spec([0.3, 0.6])
 CSPEC = covering_spec([0.3, -0.25, 0.35j], 2)
@@ -70,6 +72,24 @@ def test_product_reconstructs_symbol_minus_first():
     z = np.exp(2j * np.pi * (np.arange(64) + 0.13) / 64)
     rec = np.einsum("lab,lbc->lac", fact.T_minus(z), fact.T_plus(z))
     assert np.max(np.abs(rec - gd_symbol_values(RSPEC, TV, z))) < 1e-8
+
+
+def test_two_sided_orders_share_one_spectral_pass(monkeypatch):
+    # one inversion serves both orders; the plus-first order reads the
+    # reflected spectra and meets a factorization of the reflected samples
+    x = _samples()
+    calls = []
+    real = factorization.invert_symbol
+    monkeypatch.setattr(factorization, "invert_symbol", lambda s: calls.append(1) or real(s))
+    pair = two_sided_factorization(x, B=40, tol=1e-9)
+    assert len(calls) == 1
+    assert pair.minus_first.B_used == 1
+    reflected = CircleSamples(x.n, x.M, np.concatenate([x.values[:1], x.values[:0:-1]]))
+    want = wiener_hopf(reflected, B=40, tol=1e-9)
+    assert pair.plus_first.B_used == want.B_used <= 40
+    for got, ref in ((pair.plus_first.T_minus, want.T_minus), (pair.plus_first.T_plus, want.T_plus)):
+        lo, hi = min(got.lo, ref.lo), max(got.hi, ref.hi)
+        assert max(np.max(np.abs(got.block(k) - ref.block(k))) for k in range(lo, hi + 1)) < 1e-15
 
 
 def test_two_sided_orders_both_reconstruct():
@@ -111,13 +131,14 @@ def test_banded_route_agrees():
 
 @pytest.mark.parametrize("spec, tv", [(RSPEC, TV), (CSPEC, CTV)], ids=["rational", "covering"])
 def test_derived_depth_matches_deep_solve(spec, tv):
-    # the depth read off g^{-1} holds the whole minus factor of the M//4 solve
+    # the depth read off g holds the whole minus factor of a 128-block solve
     x = _samples(spec, tv)
-    fact, deep = wiener_hopf(x), wiener_hopf(x, B=512)
+    fact, deep = wiener_hopf(x), minus_factor_at_depth(x, 128)
     assert fact.B_used <= 64
     # both factors end at mode 0: compare modes -B_used..0
-    tail = deep.T_minus.coeffs[-fact.B_used - 1 :]
+    tail = deep.coeffs[-fact.B_used - 1 :]
     assert np.max(np.abs(fact.T_minus.coeffs - tail)) < 1e-14
+    assert np.max(np.abs(deep.coeffs[: -fact.B_used - 1])) < 1e-14
 
 
 def test_derived_depth_stops_at_the_round_off_floor():
@@ -132,9 +153,9 @@ def test_derived_depth_stops_at_the_round_off_floor():
         return np.eye(2) + A / zz + E / zz**100
 
     x = sample_function(g, 2, 1024)
-    fact, deep = wiener_hopf(x), wiener_hopf(x, B=256)
+    fact, deep = wiener_hopf(x), minus_factor_at_depth(x, 128)
     assert fact.B_used < 64
-    tail = deep.T_minus.coeffs[-fact.B_used - 1 :]
+    tail = deep.coeffs[-fact.B_used - 1 :]
     assert np.max(np.abs(fact.T_minus.coeffs - tail)) < 1e-14
 
 
@@ -156,12 +177,23 @@ def _widom_inverse_samples():
 )
 def test_derived_depth_is_the_depth_of_g(make_x, depth):
     # T_minus = g T_plus^{-1} has no mode below the lowest mode of g, so one
-    # solve at g's depth meets a tight tol and holds the deep solve's factor
+    # solve at g's depth meets a tight tol and holds the deep solve's factor;
+    # an explicit B above that depth solves at the same depth
     x = make_x()
-    fact, deep = wiener_hopf(x, tol=1e-14), wiener_hopf(x, B=256)
-    assert fact.B_used == depth
-    tail = deep.T_minus.coeffs[-depth - 1 :]
-    assert np.max(np.abs(fact.T_minus.coeffs - tail)) < 1e-14
+    tail = minus_factor_at_depth(x, 128).coeffs[-depth - 1 :]
+    for B in (None, 40):
+        fact = wiener_hopf(x, B=B, tol=1e-14)
+        assert fact.B_used == depth
+        assert np.max(np.abs(fact.T_minus.coeffs - tail)) < 1e-14
+
+
+def test_explicit_depth_below_that_of_g_caps_the_solve():
+    # the covering minus factor reaches mode -27, its mode -11 at 3.8e-9: a
+    # 10-block solve misses it, a 20-block one meets 1e-9 and reports 20
+    x = _samples(CSPEC, CTV)
+    with pytest.raises(FactorizationError, match="at depth B=10;"):
+        wiener_hopf(x, B=10, tol=1e-9)
+    assert wiener_hopf(x, B=20, tol=1e-9).B_used == 20
 
 
 def test_derived_depth_ignores_the_round_off_of_g_inverse():

@@ -10,9 +10,11 @@ from blocktau.errors import AliasError, BranchError, NearSingularSymbol, Winding
 from blocktau.symbols import base_symbol, rational_spec
 from blocktau.laurent import (
     COND_LIMIT,
+    COND_SCREEN,
     CSV_HEADER,
     CircleSamples,
     LaurentMatrix,
+    continuous_log_det,
     gather_modes,
     geometric_mean,
     grid_values,
@@ -32,7 +34,6 @@ from blocktau.laurent import (
     stacked_mul,
     stacked_solve,
     transform,
-    winding_number,
     write_csv,
 )
 from oracles import read_csv, transform_adaptive
@@ -91,6 +92,25 @@ def test_invert_symbol_screen_keeps_the_svd_decision(monkeypatch, cond):
     assert len(svd_calls) == (0 if cond < 0.5 * COND_LIMIT else 1)
     if conds.max() <= COND_LIMIT:
         _assert_near_lapack(x.values, inv.values, np.linalg.inv(x.values))
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+def test_invert_symbol_screen_at_its_threshold(monkeypatch, side):
+    # diag(1, 1/c) has ||A||_F ||A^-1||_F = c + 1/c: planted 1e-9 of the
+    # screen below or above it, the squared row-dot screen takes the
+    # verdict of the product of np.linalg.norm
+    bound = COND_SCREEN * (1 + side * 1e-9)
+    c = (bound + np.sqrt(bound**2 - 4)) / 2
+    values = np.tile(np.eye(2, dtype=complex), (8, 1, 1))
+    values[5] = np.diag([1.0, 1.0 / c])
+    x = CircleSamples(2, 8, values)
+    svd_calls, svd_cond = [], np.linalg.cond
+    monkeypatch.setattr(laurent.np.linalg, "cond", lambda a: svd_calls.append(1) or svd_cond(a))
+    inv = invert_symbol(x)
+    assert np.array_equal(inv.values, stacked_solve(x.values)[0])
+    frobenius = np.linalg.norm(values, axis=(1, 2)) * np.linalg.norm(inv.values, axis=(1, 2))
+    assert np.all(frobenius <= COND_SCREEN) == (side < 0)
+    assert len(svd_calls) == (side > 0)
 
 
 # -- the stacked elimination kernel ------------------------------------------
@@ -168,7 +188,7 @@ def test_singular_sample_keeps_the_errors():
         invert_symbol(x)
     assert str(exc.value) == f"condition number {worst:.3g} at sample {j} exceeds 1e+12"
     with pytest.raises(WindingUndefined) as exc:
-        winding_number(x)
+        continuous_log_det(x)
     assert str(exc.value) == "det of the symbol is ~0 at sample 9 (|det|=0)"
 
 
@@ -372,7 +392,7 @@ def test_winding_of_pure_power():
     for k in (-2, -1, 0, 1, 3):
         co = np.ones((1, 1, 1), dtype=complex)
         lm = LaurentMatrix(1, k, k, co)
-        assert winding_number(inverse_transform(lm, 256)) == k
+        assert continuous_log_det(inverse_transform(lm, 256))[1] == k
 
 
 def test_geometric_mean_outer_factor():
@@ -413,7 +433,7 @@ def test_winding_undefined_on_circle_zero():
     co = np.array([[[-1.0]], [[1.0]]], dtype=complex)
     x = inverse_transform(LaurentMatrix(1, 0, 1, co), 256)
     with pytest.raises((WindingUndefined, BranchError)):
-        winding_number(x)
+        continuous_log_det(x)
 
 
 # -- series helpers ----------------------------------------------------------

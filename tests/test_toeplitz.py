@@ -15,10 +15,8 @@ from blocktau.laurent import (
     LaurentMatrix,
     geometric_mean,
     inverse_transform,
-    invert_symbol,
     lm_invert,
     sample_function,
-    transform,
 )
 from blocktau.symbols import (
     base_inverse,
@@ -54,6 +52,7 @@ from blocktau.factorization import (
 from oracles import (
     gd_symbol_inverse,
     hankel_corner_reference,
+    minus_factor_at_depth,
     plemelj_quadrature_folded,
     schur_mpmath,
 )
@@ -196,21 +195,12 @@ def test_build_tn_matches_block_loop(seed, n, lo, width, N):
 
 
 def test_wiener_hopf_system_matches_block_loop():
+    # at M = 4B the derived depth of the covering (27) is capped at B = 24
     B = 24
     x = deformed_symbol_samples(CSPEC, TV, 4 * B)
     fact = wiener_hopf(x, B=B, tol=1e-6)
-    ginv = transform(invert_symbol(x), (-B, B - 1))
-    n = x.n
-    A = np.zeros((B * n, B * n), dtype=complex)
-    rhs = np.zeros((B * n, n), dtype=complex)
-    for m in range(1, B + 1):
-        rhs[(m - 1) * n : m * n] = -ginv.block(-m)
-        for k in range(1, B + 1):
-            A[(m - 1) * n : m * n, (k - 1) * n : k * n] = ginv.block(k - m)
-    X = np.linalg.solve(A, rhs)
-    for k in range(1, B + 1):
-        assert np.array_equal(fact.T_minus.block(-k), X[(k - 1) * n : k * n])
-    assert np.array_equal(fact.T_minus.block(0), np.eye(n))
+    assert fact.B_used == B
+    assert np.array_equal(fact.T_minus.coeffs, minus_factor_at_depth(x, B).coeffs)
 
 
 @given(
@@ -368,19 +358,28 @@ def test_quadrature_memory_is_linear_in_the_grids():
 # -- the Cauchy ladder --------------------------------------------------------
 
 
-def test_settle_stops_at_first_cauchy_step():
+def test_settle_stops_at_the_second_of_two_cauchy_steps():
     read = []
 
     def steps():
-        for size, value in ((1, 1.0), (2, 0.5), (4, 0.45), (8, 0.449)):
+        for size, value in ((1, 1.0), (2, 0.5), (4, 0.45), (8, 0.449), (16, 0.4489)):
             read.append(size)
             yield size, value
 
     size, value, err, history = settle(steps(), 0.1, "test sequence")
-    assert (size, value) == (4, 0.45)
-    assert err == abs(0.45 - 0.5)
-    assert history == [(1, 1.0), (2, 0.5), (4, 0.45)]
-    assert read == [1, 2, 4]  # nothing is computed past the stop
+    assert (size, value) == (8, 0.449)
+    assert err == abs(0.45 - 0.5)  # the larger of the two differences
+    assert history == [(1, 1.0), (2, 0.5), (4, 0.45), (8, 0.449)]
+    assert read == [1, 2, 4, 8]  # nothing is computed past the stop
+
+
+def test_settle_reads_past_a_single_cauchy_step():
+    # a plateau of one step, then a move: one step within tol is no stop
+    steps = [(1, 0.0), (2, 1.0), (3, 1.0), (4, 2.0), (5, 2.05), (6, 2.06)]
+    size, value, err, history = settle(iter(steps), 0.1, "test sequence")
+    assert (size, value) == (6, 2.06)
+    assert abs(err - 0.05) < 1e-15
+    assert len(history) == 6
 
 
 def test_settle_raises_naming_the_last_size():
@@ -446,6 +445,28 @@ def test_fredholm_grid_invariance():
     v1 = fredholm_det(plemelj_fourier(lm30, lm_invert(lm30), lm30.hi)).value
     v2 = fredholm_det(plemelj_fourier(lm60, lm_invert(lm60), lm60.hi)).value
     assert abs(v1 - v2) < 1e-9
+
+
+def test_szego_widom_does_not_stop_on_a_plateau():
+    # D_N/G^N moves by 4.3e-14 from N = 6 to 7 here and still sits 1.1e-8
+    # off D_inf: the limit must read on until two steps agree
+    tv = time_vector([0.019494578636759716, 0, -0.08707868062960693, 0, -0.13294603084376547])
+    lm = gd_symbol(RSPEC, tv, (-28, 28), exact_only=True)
+    sw = szego_widom(lm, deformed_symbol_samples(RSPEC, tv, 1024), tol=1e-12)
+    assert abs(sw.history[6][1] - sw.history[5][1]) < 1e-12  # the plateau, N = 6, 7
+    assert sw.N_used > 7
+    assert abs(sw.D_inf - tau.tau_stable(RSPEC, tv)) < 1e-12
+
+
+def test_szego_widom_reads_one_log_det(monkeypatch):
+    calls = []
+    real = toeplitz.continuous_log_det
+    monkeypatch.setattr(toeplitz, "continuous_log_det", lambda x: calls.append(1) or real(x))
+    lm = gd_symbol(RSPEC, TV, (-30, 30))
+    x = deformed_symbol_samples(RSPEC, TV, 1024)
+    sw = szego_widom(lm, x, tol=1e-11)
+    assert len(calls) == 1
+    assert sw.G == geometric_mean(x)  # bit for bit
 
 
 def test_szego_widom_rejects_nonzero_winding():
