@@ -70,7 +70,13 @@ from .toeplitz import build_TN, correction_det, det_DN, szego_widom
 
 @dataclass
 class FactorizationResult:
-    """One-sided factorization g = T_minus T_plus with certificates."""
+    """One-sided factorization g = T_minus T_plus with certificates.
+
+    det_plus_dev certifies a unit det T_plus, which the deformed symbols
+    have in this order.  On FactorizationPair.plus_first it is no
+    certificate: T_plus = R_plus carries det g(1/z) there, so it reads
+    sup |det g - 1|, and the unit determinant sits on gamma_plus.
+    """
 
     T_minus: LaurentMatrix
     T_plus: LaurentMatrix
@@ -103,15 +109,16 @@ class SymbolSpectra:
         """Depth of the minus factor: the lowest mode of g above the round-off.
 
         The negative modes from -1 outward up to the first whose norm is
-        not above 1e-16 of the largest norm over modes -M//4..M//4-1 (at
-        least 1, at most M//4).  The scan stops there because the FFT's
-        round-off sits at that level: a far mode just above it is noise,
-        not a deeper band.
+        not above eps max_j ||g(z_j)||_F (at least 1, at most M//4): the
+        round-off that the FFT of samples on the unit circle, where every
+        caller samples, leaves in each mode.  A far mode at that level is
+        noise, not a deeper band.
         """
         cap = self.x.M // 4
-        norms = np.linalg.norm(self.g.coeffs[: 2 * cap], axis=(1, 2))
+        norms = np.linalg.norm(self.g.coeffs[:cap], axis=(1, 2))
+        floor = np.finfo(float).eps * np.linalg.norm(self.x.values, axis=(1, 2)).max()
         # modes -1, -2, ..., -cap
-        below = np.flatnonzero(norms[cap - 1 :: -1] <= 1e-16 * norms.max())
+        below = np.flatnonzero(norms[::-1] <= floor)
         return max(int(below[0]) if len(below) else cap, 1)
 
     def reflected(self) -> SymbolSpectra:
@@ -213,6 +220,8 @@ class FactorizationPair:
     factors the reflected symbol g(1/z) = R_minus R_plus (its B_used is the
     depth of g(1/z)), mapped back as gamma_plus(z) = R_minus(1/z) and
     gamma_minus(z) = R_plus(1/z): the symbol is gamma_plus * gamma_minus.
+    The unit determinant is theta_plus's in one order and gamma_plus's in
+    the other, so plus_first.det_plus_dev certifies nothing.
     """
 
     minus_first: FactorizationResult

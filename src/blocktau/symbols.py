@@ -308,6 +308,11 @@ def schur_numeric(tvals, kmax: int) -> np.ndarray:
     or np.clongdouble, 64-bit mantissa on x86, several times slower), and
     p is rounded to complex once at the end.
     """
+    return _schur_values(tvals, kmax, _TINY)
+
+
+def _schur_values(tvals, kmax: int, floor: float) -> np.ndarray:
+    """schur_numeric with each factor's series cut at its last entry >= floor."""
     t = np.asarray(tvals, dtype=complex)[:kmax]
     real = not t.imag.any()
     if real:
@@ -321,7 +326,7 @@ def schur_numeric(tvals, kmax: int) -> np.ndarray:
         if ti == 0:
             continue
         c = np.cumprod(np.concatenate([[1.0], ti / np.arange(1, kmax // i + 1)]))
-        c = c[: np.count_nonzero(np.abs(c.astype(short, copy=False)) >= _TINY)]
+        c = c[: np.count_nonzero(np.abs(c.astype(short, copy=False)) >= floor)]
         if first:  # p is 1, 0, 0, ...: the product is the factor itself
             p[: i * len(c) : i] = c
             first = False
@@ -338,12 +343,16 @@ def exp_xi_lambda(t: TimeVector, n: int, band: tuple[int, int]) -> LaurentMatrix
     Every in-band Fourier mode is exact: the band is the fold of the Schur
     values p_0..p_kmax, one value per entry.  The modes past the band are
     dropped unchecked; a caller that needs the band to hold the whole
-    function checks the tail itself (gd_symbol's exact_only=False).
+    function checks the tail itself (gd_symbol's exact_only=False).  A
+    band with mode 0 holds p_0 = 1, far above what schur_numeric's cut at
+    the least normal double drops; a band above mode 0 may hold nothing
+    larger than that (a time of 5e-324 has mode 1 = 5e-324 at n = 1), so
+    it reads the series uncut.
     """
     lo, hi = band
     if hi < 0:
         raise ValueError("exp(xi) has no negative modes; need hi >= 0")
-    p = schur_numeric(t.effective(n), n * hi + n - 1)
+    p = _schur_values(t.effective(n), n * hi + n - 1, _TINY if lo <= 0 else 0.0)
     return LaurentMatrix(n, lo, hi, fold(p, 0, n, band))
 
 

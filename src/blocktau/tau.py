@@ -694,10 +694,9 @@ class _CornerPlan:
     p[hankel] is H(e) on j' x R blocks, entry (kn + a, ln + b) p at n(k +
     l + 1) + a - b, at most kmax; q[toeplitz], q with a zero appended, is
     T(e^-1), the lower-triangular scalar Toeplitz matrix of q, the zero
-    above its diagonal.  fro_norms and spectral_norms are ||W||_W
-    ||W^-1||_W with the Wiener norm ||a||_W = sum_k ||a_k|| taken over
-    Frobenius and spectral block norms, the gate's base factor, and eye is
-    I_r.
+    above its diagonal.  spectral_norms is ||W||_W ||W^-1||_W with the
+    Wiener norm ||a||_W = sum_k ||a_k||_2, the gate's base factor, and eye
+    is I_r.
     """
 
     n: int
@@ -708,7 +707,6 @@ class _CornerPlan:
     YT: np.ndarray
     hankel: np.ndarray
     toeplitz: np.ndarray
-    fro_norms: float
     spectral_norms: float
     eye: np.ndarray
 
@@ -747,15 +745,9 @@ def _symbol_core(spec: SymbolSpec) -> _CornerPlan:
         YT=YT,
         hankel=hankel,
         toeplitz=toeplitz,
-        fro_norms=_mode_norms(w.coeffs, "fro") * _mode_norms(w_inv.coeffs, "fro"),
         spectral_norms=_mode_norms(w.coeffs, 2) * _mode_norms(w_inv.coeffs, 2),
         eye=eye,
     )
-
-
-def _mirrored(t_eff: np.ndarray) -> bool:
-    """Whether every even time is zero, so that p_k(-t) = (-1)^k p_k(t)."""
-    return not t_eff[1::2].any()
 
 
 def _schur_pair(t_eff: np.ndarray, kmax: int, kmax_inv: int) -> tuple[np.ndarray, np.ndarray]:
@@ -766,52 +758,17 @@ def _schur_pair(t_eff: np.ndarray, kmax: int, kmax_inv: int) -> tuple[np.ndarray
     odd entries negated: one schur_numeric call, not two.
     """
     p = schur_numeric(t_eff, kmax)
-    if not _mirrored(t_eff):
+    if t_eff[1::2].any():
         return p, schur_numeric(-t_eff, kmax_inv)
     q = p[: kmax_inv + 1].copy()
     q[1::2] *= -1.0
     return p, q
 
 
-def _fro_squares(p: np.ndarray, n: int) -> np.ndarray:
-    """||e_q||_F^2 for each mode q of e = exp(xi(+-t,L)) whose Schur values are p.
-
-    ||e_q||_F^2 = sum_{|d|<n} (n - |d|) |p_(nq+d)|^2 (p_d sits on n - |d|
-    entries of mode q), so it needs no fold: one convolution of |p|^2 with
-    those weights, read at nq + n - 1."""
-    weights = n - np.abs(np.arange(1 - n, n))
-    return np.convolve(p.real**2 + p.imag**2, weights)[n - 1 : len(p) : n]
-
-
-def _fro_sum(p: np.ndarray, n: int) -> float:
-    """sum_q ||e_q||_F over the modes of e whose Schur values are p."""
-    return float(np.sqrt(_fro_squares(p, n)).sum())
-
-
 def _spectral_sum(p: np.ndarray, n: int) -> float:
-    """sum_q ||e_q||_2 over the same modes, from the fold of p into n x n blocks."""
+    """sum_m ||e_m||_2 over the modes of e = exp(xi(+-t,L)) whose Schur values
+    are p, from the fold of p into n x n blocks."""
     return _mode_norms(fold(p, 0, n, (0, len(p) // n - 1)), 2)
-
-
-def _gate_terms(
-    p: np.ndarray, q: np.ndarray, n: int, t_abs: np.ndarray, mirrored: bool
-) -> tuple[float, float, float, float]:
-    """_fro_sum of p and q, then _exp_tail of p and q (k0 = len - n + 1).
-
-    When q mirrors p (_schur_pair), |q| is |p| on q's length, and the
-    convolution of |p|^2 read at nq + n - 1 < len(q) is that of |q|^2, so
-    q's two terms come from p's |p|^2 and |p|, bit for bit."""
-    sq = _fro_squares(p, n)
-    if mirrored:  # q's moduli are those of p's head
-        fro_inv, q = float(np.sqrt(sq[: len(q) // n]).sum()), p[: len(q)]
-    else:
-        fro_inv = _fro_sum(q, n)
-    return (
-        float(np.sqrt(sq).sum()),
-        fro_inv,
-        _exp_tail(p, t_abs, len(p) - n + 1),
-        _exp_tail(q, t_abs, len(q) - n + 1),
-    )
 
 
 def _corner_factors(spec: SymbolSpec, t: TimeVector) -> tuple[np.ndarray, np.ndarray]:
@@ -821,18 +778,21 @@ def _corner_factors(spec: SymbolSpec, t: TimeVector) -> tuple[np.ndarray, np.nda
     ||a||_W = sum_k ||a_k||_2 bounds the spectral norm of a(z) on the
     circle and is submultiplicative, so ||W||_W ||W^-1||_W ||e||_W
     ||e^-1||_W bounds cond g there; NearSingularSymbol is raised when it
-    exceeds COND_LIMIT.  ||a_k||_F >= ||a_k||_2, so the same product over
-    Frobenius norms bounds it in turn and screens without an SVD per block:
-    only above COND_SCREEN are the spectral sums taken, and they decide.
-    _exp_tail bounds e and e^-1 past their bands; it adds the same term to
-    both orders, so the Frobenius product stays the larger."""
+    exceeds COND_LIMIT.  Mode m of e is sum_{|d|<n} p_(nm+d) S_d with
+    ||S_d||_2 = 1, and each p_k sits on at most two modes, so 2 sum_k |p_k|
+    >= ||e||_W on p's band: the product over coefficient sums bounds the
+    spectral one and screens without a fold or an SVD.  Only above
+    COND_SCREEN are the spectral sums taken, and they decide.  _exp_tail
+    bounds e and e^-1 past their bands and is added to both."""
     plan = _symbol_core(spec)
     n = plan.n
     t_eff = t.effective(n)
     p, q = _schur_pair(t_eff, plan.kmax, plan.kmax_inv)
-    fro, fro_inv, tail, tail_inv = _gate_terms(p, q, n, np.abs(t_eff), _mirrored(t_eff))
+    t_abs = np.abs(t_eff)
+    tail, tail_inv = _exp_tail(p, t_abs, len(p) - n + 1), _exp_tail(q, t_abs, len(q) - n + 1)
+    screen = plan.spectral_norms * (2.0 * np.abs(p).sum() + tail) * (2.0 * np.abs(q).sum() + tail_inv)
     # not <=, so that the screen clears no NaN bound
-    if not plan.fro_norms * (fro + tail) * (fro_inv + tail_inv) <= COND_SCREEN:
+    if not screen <= COND_SCREEN:
         cond = plan.spectral_norms * (_spectral_sum(p, n) + tail) * (_spectral_sum(q, n) + tail_inv)
         if cond > COND_LIMIT:
             raise NearSingularSymbol(

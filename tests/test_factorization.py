@@ -103,6 +103,21 @@ def test_two_sided_orders_both_reconstruct():
     assert np.max(np.abs(rec_mf - want)) < 1e-8
 
 
+def test_unit_determinant_is_on_theta_plus_and_gamma_plus():
+    # R_plus = gamma_minus(1/z) carries det g(1/z), so the plus-first
+    # det_plus_dev reads sup |det g - 1| (0.48 here) and certifies nothing;
+    # the unit determinant of that order is gamma_plus = R_minus(1/z)'s
+    x = _samples()
+    pair = two_sided_factorization(x, B=40, tol=1e-9)
+    mf, pf = pair.minus_first, pair.plus_first
+    assert mf.B_used == 1 and pf.B_used <= 40
+    gamma_dev = np.max(np.abs(np.linalg.det(pair.gamma_plus(x.grid())) - 1.0))
+    assert max(mf.residual, mf.det_plus_dev, pf.residual, gamma_dev) <= 1e-9
+    det_g_dev = np.max(np.abs(np.linalg.det(x.values) - 1.0))
+    assert det_g_dev > 0.4
+    assert pf.det_plus_dev == pytest.approx(det_g_dev, rel=1e-12)
+
+
 def test_determinant_bookkeeping():
     # det T_+ is identically 1; det T_- carries det of the symbol
     fact = wiener_hopf(_samples(), B=40, tol=1e-9)
@@ -202,6 +217,15 @@ def test_derived_depth_ignores_the_round_off_of_g_inverse():
     # while g ends at mode -27
     x = _samples(CSPEC, time_vector([2.0, 0.0, 1.0, 0.0, 0.5]))
     assert wiener_hopf(x).B_used <= 32
+
+
+@pytest.mark.parametrize("M", [1024, 2048])
+def test_derived_depth_reads_no_round_off_near_the_zero_locus(M):
+    # at t1 = 5.05i modes -2 and -3 of g are FFT round-off at ~6e-15: above
+    # 1e-16 of the largest mode, below eps max_j ||g(z_j)||_F = 4.3e-14.
+    # A solve at depth 2 or 3 misses tol (residual 1.7e-6 or 2.2e-6)
+    x = deformed_symbol_samples(RSPEC, time_vector([5.05j, 0.0, 0.0]), M)
+    assert wiener_hopf(x, tol=1e-6).B_used == 1
 
 
 def test_derived_depth_raises_at_the_derived_depth():

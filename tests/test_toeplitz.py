@@ -213,6 +213,8 @@ def test_wiener_hopf_system_matches_block_loop():
 # where a convolution in doubles was 5.1e-15 and 1.8e-15 of the band off
 @example([0.34375, 0.1875, -0.0703125], 1, 3, 0)
 @example([0.17323606777393075, -0.0625], 3, 4, 0)
+# mode 1 is p_1 = 5e-324 alone, below the least normal double
+@example([5e-324], 1, 1, 0)
 def test_exp_xi_lambda_matches_schur_loop(tvals, n, lo, width):
     tv = time_vector(tvals, gd_reduced=False)
     band = (lo, max(lo, 0) + width)
