@@ -153,7 +153,11 @@ def wiener_hopf(
     lowest mode of g.  An explicit B caps the depth: the solve runs at
     min(B, depth), and B_used reports it.  Raises AliasError when B exceeds
     a quarter of the grid, and FactorizationError when the system is
-    singular or the residual exceeds tol at the depth solved.
+    singular or the residual exceeds tol at the depth solved.  A residual
+    missed at g's own depth is not a depth problem, since that depth is
+    exact: the message then says that g may have no factorization there
+    (tau near zero, outside the big cell) or that the grid is too coarse,
+    and it advises more depth only when an explicit B capped the solve.
     """
     return _factor(symbol_spectra(x), B, tol)
 
@@ -163,7 +167,9 @@ def _factor(s: SymbolSpectra, B: int | None, tol: float) -> FactorizationResult:
     x, n, cap = s.x, s.x.n, s.x.M // 4
     if B is not None and B > cap:
         raise AliasError(f"grid M={x.M} too coarse for factor depth B={B}")
-    B = s.depth() if B is None else min(B, s.depth())
+    depth = s.depth()
+    capped = B is not None and B < depth  # an explicit B cut the solve short of g
+    B = depth if B is None else min(B, depth)
     scale = float(np.max(np.abs(x.values)))
     # block system: sum_{k=1..B} (g^{-1})^(k-m) T_minus^(-k) = -(g^{-1})^(-m)
     ms = np.arange(1, B + 1)
@@ -193,9 +199,14 @@ def _factor(s: SymbolSpectra, B: int | None, tol: float) -> FactorizationResult:
     recon = stacked_mul(tm_vals, plus_samples)
     residual = float(np.max(np.abs(x.values - recon))) / max(scale, 1e-300)
     if residual > tol:
+        advice = (
+            f"g reaches depth {depth}: increase the depth or the sample grid"
+            if capped
+            else "g may have no factorization here (tau near zero, outside the big cell), "
+            "or the sample grid is too coarse"
+        )
         raise FactorizationError(
-            f"residual {residual:.3g} exceeds tol {tol:g} at depth B={B}; "
-            "increase the depth or the sample grid"
+            f"residual {residual:.3g} exceeds tol {tol:g} at depth B={B}; {advice}"
         )
     # energy bookkeeping before projection onto non-negative modes
     neg_energy = float(np.linalg.norm(full.coeffs[: -full.lo]) ** 2)

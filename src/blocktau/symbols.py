@@ -48,7 +48,6 @@ from .laurent import LaurentMatrix, gather_modes, lm_mul, lm_trim, power_sum
 
 EXP_TAIL_TOL = 1e-14     # exp(xi) series must have decayed to this at the band edge
 INVERSE_CUT = 1e-16      # modes of W^+-1 at most this times its Wiener norm are cut
-_TINY = float(np.finfo(float).tiny)  # the least normal double
 
 
 @dataclass
@@ -63,11 +62,11 @@ class TimeVector:
 
     def effective(self, n: int) -> np.ndarray:
         """Times actually applied to a block size n symbol."""
-        t = np.array(self.values, dtype=complex)
-        if self.gd_reduced:
-            idx = np.arange(1, len(t) + 1)
-            t[idx % n == 0] = 0.0
-        return t
+        if not self.gd_reduced:
+            return np.array(self.values, dtype=complex)
+        return np.array(
+            [0.0 if i % n == 0 else v for i, v in enumerate(self.values, start=1)], dtype=complex
+        )
 
     def negated(self) -> TimeVector:
         """The reversed flow: every time with its sign flipped."""
@@ -276,14 +275,11 @@ def lambda_power(n: int, k: int) -> LaurentMatrix:
     return fold_scalar(np.ones(1), k, n)
 
 
-def _one_phase(t: np.ndarray) -> bool:
-    """Whether t_i = |t_i| w^i for one unit w (true for all-zero times).
+def _one_phase(nz: list) -> bool:
+    """Whether the nonzero times (i, t_i) follow t_i = |t_i| w^i for one unit w.
 
     Then every term of p_k has the phase w^k and nothing cancels.
     """
-    nz = [(i, v) for i, v in enumerate(t.tolist(), start=1) if v]
-    if not nz:
-        return True
     j, tj = nz[0]
     for m in range(j):
         w = cmath.exp(1j * (cmath.phase(tj) + 2 * math.pi * m) / j)
@@ -296,45 +292,59 @@ def schur_numeric(tvals, kmax: int) -> np.ndarray:
     """Numeric values p_0..p_kmax of the Schur sequence at given times, as complex.
 
     p_k is the zeta^k coefficient of prod_i exp(t_i zeta^i).  The series of
-    each factor, t_i^m / m! at index i*m, is one cumprod cut at its last
-    entry that is a normal double (np.finfo(float).tiny): the subnormal
-    ones past it cost several times a normal multiply in the convolutions
-    and move no value above the double range's floor.  The first
-    nonzero time's factor is written into p in place; each later one enters
-    by one truncated convolution, O(kmax * factor length); zero times are
-    skipped.  Real times run in real arithmetic, complex ones in complex.
-    Times of mixed sign or phase make p_k a sum of terms far larger than
-    itself; those run in the platform's extended precision (np.longdouble
-    or np.clongdouble, 64-bit mantissa on x86, several times slower), and
-    p is rounded to complex once at the end.
+    every nonzero time's factor, t_i^m / m! at index i*m, comes from one
+    cumprod over the (nonzero times x m) ratios t_i / m.  Each is cut at
+    its last entry >= eps / (kmax + 1) times its largest one, eps the
+    working precision's: the at most kmax + 1 entries past that cut move
+    p_k by less than eps times the largest product of terms, the round-off
+    of the convolution itself.  The cut sits far above the least normal
+    double, so no subnormal is multiplied.  The first nonzero time's
+    factor is p's start; each later one enters by one convolution with
+    the running product, which stays at its live length (at most kmax + 1)
+    and is padded to kmax + 1 once.  Real times run in real arithmetic,
+    complex ones in complex.  Times of mixed sign or phase make p_k a sum
+    of terms far larger than itself; those run in the platform's extended
+    precision (np.longdouble or np.clongdouble, 64-bit mantissa on x86,
+    several times slower) with its own eps, and p is rounded to complex
+    once at the end.
     """
-    return _schur_values(tvals, kmax, _TINY)
+    return _schur_values(tvals, kmax, cut=True)
 
 
-def _schur_values(tvals, kmax: int, floor: float) -> np.ndarray:
-    """schur_numeric with each factor's series cut at its last entry >= floor."""
-    t = np.asarray(tvals, dtype=complex)[:kmax]
-    real = not t.imag.any()
-    if real:
-        t = t.real
-    short = float if real else complex
-    dtype = short if _one_phase(t) else (np.longdouble if real else np.clongdouble)
-    p = np.zeros(kmax + 1, dtype=dtype)
-    p[0] = 1.0
-    first = True
-    for i, ti in enumerate(t.astype(dtype, copy=False), start=1):
-        if ti == 0:
-            continue
-        c = np.cumprod(np.concatenate([[1.0], ti / np.arange(1, kmax // i + 1)]))
-        c = c[: np.count_nonzero(np.abs(c.astype(short, copy=False)) >= floor)]
-        if first:  # p is 1, 0, 0, ...: the product is the factor itself
-            p[: i * len(c) : i] = c
-            first = False
-            continue
-        factor = np.zeros(i * (len(c) - 1) + 1, dtype=dtype)
-        factor[::i] = c
+def _schur_values(tvals, kmax: int, cut: bool) -> np.ndarray:
+    """schur_numeric, its factors cut at working precision or (cut=False) kept whole."""
+    t = np.asarray(tvals, dtype=complex)[:kmax].tolist()
+    nz = [(i, v) for i, v in enumerate(t, start=1) if v]  # (index, time) of each factor
+    out = np.zeros(kmax + 1, dtype=complex)
+    if not nz:
+        out[0] = 1.0
+        return out
+    real = not any(v.imag for _, v in nz)
+    dtype = (float if real else complex) if _one_phase(nz) else (
+        np.longdouble if real else np.clongdouble
+    )
+    i = [k for k, _ in nz]
+    m = np.arange(kmax // i[0] + 1)
+    # entry m of factor i sits at index i*m: past kmax its ratio is 0
+    c = np.zeros((len(i), len(m)), dtype=dtype)
+    c[:, 0] = 1.0
+    ti = np.array([v.real if real else v for _, v in nz], dtype=dtype)
+    np.divide(ti[:, None], m[1:], out=c[:, 1:], where=m[1:] <= kmax // np.array(i)[:, None])
+    c = np.cumprod(c, axis=1)
+    if cut:
+        a = np.abs(c)
+        keep = a >= np.finfo(dtype).eps / (kmax + 1) * a.max(axis=1, keepdims=True)
+        stop = (len(m) - np.argmax(keep[:, ::-1], axis=1)).tolist()  # past the last entry kept
+    else:
+        stop = [kmax // k + 1 for k in i]
+    p = np.zeros(i[0] * (stop[0] - 1) + 1, dtype=dtype)
+    p[:: i[0]] = c[0, : stop[0]]
+    for ik, ck, sk in zip(i[1:], c[1:], stop[1:]):
+        factor = np.zeros(ik * (sk - 1) + 1, dtype=dtype)
+        factor[::ik] = ck[:sk]
         p = np.convolve(p, factor)[: kmax + 1]
-    return p.astype(complex)
+    out[: len(p)] = p
+    return out
 
 
 def exp_xi_lambda(t: TimeVector, n: int, band: tuple[int, int]) -> LaurentMatrix:
@@ -344,15 +354,15 @@ def exp_xi_lambda(t: TimeVector, n: int, band: tuple[int, int]) -> LaurentMatrix
     values p_0..p_kmax, one value per entry.  The modes past the band are
     dropped unchecked; a caller that needs the band to hold the whole
     function checks the tail itself (gd_symbol's exact_only=False).  A
-    band with mode 0 holds p_0 = 1, far above what schur_numeric's cut at
-    the least normal double drops; a band above mode 0 may hold nothing
-    larger than that (a time of 5e-324 has mode 1 = 5e-324 at n = 1), so
-    it reads the series uncut.
+    band with mode 0 holds p_0 = 1, and schur_numeric's cut at working
+    precision drops nothing above its round-off; a band above mode 0 may
+    hold nothing larger than what that cut drops (a time of 1e-20 has mode
+    1 = 1e-20 at n = 1), so it reads the series uncut.
     """
     lo, hi = band
     if hi < 0:
         raise ValueError("exp(xi) has no negative modes; need hi >= 0")
-    p = _schur_values(t.effective(n), n * hi + n - 1, _TINY if lo <= 0 else 0.0)
+    p = _schur_values(t.effective(n), n * hi + n - 1, cut=lo <= 0)
     return LaurentMatrix(n, lo, hi, fold(p, 0, n, band))
 
 
@@ -365,12 +375,23 @@ def _check_schur_tail(p: np.ndarray, k0: int) -> None:
         raise TruncationError(f"Schur values from p_{k0} reach {edge:.3g} (band too small)")
 
 
+@lru_cache
+def _fiber(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per block size n (cached, read-only): the roots of unity w^i (w =
+    e^(2 pi i/n)), and for d = b - a on the n x n entries the indices n - 1
+    + d and d mod n."""
+    i = np.arange(n)
+    d = i - i[:, None]
+    out = np.exp(2j * np.pi * i / n), n - 1 + d, d % n
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def root_grid(z: np.ndarray, n: int) -> np.ndarray:
     """The n-th roots of each z: shape z.shape + (n,), principal root first."""
     z = np.asarray(z, dtype=complex)
-    zeta1 = z ** (1.0 / n)
-    omega = np.exp(2j * np.pi * np.arange(n) / n)
-    return zeta1[..., None] * omega
+    return (z ** (1.0 / n))[..., None] * _fiber(n)[0]
 
 
 def exp_xi_values(t: TimeVector, n: int, z) -> np.ndarray:
@@ -381,19 +402,29 @@ def exp_xi_values(t: TimeVector, n: int, z) -> np.ndarray:
     With zeta_i = zeta_1 w^i (w = e^(2 pi i/n)), V = F diag(zeta_1^a) for
     the n-point DFT matrix F, and V^-1 = diag(zeta_1^-a) conj(F) / n.  So
     entry (a, b) is zeta_1^(b-a) c_((b-a) mod n), c the inverse DFT of
-    e^xi(zeta_i) over the n roots: no solve.
+    e^xi(zeta_i) over the n roots: no solve (_exp_xi).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zeta = root_grid(z, n)                      # ( ..., n)
-    xi = power_sum(t.effective(n), 1, zeta)     # sum_k t_k zeta_i^k
+    return _exp_xi(t.effective(n), n, z)
+
+
+def _exp_xi(t_eff: np.ndarray, n: int, z: np.ndarray, row=Ellipsis) -> np.ndarray:
+    """The closed form of exp_xi_values at the applied times t_eff.
+
+    row=Ellipsis gives every entry at every z, shape z.shape + (n, n);
+    row=np.arange(len(z))[:, None] gives row a at z[a] only, shape
+    (len(z), n).
+    """
+    roots, shift, wrap = _fiber(n)
+    zeta1 = z ** (1.0 / n)
+    xi = power_sum(t_eff, 1, zeta1[..., None] * roots)  # sum_k t_k zeta_i^k
     c = np.fft.ifft(np.exp(xi), axis=-1)
     # zeta_1^d for d = -(n-1) .. n-1 at index n-1+d, by repeated products
     pw = np.ones(z.shape + (2 * n - 1,), dtype=complex)
     for k in range(1, n):
-        pw[..., n - 1 + k] = pw[..., n - 2 + k] * zeta[..., 0]
-        pw[..., n - 1 - k] = pw[..., n - k] / zeta[..., 0]
-    d = np.arange(n) - np.arange(n)[:, None]    # b - a
-    return pw[..., n - 1 + d] * c[..., d % n]
+        pw[..., n - 1 + k] = pw[..., n - 2 + k] * zeta1
+        pw[..., n - 1 - k] = pw[..., n - k] / zeta1
+    return pw[row, shift] * c[row, wrap]
 
 
 # -- deformed symbol ---------------------------------------------------------

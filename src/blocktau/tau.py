@@ -58,9 +58,9 @@ from .symbols import (
     INVERSE_CUT,
     SymbolSpec,
     TimeVector,
+    _exp_xi,
     base_inverse,
     base_symbol,
-    exp_xi_values,
     fold,
     gd_symbol,
     schur_numeric,
@@ -651,13 +651,15 @@ def tau_stable_report(
     corner, and I - K is block lower triangular past the j'-block corner of
     K and has its determinant.  W has no positive modes and e^-1 no
     negative ones, so that corner is H(e) V T(e^-1), V = T(W~) H(W~^-1)
-    fixed per spec, and V is X Y of rank r up to its round-off (the plan,
+    fixed per spec; V's rows and columns of component 0 are zero, and its
+    live block is X Y of rank r up to its round-off (the plan,
     _symbol_core).  By Sylvester's identity det(I - H(e) X Y T(e^-1)) =
     det(I_r - F), F = (Y T(e^-1)) (H(e) X): a point computes the Schur
     values of e and e^-1 (one sequence when every even time is zero),
-    gathers H(e) and T(e^-1) from them by the plan's index arrays, takes
-    two thin GEMMs (_corner_factors), F and an r x r determinant; no
-    LaurentMatrix is built per point.  fredholm_det gets I_r - F with the
+    gathers H(e) on the columns of V's live rows and T(e^-1) on the rows
+    of its live columns by the plan's index arrays, takes two thin GEMMs
+    (_corner_factors), F and an r x r determinant; no LaurentMatrix is
+    built per point.  fredholm_det gets I_r - F with the
     window size j', the M_used it reports.
     NearSingularSymbol is raised when cond T_1(g^-1) exceeds COND_LIMIT on
     the first route, and on the second when ||W||_W ||W^-1||_W ||e||_W
@@ -687,16 +689,20 @@ class _CornerPlan:
     e^-1 as series in zeta = z^(1/n).  W has no positive modes and e^-1 no
     negative ones, so the j'-block corner of K = H(g) H(g~^-1) is H(e) V
     T(e^-1), with V = T(W~) H(W~^-1) on R = j' - W.lo block rows and j'
-    block columns, fixed per spec.  X Y is V's thin SVD cut at its r
-    singular values above INVERSE_CUT sigma_1 (X = U_r Sigma_r, Y = Vh_r):
-    the rest are round-off.  X and YT = Y^T are C-contiguous, so that a
-    real matrix multiplies either in one real GEMM (_by_complex).
-    p[hankel] is H(e) on j' x R blocks, entry (kn + a, ln + b) p at n(k +
-    l + 1) + a - b, at most kmax; q[toeplitz], q with a zero appended, is
-    T(e^-1), the lower-triangular scalar Toeplitz matrix of q, the zero
-    above its diagonal.  spectral_norms is ||W||_W ||W^-1||_W with the
-    Wiener norm ||a||_W = sum_k ||a_k||_2, the gate's base factor, and eye
-    is I_r.
+    block columns, fixed per spec.  V's rows and columns of component 0
+    are exactly zero (W and W^-1 are diagonal with entry 0 the constant
+    1), so the plan keeps only its live ones, the rows and columns with a
+    nonzero entry: n - 1 of every n.  X Y is the thin SVD of that live
+    block cut at its r singular values above INVERSE_CUT sigma_1 (X = U_r
+    Sigma_r, Y = Vh_r): the rest are round-off.  X and YT = Y^T are
+    C-contiguous, so that a real matrix multiplies either in one real GEMM
+    (_by_complex).  p[hankel] is H(e) on j' block rows and V's live rows
+    as columns, entry (kn + a, ln + b) p at n(k + l + 1) + a - b, at most
+    kmax; q[toeplitz], q with a zero appended, is T(e^-1)^T on j' block
+    rows and V's live columns as columns: T(e^-1) is the lower-triangular
+    scalar Toeplitz matrix of q, the zero above its diagonal.
+    spectral_norms is ||W||_W ||W^-1||_W with the Wiener norm ||a||_W =
+    sum_k ||a_k||_2, the gate's base factor, and eye is I_r.
     """
 
     n: int
@@ -720,19 +726,23 @@ def _symbol_core(spec: SymbolSpec) -> _CornerPlan:
     tests/oracles.py::corner_middle.  In the flat indices I = kn + a and C
     = ln + b, entry (I, C) of H(e) is p at I + C + n - 2b, and entry (I,
     I') of T(e^-1) is q at I - I', or the appended zero (index kmax_inv +
-    1) where that is negative.
+    1) where that is negative.  The SVD, both gathers and both GEMMs run
+    on V's live rows and columns: half of V at n = 2, two thirds at n = 3
+    and three quarters at n = 4 (the tests' covering specs keep r = 22 of
+    a 59 x 32 block, 34 of 124 x 66 and 47 of 186 x 96).
     """
     n = spec.n
     w, w_inv = base_symbol(spec), base_inverse(spec)
     j, lo = -int(w_inv.lo), int(w.lo)
     q = np.arange(j)
     V = w.block_matrix(q - np.arange(j - lo)[:, None]) @ w_inv.block_matrix(-(q[:, None] + q + 1))
-    U, s, Vh = np.linalg.svd(V, full_matrices=False)
+    rows, cols = np.flatnonzero(V.any(axis=1)), np.flatnonzero(V.any(axis=0))
+    U, s, Vh = np.linalg.svd(V[np.ix_(rows, cols)], full_matrices=False)
     r = int(np.count_nonzero(s > INVERSE_CUT * s[0]))
     X, YT = U[:, :r] * s[:r], Vh[:r].T.copy()
-    i, c = np.arange(n * j)[:, None], np.arange(len(V))
-    hankel = i + c + n - 2 * (c % n)
-    toeplitz = i - np.arange(n * j)
+    i = np.arange(n * j)
+    hankel = i[:, None] + rows + n - 2 * (rows % n)
+    toeplitz = cols[None, :] - i[:, None]
     toeplitz[toeplitz < 0] = n * j
     eye = np.eye(r)
     _read_only(X, YT, hankel, toeplitz, eye)
@@ -782,15 +792,15 @@ def _corner_factors(spec: SymbolSpec, t: TimeVector) -> tuple[np.ndarray, np.nda
     ||S_d||_2 = 1, and each p_k sits on at most two modes, so 2 sum_k |p_k|
     >= ||e||_W on p's band: the product over coefficient sums bounds the
     spectral one and screens without a fold or an SVD.  Only above
-    COND_SCREEN are the spectral sums taken, and they decide.  _exp_tail
-    bounds e and e^-1 past their bands and is added to both."""
+    COND_SCREEN are the spectral sums taken, and they decide.  _exp_tails
+    takes both coefficient sums and the bounds of e and e^-1 past their
+    bands, added to both sums, in one read of |p| and |q|."""
     plan = _symbol_core(spec)
     n = plan.n
     t_eff = t.effective(n)
     p, q = _schur_pair(t_eff, plan.kmax, plan.kmax_inv)
-    t_abs = np.abs(t_eff)
-    tail, tail_inv = _exp_tail(p, t_abs, len(p) - n + 1), _exp_tail(q, t_abs, len(q) - n + 1)
-    screen = plan.spectral_norms * (2.0 * np.abs(p).sum() + tail) * (2.0 * np.abs(q).sum() + tail_inv)
+    sums, (tail, tail_inv) = _exp_tails(p, q, np.abs(t_eff), n)
+    screen = plan.spectral_norms * (sums[0] + tail) * (sums[1] + tail_inv)
     # not <=, so that the screen clears no NaN bound
     if not screen <= COND_SCREEN:
         cond = plan.spectral_norms * (_spectral_sum(p, n) + tail) * (_spectral_sum(q, n) + tail_inv)
@@ -801,7 +811,7 @@ def _corner_factors(spec: SymbolSpec, t: TimeVector) -> tuple[np.ndarray, np.nda
     if not t_eff.imag.any():  # real times: real Schur values, real GEMMs
         p, q = p.real, q.real
     left = _by_complex(p[plan.hankel], plan.X)
-    return left, _by_complex(np.append(q, 0.0)[plan.toeplitz].T, plan.YT).T
+    return left, _by_complex(np.append(q, 0.0)[plan.toeplitz], plan.YT).T
 
 
 def _by_complex(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -827,14 +837,24 @@ def _tail_powers(K: int) -> np.ndarray:
     return out
 
 
-def _exp_tail(p: np.ndarray, t_abs: np.ndarray, k0: int) -> float:
-    """2 sum_{k>=k0} |p_k(+-t)| >= sum_m ||e_m||_2 of exp(xi(+-t,L)) over the modes
-    with no p_k below k0 (p_k sits on two diagonals at most).  p holds the
-    Schur values p_0..p_K that the band reads, t_abs the moduli of the times
-    as applied; the rest is bounded by r^-(K+1) exp(sum_i |t_i| r^i), the
-    least over r in _TAIL_RADII."""
-    log_tail = t_abs @ _tail_powers(len(t_abs)) - len(p) * _LOG_TAIL_RADII
-    return 2.0 * (float(np.abs(p[k0:]).sum()) + float(np.exp(log_tail.min())))
+def _exp_tails(p: np.ndarray, q: np.ndarray, t_abs: np.ndarray, n: int):
+    """(2 sum_k |p_k|, 2 sum_k |q_k|) and the tails of e = exp(xi(t,L)) and
+    e^-1, each 2 sum_{k>=k0} |p_k(+-t)| >= sum_m ||e_m||_2 over the modes
+    with no p_k below k0 = K - n + 1 (p_k sits on two diagonals at most).
+    p and q hold the Schur values p_0..p_K that the bands read and t_abs
+    the moduli of the times as applied; past K the values are bounded by
+    r^-(K+1) exp(sum_i |t_i| r^i), the least over r in _TAIL_RADII, and
+    sum_i |t_i| r^i serves both.  |p| and |q| are read once: one reduceat
+    gives the four partial sums."""
+    lens = np.array([len(p), len(q)])
+    a = np.abs(np.concatenate([p, q]))
+    head_p, tail_p, head_q, tail_q = np.add.reduceat(
+        a, [0, lens[0] - n + 1, lens[0], lens.sum() - n + 1]
+    ).tolist()
+    log_tail = t_abs @ _tail_powers(len(t_abs)) - lens[:, None] * _LOG_TAIL_RADII
+    far_p, far_q = np.exp(log_tail.min(axis=1)).tolist()
+    sums = (2.0 * (head_p + tail_p), 2.0 * (head_q + tail_q))
+    return sums, (2.0 * (tail_p + far_p), 2.0 * (tail_q + far_q))
 
 
 def _finite_rank(spec: SymbolSpec, t: TimeVector) -> StableTauReport:
@@ -844,8 +864,13 @@ def _finite_rank(spec: SymbolSpec, t: TimeVector) -> StableTauReport:
     the contour integral of row a of exp(xi(-t,L(z))) dz / (z - c_a^2):
     W^-1 = diag(z / (z - c_a^2)) has its one pole inside the circle and
     exp(xi(-t,L(z))) is entire.  So it is row a of exp(xi(-t,L)) at z =
-    c_a^2, the closed form of exp_xi_values: no W^-1 series, no Schur
-    values.  G = det W_0 = 1 (Day's G^j with j = 1).
+    c_a^2, the closed form of exp_xi_values read at that row alone: no W^-1
+    series, no Schur values.  G = det W_0 = 1 (Day's G^j with j = 1).
+
+    The inverse that est_error needs screens the conditioning, as
+    laurent.invert_symbol does: ||T||_F ||T^-1||_F >= cond_2 T at most
+    COND_SCREEN clears the point, and only above it (or when the inverse
+    fails) does the SVD decide against COND_LIMIT.
 
     Entry (a, b) of that closed form is zeta^d c_(d mod n), d = b - a,
     zeta = (c_a^2)^(1/n), c the inverse DFT of exp(-xi) over the n roots
@@ -862,20 +887,28 @@ def _finite_rank(spec: SymbolSpec, t: TimeVector) -> StableTauReport:
     """
     n, i = spec.n, np.arange(spec.n)
     z = np.array(spec.params) ** 2
-    T = exp_xi_values(t.negated(), n, z)[i, i]
+    t_eff = t.effective(n)
+    T = _exp_xi(-t_eff, n, z, i[:, None])
     value = complex(np.linalg.det(T))
-    sv = np.linalg.svd(T, compute_uv=False)
-    if not sv[0] <= COND_LIMIT * sv[-1]:
-        raise NearSingularSymbol(
-            f"condition number {sv[0] / sv[-1]:.3g} of T_1(g^-1) exceeds {COND_LIMIT:g}"
-        )
-    t_abs = np.abs(t.effective(n))
+    try:
+        inv = np.linalg.inv(T)
+    except np.linalg.LinAlgError:  # an exactly zero pivot: cond_2 T > 1e15, the SVD refuses
+        screened = False
+    else:
+        screened = np.vdot(T, T).real * np.vdot(inv, inv).real <= COND_SCREEN**2
+    if not screened:
+        sv = np.linalg.svd(T, compute_uv=False)
+        if not sv[0] <= COND_LIMIT * sv[-1]:
+            raise NearSingularSymbol(
+                f"condition number {sv[0] / sv[-1]:.3g} of T_1(g^-1) exceeds {COND_LIMIT:g}"
+            )
+    K = len(t_eff)
     r = np.abs(z)[:, None] ** (1.0 / n)  # |zeta| of each row
     power = r ** (i - i[:, None])  # |zeta|^(b - a)
-    c_norm = np.sqrt(np.sum((np.abs(T) / power) ** 2, axis=1, keepdims=True))
-    xi_abs = r ** np.arange(1, len(t_abs) + 1) @ t_abs[:, None]
-    delta = power * (_EPS * c_norm * (5 * len(t_abs) * xi_abs + 8 * n + 2))
-    est = float(np.sum(np.abs(value * np.linalg.inv(T)).T * delta))
+    c_norm = np.sqrt(np.square(np.abs(T) / power).sum(axis=1, keepdims=True))
+    xi_abs = r ** np.arange(1, K + 1) @ np.abs(t_eff)[:, None]
+    delta = power * (c_norm * (5 * K * xi_abs + 8 * n + 2))
+    est = _EPS * float(np.vdot(np.abs(value * inv).T, delta))
     return StableTauReport(value, est, "finite_rank", 1)
 
 

@@ -10,8 +10,11 @@ reference for the rank-r route of tau.tau_graded; gd_symbol_inverse is
 the banded inverse of the deformed symbol, the wide-band reference for
 the Hankel corner of tau.tau_stable; hankel_corner_reference is that
 corner as the three-factor product H(e) V T(e^-1), with V from
-corner_middle, the reference for the route's rank-r factor, and
-stable_tau_reference tau.tau_stable_report by the Schur-series assembly;
+corner_middle, the reference for the route's rank-r factor;
+full_v_corner_tau is the route's determinant with the rank-r factor of
+the whole V, zero rows and columns included, the reference for the live
+block the route keeps; stable_tau_reference is tau.tau_stable_report by
+the Schur-series assembly;
 read_csv reads back the coefficient CSVs the command line writes;
 minus_factor_at_depth is the Wiener-Hopf minus factor from the projection
 system at a fixed depth, assembled block by block, the deep reference for
@@ -41,6 +44,7 @@ from blocktau.laurent import (
     transform_tail,
 )
 from blocktau.symbols import (
+    INVERSE_CUT,
     _check_schur_tail,
     base_inverse,
     base_symbol,
@@ -234,6 +238,28 @@ def hankel_corner_reference(spec, t):
     e_inv = exp_xi_lambda(t.negated(), n, (0, j - 1))
     i = np.arange(j)
     return e.block_matrix(i[:, None] + np.arange(1, R + 1)) @ V @ e_inv.block_matrix(i[:, None] - i)
+
+
+def full_v_corner_tau(spec, t):
+    """The covering route's det(I_r - F) on the whole of V = corner_middle(spec).
+
+    X Y is the thin SVD of V, zero rows and columns of component 0
+    included, cut at its singular values above INVERSE_CUT sigma_1, and F
+    = (Y T(e^-1)) (H(e) X) with H(e) (j' x R blocks) and T(e^-1) (j' x j')
+    laid out with block_matrix from exp_xi_lambda: the layout the route
+    had before it kept only V's live rows and columns, whose tau it must
+    meet to the conditioning of I - K.  No gate is applied.
+    """
+    n = spec.n
+    V = corner_middle(spec)
+    U, s, Vh = np.linalg.svd(V, full_matrices=False)
+    r = int(np.count_nonzero(s > INVERSE_CUT * s[0]))
+    R, j = len(V) // n, V.shape[1] // n
+    i = np.arange(j)
+    H = exp_xi_lambda(t, n, (0, j + R - 1)).block_matrix(i[:, None] + np.arange(1, R + 1))
+    T = exp_xi_lambda(t.negated(), n, (0, j - 1)).block_matrix(i[:, None] - i)
+    F = (Vh[:r] @ T) @ (H @ (U[:, :r] * s[:r]))
+    return complex(np.linalg.det(np.eye(r) - F))
 
 
 def stable_tau_reference(spec, t):

@@ -234,6 +234,29 @@ def test_derived_depth_raises_at_the_derived_depth():
         wiener_hopf(_samples(M=512), tol=1e-17)
 
 
+def test_a_zero_of_tau_is_not_reported_as_a_depth_problem():
+    # tau = cosh(0.3 t1)^3 vanishes at t1 = i pi / 0.6 = 5.23599i; at
+    # 5.2359i the solve at g's own depth, which is exact, misses tol by
+    # eighteen decades (residual 7.8e8), and more depth cannot help
+    x = _samples(RSPEC, time_vector([5.2359j, 0.0, 0.0]))
+    with pytest.raises(FactorizationError) as exc:
+        wiener_hopf(x)
+    msg = str(exc.value)
+    assert "at depth B=1; g may have no factorization here" in msg
+    assert "or the sample grid is too coarse" in msg
+    assert "increase the depth" not in msg
+
+
+def test_a_capped_solve_advises_more_depth():
+    # the covering minus factor reaches mode -27: a solve capped at B = 4
+    # misses tol, and only there is more depth the advice
+    with pytest.raises(FactorizationError) as exc:
+        wiener_hopf(_samples(CSPEC, CTV), B=4, tol=1e-9)
+    assert str(exc.value).endswith(
+        "at depth B=4; g reaches depth 27: increase the depth or the sample grid"
+    )
+
+
 def test_alias_guard():
     with pytest.raises(AliasError):
         wiener_hopf(_samples(M=64), B=40)

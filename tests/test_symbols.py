@@ -176,8 +176,8 @@ def test_schur_numeric_matches_recurrence_on_its_own_scale(t, kmax):
         ((-4, 1, -2, 0.5, -1), 181),
         # a lone time: its factor is written into p with no convolution
         ((0, 0, 2.0, 0, 0), 60),
-        # small times: each factor is cut at its last normal double, well
-        # short of kmax, and p ends below the normal range
+        # small times: each factor is cut at working precision, well short
+        # of kmax
         ((0.2, 0, 0.1, 0, 0.05), 181),
     ],
     ids=[
@@ -194,6 +194,40 @@ def test_schur_numeric_matches_mpmath(t, kmax):
     got, want = schur_numeric(t, kmax), schur_mpmath(t, kmax)
     assert got.dtype == np.complex128
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+# the four arithmetic paths of schur_numeric along the covering route's
+# directions, at its kmax = 181 for n = 2: real times of one phase (float),
+# of mixed sign (long double), complex times of one phase w = e^0.3i
+# (complex) and of mixed phase (complex long double)
+_W = np.exp(0.3j)
+SCHUR_PATHS = {
+    "float": (1, 0, 0.5, 0, 0.25),
+    "long-double": (-1, 0, 0.5, 0, -0.25),
+    "complex": (_W, 0, 0.5 * _W**3, 0, 0.25 * _W**5),
+    "mixed-phase": (1, 0, 0.5j, 0, 0.25),
+}
+
+
+@pytest.mark.parametrize("s", [0.2, 7.5])
+@pytest.mark.parametrize("path", list(SCHUR_PATHS))
+def test_schur_numeric_cut_at_working_precision_meets_mpmath(path, s):
+    # each factor is cut at its last entry >= eps / (kmax + 1) of its
+    # largest, eps the working precision's: what the cut drops stays below
+    # the round-off of the product
+    t = [s * d for d in SCHUR_PATHS[path]]
+    got, want = schur_numeric(t, 181), schur_mpmath(t, 181)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("s", [0.2, 1.0, 2.5])
+@pytest.mark.parametrize("path", ["float", "complex"])
+def test_schur_numeric_ends_short_of_kmax_at_small_times(path, s):
+    # in double precision the running product stays at its live length,
+    # short of kmax + 1 = 182 up to s = 2.5, and is padded with zeros
+    p = schur_numeric([s * d for d in SCHUR_PATHS[path]], 181)
+    assert len(p) == 182
+    assert np.flatnonzero(p)[-1] < 181
 
 
 def test_schur_numeric_of_one_time_is_its_exponential_series():

@@ -59,6 +59,7 @@ from blocktau.toeplitz import (
 from oracles import (
     COVERING_TAU_32,
     corner_middle,
+    full_v_corner_tau,
     gd_symbol_inverse,
     hankel_corner_reference,
     rational_tau_mpmath,
@@ -73,6 +74,8 @@ CSPEC3 = covering_spec([0.3, -0.25, 0.35j, -0.2 - 0.15j], 3)
 # the n = 3 covering whose stable tau loses digits past s ~ 6 along DIAG3
 CSPEC3B = covering_spec([0.3, -0.25, 0.35j, 0.2 + 0.2j], 3)
 CSPEC4 = covering_spec([0.3, -0.25, 0.35j, 0.2 + 0.2j, -0.15j], 4)
+# the covering with roots of modulus <= 0.05 has its cut W end at mode -11
+SMALL_COVERING = covering_spec([0.05, -0.04, 0.03j], 2)
 DIAG, DIAG3 = (1, 0, 0.5, 0, 0.25), (1, 0.5, 0, 0.25, 0.1)
 D, C = 0.3, 0.6
 
@@ -500,39 +503,87 @@ def test_hankel_corner_is_the_wide_band_product(spec, direction, s):
     assert np.abs(left @ right - wide[:, :nj]).max() <= 1e-13 * np.abs(wide).max()
 
 
+def _live(V):
+    """The rows and columns of V with a nonzero entry, the ones the plan keeps."""
+    return np.flatnonzero(V.any(axis=1)), np.flatnonzero(V.any(axis=0))
+
+
 @pytest.mark.parametrize(
     "spec, direction", [(CSPEC, DIAG), (CSPEC3B, DIAG3), (CSPEC4, DIAG)], ids=["n2", "n3", "n4"]
 )
 def test_corner_gathers_are_the_block_layouts_of_e(spec, direction):
     # p[hankel] is H(e) on j' x R blocks, block (k, l) mode k + l + 1 of e,
-    # and q[toeplitz] is T(e^-1) on j' x j' blocks, block (k, l) mode k - l
-    # of e^-1: every entry one Schur value, so an index off by one shows at
-    # O(max|p|)
-    plan, n = tau_module._symbol_core(spec), spec.n
+    # on the columns of V's live rows, and q[toeplitz] is T(e^-1) on j' x j'
+    # blocks, block (k, l) mode k - l of e^-1, on the rows of V's live
+    # columns, transposed: every entry one Schur value, so an index off by
+    # one shows at O(max|p|)
+    plan, n, V = tau_module._symbol_core(spec), spec.n, corner_middle(spec)
     tv = time_vector([2.0 * d for d in direction])
     p, q = tau_module._schur_pair(tv.effective(n), plan.kmax, plan.kmax_inv)
-    j, R = plan.j, plan.hankel.shape[1] // n
+    j, R = plan.j, len(V) // n
+    rows, cols = _live(V)
     i = np.arange(j)
     h = exp_xi_lambda(tv, n, (0, j + R - 1)).block_matrix(i[:, None] + np.arange(1, R + 1))
     toe = exp_xi_lambda(tv.negated(), n, (0, j - 1)).block_matrix(i[:, None] - i)
-    assert np.abs(p[plan.hankel] - h).max() <= 1e-15 * np.abs(h).max()
-    assert np.abs(np.append(q, 0.0)[plan.toeplitz] - toe).max() <= 1e-15 * np.abs(toe).max()
+    assert np.abs(p[plan.hankel] - h[:, rows]).max() <= 1e-15 * np.abs(h).max()
+    got = np.append(q, 0.0)[plan.toeplitz]
+    assert np.abs(got - toe[cols].T).max() <= 1e-15 * np.abs(toe).max()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [CSPEC, CSPEC3, CSPEC3B, CSPEC4, SMALL_COVERING],
+    ids=["n2", "n3", "n3b", "n4", "n2-small"],
+)
+def test_corner_drops_only_the_zero_rows_and_columns_of_V(spec):
+    # W and W^-1 are diagonal with component 0 the constant 1, so V's rows
+    # and columns of component 0 are exactly zero and the rest are live;
+    # X Y with those zeros put back is V up to its round-off
+    plan, n, V = tau_module._symbol_core(spec), spec.n, corner_middle(spec)
+    rows, cols = _live(V)
+    assert np.array_equal(rows, np.flatnonzero(np.arange(len(V)) % n))
+    assert np.array_equal(cols, np.flatnonzero(np.arange(V.shape[1]) % n))
+    assert (len(plan.X), len(plan.YT)) == (len(rows), len(cols))
+    full = np.zeros_like(V)
+    full[np.ix_(rows, cols)] = plan.X @ plan.YT.T
+    sigma = np.linalg.norm(V, 2)
+    assert np.linalg.norm(full - V, 2) <= 32 * np.finfo(float).eps * sigma
 
 
 @pytest.mark.parametrize("spec", [CSPEC, CSPEC3B, CSPEC4], ids=["n2", "n3", "n4"])
 def test_corner_factor_is_V_up_to_its_round_off(spec):
-    # X Y keeps one column and row per singular value of V = T(W~) H(W~^-1)
-    # above INVERSE_CUT sigma_1 (22, 35 and 47 of 64, 99 and 128 here) and
+    # X Y keeps one column and row per singular value of V's live block
+    # above INVERSE_CUT sigma_1 (22, 34 and 47 of 32, 66 and 96 here) and
     # drops the rest, each below eps sigma_1 / 2.  LAPACK's SVD is backward
     # stable, the exact SVD of V + E with ||E||_2 a modest multiple of eps
     # ||V||_2 (LAPACK Users' Guide, sec. 4.9), so ||X Y - V||_2 is that
-    # backward error plus sigma_(r+1): 0.9, 13.7 and 14.4 eps sigma_1 here
+    # backward error plus sigma_(r+1): 0.9, 13.6 and 2.8 eps sigma_1 here
     plan, V = tau_module._symbol_core(spec), corner_middle(spec)
+    V = V[np.ix_(*_live(V))]
     sv = np.linalg.svd(V, full_matrices=False)[1]
     r = plan.X.shape[1]
     assert plan.X.shape == (len(V), r) and plan.YT.shape == (V.shape[1], r)
     assert r == np.count_nonzero(sv > INVERSE_CUT * sv[0])
     assert np.linalg.norm(plan.X @ plan.YT.T - V, 2) <= 32 * np.finfo(float).eps * sv[0]
+
+
+@pytest.mark.parametrize(
+    "spec", [CSPEC, CSPEC3, CSPEC3B, CSPEC4], ids=["n2", "n3", "n3b", "n4"]
+)
+def test_live_corner_meets_the_full_V_plan(spec):
+    # the plan's rank-r factor of V's live block, against the one of the
+    # whole V (the route's layout before it dropped V's zero rows and
+    # columns): the SVDs differ in round-off, so the values may differ by
+    # the conditioning of I - K, along one-phase, mixed-sign and complex
+    # directions, GD-reduced and full times
+    eps = np.finfo(float).eps
+    directions = [DIAG, DIAG3, (-1, 0.3, 0.5, -0.2, 0.25), (1, 0.2j, 0.5j, 0, -0.25)]
+    for direction, s, reduced in product(directions, (0.5, 3.0, 6.0), (True, False)):
+        tv = time_vector([s * d for d in direction], reduced)
+        got, want = tau_stable(spec, tv), full_v_corner_tau(spec, tv)
+        K = hankel_corner_reference(spec, tv)
+        cond = np.linalg.cond(np.eye(len(K)) - K, 1)
+        assert abs(got - want) <= 8 * eps * cond * abs(want)
 
 
 @pytest.mark.parametrize("spec", [CSPEC, CSPEC3B, CSPEC4], ids=["n2", "n3", "n4"])
@@ -551,17 +602,19 @@ def test_covering_gate_bounds_the_band_pair(monkeypatch, s):
     # ||W||_W ||W^-1||_W ||e||_W ||e^-1||_W >= ||g||_W ||g^-1||_W of any band,
     # here the pair g, g^-1 on the band B = 32 that the gate once read
     tv = time_vector([s * d for d in DIAG])
-    seen, exp_tail = [], tau_module._exp_tail
+    seen, exp_tails = [], tau_module._exp_tails
 
-    def spy(p, *args):
-        seen.append((p, exp_tail(p, *args)))
-        return seen[-1][1]
+    def spy(*args):
+        seen.append(exp_tails(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(tau_module, "_exp_tail", spy)
+    monkeypatch.setattr(tau_module, "_exp_tails", spy)
     tau_stable(CSPEC, tv)
-    (p, tail), (q, tail_inv) = seen  # the Schur values of e and e^-1 and their tails
+    ((_, (tail, tail_inv)),) = seen  # the tails of e and e^-1
+    plan = tau_module._symbol_core(CSPEC)
+    p, q = tau_module._schur_pair(tv.effective(2), plan.kmax, plan.kmax_inv)
     four = (
-        tau_module._symbol_core(CSPEC).spectral_norms
+        plan.spectral_norms
         * (tau_module._spectral_sum(p, 2) + tail)
         * (tau_module._spectral_sum(q, 2) + tail_inv)
     )
@@ -571,10 +624,6 @@ def test_covering_gate_bounds_the_band_pair(monkeypatch, s):
     g_inv = gd_symbol_inverse(CSPEC, tv, (-40, 40), exact_only=True)
     two = tau_module._mode_norms(g.coeffs, 2) * tau_module._mode_norms(g_inv.coeffs, 2)
     assert two <= four < 2.5 * two
-
-
-# the covering with roots of modulus <= 0.05 has its cut W end at mode -11
-SMALL_COVERING = covering_spec([0.05, -0.04, 0.03j], 2)
 
 
 def test_route_follows_whether_W_is_exact():
@@ -626,6 +675,22 @@ def test_finite_rank_route_refuses_a_singular_section():
     tv = time_vector((1j * np.pi / 0.6, 0.0, 0.0))
     with pytest.raises(NearSingularSymbol, match=r"of T_1\(g\^-1\) exceeds 1e\+12"):
         tau_stable(RSPEC, tv)
+
+
+@pytest.mark.parametrize("spec", [RSPEC, RSPEC3], ids=["n2", "n3"])
+def test_well_conditioned_finite_rank_point_takes_no_svd(monkeypatch, spec):
+    # the inverse that est_error reads screens the conditioning,
+    # ||T||_F ||T^-1||_F <= COND_SCREEN, so a well-conditioned section
+    # skips the SVD; the singular section above still refuses through it
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(
+        tau_module.np.linalg, "svd", lambda *a, **k: (calls.append(a), svd(*a, **k))[1]
+    )
+    rep = tau_stable_report(spec, time_vector([2.0 * d for d in DIAG3]))
+    assert rep.route == "finite_rank" and calls == []
+    with pytest.raises(NearSingularSymbol):
+        tau_stable(RSPEC, time_vector((1j * np.pi / 0.6, 0.0, 0.0)))
+    assert len(calls) == 1
 
 
 def test_stable_tau_routes():
@@ -799,9 +864,8 @@ def test_gate_screen_bounds_the_spectral_product(spec):
     for direction, s, reduced in product(directions, np.linspace(0.5, 9, 18), (True, False)):
         t_eff = time_vector(s * np.asarray(direction), reduced).effective(n)
         p, q = tau_module._schur_pair(t_eff, plan.kmax, plan.kmax_inv)
-        t_abs = np.abs(t_eff)
-        tail, tail_inv = (tau_module._exp_tail(a, t_abs, len(a) - n + 1) for a in (p, q))
-        screen = (2 * np.abs(p).sum() + tail) * (2 * np.abs(q).sum() + tail_inv)
+        (sum_p, sum_q), (tail, tail_inv) = tau_module._exp_tails(p, q, np.abs(t_eff), n)
+        screen = (sum_p + tail) * (sum_q + tail_inv)
         spectral = (tau_module._spectral_sum(p, n) + tail) * (tau_module._spectral_sum(q, n) + tail_inv)
         assert screen >= spectral
 
