@@ -172,9 +172,8 @@ def _factor(s: SymbolSpectra, B: int | None, tol: float) -> FactorizationResult:
     B = depth if B is None else min(B, depth)
     scale = float(np.max(np.abs(x.values)))
     # block system: sum_{k=1..B} (g^{-1})^(k-m) T_minus^(-k) = -(g^{-1})^(-m)
-    ms = np.arange(1, B + 1)
-    A = s.g_inv.block_matrix(ms[None, :] - ms[:, None])
-    rhs = -s.g_inv.block_matrix(-ms[:, None])
+    A = s.g_inv.section(B, B, 0, -1, 1)  # block (m, k) is mode k - m
+    rhs = -s.g_inv.section(B, 1, -1, -1, 1)  # block m is mode -m - 1
     try:
         X = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:

@@ -19,6 +19,11 @@ evaluated on a (shifted) uniform grid by one inverse FFT (grid_values,
 which inverse_transform also runs).  numpy.linalg stays the independent
 reference in the check registry and the tests.
 
+A Toeplitz or Hankel section of a band (LaurentMatrix.section) holds one
+strip of R + C - 1 modes, copied once and read through a strided view; T_N,
+the Wiener-Hopf system, lm_mul and the Hankel products are sections.
+Irregular index maps (folds, generator modes) go through gather_modes.
+
 A scalar series is the same (coeffs, lo) pair with one coefficient per
 power: the columns of a symbol read in zeta, the time series xi(t, zeta)
 and the branch of a spectral curve.  power_sum evaluates it, and a matrix
@@ -73,13 +78,39 @@ class LaurentMatrix:
             return self.coeffs[k - self.lo]
         return np.zeros((self.n, self.n), dtype=complex)
 
-    def block_matrix(self, modes) -> np.ndarray:
-        """Dense block matrix whose (r, c) block is g^(modes[r, c]).
+    def section(self, R: int, C: int, first: int, dr: int, dc: int) -> np.ndarray:
+        """Dense (R*n, C*n) block matrix whose block (r, c) is g^(first + dr*r + dc*c).
 
-        modes is a 2-D integer array; modes outside the stored band give
-        zero blocks.  The result has shape (R*n, C*n).
+        dr and dc are +1 or -1: a Hankel section when they are equal, a
+        Toeplitz one when they differ.  Modes off the stored band give zero
+        blocks.  Such a section holds the R + C - 1 modes of one strip only:
+        the part of the band they overlap is copied once into a zero (n,
+        R + C - 1, n) buffer, whose flat row a holds row a of every strip
+        block side by side in the order c runs.  Row (r, a) of the section
+        is then C*n entries of flat row a, starting n entries further on
+        with each r for a Hankel section and n entries further back for a
+        Toeplitz one: one strided view, copied once in C order.
         """
-        return block_layout(self.coeffs, self.lo, modes)
+        n = self.n
+        if R * C == 0:
+            return np.zeros((R * n, C * n), dtype=complex)
+        L = R + C - 1
+        # strip position p holds mode base + dc*p; block (r, c) sits at
+        # p = r + c (Hankel) or p = R - 1 - r + c (Toeplitz)
+        base = first if dr == dc else first - dc * (R - 1)
+        if dc > 0:
+            p0, p1 = max(self.lo - base, 0), min(self.hi - base, L - 1)
+        else:
+            p0, p1 = max(base - self.hi, 0), min(base - self.lo, L - 1)
+        strip = np.zeros((n, L, n), dtype=complex)
+        if p0 <= p1:
+            i0, i1 = base + dc * p0 - self.lo, base + dc * p1 - self.lo
+            part = self.coeffs[i0 : i1 + 1] if dc > 0 else self.coeffs[i1 : i0 + 1][::-1]
+            strip[:, p0 : p1 + 1] = part.transpose(1, 0, 2)
+        flat_row, step, item = strip.strides  # flat row a, one block, one entry
+        start, stride = (0, step) if dr == dc else ((R - 1) * step, -step)
+        view = np.ndarray((R, n, C * n), complex, strip, start, (stride, flat_row, item))
+        return np.ascontiguousarray(view).reshape(R * n, C * n)
 
     def __call__(self, z) -> np.ndarray:
         """Evaluate at one point or an array of points."""
@@ -91,26 +122,14 @@ def gather_modes(coeffs: np.ndarray, lo: int, modes) -> np.ndarray:
 
     coeffs holds the modes lo, lo+1, ... along its first axis and may carry
     any trailing shape; the result has shape modes.shape + coeffs.shape[1:].
-    Every block and fold index of the package is one call of this map.
+    The fold and generator-mode indices of the package are calls of this
+    map; a Toeplitz or Hankel section is one strip (LaurentMatrix.section).
     """
     idx = np.asarray(modes, dtype=int) - lo
     off = (idx < 0) | (idx >= len(coeffs))
     out = np.take(coeffs, np.where(off, 0, idx), axis=0)
     out[off] = 0
     return out
-
-
-def block_layout(coeffs: np.ndarray, lo: int, modes) -> np.ndarray:
-    """Block matrix (R*n, C*n, ...) whose (r, c) block is mode modes[r, c].
-
-    coeffs has shape (modes, n, n, ...) with the modes lo, lo+1, ... first;
-    any trailing shape rides along.  modes is a 2-D integer array; modes
-    outside the stored band give zero blocks.
-    """
-    modes = np.asarray(modes, dtype=int)
-    (R, C), n = modes.shape, coeffs.shape[1]
-    blocks = gather_modes(coeffs, lo, modes)
-    return blocks.swapaxes(1, 2).reshape(R * n, C * n, *coeffs.shape[3:])
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray, shape: tuple) -> np.ndarray:
@@ -287,16 +306,14 @@ def lm_mul(a: LaurentMatrix, b: LaurentMatrix, band_out: tuple[int, int]) -> Lau
         raise ValueError("block size mismatch")
     n = a.n
     lo, hi = band_out
-    ks = np.arange(lo, hi + 1)
-    if a.width <= b.width:
-        ms = np.arange(a.lo, a.hi + 1)
+    width = hi - lo + 1
+    if a.width <= b.width:  # block (m, k) of the section is b^(k - m)
         row = a.coeffs.transpose(1, 0, 2).reshape(n, a.width * n)
-        coeffs = (row @ b.block_matrix(ks - ms[:, None])).reshape(n, len(ks), n)
+        coeffs = (row @ b.section(a.width, width, lo - a.lo, -1, 1)).reshape(n, width, n)
         coeffs = coeffs.transpose(1, 0, 2)
-    else:
-        ms = np.arange(b.lo, b.hi + 1)
+    else:  # block (k, m) of the section is a^(k - m)
         col = b.coeffs.reshape(b.width * n, n)
-        coeffs = (a.block_matrix(ks[:, None] - ms) @ col).reshape(len(ks), n, n)
+        coeffs = (a.section(width, b.width, lo - b.lo, 1, -1) @ col).reshape(width, n, n)
     return LaurentMatrix(n, lo, hi, coeffs)
 
 

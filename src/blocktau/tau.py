@@ -215,7 +215,7 @@ def tau_graded(spec: SymbolSpec, N: int, Q: int, gd_reduced: bool = True) -> Gra
     # whose block (l, J) is W_{-l-J}
     ms = np.arange(1, r + 1)
     ls = -(-ms // n)
-    V = w.block_matrix(-(np.arange(1, rb + 1)[:, None] + np.arange(N)))
+    V = w.section(rb, N, -1, -1, -1)
     X = np.linalg.solve(TW.T, V[n * (2 * ls - 1) - ms].T).T  # V T_N(W)^-1
     ms, i_s = ms[X.any(axis=1)], np.flatnonzero(X.any(axis=0))
     if not len(ms):  # no Hankel term (Q = 0, or W without negative modes)
@@ -734,8 +734,7 @@ def _symbol_core(spec: SymbolSpec) -> _CornerPlan:
     n = spec.n
     w, w_inv = base_symbol(spec), base_inverse(spec)
     j, lo = -int(w_inv.lo), int(w.lo)
-    q = np.arange(j)
-    V = w.block_matrix(q - np.arange(j - lo)[:, None]) @ w_inv.block_matrix(-(q[:, None] + q + 1))
+    V = w.section(j - lo, j, 0, -1, 1) @ w_inv.section(j, j, -1, -1, -1)
     rows, cols = np.flatnonzero(V.any(axis=1)), np.flatnonzero(V.any(axis=0))
     U, s, Vh = np.linalg.svd(V[np.ix_(rows, cols)], full_matrices=False)
     r = int(np.count_nonzero(s > INVERSE_CUT * s[0]))

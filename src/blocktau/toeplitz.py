@@ -11,19 +11,21 @@ G the exponential of the averaged log det of the symbol.  The same Hankel
 product with two Wiener-Hopf factorizations gives the finite-N correction
 factor det(I - K_N) connecting D_N to D_inf exactly.
 
-Toeplitz and Hankel sections come from LaurentMatrix.block_matrix, which
-places g^(modes[r, c]) at block (r, c).  The Hankel product is one GEMM:
-the (R*n, k*n) section of u at modes i+k times the (k*n, C*n) section of v
-at modes -j-k; its (i a, j d) row-major layout is already the dense
-(R*n, C*n) result.
+Toeplitz and Hankel sections come from LaurentMatrix.section, whose block
+(r, c) is g^(first + dr*r + dc*c): T_N is section(N, N, 0, 1, -1), one
+strip of 2N - 1 modes.  The Hankel product is one GEMM: the (R*n, k*n)
+section of u at modes i+k times the (k*n, C*n) section of v at modes
+-j-k, each taken over the hull of its block indices and then cut to the
+rows (columns) asked for; its (i a, j d) row-major layout is already the
+dense (R*n, C*n) result.
 
 No operator determinant here takes a limit: each kernel has no rows, or
 no columns, past a known block (the positive band of its first symbol, or
 the negative band of its second), so I - K is block triangular past that
 window and has the window's determinant (fredholm_det, correction_det).
 The one finite-section limit, D_N/G^N, stops through settle, a Cauchy
-rule on two consecutive steps; truncation_dets is the one loop over N of
-D_N.
+rule on two consecutive steps, relative to the value once it passes 1;
+truncation_dets is the one loop over N of D_N.
 """
 
 from __future__ import annotations
@@ -64,9 +66,7 @@ def build_TN(lm: LaurentMatrix, N: int) -> BlockToeplitz:
     """Assemble the N-block truncation T_N: block (i,j) = g^(i-j)."""
     if N < 1:
         raise ValueError("need N >= 1")
-    idx = np.arange(N)
-    out = lm.block_matrix(idx[:, None] - idx[None, :])
-    return BlockToeplitz(n=lm.n, N=N, matrix=out)
+    return BlockToeplitz(n=lm.n, N=N, matrix=lm.section(N, N, 0, 1, -1))
 
 
 def det_DN(bt: BlockToeplitz) -> complex:
@@ -86,27 +86,33 @@ def truncation_dets(lm: LaurentMatrix):
 def settle(steps, tol: float, what: str):
     """Read (size, value) steps up to the second of two consecutive Cauchy ones.
 
-    Returns (size, value, est_error, history) at the first step whose value
-    is within tol of the previous one while that one was within tol of the
-    step before it; est_error is the larger of the two differences and
-    history lists every (size, value) read.  One step within tol is not
-    enough: D_N/G^N of rational (0.3, 0.6) at t = (0.0195, 0, -0.0871, 0,
-    -0.1329) moves by 4.3e-14 from N = 6 to 7 and still sits 1.1e-8 off its
-    limit.  Raises ConvergenceError, naming the last size, when the steps
-    run out first.
+    A step is Cauchy when its value is within tol * max(1, |value|) of the
+    previous one: absolute below |value| = 1 and relative above it, so a
+    limit of size 10 stops at the round-off of its own digits.  Returns
+    (size, value, est_error, history) at the first Cauchy step whose
+    predecessor was Cauchy too; est_error is the larger of the two
+    differences (absolute) and history lists every (size, value) read.
+    One Cauchy step is not enough: D_N/G^N of rational (0.3, 0.6) at t =
+    (0.0195, 0, -0.0871, 0, -0.1329) moves by 4.3e-14 from N = 6 to 7 and
+    still sits 1.1e-8 off its limit.  Raises ConvergenceError, naming the
+    last size, difference and |value|, when the steps run out first.
     """
     history = []
     prev = size = None
-    last = np.inf  # the previous difference
+    diff = last = np.inf  # the latest difference and the one before it
     for size, value in steps:
         history.append((size, value))
         if prev is not None:
             diff = abs(value - prev)
-            if max(diff, last) < tol:
+            if max(diff, last) < tol * max(1.0, abs(value)):
                 return size, value, max(diff, last), history
             last = diff
         prev = value
-    raise ConvergenceError(f"{what} not Cauchy below {tol:g} by {size}")
+    magnitude = np.nan if prev is None else abs(prev)
+    raise ConvergenceError(
+        f"{what} not Cauchy below {tol:g} by {size} "
+        f"(last difference {diff:.3g}, |value| {magnitude:.3g})"
+    )
 
 
 # -- Hankel products ---------------------------------------------------------
@@ -124,14 +130,19 @@ def hankel_product_matrix(u: LaurentMatrix, v: LaurentMatrix, rows, cols) -> np.
     R, C = len(rows), len(cols)
     if R == 0 or C == 0:
         return np.zeros((R * n, C * n), dtype=complex)
-    if rows.min() < 0 or cols.min() < 0:
+    r0, c0 = int(rows.min()), int(cols.min())
+    if r0 < 0 or c0 < 0:
         raise ValueError("Hankel block indices must be non-negative")
-    kmax = min(u.hi - int(rows.min()), -v.lo - int(cols.min()))
+    kmax = min(u.hi - r0, -v.lo - c0)
     if kmax < 1:
         return np.zeros((R * n, C * n), dtype=complex)
-    ks = np.arange(1, kmax + 1)
-    # (R*n, k*n) Hankel section of u times (k*n, C*n) Hankel section of v
-    return u.block_matrix(rows[:, None] + ks) @ v.block_matrix(-(ks[:, None] + cols))
+    # Hankel sections of u (modes i + k) and v (modes -j - k) over the hulls
+    # of rows and cols, then the block rows and columns asked for, in order
+    hu = u.section(int(rows.max()) - r0 + 1, kmax, r0 + 1, 1, 1)
+    hv = v.section(kmax, int(cols.max()) - c0 + 1, -1 - c0, -1, -1)
+    hu = hu.reshape(-1, n, kmax * n).take(rows - r0, axis=0).reshape(R * n, kmax * n)
+    hv = hv.reshape(kmax * n, -1, n).take(cols - c0, axis=1).reshape(kmax * n, C * n)
+    return hu @ hv
 
 
 def hankel_identity_check(a: LaurentMatrix, b: LaurentMatrix, M: int) -> float:
@@ -283,8 +294,8 @@ def szego_widom(
     Hypotheses checked: winding number of det(symbol) vanishes (else the
     limit theorem does not apply and HypothesisError is raised).  The
     winding and G come from one continuous log det of the samples.  The
-    stop is settle's: two consecutive steps within tol.  Past N = 256
-    ConvergenceError is raised.
+    stop is settle's: two consecutive steps within tol * max(1, |D_N/G^N|).
+    Past N = 256 ConvergenceError is raised.
     """
     logs, winding = continuous_log_det(x)
     if winding != 0:

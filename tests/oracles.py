@@ -1,5 +1,8 @@
 """Reference routines the tests compare against.
 
+block_layout lays out any array of modes as a block matrix by one index
+gather over every block, the reference for LaurentMatrix.section and the
+layout of the corner oracles below;
 schur_recurrence is a loop kept independent of the vectorized code, and
 schur_mpmath the same recurrence at 40 digits, a reference for values that
 cancel below the round-off of a double; exp_xi_mpmath sums those values
@@ -35,7 +38,7 @@ from blocktau.gradedpoly import GradedPoly, gp_det
 from blocktau.laurent import (
     CSV_HEADER,
     LaurentMatrix,
-    block_layout,
+    gather_modes,
     invert_symbol,
     lm_mul,
     next_pow2,
@@ -52,6 +55,20 @@ from blocktau.symbols import (
     gd_symbol_graded,
 )
 from blocktau.tau import StableTauReport
+
+
+def block_layout(coeffs, lo, modes):
+    """Block matrix (R*n, C*n, ...) whose (r, c) block is mode modes[r, c].
+
+    coeffs has shape (modes, n, n, ...) with the modes lo, lo+1, ... first;
+    any trailing shape rides along.  modes is a 2-D integer array; modes
+    outside the stored band give zero blocks.  One index gather over every
+    block: the reference for LaurentMatrix.section, and the oracles' layout.
+    """
+    modes = np.asarray(modes, dtype=int)
+    (R, C), n = modes.shape, coeffs.shape[1]
+    blocks = gather_modes(coeffs, lo, modes)
+    return blocks.swapaxes(1, 2).reshape(R * n, C * n, *coeffs.shape[3:])
 
 
 # Stable tau of two covering families at 32 digits, rounded to double, as
@@ -214,12 +231,12 @@ def corner_middle(spec):
     """V = T(W~) H(W~^-1) on R = j' - W.lo block rows and j' = -W^-1.lo block columns.
 
     Block (k, l) is sum_d W_(d-k) W^-1_(-(d+l+1)), laid out with
-    block_matrix from base_symbol and base_inverse.
+    block_layout from base_symbol and base_inverse.
     """
     w, w_inv = base_symbol(spec), base_inverse(spec)
     q = np.arange(-w_inv.lo)
-    V = w.block_matrix(q - np.arange(len(q) - w.lo)[:, None])
-    return V @ w_inv.block_matrix(-(q[:, None] + q + 1))
+    V = block_layout(w.coeffs, w.lo, q - np.arange(len(q) - w.lo)[:, None])
+    return V @ block_layout(w_inv.coeffs, w_inv.lo, -(q[:, None] + q + 1))
 
 
 def hankel_corner_reference(spec, t):
@@ -227,7 +244,7 @@ def hankel_corner_reference(spec, t):
 
     W has no positive modes and e^-1 no negative ones, so K = H(e) T(W~)
     H(W~^-1) T(e^-1) exactly.  H(e) (j' x R blocks) and T(e^-1) (j' x j')
-    are laid out with block_matrix from exp_xi_lambda: the product with V
+    are laid out with block_layout from exp_xi_lambda: the product with V
     itself, which the route's (H(e) X)(Y T(e^-1)), X Y the rank-r cut of V
     (tau._corner_factors), must meet entrywise.
     """
@@ -237,7 +254,8 @@ def hankel_corner_reference(spec, t):
     e = exp_xi_lambda(t, n, (0, j + R - 1))
     e_inv = exp_xi_lambda(t.negated(), n, (0, j - 1))
     i = np.arange(j)
-    return e.block_matrix(i[:, None] + np.arange(1, R + 1)) @ V @ e_inv.block_matrix(i[:, None] - i)
+    H = block_layout(e.coeffs, e.lo, i[:, None] + np.arange(1, R + 1))
+    return H @ V @ block_layout(e_inv.coeffs, e_inv.lo, i[:, None] - i)
 
 
 def full_v_corner_tau(spec, t):
@@ -246,7 +264,7 @@ def full_v_corner_tau(spec, t):
     X Y is the thin SVD of V, zero rows and columns of component 0
     included, cut at its singular values above INVERSE_CUT sigma_1, and F
     = (Y T(e^-1)) (H(e) X) with H(e) (j' x R blocks) and T(e^-1) (j' x j')
-    laid out with block_matrix from exp_xi_lambda: the layout the route
+    laid out with block_layout from exp_xi_lambda: the layout the route
     had before it kept only V's live rows and columns, whose tau it must
     meet to the conditioning of I - K.  No gate is applied.
     """
@@ -256,8 +274,10 @@ def full_v_corner_tau(spec, t):
     r = int(np.count_nonzero(s > INVERSE_CUT * s[0]))
     R, j = len(V) // n, V.shape[1] // n
     i = np.arange(j)
-    H = exp_xi_lambda(t, n, (0, j + R - 1)).block_matrix(i[:, None] + np.arange(1, R + 1))
-    T = exp_xi_lambda(t.negated(), n, (0, j - 1)).block_matrix(i[:, None] - i)
+    e = exp_xi_lambda(t, n, (0, j + R - 1))
+    e_inv = exp_xi_lambda(t.negated(), n, (0, j - 1))
+    H = block_layout(e.coeffs, e.lo, i[:, None] + np.arange(1, R + 1))
+    T = block_layout(e_inv.coeffs, e_inv.lo, i[:, None] - i)
     F = (Vh[:r] @ T) @ (H @ (U[:, :r] * s[:r]))
     return complex(np.linalg.det(np.eye(r) - F))
 

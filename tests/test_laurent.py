@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blocktau import laurent
@@ -36,7 +36,7 @@ from blocktau.laurent import (
     transform,
     write_csv,
 )
-from oracles import read_csv, transform_adaptive
+from oracles import block_layout, read_csv, transform_adaptive
 
 
 def _random_lm(rng, n=2, lo=-3, hi=4):
@@ -322,6 +322,36 @@ def test_gather_modes_with_a_trailing_axis():
             k = modes[r, c] + 2
             want = coeffs[k] if 0 <= k < 5 else np.zeros((2, 3))
             assert np.array_equal(got[r, c], want)
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([1, 2, 3]),
+    st.integers(-5, 3),
+    st.integers(0, 5),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(-16, 16),
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, -1]),
+)
+@example(1, 2, -3, 6, 3, 3, 0, 1, -1)     # Toeplitz, T_3: wholly inside the band
+@example(2, 3, -3, 6, 3, 3, 0, -1, 1)     # Toeplitz the other way, wholly inside
+@example(3, 1, -2, 4, 3, 5, 1, 1, 1)      # Hankel, straddling the top of the band
+@example(4, 2, -2, 4, 5, 3, -1, -1, -1)   # Hankel, straddling the bottom
+@example(5, 2, -2, 4, 3, 3, 9, 1, -1)     # wholly above the band: all zeros
+@example(6, 3, -2, 4, 2, 4, -9, -1, -1)   # wholly below the band: all zeros
+@example(7, 1, 0, 0, 1, 6, 0, 1, 1)       # one block row
+@example(8, 2, -3, 5, 6, 1, 2, -1, 1)     # one block column
+@example(9, 2, -2, 4, 0, 3, -1, -1, -1)   # no block rows (tau_graded's V at Q = 0)
+def test_section_is_the_block_layout(seed, n, lo, w, R, C, first, dr, dc):
+    # block (r, c) is mode first + dr*r + dc*c, bit for bit the gather's
+    rng = np.random.default_rng(seed)
+    lm = _random_lm(rng, n, lo, lo + w)
+    modes = first + dr * np.arange(R)[:, None] + dc * np.arange(C)
+    got = lm.section(R, C, first, dr, dc)
+    assert got.flags.c_contiguous and got.dtype == complex
+    assert np.array_equal(got, block_layout(lm.coeffs, lm.lo, modes))
 
 
 def test_identity_add_scale_project():

@@ -58,6 +58,7 @@ from blocktau.toeplitz import (
 )
 from oracles import (
     COVERING_TAU_32,
+    block_layout,
     corner_middle,
     full_v_corner_tau,
     gd_symbol_inverse,
@@ -523,8 +524,9 @@ def test_corner_gathers_are_the_block_layouts_of_e(spec, direction):
     j, R = plan.j, len(V) // n
     rows, cols = _live(V)
     i = np.arange(j)
-    h = exp_xi_lambda(tv, n, (0, j + R - 1)).block_matrix(i[:, None] + np.arange(1, R + 1))
-    toe = exp_xi_lambda(tv.negated(), n, (0, j - 1)).block_matrix(i[:, None] - i)
+    e, e_inv = exp_xi_lambda(tv, n, (0, j + R - 1)), exp_xi_lambda(tv.negated(), n, (0, j - 1))
+    h = block_layout(e.coeffs, e.lo, i[:, None] + np.arange(1, R + 1))
+    toe = block_layout(e_inv.coeffs, e_inv.lo, i[:, None] - i)
     assert np.abs(p[plan.hankel] - h[:, rows]).max() <= 1e-15 * np.abs(h).max()
     got = np.append(q, 0.0)[plan.toeplitz]
     assert np.abs(got - toe[cols].T).max() <= 1e-15 * np.abs(toe).max()

@@ -391,6 +391,19 @@ def test_settle_raises_naming_the_last_size():
     # a single step leaves no pair to compare
     with pytest.raises(ConvergenceError, match="by 10"):
         settle(iter(steps[:1]), 1e3, "test sequence")
+    with pytest.raises(ConvergenceError, match=r"last difference 2, \|value\| 3\)"):
+        settle(iter(steps), 0.5, "test sequence")
+
+
+def test_settle_stops_relative_to_a_value_past_one():
+    # differences of 0.5 on values near 100 are Cauchy at tol 0.01; the
+    # same differences on values of at most 3 never are
+    steps = [(1, 100.0), (2, 103.0), (3, 100.5), (4, 101.0), (5, 101.5)]
+    size, value, err, _ = settle(iter(steps), 0.01, "test sequence")
+    assert (size, value, err) == (5, 101.5, 0.5)
+    small = [(size, value - 100.0) for size, value in steps]
+    with pytest.raises(ConvergenceError):
+        settle(iter(small), 0.01, "test sequence")
 
 
 def test_truncation_dets_match_per_n_determinants():
@@ -458,6 +471,19 @@ def test_szego_widom_does_not_stop_on_a_plateau():
     assert abs(sw.history[6][1] - sw.history[5][1]) < 1e-12  # the plateau, N = 6, 7
     assert sw.N_used > 7
     assert abs(sw.D_inf - tau.tau_stable(RSPEC, tv)) < 1e-12
+
+
+def test_szego_widom_settles_relative_to_a_large_limit():
+    # |D_inf| ~ 10.09 here and D_N/G^N jitters by ~1e-11 on its plateau, so
+    # an absolute stop at 1e-12 read on to N = 256 and raised
+    tv = time_vector([4.0, 0, 2.0, 0, 1.0])
+    lm = gd_symbol(RSPEC, tv, (-80, 80), exact_only=True)
+    sw = szego_widom(lm, deformed_symbol_samples(RSPEC, tv, 1024), tol=1e-12)
+    want = tau.tau_stable(RSPEC, tv)
+    assert abs(want) > 10
+    assert sw.N_used < 256
+    assert sw.est_error < 1e-12 * abs(sw.D_inf)
+    assert abs(sw.D_inf - want) < 1e-10 * abs(want)
 
 
 def test_szego_widom_reads_one_log_det(monkeypatch):
