@@ -192,8 +192,8 @@ def _check_shift_powers(ctx, tol):
 
 def _check_exp_xi_inverse(ctx, tol):
     tv = symbols.time_vector([0.3, 0.0, -0.2, 0.0, 0.12])
-    ep = symbols.exp_xi_lambda(tv, 2, (0, 24))
-    em = symbols.exp_xi_lambda(tv.negated(), 2, (0, 24))
+    ep = symbols.exp_xi_lambda(tv, 2, 24)
+    em = symbols.exp_xi_lambda(tv.negated(), 2, 24)
     prod = laurent.lm_mul(ep, em, (0, 16))
     worst = 0.0
     for q in range(0, 17):
@@ -233,7 +233,7 @@ def _check_generator_interleaving(ctx, tol):
 def _check_hankel_product(ctx, tol):
     worst = 0.0
     for spec, tv in ((ctx.rspec, TV), (ctx.cspec, CTV)):
-        e = symbols.exp_xi_lambda(tv, spec.n, (0, 24))
+        e = symbols.exp_xi_lambda(tv, spec.n, 24)
         worst = max(worst, toeplitz.hankel_identity_check(e, symbols.base_symbol(spec), 8))
     return (
         worst,

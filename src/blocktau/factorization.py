@@ -110,9 +110,9 @@ class SymbolSpectra:
 
         The negative modes from -1 outward up to the first whose norm is
         not above eps max_j ||g(z_j)||_F (at least 1, at most M//4): the
-        round-off that the FFT of samples on the unit circle, where every
-        caller samples, leaves in each mode.  A far mode at that level is
-        noise, not a deeper band.
+        round-off that the FFT of samples on the unit circle (the only
+        circle symbol_spectra reads) leaves in each mode.  A far mode at
+        that level is noise, not a deeper band.
         """
         cap = self.x.M // 4
         norms = np.linalg.norm(self.g.coeffs[:cap], axis=(1, 2))
@@ -125,18 +125,21 @@ class SymbolSpectra:
         x = self.x
         values = np.concatenate([x.values[:1], x.values[:0:-1]])
         return SymbolSpectra(
-            CircleSamples(x.n, x.M, values, x.radius), lm_reflect(self.g), lm_reflect(self.g_inv)
+            CircleSamples(x.n, x.M, values), lm_reflect(self.g), lm_reflect(self.g_inv)
         )
 
 
 def symbol_spectra(x: CircleSamples) -> SymbolSpectra:
-    """The spectral pass of the samples: one inversion and two FFTs."""
+    """The spectral pass of the samples: one inversion and two FFTs.
+
+    AliasError unless the samples sit on the unit circle.
+    """
+    if x.radius != 1.0:
+        raise AliasError("factorization requires unit-circle samples")
     ks = np.arange(-(x.M // 4), x.M // 4 + 1)
 
     def modes(values: np.ndarray) -> LaurentMatrix:
         coeffs = (np.fft.fft(values, axis=0) / x.M)[ks % x.M]
-        if x.radius != 1.0:
-            coeffs = coeffs * (x.radius ** (-ks))[:, None, None]
         return LaurentMatrix(x.n, int(ks[0]), int(ks[-1]), coeffs)
 
     return SymbolSpectra(x, modes(x.values), modes(invert_symbol(x).values))
@@ -151,13 +154,14 @@ def wiener_hopf(
     (SymbolSpectra.depth).  It is exact, since T_minus = g T_plus^{-1} and
     T_plus^{-1} has no negative modes, so T_minus has no mode below the
     lowest mode of g.  An explicit B caps the depth: the solve runs at
-    min(B, depth), and B_used reports it.  Raises AliasError when B exceeds
-    a quarter of the grid, and FactorizationError when the system is
-    singular or the residual exceeds tol at the depth solved.  A residual
-    missed at g's own depth is not a depth problem, since that depth is
-    exact: the message then says that g may have no factorization there
-    (tau near zero, outside the big cell) or that the grid is too coarse,
-    and it advises more depth only when an explicit B capped the solve.
+    min(B, depth), and B_used reports it.  Raises AliasError on samples off
+    the unit circle or when B exceeds a quarter of the grid, and
+    FactorizationError when the system is singular or the residual exceeds
+    tol at the depth solved.  A residual missed at g's own depth is not a
+    depth problem, since that depth is exact: the message then says that g
+    may have no factorization there (tau near zero, outside the big cell)
+    or that the grid is too coarse, and it advises more depth only when an
+    explicit B capped the solve.
     """
     return _factor(symbol_spectra(x), B, tol)
 
@@ -190,11 +194,11 @@ def _factor(s: SymbolSpectra, B: int | None, tol: float) -> FactorizationResult:
     coeffs[:B] = X.reshape(B, n, n)[::-1]  # modes -B..-1
     T_minus = LaurentMatrix(n, -B, 0, coeffs)
 
-    tm_vals = inverse_transform(T_minus, x.M, x.radius).values
+    tm_vals = inverse_transform(T_minus, x.M).values
     plus_vals = stacked_solve(tm_vals, x.values)[0]
-    full = transform(CircleSamples(n, x.M, plus_vals, x.radius), (-cap, cap - 1))
+    full = transform(CircleSamples(n, x.M, plus_vals), (-cap, cap - 1))
     T_plus = lm_trim(lm_project(full, 0, full.hi), 1e-16)
-    plus_samples = inverse_transform(T_plus, x.M, x.radius).values
+    plus_samples = inverse_transform(T_plus, x.M).values
     recon = stacked_mul(tm_vals, plus_samples)
     residual = float(np.max(np.abs(x.values - recon))) / max(scale, 1e-300)
     if residual > tol:
@@ -278,8 +282,6 @@ def two_sided_factorization(
     SymbolSpectra.reflected, and each solves at its own depth, capped by
     B as in wiener_hopf.
     """
-    if abs(x.radius - 1.0) > 1e-14:
-        raise AliasError("two-sided factorization requires unit-circle samples")
     spectra = symbol_spectra(x)
     return FactorizationPair(_factor(spectra, B, tol), _factor(spectra.reflected(), B, tol))
 
@@ -314,7 +316,7 @@ def _wave_matrix(spec: SymbolSpec, values: tuple, gd_reduced: bool):
     fact = wiener_hopf(deformed_symbol_samples(spec, t, 2048))
     T_minus, T_plus, w_inv = fact.T_minus, fact.T_plus, base_inverse(spec)
     e_hi = 40 + 2 * len(t.values)
-    e_minus = exp_xi_lambda(t.negated(), spec.n, (0, e_hi))
+    e_minus = exp_xi_lambda(t.negated(), spec.n, e_hi)
     # exp(-xi) has no negative modes: the product starts where T_minus does
     psi = lm_trim(lm_mul(e_minus, T_minus, (T_minus.lo, e_hi)), 1e-16)
     psi_inv = lm_trim(lm_mul(T_plus, w_inv, (w_inv.lo, T_plus.hi + w_inv.hi)), 1e-16)

@@ -6,7 +6,10 @@ Two dual representations of a matrix symbol on a circle:
   blocks) for k in [lo, hi], interpreted as g(z) = sum_k g^(k) z^k.
 - CircleSamples: values of g on the uniform grid z_j = radius*exp(2*pi*i*j/M).
 
-Conversions use the FFT.  A grid of M points can faithfully carry a band of
+Conversions use the FFT and read the unit circle only: transform refuses
+samples on any other radius, and inverse_transform synthesizes on |z| = 1.
+Samples inside the circle (plemelj_quadrature's inner grid) are read as
+values, never as modes.  A grid of M points can faithfully carry a band of
 width at most M/2 (one-in-two oversampling); both conversion directions
 enforce this and raise AliasError otherwise.
 
@@ -203,21 +206,20 @@ def _fft_modes(x: CircleSamples) -> np.ndarray:
 
 
 def transform(x: CircleSamples, band: tuple[int, int]) -> LaurentMatrix:
-    """Fourier coefficients on the band [lo, hi] from circle samples.
+    """Fourier coefficients on the band [lo, hi] from unit-circle samples.
 
-    Requires M >= 2 * bandwidth so folded (aliased) modes stay separated.
+    Requires M >= 2 * bandwidth so folded (aliased) modes stay separated;
+    AliasError otherwise, and on samples off the unit circle.
     """
     lo, hi = band
     if hi < lo:
         raise ValueError(f"empty band {band}")
+    if x.radius != 1.0:
+        raise AliasError(f"transform reads the unit circle, not radius {x.radius}")
     width = hi - lo + 1
     if x.M < 2 * width:
         raise AliasError(f"grid M={x.M} too coarse for bandwidth {width}")
-    modes = _fft_modes(x)
-    ks = np.arange(lo, hi + 1)
-    coeffs = modes[ks % x.M]
-    if x.radius != 1.0:
-        coeffs = coeffs * (x.radius ** (-ks))[:, None, None]
+    coeffs = _fft_modes(x)[np.arange(lo, hi + 1) % x.M]
     return LaurentMatrix(x.n, lo, hi, coeffs)
 
 
@@ -235,17 +237,11 @@ def transform_tail(x: CircleSamples, band: tuple[int, int]) -> float:
     return float(np.max(norms)) / top
 
 
-def inverse_transform(lm: LaurentMatrix, M: int, radius: float = 1.0) -> CircleSamples:
-    """Synthesize samples on |z| = radius from banded coefficients (FFT synthesis).
-
-    Mode k is scaled by radius^k first, the inverse of transform's scaling.
-    """
+def inverse_transform(lm: LaurentMatrix, M: int) -> CircleSamples:
+    """Synthesize samples on the unit circle from banded coefficients (FFT synthesis)."""
     if M < 2 * lm.width:
         raise AliasError(f"grid M={M} too coarse for bandwidth {lm.width}")
-    coeffs = lm.coeffs
-    if radius != 1.0:
-        coeffs = coeffs * (radius ** np.arange(lm.lo, lm.hi + 1))[:, None, None]
-    return CircleSamples(lm.n, M, grid_values(coeffs, lm.lo, M), radius)
+    return CircleSamples(lm.n, M, grid_values(lm.coeffs, lm.lo, M))
 
 
 def grid_values(coeffs: np.ndarray, lo: int, M: int, shift: float = 0.0) -> np.ndarray:

@@ -308,11 +308,6 @@ def schur_numeric(tvals, kmax: int) -> np.ndarray:
     several times slower) with its own eps, and p is rounded to complex
     once at the end.
     """
-    return _schur_values(tvals, kmax, cut=True)
-
-
-def _schur_values(tvals, kmax: int, cut: bool) -> np.ndarray:
-    """schur_numeric, its factors cut at working precision or (cut=False) kept whole."""
     t = np.asarray(tvals, dtype=complex)[:kmax].tolist()
     nz = [(i, v) for i, v in enumerate(t, start=1) if v]  # (index, time) of each factor
     out = np.zeros(kmax + 1, dtype=complex)
@@ -331,12 +326,9 @@ def _schur_values(tvals, kmax: int, cut: bool) -> np.ndarray:
     ti = np.array([v.real if real else v for _, v in nz], dtype=dtype)
     np.divide(ti[:, None], m[1:], out=c[:, 1:], where=m[1:] <= kmax // np.array(i)[:, None])
     c = np.cumprod(c, axis=1)
-    if cut:
-        a = np.abs(c)
-        keep = a >= np.finfo(dtype).eps / (kmax + 1) * a.max(axis=1, keepdims=True)
-        stop = (len(m) - np.argmax(keep[:, ::-1], axis=1)).tolist()  # past the last entry kept
-    else:
-        stop = [kmax // k + 1 for k in i]
+    a = np.abs(c)
+    keep = a >= np.finfo(dtype).eps / (kmax + 1) * a.max(axis=1, keepdims=True)
+    stop = (len(m) - np.argmax(keep[:, ::-1], axis=1)).tolist()  # past the last entry kept
     p = np.zeros(i[0] * (stop[0] - 1) + 1, dtype=dtype)
     p[:: i[0]] = c[0, : stop[0]]
     for ik, ck, sk in zip(i[1:], c[1:], stop[1:]):
@@ -347,23 +339,20 @@ def _schur_values(tvals, kmax: int, cut: bool) -> np.ndarray:
     return out
 
 
-def exp_xi_lambda(t: TimeVector, n: int, band: tuple[int, int]) -> LaurentMatrix:
-    """The in-band projection of exp(xi(t, L)) = sum_k p_k(t) L^k.
+def exp_xi_lambda(t: TimeVector, n: int, hi: int) -> LaurentMatrix:
+    """The modes 0..hi of exp(xi(t, L)) = sum_k p_k(t) L^k, which has none below 0.
 
-    Every in-band Fourier mode is exact: the band is the fold of the Schur
-    values p_0..p_kmax, one value per entry.  The modes past the band are
-    dropped unchecked; a caller that needs the band to hold the whole
-    function checks the tail itself (gd_symbol's exact_only=False).  A
-    band with mode 0 holds p_0 = 1, and schur_numeric's cut at working
-    precision drops nothing above its round-off; a band above mode 0 may
-    hold nothing larger than what that cut drops (a time of 1e-20 has mode
-    1 = 1e-20 at n = 1), so it reads the series uncut.
+    Every mode is exact: the band is the fold of the Schur values
+    p_0..p_kmax, one value per entry, and mode 0 holds p_0 = 1, so
+    schur_numeric's cut at working precision drops nothing above its
+    round-off.  The modes past hi are dropped unchecked; a caller that
+    needs the band to hold the whole function checks the tail itself
+    (gd_symbol's exact_only=False).
     """
-    lo, hi = band
     if hi < 0:
         raise ValueError("exp(xi) has no negative modes; need hi >= 0")
-    p = _schur_values(t.effective(n), n * hi + n - 1, cut=lo <= 0)
-    return LaurentMatrix(n, lo, hi, fold(p, 0, n, band))
+    p = schur_numeric(t.effective(n), n * hi + n - 1)
+    return LaurentMatrix(n, 0, hi, fold(p, 0, n, (0, hi)))
 
 
 def _check_schur_tail(p: np.ndarray, k0: int) -> None:
@@ -436,14 +425,14 @@ def gd_symbol(
     """Fourier coefficients of exp(xi(t,L)) * base symbol on the band.
 
     In-band coefficients are exact (the exponential factor is carried on
-    the wider band (0, band[1] - W.lo) it needs).  The modes of the product
+    the wider band 0..band[1] - W.lo it needs).  The modes of the product
     past band[1] are dropped; they are fed by the modes of exp(xi(t, L))
     past band[1], i.e. by its Schur values p_k, k > n band[1].  With
     exact_only=False those must be below EXP_TAIL_TOL, else
     TruncationError, so that the band holds the deformed symbol.
     """
     w = base_symbol(spec)
-    e = exp_xi_lambda(t, spec.n, (0, band[1] - w.lo))
+    e = exp_xi_lambda(t, spec.n, band[1] - w.lo)
     if not exact_only:
         _check_schur_tail(e.coeffs[:, :, 0].ravel(), spec.n * band[1] + 1)
     return lm_mul(e, w, band)

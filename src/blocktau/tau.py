@@ -869,7 +869,8 @@ def _finite_rank(spec: SymbolSpec, t: TimeVector) -> StableTauReport:
     The inverse that est_error needs screens the conditioning, as
     laurent.invert_symbol does: ||T||_F ||T^-1||_F >= cond_2 T at most
     COND_SCREEN clears the point, and only above it (or when the inverse
-    fails) does the SVD decide against COND_LIMIT.
+    fails, which leaves est_error infinite) does the SVD decide against
+    COND_LIMIT.
 
     Entry (a, b) of that closed form is zeta^d c_(d mod n), d = b - a,
     zeta = (c_a^2)^(1/n), c the inverse DFT of exp(-xi) over the n roots
@@ -892,10 +893,8 @@ def _finite_rank(spec: SymbolSpec, t: TimeVector) -> StableTauReport:
     try:
         inv = np.linalg.inv(T)
     except np.linalg.LinAlgError:  # an exactly zero pivot: cond_2 T > 1e15, the SVD refuses
-        screened = False
-    else:
-        screened = np.vdot(T, T).real * np.vdot(inv, inv).real <= COND_SCREEN**2
-    if not screened:
+        inv = np.full_like(T, np.inf)  # and were it to pass, est_error would be unbounded
+    if not np.vdot(T, T).real * np.vdot(inv, inv).real <= COND_SCREEN**2:
         sv = np.linalg.svd(T, compute_uv=False)
         if not sv[0] <= COND_LIMIT * sv[-1]:
             raise NearSingularSymbol(

@@ -2,7 +2,8 @@
 
 block_layout lays out any array of modes as a block matrix by one index
 gather over every block, the reference for LaurentMatrix.section and the
-layout of the corner oracles below;
+layout of the corner oracles below; hankel_product_layout is the Hankel
+product on any block index lists by that layout;
 schur_recurrence is a loop kept independent of the vectorized code, and
 schur_mpmath the same recurrence at 40 digits, a reference for values that
 cancel below the round-off of a double; exp_xi_mpmath sums those values
@@ -69,6 +70,22 @@ def block_layout(coeffs, lo, modes):
     (R, C), n = modes.shape, coeffs.shape[1]
     blocks = gather_modes(coeffs, lo, modes)
     return blocks.swapaxes(1, 2).reshape(R * n, C * n, *coeffs.shape[3:])
+
+
+def hankel_product_layout(u, v, rows, cols):
+    """K_ij = sum_{k>=1} u^(i+k) v^(-j-k) on any lists of block indices.
+
+    The two factors are laid out by block_layout over the k = 1..kmax
+    terms, kmax = min(u.hi - min i, -v.lo - min j), that can be nonzero:
+    the depth toeplitz.hankel_product_matrix reads, so on ranges the two
+    GEMMs match bit for bit.
+    """
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    kmax = min(u.hi - min(rows, default=0), -v.lo - min(cols, default=0))
+    k = np.arange(1, max(kmax, 0) + 1)
+    hu = block_layout(u.coeffs, u.lo, rows[:, None] + k)
+    hv = block_layout(v.coeffs, v.lo, -k[:, None] - cols)
+    return hu @ hv
 
 
 # Stable tau of two covering families at 32 digits, rounded to double, as
@@ -221,7 +238,7 @@ def gd_symbol_inverse(spec, t, band, exact_only=False) -> LaurentMatrix:
     EXP_TAIL_TOL, else TruncationError, as in symbols.gd_symbol.
     """
     w_inv = base_inverse(spec)
-    e = exp_xi_lambda(t.negated(), spec.n, (0, band[1] - w_inv.lo))
+    e = exp_xi_lambda(t.negated(), spec.n, band[1] - w_inv.lo)
     if not exact_only:
         _check_schur_tail(e.coeffs[:, :, 0].ravel(), spec.n * band[1] + 1)
     return lm_mul(w_inv, e, band)
@@ -251,8 +268,8 @@ def hankel_corner_reference(spec, t):
     n = spec.n
     V = corner_middle(spec)
     R, j = len(V) // n, V.shape[1] // n
-    e = exp_xi_lambda(t, n, (0, j + R - 1))
-    e_inv = exp_xi_lambda(t.negated(), n, (0, j - 1))
+    e = exp_xi_lambda(t, n, j + R - 1)
+    e_inv = exp_xi_lambda(t.negated(), n, j - 1)
     i = np.arange(j)
     H = block_layout(e.coeffs, e.lo, i[:, None] + np.arange(1, R + 1))
     return H @ V @ block_layout(e_inv.coeffs, e_inv.lo, i[:, None] - i)
@@ -274,8 +291,8 @@ def full_v_corner_tau(spec, t):
     r = int(np.count_nonzero(s > INVERSE_CUT * s[0]))
     R, j = len(V) // n, V.shape[1] // n
     i = np.arange(j)
-    e = exp_xi_lambda(t, n, (0, j + R - 1))
-    e_inv = exp_xi_lambda(t.negated(), n, (0, j - 1))
+    e = exp_xi_lambda(t, n, j + R - 1)
+    e_inv = exp_xi_lambda(t.negated(), n, j - 1)
     H = block_layout(e.coeffs, e.lo, i[:, None] + np.arange(1, R + 1))
     T = block_layout(e_inv.coeffs, e_inv.lo, i[:, None] - i)
     F = (Vh[:r] @ T) @ (H @ (U[:, :r] * s[:r]))
@@ -298,7 +315,7 @@ def stable_tau_reference(spec, t):
     n = spec.n
     if spec.family == "rational":  # T_1(g^-1) is mode 0 of g^-1; G = det W_0 = 1
         w_inv = base_inverse(spec)
-        e = exp_xi_lambda(t.negated(), n, (0, -w_inv.lo))
+        e = exp_xi_lambda(t.negated(), n, -w_inv.lo)
         T = lm_mul(w_inv, e, (0, 0)).block(0)
         return StableTauReport(complex(np.linalg.det(T)), np.nan, "finite_rank", 1)
     K = hankel_corner_reference(spec, t)

@@ -286,6 +286,20 @@ def test_converge_unreachable_tolerance_fails(tmp_path, capsys):
     assert "FAIL converge" in capsys.readouterr().err
 
 
+def test_tau_unreachable_tolerance_fails_and_still_writes(tmp_path, capsys):
+    path = str(Path(__file__).parents[1] / "configs" / "rational.ini")
+    out = tmp_path / "taufail"
+    assert cli.main(["tau", "--config", path, "--out", str(out), "--tol", "1e-30"]) == 1
+    assert "FAIL tau est_error " in capsys.readouterr().err
+    assert (out / "tau.csv").is_file() and (out / "report.txt").is_file()
+
+
+def test_factorize_unreachable_tolerance_fails(tmp_path, capsys):
+    out = tmp_path / "factfail"
+    assert cli.main(["factorize", "--out", str(out), "--tol", "1e-30"]) == 1
+    assert "FAIL factorize draw 0: residual " in capsys.readouterr().err
+
+
 def test_converge_fit_ignores_roundoff_tail(tmp_path, monkeypatch):
     # covering.ini settles by N ~ 10; its later deltas are round-off (~3e-16)
     path = str(Path(__file__).parents[1] / "configs" / "covering.ini")

@@ -262,6 +262,23 @@ def test_alias_guard():
         wiener_hopf(_samples(M=64), B=40)
 
 
+@pytest.mark.parametrize("factor", [wiener_hopf, two_sided_factorization])
+def test_samples_off_the_unit_circle_are_refused(factor):
+    x = sample_function(lambda z: gd_symbol_values(RSPEC, TV, z), RSPEC.n, 256, radius=0.5)
+    with pytest.raises(AliasError, match="unit-circle samples"):
+        factor(x)
+
+
+def test_singular_projection_system_is_refused():
+    # g = I/z: mode 0 of g^-1 = z I, the whole B = 1 system, is zero
+    x = inverse_transform(LaurentMatrix(2, -1, -1, np.eye(2)[None]), 64)
+    with pytest.raises(
+        FactorizationError,
+        match=r"^factorization system is numerically singular \(solve failed at B=1\)$",
+    ):
+        wiener_hopf(x)
+
+
 def test_near_singular_symbol_rejected():
     # t1 = i * pi / 0.6 puts the symbol at the tau zero locus
     tv = time_vector([1j * np.pi / 0.6, 0.0, 0.0])
@@ -311,7 +328,7 @@ def test_wave_matrix_inverse_matches_inverting_the_minus_factor(spec, tv):
     psi_inv = wave_matrix(spec, tv)[1]
     tm_inv = lm_invert(wiener_hopf(deformed_symbol_samples(spec, tv, 2048)).T_minus)
     e_hi = 40 + 2 * len(tv.values)
-    e_plus = exp_xi_lambda(tv, spec.n, (0, e_hi))
+    e_plus = exp_xi_lambda(tv, spec.n, e_hi)
     want = lm_mul(tm_inv, e_plus, (tm_inv.lo, e_hi))
     lo, hi = max(want.lo, psi_inv.lo), min(want.hi, psi_inv.hi)
     assert hi - lo > 30

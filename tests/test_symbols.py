@@ -240,7 +240,7 @@ def test_schur_numeric_of_one_time_is_its_exponential_series():
 def test_exp_xi_block_entries_are_schur_values():
     tv = time_vector([0.21, 0.0, -0.13, 0.0, 0.08])
     n = 2
-    e = exp_xi_lambda(tv, n, (0, 12))
+    e = exp_xi_lambda(tv, n, 12)
     p = schur_recurrence(tv.effective(n), 2 * 12 + n)
     for q in range(0, 13):
         blk = e.block(q)
@@ -280,8 +280,8 @@ def test_exp_xi_values_closed_form_vs_40_digits(n, radius):
 def test_exp_xi_inverse_is_reversed_times():
     tv = time_vector([0.3, 0.0, -0.2, 0.0, 0.12])
     neg = time_vector([-v for v in tv.values])
-    ep = exp_xi_lambda(tv, 2, (0, 24))
-    em = exp_xi_lambda(neg, 2, (0, 24))
+    ep = exp_xi_lambda(tv, 2, 24)
+    em = exp_xi_lambda(neg, 2, 24)
     prod = lm_mul(ep, em, (0, 16))
     for q in range(0, 17):
         want = np.eye(2) if q == 0 else np.zeros((2, 2))

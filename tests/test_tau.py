@@ -524,7 +524,7 @@ def test_corner_gathers_are_the_block_layouts_of_e(spec, direction):
     j, R = plan.j, len(V) // n
     rows, cols = _live(V)
     i = np.arange(j)
-    e, e_inv = exp_xi_lambda(tv, n, (0, j + R - 1)), exp_xi_lambda(tv.negated(), n, (0, j - 1))
+    e, e_inv = exp_xi_lambda(tv, n, j + R - 1), exp_xi_lambda(tv.negated(), n, j - 1)
     h = block_layout(e.coeffs, e.lo, i[:, None] + np.arange(1, R + 1))
     toe = block_layout(e_inv.coeffs, e_inv.lo, i[:, None] - i)
     assert np.abs(p[plan.hankel] - h[:, rows]).max() <= 1e-15 * np.abs(h).max()
@@ -693,6 +693,26 @@ def test_well_conditioned_finite_rank_point_takes_no_svd(monkeypatch, spec):
     with pytest.raises(NearSingularSymbol):
         tau_stable(RSPEC, time_vector((1j * np.pi / 0.6, 0.0, 0.0)))
     assert len(calls) == 1
+
+
+def test_finite_rank_point_whose_inverse_fails_goes_to_the_svd(monkeypatch):
+    # the SVD decides alone; the value is the determinant's, and no inverse
+    # bounds est_error
+    tv = time_vector([2.0 * d for d in DIAG3])
+    want = tau_stable_report(RSPEC, tv)
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(
+        tau_module.np.linalg, "svd", lambda *a, **k: (calls.append(a), svd(*a, **k))[1]
+    )
+
+    def no_inverse(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(tau_module.np.linalg, "inv", no_inverse)
+    rep = tau_stable_report(RSPEC, tv)
+    assert len(calls) == 1
+    assert (rep.value, rep.route, rep.M_used) == (want.value, "finite_rank", 1)
+    assert rep.est_error == np.inf and want.est_error < 1e-12
 
 
 def test_stable_tau_routes():

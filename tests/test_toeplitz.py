@@ -16,6 +16,7 @@ from blocktau.laurent import (
     geometric_mean,
     inverse_transform,
     lm_invert,
+    lm_reflect,
     sample_function,
 )
 from blocktau.symbols import (
@@ -52,6 +53,7 @@ from blocktau.factorization import (
 from oracles import (
     gd_symbol_inverse,
     hankel_corner_reference,
+    hankel_product_layout,
     minus_factor_at_depth,
     plemelj_quadrature_folded,
     schur_mpmath,
@@ -109,21 +111,20 @@ def _build_tn_reference(lm, N):
     return out
 
 
-def _exp_xi_reference(t, n, band):
+def _exp_xi_reference(t, n, hi):
     """Entry (i, j) of mode q collects p_k over k = nq + i - j, one k at a time.
 
-    The values are the 40-digit recurrence: a band far from mode 0 can hold
-    only values that cancel, below the round-off of any double recurrence.
+    The values are the 40-digit recurrence: a mode far from mode 0 can hold
+    values that cancel, below the round-off of any double recurrence.
     """
-    lo, hi = band
     kmax = n * hi + n - 1
     p = schur_mpmath(t.effective(n), kmax)
-    coeffs = np.zeros((hi - lo + 1, n, n), dtype=complex)
+    coeffs = np.zeros((hi + 1, n, n), dtype=complex)
     for k in range(kmax + 1):
         for i in range(n):
             for j in range(n):
-                if (k + j - i) % n == 0 and lo <= (k + j - i) // n <= hi:
-                    coeffs[(k + j - i) // n - lo, i, j] += p[k]
+                if (k + j - i) % n == 0 and (k + j - i) // n <= hi:
+                    coeffs[(k + j - i) // n, i, j] += p[k]
     return coeffs
 
 
@@ -154,18 +155,27 @@ def test_build_tn_block_layout():
     assert T3[2, 0] == 0.0 and T3[0, 2] == 0.0
 
 
+# block index ranges in 0..9, forward or reversed, possibly empty
+BLOCK_RANGES = st.builds(
+    lambda start, length, step: range(start, start + length)[::step],
+    st.integers(0, 9),
+    st.integers(0, 5),
+    st.sampled_from([1, -1]),
+)
+
+
 @given(
     st.integers(0, 10**6),
     st.sampled_from([1, 2, 3]),
     st.integers(-4, 8),
     st.integers(-8, 4),
-    st.lists(st.integers(0, 9), max_size=5),
-    st.lists(st.integers(0, 9), max_size=5),
+    BLOCK_RANGES,
+    BLOCK_RANGES,
 )
-@example(1, 2, -1, -6, [], [0, 1])           # no rows
-@example(2, 3, 5, -6, [3, 0, 7], [])         # no cols
-@example(3, 2, 3, -2, [4, 6], [0, 1])        # rows past u.hi: kmax < 1
-@example(4, 1, 6, -7, [5, 1, 1, 3], [2, 0])  # repeated, unsorted rows
+@example(1, 2, -1, -6, range(0), range(2))                # no rows
+@example(2, 3, 5, -6, range(7, 2, -1), range(0))          # no cols
+@example(3, 2, 3, -2, range(4, 7), range(2))              # rows past u.hi: kmax < 1
+@example(4, 1, 6, -7, range(5, 0, -1), range(2, -1, -1))  # both reversed
 def test_hankel_product_matches_triple_sum(seed, n, u_hi, v_lo, rows, cols):
     rng = np.random.default_rng(seed)
     u = _random_lm(rng, n, u_hi - 5, u_hi)
@@ -174,12 +184,32 @@ def test_hankel_product_matches_triple_sum(seed, n, u_hi, v_lo, rows, cols):
     want = _hankel_reference(u, v, rows, cols)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+    # the same GEMM as the product laid out block by block, bit for bit
+    assert np.array_equal(got, hankel_product_layout(u, v, list(rows), list(cols)))
 
 
 def test_hankel_product_rejects_negative_indices():
     lm = LaurentMatrix(1, -2, 2, np.ones((5, 1, 1)))
     with pytest.raises(ValueError):
-        hankel_product_matrix(lm, lm, [-1, 0], [0])
+        hankel_product_matrix(lm, lm, range(-1, 1), range(1))
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([1, 2, 3]),
+    st.integers(-6, 1),
+    st.integers(-1, 6),
+    st.integers(1, 8),
+)
+def test_tail_corner_is_the_reflected_product_on_a_reversed_range(seed, n, a_lo, b_hi, M):
+    # sum_{k>=0} a^(i-M-k) b^(M+k-j) is the Hankel product of a(1/z), b(1/z)
+    # with both block orders reversed, bit for bit
+    rng = np.random.default_rng(seed)
+    a = _random_lm(rng, n, a_lo, a_lo + 4)
+    b = _random_lm(rng, n, b_hi - 4, b_hi)
+    rev = range(M - 1, -1, -1)
+    want = hankel_product_matrix(lm_reflect(a), lm_reflect(b), rev, rev)
+    assert np.array_equal(toeplitz._tail_corner(a, b, M), want)
 
 
 @given(
@@ -206,20 +236,14 @@ def test_wiener_hopf_system_matches_block_loop():
 @given(
     st.lists(st.floats(-0.4, 0.4), min_size=1, max_size=6),
     st.sampled_from([1, 2, 3]),
-    st.integers(-3, 4),
-    st.integers(0, 10),
+    st.integers(0, 14),
 )
-# p_3 of the first and p_10 of the second are 1/155 and 1/138 of p(|t|),
-# where a convolution in doubles was 5.1e-15 and 1.8e-15 of the band off
-@example([0.34375, 0.1875, -0.0703125], 1, 3, 0)
-@example([0.17323606777393075, -0.0625], 3, 4, 0)
-# mode 1 is p_1 = 5e-324 alone, below the least normal double
-@example([5e-324], 1, 1, 0)
-def test_exp_xi_lambda_matches_schur_loop(tvals, n, lo, width):
+# mode 1 is p_1 = 5e-324, below the least normal double
+@example([5e-324], 1, 1)
+def test_exp_xi_lambda_matches_schur_loop(tvals, n, hi):
     tv = time_vector(tvals, gd_reduced=False)
-    band = (lo, max(lo, 0) + width)
-    got = exp_xi_lambda(tv, n, band)
-    want = _exp_xi_reference(tv, n, band)
+    got = exp_xi_lambda(tv, n, hi)
+    want = _exp_xi_reference(tv, n, hi)
     assert np.max(np.abs(got.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
 
 
