@@ -8,14 +8,14 @@ with no negative Fourier modes, zero trace, and characteristic polynomial
 equal to the curve.  This module computes
 
 - the expansion b(zeta) = zeta^m (1 + l_1/zeta + ...) of lambda at infinity
-  (branch_series), solved term by term with a Newton iteration on truncated
-  power series,
+  (branch_series), by Newton steps on power series that double the number
+  of exact terms each,
 - the folded action B(z) = b(Lambda) and the conjugated C(z) with its
   polynomiality / trace / degree-pattern certificates (bc_matrices); W(z)
   is diagonal, so C_ij = B_ij w_j / w_i is read off W's diagonal,
 - the inverse construction (reconstruct_W): given C alone, re-derive the
-  curve from its characteristic polynomial, diagonalize C(z) pointwise with
-  left eigenvectors matched to the branch values b(zeta_i) over the fiber
+  curve from its characteristic polynomial, solve for the left eigenvectors
+  of C(z) at its eigenvalues, the branch values b(zeta_i) over the fiber
   zeta_i^n = z, and reassemble the symbol through the fiber Vandermonde,
   inverted by one DFT.
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil, gcd, log2
+from math import gcd
 
 import numpy as np
 
@@ -278,14 +278,15 @@ def branch_residual(cp: CharPoly, bs: BranchSeries) -> float:
 
 
 def branch_series(cp: CharPoly, J: int = 96) -> BranchSeries:
-    """Solve the curve for its branch at infinity, term by term.
+    """Solve the curve for its branch at infinity by Newton on power series.
 
     Substituting lambda = zeta^m u(x), x = 1/zeta, z = zeta^n and dividing by
     zeta^{mn} turns the curve into q(u, x) = u^n + sum_s A_s(x) u^{n-s} = 0
     with A_s(x) = sum_d c_{s,d} x^{ms-nd}.  The degree bounds make every A_s
     vanish at x = 0 except A_n(0), which must equal -1 for the normalized
-    branch u(0) = 1 to exist; u is then found by Newton iteration on power
-    series truncated at x^J.
+    branch u(0) = 1 to exist.  That root is simple, so each Newton step
+    u <- u - q / q_u doubles the number of exact coefficients of u (Brent &
+    Kung 1978); each step runs at the length it makes exact, up to x^J.
     """
     L = J + 1
     n, m = cp.n, cp.m
@@ -294,12 +295,8 @@ def branch_series(cp: CharPoly, J: int = 96) -> BranchSeries:
         arr = np.zeros(L, dtype=complex)
         cs = cp.c(s)
         for d in range(len(cs)):
-            if cs[d] == 0.0:
-                continue
-            e = m * s - n * d
-            if e < 0:
-                raise SpecError(f"coefficient {s} degree {d} breaks the bounds")
-            if e < L:
+            e = m * s - n * d  # >= 0 for every nonzero c_{s,d}: CharPoly checks the bounds
+            if cs[d] != 0.0 and e < L:
                 arr[e] += cs[d]
         A.append(arr)
     if abs(A[-1][0] + 1.0) > 1e-12:
@@ -312,28 +309,20 @@ def branch_series(cp: CharPoly, J: int = 96) -> BranchSeries:
     if abs(dq0) < 1e-9:
         raise BranchError("vanishing derivative at the leading branch term")
 
-    u = np.zeros(L, dtype=complex)
-    u[0] = 1.0
-    scale = max(1.0, max(float(np.max(np.abs(a))) for a in A))
-    for _ in range(int(ceil(log2(max(2, L)))) + 2):
-        powers = [np.zeros(L, dtype=complex), u]
-        powers[0][0] = 1.0
+    u, k = np.ones(1, dtype=complex), 1
+    while k < L:
+        k = min(2 * k, L)
+        u = np.pad(u, (0, k - len(u)))
+        powers = [np.eye(1, k, dtype=complex)[0], u]  # 1, u, ..., u^n
         for _p in range(2, n + 1):
-            powers.append(_ser_mul(powers[-1], u, L))
+            powers.append(_ser_mul(powers[-1], u, k))
         q = powers[n].copy()
-        dq = n * powers[n - 1].copy()
+        dq = n * powers[n - 1]
         for s in range(1, n + 1):
-            q += _ser_mul(A[s - 1], powers[n - s], L)
+            q += _ser_mul(A[s - 1][:k], powers[n - s], k)
             if s < n:
-                dq += (n - s) * _ser_mul(A[s - 1], powers[n - s - 1], L)
-        if float(np.max(np.abs(q))) <= 1e-14 * scale:
-            break
-        u = u - _ser_mul(q, _ser_inv(dq, L), L)
-    else:
-        if float(np.max(np.abs(q))) > 1e-10 * scale:
-            raise BranchError(
-                f"branch iteration stalled at residual {float(np.max(np.abs(q))):.3g}"
-            )
+                dq += (n - s) * _ser_mul(A[s - 1][:k], powers[n - s - 1], k)
+        u = u - _ser_mul(q, _ser_inv(dq, k), k)
     return BranchSeries(m, u[1:], n)
 
 
@@ -385,7 +374,7 @@ def bc_matrices(spec: SymbolSpec, bs: BranchSeries, cp: CharPoly) -> BCMatrices:
     cscale = max(1.0, float(np.max(np.abs(Cv))))
     trace_dev = float(np.max(np.abs(np.trace(Cv, axis1=1, axis2=2)))) / cscale
 
-    C = lm_trim(transform(CircleSamples(n, M, Cv), band), 1e-13)
+    C = lm_trim(LaurentMatrix(n, *band, modes[np.arange(band[0], band[1] + 1) % M]), 1e-13)
 
     # the folded zeta-degree of entry (i, j) of mode q, read off the fold of a ramp
     zs = np.arange(n * (C.lo - 1), n * (C.hi + 1))
@@ -444,11 +433,11 @@ def reconstruct_W(C: LaurentMatrix) -> LaurentMatrix:
     """Rebuild the base symbol from its commuting matrix polynomial.
 
     Derives the curve from C's characteristic polynomial, expands the branch
-    at infinity, and per circle sample matches the left eigenvectors of C(z)
-    to the branch values over the ordered fiber.  The matched eigenvector
-    rows, normalized to unit leading component, assemble the symbol through
-    the fiber Vandermonde.  For a covering symbol (diagonal, w_0 = 1, every
-    w_i -> 1 at infinity) that normalization makes the rebuilt z^0 block I;
+    at infinity, and per circle sample solves for the left eigenvector rows
+    of C(z) at the branch values over the ordered fiber, each with unit
+    leading component; they assemble the symbol through the fiber
+    Vandermonde.  For a covering symbol (diagonal, w_0 = 1, every w_i -> 1
+    at infinity) that normalization makes the rebuilt z^0 block I;
     spectral_check's big-cell certificate reports any other outcome.
     """
     n = C.n
@@ -464,28 +453,29 @@ def reconstruct_W(C: LaurentMatrix) -> LaurentMatrix:
 def _reconstruct_samples(
     C: LaurentMatrix, bs: BranchSeries, z: np.ndarray
 ) -> np.ndarray:
-    """Symbol samples W(z) from eigenvector rows of C(z) matched to branches.
+    """Symbol samples W(z) from the left eigenvector rows of C(z) at the branch values.
 
-    The matched rows r_i are the fiber Vandermonde zeta_i^a times W(z).
-    That Vandermonde is F diag(zeta_1^a), F the n-point DFT matrix, so
+    The branch values b(zeta_i) over the fiber are C(z)'s eigenvalues, so
+    row i is the r with r_0 = 1 and r (C(z) - b(zeta_i) I) = 0 on columns
+    1..n-1: M*n systems of size n - 1, one stacked_solve.  The rows are the
+    fiber Vandermonde zeta_i^a times W(z).  That Vandermonde is
+    F diag(zeta_1^a), F the n-point DFT matrix, so
     W = diag(zeta_1^-a) conj(F) r / n: one FFT over the branches, no solve.
     """
-    n = C.n
-    Cv = C(z)
+    n, M = C.n, len(z)
+    Ct = np.transpose(C(z), (0, 2, 1))[:, None]  # (M, 1, n, n): r (C - bI) = 0 as columns
     zetas = root_grid(z, n)
-    expected = bs(zetas)
-    eigvals, right = np.linalg.eig(np.transpose(Cv, (0, 2, 1)))
-    pick, _margin = _match_branches(eigvals, expected)
-    rows = np.transpose(
-        np.take_along_axis(right, pick[:, None, :], axis=2), (0, 2, 1)
-    )  # (M, branch, component)
-    lead = rows[:, :, 0]
-    if np.any(np.abs(lead) < 1e-13 * np.max(np.abs(rows), axis=2)):
+    b = bs(zetas)[:, :, None, None]
+    a = (Ct[:, :, 1:, 1:] - b * np.eye(n - 1)).reshape(-1, n - 1, n - 1)
+    rhs = np.broadcast_to(-Ct[:, :, 1:, :1], (M, n, n - 1, 1)).reshape(-1, n - 1, 1)
+    tail = stacked_solve(a, rhs)[0].reshape(M, n, n - 1)
+    # a vanishing lead shows as a non-finite or huge tail: |r_0| < 1e-13 max|r|
+    if not np.all(np.abs(tail) <= 1e13):
         raise BranchMatchError(
             "an eigenvector row has vanishing leading component; "
             "cannot normalize to the big cell"
         )
-    rows = rows / lead[:, :, None]
+    rows = np.concatenate([np.ones((M, n, 1)), tail], axis=2)  # (M, branch, component)
     return np.fft.fft(rows, axis=1) / (n * zetas[:, :1, None] ** np.arange(n)[:, None])
 
 

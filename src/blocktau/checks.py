@@ -655,7 +655,8 @@ def _check_rerun_determinism(ctx, tol):
         with open(os.path.join(sub, "tau.csv"), "rb") as fh:
             bytes_.append(fh.read())
     differ = float(bytes_[0] != bytes_[1])
-    return differ, differ <= tol, "tau CSV identical byte for byte on rerun"
+    detail = "tau CSV identical byte for byte on rerun at one BLAS thread count"
+    return differ, differ <= tol, detail
 
 
 CHECKS = [

@@ -84,16 +84,18 @@ class LaurentMatrix:
     def section(self, R: int, C: int, first: int, dr: int, dc: int) -> np.ndarray:
         """Dense (R*n, C*n) block matrix whose block (r, c) is g^(first + dr*r + dc*c).
 
-        dr and dc are +1 or -1: a Hankel section when they are equal, a
-        Toeplitz one when they differ.  Modes off the stored band give zero
-        blocks.  Such a section holds the R + C - 1 modes of one strip only:
-        the part of the band they overlap is copied once into a zero (n,
-        R + C - 1, n) buffer, whose flat row a holds row a of every strip
-        block side by side in the order c runs.  Row (r, a) of the section
+        dr and dc are +1 or -1 (ValueError otherwise): a Hankel section when
+        they are equal, a Toeplitz one when they differ.  Modes off the
+        stored band give zero blocks.  Such a section holds the R + C - 1
+        modes of one strip only: the part of the band they overlap is copied
+        once into a zero (n, R + C - 1, n) buffer, whose flat row a holds row
+        a of every strip block side by side in the order c runs.  Row (r, a) of the section
         is then C*n entries of flat row a, starting n entries further on
         with each r for a Hankel section and n entries further back for a
         Toeplitz one: one strided view, copied once in C order.
         """
+        if dr not in (1, -1) or dc not in (1, -1):
+            raise ValueError(f"section steps must be +1 or -1, got dr={dr}, dc={dc}")
         n = self.n
         if R * C == 0:
             return np.zeros((R * n, C * n), dtype=complex)

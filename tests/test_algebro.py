@@ -1,6 +1,7 @@
 """Spectral curves: branch series, commuting pair, symbol reconstruction."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ SHEET_SPECS = {
     "n2": covering_spec([0.2, 0.4j, -0.35], 2),
     "n3": covering_spec([0.3, -0.25, 0.35j, 0.2 + 0.2j], 3),
     "n4": covering_spec([0.3, -0.25, 0.35j, 0.2 + 0.2j, -0.15j], 4),
+    "n2_genus2": covering_spec([0.3, -0.25, 0.35j, 0.2 + 0.2j, -0.15j], 2),
 }
 
 
@@ -61,6 +63,19 @@ def test_square_root_series_binomial_oracle():
             want[2 * i] = b
         b *= (0.5 - i) / (i + 1.0)
     assert float(np.max(np.abs(bs.tail - want[1:]))) < 1e-13
+
+
+@pytest.mark.parametrize("spec", [CSPEC] + [SHEET_SPECS[k] for k in ("n3", "n4", "n2_genus2")])
+def test_branch_series_is_prefix_stable(spec):
+    # each Newton step runs at min(2k, J + 1) coefficients: every doubling
+    # length, the lengths that are not powers of two, and J = 0, 1 must
+    # give the leading terms of the long series
+    cp = curve_from_covering(spec)
+    full = branch_series(cp, 96).tail
+    for J in (0, 1, 2, 3, 31, 32, 33, 63, 64, 95):
+        tail = branch_series(cp, J).tail
+        assert tail.shape == (J,)
+        assert np.max(np.abs(tail - full[:J]), initial=0.0) <= 1e-15 * np.max(np.abs(full))
 
 
 def test_covering_branch_matches_sampled_root(covering_curve):
@@ -279,9 +294,9 @@ def test_spectral_report_second_elliptic_curve(sheets):
 
 
 def test_spectral_check_stacked_lapack_calls(monkeypatch):
-    # eigenvectors for the rebuild and eigenvalues for the match margin: 2
-    # LAPACK calls on sample stacks (the curve coefficients are principal
-    # minors, determinants of the stacked elimination)
+    # eigenvalues for the match margin: 1 LAPACK call on a sample stack (the
+    # curve coefficients are principal minors, determinants of the stacked
+    # elimination, and the rebuild's eigenvector rows one stacked solve)
     calls = []
 
     def counted(name, fn):
@@ -297,7 +312,7 @@ def test_spectral_check_stacked_lapack_calls(monkeypatch):
         if callable(fn) and not isinstance(fn, type) and "norm" not in name:
             monkeypatch.setattr(np.linalg, name, counted(name, fn))
     assert spectral_check(CSPEC).passed
-    assert sorted(calls) == ["eig", "eigvals"]
+    assert sorted(calls) == ["eigvals"]
 
 
 # -- negative controls -------------------------------------------------------
@@ -354,3 +369,19 @@ def test_branch_match_ambiguity_detected():
         _match_branches(
             np.array([[1.0 + 0j, 1.0 + 0j]]), np.array([[1.0 + 0j, 1.0 + 0j]])
         )
+
+
+def test_rebuild_refuses_a_vanishing_lead():
+    # C = diag(1, 2): the left eigenvector at eigenvalue 2 is (0, 1), which
+    # no row with leading entry 1 reaches; the zero pivot must surface as
+    # the refusal, not as a numpy warning
+    C = LaurentMatrix(2, 0, 0, np.diag([1.0, 2.0]).astype(complex)[None])
+
+    def branch_values(zetas):
+        return np.broadcast_to(np.array([1.0, 2.0], dtype=complex), zetas.shape)
+
+    z = np.exp(2j * np.pi * np.arange(8) / 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BranchMatchError, match="vanishing leading component"):
+            _reconstruct_samples(C, branch_values, z)

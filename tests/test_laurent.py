@@ -348,6 +348,13 @@ def test_section_is_the_block_layout(seed, n, lo, w, R, C, first, dr, dc):
     assert np.array_equal(got, block_layout(lm.coeffs, lm.lo, modes))
 
 
+@pytest.mark.parametrize("dr, dc", [(2, 1), (1, -2), (0, 1), (1, 0)])
+def test_section_refuses_steps_other_than_one(dr, dc):
+    lm = _random_lm(np.random.default_rng(0), 1, -3, 3)
+    with pytest.raises(ValueError, match="steps"):
+        lm.section(3, 3, 0, dr, dc)
+
+
 def test_identity_add_scale_project():
     rng = np.random.default_rng(4)
     a = _random_lm(rng)

@@ -194,6 +194,17 @@ def test_hankel_product_rejects_negative_indices():
         hankel_product_matrix(lm, lm, range(-1, 1), range(1))
 
 
+def test_hankel_product_refuses_a_stepped_range():
+    # a step of 2 is no strip of one section: refused, not a wrong K
+    rng = np.random.default_rng(3)
+    u = LaurentMatrix(1, -4, 6, rng.standard_normal((11, 1, 1)))
+    v = LaurentMatrix(1, -6, 4, rng.standard_normal((11, 1, 1)))
+    with pytest.raises(ValueError, match="steps"):
+        hankel_product_matrix(u, v, range(0, 6, 2), range(3))
+    with pytest.raises(ValueError, match="steps"):
+        hankel_product_matrix(u, v, range(3), range(4, -1, -2))
+
+
 @given(
     st.integers(0, 10**6),
     st.sampled_from([1, 2, 3]),
