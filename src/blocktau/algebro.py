@@ -284,9 +284,10 @@ def branch_series(cp: CharPoly, J: int = 96) -> BranchSeries:
     zeta^{mn} turns the curve into q(u, x) = u^n + sum_s A_s(x) u^{n-s} = 0
     with A_s(x) = sum_d c_{s,d} x^{ms-nd}.  The degree bounds make every A_s
     vanish at x = 0 except A_n(0), which must equal -1 for the normalized
-    branch u(0) = 1 to exist.  That root is simple, so each Newton step
-    u <- u - q / q_u doubles the number of exact coefficients of u (Brent &
-    Kung 1978); each step runs at the length it makes exact, up to x^J.
+    branch u(0) = 1 to exist.  That root is simple, q_u(1, 0) = n, so each
+    Newton step u <- u - q / q_u doubles the number of exact coefficients of
+    u (Brent & Kung 1978); each step runs at the length it makes exact, up
+    to x^J.
     """
     L = J + 1
     n, m = cp.n, cp.m
@@ -304,10 +305,6 @@ def branch_series(cp: CharPoly, J: int = 96) -> BranchSeries:
             "curve is not normalized: the top coefficient of the last "
             f"coefficient function is {-A[-1][0]:.6g}, need 1"
         )
-    # simple-root condition for u(0) = 1
-    dq0 = n + sum((n - s) * A[s - 1][0] for s in range(1, n))
-    if abs(dq0) < 1e-9:
-        raise BranchError("vanishing derivative at the leading branch term")
 
     u, k = np.ones(1, dtype=complex), 1
     while k < L:

@@ -13,8 +13,10 @@ vector: truncation is a slice, and an operand with a larger cutoff is cut
 to the smaller one.  Every coefficient is kept, however small; one that no
 operation reaches stays exactly zero.  Each (K, Q) has one table set,
 built on first use and cached: the basis exponents and weights, the prefix
-ends, the product pairs (a product is one gather and one segmented sum)
-and the index maps of the derivatives d/dt_i.
+ends, the product pairs (a product is one gather and one segmented sum),
+the index maps of the derivatives d/dt_i, and the weight windows of the
+products that determinants form (the pairs whose factors weigh at least
+given valuations).
 
 The module also provides the Schur polynomial family p_k(t) defined by
 exp(sum_k t_k w^k) = sum_k p_k(t) w^k, numeric Schur characters via the
@@ -130,40 +132,27 @@ def _exp_coefficients(K: int, Q: int) -> np.ndarray:
     return 1.0 / np.prod(fact[exps], axis=1)
 
 
-_PAIR_BLOCK = 1 << 15  # pair products held at once: 512 KiB of complex
 _PIVOT_GROWTH = 1e3  # gp_det divides only by pivots that amplify round-off less
 
 
 def _mul(a: np.ndarray, b: np.ndarray, K: int, Q: int) -> np.ndarray:
-    """Truncated product of coefficient arrays over the (K, Q) basis.
-
-    One operand is a vector, the other a vector or a stack of vectors (the
-    pair set is symmetric, so either may be the stack).  A stack goes
-    through in blocks whose gathered pair products stay near _PAIR_BLOCK.
-    """
+    """Truncated product of coefficient vectors over the (K, Q) basis."""
     ia, ib, starts = _product_table(K, Q)
-    if a.ndim < b.ndim:
-        a, b = b, a
-    pb = np.take(b, ib)
-    if a.ndim == 1:
-        prod = np.take(a, ia)
-        prod *= pb
-        return np.add.reduceat(prod, starts)
-    out = np.empty((len(a), len(starts)), dtype=complex)
-    step = max(1, _PAIR_BLOCK // len(ia))
-    for lo in range(0, len(a), step):
-        prod = np.take(a[lo : lo + step], ia, axis=-1)
-        prod *= pb
-        out[lo : lo + step] = np.add.reduceat(prod, starts, axis=-1)
-    return out
+    prod = a.take(ia)
+    prod *= b.take(ib)
+    return np.add.reduceat(prod, starts)
 
 
 def _inverse(a: np.ndarray, K: int, Q: int) -> np.ndarray:
     """Inverse of a coefficient vector with nonzero constant term.
 
-    Newton's step b <- b (2 - a b) doubles the number of exact weight
-    layers; each step runs at the cutoff it can make exact.  The start
-    1 / a_0 is exact below the lowest weight of a - a_0.
+    Newton's step in correction form, b <- b - b (a b - 1), doubles the
+    number of exact weight layers (Brent & Kung 1978); each step runs at
+    the cutoff it can make exact.  The start 1 / a_0 is exact below the
+    lowest weight of a - a_0.  The correction a b - 1 is zeroed through
+    the weight already exact, so a step writes only the layers it makes
+    exact and never rewrites a lower one: the inverse at a cutoff Q' < Q is
+    bit for bit the first end(Q') coefficients of the one at Q.
     """
     basis = _basis(K, Q)
     b = np.zeros(basis.size, dtype=complex)
@@ -171,12 +160,53 @@ def _inverse(a: np.ndarray, K: int, Q: int) -> np.ndarray:
     tail = np.flatnonzero(a[1 : basis.size])
     w = int(basis.weights[tail[0] + 1]) - 1 if len(tail) else Q  # b is exact through w
     while w < Q:
+        exact = basis.end(w)
         w = min(2 * w + 1, Q)
         n = basis.end(w)
-        residual = _mul(a[:n], b[:n], K, w)
-        residual[0] -= 2.0
-        b[:n] = -_mul(b[:n], residual, K, w)
+        correction = _mul(a[:n], b[:n], K, w)
+        correction[:exact] = 0.0  # a b - 1 vanishes through the exact layers
+        b[exact:n] -= _mul(b[:n], correction, K, w)[exact:]
     return b
+
+
+@lru_cache(maxsize=None)
+def _window(K: int, Q: int, va: int, vb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The pairs of _product_table(K, Q) whose factors weigh at least va and vb.
+
+    Returns (ia, ib, ic, size): the kept pairs in table order, the product
+    monomial of each, and the basis size.  The pairs end in a spare (0, 0)
+    whose product goes to the slot ic = size past the basis: numpy
+    multiplies a one-element complex array on another path than a longer
+    one, with a different last bit, and the spare keeps every window on the
+    path of the full one.
+    """
+    ia, ib, starts = _product_table(K, Q)
+    weights = _basis(K, Q).weights
+    keep = (weights[ia] >= va) & (weights[ib] >= vb)
+    ic = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(ia)))
+    return (
+        np.append(ia[keep], 0),
+        np.append(ib[keep], 0),
+        np.append(ic[keep], len(starts)),
+        len(starts),
+    )
+
+
+def _window_mul(a: np.ndarray, b: np.ndarray, K: int, Q: int, va: int, vb: int) -> np.ndarray:
+    """Truncated product of vectors that vanish below the weights va and vb.
+
+    Only the pairs of the window are formed, and each coefficient sums its
+    pairs one by one in table order (np.add.at), so the product is bit for
+    bit the one of the full window (0, 0): the pairs left out are exact
+    zeros.  a needs the coefficients of weight <= Q - vb and b those of
+    weight <= Q - va.
+    """
+    ia, ib, ic, size = _window(K, Q, va, vb)
+    prod = a.take(ia)
+    prod *= b.take(ib)
+    out = np.zeros(size + 1, dtype=complex)
+    np.add.at(out, ic, prod)
+    return out[:size]
 
 
 # -- the ring element -----------------------------------------------------------
@@ -622,20 +652,8 @@ def _valuations(coeffs: np.ndarray, weights: np.ndarray, Q: int) -> np.ndarray:
 def gp_det(rows: list[list[GradedPoly]]) -> GradedPoly:
     """Determinant of a square matrix over the graded ring.
 
-    Gaussian elimination with partial pivoting on constant-term magnitude;
-    division happens only by pivots, which must be ring units (nonzero
-    constant term).  Falls back to cofactor expansion for sizes <= 3 where
-    it is both faster and division-free, and to a memoized division-free
-    expansion (up to size 12) when no unit pivot exists or the chosen one
-    would amplify round-off by more than _PIVOT_GROWTH (`_amplifies`: a
-    small constant term under heavy higher weights).  The
-    elimination works on the (m, m, basis) coefficient array.  A row update
-    multiplies a factor by the pivot-row entries whose valuation (lowest
-    weight present) leaves the sum of the two at most Q; every other
-    product is zero in the truncated ring and is not formed, so the result
-    is the same as without the skip.  Matrices with a weight filtration,
-    such as I plus a matrix whose columns start at rising weights taken
-    heaviest first, skip most of their products.
+    The entries are cut to the smallest cutoff among them and stacked into
+    the (m, m, basis) coefficient array that _det eliminates.
     """
     m = len(rows)
     if m == 0:
@@ -644,32 +662,61 @@ def gp_det(rows: list[list[GradedPoly]]) -> GradedPoly:
         if len(r) != m:
             raise ValueError("matrix is not square")
     K, Q = rows[0][0].K, min(min(e.Q for e in r) for r in rows)
-    if m == 1:
-        return rows[0][0].truncate(Q)
-    if m == 2:
-        a, b = rows[0]
-        c, d = rows[1]
-        return (a * d - b * c).truncate(Q)
-    if m == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        return (
-            a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        ).truncate(Q)
+    size = _basis(K, Q).size
+    return GradedPoly(K, Q, _det(np.array([[e.coeffs[:size] for e in r] for r in rows]), K, Q))
 
-    basis = _basis(K, Q)
-    work = np.array([[entry.coeffs[: basis.size] for entry in r] for r in rows])
+
+def _det(work: np.ndarray, K: int, Q: int) -> np.ndarray:
+    """Determinant coefficients of an (m, m, basis) array over the (K, Q) ring.
+
+    Cofactor expansion for sizes <= 3, where it is both faster and
+    division-free.  Larger sizes go through Gaussian elimination with
+    partial pivoting on constant-term magnitude; division happens only by
+    pivots, which must be ring units (nonzero constant term).  It falls back
+    to a memoized division-free expansion (up to size 12) when no unit pivot
+    exists or the chosen one would amplify round-off by more than
+    _PIVOT_GROWTH (`_amplifies`: a small constant term under heavy higher
+    weights).  work is overwritten.
+
+    Each elimination step reads the valuations (lowest weight present) of
+    the pivot row and of the pivot column.  A factor of valuation v times a
+    pivot-row entry of valuation u is formed only when v + u <= Q, and only
+    over its weight window (_window_mul): the pairs whose factors weigh at
+    least v and u.  No factor is read above weight Q - u_min, u_min the
+    lowest pivot-row valuation, so the factors are formed to that weight
+    and the pivot is inverted to Q - u_min - v_min (_inverse returns the
+    bitwise prefix of the full inverse).  Every product left out, and every
+    pair left out of a window, is an exact zero, and the windows sum their
+    pairs in table order, so the determinant is bit for bit the one formed
+    with every valuation taken as 0.  Matrices with a weight filtration,
+    such as I plus a matrix whose columns start at rising weights taken
+    heaviest first, form few of their pairs.
+    """
+    m = len(work)
+    if m == 1:
+        return work[0, 0]
+    if m == 2:
+        return _mul(work[0, 0], work[1, 1], K, Q) - _mul(work[0, 1], work[1, 0], K, Q)
+    if m == 3:
+        (a, b, c), (d, e, f), (g, h, i) = work
+        return (
+            _mul(a, _mul(e, i, K, Q) - _mul(f, h, K, Q), K, Q)
+            - _mul(b, _mul(d, i, K, Q) - _mul(f, g, K, Q), K, Q)
+            + _mul(c, _mul(d, h, K, Q) - _mul(e, g, K, Q), K, Q)
+        )
+
+    weights = _basis(K, Q).weights
+    val = _valuations(work, weights, Q).tolist()
     sign = 1
-    det = np.zeros(basis.size, dtype=complex)
+    det = np.zeros(len(weights), dtype=complex)
     det[0] = 1.0
     for col in range(m):
         lead = np.abs(work[col:, col, 0])
         pivot_row = col + int(np.argmax(lead))
         unit = lead[pivot_row - col] > 0.0
         if not unit and not work[col:, col].any():
-            return gp_zero(K, Q)  # structurally singular: a zero column
-        if not unit or _amplifies(work[pivot_row, col], basis.weights, Q):
+            return np.zeros_like(det)  # structurally singular: a zero column
+        if not unit or _amplifies(work[pivot_row, col], weights, Q):
             if m <= 12:
                 # no unit pivot in this column, or one whose inverse would
                 # amplify round-off: finish division-free on the remaining
@@ -678,26 +725,31 @@ def gp_det(rows: list[list[GradedPoly]]) -> GradedPoly:
                     [GradedPoly(K, Q, work[r, c]) for c in range(col, m)]
                     for r in range(col, m)
                 ]
-                return GradedPoly(K, Q, det * sign) * _gp_det_free(tail, K, Q)
+                return _mul(det * sign, _gp_det_free(tail, K, Q).coeffs, K, Q)
             if not unit:
                 raise DegenerateInput(
                     "graded elimination needs a pivot with nonzero constant term"
                 )
         if pivot_row != col:
             work[[col, pivot_row]] = work[[pivot_row, col]]
+            val[col], val[pivot_row] = val[pivot_row], val[col]
             sign = -sign
         pivot = work[col, col]
         det = _mul(det, pivot, K, Q)
-        row_val = _valuations(work[col, col + 1 :], basis.weights, Q)
-        factor_val = _valuations(work[col + 1 :, col], basis.weights, Q)
-        live = np.flatnonzero(factor_val + row_val.min(initial=Q + 1) <= Q)
-        if not len(live):
+        top = Q - min(val[col][col + 1 :], default=Q + 1)  # no factor is read above top
+        live = [r for r in range(col + 1, m) if val[r][col] <= top]
+        if not live:
             continue
-        factors = _mul(work[col + 1 + live, col], _inverse(pivot, K, Q), K, Q)
-        for r, f, v in zip(col + 1 + live, factors, factor_val[live]):
-            cs = col + 1 + np.flatnonzero(row_val <= Q - v)
-            work[r, cs] -= _mul(f, work[col, cs], K, Q)
-    return GradedPoly(K, Q, det * sign)
+        inverse = _inverse(pivot, K, top - min(val[r][col] for r in live))
+        for r in live:
+            v = val[r][col]
+            factor = _window_mul(work[r, col], inverse, K, top, v, 0)
+            for c in range(col + 1, m):
+                u = val[col][c]
+                if v + u <= Q:
+                    work[r, c] -= _window_mul(factor, work[col, c], K, Q, v, u)
+                    val[r][c] = min(val[r][c], v + u)  # a bound: the update may cancel
+    return det * sign
 
 
 # -- KdV bilinear residual --------------------------------------------------

@@ -43,6 +43,7 @@ from .gradedpoly import (
     GradedPoly,
     _basis_parts,
     _character_table,
+    _det,
     gp_const,
     gp_det,
     gp_from_terms,
@@ -199,8 +200,10 @@ def tau_graded(spec: SymbolSpec, N: int, Q: int, gd_reduced: bool = True) -> Gra
     identity rows in the r x r matrix, and columns that vanish identity
     columns in the nN x nN one (half of each for the covering family), so
     both sides drop them and the smaller of what is left is taken.  Column
-    m (row i) of the ring matrix has no weight below m (i + 1); the matrix
-    goes to gp_det heaviest pivot first, where most products pass Q.
+    m (row i) of the ring matrix has no weight below m (i + 1); its
+    (m, m, basis) coefficient array goes to the elimination of gp_det
+    (gradedpoly._det) heaviest pivot first, where most products pass Q and
+    the rest form only their weight windows.
     gd_reduced sets t_n, t_2n, ... to zero in the result (_gd_freeze).
     """
     n = spec.n
@@ -237,8 +240,7 @@ def tau_graded(spec: SymbolSpec, N: int, Q: int, gd_reduced: bool = True) -> Gra
         m = np.where(m <= r, np.maximum(m, 0), 0)
         M = (Xp[m][..., i_s] * Cp[m, np.arange(len(weights))][..., None]).transpose(0, 2, 1)
     M[np.arange(len(M)), np.arange(len(M)), 0] += 1.0
-    M = M[::-1, ::-1]  # heaviest columns (rows) first
-    tau = gp_det([[GradedPoly(Q, Q, entry) for entry in row] for row in M]) * det_w
+    tau = GradedPoly(Q, Q, _det(M[::-1, ::-1], Q, Q) * det_w)  # heaviest columns (rows) first
     return _gd_freeze(tau, n) if gd_reduced else tau
 
 

@@ -328,6 +328,20 @@ def test_reject_degree_bound_violation():
         CharPoly(2, (np.array([0, 0, 1.0]), np.array([0, 0, 0, -1.0])))
 
 
+@pytest.mark.parametrize(
+    "n, m, s", [(2, 2, 1), (3, 3, 1), (3, 3, 2), (4, 2, 2), (4, 6, 2), (6, 4, 3)]
+)
+def test_reject_degree_on_the_bound(n, m, s):
+    # n deg c_s = m s would put a constant term in A_s (s < n) and move
+    # q_u(1, 0) off n; it needs a factor shared by n and m, so it is refused
+    d = m * s // n
+    coeffs = [np.zeros(1) for _ in range(n)]
+    coeffs[s - 1] = np.eye(1, d + 1, d)[0]
+    coeffs[-1] = -np.eye(1, m + 1, m)[0]
+    with pytest.raises(SpecError):
+        CharPoly(n, tuple(coeffs))
+
+
 def test_reject_non_coprime_orders():
     with pytest.raises(SpecError):
         CharPoly(2, (np.zeros(1), np.array([0, 0, 0, 0, -1.0])))

@@ -127,6 +127,30 @@ def test_inverse_matches_reference(KQ, seed):
     assert _gap_to_ref(gp_from_terms(K, Q, a).invert(), _ref_inverse(a, K, Q)) < 1e-12
 
 
+@given(ring_sizes, st.integers(0, 9), st.integers(0, 9), st.integers(0, 10**6))
+def test_window_product_drops_only_zero_pairs(KQ, va, vb, seed):
+    # operands that vanish below weights va and vb: the pairs the window
+    # leaves out are exact zeros, so it is the full window's product bit for bit
+    K, Q = KQ
+    rng = _rng(seed)
+    a = {e: c for e, c in _ref_random(K, Q, rng).items() if monomial_weight(e) >= va}
+    b = {e: c for e, c in _ref_random(K, Q, rng).items() if monomial_weight(e) >= vb}
+    pa, pb = gp_from_terms(K, Q, a).coeffs, gp_from_terms(K, Q, b).coeffs
+    got = gradedpoly._window_mul(pa, pb, K, Q, va, vb)
+    assert np.array_equal(got, gradedpoly._window_mul(pa, pb, K, Q, 0, 0))
+    assert _gap_to_ref(GradedPoly(K, Q, got), _ref_mul(a, b, Q)) < 1e-13
+
+
+@given(ring_sizes, st.integers(0, 10**6))
+def test_inverse_at_a_lower_cutoff_is_the_bitwise_prefix(KQ, seed):
+    K, Q = KQ
+    a = gp_from_terms(K, Q, _ref_random(K, Q, _rng(seed), unit=True)).coeffs
+    full = gradedpoly._inverse(a, K, Q)
+    basis = gradedpoly._basis(K, Q)
+    for q in range(Q):
+        assert np.array_equal(gradedpoly._inverse(a, K, q), full[: basis.end(q)])
+
+
 @given(ring_sizes, st.integers(0, 8), st.integers(0, 10**6))
 def test_truncation_is_a_ring_map_against_reference(KQ, q, seed):
     K, Q = KQ

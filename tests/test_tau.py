@@ -199,8 +199,10 @@ def test_character_route_runs_no_ring_determinant(spec, monkeypatch):
         raise AssertionError("the character route took a ring determinant")
 
     monkeypatch.setattr(gradedpoly, "gp_det", refuse)
+    monkeypatch.setattr(gradedpoly, "_det", refuse)
     monkeypatch.setattr(gradedpoly, "_gp_det_free", refuse)
     monkeypatch.setattr(tau_module, "gp_det", refuse)
+    monkeypatch.setattr(tau_module, "_det", refuse)
     got = tau_series(spec, 2, 8, representation="character", gd_reduced=False).series
     assert coefficient_gap(got, want) < 1e-12
 
@@ -284,15 +286,15 @@ def test_low_rank_graded_tau_equals_elimination(spec):
             assert coefficient_gap(got, want) <= 1e-13 * max_abs_coeff(want), (Q, N)
 
 
-def _lowest_weights(rows):
+def _lowest_weights(work, Q):
     """Lowest weight present in each entry of a ring matrix minus I (Q + 1 if none)."""
-    out = np.empty((len(rows), len(rows)), dtype=int)
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            c = entry.coeffs.copy()
-            c[0] -= i == j
-            nz = np.flatnonzero(c)
-            out[i, j] = entry.weights[nz[0]] if len(nz) else entry.Q + 1
+    weights = gradedpoly._basis(Q, Q).weights
+    out = np.empty(work.shape[:2], dtype=int)
+    for i, j in np.ndindex(out.shape):
+        c = work[i, j].copy()
+        c[0] -= i == j
+        nz = np.flatnonzero(c)
+        out[i, j] = weights[nz[0]] if len(nz) else Q + 1
     return out
 
 
@@ -329,13 +331,13 @@ def test_graded_tau_path_choice(monkeypatch, spec, N, side, det_size):
     # so lowest weights fall along the rows on the r x r side and down the
     # columns on the nN x nN side.
     mats = []
-    real_det = tau_module.gp_det
+    real_det = tau_module._det
     monkeypatch.setattr(
-        tau_module, "gp_det", lambda rows: mats.append(rows) or real_det(rows)
+        tau_module, "_det", lambda work, K, Q: mats.append(work.copy()) or real_det(work, K, Q)
     )
     tau_graded(spec, N, 8)
-    assert [len(rows) for rows in mats] == [det_size]
-    low = _lowest_weights(mats[0])
+    assert [len(work) for work in mats] == [det_size]
+    low = _lowest_weights(mats[0], 8)
     assert (_falls_along_rows(low, 8), _falls_along_rows(low.T, 8)) == (
         side == "r",
         side == "nN",
@@ -344,21 +346,27 @@ def test_graded_tau_path_choice(monkeypatch, spec, N, side, det_size):
 
 def test_covering_graded_tau_skips_most_ring_products(monkeypatch):
     # stable covering tau at Q = 12: the columns of its 6 x 6 ring matrix
-    # start at weights 12, 10, ..., 2, so most products pass Q
-    products = []
-    real_mul = gradedpoly._mul
+    # start at weights 12, 10, ..., 2, so most products pass Q and the rest
+    # form only their weight windows; count the pairs each product forms
+    pairs = []
+    real_mul, real_window_mul = gradedpoly._mul, gradedpoly._window_mul
 
-    def spy(a, b, K, Q):
-        products[-1] += (len(a) if a.ndim > 1 else 1) * (len(b) if b.ndim > 1 else 1)
+    def spy_mul(a, b, K, Q):
+        pairs[-1] += len(gradedpoly._product_table(K, Q)[0])
         return real_mul(a, b, K, Q)
 
+    def spy_window_mul(a, b, K, Q, va, vb):
+        pairs[-1] += len(gradedpoly._window(K, Q, va, vb)[0])
+        return real_window_mul(a, b, K, Q, va, vb)
+
     tau_graded(CSPEC, 6, 12, gd_reduced=False)  # the cached tables
-    monkeypatch.setattr(gradedpoly, "_mul", spy)
-    products.append(0)
+    monkeypatch.setattr(gradedpoly, "_mul", spy_mul)
+    monkeypatch.setattr(gradedpoly, "_window_mul", spy_window_mul)
+    pairs.append(0)
     tau_graded_elimination(CSPEC, 6, 12)
-    products.append(0)
+    pairs.append(0)
     tau_graded(CSPEC, 6, 12, gd_reduced=False)
-    assert 0 < products[1] <= products[0] / 3
+    assert 0 < pairs[1] <= pairs[0] / 3
 
 
 def test_tau_normalization_at_zero():
